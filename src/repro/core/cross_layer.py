@@ -23,8 +23,8 @@ import time
 from dataclasses import dataclass, field
 
 from ..eval.accuracy import CircuitEvaluator, EvaluationRecord
-from ..hw.bespoke import build_bespoke_netlist
-from ..hw.synthesis import ArrayCircuit, synthesize_arrays
+from ..hw.bespoke import build_bespoke_circuit, build_bespoke_netlist
+from ..hw.synthesis import ArrayCircuit
 from .coeff_approx import ApproximatedSum, CoefficientApproximator
 from .multiplier_area import BespokeMultiplierLibrary
 from .pareto import best_within_accuracy_loss, pareto_front
@@ -307,23 +307,29 @@ class CrossLayerFramework:
         return approximate_model_cached(approximator, model, self.store)
 
     def _coeff_netlist(self, model, approx_model, name: str,
-                       approximator=None):
+                       approximator=None, as_arrays: bool = False):
         """The synthesized coefficient-approximated netlist.
 
         With a store configured the netlist itself is content-addressed
         (``coeff_netlists`` table): a warm hit rebuilds it from JSON
         and skips the whole bespoke build+synthesis — together with the
         coefficient cache this is what makes warm cross-layer sweeps
-        skip both the area search *and* the rebuild.
+        skip both the area search *and* the rebuild.  ``as_arrays``
+        lets a cold array build stay an
+        :class:`~repro.hw.synthesis.ArrayCircuit` (enough for scoring)
+        instead of the ``Netlist`` a pruner needs.
         """
         if self.store is None:
-            return build_bespoke_netlist(approx_model, name=name,
-                                         builder=self.builder)
-        from ..service.store import build_coeff_netlist_cached
-        netlist, _hit = build_coeff_netlist_cached(
-            approximator or self.approximator, model, self.store,
-            name=name, approx_model=approx_model, builder=self.builder)
-        return netlist
+            circuit = build_bespoke_circuit(approx_model, name=name,
+                                            builder=self.builder)
+        else:
+            from ..service.store import build_coeff_netlist_cached
+            circuit, _fp, _hit = build_coeff_netlist_cached(
+                approximator or self.approximator, model, self.store,
+                name=name, approx_model=approx_model, builder=self.builder)
+        if as_arrays or not isinstance(circuit, ArrayCircuit):
+            return circuit
+        return circuit.to_netlist()
 
     def explore(self, model, X_train01, X_test01, y_test,
                 name: str = "circuit",
@@ -411,8 +417,8 @@ class CrossLayerFramework:
           exact baseline are built and scored once;
         * all per-``e`` designs score in one multi-netlist batched
           pass (:meth:`~repro.eval.accuracy.CircuitEvaluator.
-          evaluate_many`); without a store (and without ``"cross"``)
-          the variants stay in synthesis array form, skipping netlist
+          evaluate_many`); without ``"cross"`` cold-built variants
+          stay in synthesis array form, skipping netlist
           materialization and plan re-levelization entirely;
         * with a store, each radius's approximation *and* synthesized
           netlist are content-addressed, so a warm re-sweep skips the
@@ -431,12 +437,6 @@ class CrossLayerFramework:
         exact_netlist = build_bespoke_netlist(model, name=f"{name}_exact",
                                               builder=self.builder)
         want_cross = "cross" in include
-        # Array-form variants skip netlist materialization, but only
-        # the compiled engines can consume them (the bigint oracle
-        # reads the Netlist gate interface) — and the store needs
-        # netlist JSON.
-        as_arrays = self.store is None and not want_cross \
-            and evaluator.resolved_engine() in ("compiled", "batched")
 
         variants = []
         reports_by_e: dict[int, list[ApproximatedSum]] = {}
@@ -444,22 +444,10 @@ class CrossLayerFramework:
             approximator = self.approximator.with_e(e)
             approx_model, reports = self._approximate(model, approximator)
             reports_by_e[e] = reports
-            if as_arrays:
-                if self.builder == "gate":
-                    raw = build_bespoke_netlist(
-                        approx_model, name=f"{name}_coeff_e{e}",
-                        optimize=False, builder="gate")
-                    folded, _node_map = synthesize_arrays(
-                        ArrayCircuit.from_netlist(raw)[0])
-                else:
-                    from ..hw.array_builder import build_bespoke_arrays
-                    folded = build_bespoke_arrays(
-                        approx_model, name=f"{name}_coeff_e{e}")
-                variants.append((e, approx_model, folded))
-            else:
-                variants.append((e, approx_model, self._coeff_netlist(
-                    model, approx_model, name=f"{name}_coeff_e{e}",
-                    approximator=approximator)))
+            # Scoring alone takes array circuits; pruners need netlists.
+            variants.append((e, approx_model, self._coeff_netlist(
+                model, approx_model, name=f"{name}_coeff_e{e}",
+                approximator=approximator, as_arrays=not want_cross)))
 
         records = evaluator.evaluate_many(
             [exact_netlist] + [circ for _e, _m, circ in variants])

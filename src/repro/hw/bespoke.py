@@ -44,6 +44,7 @@ from .netlist import Netlist
 from .synthesis import synthesize
 
 __all__ = [
+    "build_bespoke_circuit",
     "build_bespoke_netlist",
     "build_weighted_sum_netlist",
     "build_bespoke_multiplier_netlist",
@@ -127,6 +128,23 @@ def build_bespoke_netlist(model: QuantMLP | QuantSVM, name: str = "bespoke",
                     builder="gate")
         tel.counter("build.gates_emitted", built, builder="gate")
     return netlist
+
+
+def build_bespoke_circuit(model: QuantMLP | QuantSVM, name: str = "bespoke",
+                          builder: str = "auto"):
+    """The synthesized circuit in its builder's own form.
+
+    The array builder's :class:`~repro.hw.synthesis.ArrayCircuit` is
+    returned as-is — the compiled engines, area/power and the store's
+    encoder read it directly, so consumers that never need the
+    ``Netlist`` IR skip ``to_netlist()``; the per-gate builder returns
+    its ``Netlist``.
+    """
+    if _resolve_builder(builder, True) == "array":
+        from .array_builder import build_bespoke_arrays
+
+        return build_bespoke_arrays(model, name)
+    return build_bespoke_netlist(model, name=name, builder=builder)
 
 
 def _build_mlp(model: QuantMLP, name: str) -> Netlist:

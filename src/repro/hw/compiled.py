@@ -63,6 +63,7 @@ def _service_telemetry():
 __all__ = [
     "BatchedEvaluator",
     "BatchedVariantSim",
+    "CircuitPorts",
     "CompiledNetlist",
     "CompiledSimulation",
     "HOST_SUPPORTS_COMPILED",
@@ -206,6 +207,23 @@ def _run_levels(words: np.ndarray, levels_plan: list,
         words[out] = va_all
 
 
+class CircuitPorts:
+    """The port interface of a circuit: its bus maps, no gates.
+
+    A plan keeps this view instead of its circuit.  Circuits cache their
+    plan, so a plan → circuit reference would make every evaluated
+    circuit cyclic garbage, freed only by the cyclic collector; the
+    plan's simulations only ever read the ports.
+    """
+
+    __slots__ = ("input_buses", "output_buses", "output_signed")
+
+    def __init__(self, circuit) -> None:
+        self.input_buses = circuit.input_buses
+        self.output_buses = circuit.output_buses
+        self.output_signed = circuit.output_signed
+
+
 class CompiledNetlist:
     """Levelized per-opcode evaluation plan for one circuit.
 
@@ -219,7 +237,7 @@ class CompiledNetlist:
     """
 
     def __init__(self, nl) -> None:
-        self.netlist = nl
+        self.netlist = CircuitPorts(nl)
         self.n_nets = nl.n_nets
         self.n_gates = nl.n_gates
         self.gate_out = np.asarray(nl.gate_out, dtype=np.int64) \
@@ -342,7 +360,7 @@ class CompiledNetlist:
         per-variant evaluation cost of the pruning exploration.
         """
         plan = CompiledNetlist.__new__(CompiledNetlist)
-        plan.netlist = circ
+        plan.netlist = CircuitPorts(circ)
         n_fixed = circ.n_fixed
         ops, ina, inb, inc = circ.ops, circ.ina, circ.inb, circ.inc
         n_gates = len(ops)
@@ -425,7 +443,7 @@ class CompiledSimulation:
     matrix, so every consumer works with either engine.
     """
 
-    netlist: object
+    netlist: object  # the circuit's ports (CircuitPorts)
     n_vectors: int
     words: np.ndarray  # (n_nets, n_words) uint64, tail bits undefined
     plan: CompiledNetlist

@@ -5,19 +5,50 @@ the Pareto-optimal pruned variant selected for printing, intermediate
 points of a long exploration.  This module round-trips a
 :class:`~repro.hw.netlist.Netlist` — structure, ports, signedness, and the
 ``meta`` used by the pruning pass — through a plain JSON document.
+
+:func:`encode_netlist` writes that document straight from a circuit —
+a ``Netlist`` or a synthesis :class:`~repro.hw.synthesis.ArrayCircuit`,
+with no per-gate dicts and no ``Netlist`` materialization — in the two
+forms the design store needs: the canonical (sorted-key, compact,
+name-less) bytes content keys hash, and the compact stored text.  The
+gate rows dominate both and are identical in both (their keys are
+already sorted), so they are encoded once.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import NamedTuple
 
+from .cells import EGT_LIBRARY
+from .compiled import OPCODES
 from .netlist import Netlist
 
 __all__ = ["netlist_to_dict", "netlist_from_dict", "save_netlist",
-           "load_netlist"]
+           "load_netlist", "EncodedNetlist", "encode_netlist"]
 
 _FORMAT_VERSION = 1
+
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+# One ``%`` template per opcode for a gate row of the ``netlist_to_dict``
+# document, formatted with the uniform ``(ina, inb, inc, out)`` tuple:
+# ``%.0s`` swallows the operand slots the cell does not have.
+_OPERANDS = {1: "%d%.0s%.0s", 2: "%d,%d%.0s", 3: "%d,%d,%d"}
+_ROW_OF_OP = [
+    '{"cell":%s,"inputs":[%s],"out":%%d}'
+    % (json.dumps(cell), _OPERANDS[EGT_LIBRARY[cell].n_inputs])
+    for cell in sorted(OPCODES, key=OPCODES.get)
+]
+
+
+class EncodedNetlist(NamedTuple):
+    """One netlist, encoded once (see :func:`encode_netlist`)."""
+
+    canonical: bytes  # canonical JSON of the document minus ``name``
+    text: str         # compact, insertion-ordered JSON of the document
 
 
 def netlist_to_dict(nl: Netlist) -> dict:
@@ -68,6 +99,68 @@ def netlist_from_dict(data: dict) -> Netlist:
         nl.meta["watch_buses"] = [
             [net_map[net] for net in bus] for bus in meta["watch_buses"]]
     return nl
+
+
+def encode_netlist(circuit, name: str | None = None) -> EncodedNetlist:
+    """``netlist_to_dict(circuit)`` as canonical bytes plus stored text.
+
+    ``circuit`` is a :class:`Netlist` or an array circuit; an array
+    circuit encodes exactly as its ``to_netlist()`` would — input nets
+    allocated in bus declaration order from net 2, gate *k* driving the
+    net after them — without building it.  ``canonical`` equals
+    ``canonical_json`` of the document with ``name`` dropped (the
+    content-key hash input); ``text`` is the compact JSON of the whole
+    document, keys in :func:`netlist_to_dict` order, with ``name``
+    overridden when given.
+    """
+    input_nets: dict[str, list[int]] = {}
+    if isinstance(circuit, Netlist):
+        for bus, nets in circuit.input_buses.items():
+            input_nets[bus] = list(nets)
+        cells = {cell: json.dumps(cell) for cell in set(circuit.gate_type)}
+        gates = ",".join([
+            f'{{"cell":{cells[cell]},"inputs":[{",".join(map(str, ins))}]'
+            f',"out":{out}}}'
+            for cell, ins, out in zip(circuit.gate_type, circuit.gate_inputs,
+                                      circuit.gate_out)])
+        outputs = circuit.output_buses
+        signed = circuit.output_signed
+        watch = circuit.meta.get("watch_buses")
+    else:
+        net = 2  # nets 0/1 are the constant ties
+        for bus, nodes in circuit.input_buses.items():
+            input_nets[bus] = list(range(net, net + len(nodes)))
+            net += len(nodes)
+        ops, ina, inb, inc = circuit.ops, circuit.ina, circuit.inb, circuit.inc
+        if not isinstance(ops, list):  # ndarray-backed snapshot
+            ops, ina, inb, inc = (ops.tolist(), ina.tolist(), inb.tolist(),
+                                  inc.tolist())
+        rows = _ROW_OF_OP
+        gates = ",".join([
+            rows[op] % (a, b, c, out)
+            for op, a, b, c, out in zip(ops, ina, inb, inc,
+                                        range(net, net + len(ops)))])
+        outputs = circuit.outputs
+        signed = {bus: circuit.signed[bus] for bus in outputs}
+        watch = circuit.watch if circuit.watch is not None \
+            else circuit.meta.get("watch_buses")
+    inputs = {bus: len(nets) for bus, nets in input_nets.items()}
+    outputs = {bus: list(nets) for bus, nets in outputs.items()}
+    meta = {"kind": circuit.meta.get("kind"),
+            "watch_buses": None if watch is None
+            else [list(bus) for bus in watch]}
+    canonical = (
+        f'{{"format_version":{_FORMAT_VERSION},"gates":[{gates}],'
+        f'"input_nets":{_canonical(input_nets)},"inputs":{_canonical(inputs)},'
+        f'"meta":{_canonical(meta)},"output_signed":{_canonical(signed)},'
+        f'"outputs":{_canonical(outputs)}}}')
+    text = (
+        f'{{"format_version":{_FORMAT_VERSION},'
+        f'"name":{_compact(circuit.name if name is None else name)},'
+        f'"inputs":{_compact(inputs)},"input_nets":{_compact(input_nets)},'
+        f'"gates":[{gates}],"outputs":{_compact(outputs)},'
+        f'"output_signed":{_compact(signed)},"meta":{_compact(meta)}}}')
+    return EncodedNetlist(canonical.encode("utf-8"), text)
 
 
 def save_netlist(nl: Netlist, path: str | Path) -> None:

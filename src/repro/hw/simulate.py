@@ -180,7 +180,10 @@ def simulate(nl: Netlist, inputs: dict[str, np.ndarray],
              engine: str = "auto"):
     """Evaluate the netlist over all vectors in ``inputs`` at once.
 
-    ``inputs`` maps every input bus name to an array of unsigned integers
+    ``nl`` is a :class:`Netlist` or an array circuit
+    (:class:`~repro.hw.synthesis.ArrayCircuit`, which the bigint engine
+    materializes first).  ``inputs`` maps every input bus name to an
+    array of unsigned integers
     (one per test vector); all arrays must share the same length.
 
     ``engine`` selects the backend: ``"compiled"`` (word-parallel NumPy),
@@ -200,6 +203,8 @@ def simulate(nl: Netlist, inputs: dict[str, np.ndarray],
     if engine == "compiled":
         return nl.compiled().simulate(arrays, n)
     if engine == "bigint":
+        if not isinstance(nl, Netlist):  # an array circuit: the bigint
+            nl = nl.to_netlist()         # loop reads the gate lists
         return _simulate_bigint_validated(nl, arrays, n)
     raise ValueError(f"unknown simulation engine {engine!r}")
 

@@ -147,15 +147,19 @@ class CoordinatorClient:
         return "/".join(path.split("/", 3)[:3])
 
     def request(self, method: str, path: str,
-                payload: dict | None = None) -> tuple[int, dict]:
+                payload: dict | bytes | None = None) -> tuple[int, dict]:
         """One JSON exchange; returns ``(status, parsed body)``.
 
-        Retries transport failures, injected network faults, torn
-        responses, and 429/503 answers under the client policy; any
-        other status returns to the caller.  Exhaustion raises
+        ``payload`` is the JSON body as a dict, or already encoded as
+        bytes.  Retries transport failures, injected network faults,
+        torn responses, and 429/503 answers under the client policy;
+        any other status returns to the caller.  Exhaustion raises
         :class:`CoordinatorError`.
         """
-        body = b"" if payload is None else json.dumps(payload).encode()
+        if isinstance(payload, bytes):
+            body = payload
+        else:
+            body = b"" if payload is None else json.dumps(payload).encode()
         headers = {"Connection": "keep-alive",
                    "Content-Type": "application/json"}
         if self.tenant:
@@ -224,7 +228,7 @@ class RemoteStore:
         return RemoteStore(self.client.clone(), namespace=self.namespace)
 
     def _call(self, method: str, path: str,
-              payload: dict | None = None) -> dict | None:
+              payload: dict | bytes | None = None) -> dict | None:
         status, data = self.client.request(method, path, payload)
         if status == 404:
             return None
@@ -342,8 +346,15 @@ class RemoteStore:
         data = self._call("GET", f"/v1/coeff-netlists/{key}")
         return None if data is None else data["netlist"]
 
-    def put_coeff_netlist(self, key: str, netlist_data: dict,
+    def put_coeff_netlist(self, key: str, netlist_data: dict | str,
                           fingerprint: str) -> None:
+        if isinstance(netlist_data, str):
+            # Pre-encoded document text: splice it in as the "netlist"
+            # object, so the wire body matches the dict form's.
+            body = (f'{{"netlist":{netlist_data},'
+                    f'"fingerprint":{json.dumps(str(fingerprint))}}}')
+            self._call("PUT", f"/v1/coeff-netlists/{key}", body.encode())
+            return
         self._call("PUT", f"/v1/coeff-netlists/{key}",
                    {"netlist": netlist_data,
                     "fingerprint": str(fingerprint)})

@@ -195,6 +195,9 @@ class ExplorationJob:
         grid_meta: extra keys merged into the stored grid metadata —
             the e-sweep records its ``coeff_netlist_key``/``e`` here so
             ``store gc`` can keep a grid's base netlist reachable.
+        base_fp: the exploration's base fingerprint, when the caller
+            already resolved it (the service keys every request before
+            it builds a job); ``None`` derives it from the pruner.
     """
 
     pruner: NetlistPruner
@@ -211,7 +214,7 @@ class ExplorationJob:
     # construction.
     shard_attempts: int = 3
     shard_retry_backoff_s: float = 0.05
-    _base_key: str | None = field(default=None, repr=False)
+    base_fp: str | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         # Coerce only paths; any ready-made store-like object (a
@@ -227,12 +230,12 @@ class ExplorationJob:
         The store's tenant namespace participates: the same exploration
         keyed through two tenants' store handles never shares rows.
         """
-        if self._base_key is None:
-            self._base_key = base_fingerprint(
+        if self.base_fp is None:
+            self.base_fp = base_fingerprint(
                 self.pruner.netlist, self.pruner.evaluator,
                 self.pruner.resolved_identity(),
                 namespace=self.store.namespace)
-        return self._base_key
+        return self.base_fp
 
     def grid_key(self) -> str:
         """Content key of this exploration's finished design list."""

@@ -33,6 +33,7 @@ from ..core.cross_layer import DEFAULT_E_SWEEP
 from ..core.pruning import DEFAULT_TAU_GRID, NetlistPruner, PrunedDesign
 from ..eval.accuracy import CircuitEvaluator
 from ..hw.bespoke import build_bespoke_netlist
+from ..hw.synthesis import ArrayCircuit
 from .faults import fault_point
 from .jobs import DEFAULT_SHARD_SIZE, ExplorationJob, JobReport
 from .jsonl import write_line
@@ -41,13 +42,13 @@ from .telemetry import span as _span
 from .leases import DEFAULT_LEASE_TTL_S, FleetReport, run_fleet_worker
 from .store import (
     DesignStore,
-    base_fingerprint,
     base_fingerprint_from_parts,
     build_coeff_netlist_cached,
     coeff_netlist_key,
     evaluator_fingerprint,
     grid_key as make_grid_key,
     model_fingerprint,
+    netlist_fingerprint,
     variant_key,
 )
 
@@ -200,13 +201,16 @@ class ExplorationService:
         return evaluator
 
     def _netlist(self, request: ExploreRequest) -> tuple:
-        """``(netlist, grid_meta, store_hit)`` for one request's base.
+        """``(circuit, grid_meta, store_hit, fingerprint)`` for a base.
 
         ``coeff`` bases route through the store's coefficient cache
         *and* coefficient-netlist table: a warm request skips the area
-        search and the bespoke rebuild.  ``grid_meta`` carries the
-        netlist's content key so ``store gc`` keeps it reachable while
-        any surviving grid was explored on it.
+        search and the bespoke rebuild, and a cold one stays an
+        :class:`~repro.hw.synthesis.ArrayCircuit` until :meth:`job`
+        needs a ``Netlist``.  ``grid_meta`` carries the netlist's
+        content key so ``store gc`` keeps it reachable while any
+        surviving grid was explored on it.  ``fingerprint`` is the
+        circuit's netlist fingerprint, computed once here.
         """
         key = (request.dataset, request.model, request.base, request.e)
         cached = self._netlists.get(key)
@@ -220,7 +224,7 @@ class ExplorationService:
             e = _DEFAULT_E if request.e is None else request.e
             approximator = CoefficientApproximator(
                 library=default_library(), e=e)
-            netlist, hit = build_coeff_netlist_cached(
+            circuit, fingerprint, hit = build_coeff_netlist_cached(
                 approximator, model, self.store, name=name,
                 builder=self.builder, build_cache=self._build_cache)
             grid_meta = {
@@ -228,9 +232,10 @@ class ExplorationService:
                 "e": e,
             }
         else:
-            netlist, hit = self._exact_netlist(model, name)
+            circuit, hit = self._exact_netlist(model, name)
+            fingerprint = netlist_fingerprint(circuit)
             grid_meta = {}
-        self._netlists[key] = (netlist, grid_meta, hit)
+        self._netlists[key] = (circuit, grid_meta, hit, fingerprint)
         return self._netlists[key]
 
     def _exact_netlist(self, model, name: str) -> tuple:
@@ -272,8 +277,8 @@ class ExplorationService:
         through the *stored* netlist fingerprint
         (:meth:`~repro.service.store.DesignStore.
         get_coeff_netlist_fingerprint`) — no bespoke build, no JSON
-        deserialize.  Everything else materializes the netlist once
-        (cached per process) and fingerprints it.
+        deserialize.  Everything else builds the circuit once (cached
+        per process) and uses the fingerprint computed with it.
         """
         identity = request.identity or self.identity
         cache_key = (request.dataset, request.model, request.base,
@@ -281,7 +286,7 @@ class ExplorationService:
         cached = self._base_keys.get(cache_key)
         if cached is not None:
             return cached
-        base_key = None
+        netlist_fp = None
         if request.base == "coeff" \
                 and cache_key[:4] not in self._netlists:
             from ..experiments.zoo import get_case
@@ -289,18 +294,13 @@ class ExplorationService:
             e = _DEFAULT_E if request.e is None else request.e
             approximator = CoefficientApproximator(
                 library=default_library(), e=e)
-            stored_fp = self.store.get_coeff_netlist_fingerprint(
+            netlist_fp = self.store.get_coeff_netlist_fingerprint(
                 coeff_netlist_key(model, approximator))
-            if stored_fp is not None:
-                base_key = base_fingerprint_from_parts(
-                    stored_fp,
-                    self._evaluator_fp(request.dataset, request.model),
-                    identity, namespace=self.store.namespace)
-        if base_key is None:
-            netlist, _meta, _hit = self._netlist(request)
-            base_key = base_fingerprint(
-                netlist, self._evaluator(request.dataset, request.model),
-                identity, namespace=self.store.namespace)
+        if netlist_fp is None:
+            netlist_fp = self._netlist(request)[3]
+        base_key = base_fingerprint_from_parts(
+            netlist_fp, self._evaluator_fp(request.dataset, request.model),
+            identity, namespace=self.store.namespace)
         self._base_keys[cache_key] = base_key
         return base_key
 
@@ -322,7 +322,12 @@ class ExplorationService:
 
     def job(self, request: ExploreRequest) -> ExplorationJob:
         """The resumable job a request maps to (exposes its content key)."""
-        netlist, grid_meta, _hit = self._netlist(request)
+        netlist, grid_meta, hit, fingerprint = self._netlist(request)
+        if isinstance(netlist, ArrayCircuit):  # the pruner's IR: once
+            netlist = netlist.to_netlist()
+            self._netlists[(request.dataset, request.model, request.base,
+                            request.e)] = (netlist, grid_meta, hit,
+                                           fingerprint)
         evaluator = self._evaluator(request.dataset, request.model)
         pruner = NetlistPruner(netlist, evaluator, request.tau_grid,
                                n_workers=self.n_workers, engine=self.engine,
@@ -330,7 +335,8 @@ class ExplorationService:
         return ExplorationJob(pruner, self.store,
                               shard_size=self.shard_size,
                               label=request.name,
-                              grid_meta=grid_meta)
+                              grid_meta=grid_meta,
+                              base_fp=self._base_key(request))
 
     def explore(self, request: ExploreRequest, resume: bool = True,
                 on_shard=None) -> tuple[list[PrunedDesign], JobReport]:

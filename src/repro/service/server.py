@@ -934,6 +934,17 @@ class ExploreServer:
         if method == "PUT" and not sub:
             netlist, fingerprint = self._coord_fields(
                 payload, "netlist", "fingerprint")
+            # The document, or its pre-encoded JSON text (stored as-is).
+            if isinstance(netlist, str):
+                try:
+                    valid = isinstance(json.loads(netlist), dict)
+                except ValueError:
+                    valid = False
+            else:
+                valid = isinstance(netlist, dict)
+            if not valid:
+                raise _HttpError(400, "netlist must be a JSON object "
+                                      "or its encoded text")
             await self._store_call(tenant, DesignStore.put_coeff_netlist,
                                    key, netlist, str(fingerprint))
             await reply({"type": "coeff-netlist", "stored": True})

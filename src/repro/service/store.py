@@ -16,7 +16,9 @@ Hash contract
 -------------
 A key is the SHA-256 of length-prefixed canonical-JSON parts.  The
 *base fingerprint* covers the netlist structure
-(:func:`~repro.hw.netlist_io.netlist_to_dict`) and every evaluator
+(:func:`~repro.hw.netlist_io.netlist_to_dict`; the bytes come from
+:func:`~repro.hw.netlist_io.encode_netlist`, which writes that canonical
+form straight from a ``Netlist`` or an ``ArrayCircuit``) and every evaluator
 input that can change a record: the decode rule, the train stimulus
 (it defines tau/const via switching activity), the test stimulus,
 the labels, and the clock.  It deliberately **excludes** the evaluation
@@ -48,7 +50,7 @@ import numpy as np
 from ..core.coeff_approx import ApproximatedSum
 from ..core.pruning import PrunedDesign, prune_key_ids
 from ..eval.accuracy import EvaluationRecord
-from ..hw.netlist_io import netlist_from_dict, netlist_to_dict
+from ..hw.netlist_io import EncodedNetlist, encode_netlist, netlist_from_dict
 from .faults import fault_point
 from .retry import RetryPolicy, retry_call
 from .telemetry import counter as _metric
@@ -208,14 +210,19 @@ def _payload_digest(payload: dict) -> dict:
 def netlist_fingerprint(nl) -> str:
     """Content hash of a netlist's structure, ports, and pruning meta.
 
-    The cosmetic ``name`` is excluded: logically identical circuits
-    built through different entry points (the CLI, the framework, a
-    bench script) must resolve to the same content key or the store
-    would recompute across them instead of deduplicating.
+    ``nl`` is a :class:`~repro.hw.netlist.Netlist`, an
+    :class:`~repro.hw.synthesis.ArrayCircuit` (hashed as its
+    ``to_netlist()`` without building it), or an
+    :class:`~repro.hw.netlist_io.EncodedNetlist` the caller already
+    holds.  The hashed bytes are the canonical JSON of
+    :func:`~repro.hw.netlist_io.netlist_to_dict`, so all three give
+    the same digest.  The cosmetic ``name`` is excluded: logically
+    identical circuits built through different entry points (the CLI,
+    the framework, a bench script) must resolve to the same content key
+    or the store would recompute across them instead of deduplicating.
     """
-    data = netlist_to_dict(nl)
-    data.pop("name", None)
-    return content_key("netlist", data)
+    encoded = nl if isinstance(nl, EncodedNetlist) else encode_netlist(nl)
+    return content_key("netlist", encoded.canonical)
 
 
 def evaluator_fingerprint(evaluator) -> str:
@@ -401,17 +408,25 @@ def build_coeff_netlist_cached(approximator, model, store: "DesignStore",
                                approx_model=None,
                                builder: str = "auto",
                                build_cache: dict | None = None) -> tuple:
-    """The coefficient-approximated netlist, through the store.
+    """The coefficient-approximated circuit, through the store.
 
-    Returns ``(netlist, hit)``.  A warm hit deserializes the stored
-    JSON (:func:`~repro.hw.netlist_io.netlist_from_dict` reproduces the
+    Returns ``(circuit, fingerprint, hit)``; ``fingerprint`` is the
+    circuit's :func:`netlist_fingerprint`, handed back so callers key
+    their work without hashing the circuit again.  A warm hit
+    deserializes the stored JSON
+    (:func:`~repro.hw.netlist_io.netlist_from_dict` reproduces the
     build's exact gate list and net numbering, so fingerprints and
     evaluations of the rebuilt netlist are bit-identical — pinned by
-    the service tests) and skips the bespoke build+synthesis entirely;
-    a miss builds (through ``builder``; see
-    :func:`~repro.hw.bespoke.build_bespoke_netlist`) and persists it.
+    the service tests) and skips the bespoke build+synthesis entirely.
+    A miss builds through ``builder`` (see
+    :func:`~repro.hw.bespoke.build_bespoke_circuit`) and persists it;
+    the array builder's circuit stays an
+    :class:`~repro.hw.synthesis.ArrayCircuit` — the compiled engines
+    evaluate it directly, and it is encoded once, straight from its
+    rows, for both the fingerprint and the stored payload.  Callers that
+    need the ``Netlist`` IR (a pruner) call its ``to_netlist()``.
     ``approx_model`` short-circuits the (cached) approximation step when
-    the caller already holds it; the netlist's cosmetic ``name`` is
+    the caller already holds it; the circuit's cosmetic ``name`` is
     always the caller's.
 
     ``build_cache`` is an optional in-process dict (shared by the serve
@@ -422,35 +437,35 @@ def build_coeff_netlist_cached(approximator, model, store: "DesignStore",
     ``build.cache{result=}`` metric; a build-cache hit still persists
     the payload so the caller's store warms up.
     """
-    from ..hw.bespoke import build_bespoke_netlist  # lazy: service -> hw
+    from ..hw.bespoke import build_bespoke_circuit  # lazy: service -> hw
 
     key = coeff_netlist_key(model, approximator)
     data = store.get_coeff_netlist(key)
     if data is not None:
         netlist = netlist_from_dict(data)
         netlist.name = name
-        return netlist, True
+        return netlist, netlist_fingerprint(netlist), True
     if build_cache is not None:
         cached = build_cache.get(key)
         if cached is not None:
             _metric("build.cache", result="hit")
-            payload, fingerprint = cached
-            store.put_coeff_netlist(key, payload, fingerprint)
-            netlist = netlist_from_dict(payload)
+            text, fingerprint = cached
+            store.put_coeff_netlist(key, text, fingerprint)
+            netlist = netlist_from_dict(json.loads(text))
             netlist.name = name
-            return netlist, True
+            return netlist, fingerprint, True
         _metric("build.cache", result="miss")
     if approx_model is None:
         approx_model, _reports = approximate_model_cached(
             approximator, model, store)
-    netlist = build_bespoke_netlist(approx_model, name=name, builder=builder)
-    payload = netlist_to_dict(netlist)
-    payload["name"] = "coeff"  # cosmetic; keep stored payloads canonical
-    fingerprint = netlist_fingerprint(netlist)
-    store.put_coeff_netlist(key, payload, fingerprint)
+    circuit = build_bespoke_circuit(approx_model, name=name, builder=builder)
+    # The stored name is cosmetic; keep stored payloads canonical.
+    encoded = encode_netlist(circuit, name="coeff")
+    fingerprint = netlist_fingerprint(encoded)
+    store.put_coeff_netlist(key, encoded.text, fingerprint)
     if build_cache is not None:
-        build_cache[key] = (payload, fingerprint)
-    return netlist, False
+        build_cache[key] = (encoded.text, fingerprint)
+    return circuit, fingerprint, False
 
 
 def design_from_dict(data: dict) -> PrunedDesign:
@@ -901,8 +916,14 @@ class DesignStore:
         self._count_lookup("coeff_netlists", row)
         return None if row is None else json.loads(row[0])
 
-    def put_coeff_netlist(self, key: str, netlist_data: dict,
+    def put_coeff_netlist(self, key: str, netlist_data: dict | str,
                           fingerprint: str) -> None:
+        """Store one approximated circuit's netlist document.
+
+        ``netlist_data`` is the :func:`~repro.hw.netlist_io.
+        netlist_to_dict` document, or its JSON text as pre-encoded by
+        :func:`~repro.hw.netlist_io.encode_netlist` (stored verbatim).
+        """
         # Plain (insertion-ordered) JSON, *not* canonical_json: bus
         # declaration order is structural — ``netlist_from_dict``
         # re-allocates nets in iteration order, so sorting the keys
@@ -912,10 +933,12 @@ class DesignStore:
         # ``fingerprint`` (the netlist content hash) rides along so
         # warm requests can derive base/grid keys without ever
         # deserializing the circuit.
+        text = netlist_data if isinstance(netlist_data, str) \
+            else json.dumps(netlist_data, separators=(",", ":"))
         self._with_connection(lambda con: con.execute(
             "INSERT OR IGNORE INTO coeff_netlists"
             "(key, netlist, fingerprint, created_at) VALUES (?,?,?,?)",
-            (key, json.dumps(netlist_data), fingerprint, time.time())))
+            (key, text, fingerprint, time.time())))
 
     def get_coeff_netlist_fingerprint(self, key: str) -> str | None:
         """The stored netlist's content hash (no payload deserialize)."""

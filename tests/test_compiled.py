@@ -123,6 +123,35 @@ class TestSimulationEquivalence:
         assert nl.compiled().n_gates == 2
 
 
+class TestPlanReferences:
+    """A cached plan must not keep its circuit alive through a cycle."""
+
+    @pytest.mark.parametrize("form", ["arrays", "netlist"])
+    def test_evaluated_circuit_freed_without_cyclic_gc(self, form):
+        import gc
+        import weakref
+
+        from repro.experiments.zoo import get_case
+        from repro.hw.array_builder import build_bespoke_arrays
+
+        case = get_case("redwine", "svm_r")
+        evaluator = CircuitEvaluator.from_split(
+            case.quant_model, case.split.X_train, case.split.X_test,
+            case.split.y_test)
+        build = build_bespoke_arrays if form == "arrays" \
+            else build_bespoke_netlist
+        circuits = [build(case.quant_model), build(case.quant_model)]
+        refs = [weakref.ref(circuit) for circuit in circuits]
+        gc.disable()
+        try:
+            evaluator.evaluate(circuits[0])
+            evaluator.evaluate_many(circuits)
+            del circuits
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+
 def _structurally_identical(a: Netlist, b: Netlist) -> bool:
     return (a.gate_type == b.gate_type and a.gate_inputs == b.gate_inputs
             and a.gate_out == b.gate_out and a.input_buses == b.input_buses

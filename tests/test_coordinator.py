@@ -142,6 +142,42 @@ class TestEndpoints:
             assert store.get_coeff_netlist(key) == {"nodes": []}
             assert store.get_coeff_netlist_fingerprint(key) == "f" * 64
 
+    def test_pre_encoded_coeff_netlist_over_http(self, tmp_path):
+        """The cold path's pre-encoded netlist text crosses the wire
+        and reads back as the same document, remote and local alike."""
+        from repro.experiments.zoo import get_case
+        from repro.hw.array_builder import build_bespoke_arrays
+        from repro.hw.netlist_io import encode_netlist, netlist_from_dict
+        from repro.service.store import netlist_fingerprint
+
+        encoded = encode_netlist(build_bespoke_arrays(
+            get_case("redwine", "svm_r").quant_model), name="coeff")
+        fingerprint = netlist_fingerprint(encoded)
+        local = DesignStore(tmp_path / "local.sqlite")
+        with coordinator(tmp_path) as server:
+            store = remote(server)
+            for target in (store, local):
+                target.put_coeff_netlist("e" * 64, encoded.text, fingerprint)
+                data = target.get_coeff_netlist("e" * 64)
+                assert isinstance(data, dict)
+                assert netlist_fingerprint(netlist_from_dict(data)) \
+                    == fingerprint
+                assert target.get_coeff_netlist_fingerprint("e" * 64) \
+                    == fingerprint
+            # The handler also takes the text as a JSON string field...
+            status, _data = store.client.request(
+                "PUT", "/v1/coeff-netlists/" + "c" * 64,
+                {"netlist": encoded.text, "fingerprint": fingerprint})
+            assert status == 200
+            assert store.get_coeff_netlist("c" * 64) \
+                == store.get_coeff_netlist("e" * 64)
+            # ... but never stores text that is not a JSON object.
+            status, _data = store.client.request(
+                "PUT", "/v1/coeff-netlists/" + "d" * 64,
+                {"netlist": "not json", "fingerprint": fingerprint})
+            assert status == 400
+            assert store.get_coeff_netlist("d" * 64) is None
+
 
 class TestClientRobustness:
     def test_keep_alive_reuses_one_connection(self, tmp_path):

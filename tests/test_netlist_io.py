@@ -1,20 +1,32 @@
 """Tests for netlist JSON serialization."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.coeff_approx import CoefficientApproximator
+from repro.core.multiplier_area import default_library
 from repro.datasets import load_dataset
+from repro.experiments.zoo import case_keys, get_case
+from repro.hw.array_builder import build_bespoke_arrays
 from repro.hw.bespoke import build_bespoke_netlist, input_payload
+from repro.hw.compiled import OPCODES
 from repro.hw.netlist import CONST1, Netlist
 from repro.hw.netlist_io import (
+    encode_netlist,
     load_netlist,
     netlist_from_dict,
     netlist_to_dict,
     save_netlist,
 )
 from repro.hw.simulate import simulate
+from repro.hw.synthesis import ArrayCircuit
 from repro.ml import LinearSVMClassifier
 from repro.quant import quantize_inputs, quantize_model
+from repro.service.store import canonical_json, netlist_fingerprint
 
 
 def _sample_netlist() -> Netlist:
@@ -80,3 +92,100 @@ class TestRoundTrip:
         data["meta"] = {}
         restored = netlist_from_dict(data)
         assert "watch_buses" not in restored.meta
+
+
+# ----------------------------------------------------------------------
+# encode_netlist: one encode, equal to the netlist_to_dict oracle
+# ----------------------------------------------------------------------
+def _oracle(nl: Netlist) -> tuple[bytes, dict]:
+    """(canonical fingerprint bytes, full document) the slow way."""
+    data = netlist_to_dict(nl)
+    nameless = dict(data)
+    nameless.pop("name")
+    return canonical_json(nameless).encode("utf-8"), data
+
+
+def _assert_encodes_like_oracle(circ: ArrayCircuit) -> None:
+    nl = circ.to_netlist()
+    canonical, data = _oracle(nl)
+    for encoded in (encode_netlist(circ), encode_netlist(nl)):
+        assert encoded.canonical == canonical
+        assert encoded.text == json.dumps(data, separators=(",", ":"))
+    assert netlist_fingerprint(circ) == netlist_fingerprint(nl) \
+        == netlist_fingerprint(encode_netlist(circ))
+    # The stored text rebuilds to a netlist with the same fingerprint.
+    rebuilt = netlist_from_dict(json.loads(encode_netlist(circ).text))
+    assert netlist_fingerprint(rebuilt) == netlist_fingerprint(nl)
+
+
+_BUS_NAMES = ("x3", "a", "zz", "m1", "b0")
+
+
+@st.composite
+def _array_circuits(draw) -> ArrayCircuit:
+    """Random well-formed array circuits over every opcode.
+
+    Buses are declared in a random (generally non-sorted) order, unused
+    operand slots hold arbitrary live node ids (the encoder must ignore
+    them, as ``to_netlist`` does), and empty gate lists, empty output
+    buses and watch buses all occur.
+    """
+    circ = ArrayCircuit()
+    circ.name = draw(st.sampled_from(["c", "coeff", "x y"]))
+    names = draw(st.permutations(_BUS_NAMES))
+    node = 2
+    for name in names[:draw(st.integers(1, len(names)))]:
+        width = draw(st.integers(1, 4))
+        circ.input_buses[name] = list(range(node, node + width))
+        node += width
+    circ.n_fixed = node
+    for _ in range(draw(st.integers(0, 25))):
+        live = st.integers(0, node - 1)
+        circ.ops.append(draw(st.sampled_from(sorted(OPCODES.values()))))
+        circ.ina.append(draw(live))
+        circ.inb.append(draw(live))
+        circ.inc.append(draw(live))
+        node += 1
+    live = st.integers(0, node - 1)
+    outputs = draw(st.permutations(["y", "class_idx", "b"]))
+    for name in outputs[:draw(st.integers(0, 3))]:
+        circ.outputs[name] = draw(st.lists(live, max_size=4))
+        circ.signed[name] = draw(st.booleans())
+    kind = draw(st.sampled_from([None, "classifier", "regressor"]))
+    if kind is not None:
+        circ.meta["kind"] = kind
+    circ.watch = draw(st.none() | st.lists(st.lists(live, max_size=3),
+                                           max_size=3))
+    return circ
+
+
+class TestEncodeNetlist:
+    @settings(max_examples=150, deadline=None)
+    @given(_array_circuits())
+    def test_random_array_circuits_match_oracle(self, circ):
+        _assert_encodes_like_oracle(circ)
+
+    def test_ndarray_backed_rows(self):
+        circ = build_bespoke_arrays(get_case("redwine", "svm_r").quant_model)
+        from_lists = encode_netlist(circ)
+        for attr in ("ops", "ina", "inb", "inc"):
+            setattr(circ, attr, np.asarray(getattr(circ, attr)))
+        assert encode_netlist(circ) == from_lists
+
+    def test_name_override_only_touches_text(self):
+        circ = build_bespoke_arrays(get_case("redwine", "svm_r").quant_model,
+                                    name="mine")
+        plain, renamed = encode_netlist(circ), encode_netlist(circ, "coeff")
+        assert plain.canonical == renamed.canonical
+        assert json.loads(plain.text)["name"] == "mine"
+        assert json.loads(renamed.text)["name"] == "coeff"
+
+    @pytest.mark.parametrize("key", case_keys(include_excluded=True),
+                             ids="/".join)
+    def test_zoo_exact_and_coeff_circuits_match_oracle(self, key):
+        model = get_case(*key).quant_model
+        approximator = CoefficientApproximator(library=default_library(),
+                                               e=4)
+        approx_model, _reports = approximator.approximate_model(model)
+        for circuit_model in (model, approx_model):
+            _assert_encodes_like_oracle(build_bespoke_arrays(circuit_model))

@@ -751,20 +751,28 @@ class TestESweep:
         fresh build — the property warm grid hits rest on."""
         from repro.core.coeff_approx import CoefficientApproximator
         from repro.core.multiplier_area import default_library
-        from repro.hw.netlist_io import netlist_to_dict
-        from repro.service.store import build_coeff_netlist_cached
+        from repro.hw.netlist_io import netlist_from_dict, netlist_to_dict
+        from repro.service.store import (build_coeff_netlist_cached,
+                                         coeff_netlist_key)
 
         case = get_case("redwine", "svm_r")
         store = DesignStore(tmp_path / "s.sqlite")
         approximator = CoefficientApproximator(
             library=default_library(), e=3)
-        fresh, hit_a = build_coeff_netlist_cached(
+        fresh, fp_a, hit_a = build_coeff_netlist_cached(
             approximator, case.quant_model, store, name="x")
-        rebuilt, hit_b = build_coeff_netlist_cached(
+        rebuilt, fp_b, hit_b = build_coeff_netlist_cached(
             approximator, case.quant_model, store, name="x")
         assert (hit_a, hit_b) == (False, True)
-        assert netlist_fingerprint(fresh) == netlist_fingerprint(rebuilt)
-        assert netlist_to_dict(fresh) == netlist_to_dict(rebuilt)
+        key = coeff_netlist_key(case.quant_model, approximator)
+        assert fp_a == fp_b == netlist_fingerprint(fresh) \
+            == netlist_fingerprint(rebuilt) \
+            == store.get_coeff_netlist_fingerprint(key)
+        # The stored text rebuilds to the same structure as the fresh
+        # (array-form) build materializes to.
+        stored = netlist_from_dict(store.get_coeff_netlist(key))
+        assert netlist_fingerprint(stored) == fp_a
+        assert netlist_to_dict(fresh.to_netlist()) == netlist_to_dict(rebuilt)
 
     def test_warm_sweep_skips_build_search_and_simulation(self,
                                                           sweep_service,
@@ -784,6 +792,8 @@ class TestESweep:
 
         monkeypatch.setattr("repro.hw.bespoke.build_bespoke_netlist",
                             forbid("warm sweep rebuilt a netlist"))
+        monkeypatch.setattr("repro.hw.array_builder.build_bespoke_arrays",
+                            forbid("warm sweep rebuilt a circuit"))
         monkeypatch.setattr(
             coeff_mod.CoefficientApproximator, "approximate_model",
             forbid("warm sweep re-ran the area search"))
@@ -791,6 +801,81 @@ class TestESweep:
                             forbid("warm sweep re-simulated"))
         results = warm.sweep(_sweep_request(), self.E)
         assert all(hit for _e, _r, hit, _d, _rep in results)
+
+    def test_cold_sweep_encodes_each_netlist_once(self, sweep_service,
+                                                  monkeypatch):
+        """A cold coeff-only sweep builds every radius in array form,
+        encodes it once (fingerprint and stored payload together) and
+        never materializes a ``Netlist``."""
+        import repro.service.store as store_mod
+        from repro.hw.synthesis import ArrayCircuit
+
+        encoded = []
+        encode = store_mod.encode_netlist
+
+        def counting_encode(circuit, *args, **kwargs):
+            encoded.append(circuit)
+            return encode(circuit, *args, **kwargs)
+
+        def forbid_to_netlist(self):
+            raise AssertionError("cold sweep materialized a Netlist")
+
+        monkeypatch.setattr(store_mod, "encode_netlist", counting_encode)
+        monkeypatch.setattr(ArrayCircuit, "to_netlist", forbid_to_netlist)
+        e_values = tuple(range(1, 11))
+        results = sweep_service.sweep(_sweep_request(), e_values,
+                                      include_cross=False)
+        assert [e for e, *_rest in results] == list(e_values)
+        assert len(encoded) == len(e_values)
+        assert len({id(circuit) for circuit in encoded}) == len(e_values)
+        assert all(isinstance(c, ArrayCircuit) for c in encoded)
+
+    def test_bigint_engine_scores_array_circuits(self, tmp_path):
+        """The bigint oracle takes the cold path's array circuits too."""
+        request = _sweep_request()
+        batched = ExplorationService(DesignStore(tmp_path / "a.sqlite"))
+        bigint = ExplorationService(DesignStore(tmp_path / "b.sqlite"),
+                                    engine="bigint")
+        assert [rec for _e, rec, *_rest in batched.sweep(
+            request, (1, 2), include_cross=False)] \
+            == [rec for _e, rec, *_rest in bigint.sweep(
+                request, (1, 2), include_cross=False)]
+
+    # Content keys from before the array-native encoder (16-hex
+    # prefixes of the netlist fingerprint and of the base key): the
+    # encoder must never move a key, or every existing store goes cold.
+    PINNED_KEYS = [
+        ("redwine", "svm_r", "coeff", 4, "e81adf5030ee5e7f",
+         "517e92b9bf6dd1d2"),
+        ("redwine", "svm_r", "coeff", 1, "d6121c44258a6e9e",
+         "c8e5b400630404ae"),
+        ("redwine", "svm_r", "exact", None, "8cbfee8d1307748f",
+         "9ca14b755cb822e9"),
+        ("cardio", "svm_c", "coeff", 4, "26c62140fa30977c",
+         "f2b9d1b9697b5b06"),
+        ("cardio", "svm_c", "coeff", 1, "62ce3895dc8687af",
+         "0ade61fc3b41d9a6"),
+        ("cardio", "svm_c", "exact", None, "5cd380eeac62e791",
+         "29f2e54ab87767a0"),
+    ]
+
+    @pytest.mark.parametrize("dataset,model,base,e,netlist_fp,base_key",
+                             PINNED_KEYS)
+    def test_content_keys_are_pinned(self, tmp_path, dataset, model, base,
+                                     e, netlist_fp, base_key):
+        store = DesignStore(tmp_path / "fresh.sqlite")
+        request = ExploreRequest(dataset, model, base=base, e=e)
+        service = ExplorationService(store)
+        circuit, _meta, hit, fingerprint = service._netlist(request)
+        assert not hit
+        assert fingerprint[:16] == netlist_fp
+        assert netlist_fingerprint(circuit) == fingerprint
+        assert service._base_key(request)[:16] == base_key
+        if base == "coeff":
+            # A second process resolves the same key from the stored
+            # fingerprint, without building anything.
+            assert ExplorationService(store)._base_key(request)[:16] \
+                == base_key
 
     def test_stats_hit_counters(self, sweep_service):
         sweep_service.sweep(_sweep_request(), (1, 2))
