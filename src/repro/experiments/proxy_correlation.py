@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..core.multiplier_area import BespokeMultiplierLibrary, default_library
 from ..hw.area import area_mm2
@@ -43,6 +42,10 @@ def run(n_circuits: int = 1000, seed: int = 7,
         input_widths: tuple[int, ...] = (4, 6, 8),
         library: BespokeMultiplierLibrary | None = None) -> ProxyStudy:
     """Generate random weighted sums and correlate proxy vs real area."""
+    # Deferred: every CLI and serve process imports this module, and
+    # importing scipy.stats would dominate their start-up time and memory.
+    from scipy import stats
+
     library = library if library is not None else default_library()
     rng = np.random.default_rng(seed)
     lo, hi = coeff_range(library.coeff_bits)

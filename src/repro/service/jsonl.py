@@ -43,14 +43,17 @@ class JSONLError(ValueError):
             f"{text[:80]!r}")
 
 
-def write_line(out, record: dict) -> None:
+def write_line(out, record: dict | str) -> None:
     """Write one JSONL record line-atomically: single write, then flush.
 
-    The record is serialized fully before anything touches ``out``, so
-    a serialization error never emits a half-line; the flush bounds the
-    crash window to the one in-flight line.
+    ``record`` is a dict, or the JSON text a renderer already produced
+    for it (no trailing newline).  The record is serialized fully
+    before anything touches ``out``, so a serialization error never
+    emits a half-line; the flush bounds the crash window to the one
+    in-flight line.
     """
-    line = json.dumps(record) + "\n"
+    line = (record if isinstance(record, str) else json.dumps(record)) \
+        + "\n"
     out.write(line)
     flush = getattr(out, "flush", None)
     if flush is not None:

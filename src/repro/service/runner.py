@@ -24,6 +24,7 @@ a ``design`` line per design point, and one final ``summary`` line.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, replace
 
@@ -52,7 +53,7 @@ from .store import (
     variant_key,
 )
 
-__all__ = ["ExploreRequest", "ExplorationService"]
+__all__ = ["ExploreRequest", "ExplorationService", "render_request"]
 
 _BASES = ("exact", "coeff")
 _IDENTITIES = ("exact", "relaxed")
@@ -129,6 +130,36 @@ class ExploreRequest:
         return name
 
 
+def render_request(index: int, request: ExploreRequest,
+                   designs: list[PrunedDesign],
+                   report: JobReport) -> list[str]:
+    """One request's JSONL lines: its ``request`` header, then its designs.
+
+    Each line is serialized exactly once, already carrying its manifest
+    ``index`` (no trailing newline).  This is the only renderer of these
+    lines: :meth:`ExplorationService.run_manifest` writes them and
+    ``repro serve`` streams them, so served bytes equal the batch
+    runner's by construction.
+    """
+    lines = [json.dumps({
+        "type": "request", "index": index,
+        "dataset": request.dataset, "model": request.model,
+        "base": request.base, "label": request.name,
+        "tau_grid_points": len(request.tau_grid),
+        "n_designs": len(designs),
+        **report.to_dict(),
+    })]
+    for design in designs:
+        lines.append(json.dumps({
+            "type": "design", "index": index,
+            "tau_c": design.tau_c, "phi_c": design.phi_c,
+            "n_pruned": design.n_pruned,
+            "duplicate_of": design.duplicate_of,
+            **design.record.to_dict(),
+        }))
+    return lines
+
+
 class ExplorationService:
     """Store-backed exploration server for many circuits and grids.
 
@@ -178,6 +209,9 @@ class ExplorationService:
         # (and the build.cache metric) without changing results.
         self._build_cache: dict | None = build_cache
         self._netlists: dict[tuple, tuple] = {}
+        # (dataset, model, base) -> (compact circuit, its Netlist): the
+        # one materialized netlist per circuit (see _pruner_netlist).
+        self._materialized: dict[tuple, tuple] = {}
         self._base_keys: dict[tuple, str] = {}
 
     def _evaluator(self, dataset: str, model: str) -> CircuitEvaluator:
@@ -270,6 +304,10 @@ class ExplorationService:
             self._evaluator_fps[key] = cached
         return cached
 
+    def _base_cache_key(self, request: ExploreRequest) -> tuple:
+        return (request.dataset, request.model, request.base, request.e,
+                request.identity or self.identity)
+
     def _base_key(self, request: ExploreRequest) -> str:
         """The request's base fingerprint, without a netlist if possible.
 
@@ -281,8 +319,7 @@ class ExplorationService:
         per process) and uses the fingerprint computed with it.
         """
         identity = request.identity or self.identity
-        cache_key = (request.dataset, request.model, request.base,
-                     request.e, identity)
+        cache_key = self._base_cache_key(request)
         cached = self._base_keys.get(cache_key)
         if cached is not None:
             return cached
@@ -304,6 +341,21 @@ class ExplorationService:
         self._base_keys[cache_key] = base_key
         return base_key
 
+    def grid_key(self, request: ExploreRequest) -> str:
+        """The request's content key (first contact may train/build)."""
+        return make_grid_key(self._base_key(request), request.tau_grid)
+
+    def cached_grid_key(self, request: ExploreRequest) -> str | None:
+        """The content key if this service already resolved the base.
+
+        A dict read plus one small hash: never trains, builds or touches
+        the store, so an event loop may call it inline.
+        """
+        base_key = self._base_keys.get(self._base_cache_key(request))
+        if base_key is None:
+            return None
+        return make_grid_key(base_key, request.tau_grid)
+
     def _warm_grid(self, request: ExploreRequest):
         """A finished grid served purely by content key, or ``None``.
 
@@ -312,7 +364,7 @@ class ExplorationService:
         deserializes) its base netlist — it is one SQLite lookup.
         """
         start = time.perf_counter()
-        gkey = make_grid_key(self._base_key(request), request.tau_grid)
+        gkey = self.grid_key(request)
         designs = self.store.get_grid(gkey)
         if designs is None:
             return None
@@ -320,14 +372,31 @@ class ExplorationService:
                            runtime_s=time.perf_counter() - start)
         return designs, report
 
+    def _pruner_netlist(self, request: ExploreRequest, circuit):
+        """The ``Netlist`` a job's pruner walks, materialized on demand.
+
+        ``_netlists`` keeps every key's circuit in its built form (the
+        array builder's compact :class:`ArrayCircuit`).  The
+        materialized netlist, with the plans a walk caches on it, is
+        kept for one radius per (dataset, model, base) only: the one the
+        last job used.  A long-running server therefore does not grow by
+        one netlist per radius served, and repeated grids on the same
+        radius still reuse one netlist.
+        """
+        if not isinstance(circuit, ArrayCircuit):
+            return circuit
+        slot = (request.dataset, request.model, request.base)
+        held = self._materialized.get(slot)
+        if held is not None and held[0] is circuit:
+            return held[1]
+        netlist = circuit.to_netlist()
+        self._materialized[slot] = (circuit, netlist)
+        return netlist
+
     def job(self, request: ExploreRequest) -> ExplorationJob:
         """The resumable job a request maps to (exposes its content key)."""
-        netlist, grid_meta, hit, fingerprint = self._netlist(request)
-        if isinstance(netlist, ArrayCircuit):  # the pruner's IR: once
-            netlist = netlist.to_netlist()
-            self._netlists[(request.dataset, request.model, request.base,
-                            request.e)] = (netlist, grid_meta, hit,
-                                           fingerprint)
+        circuit, grid_meta, _hit, _fingerprint = self._netlist(request)
+        netlist = self._pruner_netlist(request, circuit)
         evaluator = self._evaluator(request.dataset, request.model)
         pruner = NetlistPruner(netlist, evaluator, request.tau_grid,
                                n_workers=self.n_workers, engine=self.engine,
@@ -337,6 +406,23 @@ class ExplorationService:
                               label=request.name,
                               grid_meta=grid_meta,
                               base_fp=self._base_key(request))
+
+    def lookup(self, request: ExploreRequest):
+        """:meth:`explore`'s warm half alone: one store read, no compute.
+
+        Returns ``(designs, report)`` for a finished grid, else ``None``
+        — and then nothing was built, trained or evaluated beyond what
+        resolving the content key needed.
+        """
+        with _span("service.request", dataset=request.dataset,
+                   model=request.model, base=request.base):
+            return self._grid_hit(request)
+
+    def _grid_hit(self, request: ExploreRequest):
+        warm = self._warm_grid(request)
+        if warm is not None:
+            _metric("service.requests", outcome="grid_hit")
+        return warm
 
     def explore(self, request: ExploreRequest, resume: bool = True,
                 on_shard=None) -> tuple[list[PrunedDesign], JobReport]:
@@ -349,9 +435,8 @@ class ExplorationService:
         with _span("service.request", dataset=request.dataset,
                    model=request.model, base=request.base):
             if resume:
-                warm = self._warm_grid(request)
+                warm = self._grid_hit(request)
                 if warm is not None:
-                    _metric("service.requests", outcome="grid_hit")
                     return warm
             job = self.job(request)
             report = JobReport(job.grid_key())
@@ -490,23 +575,8 @@ class ExplorationService:
             designs, report = self.explore(request, resume=resume)
             n_cached += int(report.grid_hit)
             n_designs += len(designs)
-            header = {
-                "type": "request", "index": index,
-                "dataset": request.dataset, "model": request.model,
-                "base": request.base, "label": request.name,
-                "tau_grid_points": len(request.tau_grid),
-                "n_designs": len(designs),
-                **report.to_dict(),
-            }
-            write_line(out, header)
-            for design in designs:
-                write_line(out, {
-                    "type": "design", "index": index,
-                    "tau_c": design.tau_c, "phi_c": design.phi_c,
-                    "n_pruned": design.n_pruned,
-                    "duplicate_of": design.duplicate_of,
-                    **design.record.to_dict(),
-                })
+            for line in render_request(index, request, designs, report):
+                write_line(out, line)
         summary = {
             "type": "summary",
             "n_requests": len(requests),

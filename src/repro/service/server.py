@@ -13,7 +13,7 @@ Contract highlights (the full table lives in
 ``docs/ARCHITECTURE.md`` → "Server"):
 
 * **Streaming**: ``POST /v1/explore`` and ``POST /v1/sweep`` stream
-  line-atomic JSONL (one ``write`` per complete line) — or SSE frames
+  line-atomic JSONL (every ``write`` carries whole lines) — or SSE frames
   when the client sends ``Accept: text/event-stream``.  The line
   schemas are exactly :meth:`ExplorationService.run_manifest`'s /
   :meth:`ExplorationService.run_sweep`'s: the served bytes of a design
@@ -22,15 +22,16 @@ Contract highlights (the full table lives in
   engine does).
 * **Idempotency / coalescing**: requests key by their content
   fingerprint (the same base-fingerprint → grid-key derivation the
-  store uses).  A re-submitted request attaches to the in-flight
-  computation's line channel (every subscriber receives the same
-  lines) or, once the grid landed, resolves as a free store hit —
-  exactly one computation per content key, ever.
+  store uses).  A key lands in one of three tiers: its grid is in the
+  store (a warm hit: one pooled store read and render, then one
+  write), it is being computed (the request attaches to that
+  computation's result), or it is admitted and computed — exactly one
+  computation per content key, ever.
 * **Backpressure**: at most ``concurrency`` computations run and at
   most ``queue_depth`` more may wait; beyond that a submission gets
   ``429`` with a ``Retry-After`` header before any streaming starts.
-  Coalescing subscribers and warm hits bypass the queue (they cost no
-  computation).
+  Warm hits and coalescing requests never enter the queue (they cost
+  no computation).
 * **Tenancy**: the ``X-Tenant`` header selects a per-tenant store
   file under ``store_root`` *and* a key namespace threaded into every
   base fingerprint, so tenants can never alias each other's rows.
@@ -52,18 +53,19 @@ Contract highlights (the full table lives in
   chaos grammar as the rest of the stack.
 
 Threading model: the event loop owns all bookkeeping (in-flight map,
-queues, counters); heavy work runs in a small thread pool through
-``run_in_executor``.  :class:`~repro.eval.accuracy.CircuitEvaluator`
-is *not* thread-safe (mutable simulation caches), so computations
-serialize per (dataset, model) on a lock; different circuits still
-run concurrently.  Worker threads hand finished lines back to the
-loop with ``call_soon_threadsafe`` — the loop is the only writer of
-any channel.
+queues, counters); store reads and heavy work run in a small thread
+pool through ``run_in_executor``.
+:class:`~repro.eval.accuracy.CircuitEvaluator` is *not* thread-safe
+(mutable simulation caches), so computations serialize per (dataset,
+model) on a lock; different circuits still run concurrently.  A
+computation's result lands in an ``asyncio.Future`` that the loop
+resolves, so every request attached to it sees the same result.
 """
 
 from __future__ import annotations
 
 import asyncio
+import io
 import json
 import os
 import signal
@@ -77,10 +79,9 @@ from ..eval.accuracy import EvaluationRecord
 from .faults import fault_point
 from .jobs import DEFAULT_SHARD_SIZE
 from .leases import DEFAULT_LEASE_TTL_S
-from .runner import ExplorationService, ExploreRequest
+from .runner import ExplorationService, ExploreRequest, render_request
 from .store import (DesignStore, FencedWriteError, canonical_json,
-                    design_from_dict, design_to_dict,
-                    grid_key as make_grid_key)
+                    design_from_dict, design_to_dict)
 from .telemetry import (capture_context, counter as _metric,
                         current_request_id, current_trace_id, gauge,
                         get_hub, new_request_id, set_request_id, span,
@@ -136,86 +137,52 @@ class _HttpError(Exception):
         self.headers = headers or {}
 
 
-class _LineChannel:
-    """One computation's ordered JSONL records, loop-owned, replayable.
+class _Wire:
+    """The body of one streamed response, written in as few writes as possible.
 
-    Records append exactly once (the loop is the only writer); any
-    number of subscribers iterate independently — a late subscriber
-    replays from the start, so every coalesced client receives the
-    full identical stream.  ``summary`` holds a suppressed trailing
-    summary record (the explore path writes its own aggregate);
-    ``error`` marks a failed computation.
+    Lines arrive already rendered (JSON text, each serialized once);
+    :meth:`add` frames them (JSONL, or SSE ``data:`` frames; the opt-in
+    ``X-Trace`` stamp is spliced in as the last field) and buffers them
+    behind the response head, and :meth:`flush` sends the buffer in one
+    ``write``.  Every line passes the ``server.stream`` fault point
+    before it is framed; when one fires, the lines before it still go
+    out first, so a fault truncates the stream exactly at that line.
     """
 
-    def __init__(self) -> None:
-        self.records: list[dict] = []
-        self.summary: dict | None = None
-        self.error: str | None = None
-        self.done = False
-        self._event = asyncio.Event()
+    def __init__(self, writer: asyncio.StreamWriter, head: bytes,
+                 sse: bool, trace_stamp: dict | None) -> None:
+        self._writer = writer
+        self._chunks = [head]
+        self._prefix = "data: " if sse else ""
+        self._end = "\n\n" if sse else "\n"
+        # json.dumps({**record, "trace": stamp}) == this splice.
+        self._trace = None if trace_stamp is None \
+            else ', "trace": ' + json.dumps(trace_stamp) + "}"
+        self._line_no = 0
 
-    def post(self, record: dict) -> None:
-        self.records.append(record)
-        self._event.set()
+    def add(self, lines: list[str]) -> None:
+        framed = []
+        try:
+            for text in lines:
+                self._line_no += 1
+                fault_point("server.stream", index=self._line_no)
+                if self._trace is not None:
+                    text = text[:-1] + self._trace
+                framed.append(self._prefix + text + self._end)
+        except Exception:
+            # The stream ends at the faulting line; the lines before it
+            # still go out.
+            self._chunks.append("".join(framed).encode())
+            self._writer.write(b"".join(self._chunks))
+            self._chunks = []
+            raise
+        self._chunks.append("".join(framed).encode())
 
-    def finish(self, error: str | None = None) -> None:
-        self.error = error
-        self.done = True
-        self._event.set()
-
-    async def subscribe(self):
-        """Yield every record in order; returns when the channel ends."""
-        index = 0
-        while True:
-            while index < len(self.records):
-                yield self.records[index]
-                index += 1
-            if self.done:
-                return
-            self._event.clear()
-            if index < len(self.records) or self.done:
-                continue  # a post/finish landed between drain and clear
-            await self._event.wait()
-
-
-class _ChannelWriter:
-    """File-like ``out`` bridging a worker thread into a channel.
-
-    :func:`~repro.service.jsonl.write_line` performs one ``write`` per
-    complete line, so every ``write`` here is one record.  Summary
-    records are captured rather than forwarded when the endpoint
-    writes its own (the explore path aggregates across requests).
-    """
-
-    def __init__(self, channel: _LineChannel,
-                 loop: asyncio.AbstractEventLoop,
-                 forward_summary: bool) -> None:
-        self._channel = channel
-        self._loop = loop
-        self._forward_summary = forward_summary
-
-    def write(self, text: str) -> None:
-        record = json.loads(text)
-        if record.get("type") == "summary" and not self._forward_summary:
-            self._channel.summary = record
-            return
-        self._loop.call_soon_threadsafe(self._channel.post, record)
-
-    def flush(self) -> None:  # write_line flushes; nothing buffered here
-        pass
-
-
-def _request_dict(request: ExploreRequest) -> dict:
-    """The manifest dict form of a validated request (round-trips)."""
-    data = {"dataset": request.dataset, "model": request.model,
-            "base": request.base, "tau_grid": list(request.tau_grid)}
-    if request.label is not None:
-        data["label"] = request.label
-    if request.identity is not None:
-        data["identity"] = request.identity
-    if request.e is not None:
-        data["e"] = request.e
-    return data
+    async def flush(self) -> None:
+        if self._chunks:
+            self._writer.write(b"".join(self._chunks))
+            self._chunks = []
+        await self._writer.drain()
 
 
 class ExploreServer:
@@ -249,7 +216,8 @@ class ExploreServer:
         # cold misses for the same model+e build once per serve process
         # (hits/misses on the build.cache metric).
         self._build_cache: dict = {}
-        self._inflight: dict[tuple, _LineChannel] = {}
+        # key -> Future of (result, error) for each running computation
+        self._inflight: dict[tuple, asyncio.Future] = {}
         self._handlers: set[asyncio.Task] = set()
         self._computes: set[asyncio.Task] = set()
         self._sem = asyncio.Semaphore(max(1, int(config.concurrency)))
@@ -344,17 +312,20 @@ class ExploreServer:
 
     async def _resolve_key(self, service: ExplorationService,
                            request: ExploreRequest) -> str:
-        """The request's store grid key (may train/build, hence pooled).
+        """The request's store grid key.
 
-        Serialized on one lock: first-contact resolution can train a
-        model; afterwards it is a cache read, and serializing removes
-        any duplicate heavy work between racing resolutions.
+        A key this service already resolved is a cache read on the loop.
+        First contact can train a model and build its netlist, so it
+        runs pooled and serialized on one lock, which removes duplicate
+        heavy work between racing first contacts.
         """
+        gkey = service.cached_grid_key(request)
+        if gkey is not None:
+            return gkey
         assert self._loop is not None
         async with self._resolve_lock:
-            base_key = await self._loop.run_in_executor(
-                self._pool, service._base_key, request)
-        return make_grid_key(base_key, request.tau_grid)
+            return await self._loop.run_in_executor(
+                self._pool, service.grid_key, request)
 
     def _admit(self, n_new: int, tenant: str) -> None:
         """Queue admission for ``n_new`` fresh computations, or 429."""
@@ -373,33 +344,41 @@ class ExploreServer:
             fault_point("server.enqueue", tenant=tenant)
         self._admitted += n_new
 
-    def _spawn_compute(self, key: tuple, channel: _LineChannel,
-                       run_sync) -> _LineChannel:
-        """Register ``channel`` under ``key`` and run ``run_sync`` pooled.
+    async def _pooled(self, fn, *args):
+        """``fn(*args)`` on the pool, under the caller's trace context.
 
-        The caller has already passed admission (``_admit``); this
-        always decrements ``_admitted`` exactly once.  The in-flight
-        entry pops only *after* the work landed in the store, so a
-        late duplicate either coalesces or warm-hits — never recomputes.
+        ``run_in_executor`` does not propagate contextvars: capture the
+        handler's trace/request-id context here and reinstall it in the
+        worker thread, so service/job/shard/engine spans parent under
+        the originating ``server.request`` span.
         """
         assert self._loop is not None
-        self._inflight[key] = channel
-        # run_in_executor does not propagate contextvars: capture the
-        # handler's trace/request-id context here and reinstall it in
-        # the worker thread, so job/shard/engine spans parent under the
-        # originating server.request span.
         ctx = capture_context()
 
-        def run_traced() -> None:
+        def run_traced():
             with use_context(ctx):
-                run_sync()
+                return fn(*args)
+
+        return await self._loop.run_in_executor(self._pool, run_traced)
+
+    def _spawn_compute(self, key: tuple, fn, *args) -> asyncio.Future:
+        """Run ``fn(*args)`` as the computation of ``key``; its future.
+
+        The caller has already passed admission (``_admit``); this
+        always decrements ``_admitted`` exactly once.  The future
+        resolves to ``(result, error)``.  The in-flight entry pops only
+        *after* the work landed in the store, so a late duplicate either
+        coalesces or warm-hits — never recomputes.
+        """
+        assert self._loop is not None
+        future = self._loop.create_future()
+        self._inflight[key] = future
 
         async def compute() -> None:
-            error = None
+            result = error = None
             try:
                 async with self._sem:
-                    await self._loop.run_in_executor(self._pool,
-                                                     run_traced)
+                    result = await self._pooled(fn, *args)
                 self.counters["computed"] += 1
                 _metric("server.computed")
             except Exception as exc:
@@ -409,29 +388,44 @@ class ExploreServer:
             finally:
                 self._admitted -= 1
                 self._inflight.pop(key, None)
-                channel.finish(error)
+                future.set_result((result, error))
 
         task = self._loop.create_task(compute())
         self._computes.add(task)
         task.add_done_callback(self._computes.discard)
-        return channel
+        return future
 
     def _explore_sync(self, service: ExplorationService,
-                      request: ExploreRequest,
-                      channel: _LineChannel) -> None:
-        assert self._loop is not None
-        writer = _ChannelWriter(channel, self._loop, forward_summary=False)
+                      request: ExploreRequest) -> tuple:
         with self._circuit_lock(request.dataset, request.model):
-            service.run_manifest([_request_dict(request)], writer)
+            return service.explore(request)
 
     def _sweep_sync(self, service: ExplorationService,
                     request: ExploreRequest, e_values: tuple,
-                    include_cross: bool, channel: _LineChannel) -> None:
-        assert self._loop is not None
-        writer = _ChannelWriter(channel, self._loop, forward_summary=True)
+                    include_cross: bool) -> list[str]:
+        out = io.StringIO()
         with self._circuit_lock(request.dataset, request.model):
-            service.run_sweep(request, e_values, writer,
+            service.run_sweep(request, e_values, out,
                               include_cross=include_cross)
+        return out.getvalue().splitlines()
+
+    @staticmethod
+    def _lookup_sync(service: ExplorationService, probes: list,
+                     n_entries: int) -> tuple[dict, dict | None]:
+        """Warm tier: read and render every probed grid the store holds.
+
+        ``probes`` is ``[(index, request)]``; returns ``({index:
+        lines}, stats)``.  When every entry of the response hit, the
+        store stats for its summary come from this same call (nothing
+        is left to compute, so they cannot change before it is sent).
+        """
+        hits = {}
+        for index, request in probes:
+            warm = service.lookup(request)
+            if warm is not None:
+                hits[index] = render_request(index, request, *warm)
+        stats = service.store.stats() if len(hits) == n_entries else None
+        return hits, stats
 
     # -- HTTP plumbing -------------------------------------------------
 
@@ -956,6 +950,7 @@ class ExploreServer:
 
     async def _explore(self, payload: dict, headers: dict,
                        writer: asyncio.StreamWriter) -> None:
+        start = time.perf_counter()
         tenant = self._tenant(headers)
         service = self._service(tenant)
         manifest = payload.get("requests", [payload])
@@ -966,47 +961,48 @@ class ExploreServer:
         except (ValueError, TypeError) as exc:
             raise _HttpError(400, str(exc))
 
-        # Resolve every content key first: coalescing and admission are
-        # decided *before* the response status goes out, so a full
-        # queue is a clean 429, never a broken stream.  A channel
-        # captured here stays valid even if its computation finishes
-        # before streaming starts — channels replay from the start.
-        entries = []  # (request, key, channel-or-None) — None = fresh
-        batch: dict[tuple, _LineChannel] = {}
+        # Every tier is decided *before* the response status goes out,
+        # so a full queue is a clean 429, never a broken stream.
+        keys = []
         for request in requests:
             try:
                 gkey = await self._resolve_key(service, request)
             except Exception as exc:
                 raise _HttpError(400, f"cannot resolve "
                                       f"{request.name}: {exc}")
-            key = (tenant, gkey)
-            entries.append([request, key, self._inflight.get(key)])
-        fresh_keys = []  # unique keys needing a computation, in order
-        for request, key, channel in entries:
-            if channel is None and key not in fresh_keys:
-                fresh_keys.append(key)
-        self._admit(len(fresh_keys), tenant)
-        n_coalesced = len(entries) - len(fresh_keys)
+            keys.append((tenant, gkey))
+        # Warm tier: one pooled call reads and renders every finished
+        # grid that is not being computed right now.
+        probes = [(index, request) for index, (request, key)
+                  in enumerate(zip(requests, keys))
+                  if key not in self._inflight]
+        warm, stats = {}, None
+        if probes:
+            warm, stats = await self._pooled(
+                self._lookup_sync, service, probes, len(requests))
+        # In-flight and fresh tiers, checked after that await: an
+        # identical cold request that started meanwhile is attached to,
+        # not recomputed.
+        sources: list = []   # per entry: rendered lines, or a key
+        fresh: dict[tuple, ExploreRequest] = {}
+        for index, (request, key) in enumerate(zip(requests, keys)):
+            if index in warm:
+                sources.append(warm[index])
+                continue
+            sources.append(key)
+            if key not in self._inflight:
+                fresh.setdefault(key, request)
+        self._admit(len(fresh), tenant)
+        n_coalesced = len(requests) - len(warm) - len(fresh)
         self.counters["coalesced"] += n_coalesced
         if n_coalesced:
             _metric("server.coalesced", n_coalesced)
-        for entry in entries:
-            request, key, channel = entry
-            if channel is not None:
-                continue
-            if key in batch:  # duplicate within this manifest
-                entry[2] = batch[key]
-                continue
-            channel = _LineChannel()
-            batch[key] = channel
-            entry[2] = channel
-            self._spawn_compute(
-                key, channel,
-                lambda service=service, request=request,
-                channel=channel: self._explore_sync(
-                    service, request, channel))
-
-        await self._stream(writer, headers, entries, service)
+        for key, request in fresh.items():
+            self._spawn_compute(key, self._explore_sync, service, request)
+        sources = [source if isinstance(source, list)
+                   else self._inflight[source] for source in sources]
+        await self._stream(writer, headers, requests, sources, service,
+                           stats, start)
 
     @staticmethod
     def _trace_stamp(headers: dict) -> dict | None:
@@ -1026,58 +1022,55 @@ class ExploreServer:
             stamp["trace_id"] = tid
         return stamp or None
 
-    async def _stream(self, writer: asyncio.StreamWriter, headers: dict,
-                      entries: list,
-                      service: ExplorationService) -> None:
-        start = time.perf_counter()
+    def _wire(self, writer: asyncio.StreamWriter, headers: dict) -> _Wire:
+        """The 200 streamed response a request's ``Accept`` asks for."""
         sse = "text/event-stream" in headers.get("accept", "")
         content_type = "text/event-stream" if sse \
             else "application/x-ndjson"
-        trace_stamp = self._trace_stamp(headers)
-        writer.write(self._head(200, content_type))
-        await writer.drain()
-        line_no = 0
+        return _Wire(writer, self._head(200, content_type), sse,
+                     self._trace_stamp(headers))
 
-        async def send(record: dict) -> None:
-            nonlocal line_no
-            line_no += 1
-            fault_point("server.stream", index=line_no)
-            if trace_stamp is not None:
-                record = {**record, "trace": trace_stamp}
-            text = json.dumps(record)
-            if sse:
-                data = b"data: " + text.encode() + b"\n\n"
-            else:
-                data = text.encode() + b"\n"
-            writer.write(data)  # one write per line: line-atomic
-            await writer.drain()
+    async def _stream(self, writer: asyncio.StreamWriter, headers: dict,
+                      requests: list, sources: list,
+                      service: ExplorationService, stats: dict | None,
+                      start: float) -> None:
+        """Stream each entry's lines, then the summary.
 
+        A warm-only response is one write.  Before waiting on a
+        computation the buffered lines (at least the head) go out.
+        """
+        wire = self._wire(writer, headers)
         n_grid_hits = 0
         n_designs = 0
-        for index, (request, _key, channel) in enumerate(entries):
-            async for record in channel.subscribe():
-                if "index" in record:
-                    record = {**record, "index": index}
-                if record.get("type") == "request":
-                    n_grid_hits += int(bool(record.get("grid_hit")))
-                    n_designs += int(record.get("n_designs", 0))
-                await send(record)
-            if channel.error is not None:
-                await send({"type": "error", "index": index,
-                            "request": request.name,
-                            "error": channel.error})
-                return
-        assert self._loop is not None
-        stats = await self._loop.run_in_executor(
-            self._pool, service.store.stats)
-        await send({
+        for index, (request, source) in enumerate(zip(requests, sources)):
+            if isinstance(source, list):
+                lines = source
+                n_grid_hits += 1
+            else:
+                await wire.flush()
+                result, error = await asyncio.shield(source)
+                if error is not None:
+                    wire.add([json.dumps({"type": "error", "index": index,
+                                          "request": request.name,
+                                          "error": error})])
+                    await wire.flush()
+                    return
+                designs, report = result
+                lines = render_request(index, request, designs, report)
+                n_grid_hits += int(report.grid_hit)
+            n_designs += len(lines) - 1
+            wire.add(lines)
+        if stats is None:
+            stats = await self._pooled(service.store.stats)
+        wire.add([json.dumps({
             "type": "summary",
-            "n_requests": len(entries),
+            "n_requests": len(requests),
             "n_grid_hits": n_grid_hits,
             "n_designs": n_designs,
             "runtime_s": time.perf_counter() - start,
             "store": stats,
-        })
+        })])
+        await wire.flush()
 
     async def _sweep(self, payload: dict, headers: dict,
                      writer: asyncio.StreamWriter) -> None:
@@ -1099,39 +1092,22 @@ class ExploreServer:
             "dataset": request.dataset, "model": request.model,
             "tau_grid": list(request.tau_grid), "e_values": list(e_values),
             "identity": request.identity, "include_cross": include_cross}))
-        channel = self._inflight.get(key)
-        if channel is None:
+        future = self._inflight.get(key)
+        if future is None:
             self._admit(1, tenant)
-            channel = _LineChannel()
-            self._spawn_compute(
-                key, channel, lambda: self._sweep_sync(
-                    service, request, e_values, include_cross, channel))
+            future = self._spawn_compute(key, self._sweep_sync, service,
+                                         request, e_values, include_cross)
         else:
             self.counters["coalesced"] += 1
             _metric("server.coalesced")
 
-        sse = "text/event-stream" in headers.get("accept", "")
-        content_type = "text/event-stream" if sse \
-            else "application/x-ndjson"
-        trace_stamp = self._trace_stamp(headers)
-        writer.write(self._head(200, content_type))
-        await writer.drain()
-        line_no = 0
-        async for record in channel.subscribe():
-            line_no += 1
-            fault_point("server.stream", index=line_no)
-            if trace_stamp is not None:
-                record = {**record, "trace": trace_stamp}
-            text = json.dumps(record)
-            data = (b"data: " + text.encode() + b"\n\n") if sse \
-                else text.encode() + b"\n"
-            writer.write(data)
-            await writer.drain()
-        if channel.error is not None:
-            text = json.dumps({"type": "error", "error": channel.error})
-            writer.write((b"data: " + text.encode() + b"\n\n") if sse
-                         else text.encode() + b"\n")
-            await writer.drain()
+        wire = self._wire(writer, headers)
+        await wire.flush()
+        lines, error = await asyncio.shield(future)
+        if error is not None:
+            lines = [json.dumps({"type": "error", "error": error})]
+        wire.add(lines)
+        await wire.flush()
 
 
 async def _serve_async(config: ServeConfig) -> None:

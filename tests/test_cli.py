@@ -1,8 +1,27 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("module", ["repro.cli", "repro.experiments.zoo"])
+def test_import_leaves_scipy_unloaded(module):
+    """scipy serves one experiment; CLI and serve start-up never load it."""
+    code = (f"import sys, {module}\n"
+            "print(sorted(m for m in sys.modules"
+            " if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.stdout.strip() == "[]"
 
 
 class TestCli:

@@ -37,6 +37,7 @@ from pathlib import Path
 import pytest
 
 from repro.service import DesignStore, ExplorationService
+from repro.service.faults import FaultInjector, installed
 from repro.service.jobs import ExplorationJob
 from repro.service.jsonl import read_jsonl
 from repro.service.runner import ExploreRequest
@@ -283,6 +284,134 @@ class TestConformance:
         assert results["badsweep"][0] == 400
 
 
+def count_job_runs(monkeypatch) -> list:
+    """Grid keys of every ExplorationJob.run call, in call order."""
+    runs = []
+    original = ExplorationJob.run
+
+    def counted(self, *args, **kwargs):
+        runs.append(self.grid_key())
+        return original(self, *args, **kwargs)
+    monkeypatch.setattr(ExplorationJob, "run", counted)
+    return runs
+
+
+def sse_lines(body: str) -> list[str]:
+    frames = [chunk for chunk in body.split("\n\n") if chunk]
+    assert all(frame.startswith("data: ") for frame in frames)
+    return [frame[len("data: "):] for frame in frames]
+
+
+class TestTiers:
+    """Warm hits, in-flight attachment and fresh computations."""
+
+    def test_warm_hit_skips_queue_and_circuit_lock(self, tmp_path,
+                                                   monkeypatch):
+        runs = count_job_runs(monkeypatch)
+        cold_request = {**REQ, "tau_grid": [0.8, 0.9]}
+
+        async def run():
+            async with running_server(tmp_path, concurrency=1,
+                                      queue_depth=0) as server:
+                await http(server.port, "POST", "/v1/explore", REQ)
+                with installed(FaultInjector.parse("job.shard:1=sleep(2)")):
+                    cold = asyncio.ensure_future(http(
+                        server.port, "POST", "/v1/explore", cold_request))
+                    for _ in range(1000):
+                        lock = server._circuit_locks.get(("redwine",
+                                                          "svm_r"))
+                        if lock is not None and lock.locked():
+                            break
+                        await asyncio.sleep(0.01)
+                    # The cold request fills the only slot and holds
+                    # the circuit lock while it sleeps in its shard.
+                    assert server._admitted == 1 and lock.locked()
+                    warm = await http(server.port, "POST", "/v1/explore",
+                                      REQ)
+                    cold_pending = not cold.done()
+                    cold = await cold
+                return warm, cold_pending, cold
+        warm, cold_pending, cold = asyncio.run(run())
+        assert warm[0] == 200 and cold_pending
+        records = parse_lines(warm[2])
+        assert records[0]["grid_hit"] is True
+        assert records[-1]["type"] == "summary"
+        assert design_lines(warm[2])
+        assert cold[0] == 200
+        assert parse_lines(cold[2])[-1]["type"] == "summary"
+        assert len(runs) == 2  # the warm hit ran no job
+
+    @pytest.mark.parametrize("accept", ["jsonl", "sse", "x-trace"])
+    def test_mixed_manifest_lines_equal_serial_run(self, tmp_path, accept):
+        warm_a = REQ
+        warm_b = {**REQ, "tau_grid": [0.8, 0.9]}
+        cold = {**REQ, "tau_grid": [0.85, 0.95]}
+        # cold, warm, in-manifest duplicate of the cold key, warm
+        manifest = [cold, warm_a, cold, warm_b]
+        headers = {"jsonl": {},
+                   "sse": {"Accept": "text/event-stream"},
+                   "x-trace": {"X-Trace": "1"}}[accept]
+
+        async def run():
+            async with running_server(tmp_path) as server:
+                for request in (warm_a, warm_b):
+                    await http(server.port, "POST", "/v1/explore", request)
+                return await http(server.port, "POST", "/v1/explore",
+                                  {"requests": manifest}, headers)
+        status, _head, body = asyncio.run(run())
+        assert status == 200
+        lines = sse_lines(body) if accept == "sse" else body.splitlines()
+        records = [json.loads(line) for line in lines]
+        if accept == "x-trace":
+            assert all("trace" in record for record in records)
+            lines = [json.dumps({k: v for k, v in record.items()
+                                 if k != "trace"}) for record in records]
+        served = [line for line in lines if '"type": "design"' in line]
+
+        out = io.StringIO()
+        ExplorationService(DesignStore(tmp_path / "serial.sqlite")) \
+            .run_manifest(manifest, out)
+        assert served == design_lines(out.getvalue())
+        assert {record["index"] for record in records
+                if record["type"] == "design"} == {0, 1, 2, 3}
+        assert [record["grid_hit"] for record in records
+                if record["type"] == "request"] == [False, True, False,
+                                                    True]
+        assert records[-1]["n_grid_hits"] == 2
+
+    def test_identical_cold_requests_coalesce(self, tmp_path, monkeypatch):
+        runs = count_job_runs(monkeypatch)
+
+        async def run():
+            async with running_server(tmp_path) as server:
+                with installed(FaultInjector.parse("job.shard:1=sleep(1)")):
+                    results = await asyncio.gather(*[
+                        http(server.port, "POST", "/v1/explore", REQ)
+                        for _ in range(2)])
+                return results, dict(server.counters)
+        results, counters = asyncio.run(run())
+        assert [status for status, _h, _b in results] == [200, 200]
+        assert len(runs) == 1
+        assert counters["coalesced"] == 1 and counters["computed"] == 1
+        assert design_lines(results[0][2]) == design_lines(results[1][2])
+
+    def test_stream_fault_truncates_a_warm_stream(self, tmp_path):
+        async def run():
+            async with running_server(tmp_path) as server:
+                await http(server.port, "POST", "/v1/explore", REQ)
+                with installed(FaultInjector.parse("server.stream:2=err")):
+                    return await http(server.port, "POST", "/v1/explore",
+                                      REQ)
+        status, _head, body = asyncio.run(run())
+        assert status == 200
+        first, _sep, rest = body.partition("\n")
+        header = json.loads(first)
+        assert header["type"] == "request" and header["grid_hit"] is True
+        # the stream stops at line 2: no design line, no summary
+        assert not design_lines(body)
+        assert '"type": "summary"' not in rest
+
+
 class TestTenancy:
     def test_namespace_changes_base_fingerprint(self):
         plain = base_fingerprint_from_parts("nl", "ev", "exact")
@@ -370,12 +499,12 @@ class TestConcurrency:
     def test_queue_full_gets_429_with_retry_after(
             self, tmp_path, monkeypatch):
         gate = threading.Event()
-        original = ExplorationService.run_manifest
+        original = ExplorationService.explore
 
-        def gated(self, manifest, out, resume=True):
+        def gated(self, *args, **kwargs):
             assert gate.wait(timeout=30)
-            return original(self, manifest, out, resume=resume)
-        monkeypatch.setattr(ExplorationService, "run_manifest", gated)
+            return original(self, *args, **kwargs)
+        monkeypatch.setattr(ExplorationService, "explore", gated)
 
         async def run():
             async with running_server(tmp_path, concurrency=1,
@@ -406,12 +535,12 @@ class TestDrain:
     def test_in_process_drain_finishes_inflight_stream(
             self, tmp_path, monkeypatch):
         gate = threading.Event()
-        original = ExplorationService.run_manifest
+        original = ExplorationService.explore
 
-        def gated(self, manifest, out, resume=True):
+        def gated(self, *args, **kwargs):
             assert gate.wait(timeout=30)
-            return original(self, manifest, out, resume=resume)
-        monkeypatch.setattr(ExplorationService, "run_manifest", gated)
+            return original(self, *args, **kwargs)
+        monkeypatch.setattr(ExplorationService, "explore", gated)
 
         async def run():
             async with running_server(tmp_path, concurrency=1) as server:

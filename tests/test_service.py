@@ -830,6 +830,34 @@ class TestESweep:
         assert len({id(circuit) for circuit in encoded}) == len(e_values)
         assert all(isinstance(c, ArrayCircuit) for c in encoded)
 
+    def test_one_materialized_netlist_per_circuit(self, sweep_service,
+                                                  monkeypatch):
+        """Serving radii e=1..4 of one circuit keeps every compact
+        circuit but at most one materialized ``Netlist`` alive: the one
+        the last job walked, which a new grid on that radius reuses."""
+        import gc
+        import weakref
+        from dataclasses import replace
+
+        from repro.hw.synthesis import ArrayCircuit
+
+        made = []
+        to_netlist = ArrayCircuit.to_netlist
+
+        def tracked(self):
+            netlist = to_netlist(self)
+            made.append(weakref.ref(netlist))
+            return netlist
+
+        monkeypatch.setattr(ArrayCircuit, "to_netlist", tracked)
+        request = _sweep_request()
+        for e in (1, 2, 3, 4):
+            sweep_service.explore(replace(request, e=e))
+        sweep_service.explore(replace(request, e=4, tau_grid=(0.9,)))
+        gc.collect()
+        assert len(made) == 4  # the e=4 netlist served both grids
+        assert sum(ref() is not None for ref in made) <= 1
+
     def test_bigint_engine_scores_array_circuits(self, tmp_path):
         """The bigint oracle takes the cold path's array circuits too."""
         request = _sweep_request()
