@@ -237,12 +237,11 @@ class CrossLayerFramework:
             the tau axis; accuracies/coordinates stay identical, gate
             and area records may differ within the documented
             tolerance).  See :class:`~repro.core.pruning.NetlistPruner`.
-        builder: bespoke netlist construction path — ``"auto"``
-            (default: the array-level emitter), ``"array"``, or
-            ``"gate"`` (the per-gate oracle builder).  Both produce
-            gate-for-gate identical netlists and byte-identical design
-            lists; the selector is a pure performance knob for the cold
-            build stage.  See :mod:`repro.hw.array_builder`.
+        builder: bespoke emitter backend — ``"auto"`` (default: the
+            array backend), ``"array"``, or ``"gate"`` (the per-gate
+            oracle, for reference runs).  Both produce gate-for-gate
+            identical netlists and byte-identical design lists.  See
+            :mod:`repro.hw.bespoke`.
     """
 
     def __init__(self, e: int = 4, strategy: str = "auto",

@@ -19,7 +19,6 @@ import numpy as np
 
 from ..hw.area import area_mm2
 from ..hw.array_builder import build_bespoke_multiplier_arrays
-from ..hw.bespoke import build_bespoke_multiplier_netlist
 from ..quant.fixed_point import DEFAULT_COEFF_BITS, coeff_range
 
 __all__ = ["BespokeMultiplierLibrary", "default_library", "shared_library"]
@@ -28,20 +27,13 @@ __all__ = ["BespokeMultiplierLibrary", "default_library", "shared_library"]
 class BespokeMultiplierLibrary:
     """Cached ``AREA(BM_w)`` lookups keyed by (coefficient, input width).
 
-    ``builder`` selects the netlist construction path for cache misses:
-    the default array-level emission feeds ``area_mm2`` the folded
-    :class:`~repro.hw.synthesis.ArrayCircuit` directly (no ``Netlist``
-    is materialized at all), ``"gate"`` keeps the per-gate oracle path.
-    Both yield identical areas — the equivalence tests assert it.
+    Cache misses emit the multiplier through the array backend and feed
+    ``area_mm2`` the folded :class:`~repro.hw.synthesis.ArrayCircuit`
+    directly, so no ``Netlist`` is materialized at all.
     """
 
-    def __init__(self, coeff_bits: int = DEFAULT_COEFF_BITS,
-                 builder: str = "auto") -> None:
-        if builder not in ("auto", "array", "gate"):
-            raise ValueError(f"unknown builder {builder!r} "
-                             "(expected 'auto', 'array' or 'gate')")
+    def __init__(self, coeff_bits: int = DEFAULT_COEFF_BITS) -> None:
         self.coeff_bits = coeff_bits
-        self.builder = "array" if builder == "auto" else builder
         self._cache: dict[tuple[int, int], float] = {}
         self._areas_np: dict[int, np.ndarray] = {}
         self._ladders: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
@@ -56,11 +48,7 @@ class BespokeMultiplierLibrary:
         key = (int(coefficient), int(input_bits))
         cached = self._cache.get(key)
         if cached is None:
-            if self.builder == "array":
-                cached = area_mm2(build_bespoke_multiplier_arrays(*key))
-            else:
-                cached = area_mm2(
-                    build_bespoke_multiplier_netlist(*key, builder="gate"))
+            cached = area_mm2(build_bespoke_multiplier_arrays(*key))
             self._cache[key] = cached
         return cached
 

@@ -3,11 +3,9 @@
 from .area import AreaReport, area_cm2, area_mm2
 from .array_builder import (
     ArrayEmitter,
-    AVal,
     build_bespoke_arrays,
     build_bespoke_multiplier_arrays,
     build_weighted_sum_arrays,
-    emit_bespoke_arrays,
 )
 from .bespoke_tree import build_bespoke_tree_netlist
 from .bespoke import (
@@ -16,6 +14,7 @@ from .bespoke import (
     build_bespoke_multiplier_netlist,
     build_bespoke_netlist,
     build_weighted_sum_netlist,
+    emit_bespoke,
     input_payload,
 )
 from .blocks import (
@@ -68,11 +67,10 @@ __all__ = [
     "CLASS_OUTPUT",
     "REGRESSOR_OUTPUT",
     "ArrayEmitter",
-    "AVal",
     "build_bespoke_arrays",
     "build_bespoke_multiplier_arrays",
     "build_weighted_sum_arrays",
-    "emit_bespoke_arrays",
+    "emit_bespoke",
     "build_bespoke_multiplier_netlist",
     "build_bespoke_netlist",
     "build_bespoke_tree_netlist",

@@ -20,21 +20,28 @@ The netlist ``meta`` carries what the pruning pass needs:
   error-significance statistic phi (Section III-C's classifier-aware
   definition).
 
-Every build function takes a ``builder`` selector:
+The op sequence is written once, by :func:`emit_bespoke` over
+:class:`~repro.hw.blocks.Value`, and runs on either emitter backend
+(see :mod:`repro.hw.blocks`):
 
-* ``"array"`` — emit through :mod:`repro.hw.array_builder`'s fused
-  array-level path (the cold-path default, 2-4x faster);
-* ``"gate"`` — the per-gate ``Value``/``Netlist`` builder, kept as the
-  gate-for-gate oracle;
-* ``"auto"`` — ``"array"`` when optimizing, ``"gate"`` for raw
-  (``optimize=False``) builds, whose unfolded form is inherently
-  per-gate.
+* :class:`~repro.hw.array_builder.ArrayEmitter` — rows land at the fold
+  fixpoint, so only a dead-gate strip remains (the default for
+  optimized builds; its build stage is 2.1-2.5x faster in
+  ``BENCH_esweep.json``);
+* :class:`~repro.hw.netlist.Netlist` followed by ``synthesize`` — the
+  per-gate oracle, and the only backend for raw (``optimize=False``)
+  builds, whose unfolded form is inherently per-gate.
 
-Both paths produce gate-for-gate identical netlists (the array-builder
-test suite pins this), so the selector is a pure performance knob.
+:func:`build_bespoke_netlist` and :func:`build_bespoke_circuit` keep a
+``builder`` selector (``"auto"``, ``"array"`` or ``"gate"``) so the
+oracle can be requested; both backends produce gate-for-gate identical
+netlists (the array-builder test suite pins this).
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
+from time import perf_counter
 
 import numpy as np
 
@@ -48,6 +55,7 @@ __all__ = [
     "build_bespoke_netlist",
     "build_weighted_sum_netlist",
     "build_bespoke_multiplier_netlist",
+    "emit_bespoke",
     "input_payload",
     "CLASS_OUTPUT",
     "REGRESSOR_OUTPUT",
@@ -83,9 +91,36 @@ def _service_telemetry():
     return _telemetry
 
 
-def _input_values(nl: Netlist, n_features: int, input_bits: int) -> list[Value]:
+def _build(em, emit, *args, optimize: bool = True, kind: str | None = None):
+    """Run ``emit(em, *args)`` on a fresh backend, then synthesize it.
+
+    The one build path of both backends: a :class:`Netlist` is folded
+    by ``synthesize`` (or returned raw when not optimizing), an
+    ``ArrayEmitter``'s rows only need the dead-gate strip.  Optimized
+    builds record ``build.bespoke_ms`` and ``build.gates_emitted``
+    labelled with the backend; model builds (``kind`` given) also run
+    inside a ``build.bespoke`` span.
+    """
+    builder = "gate" if isinstance(em, Netlist) else "array"
+    tel = _service_telemetry()
+    t0 = perf_counter()
+    with tel.span("build.bespoke", builder=builder, kind=kind) \
+            if kind else nullcontext():
+        emit(em, *args)
+        if not optimize:
+            return em
+        emitted = em.n_gates
+        circuit = synthesize(em) if builder == "gate" \
+            else em.finish_synthesized()
+    tel.observe("build.bespoke_ms", (perf_counter() - t0) * 1e3,
+                builder=builder)
+    tel.counter("build.gates_emitted", emitted, builder=builder)
+    return circuit
+
+
+def _input_values(em, n_features: int, input_bits: int) -> list[Value]:
     """One unsigned input bus per feature: x0, x1, ..."""
-    return [Value.input_bus(nl, f"x{index}", input_bits)
+    return [Value.input_bus(em, f"x{index}", input_bits)
             for index in range(n_features)]
 
 
@@ -95,39 +130,69 @@ def _weighted_sum(inputs: list[Value], coefficients, bias: int) -> Value:
                 for value, coeff in zip(inputs, coefficients)
                 if int(coeff) != 0]
     if not products:
-        return Value.constant(inputs[0].nl, int(bias))
+        return Value.constant(inputs[0].em, int(bias))
     return balanced_sum(products).add_constant(int(bias))
+
+
+def emit_bespoke(em, model: QuantMLP | QuantSVM) -> None:
+    """Emit ``model``'s fully-parallel circuit onto the emitter ``em``.
+
+    MLPs chain weighted sums through ReLU + truncation and end in an
+    argmax; SVMs compute one score per class and, as classifiers, vote
+    1-vs-1 before the argmax.  Regressors expose the first sum.
+    """
+    if isinstance(model, QuantMLP):
+        activations = _input_values(em, model.weights[0].shape[0],
+                                    model.input_bits)
+        last = len(model.weights) - 1
+        for layer, (w_int, b_int) in enumerate(zip(model.weights,
+                                                   model.biases)):
+            sums = [_weighted_sum(activations, w_int[:, unit], b_int[unit])
+                    for unit in range(w_int.shape[1])]
+            if layer < last:
+                shift = model.shifts[layer]
+                activations = [s.relu().truncate_lsbs(shift) for s in sums]
+    elif isinstance(model, QuantSVM):
+        inputs = _input_values(em, model.weights.shape[0], model.input_bits)
+        sums = [_weighted_sum(inputs, model.weights[:, unit],
+                              model.biases[unit])
+                for unit in range(model.weights.shape[1])]
+    else:
+        raise TypeError(
+            f"cannot build a bespoke circuit for {type(model).__name__}")
+    em.meta["watch_buses"] = [s.nets for s in sums]
+    em.meta["kind"] = model.kind
+    if model.kind == "classifier":
+        ranked = one_vs_one_votes(sums) if isinstance(model, QuantSVM) \
+            else sums
+        em.set_output_bus(CLASS_OUTPUT, argmax(ranked).nets)
+    else:
+        output = sums[0]
+        em.set_output_bus(REGRESSOR_OUTPUT, output.nets, signed=output.signed)
+
+
+def _emit_weighted_sum(em, coefficients, input_bits: int, bias: int) -> None:
+    inputs = _input_values(em, len(coefficients), input_bits)
+    total = _weighted_sum(inputs, coefficients, bias)
+    em.set_output_bus("sum", total.nets, signed=total.signed)
+
+
+def _emit_multiplier(em, coefficient: int, input_bits: int) -> None:
+    product = bespoke_multiplier(Value.input_bus(em, "x", input_bits),
+                                 coefficient)
+    em.set_output_bus("p", product.nets, signed=product.signed)
 
 
 def build_bespoke_netlist(model: QuantMLP | QuantSVM, name: str = "bespoke",
                           optimize: bool = True,
                           builder: str = "auto") -> Netlist:
     """Generate (and by default synthesize) the fully-parallel circuit."""
-    from time import perf_counter
-
     if _resolve_builder(builder, optimize) == "array":
         from .array_builder import build_bespoke_arrays
 
         return build_bespoke_arrays(model, name).to_netlist()
-    t0 = perf_counter()
-    with _service_telemetry().span("build.bespoke", builder="gate",
-                                   kind=type(model).__name__):
-        if isinstance(model, QuantMLP):
-            netlist = _build_mlp(model, name)
-        elif isinstance(model, QuantSVM):
-            netlist = _build_svm(model, name)
-        else:
-            raise TypeError(
-                f"cannot build a bespoke circuit for {type(model).__name__}")
-        built = len(netlist.gate_type)
-        if optimize:
-            netlist = synthesize(netlist)
-    if optimize:
-        tel = _service_telemetry()
-        tel.observe("build.bespoke_ms", (perf_counter() - t0) * 1e3,
-                    builder="gate")
-        tel.counter("build.gates_emitted", built, builder="gate")
-    return netlist
+    return _build(Netlist(name=name), emit_bespoke, model,
+                  optimize=optimize, kind=type(model).__name__)
 
 
 def build_bespoke_circuit(model: QuantMLP | QuantSVM, name: str = "bespoke",
@@ -147,76 +212,28 @@ def build_bespoke_circuit(model: QuantMLP | QuantSVM, name: str = "bespoke",
     return build_bespoke_netlist(model, name=name, builder=builder)
 
 
-def _build_mlp(model: QuantMLP, name: str) -> Netlist:
-    nl = Netlist(name=name)
-    activations = _input_values(nl, model.weights[0].shape[0], model.input_bits)
-    last = len(model.weights) - 1
-    for layer, (w_int, b_int) in enumerate(zip(model.weights, model.biases)):
-        sums = [_weighted_sum(activations, w_int[:, unit], b_int[unit])
-                for unit in range(w_int.shape[1])]
-        if layer < last:
-            shift = model.shifts[layer]
-            activations = [s.relu().truncate_lsbs(shift) for s in sums]
-    nl.meta["watch_buses"] = [s.nets for s in sums]
-    if model.kind == "classifier":
-        nl.meta["kind"] = "classifier"
-        index = argmax(sums)
-        nl.set_output_bus(CLASS_OUTPUT, index.nets)
-    else:
-        nl.meta["kind"] = "regressor"
-        output = sums[0]
-        nl.set_output_bus(REGRESSOR_OUTPUT, output.nets, signed=output.signed)
-    return nl
-
-
-def _build_svm(model: QuantSVM, name: str) -> Netlist:
-    nl = Netlist(name=name)
-    inputs = _input_values(nl, model.weights.shape[0], model.input_bits)
-    scores = [_weighted_sum(inputs, model.weights[:, unit], model.biases[unit])
-              for unit in range(model.weights.shape[1])]
-    nl.meta["watch_buses"] = [s.nets for s in scores]
-    if model.kind == "classifier":
-        nl.meta["kind"] = "classifier"
-        counts = one_vs_one_votes(scores)
-        index = argmax(counts)
-        nl.set_output_bus(CLASS_OUTPUT, index.nets)
-    else:
-        nl.meta["kind"] = "regressor"
-        output = scores[0]
-        nl.set_output_bus(REGRESSOR_OUTPUT, output.nets, signed=output.signed)
-    return nl
-
-
 def build_weighted_sum_netlist(coefficients, input_bits: int, bias: int = 0,
-                               optimize: bool = True,
-                               builder: str = "auto") -> Netlist:
+                               optimize: bool = True) -> Netlist:
     """A standalone weighted-sum circuit (used by the area-proxy study)."""
-    if _resolve_builder(builder, optimize) == "array":
+    if optimize:
         from .array_builder import build_weighted_sum_arrays
 
         return build_weighted_sum_arrays(coefficients, input_bits,
                                          bias).to_netlist()
-    nl = Netlist(name="weighted_sum")
-    inputs = _input_values(nl, len(coefficients), input_bits)
-    total = _weighted_sum(inputs, coefficients, bias)
-    nl.set_output_bus("sum", total.nets, signed=total.signed)
-    return synthesize(nl) if optimize else nl
+    return _build(Netlist(name="weighted_sum"), _emit_weighted_sum,
+                  coefficients, input_bits, bias, optimize=False)
 
 
 def build_bespoke_multiplier_netlist(coefficient: int, input_bits: int,
-                                     optimize: bool = True,
-                                     builder: str = "auto") -> Netlist:
+                                     optimize: bool = True) -> Netlist:
     """A standalone ``BM_w`` (used to populate the area library)."""
-    if _resolve_builder(builder, optimize) == "array":
+    if optimize:
         from .array_builder import build_bespoke_multiplier_arrays
 
         return build_bespoke_multiplier_arrays(coefficient,
                                                input_bits).to_netlist()
-    nl = Netlist(name=f"bm_{coefficient}_{input_bits}b")
-    x = Value.input_bus(nl, "x", input_bits)
-    product = bespoke_multiplier(x, coefficient)
-    nl.set_output_bus("p", product.nets, signed=product.signed)
-    return synthesize(nl) if optimize else nl
+    return _build(Netlist(name=f"bm_{coefficient}_{input_bits}b"),
+                  _emit_multiplier, coefficient, input_bits, optimize=False)
 
 
 def input_payload(X_quant: np.ndarray) -> dict[str, np.ndarray]:

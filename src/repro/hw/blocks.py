@@ -1,7 +1,22 @@
 """Arithmetic block generators for bespoke printed circuits.
 
 Everything the bespoke ML architectures of the paper need is generated here
-as plain EGT gates on a :class:`~repro.hw.netlist.Netlist`:
+as plain EGT gates, written once against a small *emitter* interface:
+
+* ``not_``/``and_``/``or_``/``xor_``/``mux_`` — folding gate builders over
+  integer net ids, with nets ``0``/``1`` the constant ties;
+* ``ripple_add(a, b, cin)`` — a width-preserving ripple-carry sum;
+* ``add_input_bus``/``set_output_bus`` and a ``meta`` dict.
+
+Two backends implement it: :class:`~repro.hw.netlist.Netlist`, the per-gate
+oracle (folded again by ``synthesize``), and
+:class:`~repro.hw.array_builder.ArrayEmitter`, which lands each gate as a
+flat row already at the fold fixpoint.  Every op-order decision below
+(widths, range shortcuts, recoding digits, compare/select chains) is a
+pure function of value ranges and hardwired coefficients, never of
+emitter state, so both backends see the same op sequence.
+
+The blocks:
 
 * :class:`Value` — a two's-complement bus with an exact value range, so
   every adder is sized to the smallest width that provably cannot overflow
@@ -22,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .netlist import CONST0, CONST1, Netlist
+from .netlist import CONST0, CONST1
 
 __all__ = [
     "Value",
@@ -31,6 +46,7 @@ __all__ = [
     "bespoke_multiplier",
     "conventional_multiplier",
     "argmax",
+    "balanced_sum",
     "one_vs_one_votes",
 ]
 
@@ -50,16 +66,16 @@ def bits_for_range(lo: int, hi: int) -> int:
     return width
 
 
-@dataclass
+@dataclass(slots=True)
 class Value:
     """A bus (LSB first) carrying integers within a known range.
 
     The range drives width inference: two's complement when ``lo < 0``,
     unsigned otherwise.  All arithmetic helpers return new :class:`Value`
-    instances on the same netlist with exactly-sized results.
+    instances on the same emitter ``em`` with exactly-sized results.
     """
 
-    nl: Netlist
+    em: object
     nets: list[int]
     lo: int
     hi: int
@@ -68,24 +84,24 @@ class Value:
     # Construction
     # ------------------------------------------------------------------
     @staticmethod
-    def constant(nl: Netlist, value: int) -> "Value":
+    def constant(em, value: int) -> "Value":
         width = bits_for_range(value, value)
         nets = [CONST1 if (value >> bit) & 1 else CONST0 for bit in range(width)]
-        return Value(nl, nets, value, value)
+        return Value(em, nets, value, value)
 
     @staticmethod
-    def from_bus(nl: Netlist, nets: list[int], lo: int, hi: int) -> "Value":
+    def from_bus(em, nets: list[int], lo: int, hi: int) -> "Value":
         width = bits_for_range(lo, hi)
         if len(nets) < width:
             raise ValueError(
                 f"bus of {len(nets)} bits cannot carry range [{lo}, {hi}]")
-        return Value(nl, list(nets), lo, hi)
+        return Value(em, list(nets), lo, hi)
 
     @staticmethod
-    def input_bus(nl: Netlist, name: str, width: int) -> "Value":
+    def input_bus(em, name: str, width: int) -> "Value":
         """Declare an unsigned primary-input bus as a Value."""
-        nets = nl.add_input_bus(name, width)
-        return Value(nl, nets, 0, (1 << width) - 1)
+        nets = em.add_input_bus(name, width)
+        return Value(em, nets, 0, (1 << width) - 1)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -125,25 +141,25 @@ class Value:
         compute_width = max(width, self.width, other.width)
         a = self.bits_extended(compute_width)
         b = other.bits_extended(compute_width)
-        total = _ripple_add(self.nl, a, b, CONST0)
-        return Value(self.nl, total[:width], lo, hi)
+        total = self.em.ripple_add(a, b, CONST0)
+        return Value(self.em, total[:width], lo, hi)
 
     def sub(self, other: "Value") -> "Value":
         lo, hi = self.lo - other.hi, self.hi - other.lo
         width = bits_for_range(lo, hi)
         compute_width = max(width, self.width, other.width)
         a = self.bits_extended(compute_width)
-        b = [self.nl.not_(bit) for bit in other.bits_extended(compute_width)]
-        total = _ripple_add(self.nl, a, b, CONST1)
-        return Value(self.nl, total[:width], lo, hi)
+        b = [self.em.not_(bit) for bit in other.bits_extended(compute_width)]
+        total = self.em.ripple_add(a, b, CONST1)
+        return Value(self.em, total[:width], lo, hi)
 
     def neg(self) -> "Value":
-        return Value.constant(self.nl, 0).sub(self)
+        return Value.constant(self.em, 0).sub(self)
 
     def add_constant(self, value: int) -> "Value":
         if value == 0:
             return self
-        return self.add(Value.constant(self.nl, value))
+        return self.add(Value.constant(self.em, value))
 
     def shifted(self, amount: int) -> "Value":
         """Multiply by ``2**amount`` (pure wiring)."""
@@ -151,7 +167,7 @@ class Value:
             raise ValueError("use truncate_lsbs for right shifts")
         if amount == 0:
             return self
-        return Value(self.nl, [CONST0] * amount + self.nets,
+        return Value(self.em, [CONST0] * amount + self.nets,
                      self.lo << amount, self.hi << amount)
 
     def truncate_lsbs(self, amount: int) -> "Value":
@@ -162,10 +178,10 @@ class Value:
             # Only the sign remains: floor(v / 2**amount) is 0 or -1.
             lo, hi = self.lo >> amount, self.hi >> amount
             if lo >= 0:
-                return Value.constant(self.nl, 0)
+                return Value.constant(self.em, 0)
             sign = self.sign_net()
-            return Value(self.nl, [sign], lo, hi)
-        return Value(self.nl, self.nets[amount:],
+            return Value(self.em, [sign], lo, hi)
+        return Value(self.em, self.nets[amount:],
                      self.lo >> amount, self.hi >> amount)
 
     def relu(self) -> "Value":
@@ -173,11 +189,11 @@ class Value:
         if self.lo >= 0:
             return self
         if self.hi <= 0:
-            return Value.constant(self.nl, 0)
-        keep = self.nl.not_(self.sign_net())
+            return Value.constant(self.em, 0)
+        keep = self.em.not_(self.sign_net())
         width = bits_for_range(0, self.hi)
-        nets = [self.nl.and_(bit, keep) for bit in self.nets[:width]]
-        return Value(self.nl, nets, 0, self.hi)
+        nets = [self.em.and_(bit, keep) for bit in self.nets[:width]]
+        return Value(self.em, nets, 0, self.hi)
 
     # ------------------------------------------------------------------
     # Comparison / selection
@@ -189,11 +205,11 @@ class Value:
         if self.hi < other.lo:
             return CONST0
         diff = self.sub(other)
-        return self.nl.not_(diff.sign_net())
+        return self.em.not_(diff.sign_net())
 
     def gt(self, other: "Value") -> int:
         """Net that is 1 iff ``self > other``."""
-        return self.nl.not_(other.ge(self))
+        return self.em.not_(other.ge(self))
 
     def select(self, other: "Value", sel: int) -> "Value":
         """Per-bit mux: returns ``other`` when ``sel`` is 1, else ``self``."""
@@ -201,21 +217,8 @@ class Value:
         width = bits_for_range(lo, hi)
         a = self.bits_extended(width)
         b = other.bits_extended(width)
-        nets = [self.nl.mux_(a[bit], b[bit], sel) for bit in range(width)]
-        return Value(self.nl, nets, lo, hi)
-
-
-def _ripple_add(nl: Netlist, a: list[int], b: list[int], cin: int) -> list[int]:
-    """Width-preserving ripple-carry sum of two equally wide buses."""
-    if len(a) != len(b):
-        raise ValueError("operand widths differ")
-    carry = cin
-    out = []
-    for bit_a, bit_b in zip(a, b):
-        propagate = nl.xor_(bit_a, bit_b)
-        out.append(nl.xor_(propagate, carry))
-        carry = nl.or_(nl.and_(bit_a, bit_b), nl.and_(propagate, carry))
-    return out
+        nets = [self.em.mux_(a[bit], b[bit], sel) for bit in range(width)]
+        return Value(self.em, nets, lo, hi)
 
 
 # ----------------------------------------------------------------------
@@ -264,9 +267,9 @@ def bespoke_multiplier(x: Value, coefficient: int,
     coefficients that are 0 or a power of two, giving the zero-area
     points of Fig. 1.
     """
-    nl = x.nl
+    em = x.em
     if coefficient == 0 or (x.lo == 0 and x.hi == 0):
-        return Value.constant(nl, 0)
+        return Value.constant(em, 0)
     if recoding == "csd":
         digits = csd_digits(coefficient)
     elif recoding == "binary":
@@ -292,15 +295,15 @@ def conventional_multiplier(x: Value, w: Value) -> Value:
     Used only as the conventional-area reference quoted in the caption of
     Fig. 1; bespoke circuits never instantiate it.
     """
-    nl = x.nl
-    accumulator = Value.constant(nl, 0)
+    em = x.em
+    accumulator = Value.constant(em, 0)
     for position, w_bit in enumerate(w.nets):
         is_sign_bit = w.signed and position == w.width - 1
-        partial_nets = [nl.and_(x_bit, w_bit) for x_bit in x.nets]
+        partial_nets = [em.and_(x_bit, w_bit) for x_bit in x.nets]
         if x.signed:
-            magnitude = Value(nl, partial_nets, min(x.lo, 0), max(x.hi, 0))
+            magnitude = Value(em, partial_nets, min(x.lo, 0), max(x.hi, 0))
         else:
-            magnitude = Value(nl, partial_nets, 0, x.hi)
+            magnitude = Value(em, partial_nets, 0, x.hi)
         term = magnitude.shifted(position)
         if is_sign_bit:
             accumulator = accumulator.sub(term)
@@ -320,13 +323,13 @@ def argmax(values: list[Value]) -> Value:
     """
     if not values:
         raise ValueError("argmax of no values")
-    nl = values[0].nl
+    em = values[0].em
     best_value = values[0]
-    best_index = Value.constant(nl, 0)
+    best_index = Value.constant(em, 0)
     for index, candidate in enumerate(values[1:], start=1):
         take = candidate.gt(best_value)
         best_value = best_value.select(candidate, take)
-        best_index = best_index.select(Value.constant(nl, index), take)
+        best_index = best_index.select(Value.constant(em, index), take)
     return best_index
 
 
@@ -341,21 +344,21 @@ def one_vs_one_votes(scores: list[Value]) -> list[Value]:
     n_classes = len(scores)
     if n_classes < 2:
         raise ValueError("1-vs-1 voting needs at least two classes")
-    nl = scores[0].nl
+    em = scores[0].em
     vote_bits: list[list[int]] = [[] for _ in range(n_classes)]
     for i in range(n_classes):
         for j in range(i + 1, n_classes):
             i_wins = scores[i].ge(scores[j])
             vote_bits[i].append(i_wins)
-            vote_bits[j].append(nl.not_(i_wins))
+            vote_bits[j].append(em.not_(i_wins))
     counts = []
     for bits in vote_bits:
-        values = [Value(nl, [bit], 0, 1) for bit in bits]
-        counts.append(_balanced_sum(values))
+        values = [Value(em, [bit], 0, 1) for bit in bits]
+        counts.append(balanced_sum(values))
     return counts
 
 
-def _balanced_sum(values: list[Value]) -> Value:
+def balanced_sum(values: list[Value]) -> Value:
     """Adder-tree reduction (kept balanced for depth and symmetry)."""
     if not values:
         raise ValueError("sum of no values")
@@ -369,7 +372,3 @@ def _balanced_sum(values: list[Value]) -> Value:
         layer = next_layer
     return layer[0]
 
-
-def balanced_sum(values: list[Value]) -> Value:
-    """Public adder-tree reduction used by the bespoke generators."""
-    return _balanced_sum(values)

@@ -293,6 +293,25 @@ class Netlist:
             return self.and_(b, sel)
         return self.add_gate("MUX2", a, b, sel)
 
+    def ripple_add(self, a: Sequence[int], b: Sequence[int],
+                   cin: int) -> list[int]:
+        """Width-preserving ripple-carry sum of two equally wide buses.
+
+        Per bit: propagate, sum, generate, propagate&carry, carry-out —
+        the op order :class:`~repro.hw.array_builder.ArrayEmitter`'s
+        fused kernel reproduces.
+        """
+        if len(a) != len(b):
+            raise ValueError("operand widths differ")
+        carry = cin
+        out = []
+        for bit_a, bit_b in zip(a, b):
+            propagate = self.xor_(bit_a, bit_b)
+            out.append(self.xor_(propagate, carry))
+            carry = self.or_(self.and_(bit_a, bit_b),
+                             self.and_(propagate, carry))
+        return out
+
     def _is_complement(self, a: int, b: int) -> bool:
         ga, gb = self.driver_gate(a), self.driver_gate(b)
         if ga is not None and self.gate_type[ga] == "INV" \

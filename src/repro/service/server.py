@@ -119,7 +119,6 @@ class ServeConfig:
     engine: str = "auto"
     shard_size: int = DEFAULT_SHARD_SIZE
     identity: str = "exact"
-    builder: str = "auto"       # bespoke build path: auto | array | gate
     default_tenant: str = "default"
     max_body_bytes: int = 1 << 20
     events_log: str | None = None   # JSONL span/event sink (enables tracing)
@@ -298,7 +297,7 @@ class ExploreServer:
                 shard_size=config.shard_size, identity=config.identity,
                 evaluator_cache=self._evaluators,
                 evaluator_fp_cache=self._evaluator_fps,
-                builder=config.builder, build_cache=self._build_cache)
+                build_cache=self._build_cache)
             self._services[tenant] = service
         return service
 

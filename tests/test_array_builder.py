@@ -1,26 +1,30 @@
-"""Array-level bespoke builder: gate-for-gate equivalence with the oracle.
+"""Array backend: gate-for-gate equivalence with the per-gate oracle.
 
-The per-gate :class:`~repro.hw.netlist.Netlist` builder is the pinned
-oracle for the array emitter, the way ``synthesize_reference`` pins
-``synthesize``.  The contract under test is *identity*, not mere
-functional equivalence: for every model and every standalone block, the
-array path must produce a netlist whose gate arrays, buses, and metadata
-are equal element-for-element to the per-gate path's — which is what
-makes ``builder="array"`` safe to flip on under content-addressed
+One ``Value`` op sequence drives two emitter backends.  The per-gate
+:class:`~repro.hw.netlist.Netlist` backend followed by ``synthesize`` is
+the pinned oracle for :class:`ArrayEmitter`, the way
+``synthesize_reference`` pins ``synthesize``.  The contract under test
+is *identity*, not mere functional equivalence: for every model and
+every block, the array backend must produce a netlist whose gate
+arrays, buses, and metadata are equal element-for-element to the
+oracle's — which is what makes it the default under content-addressed
 stores (same bytes, same keys).
 
 Layers covered, bottom up:
 
+* the blocks (``bespoke_multiplier`` under both recodings, argmax,
+  1-vs-1 votes, relu/truncation) driven through ``Value`` on each
+  backend;
 * multiplier/weighted-sum oracles over the full signed coefficient
   range, random property cases, and the degenerate coefficients
-  (0, +-1, powers of two) whose special-casing differs most between
-  the two builders;
+  (0, +-1, powers of two) whose folding is most special-cased;
 * the fused fold-at-emission invariant — a folding pass over freshly
   emitted rows is the identity transform;
 * behavioral simulation against NumPy arithmetic on a non-word-aligned
   vector count;
-* zoo models, the framework (``explore``/``sweep_e``), and the service
-  (fresh stores, shared in-process build cache);
+* every zoo model at its quantized base and at coefficient radii
+  e=1, 4 and 10, the framework (``explore``/``sweep_e``), and the
+  service's shared in-process build cache;
 * the builder telemetry: counters/histograms fire, spans stay inert
   (PR 8's byte-identity contract), and ``fig2`` re-runs trigger zero
   new multiplier builds through the shared library.
@@ -35,29 +39,39 @@ import random
 import numpy as np
 import pytest
 
+from repro import cli
+from repro.core.coeff_approx import CoefficientApproximator
 from repro.core.cross_layer import CrossLayerFramework
-from repro.core.multiplier_area import BespokeMultiplierLibrary
+from repro.core.multiplier_area import BespokeMultiplierLibrary, default_library
 from repro.experiments import fig2
-from repro.experiments.zoo import get_case
+from repro.experiments.zoo import case_keys, get_case
+from repro.hw.area import area_mm2
 from repro.hw.array_builder import (
     ArrayEmitter,
-    bespoke_multiplier_rows,
     build_bespoke_arrays,
     build_bespoke_multiplier_arrays,
     build_weighted_sum_arrays,
-    emit_bespoke_arrays,
 )
 from repro.hw.bespoke import (
+    build_bespoke_circuit,
     build_bespoke_multiplier_netlist,
     build_bespoke_netlist,
     build_weighted_sum_netlist,
+    emit_bespoke,
 )
-from repro.hw.blocks import Value, bespoke_multiplier
+from repro.hw.blocks import (
+    Value,
+    argmax,
+    bespoke_multiplier,
+    bits_for_range,
+    one_vs_one_votes,
+)
 from repro.hw.netlist import Netlist
 from repro.hw.simulate import simulate
 from repro.hw.synthesis import _fold_arrays, synthesize
 from repro.service import telemetry
 from repro.service.runner import ExplorationService, ExploreRequest
+from repro.service.server import ServeConfig
 
 TIER1_CASES = (("redwine", "svm_r"), ("redwine", "mlp_c"),
                ("redwine", "svm_c"))
@@ -75,6 +89,36 @@ def assert_netlists_identical(actual: Netlist, oracle: Netlist) -> None:
     assert actual.meta == oracle.meta
 
 
+def on_both_backends(name: str, emit) -> tuple[Netlist, Netlist]:
+    """Run one ``emit(em)`` generator on each backend.
+
+    Returns ``(array, oracle)``: the array backend's stripped rows as a
+    netlist, and the per-gate backend's netlist after ``synthesize``.
+    """
+    em = ArrayEmitter(name)
+    emit(em)
+    nl = Netlist(name=name)
+    emit(nl)
+    return em.finish_synthesized().to_netlist(), synthesize(nl)
+
+
+def emit_product(coefficient: int, input_bits: int, recoding: str = "csd"):
+    """A generator for ``BM_coefficient`` on an ``input_bits`` input."""
+    def emit(em):
+        x = Value.input_bus(em, "x", input_bits)
+        product = bespoke_multiplier(x, coefficient, recoding=recoding)
+        em.set_output_bus("p", product.nets, signed=product.signed)
+    return emit
+
+
+def ranged_inputs(em, ranges) -> list[Value]:
+    """One input bus per ``(lo, hi)`` range; ``lo == hi`` is a constant."""
+    return [Value.constant(em, lo) if lo == hi else Value.from_bus(
+                em, em.add_input_bus(f"v{index}", bits_for_range(lo, hi)),
+                lo, hi)
+            for index, (lo, hi) in enumerate(ranges)]
+
+
 @pytest.fixture()
 def fresh_telemetry():
     telemetry.reset()
@@ -83,47 +127,87 @@ def fresh_telemetry():
 
 
 # ----------------------------------------------------------------------
+# Blocks through Value on both backends
+# ----------------------------------------------------------------------
+class TestBackendIdentity:
+    """Each block, one ``Value`` generator, two backends, same gates."""
+
+    @pytest.mark.parametrize("recoding", ("csd", "binary"))
+    def test_bespoke_multiplier(self, recoding):
+        for coefficient in range(-128, 128, 3):
+            array, oracle = on_both_backends(
+                "bm", emit_product(coefficient, 6, recoding))
+            assert_netlists_identical(array, oracle)
+
+    @pytest.mark.parametrize("ranges", [
+        ((-8, 7), (-8, 7), (-8, 7)),
+        ((0, 15), (-4, 3), (2, 2), (-20, 9)),   # a constant competitor
+        ((0, 3), (5, 9), (-1, 0)),              # disjoint: folded compares
+    ])
+    def test_argmax(self, ranges):
+        def emit(em):
+            values = ranged_inputs(em, ranges)
+            # A candidate sharing its two LSB nets with values[0]: the
+            # select stages then mux a net with itself.
+            shares = values[0].add(values[1].shifted(2))
+            index = argmax(values[:1] + [shares] + values[1:])
+            em.set_output_bus("idx", index.nets)
+        assert_netlists_identical(*on_both_backends("argmax", emit))
+
+    @pytest.mark.parametrize("n_classes", (2, 3, 5))
+    def test_one_vs_one_votes(self, n_classes):
+        ranges = [(-16 + 3 * k, 15 - k) for k in range(n_classes)]
+
+        def emit(em):
+            counts = one_vs_one_votes(ranged_inputs(em, ranges))
+            em.meta["watch_buses"] = [c.nets for c in counts]
+            em.set_output_bus("idx", argmax(counts).nets)
+        assert_netlists_identical(*on_both_backends("votes", emit))
+
+    @pytest.mark.parametrize("lo,hi", [(-40, 25), (-9, -1), (0, 30)])
+    def test_relu_truncate(self, lo, hi):
+        def emit(em):
+            (value,) = ranged_inputs(em, [(lo, hi)])
+            for shift in range(8):
+                out = value.relu().truncate_lsbs(shift)
+                em.set_output_bus(f"r{shift}", out.nets)
+                raw = value.truncate_lsbs(shift)
+                em.set_output_bus(f"t{shift}", raw.nets, signed=raw.signed)
+        assert_netlists_identical(*on_both_backends("relu", emit))
+
+
+# ----------------------------------------------------------------------
 # Multiplier oracle
 # ----------------------------------------------------------------------
 class TestMultiplierOracle:
     @pytest.mark.parametrize("input_bits", (4, 8))
     def test_full_signed_coefficient_range(self, input_bits):
-        """Every signed 8-bit coefficient, both paths, identical gates."""
+        """Every signed 8-bit coefficient, both backends, identical gates."""
         for coefficient in range(-128, 128):
-            array = build_bespoke_multiplier_netlist(
-                coefficient, input_bits, builder="array")
-            gate = build_bespoke_multiplier_netlist(
-                coefficient, input_bits, builder="gate")
+            array = build_bespoke_multiplier_netlist(coefficient, input_bits)
+            gate = synthesize(build_bespoke_multiplier_netlist(
+                coefficient, input_bits, optimize=False))
             assert_netlists_identical(array, gate)
 
     def test_library_areas_identical(self):
-        """Array-backed and gate-backed libraries agree exactly."""
-        array_lib = BespokeMultiplierLibrary(coeff_bits=6, builder="array")
-        gate_lib = BespokeMultiplierLibrary(coeff_bits=6, builder="gate")
-        assert array_lib.area_table(4) == gate_lib.area_table(4)
+        """The array-backed library agrees exactly with per-gate areas."""
+        library = BespokeMultiplierLibrary(coeff_bits=6)
+        oracle = {w: area_mm2(synthesize(build_bespoke_multiplier_netlist(
+                      w, 4, optimize=False)))
+                  for w in range(-32, 32)}
+        assert library.area_table(4) == oracle
 
     def test_binary_recoding_matches_value_oracle(self):
-        """The ablation recoding mirrors blocks.bespoke_multiplier too."""
+        """The ablation recoding is identical on both backends too."""
         for coefficient in (-77, -3, 5, 45, 127):
-            em = ArrayEmitter("bm_binary")
-            x = em.input_bus("x", 6)
-            em.set_output_bus(
-                "p", bespoke_multiplier_rows(x, coefficient,
-                                             recoding="binary"))
-            array = em.finish_synthesized().to_netlist()
-
-            nl = Netlist(name="bm_binary")
-            value = Value.input_bus(nl, "x", 6)
-            product = bespoke_multiplier(value, coefficient,
-                                         recoding="binary")
-            nl.set_output_bus("p", product.nets, signed=product.signed)
-            assert_netlists_identical(array, synthesize(nl))
+            array, oracle = on_both_backends(
+                "bm_binary", emit_product(coefficient, 6, "binary"))
+            assert_netlists_identical(array, oracle)
 
     def test_unknown_recoding_rejected(self):
-        em = ArrayEmitter("bm")
-        x = em.input_bus("x", 4)
+        x = Value.input_bus(ArrayEmitter("bm"), "x", 4)
         with pytest.raises(ValueError, match="unknown recoding"):
-            bespoke_multiplier_rows(x, 3, recoding="nope")
+            bespoke_multiplier(x, 3, recoding="nope")
 
 
 # ----------------------------------------------------------------------
@@ -139,10 +223,9 @@ class TestWeightedSumOracle:
         ((127, -128), 17),       # extremes of the signed byte
     ])
     def test_degenerate_coefficients(self, coefficients, bias):
-        array = build_weighted_sum_netlist(coefficients, 4, bias=bias,
-                                           builder="array")
-        gate = build_weighted_sum_netlist(coefficients, 4, bias=bias,
-                                          builder="gate")
+        array = build_weighted_sum_netlist(coefficients, 4, bias=bias)
+        gate = synthesize(build_weighted_sum_netlist(
+            coefficients, 4, bias=bias, optimize=False))
         assert_netlists_identical(array, gate)
 
     def test_random_property_cases(self):
@@ -153,10 +236,10 @@ class TestWeightedSumOracle:
             input_bits = rng.randint(1, 10)
             coefficients = tuple(rng.randint(-128, 127) for _ in range(n))
             bias = rng.randint(-512, 512)
-            array = build_weighted_sum_netlist(
-                coefficients, input_bits, bias=bias, builder="array")
-            gate = build_weighted_sum_netlist(
-                coefficients, input_bits, bias=bias, builder="gate")
+            array = build_weighted_sum_netlist(coefficients, input_bits,
+                                               bias=bias)
+            gate = synthesize(build_weighted_sum_netlist(
+                coefficients, input_bits, bias=bias, optimize=False))
             assert_netlists_identical(array, gate)
 
     def test_behavioral_against_numpy(self):
@@ -164,8 +247,7 @@ class TestWeightedSumOracle:
         rng = np.random.default_rng(7)
         coefficients = (11, -23, 0, 5, -1)
         bias = -9
-        netlist = build_weighted_sum_netlist(coefficients, 4, bias=bias,
-                                             builder="array")
+        netlist = build_weighted_sum_netlist(coefficients, 4, bias=bias)
         X = rng.integers(0, 16, size=(70, len(coefficients)))
         result = simulate(netlist, {f"x{i}": X[:, i]
                                     for i in range(X.shape[1])})
@@ -180,8 +262,9 @@ class TestFoldIsIdentity:
     """Emitted rows are already at the fold fixpoint.
 
     The emitter applies ``_fold_arrays``'s rules at emission, so a
-    folding pass over its output must be the identity transform — the
-    strongest machine-checkable form of the module's rule-mirror claim.
+    folding pass over the rows the shared generators emit on it must be
+    the identity transform — the strongest machine-checkable form of the
+    module's rule-mirror claim.
     """
 
     def _assert_fixpoint(self, circ):
@@ -197,28 +280,32 @@ class TestFoldIsIdentity:
     @pytest.mark.parametrize("coefficient", (-100, -17, 3, 88, 127))
     def test_multiplier_rows(self, coefficient):
         em = ArrayEmitter("bm")
-        x = em.input_bus("x", 8)
-        em.set_output_bus("p", bespoke_multiplier_rows(x, coefficient))
+        emit_product(coefficient, 8)(em)
         self._assert_fixpoint(em.finish())
 
     @pytest.mark.parametrize("dataset,kind", TIER1_CASES)
     def test_model_rows(self, dataset, kind):
-        case = get_case(dataset, kind)
-        self._assert_fixpoint(emit_bespoke_arrays(case.quant_model))
+        em = ArrayEmitter("m")
+        emit_bespoke(em, get_case(dataset, kind).quant_model)
+        self._assert_fixpoint(em.finish())
 
 
 # ----------------------------------------------------------------------
 # Models and the builder selector
 # ----------------------------------------------------------------------
 class TestModelIdentity:
-    @pytest.mark.parametrize("dataset,kind", TIER1_CASES)
+    @pytest.mark.parametrize("dataset,kind", case_keys())
     def test_zoo_models_identical(self, dataset, kind):
-        case = get_case(dataset, kind)
-        array = build_bespoke_netlist(case.quant_model, name="m",
-                                      builder="array")
-        gate = build_bespoke_netlist(case.quant_model, name="m",
-                                     builder="gate")
-        assert_netlists_identical(array, gate)
+        """The quantized base and its coefficient radii e=1, 4, 10."""
+        base = get_case(dataset, kind).quant_model
+        models = [base] + [
+            CoefficientApproximator(library=default_library(),
+                                    e=e).approximate_model(base)[0]
+            for e in (1, 4, 10)]
+        for model in models:
+            array = build_bespoke_netlist(model, name="m", builder="array")
+            gate = build_bespoke_netlist(model, name="m", builder="gate")
+            assert_netlists_identical(array, gate)
 
     def test_array_circuit_matches_netlist_conversion(self):
         """build_bespoke_arrays is the netlist path minus to_netlist."""
@@ -246,13 +333,32 @@ class TestBuilderSelector:
 
     @pytest.mark.parametrize("construct", [
         lambda: build_bespoke_netlist(None, builder="nope"),
-        lambda: BespokeMultiplierLibrary(builder="nope"),
+        lambda: build_bespoke_circuit(None, builder="nope"),
         lambda: CrossLayerFramework(builder="nope"),
-        lambda: ExplorationService(":memory:", builder="nope"),
     ])
     def test_unknown_builder_rejected(self, construct):
         with pytest.raises(ValueError, match="builder"):
             construct()
+
+    @pytest.mark.parametrize("construct", [
+        lambda: BespokeMultiplierLibrary(builder="gate"),
+        lambda: ExplorationService(":memory:", builder="gate"),
+        lambda: ServeConfig(builder="gate"),
+        lambda: build_weighted_sum_netlist((1,), 4, builder="gate"),
+        lambda: build_bespoke_multiplier_netlist(3, 4, builder="gate"),
+    ])
+    def test_selector_only_where_the_oracle_is_chosen(self, construct):
+        with pytest.raises(TypeError, match="builder"):
+            construct()
+
+    @pytest.mark.parametrize("command", (
+        ["explore", "--dataset", "redwine", "--model", "svm_r"],
+        ["sweep-e", "--dataset", "redwine", "--model", "svm_r"],
+        ["serve"]), ids=("explore", "sweep-e", "serve"))
+    def test_cli_has_no_builder_flag(self, command, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(command + ["--builder", "gate"])
+        assert "unrecognized arguments: --builder" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -295,15 +401,6 @@ class TestServiceIdentity:
     REQUEST = ExploreRequest(dataset="redwine", model="svm_r",
                              base="coeff", tau_grid=(0.9, 0.95), e=1)
 
-    def test_service_designs_identical(self, tmp_path):
-        designs = {}
-        for builder in ("array", "gate"):
-            service = ExplorationService(tmp_path / f"{builder}.sqlite",
-                                         builder=builder)
-            designs[builder], _report = service.explore(self.REQUEST)
-        assert designs["array"] == designs["gate"]
-        assert len(designs["array"]) > 0
-
     def test_shared_build_cache_across_tenants(self, tmp_path,
                                                fresh_telemetry):
         """Two tenants, fresh stores: the second build is a cache hit."""
@@ -311,7 +408,6 @@ class TestServiceIdentity:
         designs = []
         for tenant in ("a", "b"):
             service = ExplorationService(tmp_path / f"{tenant}.sqlite",
-                                         builder="array",
                                          build_cache=build_cache)
             result, _report = service.explore(self.REQUEST)
             designs.append(result)
@@ -322,8 +418,7 @@ class TestServiceIdentity:
                                              result="hit") == 1
 
     def test_no_cache_means_no_metric(self, tmp_path, fresh_telemetry):
-        service = ExplorationService(tmp_path / "solo.sqlite",
-                                     builder="array")
+        service = ExplorationService(tmp_path / "solo.sqlite")
         service.explore(self.REQUEST)
         assert fresh_telemetry.counter_total("build.cache") == 0
 

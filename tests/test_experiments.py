@@ -149,3 +149,23 @@ class TestProxyCorrelation:
                                       max_coefficients=6)
         text = proxy_correlation.format_table(study)
         assert "Pearson" in text and "0.91" in text
+
+    @pytest.mark.parametrize("n,slope,noise", [
+        (3, 1.0, 1.0), (15, 0.3, 1.0), (40, 1.0, 0.2), (200, -0.1, 1.0),
+        (1000, 0.05, 1.0), (1000, 1.0, 0.05)])
+    def test_pearsonr_matches_scipy(self, n, slope, noise):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n)
+        y = slope * x + noise * rng.normal(size=n)
+        r, p = proxy_correlation.pearsonr(x, y)
+        expected = stats.pearsonr(x, y)
+        assert r == pytest.approx(expected.statistic, rel=1e-12, abs=1e-15)
+        assert p == pytest.approx(expected.pvalue, rel=1e-8, abs=1e-300)
+
+    def test_pearsonr_extremes(self):
+        x = np.arange(-2.0, 3.0)
+        assert proxy_correlation.pearsonr(x, 1 - 2 * x) == (-1.0, 0.0)
+        assert proxy_correlation.pearsonr(x, x ** 2) == (0.0, 1.0)
+        with pytest.raises(ValueError):
+            proxy_correlation.pearsonr([1.0, 2.0], [2.0, 1.0])

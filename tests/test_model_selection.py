@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from repro.ml.base import BaseEstimator
 from repro.ml.model_selection import (
@@ -90,10 +89,15 @@ class TestParameterSampler:
         assert set(draws) <= {1, 2, 3}
 
     def test_samples_from_scipy_distribution(self):
-        sampler = ParameterSampler(
-            {"c": stats.uniform(0.0, 2.0)}, n_iter=10, seed=0)
+        """Anything with scipy's ``rvs(random_state=)`` is sampled."""
+        class Uniform:
+            def rvs(self, random_state):
+                return np.random.default_rng(random_state).uniform(0.0, 2.0)
+
+        sampler = ParameterSampler({"c": Uniform()}, n_iter=10, seed=0)
         draws = [s["c"] for s in sampler]
         assert all(0.0 <= value <= 2.0 for value in draws)
+        assert len(set(draws)) == 10
 
     def test_deterministic(self):
         spec = {"a": [1, 2, 3], "b": ["x", "y"]}
