@@ -10,8 +10,7 @@ this PR onward:
   where one gate-evaluation is one gate over one stimulus vector).
 
 * **end_to_end** — the full netlist-pruning design-space exploration per
-  circuit, on three engines plus the relaxed identity mode, with
-  equivalence checks:
+  circuit, on three engines, with equivalence checks:
 
   - ``legacy``   — the seed pipeline (per-grid-point loop +
     builder-replay synthesis + bigint simulation);
@@ -20,26 +19,21 @@ this PR onward:
   - ``batched``  — the PR-2 engine: plan-epoch trie walk scoring
     variants in bulk ``(n_nets, K, n_words)`` passes
     (:class:`repro.hw.compiled.BatchedEvaluator`), plus the
-    lazily-validated cone-rewrite indices in ``IncrementalCircuit``;
-  - ``relaxed``  — the batched engine under ``identity="relaxed"``
-    (PR 4): the cross-tau lattice walk that shares chain-root rewrites
-    across the tau axis.  Its accuracy/tau/phi/n_pruned/duplicate
-    lists must be **byte-identical** to exact mode (asserted here, the
-    relaxed contract); only gate/area records may differ.
+    lazily-validated cone-rewrite indices in ``IncrementalCircuit``.
 
-  Engine timings are best-of-N (the reference container is shared and
-  noisy); ``speedup`` is legacy vs batched, ``batched_vs_compiled``
-  isolates PR 2's engine gain, ``relaxed_vs_batched`` isolates the
-  relaxed mode's gain over the exact batched engine.  The exit status
-  enforces the contract: any identity violation fails the run, and a
-  full (non-smoke) run additionally fails unless relaxed mode reaches
-  the recorded speedup floor (>= 1.5x on at least two circuits).
+  Engine timings are best-of-N (shared hosts are noisy); ``speedup`` is
+  legacy vs batched, ``batched_vs_compiled`` isolates the batched
+  engine's gain.  The exit status enforces the contract: any design-list
+  difference between the three engines fails the run.
 
   Schema 4 adds a per-circuit ``telemetry`` block: one extra batched
   run with tracing on (events to an in-memory sink) captures the
   ``pruner.chain_walk_ms`` and ``engine.batch_size`` histograms, and
   its designs must match the untraced run exactly — the
   ``telemetry_inert`` bit folds into ``all_equivalent``.
+
+  Schema 5 drops the retired relaxed identity mode: its run, the
+  ``relaxed_*`` fields and the ``relaxed_floor`` block.
 
 Run standalone (not collected by pytest)::
 
@@ -48,7 +42,7 @@ Run standalone (not collected by pytest)::
 
 Smoke mode (``--quick`` is an alias) shrinks the circuit set and tau
 grid so the benchmark finishes in a few seconds while still exercising
-every engine and both identity modes.
+every engine.
 """
 
 from __future__ import annotations
@@ -151,12 +145,7 @@ def bench_end_to_end(dataset: str, kind: str, tau_grid,
         return NetlistPruner(netlist, make_evaluator(engine),
                              tau_grid).explore()
 
-    def run_relaxed():
-        return NetlistPruner(netlist, make_evaluator("batched"), tau_grid,
-                             identity="relaxed").explore()
-
     batched_s, batched = _repeat(lambda: run_explore("batched"), repeats)
-    relaxed_s, relaxed = _repeat(run_relaxed, repeats)
     compiled_s, compiled = _repeat(lambda: run_explore("compiled"),
                                    repeats)
     legacy_s, legacy = _repeat(
@@ -168,13 +157,7 @@ def bench_end_to_end(dataset: str, kind: str, tau_grid,
         return [(d.tau_c, d.phi_c, d.n_pruned, d.record, d.duplicate_of)
                 for d in designs]
 
-    def loose_rows(designs):
-        """The relaxed contract: everything but synthesized structure."""
-        return [(d.tau_c, d.phi_c, d.n_pruned, d.record.accuracy,
-                 d.duplicate_of) for d in designs]
-
     identical = rows(legacy) == rows(compiled) == rows(batched)
-    relaxed_identity = loose_rows(relaxed) == loose_rows(batched)
 
     # Telemetry breakdown + inertness: one instrumented batched run with
     # tracing on must yield the exact designs of the untraced run, and
@@ -200,20 +183,13 @@ def bench_end_to_end(dataset: str, kind: str, tau_grid,
         "legacy_s": legacy_s,
         "compiled_s": compiled_s,
         "batched_s": batched_s,
-        "relaxed_s": relaxed_s,
         "new_s": batched_s,  # kept for PR-1 schema continuity
         "legacy_designs_per_s": len(legacy) / legacy_s,
         "new_designs_per_s": len(batched) / batched_s,
         "speedup": legacy_s / batched_s,
         "speedup_compiled": legacy_s / compiled_s,
-        "speedup_relaxed": legacy_s / relaxed_s,
         "batched_vs_compiled": compiled_s / batched_s,
-        "relaxed_vs_batched": batched_s / relaxed_s,
         "identical_designs": identical,
-        "relaxed_identity": relaxed_identity,
-        "relaxed_max_gate_diff": max(
-            (abs(a.record.n_gates - b.record.n_gates)
-             for a, b in zip(relaxed, batched)), default=0),
         "telemetry": {
             "inert": telemetry_inert,
             "chain_walk_ms": hist_stats(
@@ -255,27 +231,13 @@ def main(argv=None) -> int:
         print(f"[end-to-end] {row['circuit']}: {row['n_designs']} designs, "
               f"legacy {row['legacy_s']:.2f}s -> compiled "
               f"{row['compiled_s']:.2f}s -> batched {row['batched_s']:.2f}s "
-              f"-> relaxed {row['relaxed_s']:.2f}s "
               f"({row['speedup']:.2f}x vs legacy, "
               f"{row['batched_vs_compiled']:.2f}x vs compiled, "
-              f"relaxed {row['relaxed_vs_batched']:.2f}x vs batched, "
               f"identical={row['identical_designs']}, "
-              f"relaxed_identity={row['relaxed_identity']}, "
               f"telemetry_inert={row['telemetry']['inert']})")
 
-    # Relaxed speedup floor: the acceptance bar this PR records.  Only
-    # enforced on full runs — the smoke grid is too small/noisy to
-    # measure, but the identity contract is enforced everywhere.
-    relaxed_speedups = [row["relaxed_vs_batched"] for row in end_to_end]
-    floor = {
-        "min_speedup": 1.5,
-        "min_circuits": 2,
-        "n_meeting": sum(1 for v in relaxed_speedups if v >= 1.5),
-        "enforced": not args.smoke,
-    }
-    floor["met"] = floor["n_meeting"] >= floor["min_circuits"]
     report = {
-        "schema": 4,
+        "schema": 5,
         "smoke": args.smoke,
         "tau_grid_points": len(tau_grid),
         "micro": micro,
@@ -285,10 +247,6 @@ def main(argv=None) -> int:
         "best_batched_vs_compiled": max(
             (row["batched_vs_compiled"] for row in end_to_end),
             default=0.0),
-        "best_relaxed_vs_batched": max(relaxed_speedups, default=0.0),
-        "relaxed_floor": floor,
-        "all_relaxed_identity": all(row["relaxed_identity"]
-                                    for row in end_to_end),
         "all_equivalent": all(row["equivalent"] for row in micro)
         and all(row["identical_designs"] for row in end_to_end)
         and all(row["telemetry"]["inert"] for row in end_to_end),
@@ -297,19 +255,11 @@ def main(argv=None) -> int:
     print(f"\nbest end-to-end speedup: "
           f"{report['best_end_to_end_speedup']:.2f}x vs legacy, "
           f"best batched-vs-compiled: "
-          f"{report['best_batched_vs_compiled']:.2f}x, "
-          f"best relaxed-vs-batched: "
-          f"{report['best_relaxed_vs_batched']:.2f}x "
-          f"(all equivalent: {report['all_equivalent']}, "
-          f"relaxed identity: {report['all_relaxed_identity']})")
+          f"{report['best_batched_vs_compiled']:.2f}x "
+          f"(all equivalent: {report['all_equivalent']})")
     print(f"[report saved to {args.out}]")
-    if not report["all_equivalent"] or not report["all_relaxed_identity"]:
-        print("FAIL: equivalence/identity contract violated")
-        return 1
-    if floor["enforced"] and not floor["met"]:
-        print(f"FAIL: relaxed speedup floor not met "
-              f"({floor['n_meeting']} of {len(end_to_end)} circuits >= "
-              f"{floor['min_speedup']}x, need {floor['min_circuits']})")
+    if not report["all_equivalent"]:
+        print("FAIL: equivalence contract violated")
         return 1
     return 0
 

@@ -11,20 +11,16 @@ Exploration service (content-addressed store, resumable jobs)::
 
     repro-printed-ml explore --dataset redwine --model svm_r \\
         --store designs.sqlite --resume
-    repro-printed-ml explore --dataset cardio --model svm_c \\
-        --identity relaxed --store designs.sqlite
     repro-printed-ml sweep-e --dataset redwine --model svm_c \\
         --e-max 10 --store designs.sqlite --out sweep.jsonl
     repro-printed-ml serve-batch --manifest manifest.json \\
         --store designs.sqlite --out results.jsonl
 
 ``explore`` runs (or resumes, or simply looks up) one pruning
-exploration and streams JSONL; ``--identity relaxed`` opts into the
-faster approximate exploration mode (identical accuracies and
-coordinates, gate/area records within a documented tolerance);
-``sweep-e`` sweeps the coefficient search radius (Fig. 2 lifted to
-whole circuits): per ``e`` a coefficient-approximated design plus —
-unless ``--coeff-only`` — its pruning family, each radius a resumable
+exploration and streams JSONL; ``sweep-e`` sweeps the coefficient
+search radius (Fig. 2 lifted to whole circuits): per ``e`` a
+coefficient-approximated design plus — unless ``--coeff-only`` — its
+pruning family, each radius a resumable
 store-backed job with the approximated netlists content-addressed
 (warm re-sweeps skip the area search and the rebuild);
 ``serve-batch`` does the same for a whole manifest of requests
@@ -109,19 +105,15 @@ def _open_service(args: argparse.Namespace):
         from .service.telemetry import configure
 
         configure(tracing=True, events_path=args.events_log)
+    store = args.store
     if getattr(args, "coordinator", None):
         from .service.coordinator import CoordinatorClient, RemoteStore
 
         store = RemoteStore(CoordinatorClient(args.coordinator,
                                               tenant=args.tenant))
-        return ExplorationService(store, n_workers=args.workers,
-                                  engine=args.engine,
-                                  shard_size=args.shard_size,
-                                  identity=args.identity)
-    return ExplorationService(args.store, n_workers=args.workers,
+    return ExplorationService(store, n_workers=args.workers,
                               engine=args.engine,
-                              shard_size=args.shard_size,
-                              identity=args.identity)
+                              shard_size=args.shard_size)
 
 
 def _out_stream(path: str | None):
@@ -139,7 +131,6 @@ def _run_explore(args: argparse.Namespace) -> int:
         "model": args.model,
         "base": args.base,
         "tau_grid": args.tau,
-        "identity": args.identity,
     }
     request = ExploreRequest.from_dict(request_dict)  # validate early
     if args.coordinator and not args.worker_id:
@@ -236,7 +227,6 @@ def _run_sweep_e(args: argparse.Namespace) -> int:
         "dataset": args.dataset,
         "model": args.model,
         "tau_grid": args.tau,
-        "identity": args.identity,
     })
     out, close = _out_stream(args.out)
     try:
@@ -279,7 +269,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         host=args.host, port=args.port, store_root=args.store_root,
         concurrency=args.concurrency, queue_depth=args.queue_depth,
         n_workers=args.workers, engine=args.engine,
-        shard_size=args.shard_size, identity=args.identity,
+        shard_size=args.shard_size,
         events_log=args.events_log, trace_sample=args.trace_sample))
     return 0
 
@@ -352,14 +342,6 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
                         choices=("auto", "batched", "compiled", "bigint"),
                         help="evaluation engine (all produce identical "
                              "records; default: auto)")
-    parser.add_argument("--identity", default="exact",
-                        choices=("exact", "relaxed"),
-                        help="record-identity mode: 'exact' is "
-                             "bit-identical to the legacy exploration; "
-                             "'relaxed' shares rewrites across the tau "
-                             "axis for speed (identical accuracies and "
-                             "coordinates, gate/area records within a "
-                             "documented tolerance)")
     parser.add_argument("--shard-size", type=int, default=4,
                         help="tau_c chains per checkpoint shard")
     parser.add_argument("--resume", action="store_true", default=True,
@@ -476,10 +458,6 @@ def main(argv: list[str] | None = None) -> int:
     server.add_argument("--engine", default="auto",
                         choices=("auto", "batched", "compiled", "bigint"),
                         help="evaluation engine (default: auto)")
-    server.add_argument("--identity", default="exact",
-                        choices=("exact", "relaxed"),
-                        help="default record-identity mode for requests "
-                             "that do not set one (default: exact)")
     server.add_argument("--shard-size", type=int, default=4,
                         help="tau_c chains per checkpoint shard")
     server.add_argument("--events-log", default=None,

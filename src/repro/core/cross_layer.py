@@ -209,11 +209,11 @@ class CrossLayerFramework:
         library: shared bespoke-multiplier area cache.
         n_workers: fan the pruning explorations' tau_c chains across a
             process pool (serial when ``None``/``0``/``1``; pool failures
-            fall back to serial automatically).  ROADMAP caveat: the
-            reference container is single-CPU, so the pool is
-            regression-tested for serial equivalence only, not
-            benchmarked at scale; worker chains run the per-variant
-            engine, the serial path runs the (faster) batched walk.
+            fall back to serial automatically).  The pool is
+            regression-tested for serial equivalence; no committed
+            benchmark record has a multi-core number yet.  Workers run
+            the same engine as the serial path (see
+            :class:`~repro.core.pruning.NetlistPruner`).
         engine: evaluation backend for every score and exploration —
             ``"auto"`` (default: the batched multi-variant engine where
             the host supports it), ``"batched"``, ``"compiled"``
@@ -231,12 +231,6 @@ class CrossLayerFramework:
             store-less run (the store-hit identity contract).  The
             coefficient approximation is memoized in the store too, so
             warm ``coeff``/``cross`` runs skip the area search.
-        identity: exploration record-identity mode — ``"exact"``
-            (default: design lists bit-identical to ``explore_legacy``)
-            or ``"relaxed"`` (the batched walk shares rewrites across
-            the tau axis; accuracies/coordinates stay identical, gate
-            and area records may differ within the documented
-            tolerance).  See :class:`~repro.core.pruning.NetlistPruner`.
         builder: bespoke emitter backend — ``"auto"`` (default: the
             array backend), ``"array"``, or ``"gate"`` (the per-gate
             oracle, for reference runs).  Both produce gate-for-gate
@@ -251,7 +245,6 @@ class CrossLayerFramework:
                  n_workers: int | None = None,
                  engine: str = "auto",
                  store=None,
-                 identity: str = "exact",
                  builder: str = "auto") -> None:
         if builder not in ("auto", "array", "gate"):
             raise ValueError(f"unknown builder {builder!r} "
@@ -266,7 +259,6 @@ class CrossLayerFramework:
             from ..service.store import DesignStore  # lazy: core <-> service
             store = DesignStore(store)
         self.store = store
-        self.identity = identity
         self.builder = builder
 
     def _pruned_designs(self, pruner: NetlistPruner, label: str,
@@ -341,7 +333,7 @@ class CrossLayerFramework:
         start = time.perf_counter()
         evaluator = CircuitEvaluator.from_split(
             model, X_train01, X_test01, y_test, clock_ms=self.clock_ms,
-            engine=self.engine, identity=self.identity)
+            engine=self.engine)
         points: list[DesignPoint] = []
 
         exact_netlist = build_bespoke_netlist(model, name=f"{name}_exact",
@@ -367,8 +359,7 @@ class CrossLayerFramework:
         if "prune" in include:
             pruner = NetlistPruner(exact_netlist, evaluator, self.tau_grid,
                                    n_workers=self.n_workers,
-                                   engine=self.engine,
-                                   identity=self.identity)
+                                   engine=self.engine)
             for design in self._pruned_designs(pruner, f"{name}/prune"):
                 points.append(DesignPoint.from_record(
                     "prune", design.record, tau_c=design.tau_c,
@@ -378,8 +369,7 @@ class CrossLayerFramework:
         if "cross" in include:
             pruner = NetlistPruner(coeff_netlist, evaluator, self.tau_grid,
                                    n_workers=self.n_workers,
-                                   engine=self.engine,
-                                   identity=self.identity)
+                                   engine=self.engine)
             for design in self._pruned_designs(
                     pruner, f"{name}/cross",
                     grid_meta=self._coeff_grid_meta(model)):
@@ -430,7 +420,7 @@ class CrossLayerFramework:
         start = time.perf_counter()
         evaluator = CircuitEvaluator.from_split(
             model, X_train01, X_test01, y_test, clock_ms=self.clock_ms,
-            engine=self.engine, identity=self.identity)
+            engine=self.engine)
         e_values = tuple(int(e) for e in e_values)
 
         exact_netlist = build_bespoke_netlist(model, name=f"{name}_exact",
@@ -460,8 +450,7 @@ class CrossLayerFramework:
                 pruner = NetlistPruner(coeff_netlist, evaluator,
                                        self.tau_grid,
                                        n_workers=self.n_workers,
-                                       engine=self.engine,
-                                       identity=self.identity)
+                                       engine=self.engine)
                 for design in self._pruned_designs(
                         pruner, f"{name}/cross@e{e}",
                         grid_meta=self._coeff_grid_meta(

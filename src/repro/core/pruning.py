@@ -43,8 +43,8 @@ for speed:
 * **Parallel chains.** Independent tau_c chains can fan out across a
   ``concurrent.futures`` process pool (``n_workers``); any pool failure
   falls back to the serial path, and both paths produce the identical
-  design list.  (Single-CPU container caveat: the pool path is
-  regression-tested for equivalence, not benchmarked at scale.)
+  design list.  The pool is regression-tested for serial equivalence;
+  no committed benchmark record has a multi-core number yet.
 
 Which engine am I using?  ``NetlistPruner.resolved_engine()`` answers
 for one pruner: ``engine=None`` inherits the evaluator's selector, and
@@ -53,36 +53,12 @@ word layout.  Every engine — ``"batched"``, ``"compiled"``, ``"bigint"``
 — returns the identical design list; ``explore_legacy()`` keeps the
 original one-synthesis-per-grid-point loop as the reference oracle the
 fast paths are benchmarked and regression-tested against.
-
-Identity modes.  ``identity="exact"`` (the default) keeps the strict
-record-identity contract above: every engine's design list is
-bit-identical to ``explore_legacy``, gate counts and areas included.
-``identity="relaxed"`` trades that structural exactness for exploration
-throughput: the batched walk replaces the tau-major trie with a
-*cross-tau lattice* — one top chain (the highest tau_c) ties its phi
-ladder once, and inside each phi column every lower tau's state extends
-its upper neighbor's live rewritten circuit by the tau-increment delta
-(prune sets are nested along the tau axis at a fixed phi cutoff), which
-cuts the dominant cone-rewrite work to roughly the top ladder plus the
-per-column tau spreads.  Accuracies, (tau_c, phi_c) coordinates,
-pruned-gate sets, and design-list ordering stay identical to exact mode
-— strict tie targets plus candidate protection in
-:mod:`repro.hw.incremental` keep every delta functionally equal to the
-from-scratch fold — but the synthesized structure reached through the
-different fold decomposition can differ by a few gates, so gate counts,
-areas, and powers carry a small documented tolerance (see the "Identity
-contract" section of ``docs/ARCHITECTURE.md``).  Relaxed mode only
-changes the serial batched walk; the per-variant engines and pool
-workers have no cross-tau fold to share and keep producing
-exact-structure records (which trivially satisfy the relaxed
-contract).
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field, replace
@@ -107,7 +83,6 @@ __all__ = [
     "PrunedDesign",
     "NetlistPruner",
     "DEFAULT_TAU_GRID",
-    "RELAXED_BLOCK",
     "assemble_designs",
     "prune_key_ids",
     "prune_key_bytes",
@@ -144,15 +119,6 @@ def _service_telemetry():
         from ..service import telemetry as resolved
         _telemetry = resolved
     return _telemetry
-
-# Chains per relaxed-mode lattice block.  The relaxed walk resets its
-# cross-tau lattice (top chain, protection set, plan epochs) at *grid*
-# positions — every RELAXED_BLOCK-th tau of the pruner's sorted full
-# grid — never at whatever chain subset one call happens to receive.
-# Records are therefore a function of the grid alone: serial walks,
-# and sharded jobs of any shard size (the service rounds relaxed
-# shards up to whole blocks), all produce identical relaxed records.
-RELAXED_BLOCK = 5
 
 
 def compute_phi(nl: Netlist,
@@ -435,20 +401,13 @@ _PLAN_REFRESH = 0.5
 # matter (gate-words): small plans are NumPy-dispatch-bound, where one
 # shared plan per batch beats many right-sized plans.
 _PLAN_REFRESH_MIN_WORK = 16_000
-# The relaxed walk's cross-tau root chain refreshes more eagerly: a
-# root's plan epoch is inherited by its chain's whole phi descent, so an
-# oversized plan taxes every (bandwidth-bound) simulation under it,
-# while a root-chain plan build amortizes over many captures.
-_ROOT_PLAN_REFRESH = 1.0
 
 
 def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
                           space: PruneSpace,
                           chains: list[tuple[float, list]],
                           known_records: dict | None,
-                          root_state: tuple,
-                          relaxed: bool = False,
-                          grid: tuple | None = None) -> list[list[tuple]]:
+                          root_state: tuple) -> list[list[tuple]]:
     """The exploration walk on the batched engine.
 
     The trie of prune-set prefixes is walked exactly as in
@@ -477,31 +436,13 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
       once per batch, not once per variant — and are scored through
       :meth:`~repro.eval.accuracy.CircuitEvaluator.evaluate_batch`.
 
-    The *fold decomposition* is, by default, deliberately identical to
+    The *fold decomposition* is deliberately identical to
     :func:`_explore_trie`: a state is always (chain-root prune set,
     then phi-increments).  Organizing the walk around other nestings —
     e.g. deriving a chain root from the previous tau's state — changes
     which rewrite rules fire and can reach a (functionally equal but)
     structurally different circuit than ``explore_legacy``'s
-    from-scratch synthesis, which the exact-mode acceptance bench would
-    flag.
-
-    ``relaxed=True`` (``identity="relaxed"``) opts into exactly that
-    cheaper nesting: the distinct depth-0 prune sets become a
-    **cross-tau shared-root chain forest**.  Roots are walked in
-    *descending* tau order, so each root's gate set is (almost always —
-    the first phi level can shift when a new low-phi candidate appears)
-    a superset of the previous root's; the walk then ties only the
-    *delta* gates onto the previous root's live rewritten circuit,
-    reusing its plan epoch and accumulated clamp set, instead of
-    re-tying the full root set onto a fork of the base fold.  Each
-    chain's phi-increment descent forks off its root unchanged.  When
-    the superset relation fails (or the delta tie degenerates), that
-    root refolds from scratch — structure there is then exact again.
-    Accuracies, coordinates, pruned sets, and row ordering are
-    unaffected (cone rewrites preserve function); only the synthesized
-    structure — gate counts, areas, powers — may differ by the fold's
-    order-sensitivity.
+    from-scratch synthesis, which the acceptance bench would flag.
 
     A degenerate tie (conflict or rewrite-cascade overflow) rebuilds
     the branch from scratch like :func:`_apply_step` and starts a fresh
@@ -549,12 +490,11 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
         return (known_records is not None and key in known_records) \
             or key in resolved or key in pending
 
-    def capture(key: bytes, state: list,
-                refresh: float = _PLAN_REFRESH) -> None:
+    def capture(key: bytes, state: list) -> None:
         """Queue one variant for the deferred batch (or refresh epoch)."""
         inc, plan, plan_slots, clamps = state[0], state[3], state[4], \
             state[5]
-        if plan is None or (inc.n_live < refresh * plan.n_gates
+        if plan is None or (inc.n_live < _PLAN_REFRESH * plan.n_gates
                             and plan.n_gates * n_words
                             >= _PLAN_REFRESH_MIN_WORK):
             # New epoch: the plan captured now *is* this variant; later
@@ -581,14 +521,7 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
         The degenerate-tie fallback: the variant is synthesized and
         evaluated directly (structure exact by construction), and the
         state restarts in the rebuilt node space with a fresh plan
-        epoch.  In relaxed mode the rebuilt state is *opaque* (node map
-        ``None``): its map was produced by a fold *under ties*, whose
-        CSE can silently merge a not-yet-pruned gate into a pruned
-        one's node — a clamp through such a map entry would clamp more
-        than the prune set and drift the function.  Exact-mode chains
-        never share rewrites across tau, their in-chain refolds are
-        pinned by the ``explore_legacy`` equivalence, so they keep the
-        map; opaque relaxed states simply refold every later step.
+        epoch.
         """
         gates_l, consts_l, _gates_np, _steps = chain_arrays[ci]
         force_by_node = {n_fixed + gate_idx: value
@@ -596,7 +529,7 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
                          in zip(gates_l[:count], consts_l[:count])}
         pruned, chain_map = synthesize_arrays(base, force_by_node)
         state[:] = [IncrementalCircuit.from_arrays(pruned),
-                    None if relaxed else chain_map, count, None, 0, {}]
+                    chain_map, count, None, 0, {}]
         if not known(key):
             resolved[key] = _evaluate_variant(evaluator, pruned,
                                               as_netlist)
@@ -643,176 +576,8 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
                 results[ci].append((phi_c, key, phi_count[1]))
             visit(ids, depth + 1, branch)
 
-    def extend(state: list, prev_ids: np.ndarray, cur_ids: np.ndarray,
-               ci: int, count: int, key: bytes, refresh: float,
-               donor: tuple | None = None) -> list:
-        """Advance a lattice state to the prune set ``cur_ids``, in place.
-
-        Four rungs, cheapest first:
-
-        1. **Delta tie** — ``cur_ids`` is a superset of the state's set
-           by construction (fixed phi cutoff, relaxed tau), so only the
-           set difference is tied onto the live circuit, through the
-           pristine root-fold map with ``strict_targets`` (see
-           :meth:`~repro.hw.incremental.IncrementalCircuit.tie`): a
-           delta gate whose signal an *earlier* tie's cascade merged
-           into another live signal cannot be clamped soundly, so the
-           rung is refused and the walk drops down a rung.
-        2. **Donor fork** — re-derive from a fork of the column's top
-           state and tie the (column-spread-sized) difference, again
-           strictly.
-        3. **Pristine one-tie** — a fresh pristine fork takes the full
-           set as one tie call; mid-call cascades are the exact walk's
-           own mechanics, pinned by the tie-vs-``synthesize_reference``
-           regression, so no strictness is needed.
-        4. **Refold** — from-scratch synthesis; structure is exact and
-           the state goes opaque (``refold``), recovering at the next
-           grid point through rung 3.
-        """
-        applied = None
-        if state[1] is not None:
-            delta = np.setdiff1d(cur_ids, prev_ids, assume_unique=True)
-            applied = state[0].tie_gates(
-                delta, space.const_value[delta], state[1],
-                strict_targets=True)
-        if applied is None and donor is not None and donor[0][1] is not None:
-            top_state, top_ids = donor
-            state[:] = [top_state[0].fork(), top_state[1], top_state[2],
-                        top_state[3], top_state[4], dict(top_state[5])]
-            delta = np.setdiff1d(cur_ids, top_ids, assume_unique=True)
-            applied = state[0].tie_gates(
-                delta, space.const_value[delta], state[1],
-                strict_targets=True)
-        if applied is None:
-            state[:] = [pristine.fork(), pristine_map, 0, None, 0, {}]
-            applied = state[0].tie_gates(
-                cur_ids, space.const_value[cur_ids], pristine_map)
-        if applied is None:
-            return refold(state, ci, count, key)
-        state[2] = count
-        merge_clamps(state, applied)
-        if not known(key):
-            capture(key, state, refresh)
-        return state
-
-    def lattice_walk(block_cis: list[int]) -> None:
-        """The relaxed walk: a phi-major lattice with cross-tau chaining.
-
-        The exact trie is tau-major: each tau_c chain re-folds and ties
-        its whole phi ladder, and work is shared only between chains
-        whose prune-set prefixes are *identical*.  Relaxed identity
-        admits a better decomposition of the same grid.  For a fixed
-        phi cutoff the prune sets are nested along the tau axis
-        (``S(tau', phi) ⊇ S(tau, phi)`` for ``tau' < tau`` — pure tau
-        relaxation, phi filter unchanged), so the walk goes column by
-        column over the ascending union of phi levels:
-
-        * a single **top chain** (the highest tau_c — the smallest
-          candidate set) advances through the columns by its own
-          phi-level deltas, exactly like one exact chain;
-        * inside a column, every lower tau's state derives from its
-          upper neighbor by the **tau-increment delta** — typically a
-          handful of gates, where the exact walk re-ties an entire
-          accumulated prune set per chain.
-
-        Total cone-rewrite work drops from roughly
-        ``sum_tau |candidates(tau)|`` to ``|candidates(tau_max)| +
-        sum_columns (tau spread)``; plan epochs and clamp sets ride the
-        top chain (eagerly refreshed, so simulations stay right-sized)
-        and the per-column forks.  Records, keys, row ordering, and
-        coordinates are identical to the exact walk; only synthesized
-        structure may differ (the relaxed contract).
-
-        ``block_cis`` is one grid-pinned lattice block (the caller
-        partitions its chains at every ``RELAXED_BLOCK``-th position of
-        the sorted full grid): cross-tau sharing never crosses a block
-        boundary, which is what makes relaxed records independent of
-        how a sharded job happens to slice the grid.
-        """
-        # Column index: phi level -> [(chain, prefix count)] in
-        # ascending *tau value* (callers may pass an unsorted grid —
-        # the within-column nesting S(tau', phi) ⊇ S(tau, phi) only
-        # holds along the tau order); walked in reverse inside each
-        # column.
-        tau_order = sorted(block_cis, key=lambda ci: chains[ci][0])
-        columns: dict[int, list[tuple[int, int]]] = {}
-        for ci in tau_order:
-            for phi_c, count in chain_arrays[ci][3]:
-                if count:
-                    columns.setdefault(phi_c, []).append((ci, count))
-        if not columns:
-            return
-        top_ci = tau_order[-1]
-        top_gnp = chain_arrays[top_ci][2]
-        top_steps = chain_arrays[top_ci][3]
-        top_levels = [phi_c for phi_c, _count in top_steps]
-        top = [pristine.fork(), pristine_map, 0, None, 0, {}]
-        top_ids = np.empty(0, dtype=np.int64)
-        for lvl in sorted(columns):
-            # Advance the top chain to its prefix at this column.
-            idx = bisect_right(top_levels, lvl) - 1
-            tcount = top_steps[idx][1] if idx >= 0 else 0
-            if tcount > top[2]:
-                cur_top = np.sort(top_gnp[:tcount])
-                extend(top, top_ids, cur_top, top_ci, tcount,
-                       cur_top.tobytes(), _ROOT_PLAN_REFRESH)
-                top_ids = cur_top
-            run: list | None = None
-            prev_ids = top_ids
-            for ci, count in columns[lvl][::-1]:
-                cur_ids = np.sort(chain_arrays[ci][2][:count])
-                key = cur_ids.tobytes()
-                if run is None and cur_ids.size == prev_ids.size:
-                    # Same (nested ⇒ equal) set as the top state.
-                    if not known(key):
-                        capture(key, top, _ROOT_PLAN_REFRESH)
-                else:
-                    if run is None:
-                        run = [top[0].fork(), top[1], top[2],
-                               top[3], top[4], dict(top[5])]
-                    extend(run, prev_ids, cur_ids, ci, count, key,
-                           _PLAN_REFRESH, donor=(top, top_ids))
-                    prev_ids = cur_ids
-                results[ci].append((lvl, key, count))
-
     root_inc, root_map, _root_gates = root_state
-    if relaxed:
-        pristine, pristine_map = root_inc, root_map
-        map_np = np.asarray(pristine_map)
-        # Partition the chains into grid-pinned lattice blocks: block
-        # membership is a tau's *dense rank* among the sorted distinct
-        # values of the full grid (every RELAXED_BLOCK ranks), never
-        # this call's chain subset — so any block-aligned partition of
-        # the grid (serial, or service shards of any size) reproduces
-        # the same records, and duplicated tau values always share a
-        # block.  A tau outside the pruner's grid is its own singleton
-        # block (deterministic regardless of what it was called with).
-        position = {} if grid is None else {
-            value: index for index, value in enumerate(sorted(
-                {round(float(t), 9) for t in grid}))}
-        blocks: dict[tuple[int, int], list[int]] = {}
-        for ci, (tau_c, _steps) in enumerate(chains):
-            index = position.get(round(float(tau_c), 9))
-            key = (1, ci) if index is None else (0, index // RELAXED_BLOCK)
-            blocks.setdefault(key, []).append(ci)
-        for key in sorted(blocks):
-            block_cis = blocks[key]
-            # Every gate the block may ever tie (any candidate at its
-            # most permissive tau) is *protected*: the rewriter keeps
-            # its signal un-merged (BUF aliases instead of live-merge
-            # folds), so cross-tau delta ties always land on their own
-            # nodes and the strict-target guard almost never fires.
-            # Pinned per block for the same partition-independence.
-            gates = space.candidates(min(chains[ci][0]
-                                         for ci in block_cis))
-            nodes = map_np[n_fixed + gates]
-            pristine.protected = frozenset(
-                nodes[nodes >= n_fixed].tolist())
-            lattice_walk(block_cis)
-        pristine.protected = None
-    else:
-        visit(list(range(len(chains))), 0,
-              [root_inc, root_map, 0, None, 0, {}])
+    visit(list(range(len(chains))), 0, [root_inc, root_map, 0, None, 0, {}])
 
     # Deferred evaluation: one batch per plan epoch.
     if pending:
@@ -957,11 +722,10 @@ class NetlistPruner:
             same engine the serial path resolves to — on ``"batched"``
             each worker walks its chain as a one-chain batched trie
             (plan epochs, deferred bulk scoring); on the per-variant
-            engines they run the incremental chain walk.  Note the
-            ROADMAP caveat: the reference container is single-CPU, so
-            the pool is regression-tested for serial equivalence but
-            not benchmarked at scale; serial runs additionally share
-            work *across* chains through the trie.
+            engines they run the incremental chain walk.  The pool is
+            regression-tested for serial equivalence; no committed
+            benchmark record has a multi-core number yet.  Serial runs
+            additionally share work *across* chains through the trie.
         engine: exploration engine override — ``None`` (default)
             inherits the evaluator's ``engine``.  ``"batched"`` (what
             ``"auto"`` resolves to on supported hosts) scores sibling
@@ -970,18 +734,6 @@ class NetlistPruner:
             walk; ``"bigint"`` additionally materializes a netlist per
             variant for the legacy oracle.  Every engine returns the
             identical design list.
-        identity: record-identity mode — ``None`` (default) inherits
-            the evaluator's ``identity`` (itself defaulting to
-            ``"exact"``).  ``"exact"`` guarantees design lists
-            bit-identical to ``explore_legacy`` on every engine;
-            ``"relaxed"`` lets the serial batched walk share chain
-            roots across the tau axis (the cross-tau shared-root
-            forest, ~2x less cone-rewrite work): accuracies,
-            coordinates, pruned sets, and ordering stay identical, but
-            gate/area/power records may differ by the fold's
-            order-sensitivity.  A pruner's record memo and any
-            store-backed job therefore key on the resolved identity —
-            relaxed and exact records never alias.
 
     A pruner with ``n_workers`` owns one persistent process pool,
     created on first parallel use and reused across every
@@ -997,7 +749,6 @@ class NetlistPruner:
     incremental: bool = True
     n_workers: int | None = None
     engine: str | None = None
-    identity: str | None = None
     # Supervision knobs (see ``_run_chains_parallel``): how often a
     # broken/hung pool is respawned before this call degrades to the
     # serial path, the base of the capped-exponential backoff between
@@ -1017,16 +768,6 @@ class NetlistPruner:
     _base_arrays: ArrayCircuit | None = field(default=None, repr=False)
     _pool: ProcessPoolExecutor | None = field(default=None, repr=False)
     _pool_key: tuple | None = field(default=None, repr=False)
-
-    def resolved_identity(self) -> str:
-        """The record-identity mode this pruner explores under."""
-        identity = self.identity
-        if identity is None:
-            identity = getattr(self.evaluator, "identity", None) or "exact"
-        if identity not in ("exact", "relaxed"):
-            raise ValueError(f"unknown identity mode {identity!r}; "
-                             "use 'exact' or 'relaxed'")
-        return identity
 
     def resolved_engine(self) -> str:
         """The exploration engine ``engine``/the evaluator select here."""
@@ -1099,7 +840,6 @@ class NetlistPruner:
         just re-evaluates).
         """
         space = self.space()
-        relaxed = self.resolved_identity() == "relaxed"  # validate early
         if tau_values is None:
             tau_values = self.tau_grid
         workers = n_workers if n_workers is not None else self.n_workers
@@ -1118,7 +858,7 @@ class NetlistPruner:
                                                        use_batched)
             if chain_rows is None:
                 chains, chain_rows = self._run_chains_serial(
-                    chains, space, engine, relaxed, deduplicate)
+                    chains, space, engine, deduplicate)
         telemetry.observe("pruner.chain_walk_ms",
                           (time.perf_counter() - walk_start) * 1e3,
                           engine=engine)
@@ -1159,8 +899,7 @@ class NetlistPruner:
         return ladder[ladder.index(engine):]
 
     def _run_chains_serial(self, chains: list, space: PruneSpace,
-                           engine: str, relaxed: bool,
-                           deduplicate: bool) -> tuple[list, list]:
+                           engine: str, deduplicate: bool) -> tuple[list, list]:
         """The serial walk, degrading down the engine ladder on faults."""
         memo = self._record_memo if deduplicate else None
         ladder = self._engine_ladder(engine)
@@ -1181,9 +920,7 @@ class NetlistPruner:
                 if root is not None and use_batched:
                     rows = _explore_trie_batched(base_circ, evaluator,
                                                  space, chains, memo,
-                                                 root_state=root,
-                                                 relaxed=relaxed,
-                                                 grid=self.tau_grid)
+                                                 root_state=root)
                 else:
                     rows = _explore_trie(base_circ, evaluator, chains,
                                          self.incremental, memo,

@@ -93,15 +93,8 @@ class EvaluationRecord:
     survive exactly because ``json`` emits Python's shortest-repr form,
     which ``float()`` parses back to the identical IEEE-754 double —
     a cached record therefore compares ``==`` to a freshly computed one,
-    the identity the store's tests pin.
-
-    Records are exchangeable across *engines* (all engines are
-    bit-identical by contract) but **not** across *identity modes*:
-    a ``"relaxed"`` exploration may synthesize a structurally different
-    (functionally equal) circuit, so its ``area_mm2``/``power_mw``/
-    ``n_gates`` can differ from exact mode's within the documented
-    tolerance.  The store therefore fingerprints the identity mode into
-    every key — relaxed and exact records never alias.
+    the identity the store's tests pin.  Records are exchangeable
+    across *engines*: all engines are bit-identical by contract.
     """
 
     accuracy: float
@@ -155,15 +148,6 @@ class CircuitEvaluator:
 
     All four produce bit-identical records; the engine only changes how
     fast they arrive.
-
-    ``identity`` is the *exploration* record-identity default a
-    :class:`~repro.core.pruning.NetlistPruner` inherits from this
-    evaluator (its own ``identity`` argument overrides): ``"exact"``
-    keeps every exploration bit-identical to ``explore_legacy``;
-    ``"relaxed"`` lets the batched walk share rewrites across the tau
-    axis — accuracies stay exact, synthesized structure may differ
-    within the documented tolerance.  Scoring a *single* netlist is
-    unaffected by the mode.
     """
 
     decode: DecodeSpec
@@ -172,7 +156,6 @@ class CircuitEvaluator:
     y_test: np.ndarray
     clock_ms: float | None = None
     engine: str = "auto"
-    identity: str = "exact"
     _n_features: int = field(default=0)
     # One-entry cache of the last test-set simulation, keyed by netlist
     # identity: evaluate() and accuracy() on the same variant share a
@@ -187,15 +170,14 @@ class CircuitEvaluator:
     def from_split(model, X_train01: np.ndarray, X_test01: np.ndarray,
                    y_test: np.ndarray,
                    clock_ms: float | None = None,
-                   engine: str = "auto",
-                   identity: str = "exact") -> "CircuitEvaluator":
+                   engine: str = "auto") -> "CircuitEvaluator":
         """Build from [0, 1]-normalized splits and a quantized model."""
         Xq_train = quantize_inputs(X_train01, model.input_bits)
         Xq_test = quantize_inputs(X_test01, model.input_bits)
         return CircuitEvaluator(
             DecodeSpec.from_model(model),
             input_payload(Xq_train), input_payload(Xq_test),
-            np.asarray(y_test), clock_ms, engine, identity,
+            np.asarray(y_test), clock_ms, engine,
             _n_features=Xq_train.shape[1])
 
     def __getstate__(self):

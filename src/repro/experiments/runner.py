@@ -36,7 +36,7 @@ def _default_store():
 
 
 def framework_for(case: CircuitCase, engine: str = "auto",
-                  store=None, identity: str = "exact") -> CrossLayerFramework:
+                  store=None) -> CrossLayerFramework:
     """Paper-configured framework for one circuit (e=4, its clock).
 
     ``engine`` selects the evaluation backend for every simulation and
@@ -47,16 +47,13 @@ def framework_for(case: CircuitCase, engine: str = "auto",
     reproduce identical figures and tables; the default is simply the
     fastest.  ``store`` (default: whatever ``REPRO_STORE`` names)
     persists the pruning explorations in the content-addressed design
-    store.  ``identity`` selects the exploration record-identity mode
-    (the experiments always reproduce the paper with the default
-    ``"exact"``; ``"relaxed"`` trades structural exactness of the
-    records for exploration speed).
+    store.
     """
     if store is None:
         store = _default_store()
     return CrossLayerFramework(e=4, clock_ms=case.clock_ms,
                                library=default_library(), engine=engine,
-                               store=store, identity=identity)
+                               store=store)
 
 
 @lru_cache(maxsize=None)

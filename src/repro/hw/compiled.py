@@ -538,10 +538,6 @@ class VariantSpec:
     helpers: list[tuple[int, int, int, int]]  # (node, op, in_a, in_b)
     outputs: dict[str, list[int]]
     signed: dict[str, bool]
-    # Per-helper record mask (relaxed alias elision): helpers stay in
-    # the waveform replay but masked-out ones — protection BUF aliases
-    # — contribute no activity/area/gate-count.  None counts them all.
-    helper_counted: list[bool] | None = None
 
     @property
     def n_gates(self) -> int:
@@ -858,11 +854,9 @@ class BatchedEvaluator:
                 elif op == OP_AND:
                     row = row_a & (words_k[in_b] if in_b < n_nets
                                    else helper_rows[in_b])
-                elif op == OP_OR:
+                else:  # OP_OR — the rewriter creates no other helpers
                     row = row_a | (words_k[in_b] if in_b < n_nets
                                    else helper_rows[in_b])
-                else:  # OP_BUF — the rewriter creates no other helpers
-                    row = row_a
                 helper_rows[node] = row
             live_idx = self._gate_pos[spec.live_nodes]
             ones = ones_live[live_idx, k]
@@ -882,11 +876,6 @@ class BatchedEvaluator:
                     h_shift ^= stacked
                     h_shift &= toggle_mask
                     helper_flips = _popcount_rows(h_shift)
-                if spec.helper_counted is not None:
-                    keep = np.flatnonzero(
-                        np.asarray(spec.helper_counted, dtype=bool))
-                    helper_ones = helper_ones[keep]
-                    helper_flips = helper_flips[keep]
                 ones = np.concatenate((ones, helper_ones))
                 flips = np.concatenate((flips, helper_flips))
             sims.append(BatchedVariantSim(spec, n_vectors, words_k,

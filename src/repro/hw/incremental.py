@@ -86,7 +86,7 @@ class IncrementalCircuit:
     __slots__ = ("n_fixed", "ops", "ina", "inb", "inc", "level", "alive",
                  "rc", "fanout", "fanout_owned", "cse", "inv_of", "forward",
                  "outputs", "signed", "watch", "input_buses", "meta", "name",
-                 "n_live", "protected", "_work", "_np_cache", "_dirty",
+                 "n_live", "_work", "_np_cache", "_dirty",
                  "_ops_np")
 
     # ------------------------------------------------------------------
@@ -169,7 +169,6 @@ class IncrementalCircuit:
         for nodes in self.outputs.values():
             for node in nodes:
                 rc[node] += 1
-        self.protected = None
         self._work = 0
         # NumPy mirrors of the slot arrays for snapshot(); refreshed
         # from the dirty-slot list instead of full reconversions.
@@ -207,9 +206,6 @@ class IncrementalCircuit:
             if self.watch is not None else None
         other.input_buses = self.input_buses
         other.meta = self.meta
-        # The protected set is immutable (fixed by the exploration's
-        # candidate population), so forks share the reference.
-        other.protected = self.protected
         other._work = 0
         # The fork starts without NumPy mirrors instead of copying them:
         # a branch that never snapshots (the batched exploration path)
@@ -257,28 +253,13 @@ class IncrementalCircuit:
     # ------------------------------------------------------------------
     # Tie application
     # ------------------------------------------------------------------
-    def tie(self, ties: dict[int, int],
-            strict_targets: bool = False) -> dict[int, int]:
+    def tie(self, ties: dict[int, int]) -> dict[int, int]:
         """Tie each (resolved, live) node to its constant and refold.
 
         ``ties`` may name nodes that already forwarded to the requested
         constant (no-ops).  A node forwarded to the *opposite* constant
         raises ValueError — callers treat it like the batch-fold
         inconsistency fallback.
-
-        ``strict_targets`` additionally raises when a tie target
-        *already* (before this call) resolves through forwarding onto a
-        different live signal: clamping the merged representative would
-        also clamp every other signal the earlier rewrites proved equal
-        to it under the earlier clamp set, which is exactly how a
-        long-lived shared state (the relaxed exploration's cross-tau
-        root chain) could drift away from the from-scratch fold's
-        *function*.  Forwards created *during* this call (one entry's
-        cascade folding another entry's target) are fine — a batch tie
-        on a fresh fold resolves through them too, and the equivalence
-        tests against ``explore_legacy`` pin that behavior.  Exact-mode
-        chain walks leave the flag off — their states never accumulate
-        foreign ties.
 
         Returns the ties as *applied*: the map from each live node that
         was actually replaced by a constant to that constant.  Because a
@@ -288,20 +269,6 @@ class IncrementalCircuit:
         circuit needs to reproduce this variant (the batched evaluator's
         per-variant constant-tie mask).
         """
-        if strict_targets:
-            for node, value in ties.items():
-                target = self.resolve(node)
-                if target >= 2 and target != node \
-                        and self.is_live_signal(target) \
-                        and ties.get(target) != value:
-                    # The merged representative is *not* itself tied to
-                    # the same constant in this call, so clamping it
-                    # would clamp signals outside the prune set.  (Two
-                    # merged gates share waveforms — hence tau and
-                    # constant — so in the common case both sit in the
-                    # same delta and the clamp is required anyway.)
-                    raise ValueError("tie target was merged with another "
-                                     "live signal by an earlier rewrite")
         self._work = 0
         budget = 64 * (len(self.ops) + self.n_fixed) + 4096
         created: list[int] = []
@@ -327,19 +294,17 @@ class IncrementalCircuit:
                 self._kill(slot)
         return applied
 
-    def tie_gates(self, gate_ids, values, node_map,
-                  strict_targets: bool = False):
+    def tie_gates(self, gate_ids, values, node_map):
         """Tie base-circuit gates by id through a base-node → node map.
 
-        The exploration's step application in one place: every walk
-        (exact chain steps, and the relaxed mode's cross-tau root
-        deltas) expresses a prune delta as parallel ``gate_ids`` /
+        The exploration's step application in one place: every chain
+        step expresses a prune delta as parallel ``gate_ids`` /
         ``values`` sequences over the *base* circuit plus the node map
         of the chain's root fold.  Gates the root fold already stripped
         as dead (``node_map`` entry < 0) contribute nothing; two gates
         merging onto one live node with opposite constants — or a tie
-        conflict / rewrite-cascade overflow / ``strict_targets``
-        violation inside :meth:`tie` — return ``None``, and the caller
+        conflict / rewrite-cascade overflow inside :meth:`tie` — return
+        ``None``, and the caller
         must discard this (possibly partially rewritten) state and
         refold from scratch.
 
@@ -355,7 +320,7 @@ class IncrementalCircuit:
                 return None  # two deltas merged onto one node
             ties[node] = value
         try:
-            return self.tie(ties, strict_targets=strict_targets)
+            return self.tie(ties)
         except (ValueError, RewriteOverflow):
             return None  # degenerate: caller rebuilds from scratch
 
@@ -386,38 +351,17 @@ class IncrementalCircuit:
         return s >= 0 and self.alive[s] and self.ops[s] == OP_INV \
             and self.ina[s] == partner
 
-    def _live_inv(self, x: int, allow_protected: bool = False) -> int:
-        """The validated complement node of ``x``, or -1.
-
-        By default protected nodes are invisible as *reuse* partners:
-        handing a protected INV out as another gate's replacement would
-        merge that gate's signal onto the protected one (see
-        ``protected``).  ``_refold`` passes ``allow_protected`` and
-        flips the protected twin into a BUF alias instead.
-        """
+    def _live_inv(self, x: int) -> int:
+        """The validated complement node of ``x``, or -1."""
         partner = self.inv_of[x]
         if partner >= 0 and self._inv_pair(x, partner):
-            if not allow_protected and self.protected is not None \
-                    and partner in self.protected:
-                return -1
             return partner
         return -1
 
-    def _cse_hit(self, key: int, op: int, a: int, b: int, c: int,
-                 allow_protected: bool = False) -> int:
-        """Validated structural-hash lookup: a live, matching node or -1.
-
-        By default protected nodes never serve as hits — a hit merges
-        the looked-up gate onto the hit node, and protected signals
-        must keep exactly their own consumer set (see ``protected``).
-        ``_refold`` passes ``allow_protected`` and flips the protected
-        twin into a BUF alias instead of merging onto it.
-        """
+    def _cse_hit(self, key: int, op: int, a: int, b: int, c: int) -> int:
+        """Validated structural-hash lookup: a live, matching node or -1."""
         node = self.cse.get(key)
         if node is None:
-            return -1
-        if not allow_protected and self.protected is not None \
-                and node in self.protected:
             return -1
         slot = node - self.n_fixed
         if slot < 0 or not self.alive[slot] or self.ops[slot] != op:
@@ -604,67 +548,37 @@ class IncrementalCircuit:
         created.append(slot)
         return node
 
-    def _source(self, x: int) -> int:
-        """The signal an operand ultimately carries, through BUF aliases.
-
-        Protection (see ``protected``/:meth:`_to_buf`) keeps candidate
-        gates un-merged behind BUF aliases; the fold rules' *constant
-        and equality checks* look through them so cascades still
-        collapse (``XOR(a, alias-of-a)`` must still fold to 0), while
-        gate construction keeps reading the alias itself — a later tie
-        of the aliased gate then clamps exactly its consumers.
-        """
-        n_fixed = self.n_fixed
-        ops, ina, alive = self.ops, self.ina, self.alive
-        while x >= n_fixed:
-            s = x - n_fixed
-            if not alive[s] or ops[s] != OP_BUF:
-                break
-            x = ina[s]
-        return x
-
     def _not(self, x: int, created: list[int]) -> int:
-        sx = self._source(x) if self.protected is not None else x
-        if sx < 2:
-            return 1 - sx
+        if x < 2:
+            return 1 - x
         inv = self._live_inv(x)
-        if inv < 0 and sx != x:
-            inv = self._live_inv(sx)
         if inv >= 0:
             return inv
         return self._new_gate(OP_INV, x, 0, 0, created)
 
     def _and(self, a: int, b: int, created: list[int]) -> int:
-        if self.protected is None:
-            sa, sb = a, b
-        else:
-            sa, sb = self._source(a), self._source(b)
-        if sa == 0 or sb == 0:
+        if a == 0 or b == 0:
             return 0
-        if sa == 1:
+        if a == 1:
             return b
-        if sb == 1:
+        if b == 1:
             return a
-        if sa == sb:
+        if a == b:
             return a
-        if self.inv_of[sa] == sb and self._inv_pair(sa, sb):
+        if self.inv_of[a] == b and self._inv_pair(a, b):
             return 0
         return self._new_gate(OP_AND, a, b, 0, created)
 
     def _or(self, a: int, b: int, created: list[int]) -> int:
-        if self.protected is None:
-            sa, sb = a, b
-        else:
-            sa, sb = self._source(a), self._source(b)
-        if sa == 1 or sb == 1:
+        if a == 1 or b == 1:
             return 1
-        if sa == 0:
+        if a == 0:
             return b
-        if sb == 0:
+        if b == 0:
             return a
-        if sa == sb:
+        if a == b:
             return a
-        if self.inv_of[sa] == sb and self._inv_pair(sa, sb):
+        if self.inv_of[a] == b and self._inv_pair(a, b):
             return 1
         return self._new_gate(OP_OR, a, b, 0, created)
 
@@ -682,139 +596,101 @@ class IncrementalCircuit:
 
     def _refold(self, slot: int, pending: list[int], created: list[int],
                 budget: int) -> None:
-        # ``a``/``b``/``sel`` build replacements (aliases included, so
-        # later ties propagate); ``sa``/``sb``/``ssel`` are the
-        # see-through values the constant/equality rules compare — with
-        # no protection they are the same nodes (see :meth:`_source`).
         op = self.ops[slot]
         node = self.n_fixed + slot
         a = self.ina[slot]
-        sa = self._source(a) if self.protected is not None else a
         inv_of = self.inv_of
         result = None  # None means: keep this gate with current fields
         if op == OP_INV:
-            if sa < 2:
-                result = 1 - sa
+            if a < 2:
+                result = 1 - a
             else:
-                inv = self._live_inv(a, allow_protected=True)
-                if (inv < 0 or inv == node) and sa != a:
-                    # The operand is an alias: its *source* may have a
-                    # registered complement this gate duplicates.
-                    inv = self._live_inv(sa, allow_protected=True)
+                inv = self._live_inv(a)
                 if inv >= 0 and inv != node:
-                    if self.protected is not None \
-                            and inv in self.protected \
-                            and node not in self.protected:
-                        # Flip the protected complement into the alias;
-                        # this gate keeps the structure (see _to_buf).
-                        # The complement may also be this gate's
-                        # *transitive operand* (a = INV(inv), the
-                        # double-inversion fold) — _flip_safe rejects
-                        # exactly those, since an alias edge onto a
-                        # dependent gate would close a cycle.
-                        if inv >= self.n_fixed \
-                                and self._flip_safe(node, inv):
-                            self._to_buf(inv - self.n_fixed, node,
-                                         pending)
-                    else:
-                        result = inv
+                    result = inv
         elif op == OP_AND:
             b = self.inb[slot]
-            sb = self._source(b) if self.protected is not None else b
-            if sa == 0 or sb == 0:
+            if a == 0 or b == 0:
                 result = 0
-            elif sa == 1:
+            elif a == 1:
                 result = b
-            elif sb == 1:
+            elif b == 1:
                 result = a
-            elif sa == sb:
+            elif a == b:
                 result = a
-            elif inv_of[sa] == sb and self._inv_pair(sa, sb):
+            elif inv_of[a] == b and self._inv_pair(a, b):
                 result = 0
         elif op == OP_OR:
             b = self.inb[slot]
-            sb = self._source(b) if self.protected is not None else b
-            if sa == 1 or sb == 1:
+            if a == 1 or b == 1:
                 result = 1
-            elif sa == 0:
+            elif a == 0:
                 result = b
-            elif sb == 0:
+            elif b == 0:
                 result = a
-            elif sa == sb:
+            elif a == b:
                 result = a
-            elif inv_of[sa] == sb and self._inv_pair(sa, sb):
+            elif inv_of[a] == b and self._inv_pair(a, b):
                 result = 1
         elif op == OP_XOR:
             b = self.inb[slot]
-            sb = self._source(b) if self.protected is not None else b
-            if sa == 0:
+            if a == 0:
                 result = b
-            elif sb == 0:
+            elif b == 0:
                 result = a
-            elif sa == 1:
+            elif a == 1:
                 result = self._not(b, created)
-            elif sb == 1:
+            elif b == 1:
                 result = self._not(a, created)
-            elif sa == sb:
+            elif a == b:
                 result = 0
-            elif inv_of[sa] == sb and self._inv_pair(sa, sb):
+            elif inv_of[a] == b and self._inv_pair(a, b):
                 result = 1
         elif op == OP_NAND:
             b = self.inb[slot]
-            sb = self._source(b) if self.protected is not None else b
-            if sa == 0 or sb == 0:
+            if a == 0 or b == 0:
                 result = 1
-            elif sa == 1:
+            elif a == 1:
                 result = self._not(b, created)
-            elif sb == 1:
+            elif b == 1:
                 result = self._not(a, created)
-            elif sa == sb:
+            elif a == b:
                 result = self._not(a, created)
-            elif inv_of[sa] == sb and self._inv_pair(sa, sb):
+            elif inv_of[a] == b and self._inv_pair(a, b):
                 result = 1
         elif op == OP_NOR:
             b = self.inb[slot]
-            sb = self._source(b) if self.protected is not None else b
-            if sa == 1 or sb == 1:
+            if a == 1 or b == 1:
                 result = 0
-            elif sa == 0:
+            elif a == 0:
                 result = self._not(b, created)
-            elif sb == 0:
+            elif b == 0:
                 result = self._not(a, created)
-            elif sa == sb:
+            elif a == b:
                 result = self._not(a, created)
-            elif inv_of[sa] == sb and self._inv_pair(sa, sb):
+            elif inv_of[a] == b and self._inv_pair(a, b):
                 result = 0
         elif op == OP_MUX:
             b = self.inb[slot]
             sel = self.inc[slot]
-            if self.protected is None:
-                sb, ssel = b, sel
-            else:
-                sb, ssel = self._source(b), self._source(sel)
-            if ssel == 0:
+            if sel == 0:
                 result = a
-            elif ssel == 1:
+            elif sel == 1:
                 result = b
-            elif sa == sb:
+            elif a == b:
                 result = a
-            elif sa == 0:
+            elif a == 0:
                 result = self._and(b, sel, created)
-            elif sa == 1:
+            elif a == 1:
                 result = self._or(b, self._not(sel, created), created)
-            elif sb == 0:
+            elif b == 0:
                 result = self._and(a, self._not(sel, created), created)
-            elif sb == 1:
+            elif b == 1:
                 result = self._or(a, sel, created)
-            elif sb == ssel:
+            elif b == sel:
                 result = self._or(a, sel, created)
-            elif sa == ssel:
+            elif a == sel:
                 result = self._and(b, sel, created)
-        else:  # OP_BUF: only protection aliases — see _to_buf
-            if sa < 2:
-                result = sa  # the aliased signal folded to a constant
-            else:
-                return  # aliases never fold onto live signals
 
         if result is None:
             # Re-canonicalize under the (possibly changed) operands.
@@ -824,21 +700,7 @@ class IncrementalCircuit:
                 key = _key2(OP_INV, a, 0)
             else:
                 key = _key2(op, a, self.inb[slot])
-            hit = self._cse_hit(key, op, a, self.inb[slot], self.inc[slot],
-                                allow_protected=True)
-            if hit >= 0 and hit != node and self.protected is not None \
-                    and hit in self.protected \
-                    and node not in self.protected:
-                # The hash slot is owned by a protected candidate twin:
-                # flip it into a BUF alias of this gate (its signal
-                # keeps exactly its own consumers, clamps still land on
-                # it) and claim the structure, so downstream equality
-                # folds keep collapsing through _source; _flip_safe
-                # refuses the (rare) twin that is also our transitive
-                # fanin, where the alias edge would close a cycle.
-                if self._flip_safe(node, hit):
-                    self._to_buf(hit - self.n_fixed, node, pending)
-                hit = -1
+            hit = self._cse_hit(key, op, a, self.inb[slot], self.inc[slot])
             if hit < 0:
                 self.cse[key] = node
                 if op == OP_INV:
@@ -850,99 +712,7 @@ class IncrementalCircuit:
             result = hit  # merged with a structurally identical gate
         if result == node:
             return
-        if result >= 2 and self.protected is not None \
-                and node in self.protected:
-            # A protected gate (a future prune candidate of the relaxed
-            # exploration) may fold to a *constant*, but never merge
-            # onto another live signal: its later tie must clamp exactly
-            # its own consumers.  Keep it live as a BUF alias instead —
-            # function is unchanged (the fold rule proved equivalence),
-            # only the structure carries one extra gate.
-            self._to_buf(slot, result, pending)
-            return
         self._replace(node, result, pending, created, budget)
-
-    def _flip_safe(self, node: int, twin: int) -> bool:
-        """True when aliasing ``twin`` onto ``node`` cannot close a cycle.
-
-        Safe iff ``node`` does not transitively read ``twin``.  The
-        level invariant (a gate's level strictly exceeds its operands')
-        gives a fast certificate — a twin at ``node``'s level or above
-        cannot be its fanin — and prunes the fallback cone walk to the
-        slice above the twin's level.
-        """
-        n_fixed = self.n_fixed
-        level = self.level
-        tlevel = level[twin - n_fixed]
-        if tlevel >= level[node - n_fixed]:
-            return True
-        ops, ina, inb, inc = self.ops, self.ina, self.inb, self.inc
-        stack = [node]
-        seen = set()
-        while stack:
-            x = stack.pop()
-            if x == twin:
-                return False
-            if x < n_fixed or x in seen:
-                continue
-            seen.add(x)
-            s = x - n_fixed
-            if level[s] <= tlevel:
-                continue  # fanin strictly below the twin's level
-            op = ops[s]
-            stack.append(ina[s])
-            if op != OP_INV and op != OP_BUF:
-                stack.append(inb[s])
-                if op == OP_MUX:
-                    stack.append(inc[s])
-        return True
-
-    def _to_buf(self, slot: int, target: int,
-                pending: list[int] | None = None) -> None:
-        """Rewrite a protected gate in place as ``BUF(target)``.
-
-        Consumers keep reading the gate's own (stable, unforwarded)
-        node, so a later constant tie lands exactly on this signal and
-        the gate's value is unchanged — but consumers are still queued
-        for a refold: their *see-through* operand view (:meth:`_source`)
-        just changed, which is what lets equality/constant rules keep
-        collapsing cascades across the alias.
-        """
-        op = self.ops[slot]
-        node = self.n_fixed + slot
-        n_fixed = self.n_fixed
-        rc = self.rc
-        # Keep the target alive before releasing the old operands (one
-        # of their kill cascades could otherwise free it first).
-        rc[target] += 1
-        self._own_fanout(target).append(slot)
-        count = self._operand_count(op)
-        for operand in (self.ina[slot], self.inb[slot],
-                        self.inc[slot])[:count]:
-            rc[operand] -= 1
-            if rc[operand] == 0 and operand >= n_fixed \
-                    and self.alive[operand - n_fixed]:
-                self._kill(operand - n_fixed)
-        self.ops[slot] = OP_BUF
-        self.ina[slot] = target
-        self.inb[slot] = 0
-        self.inc[slot] = 0
-        # Opcodes are otherwise append-only; privatize the shared NumPy
-        # mirror before the in-place rewrite (forks keep their view).
-        arr = self._ops_np
-        if arr is not None and slot < len(arr):
-            arr = arr.copy()
-            arr[slot] = OP_BUF
-            self._ops_np = arr
-        if self._np_cache is not None:
-            self._dirty.append(slot)
-        if target >= n_fixed \
-                and self.level[target - n_fixed] >= self.level[slot]:
-            self._raise_level(slot)
-        if pending is not None:
-            for consumer in self.fanout[node]:
-                if self.alive[consumer]:
-                    pending.append(consumer)
 
     # ------------------------------------------------------------------
     # NumPy views, evaluation plan, batched-variant capture
@@ -984,7 +754,6 @@ class IncrementalCircuit:
                                    dtype=np.uint8)))
             for slot in self._dirty:
                 if slot < cached_n:
-                    ops[slot] = self.ops[slot]  # _to_buf rewrites in place
                     ina[slot] = self.ina[slot]
                     inb[slot] = self.inb[slot]
                     inc[slot] = self.inc[slot]
@@ -1055,16 +824,6 @@ class IncrementalCircuit:
         absent from the shared plan, replayed per-variant by the batch
         evaluator (in level order, so operands always precede their
         consumers).
-
-        Alias elision: under candidate protection (the relaxed walk),
-        live ``BUF`` gates are exactly the aliases :meth:`_to_buf`
-        created to keep prune candidates un-merged — pure wires the
-        exact from-scratch fold would have merged away (a folded base
-        circuit contains no ``BUF``).  They stay in the waveform
-        machinery (consumers and outputs read them) but drop out of the
-        *record view* — ``live_nodes``/``live_ops`` and the helper
-        activity mask — so gate counts, areas, and powers don't charge
-        for the walk's bookkeeping wires.
         """
         from .compiled import VariantSpec
 
@@ -1075,23 +834,15 @@ class IncrementalCircuit:
         split = int(np.searchsorted(live, n_parent_slots))
         parent_live = live[:split]
         helper_slots = live[split:]
-        elide = self.protected is not None
-        if elide:
-            parent_live = parent_live[
-                ops_np[parent_live] != OP_BUF]
-        helper_counted = None
         if helper_slots.size:
             level = self.level
             ordered = sorted(helper_slots.tolist(), key=level.__getitem__)
             ina, inb, ops = self.ina, self.inb, self.ops
             helpers = [(n_fixed + s, ops[s], ina[s], inb[s])
                        for s in ordered]
-            counted = np.asarray(ordered, dtype=np.int64)
-            if elide:
-                helper_counted = [ops[s] != OP_BUF for s in ordered]
-                counted = counted[np.asarray(helper_counted)]
             live_ops = np.concatenate(
-                (ops_np[parent_live], ops_np[counted]))
+                (ops_np[parent_live],
+                 ops_np[np.asarray(ordered, dtype=np.int64)]))
         else:
             helpers = []
             live_ops = ops_np[parent_live]
@@ -1103,7 +854,6 @@ class IncrementalCircuit:
             outputs={name: list(nodes)
                      for name, nodes in self.outputs.items()},
             signed=dict(self.signed),
-            helper_counted=helper_counted,
         )
 
     # ------------------------------------------------------------------

@@ -37,17 +37,6 @@ per-worker initializer cost is paid once per job, not once per
 shard); :meth:`ExplorationJob.run` shuts it down deterministically on
 the way out.  A one-chain shard still runs serially (a single chain
 has nothing to fan out) — startup overhead only, never correctness.
-
-Identity modes: the job keys everything on the pruner's *resolved
-identity* (``exact`` or ``relaxed``) — relaxed records may differ
-structurally from exact ones, so the two populations never share
-fingerprints, and resume/warm-hit semantics hold within each mode
-independently.  Relaxed runs share rewrites only inside grid-pinned
-lattice blocks (:data:`~repro.core.pruning.RELAXED_BLOCK` chains of
-the sorted tau grid), and :meth:`ExplorationJob.shards` rounds the
-shard partition up to whole blocks — so relaxed records are identical
-across *every* ``shard_size`` and match the serial walk's (the
-shard-partition sensitivity PR 4 documented is gone).
 """
 
 from __future__ import annotations
@@ -56,7 +45,6 @@ import time
 from dataclasses import dataclass, field
 
 from ..core.pruning import (
-    RELAXED_BLOCK,
     NetlistPruner,
     PrunedDesign,
     assemble_designs,
@@ -225,7 +213,7 @@ class ExplorationJob:
         self.shard_size = max(1, int(self.shard_size))
 
     def base_key(self) -> str:
-        """Content fingerprint of (netlist, evaluator inputs, identity).
+        """Content fingerprint of (netlist, evaluator inputs).
 
         The store's tenant namespace participates: the same exploration
         keyed through two tenants' store handles never shares rows.
@@ -233,7 +221,6 @@ class ExplorationJob:
         if self.base_fp is None:
             self.base_fp = base_fingerprint(
                 self.pruner.netlist, self.pruner.evaluator,
-                self.pruner.resolved_identity(),
                 namespace=self.store.namespace)
         return self.base_fp
 
@@ -241,39 +228,11 @@ class ExplorationJob:
         """Content key of this exploration's finished design list."""
         return grid_key(self.base_key(), self.pruner.tau_grid)
 
-    def _relaxed(self) -> bool:
-        return self.pruner.resolved_identity() == "relaxed"
-
     def shards(self) -> list[tuple[float, ...]]:
-        """The tau grid partitioned into checkpoint units, in order.
-
-        Relaxed explorations partition the grid's *sorted distinct
-        values* into groups of whole lattice blocks
-        (:data:`~repro.core.pruning.RELAXED_BLOCK` ranks, the
-        grid-pinned reset unit of the relaxed walk; the shard size
-        rounds up to a block multiple): every shard then covers
-        complete blocks — for any grid order the caller spelled, with
-        duplicated tau values kept together — so the records a sharded
-        run produces are identical for *any* configured ``shard_size``,
-        and to the serial walk's (shard-partition sensitivity
-        removed).  Assembly restores the caller's grid order
-        afterwards (see :meth:`run`), keeping design-list ordering and
-        duplicate attribution untouched.
-        """
+        """The tau grid partitioned into checkpoint units, in order."""
         taus = [float(t) for t in self.pruner.tau_grid]
         size = self.shard_size
-        if not self._relaxed():
-            return [tuple(taus[i:i + size])
-                    for i in range(0, len(taus), size)]
-        size = -(-max(size, 1) // RELAXED_BLOCK) * RELAXED_BLOCK
-        distinct = sorted({round(tau, 9) for tau in taus})
-        ordered = sorted(taus)
-        shards = []
-        for start in range(0, len(distinct), size):
-            group = set(distinct[start:start + size])
-            shards.append(tuple(tau for tau in ordered
-                                if round(tau, 9) in group))
-        return shards
+        return [tuple(taus[i:i + size]) for i in range(0, len(taus), size)]
 
     def _preload_memo(self) -> int:
         """Seed the pruner's record memo from the store's variants.
@@ -420,32 +379,6 @@ class ExplorationJob:
         in grid order, so two workers racing to finalize write the
         identical grid row.
         """
-        if self._relaxed():
-            # Relaxed shards walked the grid in value order (block
-            # alignment above); assembly is order-sensitive (duplicate
-            # attribution follows the first chain that produced a prune
-            # set), so restore the caller's grid order first.  Equal-tau
-            # chains are interchangeable (identical candidate sets,
-            # identical rows), so the k-th walked copy of a value takes
-            # the value's k-th position in the caller's grid — which
-            # re-interleaves duplicates exactly as the serial walk
-            # returns them.
-            positions: dict[float, list[int]] = {}
-            for index, tau_c in enumerate(self.pruner.tau_grid):
-                positions.setdefault(round(float(tau_c), 9),
-                                     []).append(index)
-            seen: dict[float, int] = {}
-            targets = []
-            for tau_c, _steps in all_chains:
-                value = round(float(tau_c), 9)
-                k = seen.get(value, 0)
-                seen[value] = k + 1
-                targets.append(positions[value][k])
-            order = sorted(range(len(all_chains)),
-                           key=targets.__getitem__)
-            all_chains = [all_chains[i] for i in order]
-            all_rows = [all_rows[i] for i in order]
-
         fault_point("job.assemble")
         designs = assemble_designs(all_chains, all_rows)
         gkey = self.grid_key()

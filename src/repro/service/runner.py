@@ -25,6 +25,7 @@ a ``design`` line per design point, and one final ``summary`` line.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -56,19 +57,12 @@ from .store import (
 __all__ = ["ExploreRequest", "ExplorationService", "render_request"]
 
 _BASES = ("exact", "coeff")
-_IDENTITIES = ("exact", "relaxed")
 _DEFAULT_E = 4  # the paper's fixed coefficient search radius
 
 
 @dataclass(frozen=True)
 class ExploreRequest:
     """One (dataset, model, grid) exploration request.
-
-    ``identity`` selects the exploration's record-identity mode
-    (``"exact"``/``"relaxed"``; ``None`` inherits the service default)
-    — see :class:`~repro.core.pruning.NetlistPruner`.  Relaxed and
-    exact runs of the same circuit resolve to *different* content keys
-    by construction.
 
     ``e`` is the coefficient search radius of a ``base="coeff"``
     request (``None``: the paper's e = 4).  Sweeps enumerate it —
@@ -83,13 +77,12 @@ class ExploreRequest:
     base: str = "coeff"
     tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
     label: str | None = None
-    identity: str | None = None
     e: int | None = None
 
     @staticmethod
     def from_dict(data: dict) -> "ExploreRequest":
-        known = {"dataset", "model", "base", "tau_grid", "label",
-                 "identity", "e"}
+        """Parse one wire/manifest request; malformed input is ValueError."""
+        known = {"dataset", "model", "base", "tau_grid", "label", "e"}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown request fields {sorted(unknown)}; "
@@ -99,15 +92,22 @@ class ExploreRequest:
         except KeyError as exc:
             raise ValueError(
                 f"request is missing required field {exc.args[0]!r}") from exc
+        label = data.get("label")
+        for field_name, value in (("dataset", dataset), ("model", model),
+                                  ("label", "" if label is None else label)):
+            if not isinstance(value, str):
+                raise ValueError(f"{field_name} must be a string, "
+                                 f"got {value!r}")
         base = data.get("base", "coeff")
         if base not in _BASES:
             raise ValueError(f"unknown base {base!r}; use one of {_BASES}")
-        identity = data.get("identity")
-        if identity is not None and identity not in _IDENTITIES:
-            raise ValueError(f"unknown identity {identity!r}; "
-                             f"use one of {_IDENTITIES}")
         e = data.get("e")
         if e is not None:
+            # ``e % 1`` is NaN (truthy) for NaN and infinities.
+            if isinstance(e, bool) or not isinstance(e, numbers.Real) \
+                    or e % 1:
+                raise ValueError(f"coefficient search radius e must be an "
+                                 f"integer, got {e!r}")
             e = int(e)
             if e < 0:
                 raise ValueError("coefficient search radius e must be >= 0")
@@ -115,19 +115,30 @@ class ExploreRequest:
                 raise ValueError(
                     "e is only meaningful for base='coeff' requests")
         tau_grid = data.get("tau_grid")
-        tau_grid = DEFAULT_TAU_GRID if tau_grid is None \
-            else tuple(float(t) for t in tau_grid)
-        return ExploreRequest(dataset, model, base, tau_grid,
-                              data.get("label"), identity, e)
+        if tau_grid is None:
+            tau_grid = DEFAULT_TAU_GRID
+        elif not isinstance(tau_grid, (list, tuple)):
+            raise ValueError(f"tau_grid must be a list of numbers, "
+                             f"got {tau_grid!r}")
+        else:
+            tau_grid = tuple(_tau_value(t) for t in tau_grid)
+        return ExploreRequest(dataset, model, base, tau_grid, label, e)
 
     @property
     def name(self) -> str:
         name = self.label or f"{self.dataset}/{self.model}/{self.base}"
         if self.label is None and self.e is not None:
             name += f"@e{self.e}"
-        if self.label is None and self.identity == "relaxed":
-            name += "@relaxed"
         return name
+
+
+def _tau_value(value) -> float:
+    """One ``tau_grid`` entry: a finite number in [0, 1]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"tau_grid values must be numbers, got {value!r}")
+    if not 0 <= value <= 1:  # also rejects NaN
+        raise ValueError(f"tau_grid values must lie in [0, 1], got {value!r}")
+    return float(value)
 
 
 def render_request(index: int, request: ExploreRequest,
@@ -172,13 +183,9 @@ class ExplorationService:
     def __init__(self, store: DesignStore | str, n_workers: int | None = None,
                  engine: str = "auto",
                  shard_size: int = DEFAULT_SHARD_SIZE,
-                 identity: str = "exact",
                  evaluator_cache: dict | None = None,
                  evaluator_fp_cache: dict | None = None,
                  build_cache: dict | None = None) -> None:
-        if identity not in _IDENTITIES:
-            raise ValueError(f"unknown identity {identity!r}; "
-                             f"use one of {_IDENTITIES}")
         # Paths open a local SQLite store; anything else (a DesignStore,
         # or a store-shaped facade like coordinator.RemoteStore) passes
         # through duck-typed.
@@ -188,7 +195,6 @@ class ExplorationService:
         self.n_workers = n_workers
         self.engine = engine
         self.shard_size = shard_size
-        self.identity = identity
         # Evaluators are pure compute contexts (no store state), so a
         # multi-tenant embedder may pass shared caches — one trained
         # split serves every tenant.  Keys derived *through the store*
@@ -298,8 +304,7 @@ class ExplorationService:
         return cached
 
     def _base_cache_key(self, request: ExploreRequest) -> tuple:
-        return (request.dataset, request.model, request.base, request.e,
-                request.identity or self.identity)
+        return (request.dataset, request.model, request.base, request.e)
 
     def _base_key(self, request: ExploreRequest) -> str:
         """The request's base fingerprint, without a netlist if possible.
@@ -311,14 +316,13 @@ class ExplorationService:
         deserialize.  Everything else builds the circuit once (cached
         per process) and uses the fingerprint computed with it.
         """
-        identity = request.identity or self.identity
         cache_key = self._base_cache_key(request)
         cached = self._base_keys.get(cache_key)
         if cached is not None:
             return cached
         netlist_fp = None
         if request.base == "coeff" \
-                and cache_key[:4] not in self._netlists:
+                and cache_key not in self._netlists:
             from ..experiments.zoo import get_case
             model = get_case(request.dataset, request.model).quant_model
             e = _DEFAULT_E if request.e is None else request.e
@@ -330,7 +334,7 @@ class ExplorationService:
             netlist_fp = self._netlist(request)[3]
         base_key = base_fingerprint_from_parts(
             netlist_fp, self._evaluator_fp(request.dataset, request.model),
-            identity, namespace=self.store.namespace)
+            namespace=self.store.namespace)
         self._base_keys[cache_key] = base_key
         return base_key
 
@@ -392,8 +396,7 @@ class ExplorationService:
         netlist = self._pruner_netlist(request, circuit)
         evaluator = self._evaluator(request.dataset, request.model)
         pruner = NetlistPruner(netlist, evaluator, request.tau_grid,
-                               n_workers=self.n_workers, engine=self.engine,
-                               identity=request.identity or self.identity)
+                               n_workers=self.n_workers, engine=self.engine)
         return ExplorationJob(pruner, self.store,
                               shard_size=self.shard_size,
                               label=request.name,

@@ -118,7 +118,6 @@ class ServeConfig:
     n_workers: int | None = None
     engine: str = "auto"
     shard_size: int = DEFAULT_SHARD_SIZE
-    identity: str = "exact"
     default_tenant: str = "default"
     max_body_bytes: int = 1 << 20
     events_log: str | None = None   # JSONL span/event sink (enables tracing)
@@ -294,7 +293,7 @@ class ExploreServer:
                                 namespace=namespace)
             service = ExplorationService(
                 store, n_workers=config.n_workers, engine=config.engine,
-                shard_size=config.shard_size, identity=config.identity,
+                shard_size=config.shard_size,
                 evaluator_cache=self._evaluators,
                 evaluator_fp_cache=self._evaluator_fps,
                 build_cache=self._build_cache)
@@ -1090,7 +1089,7 @@ class ExploreServer:
         key = (tenant, "sweep", canonical_json({
             "dataset": request.dataset, "model": request.model,
             "tau_grid": list(request.tau_grid), "e_values": list(e_values),
-            "identity": request.identity, "include_cross": include_cross}))
+            "include_cross": include_cross}))
         future = self._inflight.get(key)
         if future is None:
             self._admit(1, tenant)

@@ -76,9 +76,9 @@ __all__ = [
 
 # Bump when the schema or any fingerprint input changes; old stores are
 # rejected loudly instead of silently missing every lookup.
-# 2: base fingerprints include the exploration identity mode (relaxed
-#    and exact records must never alias), and the coeff_cache table
-#    memoizes coefficient-approximation results.
+# 2: base fingerprints include the exploration identity mode (one mode
+#    remains, and its literal "exact" is still hashed), and the
+#    coeff_cache table memoizes coefficient-approximation results.
 # 3: coefficient-approximated *netlists* are content-addressed
 #    (coeff_netlists table) so warm cross-layer sweeps skip the bespoke
 #    rebuild, and both coefficient tables carry hit counters
@@ -250,7 +250,6 @@ def evaluator_fingerprint(evaluator) -> str:
 
 
 def base_fingerprint_from_parts(netlist_fp: str, evaluator_fp: str,
-                                identity: str = "exact",
                                 namespace: str = "") -> str:
     """:func:`base_fingerprint` from precomputed part fingerprints.
 
@@ -264,25 +263,24 @@ def base_fingerprint_from_parts(netlist_fp: str, evaluator_fp: str,
     hashes exactly as before the parameter existed — keys in every
     pre-namespace store stay valid.
     """
-    meta = {"identity": identity}
+    # The exploration once had a second record-identity mode, and its
+    # name was hashed into every key.  Only "exact" remains; hashing the
+    # literal keeps every existing key valid without a store migration.
+    meta = {"identity": "exact"}
     if namespace:
         meta["namespace"] = namespace
     return content_key("base", netlist_fp, evaluator_fp, meta)
 
 
-def base_fingerprint(netlist, evaluator, identity: str = "exact",
-                     namespace: str = "") -> str:
+def base_fingerprint(netlist, evaluator, namespace: str = "") -> str:
     """The (circuit, evaluation context) identity all keys derive from.
 
-    ``identity`` is the exploration's record-identity mode: relaxed
-    explorations may record structurally different (functionally equal)
-    areas/gate counts, so their records must never alias exact ones —
-    the mode is part of every derived key.  ``namespace`` is the
-    store's tenant namespace (see :class:`DesignStore`).
+    ``namespace`` is the store's tenant namespace (see
+    :class:`DesignStore`).
     """
     return base_fingerprint_from_parts(netlist_fingerprint(netlist),
                                        evaluator_fingerprint(evaluator),
-                                       identity, namespace)
+                                       namespace)
 
 
 def grid_key(base_key: str, tau_grid) -> str:

@@ -1,81 +1,32 @@
-"""Tests for the exploration identity modes (exact vs relaxed).
+"""Tests for the exploration's record-identity contract.
 
 The contract under test (see the "Identity contract" section of
-``docs/ARCHITECTURE.md``):
-
-* **exact** (the default) — design lists bit-identical to
-  ``explore_legacy`` on every engine: same coordinates, same records
-  (accuracy, area, power, gate count), same duplicate attribution;
-* **relaxed** — the accuracy/tau_c/phi_c/n_pruned/duplicate lists are
-  *identical* to exact mode (byte for byte), while the synthesized
-  gate/area/power records may differ within a documented tolerance
-  (a few percent of the base circuit's size) because the cross-tau
-  lattice walk reaches structurally different, functionally equal
-  folds.
+``docs/ARCHITECTURE.md``): design lists are bit-identical to
+``explore_legacy`` on every engine — same coordinates, same records
+(accuracy, area, power, gate count), same duplicate attribution.  It
+is the only mode; no layer takes an ``identity`` option any more.
 
 Plus the persistent pruner-owned executor: one process pool reused
 across ``chain_rows``/``explore`` calls, deterministic shutdown, and
 serial fallback preserved.
 """
 
-import numpy as np
-import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+import dataclasses
 
+import pytest
+
+from repro import cli
+from repro.core.cross_layer import CrossLayerFramework
 from repro.core.pruning import NetlistPruner
-from repro.eval.accuracy import CircuitEvaluator, DecodeSpec
+from repro.eval.accuracy import CircuitEvaluator
+from repro.experiments.runner import framework_for
 from repro.experiments.zoo import get_case
-from repro.hw.bespoke import REGRESSOR_OUTPUT, build_bespoke_netlist
-from repro.hw.compiled import HOST_SUPPORTS_COMPILED
-from repro.hw.netlist import CONST0, CONST1, Netlist
+from repro.hw.bespoke import build_bespoke_netlist
+from repro.service import ExplorationService
+from repro.service.server import ServeConfig
+from repro.service.store import base_fingerprint_from_parts
 
 GRID = (0.82, 0.85, 0.90, 0.95, 0.99)
-
-needs_compiled = pytest.mark.skipif(
-    not HOST_SUPPORTS_COMPILED,
-    reason="relaxed mode only accelerates the batched walk")
-
-_CELLS_1 = ("INV", "BUF")
-_CELLS_2 = ("AND2", "OR2", "XOR2", "XNOR2", "NAND2", "NOR2")
-
-
-def _random_netlist(rng: np.random.Generator, n_gates: int,
-                    width: int) -> Netlist:
-    nl = Netlist(cse=False)
-    nets = list(nl.add_input_bus("x", width)) + [CONST0, CONST1]
-    for _ in range(n_gates):
-        kind = rng.integers(0, 4)
-        if kind == 0:
-            out = nl.add_gate(str(rng.choice(_CELLS_1)), int(rng.choice(nets)))
-        elif kind == 3:
-            out = nl.add_gate("MUX2", int(rng.choice(nets)),
-                              int(rng.choice(nets)), int(rng.choice(nets)))
-        else:
-            out = nl.add_gate(str(rng.choice(_CELLS_2)), int(rng.choice(nets)),
-                              int(rng.choice(nets)))
-        nets.append(out)
-    n_out = min(4, len(nets))
-    out_nets = [int(rng.choice(nets)) for _ in range(n_out)]
-    nl.set_output_bus(REGRESSOR_OUTPUT, out_nets, signed=False)
-    return nl
-
-
-def _random_evaluator(rng: np.random.Generator, width: int,
-                      n_train: int = 96, n_test: int = 70,
-                      identity: str = "exact") -> CircuitEvaluator:
-    train = {"x": rng.integers(0, 1 << width, n_train)}
-    test = {"x": rng.integers(0, 1 << width, n_test)}
-    y_test = rng.integers(0, 8, n_test)
-    decode = DecodeSpec("regressor", y_min=0, y_max=7, output_scale=1.0)
-    return CircuitEvaluator(decode, train, test, np.asarray(y_test),
-                            engine="batched", identity=identity)
-
-
-def _loose(designs):
-    """Everything the relaxed contract guarantees identical."""
-    return [(d.tau_c, d.phi_c, d.n_pruned, d.record.accuracy,
-             d.duplicate_of) for d in designs]
 
 
 def _strict(designs):
@@ -88,167 +39,65 @@ def svm_setup():
     case = get_case("redwine", "svm_r")
     netlist = build_bespoke_netlist(case.quant_model)
 
-    def make_evaluator(identity="exact", engine="batched"):
+    def make_evaluator(engine="batched"):
         return CircuitEvaluator.from_split(
             case.quant_model, case.split.X_train, case.split.X_test,
-            case.split.y_test, engine=engine, identity=identity)
+            case.split.y_test, engine=engine)
 
     return netlist, make_evaluator
 
 
 class TestResolvedIdentity:
     def test_default_is_exact(self, svm_setup):
+        """Exact is the only mode: nothing carries or resolves another."""
         netlist, make_evaluator = svm_setup
         pruner = NetlistPruner(netlist, make_evaluator(), (0.9,))
-        assert pruner.resolved_identity() == "exact"
-
-    def test_inherits_from_evaluator(self, svm_setup):
-        netlist, make_evaluator = svm_setup
-        pruner = NetlistPruner(netlist, make_evaluator("relaxed"), (0.9,))
-        assert pruner.resolved_identity() == "relaxed"
-
-    def test_pruner_overrides_evaluator(self, svm_setup):
-        netlist, make_evaluator = svm_setup
-        pruner = NetlistPruner(netlist, make_evaluator("relaxed"), (0.9,),
-                               identity="exact")
-        assert pruner.resolved_identity() == "exact"
+        for obj in (pruner, make_evaluator()):
+            assert "identity" not in {f.name for f in dataclasses.fields(obj)}
+        assert not hasattr(pruner, "resolved_identity")
 
     def test_unknown_mode_raises(self, svm_setup):
+        """Every identity mode is now unknown: the option itself is gone."""
         netlist, make_evaluator = svm_setup
-        pruner = NetlistPruner(netlist, make_evaluator(), (0.9,),
-                               identity="sloppy")
-        with pytest.raises(ValueError, match="identity"):
-            pruner.resolved_identity()
-        with pytest.raises(ValueError, match="identity"):
-            pruner.explore()
+        case = get_case("redwine", "svm_r")
+        with pytest.raises(TypeError, match="identity"):
+            NetlistPruner(netlist, make_evaluator(), (0.9,),
+                          identity="exact")
+        with pytest.raises(TypeError, match="identity"):
+            CircuitEvaluator.from_split(
+                case.quant_model, case.split.X_train, case.split.X_test,
+                case.split.y_test, identity="exact")
+        with pytest.raises(TypeError, match="identity"):
+            CrossLayerFramework(identity="exact")
+        with pytest.raises(TypeError, match="identity"):
+            framework_for(case, identity="exact")
+        with pytest.raises(TypeError, match="identity"):
+            ExplorationService(":memory:", identity="exact")
+        with pytest.raises(TypeError, match="identity"):
+            ServeConfig(identity="exact")
+        with pytest.raises(TypeError):
+            base_fingerprint_from_parts("nl", "ev", "exact", "")
+
+    @pytest.mark.parametrize("command", (
+        ["explore", "--dataset", "redwine", "--model", "svm_r"],
+        ["sweep-e", "--dataset", "redwine", "--model", "svm_r"],
+        ["serve-batch", "--manifest", "m.json"],
+        ["serve"]), ids=("explore", "sweep-e", "serve-batch", "serve"))
+    def test_cli_has_no_identity_flag(self, command, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(command + ["--identity", "exact"])
+        assert "unrecognized arguments: --identity" \
+            in capsys.readouterr().err
 
 
 class TestExactRegression:
     def test_exact_mode_is_bit_identical_to_legacy(self, svm_setup):
-        """The default contract survives the relaxed-mode plumbing."""
+        """The exploration is bit-identical to the legacy oracle."""
         netlist, make_evaluator = svm_setup
-        exact = NetlistPruner(netlist, make_evaluator(), GRID,
-                              identity="exact").explore()
+        exact = NetlistPruner(netlist, make_evaluator(), GRID).explore()
         legacy = NetlistPruner(netlist, make_evaluator(), GRID
                                ).explore_legacy()
         assert _strict(exact) == _strict(legacy)
-
-
-@needs_compiled
-class TestRelaxedContract:
-    def test_real_grid_loose_identity(self, svm_setup):
-        """redwine SVM-R: relaxed == exact on everything but structure."""
-        netlist, make_evaluator = svm_setup
-        exact = NetlistPruner(netlist, make_evaluator(), GRID).explore()
-        relaxed = NetlistPruner(netlist, make_evaluator(), GRID,
-                                identity="relaxed").explore()
-        assert _loose(relaxed) == _loose(exact)
-        # Structure tolerance: a few percent of the base circuit.
-        bound = max(8, int(0.05 * netlist.n_gates))
-        for a, b in zip(relaxed, exact):
-            assert abs(a.record.n_gates - b.record.n_gates) <= bound
-            assert abs(a.record.area_mm2 - b.record.area_mm2) \
-                <= 0.05 * b.record.area_mm2 + 1e-9 \
-                or abs(a.record.n_gates - b.record.n_gates) <= bound
-
-    def test_real_classifier_grid_loose_identity(self):
-        """redwine SVM-C (argmax head, phi=-1 cones): same contract."""
-        case = get_case("redwine", "svm_c")
-        netlist = build_bespoke_netlist(case.quant_model)
-
-        def ev():
-            return CircuitEvaluator.from_split(
-                case.quant_model, case.split.X_train, case.split.X_test,
-                case.split.y_test, engine="batched")
-
-        exact = NetlistPruner(netlist, ev(), GRID).explore()
-        relaxed = NetlistPruner(netlist, ev(), GRID,
-                                identity="relaxed").explore()
-        assert _loose(relaxed) == _loose(exact)
-        bound = max(8, int(0.05 * netlist.n_gates))
-        assert max(abs(a.record.n_gates - b.record.n_gates)
-                   for a, b in zip(relaxed, exact)) <= bound
-
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=20, deadline=None, derandomize=True)
-    def test_random_netlists_loose_identity(self, seed):
-        """Property: relaxed reproduces exact's accuracy/coordinate lists.
-
-        Coordinates (tau_c, phi_c, n_pruned, duplicates) are asserted
-        unconditionally — they derive from the grid statistics, never
-        from the walk.  The accuracy assertion is scoped to netlists
-        where the repo's *baseline* contract (incremental exact walk ==
-        ``explore_legacy``) holds: on adversarial random netlists the
-        seed repo's own incremental fold can reach functionally
-        different circuits than the from-scratch fold (documented in
-        ``tests/test_batched.py`` — tau-correlated real circuits are
-        what make it exact), and relaxed mode can only be held to the
-        reference its own baseline meets.
-
-        ``derandomize=True``: the exact == legacy gate below scopes out
-        instability on *exact's* fold route, but the relaxed lattice
-        walk folds along its own cross-tau route, which can diverge on
-        netlists where exact's route happens to agree (seed 324: same
-        coordinates and n_pruned, different accuracy at one point).
-        That route sensitivity is the documented adversarial-netlist
-        limitation, not a regression, so the suite replays a fixed
-        example set instead of hunting for new such seeds in CI.
-        """
-        rng = np.random.default_rng(seed)
-        width = int(rng.integers(3, 6))
-        nl = _random_netlist(rng, int(rng.integers(15, 80)), width)
-        grid = (0.7, 0.8, 0.9, 0.95)
-        evaluator = _random_evaluator(rng, width)
-        exact = NetlistPruner(nl, evaluator, grid).explore()
-        relaxed = NetlistPruner(nl, evaluator, grid,
-                                identity="relaxed").explore()
-        coords = [(d.tau_c, d.phi_c, d.n_pruned, d.duplicate_of)
-                  for d in relaxed]
-        assert coords == [(d.tau_c, d.phi_c, d.n_pruned, d.duplicate_of)
-                          for d in exact]
-        legacy = NetlistPruner(nl, evaluator, grid).explore_legacy()
-        assume([d.record.accuracy for d in exact]
-               == [d.record.accuracy for d in legacy])
-        assert _loose(relaxed) == _loose(exact)
-
-    def test_unsorted_tau_grid(self, svm_setup):
-        """The lattice orders chains by tau *value*, not grid position."""
-        netlist, make_evaluator = svm_setup
-        shuffled = (0.95, 0.82, 0.99, 0.90, 0.85)
-        exact = NetlistPruner(netlist, make_evaluator(),
-                              shuffled).explore()
-        relaxed = NetlistPruner(netlist, make_evaluator(), shuffled,
-                                identity="relaxed").explore()
-        assert _loose(relaxed) == _loose(exact)
-
-    def test_relaxed_memo_reuse_is_stable(self, svm_setup):
-        """A second relaxed explore() on one pruner returns the same list."""
-        netlist, make_evaluator = svm_setup
-        pruner = NetlistPruner(netlist, make_evaluator(), (0.9, 0.95),
-                               identity="relaxed")
-        assert pruner.explore() == pruner.explore()
-
-    def test_relaxed_parallel_matches_exact_records(self, svm_setup):
-        """Pool workers have no cross-tau fold to share: relaxed+workers
-        degrades gracefully to exact-structure records."""
-        netlist, make_evaluator = svm_setup
-        grid = (0.90, 0.95, 0.99)
-        with NetlistPruner(netlist, make_evaluator(), grid, n_workers=2,
-                           identity="relaxed") as pruner:
-            parallel = pruner.explore()
-        exact = NetlistPruner(netlist, make_evaluator(), grid).explore()
-        assert _loose(parallel) == _loose(exact)
-
-    def test_relaxed_nonbatched_engine_stays_exact(self, svm_setup):
-        """Per-variant engines ignore the mode: exact structure, which
-        trivially satisfies the relaxed contract."""
-        netlist, make_evaluator = svm_setup
-        grid = (0.90, 0.95)
-        relaxed = NetlistPruner(netlist, make_evaluator(engine="compiled"),
-                                grid, identity="relaxed").explore()
-        exact = NetlistPruner(netlist, make_evaluator(engine="compiled"),
-                              grid).explore()
-        assert _strict(relaxed) == _strict(exact)
 
 
 class TestPersistentExecutor:

@@ -283,6 +283,28 @@ class TestConformance:
         assert results["badtenant"][0] == 400
         assert results["badsweep"][0] == 400
 
+    def test_malformed_request_values_rejected(self, tmp_path):
+        """Values ``from_dict`` used to coerce silently are now a 400."""
+        bad_requests = {
+            "tau_string": {**REQ, "tau_grid": "09"},
+            "tau_nan": {**REQ, "tau_grid": [float("nan")]},
+            "e_fraction": {**REQ, "e": 4.7},
+            "e_bool": {**REQ, "e": True},
+            "dataset_int": {**REQ, "dataset": 7},
+            "label_int": {**REQ, "label": 7},
+            "identity": {**REQ, "identity": "exact"},
+        }
+
+        async def run():
+            async with running_server(tmp_path) as server:
+                return {name: await http(server.port, "POST",
+                                         "/v1/explore", body)
+                        for name, body in bad_requests.items()}
+        results = asyncio.run(run())
+        for name, (status, _head, _body) in results.items():
+            assert status == 400, name
+        assert "unknown request fields" in results["identity"][2]
+
 
 def count_job_runs(monkeypatch) -> list:
     """Grid keys of every ExplorationJob.run call, in call order."""
@@ -414,14 +436,12 @@ class TestTiers:
 
 class TestTenancy:
     def test_namespace_changes_base_fingerprint(self):
-        plain = base_fingerprint_from_parts("nl", "ev", "exact")
-        tenant1 = base_fingerprint_from_parts("nl", "ev", "exact",
-                                              namespace="t1")
-        tenant2 = base_fingerprint_from_parts("nl", "ev", "exact",
-                                              namespace="t2")
+        plain = base_fingerprint_from_parts("nl", "ev")
+        tenant1 = base_fingerprint_from_parts("nl", "ev", namespace="t1")
+        tenant2 = base_fingerprint_from_parts("nl", "ev", namespace="t2")
         assert len({plain, tenant1, tenant2}) == 3
         # the empty namespace is byte-compatible with pre-namespace keys
-        assert plain == base_fingerprint_from_parts("nl", "ev", "exact",
+        assert plain == base_fingerprint_from_parts("nl", "ev",
                                                     namespace="")
 
     def test_tenants_get_isolated_stores_and_keys(

@@ -124,17 +124,6 @@ class TestFingerprints:
         base = base_fingerprint(netlist, evaluator)
         assert grid_key(base, GRID) != grid_key(base, GRID[:-1])
 
-    def test_identity_modes_never_alias(self, svm_setup):
-        """Relaxed records may differ structurally from exact ones, so
-        the two modes must resolve to different content keys."""
-        netlist, evaluator = svm_setup
-        exact = base_fingerprint(netlist, evaluator, "exact")
-        relaxed = base_fingerprint(netlist, evaluator, "relaxed")
-        assert exact != relaxed
-        assert exact == base_fingerprint(netlist, evaluator)  # default
-        assert grid_key(exact, GRID) != grid_key(relaxed, GRID)
-
-
 class TestStoreHitIdentity:
     def test_job_matches_plain_explore(self, svm_setup, cold_designs,
                                        tmp_path):
@@ -193,6 +182,14 @@ class TestStoreHitIdentity:
             job = ExplorationJob(NetlistPruner(netlist, evaluator, GRID),
                                  store, shard_size=shard_size)
             assert job.run() == cold_designs
+
+    def test_shards_are_plain_slices(self, svm_setup, tmp_path):
+        netlist, evaluator = svm_setup
+        grid = (0.82, 0.85, 0.90, 0.93, 0.95, 0.97, 0.99)
+        job = ExplorationJob(NetlistPruner(netlist, evaluator, grid),
+                             DesignStore(tmp_path / "s.sqlite"),
+                             shard_size=2)
+        assert job.shards() == [grid[0:2], grid[2:4], grid[4:6], grid[6:]]
 
 
 class TestResume:
@@ -289,84 +286,6 @@ raise SystemExit("unreachable: the process should have been killed")
         resumed = ExplorationJob(NetlistPruner(netlist, evaluator, GRID),
                                  store, shard_size=3).run()
         assert resumed == cold_designs
-
-
-class TestIdentityModes:
-    def test_relaxed_job_matches_relaxed_explore(self, svm_setup,
-                                                 tmp_path):
-        """Store-backed relaxed runs: warm hits are bit-identical to the
-        same job's cold run; against an *unsharded* relaxed explore the
-        accuracy/coordinate lists match and structure stays within the
-        relaxed tolerance (the lattice resets per checkpoint shard, so
-        the shard partition may shift gate counts by a few gates)."""
-        netlist, evaluator = svm_setup
-        unsharded = NetlistPruner(netlist, evaluator, GRID,
-                                  identity="relaxed").explore()
-        store = DesignStore(tmp_path / "store.sqlite")
-        cold = ExplorationJob(
-            NetlistPruner(netlist, evaluator, GRID, identity="relaxed"),
-            store, shard_size=2).run()
-        loose = [(d.tau_c, d.phi_c, d.n_pruned, d.record.accuracy,
-                  d.duplicate_of) for d in cold]
-        assert loose == [(d.tau_c, d.phi_c, d.n_pruned, d.record.accuracy,
-                          d.duplicate_of) for d in unsharded]
-        bound = max(8, int(0.05 * netlist.n_gates))
-        assert max(abs(a.record.n_gates - b.record.n_gates)
-                   for a, b in zip(cold, unsharded)) <= bound
-        report = JobReport("")
-        warm = ExplorationJob(
-            NetlistPruner(netlist, evaluator, GRID, identity="relaxed"),
-            store, shard_size=2).run(report=report)
-        assert report.grid_hit
-        assert warm == cold  # bit-identical store hit
-
-    def test_relaxed_kill_and_resume(self, svm_setup, tmp_path):
-        """Resumed relaxed runs reassemble the cold relaxed list."""
-        netlist, evaluator = svm_setup
-        store = DesignStore(tmp_path / "store.sqlite")
-
-        class Bomb(Exception):
-            pass
-
-        def explode_after_first(index, n_shards):
-            if index == 0:
-                raise Bomb()
-
-        def relaxed_job(shard_size=2):
-            return ExplorationJob(
-                NetlistPruner(netlist, evaluator, GRID,
-                              identity="relaxed"),
-                store, shard_size=shard_size)
-
-        cold = ExplorationJob(
-            NetlistPruner(netlist, evaluator, GRID, identity="relaxed"),
-            DesignStore(tmp_path / "cold.sqlite"), shard_size=2).run()
-        with pytest.raises(Bomb):
-            relaxed_job().run(on_shard=explode_after_first)
-        report = JobReport("")
-        resumed = relaxed_job().run(report=report)
-        assert report.shards_loaded == 1
-        assert resumed == cold
-
-    def test_modes_share_a_store_without_aliasing(self, svm_setup,
-                                                  cold_designs, tmp_path):
-        netlist, evaluator = svm_setup
-        store = DesignStore(tmp_path / "store.sqlite")
-        exact = ExplorationJob(NetlistPruner(netlist, evaluator, GRID),
-                               store).run()
-        report = JobReport("")
-        ExplorationJob(
-            NetlistPruner(netlist, evaluator, GRID, identity="relaxed"),
-            store).run(report=report)
-        assert not report.grid_hit  # relaxed never hits the exact grid
-        assert report.variants_preloaded == 0  # nor its variants
-        assert exact == cold_designs
-        # and the exact grid is still served exactly
-        report = JobReport("")
-        again = ExplorationJob(NetlistPruner(netlist, evaluator, GRID),
-                               store).run(report=report)
-        assert report.grid_hit
-        assert again == cold_designs
 
 
 class TestStoreGc:
@@ -558,15 +477,46 @@ class TestServiceRunner:
         with pytest.raises(ValueError, match="unknown request fields"):
             ExploreRequest.from_dict({"dataset": "redwine",
                                       "model": "svm_r", "surprise": 1})
-        with pytest.raises(ValueError, match="unknown identity"):
+
+    def test_identity_field_is_unknown(self):
+        """The exploration has one identity mode; the wire field is gone."""
+        with pytest.raises(ValueError, match="unknown request fields"):
             ExploreRequest.from_dict({"dataset": "redwine",
                                       "model": "svm_r",
-                                      "identity": "sloppy"})
-        relaxed = ExploreRequest.from_dict({"dataset": "redwine",
-                                            "model": "svm_r",
-                                            "identity": "relaxed"})
-        assert relaxed.identity == "relaxed"
-        assert relaxed.name.endswith("@relaxed")
+                                      "identity": "exact"})
+
+
+class TestRequestValidation:
+    """Malformed wire input is a ValueError, never a silent coercion."""
+
+    @pytest.mark.parametrize("fields, message", (
+        ({"tau_grid": "09"}, "tau_grid must be a list"),
+        ({"tau_grid": [float("nan")]}, r"\[0, 1\]"),
+        ({"tau_grid": [0.9, float("inf")]}, r"\[0, 1\]"),
+        ({"tau_grid": [1.5]}, r"\[0, 1\]"),
+        ({"tau_grid": ["0.9"]}, "must be numbers"),
+        ({"tau_grid": [True]}, "must be numbers"),
+        ({"e": 4.7}, "must be an integer"),
+        ({"e": True}, "must be an integer"),
+        ({"e": "4"}, "must be an integer"),
+        ({"dataset": 7}, "dataset must be a string"),
+        ({"model": 7}, "model must be a string"),
+        ({"label": 7}, "label must be a string"),
+    ), ids=("tau-string", "tau-nan", "tau-inf", "tau-range", "tau-str-item",
+            "tau-bool", "e-fraction", "e-bool", "e-string", "dataset-int",
+            "model-int", "label-int"))
+    def test_malformed_field_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ExploreRequest.from_dict({"dataset": "redwine",
+                                      "model": "svm_r", **fields})
+
+    def test_well_formed_values_still_parse(self):
+        request = ExploreRequest.from_dict({
+            "dataset": "redwine", "model": "svm_r",
+            "tau_grid": (0, 0.9, 1), "e": 4.0, "label": "x"})
+        assert request.tau_grid == (0.0, 0.9, 1.0)
+        assert request.e == 4 and isinstance(request.e, int)
+        assert request.label == "x"
 
 
 class TestCli:
@@ -628,54 +578,6 @@ class TestFrameworkRouting:
         assert framework.store.path == str(tmp_path / "env.sqlite")
         monkeypatch.delenv("REPRO_STORE")
         assert framework_for(case).store is None
-
-
-class TestRelaxedShardInvariance:
-    """Satellite contract: relaxed records no longer depend on the shard
-    partition — the lattice resets at grid-pinned blocks
-    (``RELAXED_BLOCK``), and relaxed jobs round their shards up to whole
-    blocks."""
-
-    GRID7 = (0.82, 0.85, 0.90, 0.93, 0.95, 0.97, 0.99)
-
-    def _relaxed_pruner(self):
-        case = get_case("redwine", "svm_r")
-        netlist = build_bespoke_netlist(case.quant_model)
-        evaluator = CircuitEvaluator.from_split(
-            case.quant_model, case.split.X_train, case.split.X_test,
-            case.split.y_test)
-        return NetlistPruner(netlist, evaluator, self.GRID7,
-                             identity="relaxed")
-
-    def test_records_identical_across_shard_sizes(self, tmp_path):
-        results = {}
-        for size in (1, 2, 3, 4, 5, 7):
-            store = DesignStore(tmp_path / f"s{size}.sqlite")
-            results[size] = ExplorationJob(self._relaxed_pruner(), store,
-                                           shard_size=size).run()
-        baseline = results[1]
-        for size, designs in results.items():
-            assert designs == baseline, f"shard size {size} differs"
-
-    def test_sharded_matches_serial_walk(self, tmp_path):
-        store = DesignStore(tmp_path / "serial.sqlite")
-        sharded = ExplorationJob(self._relaxed_pruner(), store,
-                                 shard_size=2).run()
-        assert self._relaxed_pruner().explore() == sharded
-
-    def test_relaxed_shards_are_block_aligned(self, tmp_path):
-        from repro.core.pruning import RELAXED_BLOCK
-        job = ExplorationJob(self._relaxed_pruner(),
-                             DesignStore(tmp_path / "a.sqlite"),
-                             shard_size=2)
-        sizes = [len(shard) for shard in job.shards()]
-        assert all(size % RELAXED_BLOCK == 0 for size in sizes[:-1])
-        # Exact jobs keep the configured granularity.
-        exact = self._relaxed_pruner()
-        exact.identity = "exact"
-        job = ExplorationJob(exact, DesignStore(tmp_path / "b.sqlite"),
-                             shard_size=2)
-        assert [len(shard) for shard in job.shards()] == [2, 2, 2, 1]
 
 
 @pytest.fixture()
@@ -967,79 +869,54 @@ class TestESweep:
         assert warm[-1]["store"]["coeff_netlists"] == 2
 
 
-class TestRelaxedUnsortedGridInvariance:
-    """Relaxed shards partition the value-sorted grid, so even a
-    caller-shuffled tau grid stays block-aligned — records identical
-    across shard sizes and to the serial walk, list order untouched."""
+class TestUnsortedGridInvariance:
+    """Shards slice the caller's grid as spelled, so a shuffled tau grid
+    gives records identical across shard sizes and to the serial walk,
+    list order untouched."""
 
     SHUFFLED = (0.95, 0.82, 0.99, 0.90, 0.85, 0.97, 0.93)
 
-    def _pruner(self, identity="relaxed"):
+    @staticmethod
+    def _pruner(grid):
         case = get_case("redwine", "svm_r")
         netlist = build_bespoke_netlist(case.quant_model)
         evaluator = CircuitEvaluator.from_split(
             case.quant_model, case.split.X_train, case.split.X_test,
             case.split.y_test)
-        return NetlistPruner(netlist, evaluator, self.SHUFFLED,
-                             identity=identity)
+        return NetlistPruner(netlist, evaluator, grid)
 
     def test_records_invariant_and_order_preserved(self, tmp_path):
         results = {}
         for size in (1, 2, 3, 5):
             store = DesignStore(tmp_path / f"u{size}.sqlite")
-            results[size] = ExplorationJob(self._pruner(), store,
-                                           shard_size=size).run()
-        serial = self._pruner().explore()
+            results[size] = ExplorationJob(self._pruner(self.SHUFFLED),
+                                           store, shard_size=size).run()
+        serial = self._pruner(self.SHUFFLED).explore()
         for size, designs in results.items():
             assert designs == serial, f"shard size {size} differs"
-        # Ordering and duplicate attribution follow the caller's grid
-        # order, byte-identical to exact mode (the relaxed contract).
-        exact = self._pruner(identity="exact").explore()
-        assert [(d.tau_c, d.phi_c, d.n_pruned, d.record.accuracy,
-                 d.duplicate_of) for d in serial] \
-            == [(d.tau_c, d.phi_c, d.n_pruned, d.record.accuracy,
-                 d.duplicate_of) for d in exact]
+        # Ordering follows the caller's grid order.
+        taus = [d.tau_c for d in serial]
+        assert sorted(set(taus), key=taus.index) == list(self.SHUFFLED)
 
-    def test_duplicate_tau_values_stay_block_aligned(self, tmp_path):
-        """A tau value duplicated across a block boundary must not split
-        its lattice block between shards (block membership is the dense
-        rank of *distinct* values; shards keep equal values together)."""
-        case = get_case("redwine", "svm_r")
-        netlist = build_bespoke_netlist(case.quant_model)
+    def test_duplicate_tau_values_match_serial(self, tmp_path):
+        """A tau value duplicated across a shard boundary still gives
+        the serial list (duplicate attribution is a pure function of
+        the rows in grid order)."""
         grid = (0.82, 0.85, 0.90, 0.93, 0.95, 0.95, 0.97, 0.99)
-
-        def pruner():
-            evaluator = CircuitEvaluator.from_split(
-                case.quant_model, case.split.X_train, case.split.X_test,
-                case.split.y_test)
-            return NetlistPruner(netlist, evaluator, grid,
-                                 identity="relaxed")
-
-        serial = pruner().explore()
+        serial = self._pruner(grid).explore()
         for size in (1, 2, 5):
             store = DesignStore(tmp_path / f"d{size}.sqlite")
-            sharded = ExplorationJob(pruner(), store,
+            sharded = ExplorationJob(self._pruner(grid), store,
                                      shard_size=size).run()
             assert sharded == serial, f"shard size {size} differs"
 
     def test_interleaved_duplicate_taus_match_serial_order(self, tmp_path):
-        """Duplicates spelled out of order re-interleave to the caller's
-        exact positions — sharded relaxed lists equal the serial walk's
-        byte for byte (the reviewer-reproduced edge)."""
-        case = get_case("redwine", "svm_r")
-        netlist = build_bespoke_netlist(case.quant_model)
+        """Duplicates spelled out of order keep the caller's positions:
+        sharded lists equal the serial walk's byte for byte."""
         grid = (0.95, 0.90, 0.95)
-
-        def pruner():
-            evaluator = CircuitEvaluator.from_split(
-                case.quant_model, case.split.X_train, case.split.X_test,
-                case.split.y_test)
-            return NetlistPruner(netlist, evaluator, grid,
-                                 identity="relaxed")
-
-        serial = pruner().explore()
+        serial = self._pruner(grid).explore()
         for size in (1, 2):
             store = DesignStore(tmp_path / f"i{size}.sqlite")
-            sharded = ExplorationJob(pruner(), store,
+            sharded = ExplorationJob(self._pruner(grid), store,
                                      shard_size=size).run()
             assert sharded == serial, f"shard size {size} differs"
