@@ -26,10 +26,11 @@ The exploration is a full search over the (tau_c, phi_c) grid, organized
 for speed:
 
 * **Incremental chains.** For a fixed tau_c the prune sets grow
-  monotonically with phi_c, so each chain applies only the *delta* gates
-  to the previously pruned-and-synthesized netlist (located through the
-  net map of :func:`~repro.hw.synthesis.synthesize_with_map`) instead of
-  resynthesizing the base circuit from scratch.
+  monotonically with phi_c, so each chain ties only the *delta* gates
+  onto the previously pruned-and-folded circuit (the cone rewrite of
+  :class:`~repro.hw.incremental.IncrementalCircuit`, located through
+  the node map of :func:`~repro.hw.synthesis.synthesize_arrays`)
+  instead of resynthesizing the base circuit from scratch.
 * **Memoized records.** Identical prune sets arising from different
   (tau_c, phi_c) pairs are evaluated once; the record memo also persists
   on the pruner across ``explore()`` calls.
@@ -298,7 +299,8 @@ def _apply_step(base: ArrayCircuit, state: tuple | None,
     if not incremental:
         # No chain state to carry (and nothing for the trie to fork).
         return None, pruned
-    state = (IncrementalCircuit.from_arrays(pruned), chain_map, set(force))
+    state = (IncrementalCircuit.from_arrays(pruned, shared=True), chain_map,
+             set(force))
     return state, pruned
 
 
@@ -308,14 +310,32 @@ def _evaluate_variant(evaluator: CircuitEvaluator, circ: ArrayCircuit,
     return evaluator.evaluate(circ.to_netlist() if as_netlist else circ)
 
 
+def _fold_base(nl: Netlist) -> tuple[ArrayCircuit, bool]:
+    """``nl`` folded and stripped, and whether that changed any row.
+
+    The folded base is the circuit a pruner prunes: its prune space,
+    every walk, the legacy oracle and the store's base key all name its
+    gates.  Bespoke circuits come out of their builders already folded,
+    so for them this is the identity.
+    """
+    raw = ArrayCircuit.from_netlist(nl)[0]
+    folded = synthesize_arrays(raw)[0]
+    same = (folded.ops == raw.ops and folded.ina == raw.ina
+            and folded.inb == raw.inb and folded.inc == raw.inc
+            and folded.outputs == raw.outputs and folded.watch == raw.watch)
+    return folded, not same
+
+
 def _root_state(base: ArrayCircuit) -> tuple:
-    """Fold the base once and wrap it as the shared chain-root state.
+    """Wrap the folded base as the shared chain-root state.
 
     Every chain root forks this state and ties its first prune set onto
     it — the cone rewrite replaces a from-scratch synthesis per chain.
+    The base is already at the fold fixpoint, so its node map is the
+    identity.
     """
-    folded, node_map = synthesize_arrays(base, None)
-    return (IncrementalCircuit.from_arrays(folded), node_map, frozenset())
+    return (IncrementalCircuit.from_arrays(base), list(range(base.n_nets)),
+            frozenset())
 
 
 def _explore_chain(base: ArrayCircuit, evaluator: CircuitEvaluator,
@@ -528,7 +548,7 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
                          for gate_idx, value
                          in zip(gates_l[:count], consts_l[:count])}
         pruned, chain_map = synthesize_arrays(base, force_by_node)
-        state[:] = [IncrementalCircuit.from_arrays(pruned),
+        state[:] = [IncrementalCircuit.from_arrays(pruned, shared=True),
                     chain_map, count, None, 0, {}]
         if not known(key):
             resolved[key] = _evaluate_variant(evaluator, pruned,
@@ -610,7 +630,7 @@ _WORKER_CONTEXT: dict = {}
 def _init_chain_worker(base: Netlist, evaluator: CircuitEvaluator,
                        incremental: bool, use_batched: bool = False,
                        stats: tuple | None = None) -> None:
-    circ, _ = ArrayCircuit.from_netlist(base)
+    circ, _changed = _fold_base(base)
     root = _root_state(circ) if incremental else None
     # Rebuild the PruneSpace worker-side from the shipped statistic
     # arrays (tau, const_value, phi) — the batched walk derives its
@@ -709,8 +729,10 @@ class NetlistPruner:
     """Full-search pruning exploration over one base netlist.
 
     Args:
-        netlist: synthesized base circuit (exact or coefficient-
-            approximated — the cross-layer flow runs both).
+        netlist: base circuit (exact or coefficient-approximated —
+            the cross-layer flow runs both).  The pruner folds and
+            strips it at construction and prunes the folded form; a
+            base already at the fold fixpoint stays the same object.
         evaluator: stimulus/scoring context; training activity defines
             tau, the test set scores every pruned variant.
         tau_grid: the tau_c sweep (defaults to the paper's 80..99%).
@@ -765,9 +787,19 @@ class NetlistPruner:
         default_factory=lambda: SupervisionTelemetry(), repr=False)
     _space: PruneSpace | None = field(default=None, repr=False)
     _record_memo: dict = field(default_factory=dict, repr=False)
-    _base_arrays: ArrayCircuit | None = field(default=None, repr=False)
+    _base_arrays: ArrayCircuit = field(init=False, repr=False)
     _pool: ProcessPoolExecutor | None = field(default=None, repr=False)
     _pool_key: tuple | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        # Fold and strip the base once, here: a raw base's gate ids name
+        # logic the folding walks never see, so the pruner swaps in the
+        # folded netlist.  An already-folded base (every bespoke circuit)
+        # stays the caller's object, which keeps the evaluator's
+        # per-netlist simulation cache warm.
+        self._base_arrays, changed = _fold_base(self.netlist)
+        if changed:
+            self.netlist = self._base_arrays.to_netlist()
 
     def resolved_engine(self) -> str:
         """The exploration engine ``engine``/the evaluator select here."""
@@ -790,12 +822,6 @@ class NetlistPruner:
             activity = self.evaluator.train_activity(self.netlist)
             self._space = PruneSpace.from_activity(self.netlist, activity)
         return self._space
-
-    def _base_circuit(self) -> ArrayCircuit:
-        """The base netlist in array form (chain synthesis operates on it)."""
-        if self._base_arrays is None:
-            self._base_arrays = ArrayCircuit.from_netlist(self.netlist)[0]
-        return self._base_arrays
 
     def prune(self, tau_c: float, phi_c: int) -> Netlist:
         """One pruned and resynthesized variant."""
@@ -914,7 +940,7 @@ class NetlistPruner:
                 else replace(self.evaluator, engine=name)
             try:
                 fault_point(f"engine.{name}")
-                base_circ = self._base_circuit()
+                base_circ = self._base_arrays
                 root = _root_state(base_circ) if self.incremental \
                     else None
                 if root is not None and use_batched:

@@ -55,7 +55,6 @@ from .synthesis import (
     synthesize,
     synthesize_arrays,
     synthesize_reference,
-    synthesize_with_map,
 )
 from .timing import TimingReport, critical_path_ms
 from .verilog import emit_cell_models, to_verilog
@@ -114,7 +113,6 @@ __all__ = [
     "synthesize",
     "synthesize_arrays",
     "synthesize_reference",
-    "synthesize_with_map",
     "TimingReport",
     "critical_path_ms",
     "load_netlist",

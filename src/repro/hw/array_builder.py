@@ -13,41 +13,42 @@ datapaths per coefficient radius.
 :class:`ArrayEmitter` is the other backend.  It appends each gate as a
 row of the flat opcode/operand arrays of the
 :class:`~repro.hw.synthesis.ArrayCircuit` layout (node ids are
-``n_fixed + row``), applying ``_fold_arrays``'s folding rules *at
-emission time*: constant propagation, operand dedup, the symmetric
-inversion registry, MUX strength reduction, and the same int-packed
-structural-hashing keys.  Emission therefore lands directly on the fold
-fixpoint — a full circuit materializes as one pass over flat int lists
-plus one dead-gate strip, with no builder objects and no separate fold.
+``n_fixed + row``) and folds *at emission time*: it extends
+:class:`~repro.hw.fold.RowFolder`, the one kernel of folding rules
+(constant propagation, operand dedup, the symmetric inversion registry,
+MUX strength reduction, int-packed structural hashing).  Emission
+therefore lands directly on the fold fixpoint — a full circuit
+materializes as one pass over flat int lists plus one dead-gate strip,
+with no builder objects and no separate fold.
 
 Why this is gate-for-gate identical to the per-gate backend
 -----------------------------------------------------------
 
 Construction through the :class:`~repro.hw.netlist.Netlist` folding
 builders *is* a streaming fold of the logical op sequence: the builders
-apply the same rules as ``_fold_arrays``, one op at a time, in emission
-order, and ``synthesize``'s extra pass over the result is a structural
-identity (see :func:`~repro.hw.synthesis.synthesize_arrays`).  Both
-backends receive the same op sequence by construction — one ``Value``
-generator drives them — so the emitter lands on the same fixpoint
-provided its rules match ``_fold_arrays`` rule-for-rule, branch order
-included, for the ops it emits (AND/OR/XOR/INV/MUX).  The scalar
-helpers below mirror the fold pass's ``and_``/``or_``/``not_``/``mux_``/
-XOR dispatch line by line, so a fold pass over the emitted arrays is the
-identity transform (``changed == False``) — an invariant the
+apply the kernel's rules, one op at a time, in emission order, and
+``synthesize``'s extra pass over the result is a structural identity
+(see :func:`~repro.hw.synthesis.synthesize_arrays`).  Both backends
+receive the same op sequence by construction — one ``Value`` generator
+drives them — and the synthesis fold pass replays rows through the very
+kernel the emitter folds with, so a fold pass over the emitted arrays is
+the identity transform (``changed == False``) — an invariant the
 equivalence tests assert directly.
 
-:meth:`ArrayEmitter.ripple_add` is the one block with its own kernel:
-adders are most of every bespoke circuit, and inlining the carry chain's
-five ops per bit over the flat arrays keeps the build stage clear of
-per-op helper calls.  It emits the same ops, in the same order, as
-:meth:`Netlist.ripple_add <repro.hw.netlist.Netlist.ripple_add>`.
+:meth:`ArrayEmitter.ripple_add` is the one block with its own fused
+loop: adders are most of every bespoke circuit, and inlining the carry
+chain's five ops per bit over the flat arrays keeps the build stage
+clear of per-op rule calls (routing it through the rule methods costs
+10-14% of the build stage; see ``docs/ARCHITECTURE.md``).  It applies
+the kernel's AND/OR/XOR rules and emits the same ops, in the same
+order, as :meth:`Netlist.ripple_add <repro.hw.netlist.Netlist.ripple_add>`.
 """
 
 from __future__ import annotations
 
 from .bespoke import _build, _emit_multiplier, _emit_weighted_sum, emit_bespoke
-from .compiled import OP_AND, OP_INV, OP_MUX, OP_OR, OP_XOR
+from .compiled import OP_AND, OP_OR, OP_XOR
+from .fold import RowFolder
 from .synthesis import ArrayCircuit, _strip_arrays
 
 __all__ = [
@@ -58,42 +59,27 @@ __all__ = [
 ]
 
 
-class ArrayEmitter:
+class ArrayEmitter(RowFolder):
     """Appends folded gate rows for one circuit; node ids ``n_fixed + row``.
 
-    Implements the emitter interface of :mod:`repro.hw.blocks`.  Input
-    buses must all be declared before the first gate row (the bespoke
-    generators do; it is what keeps node ids final at emission time).
-    The scalar emitters (:meth:`xor_`, :meth:`and_`, ...) apply
-    ``_fold_arrays``'s rules at emission — see the module docstring —
-    so the emitted arrays are already at the fold fixpoint and only the
-    dead-gate strip remains.  ``finish``/``finish_synthesized`` package
-    the rows as an :class:`~repro.hw.synthesis.ArrayCircuit`.
+    Implements the emitter interface of :mod:`repro.hw.blocks` on top of
+    the :class:`~repro.hw.fold.RowFolder` rule kernel, so the emitted
+    arrays are already at the fold fixpoint and only the dead-gate strip
+    remains.  Input buses must all be declared before the first gate row
+    (the bespoke generators do; it is what keeps node ids final at
+    emission time).  ``finish``/``finish_synthesized`` package the rows
+    as an :class:`~repro.hw.synthesis.ArrayCircuit`.
     """
 
-    __slots__ = ("name", "input_buses", "n_fixed", "ops", "ina", "inb",
-                 "inc", "levels", "outputs", "signed", "meta",
-                 "_inv", "_cse", "_node_level")
+    __slots__ = ("name", "input_buses", "outputs", "signed", "meta")
 
     def __init__(self, name: str = "netlist") -> None:
+        super().__init__(2)  # nodes 0/1 are the constant ties
         self.name = name
         self.input_buses: dict[str, list[int]] = {}
-        self.n_fixed = 2  # nodes 0/1 are the constant ties
-        self.ops: list[int] = []
-        self.ina: list[int] = []
-        self.inb: list[int] = []
-        self.inc: list[int] = []
-        self.levels: list[int] = []
         self.outputs: dict[str, list[int]] = {}
         self.signed: dict[str, bool] = {}
         self.meta: dict = {}
-        # Known inverses (symmetric), mirroring the fold pass's inv_of:
-        # INV rows only ever come from not_, registered both ways.
-        self._inv: dict[int, int] = {}
-        # Structural-hashing table with _fold_arrays's int-packed keys.
-        self._cse: dict[int, int] = {}
-        # Topological depth per node id (constants and inputs at 0).
-        self._node_level: list[int] = [0, 0]
 
     # -- interface -----------------------------------------------------
     @property
@@ -121,117 +107,6 @@ class ArrayEmitter:
         self.outputs[name] = list(nets)
         self.signed[name] = signed
 
-    # -- scalar row emitters (the fold rules, applied at emission) ------
-    def row(self, op: int, a: int, b: int = 0, c: int = 0) -> int:
-        """Append one gate row unconditionally; returns its node id.
-
-        Callers are responsible for structural-hash registration; the
-        unused operand slots default to node 0 (level 0), so the level
-        computation is uniform across arities.
-        """
-        lvl = self._node_level
-        la, lb, lc = lvl[a], lvl[b], lvl[c]
-        level = (la if la > lb else lb)
-        level = (level if level > lc else lc) + 1
-        node = self.n_fixed + len(self.ops)
-        self.ops.append(op)
-        self.ina.append(a)
-        self.inb.append(b)
-        self.inc.append(c)
-        self.levels.append(level)
-        lvl.append(level)
-        return node
-
-    def not_(self, x: int) -> int:
-        if x < 2:
-            return 1 - x
-        inv = self._inv.get(x)
-        if inv is None:
-            inv = self.row(OP_INV, x)
-            self._inv[x] = inv
-            self._inv[inv] = x
-        return inv
-
-    def _gate2(self, op: int, a: int, b: int) -> int:
-        # Commutative cells hash with sorted operands but keep the
-        # builder-given operand order, matching _fold_arrays.gate2.
-        key = (op | (b << 4) | (a << 34)) if a > b \
-            else (op | (a << 4) | (b << 34))
-        hit = self._cse.get(key)
-        if hit is not None:
-            return hit
-        out = self.row(op, a, b)
-        self._cse[key] = out
-        return out
-
-    def and_(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if a == 1:
-            return b
-        if b == 1:
-            return a
-        if a == b:
-            return a
-        if self._inv.get(a) == b:
-            return 0
-        return self._gate2(OP_AND, a, b)
-
-    def or_(self, a: int, b: int) -> int:
-        if a == 1 or b == 1:
-            return 1
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        if a == b:
-            return a
-        if self._inv.get(a) == b:
-            return 1
-        return self._gate2(OP_OR, a, b)
-
-    def xor_(self, a: int, b: int) -> int:
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        if a == 1:
-            return self.not_(b)
-        if b == 1:
-            return self.not_(a)
-        if a == b:
-            return 0
-        if self._inv.get(a) == b:
-            return 1
-        return self._gate2(OP_XOR, a, b)
-
-    def mux_(self, a: int, b: int, sel: int) -> int:
-        if sel == 0:
-            return a
-        if sel == 1:
-            return b
-        if a == b:
-            return a
-        if a == 0:
-            return self.and_(b, sel)
-        if a == 1:
-            return self.or_(b, self.not_(sel))
-        if b == 0:
-            return self.and_(a, self.not_(sel))
-        if b == 1:
-            return self.or_(a, sel)
-        if b == sel:  # sel ? sel : a  ==  a | sel
-            return self.or_(a, sel)
-        if a == sel:  # sel ? b : sel  ==  b & sel
-            return self.and_(b, sel)
-        key = OP_MUX | (a << 4) | (b << 34) | (sel << 64)
-        hit = self._cse.get(key)
-        if hit is not None:
-            return hit
-        out = self.row(OP_MUX, a, b, sel)
-        self._cse[key] = out
-        return out
-
     # -- block emitters -------------------------------------------------
     def ripple_add(self, a: list[int], b: list[int],
                    cin: int) -> list[int]:
@@ -239,9 +114,9 @@ class ArrayEmitter:
 
         Per bit, in :meth:`Netlist.ripple_add`'s order: propagate, sum,
         generate, propagate&carry, carry-out.  The whole carry chain lands in one
-        inlined loop over the flat row arrays — the scalar helpers'
-        fold rules with direct appends; helper fallback only for the
-        rare constant-one operand (bias bits).
+        inlined loop over the flat row arrays — the kernel's fold rules
+        with direct appends; the rule methods only serve the rare
+        constant-one operand (bias bits).
         """
         if len(a) != len(b):
             raise ValueError("operand widths differ")

@@ -7,16 +7,18 @@ circuit and applies each tie by rewriting only the affected fanout cone
 (plus the dead fanin it leaves behind), which is typically a few dozen
 gates.
 
-Correctness rests on a property of the folding rules in
-:mod:`repro.hw.synthesis`: their outcome is determined by circuit
-*structure*, not by gate visit order.  Operands always precede their
-consumers, every INV pair is registered before any gate that could fold
-over it, and structural hashing is keyed purely on (opcode, operands).
-The rewriter maintains the same three indices the batch fold builds
-(structural-hash table, inverse pairs, reference counts), so draining a
-tie's worklist reaches the same live-gate multiset the batch fold would
-produce from scratch — pinned down by the exploration equivalence tests
-against ``explore_legacy``.
+Each touched gate is refolded by :class:`~repro.hw.fold.FoldRules`, the
+same rule kernel the batch fold pass and the array builder run, so the
+rewriter states no rule of its own.  Correctness rests on a property of
+those rules: their outcome is determined by circuit *structure*, not by
+gate visit order.  Operands always precede their consumers, every INV
+pair is registered before any gate that could fold over it, and
+structural hashing is keyed purely on (opcode, operands).  The rewriter
+maintains the same three indices the batch fold builds (structural-hash
+table, inverse pairs, reference counts), so draining a tie's worklist
+reaches the same live-gate multiset the batch fold would produce from
+scratch — pinned down by the exploration equivalence tests against
+``explore_legacy``, random netlists with every cell type included.
 
 Unlike the batch fold, the hash table and the inverse-pair index are
 maintained *lazily*: killing or rewiring a gate leaves its stale entries
@@ -53,16 +55,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .compiled import (
-    OP_AND,
-    OP_BUF,
-    OP_INV,
-    OP_MUX,
-    OP_NAND,
-    OP_NOR,
-    OP_OR,
-    OP_XOR,
-)
+from .compiled import OP_BUF, OP_INV, OP_MUX
+from .fold import FoldRules, cse_key
 
 __all__ = ["IncrementalCircuit", "RewriteOverflow"]
 
@@ -71,30 +65,29 @@ class RewriteOverflow(RuntimeError):
     """Raised when a tie's rewrite cascade exceeds the safety cap."""
 
 
-def _key2(op: int, a: int, b: int) -> int:
-    """Structural-hash key; same packing as the batch fold pass."""
-    return (op | (b << 4) | (a << 34)) if a > b else (op | (a << 4) | (b << 34))
-
-
-def _key3(a: int, b: int, c: int) -> int:
-    return OP_MUX | (a << 4) | (b << 34) | (c << 64)
-
-
-class IncrementalCircuit:
+class IncrementalCircuit(FoldRules):
     """A folded circuit under incremental constant-tie rewriting."""
 
     __slots__ = ("n_fixed", "ops", "ina", "inb", "inc", "level", "alive",
                  "rc", "fanout", "fanout_owned", "cse", "inv_of", "forward",
                  "outputs", "signed", "watch", "input_buses", "meta", "name",
                  "n_live", "_work", "_np_cache", "_dirty",
-                 "_ops_np")
+                 "_ops_np", "shared", "_slot", "_created", "_pending")
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @staticmethod
-    def from_arrays(circ) -> "IncrementalCircuit":
-        """Build the mutable state from a freshly folded ArrayCircuit."""
+    def from_arrays(circ, shared: bool = False) -> "IncrementalCircuit":
+        """Build the mutable state from a freshly folded ArrayCircuit.
+
+        ``circ`` is :func:`~repro.hw.synthesis.synthesize_arrays` output,
+        so it carries its gate levels.  ``shared`` marks every node
+        shared, so any later :meth:`tie` refuses: pass it when ``circ``
+        is a forced fold, whose structural-hash hand-outs went
+        unrecorded.  An unforced fold of an already-folded circuit
+        shares nothing.
+        """
         self = IncrementalCircuit()
         n_fixed = circ.n_fixed
         ops = list(circ.ops)
@@ -106,38 +99,22 @@ class IncrementalCircuit:
         self.name = circ.name
         self.n_fixed = n_fixed
         self.ops, self.ina, self.inb, self.inc = ops, ina, inb, inc
-        levels = circ.levels
-        if levels is not None:
-            self.level = list(levels)
-        else:
-            level = [0] * n_nodes
-            for k in range(n_gates):
-                op = ops[k]
-                depth = level[ina[k]]
-                if op != OP_INV and op != OP_BUF:
-                    other = level[inb[k]]
-                    if other > depth:
-                        depth = other
-                    if op == OP_MUX:
-                        other = level[inc[k]]
-                        if other > depth:
-                            depth = other
-                level[n_fixed + k] = depth + 1
-            self.level = level[n_fixed:]
+        self.level = list(circ.levels)
         self.alive = bytearray(b"\x01") * n_gates if n_gates else bytearray()
         self.n_live = n_gates
         rc = [0] * n_nodes
         fanout: list[list[int]] = [[] for _ in range(n_nodes)]
         cse: dict[int, int] = {}
         inv_of = [-1] * n_nodes
+        self.shared = bytearray(b"\x01" if shared else b"\x00") * n_nodes
         for k in range(n_gates):
             op = ops[k]
             node = n_fixed + k
             a = ina[k]
             rc[a] += 1
             fanout[a].append(k)
+            cse[cse_key(op, a, inb[k], inc[k])] = node
             if op == OP_INV:
-                cse[_key2(OP_INV, a, 0)] = node
                 inv_of[a] = node
                 inv_of[node] = a
                 continue
@@ -148,9 +125,6 @@ class IncrementalCircuit:
                 c = inc[k]
                 rc[c] += 1
                 fanout[c].append(k)
-                cse[_key3(a, b, c)] = node
-            else:
-                cse[_key2(op, a, b)] = node
         self.rc = rc
         self.fanout = fanout
         # Copy-on-write ownership: forked states share fanout lists and
@@ -199,6 +173,7 @@ class IncrementalCircuit:
         other.fanout_owned = bytearray(len(self.fanout))
         other.cse = dict(self.cse)
         other.inv_of = list(self.inv_of)
+        other.shared = bytearray(self.shared)
         other.forward = dict(self.forward)
         other.outputs = {nm: list(n) for nm, n in self.outputs.items()}
         other.signed = dict(self.signed)
@@ -257,22 +232,28 @@ class IncrementalCircuit:
         """Tie each (resolved, live) node to its constant and refold.
 
         ``ties`` may name nodes that already forwarded to the requested
-        constant (no-ops).  A node forwarded to the *opposite* constant
-        raises ValueError — callers treat it like the batch-fold
-        inconsistency fallback.
+        constant (no-ops).  ValueError — which callers answer with a
+        from-scratch fold — is raised for a node forwarded to the
+        *opposite* constant, and for a node other logic reads as well:
+        one forwarded to another live signal, or one marked ``shared``
+        (handed out by a structural-hash hit, or the INV gate of a
+        complement pair a fold relied on).  Tying such a node would tie
+        that other logic too, which the batch fold never does, so only
+        a tie on a node carrying its own gate alone stays exact.
 
         Returns the ties as *applied*: the map from each live node that
-        was actually replaced by a constant to that constant.  Because a
-        later entry may resolve through forwards created by an earlier
-        entry's rewrite cascade, this resolved map cannot be precomputed
-        — it is exactly the clamp set a simulation of the *pre-tie*
+        was actually replaced by a constant to that constant (entries
+        already folded to their constant or stripped as dead drop out).
+        It is exactly the clamp set a simulation of the *pre-tie*
         circuit needs to reproduce this variant (the batched evaluator's
         per-variant constant-tie mask).
         """
         self._work = 0
         budget = 64 * (len(self.ops) + self.n_fixed) + 4096
         created: list[int] = []
-        pending: list[int] = []
+        self._created = created
+        # Slots whose operands changed, awaiting their refold.
+        self._pending: list[int] = []
         applied: dict[int, int] = {}
         for node, value in ties.items():
             target = self.resolve(node)
@@ -282,10 +263,11 @@ class IncrementalCircuit:
                 continue
             if not self.is_live_signal(target):
                 continue  # the signal was stripped as dead
+            if target != node or self.shared[target]:
+                raise ValueError("tie target is shared with other logic")
             applied[target] = value
-            self._replace(target, 1 if value else 0, pending, created,
-                          budget)
-        self._drain(pending, created, budget)
+            self._replace(target, 1 if value else 0)
+        self._drain(budget)
         # Helper gates whose uses all folded away mirror the batch
         # fold's final dead-strip.
         for slot in created:
@@ -303,10 +285,9 @@ class IncrementalCircuit:
         of the chain's root fold.  Gates the root fold already stripped
         as dead (``node_map`` entry < 0) contribute nothing; two gates
         merging onto one live node with opposite constants — or a tie
-        conflict / rewrite-cascade overflow inside :meth:`tie` — return
-        ``None``, and the caller
-        must discard this (possibly partially rewritten) state and
-        refold from scratch.
+        :meth:`tie` refuses, or a rewrite-cascade overflow — return
+        ``None``, and the caller must discard this (possibly partially
+        rewritten) state and refold from scratch.
 
         Returns the applied clamp map of :meth:`tie` on success.
         """
@@ -327,6 +308,8 @@ class IncrementalCircuit:
     # ------------------------------------------------------------------
     # Rewrite machinery
     # ------------------------------------------------------------------
+    # Unused operand slots hold node 0 (level 0, never rewired), so one
+    # level formula and one structural-hash key serve every arity.
     def _operand_count(self, op: int) -> int:
         if op == OP_INV or op == OP_BUF:
             return 1
@@ -340,43 +323,45 @@ class IncrementalCircuit:
     # delete-on-kill maintenance they replaced, at a fraction of the
     # kill-cascade cost.
 
-    def _inv_pair(self, x: int, partner: int) -> bool:
-        """True when ``partner`` still carries the complement of ``x``."""
+    def _complement(self, x: int) -> int:
+        """Rule hook: the validated complement node of ``x``, or -1.
+
+        The pair's INV gate is marked shared: the fold that uses it
+        would not happen once that gate is tied.
+        """
+        partner = self.inv_of[x]
+        if partner < 0:
+            return -1
         n_fixed = self.n_fixed
         s = partner - n_fixed
         if s >= 0 and self.alive[s] and self.ops[s] == OP_INV \
                 and self.ina[s] == x:
-            return True
+            self.shared[partner] = 1
+            return partner
         s = x - n_fixed
-        return s >= 0 and self.alive[s] and self.ops[s] == OP_INV \
-            and self.ina[s] == partner
-
-    def _live_inv(self, x: int) -> int:
-        """The validated complement node of ``x``, or -1."""
-        partner = self.inv_of[x]
-        if partner >= 0 and self._inv_pair(x, partner):
+        if s >= 0 and self.alive[s] and self.ops[s] == OP_INV \
+                and self.ina[s] == partner:
+            self.shared[x] = 1
             return partner
         return -1
 
-    def _cse_hit(self, key: int, op: int, a: int, b: int, c: int) -> int:
-        """Validated structural-hash lookup: a live, matching node or -1."""
+    def _is_complement(self, a: int, b: int) -> bool:
+        """Rule hook: ``b`` is the validated complement of ``a``."""
+        return self.inv_of[a] == b and self._complement(a) == b
+
+    def _cse_hit(self, key: int) -> int:
+        """Validated structural-hash lookup: a live, matching node or -1.
+
+        Keys are injective, so a gate matches exactly when its current
+        structure still packs to ``key``.
+        """
         node = self.cse.get(key)
         if node is None:
             return -1
-        slot = node - self.n_fixed
-        if slot < 0 or not self.alive[slot] or self.ops[slot] != op:
-            return -1
-        ia = self.ina[slot]
-        if op == OP_MUX:
-            if ia == a and self.inb[slot] == b and self.inc[slot] == c:
-                return node
-        elif op == OP_INV:
-            if ia == a:
-                return node
-        else:
-            ib = self.inb[slot]
-            if (ia == a and ib == b) or (ia == b and ib == a):
-                return node
+        s = node - self.n_fixed
+        if s >= 0 and self.alive[s] and cse_key(
+                self.ops[s], self.ina[s], self.inb[s], self.inc[s]) == key:
+            return node
         return -1
 
     def _kill(self, slot: int) -> None:
@@ -419,8 +404,7 @@ class IncrementalCircuit:
                         stack.append(c - n_fixed)
         self.n_live -= n_killed
 
-    def _replace(self, old: int, new: int, pending: list[int],
-                 created: list[int], budget: int) -> None:
+    def _replace(self, old: int, new: int) -> None:
         """Repoint every use of ``old`` to ``new``; ``old`` dies."""
         if old == new:
             return
@@ -430,6 +414,7 @@ class IncrementalCircuit:
         alive = self.alive
         ina, inb, inc = self.ina, self.inb, self.inc
         dirty = self._dirty if self._np_cache is not None else None
+        pending = self._pending
         consumers = self.fanout[old]
         self.fanout[old] = []
         self.fanout_owned[old] = 1
@@ -482,17 +467,9 @@ class IncrementalCircuit:
         stack = [slot]
         while stack:
             s = stack.pop()
-            op = self.ops[s]
-            depth = self._node_level(self.ina[s])
-            if op != OP_INV and op != OP_BUF:
-                other = self._node_level(self.inb[s])
-                if other > depth:
-                    depth = other
-                if op == OP_MUX:
-                    other = self._node_level(self.inc[s])
-                    if other > depth:
-                        depth = other
-            depth += 1
+            depth = max(self._node_level(self.ina[s]),
+                        self._node_level(self.inb[s]),
+                        self._node_level(self.inc[s])) + 1
             if depth > self.level[s]:
                 self.level[s] = depth
                 if dirty is not None:
@@ -506,85 +483,64 @@ class IncrementalCircuit:
     def _node_level(self, node: int) -> int:
         return self.level[node - self.n_fixed] if node >= self.n_fixed else 0
 
-    def _new_gate(self, op: int, a: int, b: int, c: int,
-                  created: list[int]) -> int:
-        if op == OP_MUX:
-            key = _key3(a, b, c)
-        else:
-            key = _key2(op, a, b)
-        hit = self._cse_hit(key, op, a, b, c)
+    def _gate(self, op: int, a: int, b: int, c: int) -> int:
+        """Rule hook: the node computing ``op(a, b, c)``.
+
+        A validated structural-hash hit wins.  Otherwise, when the rules
+        left the gate being refolded standing, that gate is the answer,
+        re-registered under its current operands; anything else is a new
+        helper gate (an INV, or the AND/OR a MUX reduces to).
+        """
+        key = cse_key(op, a, b, c)
+        hit = self._cse_hit(key)
+        slot = self._slot
         if hit >= 0:
+            if hit != self.n_fixed + slot:
+                self.shared[hit] = 1  # handed to other logic
             return hit
+        if op == self.ops[slot] and a == self.ina[slot] \
+                and b == self.inb[slot] and c == self.inc[slot]:
+            node = self.n_fixed + slot
+            self.cse[key] = node
+            if op == OP_INV:
+                # A rewired INV: its consumers may have been refolded
+                # before this new complement pair was known, so they
+                # fold again (the batch fold sees every INV first).
+                self.inv_of[a] = node
+                self.inv_of[node] = a
+                self._pending.extend(self.fanout[node])
+            return node
+        return self._new_gate(op, a, b, c, key)
+
+    def _new_gate(self, op: int, a: int, b: int, c: int, key: int) -> int:
         slot = len(self.ops)
         node = self.n_fixed + slot
         self.ops.append(op)
         self.ina.append(a)
         self.inb.append(b)
         self.inc.append(c)
-        depth = self._node_level(a)
-        count = self._operand_count(op)
-        if count > 1:
-            other = self._node_level(b)
-            if other > depth:
-                depth = other
-            if count > 2:
-                other = self._node_level(c)
-                if other > depth:
-                    depth = other
-        self.level.append(depth + 1)
+        self.level.append(max(self._node_level(a), self._node_level(b),
+                              self._node_level(c)) + 1)
         self.alive.append(1)
         self.n_live += 1
         self.rc.append(0)
         self.fanout.append([])
         self.fanout_owned.append(1)
         self.inv_of.append(-1)
-        for operand in (a, b, c)[:count]:
+        self.shared.append(0)
+        for operand in (a, b, c)[:self._operand_count(op)]:
             self.rc[operand] += 1
             self._own_fanout(operand).append(slot)
         self.cse[key] = node
         if op == OP_INV:
             self.inv_of[a] = node
             self.inv_of[node] = a
-        created.append(slot)
+        self._created.append(slot)
         return node
 
-    def _not(self, x: int, created: list[int]) -> int:
-        if x < 2:
-            return 1 - x
-        inv = self._live_inv(x)
-        if inv >= 0:
-            return inv
-        return self._new_gate(OP_INV, x, 0, 0, created)
-
-    def _and(self, a: int, b: int, created: list[int]) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if a == 1:
-            return b
-        if b == 1:
-            return a
-        if a == b:
-            return a
-        if self.inv_of[a] == b and self._inv_pair(a, b):
-            return 0
-        return self._new_gate(OP_AND, a, b, 0, created)
-
-    def _or(self, a: int, b: int, created: list[int]) -> int:
-        if a == 1 or b == 1:
-            return 1
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        if a == b:
-            return a
-        if self.inv_of[a] == b and self._inv_pair(a, b):
-            return 1
-        return self._new_gate(OP_OR, a, b, 0, created)
-
-    def _drain(self, pending: list[int], created: list[int],
-               budget: int) -> None:
+    def _drain(self, budget: int) -> None:
         """Refold every touched gate until the cascade settles."""
+        pending = self._pending
         while pending:
             self._work += 1
             if self._work > budget:
@@ -592,127 +548,14 @@ class IncrementalCircuit:
             slot = pending.pop()
             if not self.alive[slot]:
                 continue
-            self._refold(slot, pending, created, budget)
-
-    def _refold(self, slot: int, pending: list[int], created: list[int],
-                budget: int) -> None:
-        op = self.ops[slot]
-        node = self.n_fixed + slot
-        a = self.ina[slot]
-        inv_of = self.inv_of
-        result = None  # None means: keep this gate with current fields
-        if op == OP_INV:
-            if a < 2:
-                result = 1 - a
-            else:
-                inv = self._live_inv(a)
-                if inv >= 0 and inv != node:
-                    result = inv
-        elif op == OP_AND:
-            b = self.inb[slot]
-            if a == 0 or b == 0:
-                result = 0
-            elif a == 1:
-                result = b
-            elif b == 1:
-                result = a
-            elif a == b:
-                result = a
-            elif inv_of[a] == b and self._inv_pair(a, b):
-                result = 0
-        elif op == OP_OR:
-            b = self.inb[slot]
-            if a == 1 or b == 1:
-                result = 1
-            elif a == 0:
-                result = b
-            elif b == 0:
-                result = a
-            elif a == b:
-                result = a
-            elif inv_of[a] == b and self._inv_pair(a, b):
-                result = 1
-        elif op == OP_XOR:
-            b = self.inb[slot]
-            if a == 0:
-                result = b
-            elif b == 0:
-                result = a
-            elif a == 1:
-                result = self._not(b, created)
-            elif b == 1:
-                result = self._not(a, created)
-            elif a == b:
-                result = 0
-            elif inv_of[a] == b and self._inv_pair(a, b):
-                result = 1
-        elif op == OP_NAND:
-            b = self.inb[slot]
-            if a == 0 or b == 0:
-                result = 1
-            elif a == 1:
-                result = self._not(b, created)
-            elif b == 1:
-                result = self._not(a, created)
-            elif a == b:
-                result = self._not(a, created)
-            elif inv_of[a] == b and self._inv_pair(a, b):
-                result = 1
-        elif op == OP_NOR:
-            b = self.inb[slot]
-            if a == 1 or b == 1:
-                result = 0
-            elif a == 0:
-                result = self._not(b, created)
-            elif b == 0:
-                result = self._not(a, created)
-            elif a == b:
-                result = self._not(a, created)
-            elif inv_of[a] == b and self._inv_pair(a, b):
-                result = 0
-        elif op == OP_MUX:
-            b = self.inb[slot]
-            sel = self.inc[slot]
-            if sel == 0:
-                result = a
-            elif sel == 1:
-                result = b
-            elif a == b:
-                result = a
-            elif a == 0:
-                result = self._and(b, sel, created)
-            elif a == 1:
-                result = self._or(b, self._not(sel, created), created)
-            elif b == 0:
-                result = self._and(a, self._not(sel, created), created)
-            elif b == 1:
-                result = self._or(a, sel, created)
-            elif b == sel:
-                result = self._or(a, sel, created)
-            elif a == sel:
-                result = self._and(b, sel, created)
-
-        if result is None:
-            # Re-canonicalize under the (possibly changed) operands.
-            if op == OP_MUX:
-                key = _key3(a, self.inb[slot], self.inc[slot])
-            elif op == OP_INV:
-                key = _key2(OP_INV, a, 0)
-            else:
-                key = _key2(op, a, self.inb[slot])
-            hit = self._cse_hit(key, op, a, self.inb[slot], self.inc[slot])
-            if hit < 0:
-                self.cse[key] = node
-                if op == OP_INV:
-                    self.inv_of[a] = node
-                    self.inv_of[node] = a
-                return
-            if hit == node:
-                return
-            result = hit  # merged with a structurally identical gate
-        if result == node:
-            return
-        self._replace(node, result, pending, created, budget)
+            # Fold the gate under its current operands; a result other
+            # than the gate itself replaces it.
+            self._slot = slot
+            result = self.fold(self.ops[slot], self.ina[slot],
+                               self.inb[slot], self.inc[slot])
+            node = self.n_fixed + slot
+            if result != node:
+                self._replace(node, result)
 
     # ------------------------------------------------------------------
     # NumPy views, evaluation plan, batched-variant capture

@@ -10,55 +10,42 @@ primary outputs is stripped.  Gate pruning is expressed through
 ``force_constants``, which ties selected gate outputs to '0'/'1' before
 the rebuild, exactly like replacing the gate with a tie cell.
 
-Two implementations share the folding rules:
+Two implementations apply the folding rules:
 
 * the **compiled array engine** (the default behind :func:`synthesize`):
-  each pass is one linear sweep over flat opcode/operand arrays with an
-  inline rule dispatcher — no intermediate :class:`Netlist` objects, no
-  per-gate method dispatch.  Synthesis sits on the design-space-
-  exploration hot path (hundreds of resynthesized prune variants per
-  circuit), which is why it is compiled alongside the word-parallel
-  simulation engine.
+  one fold pass replays the flat opcode/operand rows through a
+  :class:`~repro.hw.fold.RowFolder` — the rule kernel the array builder
+  and the incremental cone rewrite use too — so no intermediate
+  :class:`Netlist` objects and no per-gate driver-table lookups.
+  Synthesis sits on the design-space-exploration hot path (hundreds of
+  resynthesized prune variants per circuit), which is why it is
+  compiled alongside the word-parallel simulation engine.
 
 * the **reference builder replay** (:func:`synthesize_reference`): the
   original, readable implementation that replays every gate through the
   folding builders of :class:`~repro.hw.netlist.Netlist`.  The compiled
   engine is equivalence-tested against it gate-for-gate
   (``tests/test_compiled.py``), and it anchors the legacy baseline of
-  ``benchmarks/bench_simulate.py``.
+  ``benchmarks/bench_simulate.py``.  Dead logic is stripped *between*
+  its folding passes, not only at the end: a pruning tie kills whole
+  fanout cones, and stripping their (now unread) fanin logic early
+  keeps the fixpoint iteration from re-replaying it.
 
-Dead logic is stripped *between* folding passes, not only at the end: a
-pruning tie kills whole fanout cones, and stripping their (now unread)
-fanin logic early keeps the fixpoint iteration from re-replaying it.
-
-For the incremental pruning exploration, :func:`synthesize_with_map` also
-returns the old-net → new-net correspondence (``-1`` for nets folded or
-stripped away), and ties can be expressed at *net* granularity
-(``force_nets``), so a later, larger prune set can be applied directly to
-an already-pruned netlist instead of resynthesizing from the base circuit.
+:func:`synthesize_arrays` also returns the old-node → new-node
+correspondence (``-1`` for nodes stripped as dead), which the pruning
+exploration uses to locate a base-circuit gate inside its folded form.
 """
 
 from __future__ import annotations
 
-from .compiled import (
-    OP_AND,
-    OP_BUF,
-    OP_INV,
-    OP_MUX,
-    OP_NAND,
-    OP_NOR,
-    OP_OR,
-    OP_XNOR,
-    OP_XOR,
-    OPCODES,
-)
+from .compiled import OP_BUF, OP_INV, OP_MUX, OPCODES
+from .fold import RowFolder
 from .netlist import CONST0, CONST1, Netlist
 
 __all__ = [
     "ArrayCircuit",
     "synthesize",
     "synthesize_arrays",
-    "synthesize_with_map",
     "synthesize_reference",
     "rebuild_folded",
     "strip_dead",
@@ -98,48 +85,28 @@ def _finish_interface(nl: Netlist, new: Netlist, net_map: list[int]) -> None:
     new.meta = _remap_meta(nl.meta, net_map)
 
 
-def _rebuild_folded_map(nl: Netlist,
-                        force_constants: dict[int, int] | None = None,
-                        force_nets: dict[int, int] | None = None
-                        ) -> tuple[Netlist, list[int]]:
-    """Replay ``nl`` through the folding builder; return (netlist, net map).
+def rebuild_folded(nl: Netlist,
+                   force_constants: dict[int, int] | None = None) -> Netlist:
+    """Replay ``nl`` through the folding builder (see module docstring).
 
     ``force_constants`` maps *gate indices* of ``nl`` to 0/1; those gates
     are not re-instantiated and their outputs become constant ties, letting
     the folding cascade through the fanout cone (the pruning transform).
-    ``force_nets`` expresses the same tie for arbitrary *nets* of ``nl``
-    (used by the incremental exploration, where a base-circuit gate may
-    survive only as a folded wire in an already-pruned netlist).
     """
     new = Netlist(name=nl.name, cse=True)
     net_map: list[int] = [0] * nl.n_nets
     _map_interface(nl, new, net_map)
-
-    # Merge both force vocabularies into one net-keyed dict.
-    force_by_net: dict[int, int] = {}
-    if force_constants:
-        gate_out = nl.gate_out
-        for gate_idx, value in force_constants.items():
-            force_by_net[gate_out[gate_idx]] = value
-    if force_nets:
-        for net, value in force_nets.items():
-            if net > CONST1:
-                force_by_net[net] = value
-    # Ties on non-gate nets (inputs) take effect before any gate reads them.
-    for net, value in force_by_net.items():
-        if nl.driver_gate(net) is None:
-            net_map[net] = CONST1 if value else CONST0
 
     builders = {cell: getattr(new, method)
                 for cell, method in _BUILDERS.items()}
     gate_type = nl.gate_type
     gate_inputs = nl.gate_inputs
     gate_out = nl.gate_out
-    if force_by_net:
-        get_forced = force_by_net.get
+    if force_constants:
+        get_forced = force_constants.get
         for gate_idx in range(nl.n_gates):
             out = gate_out[gate_idx]
-            forced = get_forced(out)
+            forced = get_forced(gate_idx)
             if forced is not None:
                 net_map[out] = CONST1 if forced else CONST0
                 continue
@@ -166,18 +133,11 @@ def _rebuild_folded_map(nl: Netlist,
             net_map[gate_out[gate_idx]] = result
 
     _finish_interface(nl, new, net_map)
-    return new, net_map
+    return new
 
 
-def rebuild_folded(nl: Netlist,
-                   force_constants: dict[int, int] | None = None,
-                   force_nets: dict[int, int] | None = None) -> Netlist:
-    """Replay ``nl`` through the folding builder (see module docstring)."""
-    return _rebuild_folded_map(nl, force_constants, force_nets)[0]
-
-
-def _strip_dead_map(nl: Netlist) -> tuple[Netlist, list[int]]:
-    """Drop gates unreachable from the outputs; dead nets map to ``-1``.
+def strip_dead(nl: Netlist) -> Netlist:
+    """Remove every gate not reachable backwards from a primary output.
 
     This is a pure structural copy (no folding, no hashing), so live
     gates are appended straight into the new netlist's parallel arrays —
@@ -197,35 +157,12 @@ def _strip_dead_map(nl: Netlist) -> tuple[Netlist, list[int]]:
                 gate_type[gate_idx],
                 tuple(net_map[net] for net in gate_inputs[gate_idx]))
     _finish_interface(nl, new, net_map)
-    return new, net_map
-
-
-def strip_dead(nl: Netlist) -> Netlist:
-    """Remove every gate not reachable backwards from a primary output."""
-    return _strip_dead_map(nl)[0]
+    return new
 
 
 def _compose(first: list[int], second: list[int]) -> list[int]:
     """Compose two net maps (old → mid → new); ``-1`` stays dead."""
     return [second[net] if net >= 0 else -1 for net in first]
-
-
-def _synthesize_map(nl: Netlist,
-                    force_constants: dict[int, int] | None,
-                    force_nets: dict[int, int] | None,
-                    max_passes: int) -> tuple[Netlist, list[int]]:
-    current, net_map = _rebuild_folded_map(nl, force_constants, force_nets)
-    current, strip_map = _strip_dead_map(current)
-    net_map = _compose(net_map, strip_map)
-    for _ in range(max_passes):
-        folded, fold_map = _rebuild_folded_map(current)
-        net_map = _compose(net_map, fold_map)
-        converged = folded.n_gates == current.n_gates
-        current = folded
-        if converged:
-            break
-    current, strip_map = _strip_dead_map(current)
-    return current, _compose(net_map, strip_map)
 
 
 def synthesize_reference(nl: Netlist,
@@ -236,7 +173,14 @@ def synthesize_reference(nl: Netlist,
     Same transform and same result as :func:`synthesize`, implemented by
     replaying every gate through the :class:`Netlist` folding builders.
     """
-    return _synthesize_map(nl, force_constants, None, max_passes)[0]
+    current = strip_dead(rebuild_folded(nl, force_constants))
+    for _ in range(max_passes):
+        folded = rebuild_folded(current)
+        converged = folded.n_gates == current.n_gates
+        current = folded
+        if converged:
+            break
+    return strip_dead(current)
 
 
 # ----------------------------------------------------------------------
@@ -399,143 +343,20 @@ def _fold_arrays(circ: ArrayCircuit,
                  ) -> tuple[ArrayCircuit, list[int], bool]:
     """One folding pass over the arrays; returns (circuit, map, changed).
 
-    Implements exactly the :class:`Netlist` builder rules — constant
-    propagation, operand deduplication, complement detection, double-
-    inversion removal, MUX strength reduction, structural hashing — with
-    inline dispatch over flat lists.  ``changed`` is False when the pass
-    was the identity transform (every gate re-created verbatim), which
-    lets the fixpoint driver stop without another confirmation pass.
+    Replays every row, in order, through a fresh
+    :class:`~repro.hw.fold.RowFolder`, tying the nodes in
+    ``force_by_node`` to their constants on the way.  ``changed`` is
+    False when the pass was the identity transform (every gate
+    re-created verbatim), which lets callers skip the rebuilt circuit.
     """
     n_fixed = circ.n_fixed
     node_map: list[int] = list(range(n_fixed))
+    append_map = node_map.append
     ops, ina, inb, inc = circ.ops, circ.ina, circ.inb, circ.inc
-    new_ops: list[int] = []
-    new_a: list[int] = []
-    new_b: list[int] = []
-    new_c: list[int] = []
-    new_levels: list[int] = []
-    append_op = new_ops.append
-    append_a = new_a.append
-    append_b = new_b.append
-    append_c = new_c.append
-    append_level = new_levels.append
-    # Topological depth per node (fixed nodes at 0), carried through so
-    # the simulation plan never has to re-derive it.
-    node_level: list[int] = [0] * n_fixed
-    append_node_level = node_level.append
-    # inv_of[x] is the known inverse of node x (or -1): it serves both
-    # double-inversion removal and complement detection, because INV
-    # gates are only ever created here, symmetrically registered.
-    inv_of: list[int] = [-1] * n_fixed
-    append_inv = inv_of.append
-    # Structural-hashing keys pack (operands, op) into one integer —
-    # int hashing is measurably cheaper than tuple hashing on this,
-    # the hottest dict of the whole exploration.
-    cse: dict[int, int] = {}
-    cse_get = cse.get
+    folder = RowFolder(n_fixed)
+    fold = folder.fold
+    new_ops = folder.ops
     changed = False
-
-    def not_(x: int) -> int:
-        if x < 2:
-            return 1 - x
-        inv = inv_of[x]
-        if inv >= 0:
-            return inv
-        out = n_fixed + len(new_ops)
-        append_op(OP_INV)
-        append_a(x)
-        append_b(0)
-        append_c(0)
-        level = node_level[x] + 1
-        append_level(level)
-        append_node_level(level)
-        append_inv(x)
-        inv_of[x] = out
-        return out
-
-    def gate2(op: int, a: int, b: int) -> int:
-        # Commutative cells hash with sorted operands but keep the
-        # builder-given operand order, matching Netlist.add_gate.
-        key = (op | (b << 4) | (a << 34)) if a > b \
-            else (op | (a << 4) | (b << 34))
-        hit = cse_get(key)
-        if hit is not None:
-            return hit
-        out = n_fixed + len(new_ops)
-        append_op(op)
-        append_a(a)
-        append_b(b)
-        append_c(0)
-        la, lb = node_level[a], node_level[b]
-        level = (la if la > lb else lb) + 1
-        append_level(level)
-        append_node_level(level)
-        append_inv(-1)
-        cse[key] = out
-        return out
-
-    def and_(a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if a == 1:
-            return b
-        if b == 1:
-            return a
-        if a == b:
-            return a
-        if inv_of[a] == b:
-            return 0
-        return gate2(OP_AND, a, b)
-
-    def or_(a: int, b: int) -> int:
-        if a == 1 or b == 1:
-            return 1
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        if a == b:
-            return a
-        if inv_of[a] == b:
-            return 1
-        return gate2(OP_OR, a, b)
-
-    def mux_(a: int, b: int, sel: int) -> int:
-        if sel == 0:
-            return a
-        if sel == 1:
-            return b
-        if a == b:
-            return a
-        if a == 0:
-            return and_(b, sel)
-        if a == 1:
-            return or_(b, not_(sel))
-        if b == 0:
-            return and_(a, not_(sel))
-        if b == 1:
-            return or_(a, sel)
-        if b == sel:  # sel ? sel : a  ==  a | sel
-            return or_(a, sel)
-        if a == sel:  # sel ? b : sel  ==  b & sel
-            return and_(b, sel)
-        key = OP_MUX | (a << 4) | (b << 34) | (sel << 64)
-        hit = cse_get(key)
-        if hit is not None:
-            return hit
-        out = n_fixed + len(new_ops)
-        append_op(OP_MUX)
-        append_a(a)
-        append_b(b)
-        append_c(sel)
-        la, lb, lc = node_level[a], node_level[b], node_level[sel]
-        level = (la if la > lb else lb)
-        level = (level if level > lc else lc) + 1
-        append_level(level)
-        append_node_level(level)
-        append_inv(-1)
-        cse[key] = out
-        return out
 
     forced_get = force_by_node.get if force_by_node else None
     if force_by_node:
@@ -549,92 +370,22 @@ def _fold_arrays(circ: ArrayCircuit,
         if forced_get is not None:
             forced = forced_get(node)
             if forced is not None:
-                node_map.append(1 if forced else 0)
+                append_map(1 if forced else 0)
                 changed = True
                 continue
         op = ops[k]
-        a = node_map[ina[k]]
-        if op == OP_AND:
-            result = and_(a, node_map[inb[k]])
-        elif op == OP_XOR:
-            b = node_map[inb[k]]
-            if a == 0:
-                result = b
-            elif b == 0:
-                result = a
-            elif a == 1:
-                result = not_(b)
-            elif b == 1:
-                result = not_(a)
-            elif a == b:
-                result = 0
-            elif inv_of[a] == b:
-                result = 1
-            else:
-                result = gate2(OP_XOR, a, b)
-        elif op == OP_OR:
-            result = or_(a, node_map[inb[k]])
-        elif op == OP_INV:
-            result = not_(a)
-        elif op == OP_NAND:
-            b = node_map[inb[k]]
-            if a == 0 or b == 0:
-                result = 1
-            elif a == 1:
-                result = not_(b)
-            elif b == 1:
-                result = not_(a)
-            elif a == b:
-                result = not_(a)
-            elif inv_of[a] == b:
-                result = 1
-            else:
-                result = gate2(OP_NAND, a, b)
-        elif op == OP_NOR:
-            b = node_map[inb[k]]
-            if a == 1 or b == 1:
-                result = 0
-            elif a == 0:
-                result = not_(b)
-            elif b == 0:
-                result = not_(a)
-            elif a == b:
-                result = not_(a)
-            elif inv_of[a] == b:
-                result = 0
-            else:
-                result = gate2(OP_NOR, a, b)
-        elif op == OP_XNOR:
-            b = node_map[inb[k]]
-            if a == 0:
-                result = not_(b)
-            elif b == 0:
-                result = not_(a)
-            elif a == 1:
-                # Mirror the reference xnor_ = not_(xor_(a, b)) exactly:
-                # the inner xor_ materializes not_(b) before the outer
-                # not_ cancels it, so the INV gate must be instantiated
-                # here too to keep gate-for-gate equivalence.
-                result = not_(not_(b))
-            elif b == 1:
-                result = not_(not_(a))
-            elif a == b:
-                result = 1
-            elif inv_of[a] == b:
-                result = 0
-            else:
-                result = not_(gate2(OP_XOR, a, b))
-        elif op == OP_MUX:
-            result = mux_(a, node_map[inb[k]], node_map[inc[k]])
-        else:  # OP_BUF
-            result = a
-        if result != node:
+        result = fold(op, node_map[ina[k]], node_map[inb[k]],
+                      node_map[inc[k]])
+        # A gate re-created in place may still have changed cell (a
+        # NAND of one operand folds to its INV).
+        if result != node or new_ops[k] != op:
             changed = True
-        node_map.append(result)
+        append_map(result)
 
     out = circ._shell()
-    out.ops, out.ina, out.inb, out.inc = new_ops, new_a, new_b, new_c
-    out.levels = new_levels
+    out.ops, out.ina, out.inb, out.inc = (new_ops, folder.ina, folder.inb,
+                                          folder.inc)
+    out.levels = folder.levels
     for name, nodes in circ.outputs.items():
         out.outputs[name] = [node_map[n] for n in nodes]
         out.signed[name] = circ.signed[name]
@@ -724,61 +475,26 @@ def synthesize_arrays(circ: ArrayCircuit,
     return current, _compose(total_map, step_map)
 
 
-def _synthesize_compiled(nl: Netlist,
-                         force_constants: dict[int, int] | None,
-                         force_nets: dict[int, int] | None,
-                         max_passes: int) -> tuple[Netlist, list[int]]:
-    """The compiled pipeline; same final result as :func:`_synthesize_map`."""
+def synthesize(nl: Netlist,
+               force_constants: dict[int, int] | None = None) -> Netlist:
+    """Optimize a netlist (optionally pruning gates) to a fixpoint.
+
+    Runs one fold and one strip on the compiled array engine (see
+    :func:`synthesize_arrays`); :func:`synthesize_reference` is the
+    builder-replay equivalent, iterated to convergence.
+    """
     cached = nl.__dict__.get("_array_form")
     if cached is not None and len(cached.ops) == nl.n_gates \
             and cached.n_fixed + len(cached.ops) == nl.n_nets:
-        circ, node_of = cached, None  # node ids are net ids
+        circ = cached  # node ids are net ids
     else:
-        circ, node_of = ArrayCircuit.from_netlist(nl)
-    force_by_node: dict[int, int] = {}
+        circ, _node_of = ArrayCircuit.from_netlist(nl)
+    force_by_node = None
     if force_constants:
         n_fixed = circ.n_fixed
-        for gate_idx, value in force_constants.items():
-            force_by_node[n_fixed + gate_idx] = value
-    if force_nets:
-        for net, value in force_nets.items():
-            node = net if node_of is None else node_of[net]
-            if node > CONST1:
-                force_by_node[node] = value
-
-    current, total_map = synthesize_arrays(circ, force_by_node)
-    result = current.to_netlist()
-    if node_of is not None:
-        total_map = [total_map[node] for node in node_of]
-    return result, total_map
-
-
-def synthesize(nl: Netlist,
-               force_constants: dict[int, int] | None = None,
-               max_passes: int = 4) -> Netlist:
-    """Optimize a netlist (optionally pruning gates) to a fixpoint.
-
-    Repeated folding passes are needed because structural hashing can
-    expose new constant/duplicate patterns; netlists converge in two to
-    three passes in practice.  Runs on the compiled array engine;
-    :func:`synthesize_reference` is the builder-replay equivalent.
-    """
-    return _synthesize_compiled(nl, force_constants, None, max_passes)[0]
-
-
-def synthesize_with_map(nl: Netlist,
-                        force_constants: dict[int, int] | None = None,
-                        force_nets: dict[int, int] | None = None,
-                        max_passes: int = 4) -> tuple[Netlist, list[int]]:
-    """:func:`synthesize` plus the old-net → new-net correspondence.
-
-    The map sends every net of ``nl`` to its image in the optimized
-    netlist (``CONST0``/``CONST1`` when it folded to a tie, ``-1`` when it
-    was stripped as dead).  The incremental pruning exploration uses it to
-    locate a base-circuit gate's surviving signal inside an already-pruned
-    variant and tie it there, instead of resynthesizing from scratch.
-    """
-    return _synthesize_compiled(nl, force_constants, force_nets, max_passes)
+        force_by_node = {n_fixed + gate_idx: value
+                         for gate_idx, value in force_constants.items()}
+    return synthesize_arrays(circ, force_by_node)[0].to_netlist()
 
 
 def _remap_meta(meta: dict, net_map: list[int]) -> dict:

@@ -103,14 +103,7 @@ class ExploreRequest:
             raise ValueError(f"unknown base {base!r}; use one of {_BASES}")
         e = data.get("e")
         if e is not None:
-            # ``e % 1`` is NaN (truthy) for NaN and infinities.
-            if isinstance(e, bool) or not isinstance(e, numbers.Real) \
-                    or e % 1:
-                raise ValueError(f"coefficient search radius e must be an "
-                                 f"integer, got {e!r}")
-            e = int(e)
-            if e < 0:
-                raise ValueError("coefficient search radius e must be >= 0")
+            e = _e_value(e)
             if base != "coeff":
                 raise ValueError(
                     "e is only meaningful for base='coeff' requests")
@@ -130,6 +123,18 @@ class ExploreRequest:
         if self.label is None and self.e is not None:
             name += f"@e{self.e}"
         return name
+
+
+def _e_value(value) -> int:
+    """One coefficient search radius: an integer >= 0 (``4.0`` is 4)."""
+    # ``value % 1`` is NaN (truthy) for NaN and infinities.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or value % 1:
+        raise ValueError(f"coefficient search radius e must be an "
+                         f"integer, got {value!r}")
+    if value < 0:
+        raise ValueError("coefficient search radius e must be >= 0")
+    return int(value)
 
 
 def _tau_value(value) -> float:

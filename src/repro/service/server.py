@@ -79,7 +79,8 @@ from ..eval.accuracy import EvaluationRecord
 from .faults import fault_point
 from .jobs import DEFAULT_SHARD_SIZE
 from .leases import DEFAULT_LEASE_TTL_S
-from .runner import ExplorationService, ExploreRequest, render_request
+from .runner import (ExplorationService, ExploreRequest, _e_value,
+                     render_request)
 from .store import (DesignStore, FencedWriteError, canonical_json,
                     design_from_dict, design_to_dict)
 from .telemetry import (capture_context, counter as _metric,
@@ -1075,11 +1076,13 @@ class ExploreServer:
         tenant = self._tenant(headers)
         service = self._service(tenant)
         e_values = payload.pop("e_values", None)
-        include_cross = bool(payload.pop("include_cross", True))
+        include_cross = payload.pop("include_cross", True)
         if not isinstance(e_values, list) or not e_values:
             raise _HttpError(400, "'e_values' must be a non-empty list")
+        if not isinstance(include_cross, bool):
+            raise _HttpError(400, "'include_cross' must be true or false")
         try:
-            e_values = tuple(int(e) for e in e_values)
+            e_values = tuple(_e_value(e) for e in e_values)
             request = ExploreRequest.from_dict({**payload, "base": "coeff"})
         except (ValueError, TypeError) as exc:
             raise _HttpError(400, str(exc))

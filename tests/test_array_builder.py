@@ -261,10 +261,11 @@ class TestWeightedSumOracle:
 class TestFoldIsIdentity:
     """Emitted rows are already at the fold fixpoint.
 
-    The emitter applies ``_fold_arrays``'s rules at emission, so a
-    folding pass over the rows the shared generators emit on it must be
-    the identity transform — the strongest machine-checkable form of the
-    module's rule-mirror claim.
+    The emitter folds with the rule kernel ``_fold_arrays`` replays rows
+    through, so a folding pass over the rows the shared generators emit
+    on it must be the identity transform.  It also pins
+    ``ripple_add``'s fused loop, the one place the kernel's rules are
+    inlined, to the kernel.
     """
 
     def _assert_fixpoint(self, circ):

@@ -33,7 +33,7 @@ from repro.hw.area import area_mm2
 from repro.hw.bespoke import build_bespoke_netlist
 from repro.hw.compiled import BatchedEvaluator, pack_stimulus
 from repro.hw.incremental import IncrementalCircuit
-from repro.hw.netlist import CONST0, CONST1, Netlist
+from repro.hw.netlist import Netlist
 from repro.hw.power import power_mw
 from repro.hw.simulate import simulate_bigint
 from repro.hw.synthesis import (
@@ -44,30 +44,8 @@ from repro.hw.synthesis import (
 from repro.core.pruning import NetlistPruner
 from repro.ml import LinearSVMRegressor
 from repro.quant import quantize_model
+from random_circuits import random_netlist
 
-_CELLS_1 = ("INV", "BUF")
-_CELLS_2 = ("AND2", "OR2", "XOR2", "XNOR2", "NAND2", "NOR2")
-
-
-def _random_netlist(rng: np.random.Generator, n_gates: int,
-                    width: int) -> Netlist:
-    nl = Netlist(cse=False)
-    nets = list(nl.add_input_bus("x", width)) + [CONST0, CONST1]
-    for _ in range(n_gates):
-        kind = rng.integers(0, 4)
-        if kind == 0:
-            out = nl.add_gate(str(rng.choice(_CELLS_1)), int(rng.choice(nets)))
-        elif kind == 3:
-            out = nl.add_gate("MUX2", int(rng.choice(nets)),
-                              int(rng.choice(nets)), int(rng.choice(nets)))
-        else:
-            out = nl.add_gate(str(rng.choice(_CELLS_2)), int(rng.choice(nets)),
-                              int(rng.choice(nets)))
-        nets.append(out)
-    n_out = min(4, len(nets))
-    out_nets = [int(rng.choice(nets)) for _ in range(n_out)]
-    nl.set_output_bus("y", out_nets, signed=bool(rng.integers(0, 2)))
-    return nl
 
 
 def _folded_incremental(nl: Netlist):
@@ -112,7 +90,7 @@ class TestBatchedEvaluatorEquivalence:
                                                            n_vectors):
         """K clamped variants in one pass == K snapshots == the oracle."""
         rng = np.random.default_rng(seed)
-        nl = _random_netlist(rng, int(rng.integers(10, 80)),
+        nl = random_netlist(rng, int(rng.integers(10, 80)),
                              int(rng.integers(2, 6)))
         base, inc, node_map = _folded_incremental(nl)
         if inc.n_live == 0:
@@ -165,7 +143,7 @@ class TestBatchedEvaluatorEquivalence:
     def test_accumulated_clamps_across_ties(self, seed):
         """Two sequential ties described by one clamp set (plan epochs)."""
         rng = np.random.default_rng(seed)
-        nl = _random_netlist(rng, int(rng.integers(15, 70)), 4)
+        nl = random_netlist(rng, int(rng.integers(15, 70)), 4)
         base, inc, node_map = _folded_incremental(nl)
         if inc.n_live < 4:
             return

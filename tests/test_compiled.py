@@ -27,39 +27,14 @@ from repro.hw.simulate import simulate, simulate_bigint
 from repro.hw.synthesis import (
     ArrayCircuit,
     synthesize,
+    synthesize_arrays,
     synthesize_reference,
-    synthesize_with_map,
 )
 from repro.core.pruning import NetlistPruner
 from repro.ml import LinearSVMRegressor
 from repro.quant import quantize_model
+from random_circuits import random_netlist
 
-# ----------------------------------------------------------------------
-# Randomized netlist generator shared by the property tests
-# ----------------------------------------------------------------------
-_CELLS_1 = ("INV", "BUF")
-_CELLS_2 = ("AND2", "OR2", "XOR2", "XNOR2", "NAND2", "NOR2")
-
-
-def _random_netlist(rng: np.random.Generator, n_gates: int,
-                    width: int) -> Netlist:
-    nl = Netlist(cse=False)
-    nets = list(nl.add_input_bus("x", width)) + [CONST0, CONST1]
-    for _ in range(n_gates):
-        kind = rng.integers(0, 4)
-        if kind == 0:
-            out = nl.add_gate(str(rng.choice(_CELLS_1)), int(rng.choice(nets)))
-        elif kind == 3:
-            out = nl.add_gate("MUX2", int(rng.choice(nets)),
-                              int(rng.choice(nets)), int(rng.choice(nets)))
-        else:
-            out = nl.add_gate(str(rng.choice(_CELLS_2)), int(rng.choice(nets)),
-                              int(rng.choice(nets)))
-        nets.append(out)
-    n_out = min(4, len(nets))
-    out_nets = [int(rng.choice(nets)) for _ in range(n_out)]
-    nl.set_output_bus("y", out_nets, signed=bool(rng.integers(0, 2)))
-    return nl
 
 
 class TestSimulationEquivalence:
@@ -69,7 +44,7 @@ class TestSimulationEquivalence:
     def test_compiled_matches_bigint(self, seed, n_vectors):
         """Waveforms, activity, and bus decode agree bit-for-bit."""
         rng = np.random.default_rng(seed)
-        nl = _random_netlist(rng, int(rng.integers(1, 60)),
+        nl = random_netlist(rng, int(rng.integers(1, 60)),
                              int(rng.integers(1, 6)))
         width = len(nl.input_buses["x"])
         stimulus = {"x": rng.integers(0, 1 << width, n_vectors)}
@@ -103,7 +78,7 @@ class TestSimulationEquivalence:
 
     def test_prepacked_stimulus_matches_inline_packing(self):
         rng = np.random.default_rng(7)
-        nl = _random_netlist(rng, 40, 5)
+        nl = random_netlist(rng, 40, 5)
         data = {"x": rng.integers(0, 32, 101)}
         arrays = {"x": np.asarray(data["x"], dtype=np.int64)}
         packed = pack_stimulus(arrays, {"x": 5}, 101)
@@ -165,7 +140,7 @@ class TestSynthesisEquivalence:
     def test_compiled_fold_matches_reference(self, seed):
         """Array-engine synthesis is gate-for-gate the builder replay."""
         rng = np.random.default_rng(seed)
-        nl = _random_netlist(rng, int(rng.integers(1, 80)),
+        nl = random_netlist(rng, int(rng.integers(1, 80)),
                              int(rng.integers(1, 5)))
         assert _structurally_identical(synthesize(nl),
                                        synthesize_reference(nl))
@@ -174,7 +149,7 @@ class TestSynthesisEquivalence:
     @settings(max_examples=25, deadline=None)
     def test_compiled_fold_matches_reference_with_pruning(self, seed):
         rng = np.random.default_rng(seed)
-        nl = _random_netlist(rng, int(rng.integers(5, 80)),
+        nl = random_netlist(rng, int(rng.integers(5, 80)),
                              int(rng.integers(1, 5)))
         n_forced = int(rng.integers(1, max(2, nl.n_gates // 2)))
         gates = rng.choice(nl.n_gates, size=n_forced, replace=False)
@@ -184,20 +159,21 @@ class TestSynthesisEquivalence:
             synthesize_reference(nl, force_constants=force))
 
     def test_net_map_tracks_signals(self):
-        """The returned map sends nets to live images, ties, or -1."""
+        """The node map sends nodes to live images, ties, or -1."""
         rng = np.random.default_rng(3)
-        nl = _random_netlist(rng, 50, 4)
-        optimized, net_map = synthesize_with_map(nl)
-        assert len(net_map) == nl.n_nets
-        assert net_map[CONST0] == CONST0 and net_map[CONST1] == CONST1
-        for net in range(nl.n_nets):
-            assert -1 <= net_map[net] < optimized.n_nets
-        for old, new in zip(nl.output_buses["y"], optimized.output_buses["y"]):
-            assert net_map[old] == new
+        nl = random_netlist(rng, 50, 4)
+        circ, _node_of = ArrayCircuit.from_netlist(nl)
+        optimized, node_map = synthesize_arrays(circ)
+        assert len(node_map) == circ.n_nets
+        assert node_map[CONST0] == CONST0 and node_map[CONST1] == CONST1
+        for node in range(circ.n_nets):
+            assert -1 <= node_map[node] < optimized.n_nets
+        for old, new in zip(circ.outputs["y"], optimized.outputs["y"]):
+            assert node_map[old] == new
 
     def test_array_roundtrip_preserves_structure(self):
         rng = np.random.default_rng(11)
-        nl = _random_netlist(rng, 60, 4)
+        nl = random_netlist(rng, 60, 4)
         circ, node_of = ArrayCircuit.from_netlist(nl)
         back = circ.to_netlist()
         assert back.n_gates == nl.n_gates

@@ -13,20 +13,27 @@ serial fallback preserved.
 
 import dataclasses
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import cli
 from repro.core.cross_layer import CrossLayerFramework
 from repro.core.pruning import NetlistPruner
-from repro.eval.accuracy import CircuitEvaluator
+from repro.eval.accuracy import CircuitEvaluator, DecodeSpec
 from repro.experiments.runner import framework_for
 from repro.experiments.zoo import get_case
-from repro.hw.bespoke import build_bespoke_netlist
+from repro.hw.bespoke import REGRESSOR_OUTPUT, build_bespoke_netlist
 from repro.service import ExplorationService
 from repro.service.server import ServeConfig
 from repro.service.store import base_fingerprint_from_parts
+from random_circuits import random_netlist
 
 GRID = (0.82, 0.85, 0.90, 0.95, 0.99)
+# Random circuits under uniform stimulus have few near-constant gates;
+# a wider tau sweep gives every drawn netlist prune sets to walk.
+RANDOM_GRID = tuple(np.round(np.arange(0.50, 1.00, 0.05), 2))
 
 
 def _strict(designs):
@@ -98,6 +105,62 @@ class TestExactRegression:
         legacy = NetlistPruner(netlist, make_evaluator(), GRID
                                ).explore_legacy()
         assert _strict(exact) == _strict(legacy)
+
+
+class TestRandomNetlistIdentity:
+    """Exact == ``explore_legacy`` on adversarial random netlists.
+
+    Every cell type is drawn, NAND/NOR/XNOR/BUF included.  Bespoke
+    circuits never contain NAND or NOR, so this is the only structural
+    check on the rewriter's rules for them.  Drawn netlists are raw
+    (duplicates, constant operands, dead logic), so the pruner has to
+    fold its base before every walk names the same gates.  There is no
+    ``assume()``: every drawn netlist counts.
+    """
+
+    @given(seed=st.integers(0, 100_000))
+    # Seeds where a synthesized base still diverged before tie() refused
+    # shared targets (276, 517) and rewired INVs refolded their
+    # consumers (1348).
+    @example(seed=276)
+    @example(seed=517)
+    @example(seed=1348)
+    @settings(max_examples=100, deadline=None)
+    def test_explore_matches_legacy(self, seed):
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(1, 6))
+        nl = random_netlist(rng, int(rng.integers(1, 80)), width,
+                            output=REGRESSOR_OUTPUT, signed=False)
+        n_test = int(rng.integers(1, 130))
+        evaluator = CircuitEvaluator(
+            DecodeSpec("regressor", y_min=0, y_max=15),
+            {"x": rng.integers(0, 1 << width, 48)},
+            {"x": rng.integers(0, 1 << width, n_test)},
+            rng.integers(0, 16, n_test))
+        legacy = NetlistPruner(nl, evaluator, RANDOM_GRID).explore_legacy()
+        for engine in ("batched", "compiled"):
+            designs = NetlistPruner(nl, evaluator, RANDOM_GRID,
+                                    engine=engine).explore()
+            assert _strict(designs) == _strict(legacy), engine
+
+    def test_folded_base_keeps_the_callers_netlist(self, svm_setup):
+        """A base already at the fold fixpoint is not replaced."""
+        netlist, make_evaluator = svm_setup
+        pruner = NetlistPruner(netlist, make_evaluator(), GRID)
+        assert pruner.netlist is netlist
+
+    def test_raw_base_is_folded_once(self):
+        """A raw base is swapped for its folded form at construction."""
+        nl = random_netlist(np.random.default_rng(4), 40, 3,
+                            output=REGRESSOR_OUTPUT, signed=False)
+        evaluator = CircuitEvaluator(
+            DecodeSpec("regressor", y_min=0, y_max=15),
+            {"x": np.arange(8)}, {"x": np.arange(8)}, np.arange(8))
+        pruner = NetlistPruner(nl, evaluator, RANDOM_GRID)
+        assert pruner.netlist is not nl
+        assert pruner.netlist.n_gates < nl.n_gates
+        assert NetlistPruner(pruner.netlist, evaluator,
+                             RANDOM_GRID).netlist is pruner.netlist
 
 
 class TestPersistentExecutor:

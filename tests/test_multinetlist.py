@@ -28,37 +28,21 @@ from repro.hw.compiled import (
     MultiNetlistSim,
     pack_stimulus,
 )
-from repro.hw.netlist import CONST0, CONST1, Netlist
+from repro.hw.netlist import Netlist
 from repro.hw.simulate import _validate_inputs
 from repro.hw.synthesis import ArrayCircuit, synthesize_arrays
+from random_circuits import random_netlist
 
 needs_compiled = pytest.mark.skipif(
     not HOST_SUPPORTS_COMPILED,
     reason="multi-netlist batching needs the compiled word layout")
 
-_CELLS_1 = ("INV", "BUF")
-_CELLS_2 = ("AND2", "OR2", "XOR2", "XNOR2", "NAND2", "NOR2")
 
 
-def _random_netlist(rng: np.random.Generator, n_gates: int,
-                    width: int) -> Netlist:
-    nl = Netlist(cse=False)
-    nets = list(nl.add_input_bus("x", width)) + [CONST0, CONST1]
-    for _ in range(n_gates):
-        kind = rng.integers(0, 4)
-        if kind == 0:
-            out = nl.add_gate(str(rng.choice(_CELLS_1)), int(rng.choice(nets)))
-        elif kind == 3:
-            out = nl.add_gate("MUX2", int(rng.choice(nets)),
-                              int(rng.choice(nets)), int(rng.choice(nets)))
-        else:
-            out = nl.add_gate(str(rng.choice(_CELLS_2)), int(rng.choice(nets)),
-                              int(rng.choice(nets)))
-        nets.append(out)
-    n_out = min(4, len(nets))
-    out_nets = [int(rng.choice(nets)) for _ in range(n_out)]
-    nl.set_output_bus(REGRESSOR_OUTPUT, out_nets, signed=False)
-    return nl
+def _regressor_netlist(rng: np.random.Generator, n_gates: int,
+                       width: int) -> Netlist:
+    return random_netlist(rng, n_gates, width, output=REGRESSOR_OUTPUT,
+                          signed=False)
 
 
 def _random_evaluator(rng: np.random.Generator, width: int,
@@ -141,7 +125,7 @@ class TestEvaluateManyFallbacks:
 
     def test_bigint_engine_falls_back(self):
         rng = np.random.default_rng(3)
-        nls = [_random_netlist(rng, 20, 3) for _ in range(3)]
+        nls = [_regressor_netlist(rng, 20, 3) for _ in range(3)]
         evaluator = _random_evaluator(rng, 3, 33, engine="bigint")
         many = evaluator.evaluate_many(nls)
         fresh = _random_evaluator(np.random.default_rng(3), 3, 33,
@@ -155,7 +139,7 @@ class TestEvaluateManyFallbacks:
     def test_mismatched_buses_fall_back(self):
         """Circuits that disagree on bus layout use the per-circuit path."""
         rng = np.random.default_rng(4)
-        a = _random_netlist(rng, 15, 3)
+        a = _regressor_netlist(rng, 15, 3)
         b = Netlist(cse=False)
         nets = list(b.add_input_bus("x", 5))  # different width
         b.set_output_bus(REGRESSOR_OUTPUT, [b.add_gate("AND2", *nets[:2])],
@@ -183,7 +167,7 @@ class TestEvaluateManyRandom:
         rng = np.random.default_rng(seed)
         width = int(rng.integers(2, 6))
         n_netlists = int(rng.integers(1, 7))
-        nls = [_random_netlist(rng, int(rng.integers(3, 50)), width)
+        nls = [_regressor_netlist(rng, int(rng.integers(3, 50)), width)
                for _ in range(n_netlists)]
         evaluator = _random_evaluator(rng, width, n_test)
         many = evaluator.evaluate_many(nls)
@@ -199,7 +183,7 @@ class TestMultiNetlistSimViews:
         standalone compiled simulation of each netlist."""
         rng = np.random.default_rng(11)
         width = 4
-        nls = [_random_netlist(rng, 25, width) for _ in range(4)]
+        nls = [_regressor_netlist(rng, 25, width) for _ in range(4)]
         n_vectors = 70  # non-64-multiple: exercises tail masking
         data = {"x": rng.integers(0, 1 << width, n_vectors)}
         packed_per_netlist = []

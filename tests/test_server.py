@@ -305,6 +305,32 @@ class TestConformance:
             assert status == 400, name
         assert "unknown request fields" in results["identity"][2]
 
+    def test_malformed_sweep_values_rejected(self, tmp_path):
+        """``e_values`` entries get ``e``'s check; ``include_cross`` is a
+        JSON bool, so no value is coerced into another radius or flag."""
+        sweep = {"dataset": "redwine", "model": "svm_r", "tau_grid": GRID}
+        bad_sweeps = {
+            "e_fraction": {**sweep, "e_values": [4.7]},
+            "e_bool": {**sweep, "e_values": [2, True]},
+            "e_string": {**sweep, "e_values": ["4"]},
+            "e_negative": {**sweep, "e_values": [-3]},
+            "cross_string": {**sweep, "e_values": [2],
+                             "include_cross": "false"},
+            "cross_int": {**sweep, "e_values": [2], "include_cross": 0},
+        }
+
+        async def run():
+            async with running_server(tmp_path) as server:
+                return {name: await http(server.port, "POST",
+                                         "/v1/sweep", body)
+                        for name, body in bad_sweeps.items()}
+        results = asyncio.run(run())
+        for name, (status, _head, _body) in results.items():
+            assert status == 400, name
+        assert "integer" in results["e_fraction"][2]
+        assert ">= 0" in results["e_negative"][2]
+        assert "include_cross" in results["cross_string"][2]
+
 
 def count_job_runs(monkeypatch) -> list:
     """Grid keys of every ExplorationJob.run call, in call order."""
