@@ -19,7 +19,7 @@ Scenario classes (one row per (circuit, scenario) in the report):
 * ``assemble-fault``   — the final assembly raises; restart resumes
   from checkpoints;
 * ``engine-fault``     — the batched walk fails; the engine ladder
-  degrades (batched → compiled → bigint);
+  degrades (batched → bigint);
 * ``worker-exit``      — a pool worker dies mid-chain (``os._exit``);
   the pool is respawned, the shard retried;
 * ``hung-chain``       — a chain sleeps past the shard timeout; the

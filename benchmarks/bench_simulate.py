@@ -10,21 +10,21 @@ this PR onward:
   where one gate-evaluation is one gate over one stimulus vector).
 
 * **end_to_end** — the full netlist-pruning design-space exploration per
-  circuit, on three engines, with equivalence checks:
+  circuit, on three paths, with equivalence checks:
 
-  - ``legacy``   — the seed pipeline (per-grid-point loop +
+  - ``legacy``  — the seed pipeline (per-grid-point loop +
     builder-replay synthesis + bigint simulation);
-  - ``compiled`` — the PR-1 engine: incremental/trie exploration with
-    one snapshot + plan build + word-parallel simulation per variant;
-  - ``batched``  — the PR-2 engine: plan-epoch trie walk scoring
-    variants in bulk ``(n_nets, K, n_words)`` passes
-    (:class:`repro.hw.compiled.BatchedEvaluator`), plus the
-    lazily-validated cone-rewrite indices in ``IncrementalCircuit``.
+  - ``bigint``  — ``explore()``'s oracle walk (``engine="bigint"``):
+    one from-scratch synthesis + bigint simulation per unique prune
+    set, timed once;
+  - ``batched`` — the fast walk (``engine="auto"``): plan-epoch trie
+    walk scoring variants in bulk ``(n_nets, K, n_words)`` passes
+    (:class:`repro.hw.compiled.BatchedEvaluator`).
 
-  Engine timings are best-of-N (shared hosts are noisy); ``speedup`` is
-  legacy vs batched, ``batched_vs_compiled`` isolates the batched
-  engine's gain.  The exit status enforces the contract: any design-list
-  difference between the three engines fails the run.
+  Legacy and batched timings are best-of-N (shared hosts are noisy);
+  ``speedup`` is legacy vs batched.  The exit status enforces the
+  contract: any design-list difference between the three paths fails
+  the run.
 
   Schema 4 adds a per-circuit ``telemetry`` block: one extra batched
   run with tracing on (events to an in-memory sink) captures the
@@ -35,6 +35,12 @@ this PR onward:
   Schema 5 drops the retired relaxed identity mode: its run, the
   ``relaxed_*`` fields and the ``relaxed_floor`` block.
 
+  Schema 6 drops the retired per-variant compiled walk: the
+  ``compiled_s``, ``speedup_compiled`` and ``batched_vs_compiled``
+  fields and ``best_batched_vs_compiled``.  It adds ``bigint_s``, the
+  oracle walk that now takes the compiled walk's place in the identity
+  check.
+
 Run standalone (not collected by pytest)::
 
     PYTHONPATH=src python benchmarks/bench_simulate.py           # full
@@ -42,7 +48,7 @@ Run standalone (not collected by pytest)::
 
 Smoke mode (``--quick`` is an alias) shrinks the circuit set and tau
 grid so the benchmark finishes in a few seconds while still exercising
-every engine.
+every path.
 """
 
 from __future__ import annotations
@@ -145,9 +151,8 @@ def bench_end_to_end(dataset: str, kind: str, tau_grid,
         return NetlistPruner(netlist, make_evaluator(engine),
                              tau_grid).explore()
 
-    batched_s, batched = _repeat(lambda: run_explore("batched"), repeats)
-    compiled_s, compiled = _repeat(lambda: run_explore("compiled"),
-                                   repeats)
+    batched_s, batched = _repeat(lambda: run_explore("auto"), repeats)
+    bigint_s, bigint = _repeat(lambda: run_explore("bigint"), 1)
     legacy_s, legacy = _repeat(
         lambda: NetlistPruner(netlist, make_evaluator("bigint"),
                               tau_grid).explore_legacy(
@@ -157,14 +162,14 @@ def bench_end_to_end(dataset: str, kind: str, tau_grid,
         return [(d.tau_c, d.phi_c, d.n_pruned, d.record, d.duplicate_of)
                 for d in designs]
 
-    identical = rows(legacy) == rows(compiled) == rows(batched)
+    identical = rows(legacy) == rows(bigint) == rows(batched)
 
     # Telemetry breakdown + inertness: one instrumented batched run with
     # tracing on must yield the exact designs of the untraced run, and
     # its registry histograms give the engine-level stage profile.
     telemetry.reset()
     telemetry.configure(tracing=True, events_out=io.StringIO())
-    traced = run_explore("batched")
+    traced = run_explore("auto")
     hists = telemetry.get_hub().registry.snapshot()["histograms"]
     telemetry.reset()
 
@@ -181,14 +186,12 @@ def bench_end_to_end(dataset: str, kind: str, tau_grid,
         "n_gates": netlist.n_gates,
         "n_designs": len(batched),
         "legacy_s": legacy_s,
-        "compiled_s": compiled_s,
+        "bigint_s": bigint_s,
         "batched_s": batched_s,
         "new_s": batched_s,  # kept for PR-1 schema continuity
         "legacy_designs_per_s": len(legacy) / legacy_s,
         "new_designs_per_s": len(batched) / batched_s,
         "speedup": legacy_s / batched_s,
-        "speedup_compiled": legacy_s / compiled_s,
-        "batched_vs_compiled": compiled_s / batched_s,
         "identical_designs": identical,
         "telemetry": {
             "inert": telemetry_inert,
@@ -229,33 +232,27 @@ def main(argv=None) -> int:
         row = bench_end_to_end(dataset, kind, tau_grid, repeats)
         end_to_end.append(row)
         print(f"[end-to-end] {row['circuit']}: {row['n_designs']} designs, "
-              f"legacy {row['legacy_s']:.2f}s -> compiled "
-              f"{row['compiled_s']:.2f}s -> batched {row['batched_s']:.2f}s "
+              f"legacy {row['legacy_s']:.2f}s, bigint walk "
+              f"{row['bigint_s']:.2f}s, batched {row['batched_s']:.2f}s "
               f"({row['speedup']:.2f}x vs legacy, "
-              f"{row['batched_vs_compiled']:.2f}x vs compiled, "
               f"identical={row['identical_designs']}, "
               f"telemetry_inert={row['telemetry']['inert']})")
 
     report = {
-        "schema": 5,
+        "schema": 6,
         "smoke": args.smoke,
         "tau_grid_points": len(tau_grid),
         "micro": micro,
         "end_to_end": end_to_end,
         "best_end_to_end_speedup": max(
             (row["speedup"] for row in end_to_end), default=0.0),
-        "best_batched_vs_compiled": max(
-            (row["batched_vs_compiled"] for row in end_to_end),
-            default=0.0),
         "all_equivalent": all(row["equivalent"] for row in micro)
         and all(row["identical_designs"] for row in end_to_end)
         and all(row["telemetry"]["inert"] for row in end_to_end),
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"\nbest end-to-end speedup: "
-          f"{report['best_end_to_end_speedup']:.2f}x vs legacy, "
-          f"best batched-vs-compiled: "
-          f"{report['best_batched_vs_compiled']:.2f}x "
+          f"{report['best_end_to_end_speedup']:.2f}x vs legacy "
           f"(all equivalent: {report['all_equivalent']})")
     print(f"[report saved to {args.out}]")
     if not report["all_equivalent"]:

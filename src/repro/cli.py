@@ -112,7 +112,6 @@ def _open_service(args: argparse.Namespace):
         store = RemoteStore(CoordinatorClient(args.coordinator,
                                               tenant=args.tenant))
     return ExplorationService(store, n_workers=args.workers,
-                              engine=args.engine,
                               shard_size=args.shard_size)
 
 
@@ -268,8 +267,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     serve(ServeConfig(
         host=args.host, port=args.port, store_root=args.store_root,
         concurrency=args.concurrency, queue_depth=args.queue_depth,
-        n_workers=args.workers, engine=args.engine,
-        shard_size=args.shard_size,
+        n_workers=args.workers, shard_size=args.shard_size,
         events_log=args.events_log, trace_sample=args.trace_sample))
     return 0
 
@@ -338,10 +336,6 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
                         help="JSONL output path ('-' or omitted: stdout)")
     parser.add_argument("--workers", type=int, default=None,
                         help="fan tau_c chains across N pool workers")
-    parser.add_argument("--engine", default="auto",
-                        choices=("auto", "batched", "compiled", "bigint"),
-                        help="evaluation engine (all produce identical "
-                             "records; default: auto)")
     parser.add_argument("--shard-size", type=int, default=4,
                         help="tau_c chains per checkpoint shard")
     parser.add_argument("--resume", action="store_true", default=True,
@@ -455,9 +449,6 @@ def main(argv: list[str] | None = None) -> int:
     server.add_argument("--workers", type=int, default=None,
                         help="pool workers per exploration (default: "
                              "serial)")
-    server.add_argument("--engine", default="auto",
-                        choices=("auto", "batched", "compiled", "bigint"),
-                        help="evaluation engine (default: auto)")
     server.add_argument("--shard-size", type=int, default=4,
                         help="tau_c chains per checkpoint shard")
     server.add_argument("--events-log", default=None,

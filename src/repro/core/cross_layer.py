@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ..eval.accuracy import CircuitEvaluator, EvaluationRecord
+from ..eval.accuracy import CircuitEvaluator, EvaluationRecord, check_engine
 from ..hw.bespoke import build_bespoke_circuit, build_bespoke_netlist
 from ..hw.synthesis import ArrayCircuit
 from .coeff_approx import ApproximatedSum, CoefficientApproximator
@@ -212,14 +212,13 @@ class CrossLayerFramework:
             fall back to serial automatically).  The pool is
             regression-tested for serial equivalence; no committed
             benchmark record has a multi-core number yet.  Workers run
-            the same engine as the serial path (see
+            the same walk as the serial path (see
             :class:`~repro.core.pruning.NetlistPruner`).
         engine: evaluation backend for every score and exploration —
-            ``"auto"`` (default: the batched multi-variant engine where
-            the host supports it), ``"batched"``, ``"compiled"``
-            (per-variant word-parallel engine, the PR-1 baseline), or
-            the legacy ``"bigint"`` oracle.  All engines produce the
-            identical design space; see
+            ``"auto"`` (default: the platform's fast path, the batched
+            trie walk where the host supports it) or the ``"bigint"``
+            oracle.  Both produce the identical design space; any other
+            name raises ``ValueError``.  See
             :class:`~repro.eval.accuracy.CircuitEvaluator` for the
             selector semantics.
         store: optional content-addressed design store (a
@@ -249,6 +248,7 @@ class CrossLayerFramework:
         if builder not in ("auto", "array", "gate"):
             raise ValueError(f"unknown builder {builder!r} "
                              "(expected 'auto', 'array' or 'gate')")
+        check_engine(engine)
         self.approximator = CoefficientApproximator(
             library=library, e=e, strategy=strategy)
         self.tau_grid = tau_grid

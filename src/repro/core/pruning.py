@@ -34,26 +34,27 @@ for speed:
 * **Memoized records.** Identical prune sets arising from different
   (tau_c, phi_c) pairs are evaluated once; the record memo also persists
   on the pruner across ``explore()`` calls.
-* **Batched evaluation.** On the default (``"batched"``) engine the trie
-  walk defers scoring: variants are described against shared *plan
-  epochs* by constant-clamp masks and evaluated in bulk
-  ``(n_nets, K, n_words)`` passes
-  (:class:`~repro.hw.compiled.BatchedEvaluator`), eliminating the
-  per-variant snapshot + plan build + separate NumPy sweeps of the
-  per-variant engine.
+* **Batched evaluation.** The trie walk defers scoring: variants are
+  described against shared *plan epochs* by constant-clamp masks and
+  evaluated in bulk ``(n_nets, K, n_words)`` passes
+  (:class:`~repro.hw.compiled.BatchedEvaluator`), so no variant pays
+  for its own snapshot, plan build and NumPy sweeps.
 * **Parallel chains.** Independent tau_c chains can fan out across a
   ``concurrent.futures`` process pool (``n_workers``); any pool failure
   falls back to the serial path, and both paths produce the identical
   design list.  The pool is regression-tested for serial equivalence;
   no committed benchmark record has a multi-core number yet.
 
-Which engine am I using?  ``NetlistPruner.resolved_engine()`` answers
-for one pruner: ``engine=None`` inherits the evaluator's selector, and
-``"auto"`` resolves to ``"batched"`` on hosts that support the compiled
-word layout.  Every engine — ``"batched"``, ``"compiled"``, ``"bigint"``
-— returns the identical design list; ``explore_legacy()`` keeps the
-original one-synthesis-per-grid-point loop as the reference oracle the
-fast paths are benchmarked and regression-tested against.
+Which walk am I using?  ``NetlistPruner.resolved_engine()`` answers
+for one pruner: ``engine=None`` inherits the evaluator's selector.
+``"auto"`` resolves to ``"batched"``, the trie walk above and the one
+fast path, on hosts that support the compiled word layout, and to
+``"bigint"`` elsewhere.  ``"bigint"`` is the oracle walk: one
+from-scratch synthesis and bigint simulation per unique prune set.  It
+is also the rung the serial walk degrades to under an evaluation fault.
+Both walks return the identical design list; ``explore_legacy()`` keeps
+the original one-synthesis-per-grid-point loop as the reference oracle
+the walks are benchmarked and regression-tested against.
 """
 
 from __future__ import annotations
@@ -66,8 +67,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..eval.accuracy import CircuitEvaluator, EvaluationRecord
-from ..hw.compiled import HOST_SUPPORTS_COMPILED
+from ..eval.accuracy import (
+    CircuitEvaluator,
+    EvaluationRecord,
+    check_engine,
+    resolve_engine,
+)
 from ..hw.incremental import IncrementalCircuit
 from ..hw.netlist import Netlist
 from ..hw.simulate import ActivityReport
@@ -161,8 +166,8 @@ class PruneSpace:
     tau: np.ndarray
     const_value: np.ndarray
     phi: np.ndarray
-    # Candidate sets are shared between phi_levels/prune_set/tau_steps, so
-    # one tau_c never recomputes the tau comparison (mutable cache on a
+    # Candidate sets are shared between phi_levels/prune_set and the
+    # batched walk, so one tau_c never recomputes the tau comparison (mutable cache on a
     # frozen dataclass; excluded from equality).
     _candidates: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -192,30 +197,6 @@ class PruneSpace:
         selected = gates[self.phi[gates] <= phi_c]
         return {int(g): int(self.const_value[g]) for g in selected}
 
-    def tau_steps(self, tau_c: float) -> list[tuple[int, dict[int, int]]]:
-        """All (phi_c, prune set) steps of one tau_c chain, ascending.
-
-        Computes the candidate set once per tau_c; successive prune sets
-        are strict supersets (each phi level admits at least one new gate).
-        """
-        gates = self.candidates(tau_c)
-        if gates.size == 0:
-            return []
-        phis = self.phi[gates]
-        consts = self.const_value[gates]
-        # Walking the candidates sorted by phi lets each step extend the
-        # previous one with plain list slices (no per-gate re-filtering).
-        order = np.argsort(phis, kind="stable")
-        sorted_gates = gates[order].tolist()
-        sorted_consts = consts[order].tolist()
-        sorted_phis = phis[order]
-        steps = []
-        for phi_c in sorted(int(v) for v in np.unique(phis)):
-            count = int(np.searchsorted(sorted_phis, phi_c, side="right"))
-            force = dict(zip(sorted_gates[:count], sorted_consts[:count]))
-            steps.append((phi_c, force))
-        return steps
-
 
 @dataclass(frozen=True)
 class PrunedDesign:
@@ -228,86 +209,27 @@ class PrunedDesign:
     duplicate_of: tuple[float, int] | None = None
 
 
-def prune_key_ids(key) -> tuple[int, ...]:
+def prune_key_ids(key: bytes) -> tuple[int, ...]:
     """Canonical prune-set identity: the sorted pruned-gate ids.
 
-    The exploration walks key their steps differently — the per-variant
-    paths by a ``frozenset`` of gate ids, the batched walk by the sorted
-    gate-id int64 byte string — but for one base netlist the tied
-    constants are a pure function of the gate set (the training activity
-    fixes ``const_value``), so the sorted gate ids identify the variant.
-    The service layer's content-addressed store
-    (:mod:`repro.service.store`) hashes this canonical form.  Elements
-    may also be ``(gate, constant)`` pairs; the constant is ignored.
+    Every walk keys its steps by the sorted gate-id int64 byte string
+    (:func:`prune_key_bytes`).  For one base netlist the tied constants
+    are a pure function of the gate set (the training activity fixes
+    ``const_value``), so the sorted gate ids identify the variant.  The
+    service layer's content-addressed store
+    (:mod:`repro.service.store`) hashes this canonical form.
     """
-    if isinstance(key, (bytes, bytearray)):
-        return tuple(int(v) for v in np.frombuffer(key, dtype=np.int64))
-    return tuple(sorted(int(item[0]) if isinstance(item, tuple) else int(item)
-                        for item in key))
+    return tuple(int(v) for v in np.frombuffer(key, dtype=np.int64))
 
 
 def prune_key_bytes(ids) -> bytes:
-    """The batched walk's step key for a canonical gate-id tuple.
+    """The step key of a collection of gate ids (any order).
 
-    Inverse of :func:`prune_key_ids` on the batched path; the service
-    layer uses it to pre-seed a pruner's record memo from stored
-    variants so a warm walk skips their evaluation entirely.
+    Inverse of :func:`prune_key_ids`; the service layer uses it to
+    pre-seed a pruner's record memo from stored variants so a warm walk
+    skips their evaluation entirely.
     """
-    return np.sort(np.asarray(ids, dtype=np.int64)).tobytes()
-
-
-def _needs_netlist(evaluator: CircuitEvaluator) -> bool:
-    """True when the evaluator cannot consume array-form variants directly."""
-    engine = getattr(evaluator, "engine", "auto")
-    return engine == "bigint" or (engine in ("auto", "batched")
-                                  and not HOST_SUPPORTS_COMPILED)
-
-
-def _apply_step(base: ArrayCircuit, state: tuple | None,
-                force: dict[int, int],
-                incremental: bool) -> tuple[tuple, ArrayCircuit]:
-    """Synthesize one prune set, reusing the previous chain state.
-
-    ``state`` is ``(incremental circuit, base-node → state-node map,
-    pruned gate set)`` of the previous (subset) prune step, or ``None``
-    for the first step.  With ``incremental`` enabled, only the delta
-    gates are tied onto the previous (mutable, already-folded) circuit —
-    located through the node map
-    (:meth:`~repro.hw.incremental.IncrementalCircuit.tie_gates`) —
-    instead of resynthesizing the base circuit; state node ids are
-    stable, so the root map serves the whole chain.  Returns the new
-    chain state and the compacted variant for evaluation.
-
-    The step falls back to a from-scratch synthesis whenever a delta
-    gate's surviving signal already folded to the *opposite* constant, or
-    a rewrite cascade trips the safety cap — correctness first, reuse
-    second.
-    """
-    n_fixed = base.n_fixed
-    if incremental and state is not None:
-        inc, base_map, prev_gates = state
-        delta = [(gate_idx, value) for gate_idx, value in force.items()
-                 if gate_idx not in prev_gates]
-        applied = inc.tie_gates([gate for gate, _value in delta],
-                                [value for _gate, value in delta],
-                                base_map)
-        if applied is not None:
-            return (inc, base_map, set(force)), inc.snapshot()
-    force_by_node = {n_fixed + gate_idx: value
-                     for gate_idx, value in force.items()}
-    pruned, chain_map = synthesize_arrays(base, force_by_node)
-    if not incremental:
-        # No chain state to carry (and nothing for the trie to fork).
-        return None, pruned
-    state = (IncrementalCircuit.from_arrays(pruned, shared=True), chain_map,
-             set(force))
-    return state, pruned
-
-
-def _evaluate_variant(evaluator: CircuitEvaluator, circ: ArrayCircuit,
-                      as_netlist: bool) -> EvaluationRecord:
-    """Score one variant, materializing a netlist only when required."""
-    return evaluator.evaluate(circ.to_netlist() if as_netlist else circ)
+    return np.sort(np.fromiter(ids, dtype=np.int64)).tobytes()
 
 
 def _fold_base(nl: Netlist) -> tuple[ArrayCircuit, bool]:
@@ -334,81 +256,34 @@ def _root_state(base: ArrayCircuit) -> tuple:
     The base is already at the fold fixpoint, so its node map is the
     identity.
     """
-    return (IncrementalCircuit.from_arrays(base), list(range(base.n_nets)),
-            frozenset())
+    return IncrementalCircuit.from_arrays(base), list(range(base.n_nets))
 
 
-def _explore_chain(base: ArrayCircuit, evaluator: CircuitEvaluator,
-                   tau_c: float,
-                   steps: list[tuple[int, dict[int, int]]],
-                   incremental: bool,
-                   known_records: dict | None = None,
-                   root_state: tuple | None = None) -> list[tuple]:
-    """Evaluate one tau_c chain; returns (phi_c, key, n_pruned, record) rows."""
-    rows = []
-    state: tuple | None = root_state
-    as_netlist = _needs_netlist(evaluator)
-    for phi_c, force in steps:
-        if not force:
-            continue
-        key = frozenset(force)
-        state, variant = _apply_step(base, state, force, incremental)
-        if known_records is not None and key in known_records:
-            record = known_records[key]
-        else:
-            record = _evaluate_variant(evaluator, variant, as_netlist)
-            if known_records is not None:
-                known_records[key] = record
-        rows.append((phi_c, key, len(force), record))
-    return rows
+def _explore_bigint(evaluator: CircuitEvaluator, space: PruneSpace,
+                    chains: list[tuple[float, list]],
+                    known_records: dict | None) -> list[list[tuple]]:
+    """The oracle walk: one from-scratch synthesis per unique prune set.
 
-
-def _explore_trie(base: ArrayCircuit, evaluator: CircuitEvaluator,
-                  chains: list[tuple[float, list]],
-                  incremental: bool,
-                  known_records: dict | None = None,
-                  root_state: tuple | None = None) -> list[list[tuple]]:
-    """Evaluate all chains at once, sharing work across equal prefixes.
-
-    Chains whose prune-set sequences share a prefix (extremely common:
-    neighboring tau_c values usually select identical candidate sets)
-    are walked as one trie, so every unique prefix is synthesized and
-    evaluated exactly once.  Because a chain's state is a deterministic
-    function of its step-key prefix, sharing is exact — each chain's rows
-    are identical to what :func:`_explore_chain` would produce alone.
+    Shares nothing between steps but the record memo, so it leans on no
+    cone rewrite, plan epoch or batch.  It runs when ``engine="bigint"``,
+    on hosts without the compiled word layout, and as the last rung of
+    the serial walk's fault ladder.  Rows and keys have the batched
+    walk's form.
     """
-    results: list[list[tuple]] = [[] for _ in chains]
-    as_netlist = _needs_netlist(evaluator)
-
-    def visit(chain_ids: list[int], depth: int, state: tuple | None) -> None:
-        groups: dict[frozenset, list[int]] = {}
-        for ci in chain_ids:
-            steps = chains[ci][1]
-            if depth < len(steps) and steps[depth][1]:
-                groups.setdefault(frozenset(steps[depth][1]), []).append(ci)
-        group_items = list(groups.items())
-        for position, (key, ids) in enumerate(group_items):
-            # Sibling branches mutate the chain state in place, so every
-            # branch but the last works on a fork of the shared prefix.
-            if state is not None and position < len(group_items) - 1:
-                branch_state = (state[0].fork(), state[1], state[2])
-            else:
-                branch_state = state
-            force = chains[ids[0]][1][depth][1]
-            next_state, variant = _apply_step(base, branch_state, force,
-                                              incremental)
-            if known_records is not None and key in known_records:
-                record = known_records[key]
-            else:
-                record = _evaluate_variant(evaluator, variant, as_netlist)
-                if known_records is not None:
-                    known_records[key] = record
-            for ci in ids:
-                phi_c = chains[ci][1][depth][0]
-                results[ci].append((phi_c, key, len(key), record))
-            visit(ids, depth + 1, next_state)
-
-    visit(list(range(len(chains))), 0, root_state)
+    memo = known_records if known_records is not None else {}
+    results = []
+    for tau_c, steps in chains:
+        rows = []
+        for phi_c, _ in steps:
+            force = space.prune_set(tau_c, phi_c)
+            key = prune_key_bytes(force)
+            record = memo.get(key)
+            if record is None:
+                record = evaluator.evaluate(
+                    synthesize(space.netlist, force_constants=force))
+                memo[key] = record
+            rows.append((phi_c, key, len(force), record))
+        results.append(rows)
     return results
 
 
@@ -428,14 +303,16 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
                           chains: list[tuple[float, list]],
                           known_records: dict | None,
                           root_state: tuple) -> list[list[tuple]]:
-    """The exploration walk on the batched engine.
+    """The fast exploration walk: a batched trie over prune-set prefixes.
 
-    The trie of prune-set prefixes is walked exactly as in
-    :func:`_explore_trie` — fork shared prefixes, tie each group's
-    delta, so every state's folded circuit is the *same object path*
-    the per-variant engine produces — but the per-variant snapshot +
-    plan build + simulation is replaced by two mechanisms resting on
-    the rewriter's stable node ids:
+    Chains whose prune-set sequences share a prefix (extremely common:
+    neighboring tau_c values usually select identical candidate sets)
+    are walked as one trie, so every unique prefix is tied and scored
+    exactly once.  Sibling branches fork the shared prefix state; each
+    group ties only its delta gates onto the already-folded circuit
+    (:meth:`~repro.hw.incremental.IncrementalCircuit.tie_gates`).
+    Scoring rests on two mechanisms built on the rewriter's stable node
+    ids:
 
     * **Plan epochs.**  A levelized plan (in node-id space) is captured
       only when a variant has shrunk below ``_PLAN_REFRESH`` of the
@@ -456,32 +333,29 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
       once per batch, not once per variant — and are scored through
       :meth:`~repro.eval.accuracy.CircuitEvaluator.evaluate_batch`.
 
-    The *fold decomposition* is deliberately identical to
-    :func:`_explore_trie`: a state is always (chain-root prune set,
-    then phi-increments).  Organizing the walk around other nestings —
-    e.g. deriving a chain root from the previous tau's state — changes
-    which rewrite rules fire and can reach a (functionally equal but)
-    structurally different circuit than ``explore_legacy``'s
+    The *fold decomposition* is fixed: a state is always (chain-root
+    prune set, then phi-increments).  Organizing the walk around other
+    nestings — e.g. deriving a chain root from the previous tau's state
+    — changes which rewrite rules fire and can reach a (functionally
+    equal but) structurally different circuit than ``explore_legacy``'s
     from-scratch synthesis, which the acceptance bench would flag.
 
     A degenerate tie (conflict or rewrite-cascade overflow) rebuilds
-    the branch from scratch like :func:`_apply_step` and starts a fresh
-    plan epoch in the rebuilt node space.  Records are integer
-    reductions that come out bit-identical on every engine, pinned by
-    the equivalence tests against ``explore_legacy``.
+    the branch from scratch and starts a fresh plan epoch in the
+    rebuilt node space.  Records are integer reductions that come out
+    bit-identical to the oracle walk's, pinned by the equivalence tests
+    against ``explore_legacy``.
 
     Bookkeeping note: a chain's steps are *prefix slices* of its
     phi-sorted candidate arrays, and chains grouped together in the
     trie have set-equal prefixes, so step deltas are plain array
     slices and step identity is a sorted-ids byte string — no per-step
-    force dicts or frozensets (which cost O(total prune-set size) in
-    dict operations per exploration on the legacy representation).
+    force dicts.
     """
     from ..hw.compiled import BatchedEvaluator
 
     results: list[list[tuple]] = [[] for _ in chains]
     n_fixed = base.n_fixed
-    as_netlist = _needs_netlist(evaluator)
     n_vectors, _arrays, packed = evaluator.test_stimulus(base)
     n_words = max(1, (n_vectors + 63) // 64)
 
@@ -551,8 +425,7 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
         state[:] = [IncrementalCircuit.from_arrays(pruned, shared=True),
                     chain_map, count, None, 0, {}]
         if not known(key):
-            resolved[key] = _evaluate_variant(evaluator, pruned,
-                                              as_netlist)
+            resolved[key] = evaluator.evaluate(pruned)
         return state
 
     def apply_step(state: list, ci: int, depth: int, key: bytes) -> list:
@@ -596,7 +469,7 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
                 results[ci].append((phi_c, key, phi_count[1]))
             visit(ids, depth + 1, branch)
 
-    root_inc, root_map, _root_gates = root_state
+    root_inc, root_map = root_state
     visit(list(range(len(chains))), 0, [root_inc, root_map, 0, None, 0, {}])
 
     # Deferred evaluation: one batch per plan epoch.
@@ -621,47 +494,48 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
              for phi_c, key, n_pruned in rows] for rows in results]
 
 
-# Worker-side state for the process pool: the (netlist, evaluator,
-# incremental, engine, pruning statistics) bundle is shipped once per
+def _walk(engine: str, base: ArrayCircuit, evaluator: CircuitEvaluator,
+          space: PruneSpace, chains: list[tuple[float, list]],
+          known_records: dict | None,
+          root_state: tuple | None = None) -> list[list[tuple]]:
+    """Run ``chains`` on the walk a resolved ``engine`` names."""
+    if engine == "batched":
+        return _explore_trie_batched(base, evaluator, space, chains,
+                                     known_records,
+                                     root_state or _root_state(base))
+    return _explore_bigint(evaluator, space, chains, known_records)
+
+
+# Worker-side state for the process pool: the (folded base, evaluator,
+# engine, chain root, pruning statistics) bundle is shipped once per
 # worker through the initializer instead of once per chain task.
 _WORKER_CONTEXT: dict = {}
 
 
 def _init_chain_worker(base: Netlist, evaluator: CircuitEvaluator,
-                       incremental: bool, use_batched: bool = False,
-                       stats: tuple | None = None) -> None:
+                       engine: str, stats: tuple) -> None:
     circ, _changed = _fold_base(base)
-    root = _root_state(circ) if incremental else None
+    root = _root_state(circ) if engine == "batched" else None
     # Rebuild the PruneSpace worker-side from the shipped statistic
-    # arrays (tau, const_value, phi) — the batched walk derives its
-    # per-chain candidate prefixes from it, so workers never receive
-    # per-step force dicts at all on that engine.
-    space = PruneSpace(base, *stats) if stats is not None else None
-    _WORKER_CONTEXT["args"] = (circ, evaluator, incremental, root,
-                               use_batched, space)
+    # arrays (tau, const_value, phi): both walks derive each step's
+    # prune set from it, so workers never receive per-step force dicts.
+    _WORKER_CONTEXT["args"] = (circ, evaluator, engine, root,
+                               PruneSpace(base, *stats))
 
 
 def _run_chain_task(task: tuple) -> list[tuple]:
-    base, evaluator, incremental, root, use_batched, space = \
-        _WORKER_CONTEXT["args"]
-    tau_c, steps = task
+    base, evaluator, engine, root, space = _WORKER_CONTEXT["args"]
+    tau_c, _steps = task
     # Pool workers inherit REPRO_FAULTS through the environment, so a
     # scheduled worker death ("exit"/"kill") fires here — the parent
     # sees a broken pool and the supervision path takes over.
     fault_point("worker.chain", tau=tau_c)
-    chain_root = (root[0].fork(), root[1], root[2]) if root is not None \
-        else None
-    if use_batched and chain_root is not None:
-        # The ROADMAP open item: pool workers run the *batched* walk.
-        # One chain is a one-chain trie; keys/records/row shapes match
-        # the serial batched walk exactly, so serial == parallel holds
-        # row-for-row (and the record memo keys stay transferable).
-        rows = _explore_trie_batched(base, evaluator, space,
-                                     [(tau_c, steps)], None,
-                                     root_state=chain_root)
-        return rows[0]
-    return _explore_chain(base, evaluator, tau_c, steps, incremental,
-                          root_state=chain_root)
+    if root is not None:
+        root = (root[0].fork(), root[1])
+    # One chain is a one-chain walk: keys, records and row shapes match
+    # the serial walk exactly, so serial == parallel holds row-for-row
+    # (and the record memo keys stay transferable).
+    return _walk(engine, base, evaluator, space, [task], None, root)[0]
 
 
 def assemble_designs(chains: list, chain_rows: list,
@@ -736,26 +610,20 @@ class NetlistPruner:
         evaluator: stimulus/scoring context; training activity defines
             tau, the test set scores every pruned variant.
         tau_grid: the tau_c sweep (defaults to the paper's 80..99%).
-        incremental: reuse each chain's previous pruned netlist when
-            applying the next (superset) prune set.
         n_workers: fan independent tau_c chains across a process pool;
             ``None``/``0``/``1`` stays serial, and pool failures fall
             back to the serial path automatically.  Workers run the
-            same engine the serial path resolves to — on ``"batched"``
-            each worker walks its chain as a one-chain batched trie
-            (plan epochs, deferred bulk scoring); on the per-variant
-            engines they run the incremental chain walk.  The pool is
-            regression-tested for serial equivalence; no committed
-            benchmark record has a multi-core number yet.  Serial runs
-            additionally share work *across* chains through the trie.
-        engine: exploration engine override — ``None`` (default)
-            inherits the evaluator's ``engine``.  ``"batched"`` (what
-            ``"auto"`` resolves to on supported hosts) scores sibling
-            frontiers through one batched evaluation per trie node;
-            ``"compiled"`` keeps the per-variant snapshot + simulate
-            walk; ``"bigint"`` additionally materializes a netlist per
-            variant for the legacy oracle.  Every engine returns the
-            identical design list.
+            walk the serial path resolves to, one chain per task.  The
+            pool is regression-tested for serial equivalence; no
+            committed benchmark record has a multi-core number yet.
+            Serial runs additionally share work *across* chains through
+            the trie.
+        engine: walk override — ``None`` (default) inherits the
+            evaluator's ``engine``.  ``"auto"`` runs the batched trie
+            walk where the host supports the compiled word layout;
+            ``"bigint"`` runs the oracle walk (one from-scratch
+            synthesis and bigint simulation per unique prune set).
+            Both return the identical design list.
 
     A pruner with ``n_workers`` owns one persistent process pool,
     created on first parallel use and reused across every
@@ -768,7 +636,6 @@ class NetlistPruner:
     netlist: Netlist
     evaluator: CircuitEvaluator
     tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
-    incremental: bool = True
     n_workers: int | None = None
     engine: str | None = None
     # Supervision knobs (see ``_run_chains_parallel``): how often a
@@ -792,6 +659,8 @@ class NetlistPruner:
     _pool_key: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
+        if self.engine is not None:
+            check_engine(self.engine)
         # Fold and strip the base once, here: a raw base's gate ids name
         # logic the folding walks never see, so the pruner swaps in the
         # folded netlist.  An already-folded base (every bespoke circuit)
@@ -802,19 +671,10 @@ class NetlistPruner:
             self.netlist = self._base_arrays.to_netlist()
 
     def resolved_engine(self) -> str:
-        """The exploration engine ``engine``/the evaluator select here."""
+        """The walk ``engine``/the evaluator select: batched or bigint."""
         if self.engine is None:
-            resolver = getattr(self.evaluator, "resolved_engine", None)
-            if resolver is not None:
-                return resolver()  # one auto/fallback mapping, one place
-            engine = getattr(self.evaluator, "engine", "auto")
-        else:
-            engine = self.engine
-        if engine == "auto":
-            return "batched" if HOST_SUPPORTS_COMPILED else "bigint"
-        if engine == "batched" and not HOST_SUPPORTS_COMPILED:
-            return "bigint"
-        return engine
+            return self.evaluator.resolved_engine()
+        return resolve_engine(self.engine)
 
     def space(self) -> PruneSpace:
         """Lazily simulate the training set and build the statistics."""
@@ -858,12 +718,9 @@ class NetlistPruner:
         per shard and checkpoints the rows, so a killed run re-walks only
         unfinished shards.
 
-        Key identity: rows are keyed by ``frozenset`` items on the
-        per-variant paths and by sorted-id bytes on the batched path
-        (normalize with :func:`prune_key_ids`); the record memo
-        therefore only transfers between calls that resolve to the same
-        kind of walk (records stay correct either way — a missed hit
-        just re-evaluates).
+        Every walk keys its rows by the sorted-id bytes of
+        :func:`prune_key_bytes`, so the record memo transfers between
+        calls and engines.
         """
         space = self.space()
         if tau_values is None:
@@ -871,8 +728,10 @@ class NetlistPruner:
         workers = n_workers if n_workers is not None else self.n_workers
         want_parallel = bool(workers and workers > 1)
         engine = self.resolved_engine()
-        use_batched = self.incremental and engine == "batched"
-        chains = self._build_chains(tau_values, space, use_batched)
+        chains = [(float(tau_c),
+                   [(phi_c, None) for phi_c in space.phi_levels(tau_c)])
+                  for tau_c in tau_values]
+        chains = [(tau_c, steps) for tau_c, steps in chains if steps]
 
         telemetry = _service_telemetry()
         walk_start = time.perf_counter()
@@ -881,77 +740,43 @@ class NetlistPruner:
             chain_rows = None
             if want_parallel and len(chains) > 1:
                 chain_rows = self._run_chains_parallel(chains, workers,
-                                                       use_batched)
+                                                       engine)
             if chain_rows is None:
-                chains, chain_rows = self._run_chains_serial(
-                    chains, space, engine, deduplicate)
+                chain_rows = self._run_chains_serial(chains, space, engine,
+                                                     deduplicate)
         telemetry.observe("pruner.chain_walk_ms",
                           (time.perf_counter() - walk_start) * 1e3,
                           engine=engine)
         return chains, chain_rows
 
-    def _build_chains(self, tau_values, space: PruneSpace,
-                      use_batched: bool) -> list:
-        """The non-empty ``(tau_c, steps)`` list of one walk.
+    def _walk_evaluator(self, engine: str) -> CircuitEvaluator:
+        """The evaluator the ``engine`` walk scores with.
 
-        On the batched engine (serial *and* worker-side) the walk
-        derives steps from the candidate arrays itself; it only needs
-        the phi grid — skip ``tau_steps``' full per-step force-dict
-        construction.  Both step forms cover the same phi levels, so
-        the chain list (tau values, non-empty filter) is identical
-        either way — which is what lets an engine-fallback rung rebuild
-        the steps without changing which chains are walked.
+        The oracle walk simulates on the bigint loop whatever the
+        evaluator's own selector says; the batched walk scores through
+        its own batches and takes the evaluator as given.
         """
-        if not use_batched:
-            chains = [(float(tau_c), space.tau_steps(tau_c))
-                      for tau_c in tau_values]
-        else:
-            chains = [(float(tau_c),
-                       [(phi_c, None)
-                        for phi_c in space.phi_levels(tau_c)])
-                      for tau_c in tau_values]
-        return [(tau_c, steps) for tau_c, steps in chains if steps]
-
-    def _engine_ladder(self, engine: str) -> list[str]:
-        """The degradation ladder from ``engine`` down to the oracle.
-
-        ``batched`` → ``compiled`` → ``bigint``: every rung produces
-        bit-identical records (the repo's core equivalence contract),
-        so degrading under an evaluation fault trades only speed.
-        """
-        ladder = ["batched", "compiled", "bigint"]
-        if engine not in ladder:
-            return [engine]
-        return ladder[ladder.index(engine):]
+        if engine == "bigint" and self.evaluator.engine != "bigint":
+            return replace(self.evaluator, engine="bigint")
+        return self.evaluator
 
     def _run_chains_serial(self, chains: list, space: PruneSpace,
-                           engine: str, deduplicate: bool) -> tuple[list, list]:
-        """The serial walk, degrading down the engine ladder on faults."""
+                           engine: str, deduplicate: bool) -> list:
+        """The serial walk, degrading batched → bigint on faults.
+
+        Both rungs produce bit-identical records (the repo's core
+        equivalence contract), so degrading under an evaluation fault
+        trades only speed.
+        """
         memo = self._record_memo if deduplicate else None
-        ladder = self._engine_ladder(engine)
+        ladder = ("batched", "bigint") if engine == "batched" \
+            else ("bigint",)
         for rung, name in enumerate(ladder):
-            use_batched = self.incremental and name == "batched"
-            if rung:
-                # Fallback rung: rebuild the steps in the form this
-                # engine's walk consumes (same chains either way).
-                chains = self._build_chains([t for t, _ in chains],
-                                            space, use_batched)
-            evaluator = self.evaluator if name == engine \
-                else replace(self.evaluator, engine=name)
             try:
                 fault_point(f"engine.{name}")
-                base_circ = self._base_arrays
-                root = _root_state(base_circ) if self.incremental \
-                    else None
-                if root is not None and use_batched:
-                    rows = _explore_trie_batched(base_circ, evaluator,
-                                                 space, chains, memo,
-                                                 root_state=root)
-                else:
-                    rows = _explore_trie(base_circ, evaluator, chains,
-                                         self.incremental, memo,
-                                         root_state=root)
-                return chains, rows
+                return _walk(name, self._base_arrays,
+                             self._walk_evaluator(name), space, chains,
+                             memo)
             except Exception as exc:
                 if rung == len(ladder) - 1:
                     raise
@@ -968,27 +793,26 @@ class NetlistPruner:
         self.telemetry.note(kind, **info)
 
     def _pool_executor(self, workers: int,
-                       use_batched: bool) -> ProcessPoolExecutor:
+                       engine: str) -> ProcessPoolExecutor:
         """The pruner-owned persistent pool (created on first use).
 
         One pool serves every parallel ``chain_rows()`` call of this
         pruner — the per-worker initializer cost (shipping the netlist,
         evaluator, and pruning statistics) is paid once per pruner
         instead of once per checkpoint shard.  A configuration change
-        (worker count or engine family) retires the old pool first.
+        (worker count or engine) retires the old pool first.
         """
-        key = (int(workers), bool(use_batched))
+        key = (int(workers), engine)
         if self._pool is not None and self._pool_key != key:
             self.close()
         if self._pool is None:
             space = self.space()
-            stats = (space.tau, space.const_value, space.phi) \
-                if use_batched else None
             self._pool = ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_chain_worker,
-                initargs=(self.netlist, self.evaluator, self.incremental,
-                          use_batched, stats))
+                initargs=(self.netlist, self._walk_evaluator(engine),
+                          engine,
+                          (space.tau, space.const_value, space.phi)))
             self._pool_key = key
         return self._pool
 
@@ -1032,14 +856,11 @@ class NetlistPruner:
         self.close()
 
     def _run_chains_parallel(self, chains: list, workers: int,
-                             use_batched: bool = False
-                             ) -> list[list[tuple]] | None:
+                             engine: str) -> list[list[tuple]] | None:
         """Map chains over the persistent pool; ``None`` → serial fallback.
 
-        On the batched engine the workers run the batched walk (each
-        chain is a one-chain trie), so the pool path finally shares the
-        serial path's engine; the pruning statistics ship once per
-        worker as plain arrays.
+        Workers run the serial path's walk, one chain per task; the
+        pruning statistics ship once per worker as plain arrays.
 
         Supervision: a dead pool (``BrokenProcessPool`` from a worker
         that segfaulted, was OOM-killed, or hit an injected death) or a
@@ -1056,7 +877,7 @@ class NetlistPruner:
         for attempt in range(attempts):
             try:
                 fault_point("pool.map", attempt=attempt)
-                pool = self._pool_executor(workers, use_batched)
+                pool = self._pool_executor(workers, engine)
                 futures = [pool.submit(_run_chain_task, chain)
                            for chain in chains]
                 if self.shard_timeout_s is None:

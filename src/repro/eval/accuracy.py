@@ -39,7 +39,22 @@ from ..hw.simulate import (
 from ..ml.metrics import accuracy_score
 from ..quant.fixed_point import quantize_inputs
 
-__all__ = ["DecodeSpec", "EvaluationRecord", "CircuitEvaluator"]
+__all__ = ["DecodeSpec", "EvaluationRecord", "CircuitEvaluator",
+           "check_engine", "resolve_engine"]
+
+
+def check_engine(engine: str) -> None:
+    """Raise ``ValueError`` unless ``engine`` is ``"auto"``, the
+    platform's fast path, or ``"bigint"``, the oracle."""
+    if engine not in ("auto", "bigint"):
+        raise ValueError(f"unknown engine {engine!r} "
+                         "(expected 'auto' or 'bigint')")
+
+
+def resolve_engine(engine: str) -> str:
+    """The backend a selector names on this host: batched or bigint."""
+    return "batched" if engine == "auto" and HOST_SUPPORTS_COMPILED \
+        else "bigint"
 
 
 @dataclass(frozen=True)
@@ -129,25 +144,21 @@ class CircuitEvaluator:
     netlist variant of the circuit with a single simulation.
 
     Which engine am I using?  ``engine`` selects the simulation backend
-    for every score this evaluator produces, and the exploration path
+    for every score this evaluator produces, and the exploration walk
     :class:`~repro.core.pruning.NetlistPruner` takes when it inherits
     the setting:
 
-    * ``"auto"`` (default) — the fastest correct choice: the batched
-      multi-variant engine where the host supports the compiled word
-      layout (little-endian), the legacy bigint loop otherwise.
-    * ``"batched"`` — single netlists simulate on the compiled
-      word-parallel engine; pruning explorations additionally score
-      whole sibling frontiers through one
-      :class:`~repro.hw.compiled.BatchedEvaluator` pass per trie node.
-    * ``"compiled"`` — the per-variant compiled engine (one simulation
-      per explored design); the PR-1 baseline the batched path is
-      benchmarked against.
+    * ``"auto"`` (default) — the platform's fast path: single netlists
+      simulate on the compiled word-parallel engine, and pruning
+      explorations run the batched trie walk
+      (:class:`~repro.hw.compiled.BatchedEvaluator`), where the host
+      supports the compiled word layout (little-endian); the bigint
+      loop otherwise.
     * ``"bigint"`` — the seed's arbitrary-precision reference loop,
       kept as the equivalence oracle.  Slow; use for cross-checks.
 
-    All four produce bit-identical records; the engine only changes how
-    fast they arrive.
+    Both produce bit-identical records; the engine only changes how
+    fast they arrive.  Any other name raises ``ValueError``.
     """
 
     decode: DecodeSpec
@@ -180,6 +191,9 @@ class CircuitEvaluator:
             np.asarray(y_test), clock_ms, engine,
             _n_features=Xq_train.shape[1])
 
+    def __post_init__(self) -> None:
+        check_engine(self.engine)
+
     def __getstate__(self):
         # Drop the simulation cache (it holds a weakref, which does not
         # pickle) so evaluators ship cleanly to exploration workers.
@@ -190,12 +204,7 @@ class CircuitEvaluator:
 
     def resolved_engine(self) -> str:
         """The concrete backend ``engine`` selects on this host."""
-        engine = self.engine
-        if engine == "auto":
-            return "batched" if HOST_SUPPORTS_COMPILED else "bigint"
-        if engine == "batched" and not HOST_SUPPORTS_COMPILED:
-            return "bigint"
-        return engine
+        return resolve_engine(self.engine)
 
     def test_stimulus(self, nl) -> tuple[int, dict, dict]:
         """Validated + word-packed test stimulus, shared by every variant.
@@ -219,14 +228,13 @@ class CircuitEvaluator:
         if cached is not None and cached[0]() is nl \
                 and cached[2] == (nl.n_gates, nl.n_nets):
             return cached[1]
-        engine = self.resolved_engine()
-        if engine in ("compiled", "batched"):
-            # A single netlist has no siblings to batch with: both
-            # selectors share the per-variant compiled plan here.
+        if self.resolved_engine() == "batched":
+            # A single netlist has no siblings to batch with: it runs
+            # on its own compiled plan.
             n, arrays, packed = self.test_stimulus(nl)
             sim = nl.compiled().simulate(arrays, n, packed=packed)
         else:
-            sim = simulate(nl, self.test_inputs, engine=engine)
+            sim = simulate(nl, self.test_inputs, engine="bigint")
         # Shape keys invalidate the cache if the netlist is mutated
         # (gates appended) between evaluations.
         self._test_sim = (weakref.ref(nl), sim, (nl.n_gates, nl.n_nets))
@@ -297,7 +305,7 @@ class CircuitEvaluator:
         disagree on input-bus layout (nothing to share then).
         """
         if len(circuits) < 2 \
-                or self.resolved_engine() not in ("compiled", "batched"):
+                or self.resolved_engine() != "batched":
             return [self.evaluate(circ) for circ in circuits]
         n, _arrays, packed = self.test_stimulus(circuits[0])
         reference = {name: len(nets)

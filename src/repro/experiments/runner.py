@@ -35,25 +35,19 @@ def _default_store():
     return DesignStore(path)
 
 
-def framework_for(case: CircuitCase, engine: str = "auto",
-                  store=None) -> CrossLayerFramework:
+def framework_for(case: CircuitCase, store=None) -> CrossLayerFramework:
     """Paper-configured framework for one circuit (e=4, its clock).
 
-    ``engine`` selects the evaluation backend for every simulation and
-    pruning exploration the experiments run — ``"auto"`` resolves to
-    the batched multi-variant engine on supported hosts; ``"compiled"``
-    and ``"bigint"`` force the per-variant and oracle engines (see
-    :class:`~repro.eval.accuracy.CircuitEvaluator`).  All engines
-    reproduce identical figures and tables; the default is simply the
-    fastest.  ``store`` (default: whatever ``REPRO_STORE`` names)
-    persists the pruning explorations in the content-addressed design
-    store.
+    The framework runs the default engine, the platform's fast path;
+    build a :class:`~repro.core.cross_layer.CrossLayerFramework` with
+    ``engine="bigint"`` directly for an oracle run.  ``store``
+    (default: whatever ``REPRO_STORE`` names) persists the pruning
+    explorations in the content-addressed design store.
     """
     if store is None:
         store = _default_store()
     return CrossLayerFramework(e=4, clock_ms=case.clock_ms,
-                               library=default_library(), engine=engine,
-                               store=store)
+                               library=default_library(), store=store)
 
 
 @lru_cache(maxsize=None)

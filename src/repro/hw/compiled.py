@@ -30,8 +30,8 @@ with per-variant constant-clamp masks (:class:`VariantSpec`) standing in
 for the rewritten structure.  One plan build and one NumPy pass per
 level then serve the whole batch; per-variant read access comes back
 through :class:`BatchedVariantSim`, which mirrors the
-:class:`CompiledSimulation` API.  This is what ``engine="batched"``
-(the ``"auto"`` default on supported hosts) selects in
+:class:`CompiledSimulation` API.  This is the exploration fast path
+``engine="auto"`` resolves to on supported hosts in
 :class:`~repro.eval.accuracy.CircuitEvaluator`,
 :class:`~repro.core.pruning.NetlistPruner`, and
 :class:`~repro.core.cross_layer.CrossLayerFramework`.
@@ -665,8 +665,9 @@ class BatchedEvaluator:
       is two whole-batch popcount reductions followed by per-variant
       gathers over the surviving gates.
 
-    Equivalence with the per-variant engines (and transitively with the
-    bigint oracle) is property-tested in ``tests/test_batched.py``.
+    Equivalence with each variant's own compiled simulation (and
+    transitively with the bigint oracle) is property-tested in
+    ``tests/test_batched.py``.
     """
 
     # Soft cap on the value matrix size per chunk; batches larger than

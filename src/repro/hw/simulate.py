@@ -188,18 +188,12 @@ def simulate(nl: Netlist, inputs: dict[str, np.ndarray],
 
     ``engine`` selects the backend: ``"compiled"`` (word-parallel NumPy),
     ``"bigint"`` (the legacy reference loop), or ``"auto"`` (compiled
-    where the host supports it).  ``"batched"`` — the multi-variant
-    exploration engine — is accepted as an alias of ``"compiled"`` here:
-    a single netlist has no sibling variants to batch with, and the two
-    engines share the per-variant plan.  All backends return the same
-    read API and bit-identical results.
+    where the host supports it).  All backends return the same read API
+    and bit-identical results.
     """
     n, arrays = _validate_inputs(nl, inputs)
-    if engine == "auto" or (engine == "batched"
-                            and not HOST_SUPPORTS_COMPILED):
+    if engine == "auto":
         engine = "compiled" if HOST_SUPPORTS_COMPILED else "bigint"
-    elif engine == "batched":
-        engine = "compiled"
     if engine == "compiled":
         return nl.compiled().simulate(arrays, n)
     if engine == "bigint":

@@ -23,14 +23,13 @@ groups of tau_c chains:
    attribution) — store the finished grid, and delete the checkpoints
    it supersedes.
 
-Row keys are canonicalized to the sorted-gate-id byte form before
-checkpointing and assembly, so resumed (stored) and freshly-computed
-shards deduplicate against each other regardless of which engine
-produced them.
+Every walk keys its rows by the sorted-gate-id byte form, and resumed
+shards load back into it, so stored and freshly-computed shards
+deduplicate against each other whichever engine produced them.
 
 The shard walk fans out across the pruner's process pool when the
-pruner was built with ``n_workers`` — pool workers run the batched
-engine (see :class:`~repro.core.pruning.NetlistPruner`), so sharding
+pruner was built with ``n_workers`` — pool workers run the serial
+path's walk (see :class:`~repro.core.pruning.NetlistPruner`), so sharding
 composes with parallelism instead of replacing it.  The pruner owns
 one *persistent* executor reused across every checkpoint shard (the
 per-worker initializer cost is paid once per job, not once per
@@ -162,13 +161,6 @@ def _deserialize_rows(payload: dict) -> tuple[list, list]:
     return chains, rows
 
 
-def _canonical_keys(rows: list) -> list:
-    """Rewrite one shard's row keys to the sorted-id byte form."""
-    return [[(phi_c, prune_key_bytes(prune_key_ids(key)), n_pruned, record)
-             for phi_c, key, n_pruned, record in chain_rows]
-            for chain_rows in rows]
-
-
 @dataclass
 class ExplorationJob:
     """One resumable, store-backed pruning exploration.
@@ -237,10 +229,8 @@ class ExplorationJob:
     def _preload_memo(self) -> int:
         """Seed the pruner's record memo from the store's variants.
 
-        Keys enter in the byte form the batched walk uses; on the
-        per-variant engines the memo form differs, so hits simply
-        don't occur there (correct either way — see
-        :meth:`~repro.core.pruning.NetlistPruner.chain_rows`).
+        Keys enter in the sorted-id byte form every walk uses, so a
+        stored variant is a memo hit on either engine.
         """
         stored = self.store.variants_for_base(self.base_key())
         for ids, record in stored.items():
@@ -303,7 +293,6 @@ class ExplorationJob:
         with _span("job.shard", index=index, n_taus=len(taus)):
             fault_point("job.shard", index=index)
             chains, rows = self.pruner.chain_rows(taus)
-            rows = _canonical_keys(rows)
             self.store.put_shard(self.grid_key(), index, taus,
                                  _serialize_rows(chains, rows),
                                  fence=fence)

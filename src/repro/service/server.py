@@ -75,6 +75,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..core.pruning import prune_key_bytes
 from ..eval.accuracy import EvaluationRecord
 from .faults import fault_point
 from .jobs import DEFAULT_SHARD_SIZE
@@ -117,7 +118,6 @@ class ServeConfig:
     queue_depth: int = 16       # computations allowed to wait
     retry_after_s: int = 1      # advisory Retry-After on 429
     n_workers: int | None = None
-    engine: str = "auto"
     shard_size: int = DEFAULT_SHARD_SIZE
     default_tenant: str = "default"
     max_body_bytes: int = 1 << 20
@@ -293,7 +293,7 @@ class ExploreServer:
             store = DesignStore(Path(config.store_root) / f"{tenant}.sqlite",
                                 namespace=namespace)
             service = ExplorationService(
-                store, n_workers=config.n_workers, engine=config.engine,
+                store, n_workers=config.n_workers,
                 shard_size=config.shard_size,
                 evaluator_cache=self._evaluators,
                 evaluator_fp_cache=self._evaluator_fps,
@@ -879,7 +879,7 @@ class ExploreServer:
             return
         if method == "PUT":
             (raw,) = self._coord_fields(payload, "variants")
-            entries = {tuple(int(i) for i in ids):
+            entries = {prune_key_bytes(int(i) for i in ids):
                        EvaluationRecord.from_dict(record)
                        for ids, record in raw}
             await self._store_call(tenant, DesignStore.put_variants,

@@ -631,9 +631,8 @@ class DesignStore:
     def put_variants(self, base_key: str, entries: dict) -> None:
         """Bulk insert ``{prune key -> record}`` for one base circuit.
 
-        Keys may be either walk form (bytes / frozenset) — they are
-        canonicalized through
-        :func:`~repro.core.pruning.prune_key_ids`.
+        Keys are the walks' sorted-id bytes
+        (:func:`~repro.core.pruning.prune_key_bytes`).
         """
         now = time.time()
         rows = []

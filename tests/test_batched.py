@@ -18,8 +18,8 @@ Three layers pin the batched path down:
   ``synthesize_reference``'s from-scratch builder replay: same live
   gate count, same cell histogram, bit-identical waveforms;
 
-* the exploration — ``engine="batched"`` must return the design list of
-  ``explore_legacy`` and of the per-variant engines.
+* the exploration — the batched walk must return the design list of
+  ``explore_legacy`` and of the bigint oracle walk.
 """
 
 import numpy as np
@@ -239,16 +239,15 @@ def svm_setup():
 
 
 class TestBatchedExploration:
-    def test_batched_explore_matches_legacy_and_compiled(self, svm_setup):
+    def test_batched_explore_matches_legacy_and_bigint(self, svm_setup):
         netlist, make_evaluator = svm_setup
         grid = (0.82, 0.85, 0.90, 0.95, 0.99)
-        batched = NetlistPruner(netlist, make_evaluator("batched"),
-                                grid).explore()
-        compiled = NetlistPruner(netlist, make_evaluator("compiled"),
-                                 grid).explore()
-        legacy = NetlistPruner(netlist, make_evaluator("compiled"),
+        batched = NetlistPruner(netlist, make_evaluator(), grid).explore()
+        bigint = NetlistPruner(netlist, make_evaluator("bigint"),
+                               grid).explore()
+        legacy = NetlistPruner(netlist, make_evaluator(),
                                grid).explore_legacy()
-        assert batched == compiled == legacy
+        assert batched == bigint == legacy
 
     def test_auto_engine_resolves_to_batched(self, svm_setup):
         netlist, make_evaluator = svm_setup
@@ -257,8 +256,9 @@ class TestBatchedExploration:
         assert NetlistPruner(netlist, make_evaluator("bigint"),
                              (0.95,)).resolved_engine() == "bigint"
         assert NetlistPruner(netlist, make_evaluator("auto"), (0.95,),
-                             engine="compiled").resolved_engine() \
-            == "compiled"
+                             engine="bigint").resolved_engine() == "bigint"
+        assert NetlistPruner(netlist, make_evaluator("bigint"), (0.95,),
+                             engine="auto").resolved_engine() == "batched"
 
     def test_memo_survives_repeat_explores(self, svm_setup):
         """A second explore() reuses the record memo, identically."""

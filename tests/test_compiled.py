@@ -231,8 +231,16 @@ class TestExplorationEquivalence:
                                     n_workers=2).explore()
         assert designs == NetlistPruner(netlist, evaluator, grid).explore()
 
+    def test_parallel_bigint_walk_matches_serial(self, svm_setup):
+        """Pool workers run the oracle walk when the pruner selects it."""
+        netlist, evaluator = svm_setup
+        grid = (0.95, 0.99)
+        parallel = NetlistPruner(netlist, evaluator, grid, n_workers=2,
+                                 engine="bigint").explore()
+        assert parallel == NetlistPruner(netlist, evaluator, grid).explore()
+
     def test_bigint_evaluator_still_explores(self, svm_setup):
-        """Array-form variants convert for non-compiled evaluators."""
+        """A bigint evaluator runs the oracle walk to the same list."""
         netlist, compiled_eval = svm_setup
         split = load_dataset("redwine").standard_split(seed=0)
         model = LinearSVMRegressor(seed=1, max_epochs=250).fit(

@@ -1,4 +1,5 @@
-"""Documentation stays correct: intra-repo links resolve, examples run.
+"""Documentation stays correct: intra-repo links resolve, examples run,
+quoted speedups match the committed record.
 
 The CI docs job runs the same checks standalone
 (``python tools/check_docs.py`` + ``python -m doctest``); keeping them
@@ -7,13 +8,18 @@ locally before it fails in CI.
 """
 
 import doctest
+import json
 import pathlib
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
-from check_docs import broken_links, doc_files  # noqa: E402
+from check_docs import (  # noqa: E402
+    broken_links,
+    doc_files,
+    speedup_mismatches,
+)
 
 
 def test_docs_exist():
@@ -34,3 +40,25 @@ def test_documented_examples_run():
         assert failures == 0, f"{doc.name}: {failures} doctest failures"
         if doc.name in ("README.md", "ARCHITECTURE.md"):
             assert attempted > 0, f"{doc.name} lost its doctest examples"
+
+
+def test_quoted_speedups_match_the_record():
+    record = json.loads((REPO_ROOT / "BENCH_simulate.json").read_text())
+    assert speedup_mismatches((REPO_ROOT / "README.md").read_text(),
+                              record) == []
+
+
+def test_mismatched_speedup_is_reported():
+    record = {"end_to_end": [{"circuit": "redwine/svm_r", "speedup": 1.94},
+                             {"circuit": "cardio/svm_c", "speedup": 8.04}]}
+    readme = "\n".join([
+        "## Measured performance", "",
+        "| Circuit | Batched | Speedup vs seed |",
+        "|---------|---------|-----------------|",
+        "| redwine SVM-R | 0.04 s | {} |",
+        "| cardio SVM-C  | 0.20 s | 8.0x |", "",
+        "Text after the table."])
+    assert speedup_mismatches(readme.format("1.9x"), record) == []
+    problems = speedup_mismatches(readme.format("2.4x"), record)
+    assert len(problems) == 1 and "redwine SVM-R" in problems[0]
+    assert speedup_mismatches("no table", record)

@@ -2,9 +2,11 @@
 
 The contract under test (see the "Identity contract" section of
 ``docs/ARCHITECTURE.md``): design lists are bit-identical to
-``explore_legacy`` on every engine — same coordinates, same records
-(accuracy, area, power, gate count), same duplicate attribution.  It
-is the only mode; no layer takes an ``identity`` option any more.
+``explore_legacy`` on both walks — same coordinates, same records
+(accuracy, area, power, gate count), same duplicate attribution —
+and a store hit equals a fresh compute.  It is the only mode; no layer
+takes an ``identity`` option any more.  The engine selector is
+``"auto"`` or ``"bigint"``; every other name is rejected.
 
 Plus the persistent pruner-owned executor: one process pool reused
 across ``chain_rows``/``explore`` calls, deterministic shutdown, and
@@ -12,6 +14,8 @@ serial fallback preserved.
 """
 
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,8 @@ from repro.eval.accuracy import CircuitEvaluator, DecodeSpec
 from repro.experiments.runner import framework_for
 from repro.experiments.zoo import get_case
 from repro.hw.bespoke import REGRESSOR_OUTPUT, build_bespoke_netlist
-from repro.service import ExplorationService
+from repro.service import DesignStore, ExplorationJob, ExplorationService
+from repro.service.jobs import JobReport
 from repro.service.server import ServeConfig
 from repro.service.store import base_fingerprint_from_parts
 from random_circuits import random_netlist
@@ -34,6 +39,10 @@ GRID = (0.82, 0.85, 0.90, 0.95, 0.99)
 # Random circuits under uniform stimulus have few near-constant gates;
 # a wider tau sweep gives every drawn netlist prune sets to walk.
 RANDOM_GRID = tuple(np.round(np.arange(0.50, 1.00, 0.05), 2))
+
+
+def _no_scoring(*_args):
+    raise AssertionError("a stored variant was scored again")
 
 
 def _strict(designs):
@@ -46,7 +55,7 @@ def svm_setup():
     case = get_case("redwine", "svm_r")
     netlist = build_bespoke_netlist(case.quant_model)
 
-    def make_evaluator(engine="batched"):
+    def make_evaluator(engine="auto"):
         return CircuitEvaluator.from_split(
             case.quant_model, case.split.X_train, case.split.X_test,
             case.split.y_test, engine=engine)
@@ -97,6 +106,42 @@ class TestResolvedIdentity:
             in capsys.readouterr().err
 
 
+class TestEngineSelector:
+    """The selector is ``"auto"`` or ``"bigint"``, checked on entry."""
+
+    @pytest.mark.parametrize("engine", ("bogus", "compiled", "batched"))
+    def test_unknown_engine_raises(self, engine, svm_setup):
+        netlist, make_evaluator = svm_setup
+        with pytest.raises(ValueError, match="engine"):
+            make_evaluator(engine)
+        with pytest.raises(ValueError, match="engine"):
+            NetlistPruner(netlist, make_evaluator(), (0.9,), engine=engine)
+        with pytest.raises(ValueError, match="engine"):
+            CrossLayerFramework(engine=engine)
+
+    def test_retired_knobs_raise(self, svm_setup):
+        netlist, make_evaluator = svm_setup
+        case = get_case("redwine", "svm_r")
+        with pytest.raises(TypeError, match="engine"):
+            ServeConfig(engine="bigint")
+        with pytest.raises(TypeError, match="engine"):
+            framework_for(case, engine="bigint")
+        with pytest.raises(TypeError, match="incremental"):
+            NetlistPruner(netlist, make_evaluator(), (0.9,),
+                          incremental=False)
+
+    @pytest.mark.parametrize("command", (
+        ["explore", "--dataset", "redwine", "--model", "svm_r"],
+        ["sweep-e", "--dataset", "redwine", "--model", "svm_r"],
+        ["serve"]), ids=("explore", "sweep-e", "serve"))
+    def test_cli_has_no_engine_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(command + ["--engine", "bigint"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --engine" \
+            in capsys.readouterr().err
+
+
 class TestExactRegression:
     def test_exact_mode_is_bit_identical_to_legacy(self, svm_setup):
         """The exploration is bit-identical to the legacy oracle."""
@@ -138,10 +183,52 @@ class TestRandomNetlistIdentity:
             {"x": rng.integers(0, 1 << width, n_test)},
             rng.integers(0, 16, n_test))
         legacy = NetlistPruner(nl, evaluator, RANDOM_GRID).explore_legacy()
-        for engine in ("batched", "compiled"):
+        for engine in ("auto", "bigint"):
             designs = NetlistPruner(nl, evaluator, RANDOM_GRID,
                                     engine=engine).explore()
             assert _strict(designs) == _strict(legacy), engine
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=25, deadline=None)
+    def test_store_hit_equals_fresh_compute(self, seed):
+        """A cold job, a warm grid hit and a memo-preloaded rerun all
+        return ``explore_legacy``'s list, on both engines.
+
+        ``tempfile`` rather than ``tmp_path``: a function-scoped fixture
+        would be shared by every example ``@given`` draws.
+        """
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(1, 6))
+        nl = random_netlist(rng, int(rng.integers(1, 60)), width,
+                            output=REGRESSOR_OUTPUT, signed=False)
+        n_test = int(rng.integers(1, 100))
+        stimulus = ({"x": rng.integers(0, 1 << width, 48)},
+                    {"x": rng.integers(0, 1 << width, n_test)},
+                    rng.integers(0, 16, n_test))
+        for engine in ("auto", "bigint"):
+            evaluator = CircuitEvaluator(
+                DecodeSpec("regressor", y_min=0, y_max=15), *stimulus,
+                engine=engine)
+            legacy = _strict(NetlistPruner(nl, evaluator, RANDOM_GRID)
+                             .explore_legacy())
+            with tempfile.TemporaryDirectory() as tmp:
+                store = DesignStore(Path(tmp) / "s.sqlite")
+                cold = ExplorationJob(NetlistPruner(nl, evaluator,
+                                                    RANDOM_GRID), store)
+                assert _strict(cold.run()) == legacy, engine
+                report = JobReport("")
+                warm = ExplorationJob(NetlistPruner(nl, evaluator,
+                                                    RANDOM_GRID), store)
+                assert _strict(warm.run(report=report)) == legacy, engine
+                assert report.grid_hit
+                # Every stored variant is a memo hit, so the rerun
+                # scores nothing.
+                scoring_off = dataclasses.replace(evaluator)
+                scoring_off.evaluate = scoring_off.evaluate_batch = \
+                    _no_scoring
+                rerun = ExplorationJob(NetlistPruner(nl, scoring_off,
+                                                     RANDOM_GRID), store)
+                assert _strict(rerun.run(resume=False)) == legacy, engine
 
     def test_folded_base_keeps_the_callers_netlist(self, svm_setup):
         """A base already at the fold fixpoint is not replaced."""

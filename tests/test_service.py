@@ -90,10 +90,13 @@ class TestRecordSerialization:
 
 
 class TestKeyNormalization:
-    def test_bytes_and_frozenset_forms_agree(self):
+    def test_bytes_and_id_forms_agree(self):
         ids = (3, 17, 255)
         assert prune_key_ids(prune_key_bytes(ids)) == ids
-        assert prune_key_ids(frozenset({(17, 1), (3, 0), (255, 1)})) == ids
+        # Any order, and a gate -> constant prune set, key the same.
+        assert prune_key_bytes((255, 3, 17)) == prune_key_bytes(ids)
+        assert prune_key_bytes({17: 1, 3: 0, 255: 1}) \
+            == prune_key_bytes(ids)
 
 
 class TestFingerprints:
@@ -426,7 +429,7 @@ class TestWorkerBatchedEngine:
         netlist, evaluator = svm_setup
         grid = (0.90, 0.95, 0.99)
         parallel = NetlistPruner(netlist, evaluator, grid,
-                                 n_workers=2, engine="batched").explore()
+                                 n_workers=2, engine="auto").explore()
         legacy = NetlistPruner(netlist, evaluator, grid).explore_legacy()
         assert parallel == legacy
 

@@ -1,17 +1,23 @@
-"""Intra-repo link checker for the Markdown docs (CI docs job).
+"""Docs checker for the Markdown docs (CI docs job).
 
-Scans ``README.md`` and ``docs/*.md`` for Markdown links and verifies
-that every *relative* target exists in the repository (anchors are
-stripped; ``http(s)``/``mailto`` targets are skipped — this repo's CI
-has no business depending on the external internet).
+Two checks:
+
+* **links** — scans ``README.md`` and ``docs/*.md`` for Markdown links
+  and verifies that every *relative* target exists in the repository
+  (anchors are stripped; ``http(s)``/``mailto`` targets are skipped —
+  this repo's CI has no business depending on the external internet);
+* **quoted numbers** — every "Speedup vs seed" cell of the README's
+  "Measured performance" table must equal that circuit's ``speedup``
+  in ``BENCH_simulate.json``, rounded to one decimal.
 
 Run::
 
-    python tools/check_docs.py            # exit 1 on any broken link
+    python tools/check_docs.py            # exit 1 on any problem
 """
 
 from __future__ import annotations
 
+import json
 import pathlib
 import re
 import sys
@@ -48,14 +54,58 @@ def broken_links(files: list[pathlib.Path] | None = None) -> list[str]:
     return problems
 
 
+def _table_after(text: str, heading: str) -> list[list[str]]:
+    """The cells of the first Markdown table under ``heading``."""
+    section = text.split(heading, 1)[1] if heading in text else ""
+    rows = []
+    for line in section.splitlines():
+        if line.startswith("|"):
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+        elif rows:
+            break
+    return [row for row in rows if not set("".join(row)) <= set("-: ")]
+
+
+def speedup_mismatches(readme: str, record: dict) -> list[str]:
+    """README "Speedup vs seed" cells that disagree with ``record``.
+
+    ``readme`` is the README text and ``record`` the parsed
+    ``BENCH_simulate.json``.  A row's circuit ``"redwine SVM-R"`` names
+    the record's ``"redwine/svm_r"``.
+    """
+    table = _table_after(readme, "## Measured performance")
+    if not table or "Speedup vs seed" not in table[0]:
+        return ["README.md: no 'Speedup vs seed' column under "
+                "'## Measured performance'"]
+    column = table[0].index("Speedup vs seed")
+    speedups = {row["circuit"]: row["speedup"]
+                for row in record["end_to_end"]}
+    problems = []
+    for row in table[1:]:
+        dataset, model = row[0].split()
+        circuit = f"{dataset}/{model.lower().replace('-', '_')}"
+        quoted = row[column]
+        if circuit not in speedups:
+            problems.append(f"README.md: {row[0]} is not in the record")
+        elif quoted != f"{round(speedups[circuit], 1):.1f}x":
+            problems.append(f"README.md: {row[0]} quotes {quoted}, the "
+                            f"record has {speedups[circuit]:.2f}x")
+    return problems
+
+
 def main() -> int:
     files = doc_files()
     problems = broken_links(files)
     for problem in problems:
         print(f"broken link — {problem}", file=sys.stderr)
-    print(f"checked {len(files)} docs: "
-          f"{'all links ok' if not problems else f'{len(problems)} broken'}")
-    return 1 if problems else 0
+    mismatches = speedup_mismatches(
+        (REPO_ROOT / "README.md").read_text(),
+        json.loads((REPO_ROOT / "BENCH_simulate.json").read_text()))
+    for problem in mismatches:
+        print(f"stale number — {problem}", file=sys.stderr)
+    print(f"checked {len(files)} docs: {len(problems)} broken links, "
+          f"{len(mismatches)} stale speedups")
+    return 1 if problems or mismatches else 0
 
 
 if __name__ == "__main__":
