@@ -251,9 +251,10 @@ def _fold_base(nl: Netlist) -> tuple[ArrayCircuit, bool]:
 def _root_state(base: ArrayCircuit) -> tuple:
     """Wrap the folded base as the shared chain-root state.
 
-    Every chain root forks this state and ties its first prune set onto
-    it — the cone rewrite replaces a from-scratch synthesis per chain.
-    The base is already at the fold fixpoint, so its node map is the
+    A chain root that cannot build on the previous root forks this state
+    and ties its first prune set onto it — the cone rewrite replaces a
+    from-scratch synthesis per chain.  The walk never mutates it.  The
+    base is already at the fold fixpoint, so its node map is the
     identity.
     """
     return IncrementalCircuit.from_arrays(base), list(range(base.n_nets))
@@ -311,6 +312,14 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
     exactly once.  Sibling branches fork the shared prefix state; each
     group ties only its delta gates onto the already-folded circuit
     (:meth:`~repro.hw.incremental.IncrementalCircuit.tie_gates`).
+    The trie's depth-0 layer is a *root ladder*: roots are walked
+    smallest first (descending tau_c on the default grid).  A root whose
+    prune set contains the previous root's forks that root's state and
+    ties only the delta gates, inheriting its plan epoch and clamps, so
+    plan epochs are shared across chains.  Any other root forks the base
+    state and ties its full prefix.  Phi increments then run on a fork
+    of their root; a state is never mutated after it was forked.
+
     Scoring rests on two mechanisms built on the rewriter's stable node
     ids:
 
@@ -330,21 +339,26 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
       afterwards, grouped per epoch plan, as
       :class:`~repro.hw.compiled.BatchedEvaluator` ``(n_nets, K,
       n_words)`` passes — the per-level NumPy dispatch overhead is paid
-      once per batch, not once per variant — and are scored through
-      :meth:`~repro.eval.accuracy.CircuitEvaluator.evaluate_batch`.
+      once per batch, not once per variant.  Each chunk of a batch is
+      scored through
+      :meth:`~repro.eval.accuracy.CircuitEvaluator.evaluate_batch` and
+      released before the next chunk is simulated.
 
-    The *fold decomposition* is fixed: a state is always (chain-root
-    prune set, then phi-increments).  Organizing the walk around other
-    nestings — e.g. deriving a chain root from the previous tau's state
-    — changes which rewrite rules fire and can reach a (functionally
-    equal but) structurally different circuit than ``explore_legacy``'s
-    from-scratch synthesis, which the acceptance bench would flag.
+    A walk state is a chain of cone rewrites: the ladder of roots,
+    then phi increments.  Such a chain reaches the circuit
+    ``explore_legacy``'s from-scratch synthesis does, because
+    :meth:`~repro.hw.incremental.IncrementalCircuit.tie` refuses every
+    tie that would reach logic beyond the named gate: a forwarded node
+    or a shared one, live or dead.
 
-    A degenerate tie (conflict or rewrite-cascade overflow) rebuilds
-    the branch from scratch and starts a fresh plan epoch in the
-    rebuilt node space.  Records are integer reductions that come out
-    bit-identical to the oracle walk's, pinned by the equivalence tests
-    against ``explore_legacy``.
+    A refused ladder delta counts ``pruner.root_fallbacks{to=base}``
+    and retries the root from the base state.  A refused tie on the
+    base (conflict, refusal or rewrite-cascade overflow) rebuilds the
+    branch from scratch (counted ``{to=refold}`` for a root) and starts
+    a fresh plan epoch in the rebuilt node space; the next root then
+    starts from the base again.  Records are integer reductions
+    that come out bit-identical to the oracle walk's, pinned by the
+    equivalence tests against ``explore_legacy``.
 
     Bookkeeping note: a chain's steps are *prefix slices* of its
     phi-sorted candidate arrays, and chains grouped together in the
@@ -443,36 +457,96 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
             capture(key, state)
         return state
 
-    def visit(chain_ids: list[int], depth: int, state: list) -> None:
-        groups: dict[bytes, list[int]] = {}
+    def fork(state: list) -> list:
+        return [state[0].fork(), state[1], state[2], state[3], state[4],
+                dict(state[5])]
+
+    def tie_root(source: list, ci: int, gates: list, consts: list,
+                 key: bytes) -> list | None:
+        """Chain ``ci``'s root: ``gates`` tied onto a fork of ``source``.
+
+        ``source`` is never mutated, and the root inherits its plan
+        epoch and clamps.  ``None`` when the tie is refused.
+        """
+        state = fork(source)
+        applied = state[0].tie_gates(gates, consts, state[1])
+        if applied is None:
+            return None
+        state[2] = chain_arrays[ci][3][0][1]
+        merge_clamps(state, applied)
+        if not known(key):
+            capture(key, state)
+        return state
+
+    def record_rows(ids: list[int], depth: int, key: bytes) -> None:
+        n_pruned = chain_arrays[ids[0]][3][depth][1]
+        for ci in ids:
+            results[ci].append((chain_arrays[ci][3][depth][0], key,
+                                n_pruned))
+
+    def groups(chain_ids, depth: int) -> list[tuple[bytes, list[int]]]:
+        """The chains that reach ``depth``, grouped by that step's key."""
+        found: dict[bytes, list[int]] = {}
         for ci in chain_ids:
             gates_np = chain_arrays[ci][2]
             steps = chain_arrays[ci][3]
             if depth < len(steps):
                 key = np.sort(gates_np[:steps[depth][1]]).tobytes()
-                groups.setdefault(key, []).append(ci)
-        if not groups:
-            return
-        group_items = list(groups.items())
+                found.setdefault(key, []).append(ci)
+        return list(found.items())
+
+    def visit(chain_ids: list[int], depth: int, state: list) -> None:
+        group_items = groups(chain_ids, depth)
         for position, (key, ids) in enumerate(group_items):
             # Sibling branches mutate the chain state in place, so every
             # branch but the last works on a fork of the shared prefix.
-            if position < len(group_items) - 1:
-                branch = [state[0].fork(), state[1], state[2],
-                          state[3], state[4], dict(state[5])]
-            else:
-                branch = state
+            branch = fork(state) if position < len(group_items) - 1 \
+                else state
             branch = apply_step(branch, ids[0], depth, key)
-            phi_count = chain_arrays[ids[0]][3][depth]
-            for ci in ids:
-                phi_c = chain_arrays[ci][3][depth][0]
-                results[ci].append((phi_c, key, phi_count[1]))
+            record_rows(ids, depth, key)
             visit(ids, depth + 1, branch)
 
-    root_inc, root_map = root_state
-    visit(list(range(len(chains))), 0, [root_inc, root_map, 0, None, 0, {}])
+    # The root ladder (the trie's depth-0 layer, see above).  On the
+    # default grid the candidate sets nest, so every root whose lowest
+    # phi level did not drop builds on the previous one.
+    telemetry = _service_telemetry()
+    base_state = [root_state[0], root_state[1], 0, None, 0, {}]
+    ladder: list | None = None
+    ladder_ids = None
+    ordered = sorted(groups(range(len(chains)), 0),
+                     key=lambda item: chain_arrays[item[1][0]][3][0][1])
+    for position, (key, ids) in enumerate(ordered):
+        ci = ids[0]
+        gates_l, consts_l, gates_np, steps = chain_arrays[ci]
+        count = steps[0][1]
+        state = None
+        if ladder is not None:
+            root_ids = gates_np[:count]
+            fresh = ~np.isin(root_ids, ladder_ids, assume_unique=True)
+            if count - int(np.count_nonzero(fresh)) == ladder_ids.size:
+                delta = root_ids[fresh]
+                state = tie_root(ladder, ci, delta.tolist(),
+                                 space.const_value[delta].tolist(), key)
+                if state is None:
+                    telemetry.counter("pruner.root_fallbacks", to="base")
+        if state is None:
+            state = tie_root(base_state, ci, gates_l[:count],
+                             consts_l[:count], key)
+        if state is None:
+            telemetry.counter("pruner.root_fallbacks", to="refold")
+            state = refold([None] * 6, ci, count, key)
+            ladder = None
+        else:
+            ladder, ladder_ids = state, np.frombuffer(key, dtype=np.int64)
+        record_rows(ids, 0, key)
+        # Phi increments run on a fork of the root, so the next root can
+        # still build on it; the last root has no successor.
+        if any(len(chain_arrays[i][3]) > 1 for i in ids):
+            visit(ids, 1, state if position == len(ordered) - 1
+                  else fork(state))
 
-    # Deferred evaluation: one batch per plan epoch.
+    # Deferred evaluation: one batch per plan epoch, each chunk scored
+    # and released before the next one is simulated.
     if pending:
         by_plan: dict[int, list] = {}
         for key, (plan, spec) in pending.items():
@@ -480,9 +554,12 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
             by_plan[id(plan)][1].append(key)
             by_plan[id(plan)][2].append(spec)
         for plan, keys, specs in by_plan.values():
-            sims = BatchedEvaluator(plan, n_vectors, packed).evaluate(specs)
-            for key, record in zip(keys, evaluator.evaluate_batch(sims)):
-                resolved[key] = record
+            done = 0
+            for sims in BatchedEvaluator(plan, n_vectors,
+                                         packed).chunks(specs):
+                for record in evaluator.evaluate_batch(sims):
+                    resolved[keys[done]] = record
+                    done += 1
 
     if known_records is not None:
         for key, record in resolved.items():
@@ -530,8 +607,6 @@ def _run_chain_task(task: tuple) -> list[tuple]:
     # scheduled worker death ("exit"/"kill") fires here — the parent
     # sees a broken pool and the supervision path takes over.
     fault_point("worker.chain", tau=tau_c)
-    if root is not None:
-        root = (root[0].fork(), root[1])
     # One chain is a one-chain walk: keys, records and row shapes match
     # the serial walk exactly, so serial == parallel holds row-for-row
     # (and the record memo keys stay transferable).

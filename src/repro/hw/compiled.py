@@ -97,7 +97,9 @@ OPCODES = {
 if hasattr(np, "bitwise_count"):
     def _popcount_rows(words: np.ndarray) -> np.ndarray:
         """Total set bits per row of a 2-D uint64 array."""
-        return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+        # einsum sums the short word axis about twice as fast as .sum().
+        return np.einsum("...w->...", np.bitwise_count(words),
+                         dtype=np.int64)
 
     # Same reduction works for any rank; keep one implementation.
     _popcount_last = _popcount_rows
@@ -123,6 +125,27 @@ def _valid_mask(n_bits: int, n_words: int) -> np.ndarray:
     if rem and full < n_words:
         mask[full] = np.uint64((1 << rem) - 1)
     return mask
+
+
+def _toggle_counts(vals: np.ndarray, toggle_mask: np.ndarray,
+                   shifted: np.ndarray | None = None,
+                   carry: np.ndarray | None = None) -> np.ndarray:
+    """Toggle counts of tail-clean word rows, one per row (last axis).
+
+    Toggle i compares vectors i and i+1: XOR each row with its one-bit
+    right shift (bit 0 of the next word carried into bit 63), then drop
+    the invalid flip at position n-1 with ``toggle_mask``
+    (``_valid_mask(n - 1, n_words)``).  ``shifted`` and ``carry`` are
+    optional scratch arrays of ``vals``' shape.
+    """
+    shifted = np.right_shift(vals, np.uint64(1), out=shifted)
+    if vals.shape[-1] > 1:
+        shifted[..., :-1] |= np.left_shift(
+            vals[..., 1:], np.uint64(_WORD_BITS - 1),
+            out=None if carry is None else carry[..., :-1])
+    shifted ^= vals
+    shifted &= toggle_mask
+    return _popcount_last(shifted)
 
 
 def pack_bit_matrix(bits: np.ndarray, n_words: int) -> np.ndarray:
@@ -169,7 +192,7 @@ def _run_levels(words: np.ndarray, levels_plan: list,
     multi-netlist engine (:meth:`MultiNetlistSim.evaluate`) — one loop,
     one place for opcode semantics, so the engines cannot drift.  (The
     batched multi-variant engine keeps its own 3-D loop: it interleaves
-    per-variant constant-clamp injection between levels.)
+    per-variant constant clamps and activity counting with the levels.)
     """
     max_rows = max(max_level_width, 1)
     n_words = words.shape[1]
@@ -496,15 +519,7 @@ class CompiledSimulation:
         ones = _popcount_rows(vals)
         prob = ones / n
         if n > 1:
-            # Toggle i compares vectors i and i+1: XOR each row with its
-            # one-bit right shift (carrying bit 0 of the next word into
-            # bit 63), then drop the invalid flip at position n-1.
-            shifted = vals >> np.uint64(1)
-            if self.n_words > 1:
-                shifted[:, :-1] |= vals[:, 1:] << np.uint64(_WORD_BITS - 1)
-            flipped = vals ^ shifted
-            flipped &= _valid_mask(n - 1, self.n_words)[None, :]
-            flips = _popcount_rows(flipped)
+            flips = _toggle_counts(vals, _valid_mask(n - 1, self.n_words))
             toggles = flips / (n - 1)
         else:
             flips = np.zeros(n_gates, dtype=np.int64)
@@ -662,18 +677,24 @@ class BatchedEvaluator:
     * helper gates a rewrite created beyond the parent plan (a few INV/
       AND/OR per tie) are replayed per variant in level order;
     * switching activity (the ``ones``/``flips`` popcounts power needs)
-      is two whole-batch popcount reductions followed by per-variant
-      gathers over the surviving gates.
+      is counted inside the level loop, on each level's slab right
+      after its clamps and scatter while it is still in cache, then
+      gathered per variant over the surviving gates;
+    * batches evaluate in chunks of at most ``MAX_CHUNK_BYTES`` of value
+      matrix (and at most 32 variants); :meth:`chunks` yields them one
+      at a time, so a caller that scores each chunk before the next
+      holds one chunk's matrix at a time.
 
     Equivalence with each variant's own compiled simulation (and
     transitively with the bigint oracle) is property-tested in
     ``tests/test_batched.py``.
     """
 
-    # Soft cap on the value matrix size per chunk; batches larger than
-    # this evaluate in slices (the exploration rarely exceeds ~20
-    # siblings, the cap only guards degenerate callers).
-    MAX_CHUNK_BYTES = 1 << 26
+    # Cap on the value matrix size per chunk; larger batches evaluate
+    # in slices.  Plan epochs shared across chains reach ~80 variants,
+    # and the walk scores each chunk before simulating the next, so
+    # this bounds the walk's peak memory.
+    MAX_CHUNK_BYTES = 1 << 23
 
     def __init__(self, plan: CompiledNetlist, n_vectors: int,
                  packed: dict[str, np.ndarray]) -> None:
@@ -691,27 +712,26 @@ class BatchedEvaluator:
             pos_row[out] = np.arange(len(out), dtype=np.int64)
         self._pos_level = pos_level
         self._pos_row = pos_row
-        # Node -> index into the plan's gate list, so activity popcounts
-        # run over live gate rows only (node-id space keeps dead slots
-        # around as zero rows — no reason to count them).
+        # Node -> position in level-plan order (the concatenated
+        # ``levels_plan`` outputs), where the level loop writes each
+        # gate's activity popcounts.  Not ``plan.gate_out``: a
+        # ``CompiledNetlist(nl)`` plan sorts its gates into levels.
         gate_pos = np.zeros(plan.n_nets, dtype=np.int64)
-        gate_pos[plan.gate_out] = np.arange(plan.n_gates, dtype=np.int64)
+        gate_pos[plan.flat[4]] = np.arange(plan.n_gates, dtype=np.int64)
         self._gate_pos = gate_pos
-        # A freshly-captured plan has no dead slots interleaved, so its
-        # gate rows form one slice of the value matrix — the activity
-        # pass then reads a view instead of gathering an L×K×W copy.
-        self._contiguous_gates = bool(
-            plan.n_gates and plan.gate_out[0] + plan.n_gates
-            == plan.gate_out[-1] + 1
-            and np.array_equal(
-                plan.gate_out,
-                np.arange(plan.gate_out[0],
-                          plan.gate_out[0] + plan.n_gates)))
 
     def evaluate(self, specs: list[VariantSpec]) -> list[BatchedVariantSim]:
         """Simulate every variant; returns one sim view per spec."""
+        return [sim for sims in self.chunks(specs) for sim in sims]
+
+    def chunks(self, specs: list[VariantSpec]):
+        """Simulate ``specs`` one chunk at a time, yielding its sims.
+
+        A caller that scores each chunk before asking for the next one
+        holds a single chunk's value matrix at a time.
+        """
         if not specs:
-            return []
+            return
         per_variant = self.plan.n_nets * self.n_words * 8
         # Beyond ~32 variants the value matrix outgrows the cache
         # hierarchy and the per-level work turns bandwidth-bound;
@@ -720,10 +740,8 @@ class BatchedEvaluator:
         telemetry = _service_telemetry()
         telemetry.counter("engine.batches")
         telemetry.observe("engine.batch_size", len(specs))
-        sims: list[BatchedVariantSim] = []
         for start in range(0, len(specs), chunk):
-            sims.extend(self._evaluate_chunk(specs[start:start + chunk]))
-        return sims
+            yield self._evaluate_chunk(specs[start:start + chunk])
 
     def _evaluate_chunk(self,
                         specs: list[VariantSpec]) -> list[BatchedVariantSim]:
@@ -733,13 +751,17 @@ class BatchedEvaluator:
         n_nets = plan.n_nets
         K = len(specs)
         # (n_nets, K, n_words): a net's K variant rows sit contiguously,
-        # so the per-level gather/scatter moves whole cache lines.
+        # so the per-level gather/scatter moves whole cache lines.  Every
+        # row is kept tail-clean (bits past ``n_vectors`` zero): constant
+        # one and clamps write the valid mask, packed inputs come padded
+        # with zeros, and each level is masked before its scatter.
+        mask = _valid_mask(n_vectors, n_words)
         words = np.zeros((n_nets, K, n_words), dtype=np.uint64)
-        words[1] = _ALL_ONES
+        words[1] = mask
 
         for name, nets in plan.netlist.input_buses.items():
             words[np.asarray(nets, dtype=np.int64)] = \
-                self.packed[name][:, None, :]
+                self.packed[name][:, None, :] & mask
 
         # Constant clamps, grouped by the level producing the clamped
         # node (vectorized: one sort of the flattened tie lists).
@@ -766,7 +788,7 @@ class BatchedEvaluator:
             words[t_nodes[:n_start][~t_vals[:n_start]],
                   t_ks[:n_start][~t_vals[:n_start]]] = 0
             words[t_nodes[:n_start][t_vals[:n_start]],
-                  t_ks[:n_start][t_vals[:n_start]]] = _ALL_ONES
+                  t_ks[:n_start][t_vals[:n_start]]] = mask
             if n_start < n_ties:
                 t_rows = self._pos_row[t_nodes]
                 bounds = np.flatnonzero(np.diff(t_levels[n_start:])) + 1
@@ -776,10 +798,19 @@ class BatchedEvaluator:
                     level_forces[int(t_levels[s])] = (t_rows[s:e],
                                                       t_ks[s:e], t_vals[s:e])
 
+        # Switching activity (the ``ones``/``flips`` popcounts power
+        # needs) is counted per level while its slab is still in cache,
+        # into rows indexed by level-plan position.
+        toggle_mask = _valid_mask(n_vectors - 1, n_words) \
+            if n_vectors > 1 else None
+        ones_live = np.empty((plan.n_gates, K), dtype=np.int64)
+        flips_live = np.zeros((plan.n_gates, K), dtype=np.int64)
         max_rows = max(plan.max_level_width, 1)
         scratch_a = np.empty((max_rows, K, n_words), dtype=np.uint64)
         scratch_b = np.empty((max_rows, K, n_words), dtype=np.uint64)
+        scratch_c = np.empty((max_rows, K, n_words), dtype=np.uint64)
         take = np.take
+        first = 0
         for level_idx, (out, a, b, segments) in enumerate(plan.levels_plan):
             rows = len(a)
             va_all = take(words, a, 0, out=scratch_a[:rows])
@@ -813,36 +844,16 @@ class BatchedEvaluator:
                 f_rows, f_ks, f_vals = force
                 va_all[f_rows[~f_vals], f_ks[~f_vals]] = 0
                 va_all[f_rows[f_vals], f_ks[f_vals]] = _ALL_ONES
+            va_all &= mask
             words[out] = va_all
+            last = first + rows
+            ones_live[first:last] = _popcount_last(va_all)
+            if toggle_mask is not None:
+                # vb_all is spent: scratch_b holds the carry bits.
+                flips_live[first:last] = _toggle_counts(
+                    va_all, toggle_mask, scratch_c[:rows], scratch_b[:rows])
+            first = last
 
-        # Zero the tail bits once; every later reduction and decode then
-        # works on clean rows (0 is legal "garbage").
-        words &= _valid_mask(n_vectors, n_words)[None, None, :]
-
-        # Whole-batch activity popcounts over the plan's (live) gate
-        # rows, gathered per variant below.
-        if self._contiguous_gates:
-            first = int(plan.gate_out[0])
-            gate_rows = words[first:first + plan.n_gates]
-        else:
-            gate_rows = np.take(words, plan.gate_out, 0)
-        ones_live = _popcount_last(gate_rows)
-        if n_vectors > 1:
-            shifted = gate_rows >> np.uint64(1)
-            if n_words > 1:
-                shifted[:, :, :-1] |= gate_rows[:, :, 1:] << \
-                    np.uint64(_WORD_BITS - 1)
-            shifted ^= gate_rows
-            shifted &= _valid_mask(n_vectors - 1, n_words)[None, None, :]
-            flips_live = _popcount_last(shifted)
-            del shifted
-        else:
-            flips_live = np.zeros_like(ones_live)
-        del gate_rows
-
-        mask = _valid_mask(n_vectors, n_words)
-        toggle_mask = _valid_mask(n_vectors - 1, n_words) \
-            if n_vectors > 1 else None
         sims = []
         for k, spec in enumerate(specs):
             words_k = words[:, k, :]
@@ -870,13 +881,7 @@ class BatchedEvaluator:
                     helper_flips = np.zeros(len(spec.helpers),
                                             dtype=np.int64)
                 else:
-                    h_shift = stacked >> np.uint64(1)
-                    if n_words > 1:
-                        h_shift[:, :-1] |= stacked[:, 1:] << \
-                            np.uint64(_WORD_BITS - 1)
-                    h_shift ^= stacked
-                    h_shift &= toggle_mask
-                    helper_flips = _popcount_rows(h_shift)
+                    helper_flips = _toggle_counts(stacked, toggle_mask)
                 ones = np.concatenate((ones, helper_ones))
                 flips = np.concatenate((flips, helper_flips))
             sims.append(BatchedVariantSim(spec, n_vectors, words_k,
@@ -1081,13 +1086,8 @@ class MultiNetlistSim:
             gate_rows = np.take(words, all_rows, 0)
             ones_all = _popcount_rows(gate_rows)
             if n_vectors > 1:
-                shifted = gate_rows >> np.uint64(1)
-                if n_words > 1:
-                    shifted[:, :-1] |= gate_rows[:, 1:] << \
-                        np.uint64(_WORD_BITS - 1)
-                shifted ^= gate_rows
-                shifted &= _valid_mask(n_vectors - 1, n_words)[None, :]
-                flips_all = _popcount_rows(shifted)
+                flips_all = _toggle_counts(
+                    gate_rows, _valid_mask(n_vectors - 1, n_words))
             else:
                 flips_all = np.zeros_like(ones_all)
         else:

@@ -232,13 +232,19 @@ class IncrementalCircuit(FoldRules):
         """Tie each (resolved, live) node to its constant and refold.
 
         ``ties`` may name nodes that already forwarded to the requested
-        constant (no-ops).  ValueError — which callers answer with a
-        from-scratch fold — is raised for a node forwarded to the
-        *opposite* constant, and for a node other logic reads as well:
-        one forwarded to another live signal, or one marked ``shared``
-        (handed out by a structural-hash hit, or the INV gate of a
-        complement pair a fold relied on).  Tying such a node would tie
-        that other logic too, which the batch fold never does, so only
+        constant (no-ops), and unforwarded, unshared nodes stripped as
+        dead (skipped).  ValueError — which callers answer with a
+        from-scratch fold — is raised for:
+
+        * a node forwarded to the *opposite* constant;
+        * a node forwarded to any other node, live or dead: a collapse
+          moved its function there, so tying it would tie that other
+          logic (or silently skip the tie when the target died since);
+        * a node marked ``shared``, live or dead (handed out by a
+          structural-hash hit, or the INV gate of a complement pair a
+          fold relied on): a fold that saw through it outlives it.
+
+        The batch fold never ties logic beyond the named gate, so only
         a tie on a node carrying its own gate alone stays exact.
 
         Returns the ties as *applied*: the map from each live node that
@@ -261,10 +267,10 @@ class IncrementalCircuit(FoldRules):
                 if target != value:
                     raise ValueError("tie conflicts with folded constant")
                 continue
-            if not self.is_live_signal(target):
-                continue  # the signal was stripped as dead
             if target != node or self.shared[target]:
                 raise ValueError("tie target is shared with other logic")
+            if not self.is_live_signal(target):
+                continue  # the signal was stripped as dead
             applied[target] = value
             self._replace(target, 1 if value else 0)
         self._drain(budget)

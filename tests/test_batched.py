@@ -19,8 +19,12 @@ Three layers pin the batched path down:
   gate count, same cell histogram, bit-identical waveforms;
 
 * the exploration — the batched walk must return the design list of
-  ``explore_legacy`` and of the bigint oracle walk.
+  ``explore_legacy`` and of the bigint oracle walk, and its root ladder
+  must keep sharing plan epochs across chains (pinned plan-build
+  counts).
 """
+
+import io
 
 import numpy as np
 import pytest
@@ -29,9 +33,15 @@ from hypothesis import strategies as st
 
 from repro.datasets import load_dataset
 from repro.eval.accuracy import CircuitEvaluator
+from repro.experiments.zoo import get_case
 from repro.hw.area import area_mm2
 from repro.hw.bespoke import build_bespoke_netlist
-from repro.hw.compiled import BatchedEvaluator, pack_stimulus
+from repro.hw.compiled import (
+    BatchedEvaluator,
+    CompiledNetlist,
+    VariantSpec,
+    pack_stimulus,
+)
 from repro.hw.incremental import IncrementalCircuit
 from repro.hw.netlist import Netlist
 from repro.hw.power import power_mw
@@ -41,9 +51,11 @@ from repro.hw.synthesis import (
     synthesize_arrays,
     synthesize_reference,
 )
+from repro.core.cross_layer import CrossLayerFramework
 from repro.core.pruning import NetlistPruner
 from repro.ml import LinearSVMRegressor
 from repro.quant import quantize_model
+from repro.service import telemetry
 from random_circuits import random_netlist
 
 
@@ -175,6 +187,69 @@ class TestBatchedEvaluatorEquivalence:
             _activity_multiset([_OPCODE_OF_CELL[c] for c in ref.gate_type],
                                oracle.activity())
 
+    def test_chunks_match_one_pass_and_count_one_batch(self, monkeypatch):
+        """A batch split into one-variant chunks simulates exactly like
+        one pass, and still counts as one ``engine.batches`` dispatch."""
+        rng = np.random.default_rng(11)
+        nl = random_netlist(rng, 60, 4)
+        base, inc, node_map = _folded_incremental(nl)
+        plan = inc.plan()
+        arrays = {"x": rng.integers(0, 16, 100)}
+        packed = pack_stimulus(arrays, {"x": 4}, 100)
+        specs = []
+        while len(specs) < 4:
+            branch = inc.fork()
+            try:
+                applied = branch.tie(_random_ties(
+                    rng, branch, node_map, base.n_fixed, base.n_gates))
+            except ValueError:
+                continue
+            specs.append(branch.variant_spec(applied, len(inc.ops)))
+        whole = BatchedEvaluator(plan, 100, packed).evaluate(specs)
+        monkeypatch.setattr(BatchedEvaluator, "MAX_CHUNK_BYTES", 1)
+        telemetry.reset()
+        chunked = list(BatchedEvaluator(plan, 100, packed).chunks(specs))
+        assert [len(sims) for sims in chunked] == [1, 1, 1, 1]
+        registry = telemetry.get_hub().registry
+        assert registry.counter_total("engine.batches") == 1
+        telemetry.reset()
+        for one, (part,) in zip(whole, chunked):
+            np.testing.assert_array_equal(one.bus_ints("y"),
+                                          part.bus_ints("y"))
+            np.testing.assert_array_equal(one.activity().ones,
+                                          part.activity().ones)
+            np.testing.assert_array_equal(one.activity().flips,
+                                          part.activity().flips)
+
+    @given(seed=st.integers(0, 10_000),
+           n_vectors=st.sampled_from([1, 63, 65, 130]))
+    @settings(max_examples=20, deadline=None)
+    def test_netlist_plan_activity_follows_level_order(self, seed,
+                                                       n_vectors):
+        """A ``CompiledNetlist(nl)`` plan sorts its gates into levels,
+        so ``gate_out`` order is not level-plan order; the level loop's
+        activity counts must still land on the right gates."""
+        rng = np.random.default_rng(seed)
+        nl = random_netlist(rng, int(rng.integers(5, 60)),
+                            int(rng.integers(2, 6)))
+        plan = CompiledNetlist(nl)
+        width = len(nl.input_buses["x"])
+        arrays = {"x": rng.integers(0, 1 << width, n_vectors)}
+        packed = pack_stimulus(arrays, {"x": width}, n_vectors)
+        spec = VariantSpec(
+            ties={}, live_nodes=plan.gate_out,
+            live_ops=np.array([_OPCODE_OF_CELL[c] for c in nl.gate_type],
+                              dtype=np.int64),
+            helpers=[], outputs=dict(nl.output_buses),
+            signed=dict(nl.output_signed))
+        sim, = BatchedEvaluator(plan, n_vectors, packed).evaluate([spec])
+        oracle = simulate_bigint(nl, arrays)
+        got, want = sim.activity(), oracle.activity()
+        np.testing.assert_array_equal(got.ones, want.ones)
+        np.testing.assert_array_equal(got.flips, want.flips)
+        np.testing.assert_array_equal(sim.bus_ints("y"),
+                                      oracle.bus_ints("y"))
+
 
 class TestTieRegression:
     def test_tie_matches_reference_synthesis(self, svm_setup):
@@ -221,6 +296,52 @@ class TestTieRegression:
                                               want.bus_ints(bus))
                 checked += 1
         assert checked >= 4  # the grid actually produced prune sets
+
+    @pytest.mark.parametrize("gates, outputs, first, then", (
+        # n12 collapses onto n9 and n13 onto input 2, n9 dies: a later
+        # tie on n12 would tie the function that moved to n9.
+        ((("INV", 3), ("AND2", 4, 5), ("AND2", 6, 2), ("NAND2", 6, 2),
+          ("INV", 2), ("INV", 7), ("XOR2", 6, 7), ("MUX2", 9, 2, 11),
+          ("XOR2", 12, 10), ("INV", 13)),
+         [6, 7, 14, 8], {7: 0, 10: 1, 11: 0}, {7: 0}),
+        # n14 = XOR(n8, 1) folds to n6 through n8 = INV(n6), and n8
+        # dies unforwarded: a later tie on n8 must still reach n15.
+        ((("NOR2", 3, 2), ("NOR2", 5, 4), ("MUX2", 4, 3, 2), ("INV", 6),
+          ("MUX2", 5, 2, 7), ("XOR2", 2, 9), ("INV", 10),
+          ("NAND2", 11, 5), ("NOR2", 6, 4), ("XOR2", 8, 12),
+          ("INV", 14)),
+         [7, 5, 15, 13], {9: 0, 12: 1}, {3: 1, 5: 0, 6: 1}),
+    ), ids=("forwarded", "shared-dead"))
+    def test_tie_refuses_targets_other_logic_absorbed(self, gates, outputs,
+                                                      first, then):
+        """A second tie either refuses or matches the from-scratch fold.
+
+        Both cases once passed silently with a wrong circuit: the
+        forwarded or shared target was dead, so the tie was skipped.
+        """
+        nl = Netlist(cse=False)
+        assert nl.add_input_bus("x", 3) == [2, 3, 4]
+        for cell, *operands in gates:
+            nl.add_gate(cell, *operands)
+        nl.set_output_bus("y_out", outputs, signed=False)
+        base, _ = ArrayCircuit.from_netlist(nl)
+        folded, node_map = synthesize_arrays(base)
+        assert list(node_map) == list(range(base.n_nets))
+        inc = IncrementalCircuit.from_arrays(folded)
+        inc.tie(first)
+        branch = inc.fork()
+        applied = branch.tie_gates(list(then), list(then.values()),
+                                   node_map)
+        if applied is not None:
+            want = synthesize_arrays(base, {**first, **{
+                base.n_fixed + gate: value
+                for gate, value in then.items()}})[0]
+            stimulus = {"x": np.arange(8)}
+            np.testing.assert_array_equal(
+                simulate_bigint(branch.snapshot().to_netlist(),
+                                stimulus).bus_ints("y_out"),
+                simulate_bigint(want.to_netlist(),
+                                stimulus).bus_ints("y_out"))
 
 
 @pytest.fixture(scope="module")
@@ -293,3 +414,50 @@ class TestBatchedExploration:
         solo_records = [evaluator.evaluate_simulated(s.circuit, s)
                         for s in sims]
         assert batch_records == solo_records
+
+
+class TestRootLadder:
+    """The walk's root ladder: plan epochs shared across chains."""
+
+    @pytest.mark.parametrize("model, plan_builds",
+                             (("svm_r", 11), ("mlp_c", 10)))
+    def test_plan_builds_per_explore_are_pinned(self, model, plan_builds):
+        """One ``CrossLayerFramework(e=4).explore`` builds this many
+        plans (41 and 34 when every root opened its own epoch); a
+        ladder that silently fell back to per-root plans shows here."""
+        case = get_case("redwine", model)
+        split = case.split
+        telemetry.reset()
+        try:
+            CrossLayerFramework(e=4, clock_ms=case.clock_ms).explore(
+                case.quant_model, split.X_train, split.X_test,
+                split.y_test)
+            registry = telemetry.get_hub().registry
+            assert registry.counter_total("engine.plan_builds") \
+                == plan_builds
+        finally:
+            telemetry.reset()
+
+    def test_root_fallbacks_counted_and_designs_inert(self):
+        """Refused ladder deltas are counted, and tracing changes no
+        design."""
+        case = get_case("redwine", "svm_r")
+        split = case.split
+        runs = []
+        try:
+            for tracing in (False, True):
+                telemetry.reset()
+                if tracing:
+                    telemetry.configure(tracing=True, events_out=io.StringIO())
+                result = CrossLayerFramework(
+                    e=4, clock_ms=case.clock_ms).explore(
+                        case.quant_model, split.X_train, split.X_test,
+                        split.y_test)
+                registry = telemetry.get_hub().registry
+                runs.append((result.points, registry.counter_value(
+                    "pruner.root_fallbacks", to="base")))
+        finally:
+            telemetry.reset()
+        (off, off_fallbacks), (on, on_fallbacks) = runs
+        assert off == on
+        assert off_fallbacks == on_fallbacks > 0

@@ -29,6 +29,7 @@ from repro.eval.accuracy import CircuitEvaluator, DecodeSpec
 from repro.experiments.runner import framework_for
 from repro.experiments.zoo import get_case
 from repro.hw.bespoke import REGRESSOR_OUTPUT, build_bespoke_netlist
+from repro.hw.synthesis import synthesize
 from repro.service import DesignStore, ExplorationJob, ExplorationService
 from repro.service.jobs import JobReport
 from repro.service.server import ServeConfig
@@ -188,7 +189,29 @@ class TestRandomNetlistIdentity:
                                     engine=engine).explore()
             assert _strict(designs) == _strict(legacy), engine
 
+    def test_root_ladder_regression_seed(self):
+        """A stress-generator seed on which the root ladder reached a
+        different accuracy while ``tie()`` skipped a node forwarded to
+        dead logic instead of refusing it; raw and synthesized base."""
+        rng = np.random.default_rng(1254)
+        width = int(rng.integers(1, 6))
+        nl = random_netlist(rng, int(rng.integers(1, 150)), width,
+                            output=REGRESSOR_OUTPUT, signed=False)
+        n_test = int(rng.integers(1, 130))
+        evaluator = CircuitEvaluator(
+            DecodeSpec("regressor", y_min=0, y_max=15),
+            {"x": rng.integers(0, 1 << width, 48)},
+            {"x": rng.integers(0, 1 << width, n_test)},
+            rng.integers(0, 16, n_test))
+        for base in (nl, synthesize(nl)):
+            pruner = NetlistPruner(base, evaluator, RANDOM_GRID)
+            assert _strict(pruner.explore()) \
+                == _strict(pruner.explore_legacy())
+
     @given(seed=st.integers(0, 100_000))
+    # A seed where the root ladder skipped a tie on a dead node whose
+    # complement a fold had seen through, before tie() refused it.
+    @example(seed=20535)
     @settings(max_examples=25, deadline=None)
     def test_store_hit_equals_fresh_compute(self, seed):
         """A cold job, a warm grid hit and a memo-preloaded rerun all

@@ -420,6 +420,22 @@ class TestServerTelemetry:
         assert payload["gauges"]["server.draining"] == 0
         assert payload["server"]["counters"]["computed"] == 1
 
+    def test_root_fallbacks_on_metrics_endpoint(self, tmp_path):
+        """A refused root-ladder delta is counted on ``/v1/metrics``
+        (this grid's walk retries one root from the base state)."""
+        request = {**REQ, "tau_grid": [0.85, 0.9, 0.95, 0.99]}
+
+        async def run():
+            async with running_server(tmp_path) as server:
+                explore = await http(server.port, "POST", "/v1/explore",
+                                     request)
+                prom = await http(server.port, "GET", "/v1/metrics")
+                return explore, prom
+        explore, prom = asyncio.run(run())
+        assert explore[0] == prom[0] == 200
+        assert re.search(r'^repro_pruner_root_fallbacks_total'
+                         r'\{to="base"\} [1-9]', prom[2], re.M)
+
     def test_x_trace_opt_in_keeps_default_lines_identical(self, tmp_path):
         async def run():
             async with running_server(tmp_path) as server:
