@@ -15,9 +15,10 @@ Per circuit, the identical per-``e`` coefficient design family
 * **cold sweep** — :meth:`~repro.core.cross_layer.CrossLayerFramework.
   sweep_e`: one candidate-ladder pass for all radii, one evaluator and
   exact baseline, variants kept in synthesis array form and scored in
-  one multi-netlist batched pass (:class:`~repro.hw.compiled.
-  MultiNetlistSim`).  Its speedup is bounded by the per-radius bespoke
-  build both paths share — reported and regression-gated;
+  one multi-netlist pass (:func:`~repro.hw.compiled.simulate_many`:
+  one no-tie variant of their merged plan).  Its speedup is bounded by
+  the per-radius bespoke build both paths share — reported and
+  regression-gated;
 * **warm sweep** — the sweep as shipped: a store-backed
   :meth:`~repro.service.runner.ExplorationService.sweep` re-run
   against its populated store.  Every radius resolves by content key

@@ -23,17 +23,15 @@ import numpy as np
 
 from ..hw.area import area_mm2
 from ..hw.bespoke import CLASS_OUTPUT, REGRESSOR_OUTPUT, input_payload
-from ..hw.compiled import (
-    HOST_SUPPORTS_COMPILED,
-    MultiNetlistSim,
-    pack_stimulus,
-)
+from ..hw.compiled import pack_stimulus, simulate_many
 from ..hw.netlist import Netlist
 from ..hw.power import power_mw
 from ..hw.simulate import (
     ActivityReport,
     SimulationResult,
     _validate_inputs,
+    check_engine,
+    resolve_engine,
     simulate,
 )
 from ..ml.metrics import accuracy_score
@@ -41,20 +39,6 @@ from ..quant.fixed_point import quantize_inputs
 
 __all__ = ["DecodeSpec", "EvaluationRecord", "CircuitEvaluator",
            "check_engine", "resolve_engine"]
-
-
-def check_engine(engine: str) -> None:
-    """Raise ``ValueError`` unless ``engine`` is ``"auto"``, the
-    platform's fast path, or ``"bigint"``, the oracle."""
-    if engine not in ("auto", "bigint"):
-        raise ValueError(f"unknown engine {engine!r} "
-                         "(expected 'auto' or 'bigint')")
-
-
-def resolve_engine(engine: str) -> str:
-    """The backend a selector names on this host: batched or bigint."""
-    return "batched" if engine == "auto" and HOST_SUPPORTS_COMPILED \
-        else "bigint"
 
 
 @dataclass(frozen=True)
@@ -148,12 +132,12 @@ class CircuitEvaluator:
     :class:`~repro.core.pruning.NetlistPruner` takes when it inherits
     the setting:
 
-    * ``"auto"`` (default) — the platform's fast path: single netlists
-      simulate on the compiled word-parallel engine, and pruning
-      explorations run the batched trie walk
-      (:class:`~repro.hw.compiled.BatchedEvaluator`), where the host
-      supports the compiled word layout (little-endian); the bigint
-      loop otherwise.
+    * ``"auto"`` (default) — the platform's fast path where the host
+      supports the compiled word layout (little-endian), the bigint
+      loop otherwise: every compiled score — one netlist, many
+      independent netlists, the pruning exploration's batched trie
+      walk — runs the one compiled level loop
+      (:class:`~repro.hw.compiled.BatchedEvaluator`).
     * ``"bigint"`` — the seed's arbitrary-precision reference loop,
       kept as the equivalence oracle.  Slow; use for cross-checks.
 
@@ -176,6 +160,10 @@ class CircuitEvaluator:
     # the circuit (the bus layout is invariant under synthesis).
     _packed_test: tuple | None = field(default=None, repr=False,
                                        compare=False)
+
+    # Cap on the merged value matrix of one evaluate_many pass; longer
+    # circuit lists evaluate in slices.
+    MAX_CHUNK_BYTES = 1 << 26
 
     @staticmethod
     def from_split(model, X_train01: np.ndarray, X_test01: np.ndarray,
@@ -229,8 +217,7 @@ class CircuitEvaluator:
                 and cached[2] == (nl.n_gates, nl.n_nets):
             return cached[1]
         if self.resolved_engine() == "batched":
-            # A single netlist has no siblings to batch with: it runs
-            # on its own compiled plan.
+            # A one-variant batch on the netlist's own cached plan.
             n, arrays, packed = self.test_stimulus(nl)
             sim = nl.compiled().simulate(arrays, n, packed=packed)
         else:
@@ -253,7 +240,7 @@ class CircuitEvaluator:
 
         ``circ`` is any circuit view exposing ``n_gates`` and ``ops``/
         ``gate_type`` (a netlist, an array circuit, or the slim
-        per-variant view a :class:`~repro.hw.compiled.BatchedVariantSim`
+        per-variant view a :class:`~repro.hw.compiled.CompiledSimulation`
         carries); ``sim`` must expose the shared simulation read API.
         The arithmetic is identical to :meth:`evaluate` — integer
         popcount reductions — so records are bit-identical across
@@ -268,7 +255,7 @@ class CircuitEvaluator:
     def evaluate_batch(self, sims: list) -> list[EvaluationRecord]:
         """Score a batch of variant sims in one decode/accuracy pass.
 
-        ``sims`` are :class:`~repro.hw.compiled.BatchedVariantSim`
+        ``sims`` are :class:`~repro.hw.compiled.CompiledSimulation`
         views; the stacked output-bus decode and the per-row accuracy
         mean are elementwise-identical to :meth:`evaluate_simulated` on
         each sim individually, so the records are bit-identical — only
@@ -293,19 +280,19 @@ class CircuitEvaluator:
         """Score many *independent* circuits in one multi-netlist pass.
 
         Bit-identical to ``[self.evaluate(c) for c in circuits]``
-        (oracle-tested in ``tests/test_multinetlist.py``): the circuits
-        — netlists or array circuits — pack into shared level-aligned
-        :class:`~repro.hw.compiled.MultiNetlistSim` batches, the fixed
-        test stimulus is validated and word-packed once, activity is a
-        stacked popcount pass, and scoring goes through
-        :meth:`evaluate_batch`.  This is the engine behind the e-sweep's
-        per-``e`` coefficient variants and the cross-layer flow's
-        exact+coeff pair.  Falls back to the per-circuit loop on the
-        bigint engine, on a single-element list, or when the circuits
-        disagree on input-bus layout (nothing to share then).
+        (oracle-tested in ``tests/test_multinetlist.py``): the fixed
+        test stimulus is validated and word-packed once, the circuits
+        — netlists or array circuits — run through
+        :func:`~repro.hw.compiled.simulate_many` in chunks of at most
+        ``MAX_CHUNK_BYTES`` of value matrix (one circuit runs on its
+        own cached plan, more on their merged plan), and scoring goes
+        through :meth:`evaluate_batch`.  This is the engine behind the
+        e-sweep's per-``e`` coefficient variants and the cross-layer
+        flow's exact+coeff pair.  Falls back to the per-circuit loop
+        on the bigint engine, or when the circuits disagree on
+        input-bus layout (nothing to share then).
         """
-        if len(circuits) < 2 \
-                or self.resolved_engine() != "batched":
+        if not circuits or self.resolved_engine() != "batched":
             return [self.evaluate(circ) for circ in circuits]
         n, _arrays, packed = self.test_stimulus(circuits[0])
         reference = {name: len(nets)
@@ -323,13 +310,12 @@ class CircuitEvaluator:
             total_rows = plans[start].n_nets
             while end < len(plans):
                 grown = total_rows + plans[end].n_nets
-                if grown * n_words * 8 > MultiNetlistSim.MAX_CHUNK_BYTES:
+                if grown * n_words * 8 > self.MAX_CHUNK_BYTES:
                     break
                 total_rows = grown
                 end += 1
-            sims = MultiNetlistSim(circuits[start:end], plans[start:end],
-                                   n, [packed] * (end - start)).evaluate()
-            records.extend(self.evaluate_batch(sims))
+            records.extend(self.evaluate_batch(
+                simulate_many(plans[start:end], n, packed)))
             start = end
         return records
 

@@ -30,7 +30,6 @@ from .blocks import (
 from .cells import EGT_LIBRARY, TECHNOLOGY, CellSpec, Technology, cell_area_mm2
 from .compiled import (
     BatchedEvaluator,
-    BatchedVariantSim,
     CompiledNetlist,
     CompiledSimulation,
     VariantSpec,
@@ -97,7 +96,6 @@ __all__ = [
     "ActivityReport",
     "ArrayCircuit",
     "BatchedEvaluator",
-    "BatchedVariantSim",
     "CompiledNetlist",
     "CompiledSimulation",
     "IncrementalCircuit",

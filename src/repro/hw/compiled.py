@@ -12,26 +12,30 @@ netlist (and cached on it via :meth:`repro.hw.netlist.Netlist.compiled`):
 the gate DAG is levelized so that every level only reads nets produced by
 earlier levels, and each level is split into per-opcode gate groups.  One
 simulation is then a short sequence of vectorized NumPy bitwise operations
-— gather the operand rows of a group, apply a single ``&``/``|``/``^``/
-``~``/mux expression across all of its gates and all stimulus words at
-once, scatter into the value matrix.  Switching-activity statistics
-(``prob_one``, ``tau``, toggle rates) and output-bus decoding become
-popcount/unpack array reductions instead of per-net bigint loops.
+— gather the operand rows of a level, apply a single ``&``/``|``/``^``/
+``~``/mux expression per opcode segment across all of its gates and all
+stimulus words at once, scatter into the value matrix.
 
-Bits of the last stimulus word past ``n_vectors`` ("tail" bits) are allowed
-to hold garbage between operations; every reduction masks them out, which
-keeps the per-gate inner loop free of masking work.
+There is one compiled simulation loop, :class:`BatchedEvaluator`'s: K
+constant-tie variants of one plan (:class:`VariantSpec`) evaluate in a
+single ``(n_nets, K, n_words)`` pass, with per-variant constant clamps
+standing in for the rewritten structure.  The loop keeps every row
+tail-clean (bits past ``n_vectors`` zero) and counts the switching
+activity popcounts (``ones``/``flips``) of each level while its slab is
+in cache.  Every compiled score runs through it:
 
-On top of the single-circuit engine sits the *batched multi-variant*
-engine (:class:`BatchedEvaluator`): K constant-tie variants of one
-parent circuit — the pruning exploration's sibling designs — are packed
-into a single ``(n_nets, K, n_words)`` evaluation of the parent's plan,
-with per-variant constant-clamp masks (:class:`VariantSpec`) standing in
-for the rewritten structure.  One plan build and one NumPy pass per
-level then serve the whole batch; per-variant read access comes back
-through :class:`BatchedVariantSim`, which mirrors the
-:class:`CompiledSimulation` API.  This is the exploration fast path
+* the pruning exploration's sibling variants (many specs per plan);
+* one circuit (:meth:`CompiledNetlist.simulate`): a one-variant batch
+  with no ties on the circuit's own cached plan;
+* B independent circuits sharing a stimulus (:func:`simulate_many`):
+  one no-tie variant of their merged union-level plan, split in B views.
+
+Every result is read through one view, :class:`CompiledSimulation`
+(``bus_ints``, ``decode_bus``, ``net_bits``, ``prob_one``, ``activity``
+— the read API of the bigint oracle's
+:class:`~repro.hw.simulate.SimulationResult`).  This is the fast path
 ``engine="auto"`` resolves to on supported hosts in
+:func:`~repro.hw.simulate.simulate`,
 :class:`~repro.eval.accuracy.CircuitEvaluator`,
 :class:`~repro.core.pruning.NetlistPruner`, and
 :class:`~repro.core.cross_layer.CrossLayerFramework`.
@@ -62,16 +66,14 @@ def _service_telemetry():
 
 __all__ = [
     "BatchedEvaluator",
-    "BatchedVariantSim",
     "CircuitPorts",
     "CompiledNetlist",
     "CompiledSimulation",
     "HOST_SUPPORTS_COMPILED",
-    "MultiNetlistSim",
-    "MultiNetlistView",
     "VariantSpec",
     "pack_bit_matrix",
     "pack_stimulus",
+    "simulate_many",
     "unpack_bit_matrix",
 ]
 
@@ -95,21 +97,14 @@ OPCODES = {
 
 
 if hasattr(np, "bitwise_count"):
-    def _popcount_rows(words: np.ndarray) -> np.ndarray:
-        """Total set bits per row of a 2-D uint64 array."""
+    def _popcount_last(words: np.ndarray) -> np.ndarray:
+        """Total set bits along the last (word) axis of a uint64 array."""
         # einsum sums the short word axis about twice as fast as .sum().
         return np.einsum("...w->...", np.bitwise_count(words),
                          dtype=np.int64)
-
-    # Same reduction works for any rank; keep one implementation.
-    _popcount_last = _popcount_rows
 else:  # NumPy < 2.0
     _POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)],
                           dtype=np.uint8)
-
-    def _popcount_rows(words: np.ndarray) -> np.ndarray:
-        as_bytes = words.reshape(words.shape[0], -1).view(np.uint8)
-        return _POPCOUNT8[as_bytes].sum(axis=-1, dtype=np.int64)
 
     def _popcount_last(words: np.ndarray) -> np.ndarray:
         as_bytes = np.ascontiguousarray(words).view(np.uint8)
@@ -127,25 +122,32 @@ def _valid_mask(n_bits: int, n_words: int) -> np.ndarray:
     return mask
 
 
-def _toggle_counts(vals: np.ndarray, toggle_mask: np.ndarray,
-                   shifted: np.ndarray | None = None,
-                   carry: np.ndarray | None = None) -> np.ndarray:
-    """Toggle counts of tail-clean word rows, one per row (last axis).
+def _toggle_bits(vals: np.ndarray, toggle_mask: np.ndarray,
+                 shifted: np.ndarray | None = None,
+                 carry: np.ndarray | None = None) -> np.ndarray:
+    """Toggle bits of tail-clean word rows; popcount them for counts.
 
     Toggle i compares vectors i and i+1: XOR each row with its one-bit
-    right shift (bit 0 of the next word carried into bit 63), then drop
-    the invalid flip at position n-1 with ``toggle_mask``
-    (``_valid_mask(n - 1, n_words)``).  ``shifted`` and ``carry`` are
-    optional scratch arrays of ``vals``' shape.
+    right shift, then drop the invalid flip at position n-1 with
+    ``toggle_mask`` (``_valid_mask(n - 1, n_words)``).  The shift runs
+    over the flattened array (contiguous 1-D ufuncs are the fast ones),
+    so bit 0 of each next word carries into bit 63 — across rows too,
+    but bit 63 of a row's last word is never a valid toggle position
+    (``n <= 64 * n_words``), so the mask drops it.  ``vals`` and the
+    optional scratch arrays ``shifted`` (the result) and ``carry`` are
+    C-contiguous and of ``vals``' shape.
     """
-    shifted = np.right_shift(vals, np.uint64(1), out=shifted)
-    if vals.shape[-1] > 1:
-        shifted[..., :-1] |= np.left_shift(
-            vals[..., 1:], np.uint64(_WORD_BITS - 1),
-            out=None if carry is None else carry[..., :-1])
-    shifted ^= vals
+    if shifted is None:
+        shifted = np.empty_like(vals)
+    flat = vals.reshape(-1)
+    out = shifted.reshape(-1)
+    np.right_shift(flat, np.uint64(1), out=out)
+    out[:-1] |= np.left_shift(
+        flat[1:], np.uint64(_WORD_BITS - 1),
+        out=None if carry is None else carry.reshape(-1)[:-1])
+    out ^= flat
     shifted &= toggle_mask
-    return _popcount_last(shifted)
+    return shifted
 
 
 def pack_bit_matrix(bits: np.ndarray, n_words: int) -> np.ndarray:
@@ -181,55 +183,6 @@ def pack_stimulus(arrays: dict[str, np.ndarray], widths: dict[str, int],
     return packed
 
 
-def _run_levels(words: np.ndarray, levels_plan: list,
-                max_level_width: int) -> None:
-    """Evaluate a levelized plan in place over 2-D ``uint64`` words.
-
-    One gather, a handful of in-place ufuncs over contiguous opcode
-    segments, and one scatter per *level*; scratch slabs sized to the
-    widest level avoid per-level reallocation.  Shared by the
-    single-netlist engine (:meth:`CompiledNetlist.simulate`) and the
-    multi-netlist engine (:meth:`MultiNetlistSim.evaluate`) — one loop,
-    one place for opcode semantics, so the engines cannot drift.  (The
-    batched multi-variant engine keeps its own 3-D loop: it interleaves
-    per-variant constant clamps and activity counting with the levels.)
-    """
-    max_rows = max(max_level_width, 1)
-    n_words = words.shape[1]
-    scratch_a = np.empty((max_rows, n_words), dtype=np.uint64)
-    scratch_b = np.empty((max_rows, n_words), dtype=np.uint64)
-    take = np.take
-    for out, a, b, segments in levels_plan:
-        rows = len(a)
-        va_all = take(words, a, 0, out=scratch_a[:rows])
-        vb_all = take(words, b, 0, out=scratch_b[:rows]) \
-            if b is not None else None
-        for op, s, e, c in segments:
-            va = va_all[s:e]
-            if op == OP_AND:
-                np.bitwise_and(va, vb_all[s:e], out=va)
-            elif op == OP_XOR:
-                np.bitwise_xor(va, vb_all[s:e], out=va)
-            elif op == OP_OR:
-                np.bitwise_or(va, vb_all[s:e], out=va)
-            elif op == OP_INV:
-                np.invert(va, out=va)
-            elif op == OP_NAND:
-                np.bitwise_and(va, vb_all[s:e], out=va)
-                np.invert(va, out=va)
-            elif op == OP_NOR:
-                np.bitwise_or(va, vb_all[s:e], out=va)
-                np.invert(va, out=va)
-            elif op == OP_XNOR:
-                np.bitwise_xor(va, vb_all[s:e], out=va)
-                np.invert(va, out=va)
-            elif op == OP_MUX:
-                sel = words[c]
-                va[:] = (va & ~sel) | (vb_all[s:e] & sel)
-            # OP_BUF: va already holds the source rows
-        words[out] = va_all
-
-
 class CircuitPorts:
     """The port interface of a circuit: its bus maps, no gates.
 
@@ -241,10 +194,16 @@ class CircuitPorts:
 
     __slots__ = ("input_buses", "output_buses", "output_signed")
 
-    def __init__(self, circuit) -> None:
-        self.input_buses = circuit.input_buses
-        self.output_buses = circuit.output_buses
-        self.output_signed = circuit.output_signed
+    def __init__(self, input_buses: dict, output_buses: dict,
+                 output_signed: dict) -> None:
+        self.input_buses = input_buses
+        self.output_buses = output_buses
+        self.output_signed = output_signed
+
+    @staticmethod
+    def of(circuit) -> "CircuitPorts":
+        return CircuitPorts(circuit.input_buses, circuit.output_buses,
+                            circuit.output_signed)
 
 
 class CompiledNetlist:
@@ -259,8 +218,12 @@ class CompiledNetlist:
     hot path never has to materialize netlist objects just to simulate.
     """
 
+    # Rows a simulation sets to constant one: net 1 of the circuit.  A
+    # merged plan (:func:`_merge_levels`) carries one per circuit block.
+    const_rows = np.ones(1, dtype=np.int64)
+
     def __init__(self, nl) -> None:
-        self.netlist = CircuitPorts(nl)
+        self.netlist = CircuitPorts.of(nl)
         self.n_nets = nl.n_nets
         self.n_gates = nl.n_gates
         self.gate_out = np.asarray(nl.gate_out, dtype=np.int64) \
@@ -316,6 +279,8 @@ class CompiledNetlist:
         self.n_levels = 0
         self.max_level_width = 0
         empty = np.zeros(0, dtype=np.int64)
+        self.gate_ops = empty
+        self.level_starts = empty
         self.flat = (empty, empty, empty, empty, empty, empty)
 
     def _build_plan(self, ops: np.ndarray, ina: np.ndarray, inb: np.ndarray,
@@ -326,9 +291,13 @@ class CompiledNetlist:
         One simulation step then needs only a gather, a few in-place
         ufuncs over contiguous segment views, and one scatter *per
         level* — NumPy call count scales with circuit depth, not with
-        (depth × opcode) group count.
+        (depth × opcode) group count.  Callers pass ``out`` as the
+        plan's ``gate_out`` with the other arrays aligned to it, and the
+        opcodes are kept in that order as ``gate_ops``
+        (:func:`_merge_levels` sets both afterwards).
         """
         _service_telemetry().counter("engine.plan_builds")
+        self.gate_ops = ops
         n_gates = len(ops)
         combined = levels << np.int64(4) | ops
         if not np.all(combined[1:] >= combined[:-1]):
@@ -367,8 +336,10 @@ class CompiledNetlist:
         self.n_levels = len(plan)
         self.max_level_width = int(
             (level_ends - level_starts).max()) if n_gates else 0
+        # Flat position of each level's first gate, for placing clamps.
+        self.level_starts = level_starts
         # Flat (level, op)-sorted gate arrays, retained for the
-        # multi-netlist merge (:class:`MultiNetlistSim`): B plans
+        # multi-netlist merge (:func:`_merge_levels`): B plans
         # concatenate and re-plan in one vectorized pass instead of
         # re-walking their per-level segment lists in Python.
         self.flat = (ops, ina, inb, inc, out, levels)
@@ -383,7 +354,7 @@ class CompiledNetlist:
         per-variant evaluation cost of the pruning exploration.
         """
         plan = CompiledNetlist.__new__(CompiledNetlist)
-        plan.netlist = CircuitPorts(circ)
+        plan.netlist = CircuitPorts.of(circ)
         n_fixed = circ.n_fixed
         ops, ina, inb, inc = circ.ops, circ.ina, circ.inb, circ.inc
         n_gates = len(ops)
@@ -426,7 +397,21 @@ class CompiledNetlist:
         return plan
 
     # ------------------------------------------------------------------
-    def simulate(self, inputs: dict[str, np.ndarray], n_vectors: int,
+    def spec(self) -> "VariantSpec":
+        """The plan's own circuit as a variant with no ties.
+
+        Its live gates come in ``gate_out`` order with their opcodes in
+        the same order — the order a netlist's gate list and an array
+        circuit's slots have, which area, power and the pruning space's
+        per-gate activity index by.
+        """
+        ports = self.netlist
+        return VariantSpec(ties={}, live_nodes=self.gate_out,
+                           live_ops=self.gate_ops, helpers=[],
+                           outputs=ports.output_buses,
+                           signed=ports.output_signed)
+
+    def simulate(self, inputs: dict[str, np.ndarray] | None, n_vectors: int,
                  packed: dict[str, np.ndarray] | None = None
                  ) -> "CompiledSimulation":
         """Evaluate pre-validated input arrays over the whole stimulus set.
@@ -435,99 +420,16 @@ class CompiledNetlist:
         (one per vector); validation lives in :func:`repro.hw.simulate.simulate`.
         ``packed`` optionally supplies the word rows per bus as produced
         by :func:`pack_stimulus` — the evaluator packs its fixed test set
-        once and reuses it for every explored variant.
+        once and reuses it for every explored variant.  The circuit runs
+        as a one-variant batch of :class:`BatchedEvaluator` with no ties.
         """
-        n_words = max(1, (n_vectors + _WORD_BITS - 1) // _WORD_BITS)
-        words = np.zeros((self.n_nets, n_words), dtype=np.uint64)
-        words[1, :] = _ALL_ONES  # constant-one tie; tail bits masked later
-
-        nl = self.netlist
-        for name, nets in nl.input_buses.items():
-            if packed is not None:
-                rows = packed[name]
-            else:
-                data = inputs[name]
-                positions = np.arange(len(nets), dtype=np.int64)
-                bits = (data[None, :] >> positions[:, None]) & 1
-                rows = pack_bit_matrix(bits, n_words)
-            words[np.asarray(nets, dtype=np.int64)] = rows
-
-        _run_levels(words, self.levels_plan, self.max_level_width)
-        return CompiledSimulation(nl, n_vectors, words, self)
-
-
-@dataclass
-class CompiledSimulation:
-    """All net waveforms of one compiled simulation run.
-
-    Mirrors the read API of the legacy
-    :class:`~repro.hw.simulate.SimulationResult` (``bus_ints``,
-    ``decode_bus``, ``prob_one``, ``activity``) on top of the packed word
-    matrix, so every consumer works with either engine.
-    """
-
-    netlist: object  # the circuit's ports (CircuitPorts)
-    n_vectors: int
-    words: np.ndarray  # (n_nets, n_words) uint64, tail bits undefined
-    plan: CompiledNetlist
-
-    @property
-    def n_words(self) -> int:
-        return self.words.shape[1]
-
-    def net_bits(self, net: int) -> np.ndarray:
-        """The 0/1 waveform of one net across all vectors."""
-        return unpack_bit_matrix(self.words[net:net + 1],
-                                 self.n_vectors)[0]
-
-    def bus_ints(self, name: str) -> np.ndarray:
-        """Decode an output bus to per-vector integers (LSB-first bus)."""
-        nets = self.netlist.output_buses[name]
-        signed = self.netlist.output_signed[name]
-        return self.decode_bus(nets, signed)
-
-    def decode_bus(self, nets: list[int], signed: bool) -> np.ndarray:
-        if not nets:
-            return np.zeros(self.n_vectors, dtype=np.int64)
-        rows = self.words[np.asarray(nets, dtype=np.int64)]
-        bits = unpack_bit_matrix(rows, self.n_vectors).astype(np.int64)
-        weights = np.int64(1) << np.arange(len(nets), dtype=np.int64)
-        values = weights @ bits
-        if signed:
-            values -= bits[-1] << np.int64(len(nets))
-        return values
-
-    def prob_one(self, net: int) -> float:
-        mask = _valid_mask(self.n_vectors, self.n_words)
-        ones = _popcount_rows(self.words[net:net + 1] & mask)
-        return float(ones[0]) / self.n_vectors
-
-    def activity(self):
-        """Per-gate :class:`~repro.hw.simulate.ActivityReport` (SAIF stand-in)."""
-        from .simulate import ActivityReport  # deferred: avoids module cycle
-
-        n = self.n_vectors
-        n_gates = self.plan.n_gates
-        if n_gates == 0:
-            empty = np.zeros(0)
-            zeros_int = np.zeros(0, dtype=np.int64)
-            return ActivityReport(0, empty, empty,
-                                  np.zeros(0, dtype=np.int8), empty,
-                                  zeros_int, zeros_int, n)
-        vals = self.words[self.plan.gate_out]
-        vals &= _valid_mask(n, self.n_words)[None, :]
-        ones = _popcount_rows(vals)
-        prob = ones / n
-        if n > 1:
-            flips = _toggle_counts(vals, _valid_mask(n - 1, self.n_words))
-            toggles = flips / (n - 1)
-        else:
-            flips = np.zeros(n_gates, dtype=np.int64)
-            toggles = np.zeros(n_gates)
-        tau = np.maximum(prob, 1.0 - prob)
-        const_value = (prob >= 0.5).astype(np.int8)
-        return ActivityReport(n_gates, prob, tau, const_value, toggles,
-                              ones, flips, n)
+        if packed is None:
+            widths = {name: len(nets)
+                      for name, nets in self.netlist.input_buses.items()}
+            packed = pack_stimulus(inputs, widths, n_vectors)
+        sim, = BatchedEvaluator(self, n_vectors, packed).simulate(
+            [self.spec()])
+        return sim
 
 
 # ----------------------------------------------------------------------
@@ -545,6 +447,8 @@ class VariantSpec:
     per variant, in level order — and ``live_nodes``/``live_ops`` name
     the surviving gates (parent part first, then helpers, in the same
     order as ``helpers``) for activity, area, and power.
+    :meth:`CompiledNetlist.spec` describes a plan's own circuit as a
+    variant with no ties.
     """
 
     ties: dict[int, int]
@@ -560,7 +464,7 @@ class VariantSpec:
 
 
 class _VariantCircuit:
-    """Minimal circuit view of one batched variant (area/power consumer)."""
+    """Minimal circuit view of one simulated variant (area/power consumer)."""
 
     __slots__ = ("ops", "n_gates")
 
@@ -569,15 +473,17 @@ class _VariantCircuit:
         self.n_gates = len(ops)
 
 
-class BatchedVariantSim:
-    """Read API of one variant inside a batched simulation.
+class CompiledSimulation:
+    """Read API of one variant of a compiled simulation.
 
-    Mirrors :class:`CompiledSimulation` (``bus_ints``, ``decode_bus``,
-    ``net_bits``, ``prob_one``, ``activity``) over one ``k`` slice of the
-    batch's ``(K, n_nets, n_words)`` value matrix plus the variant's
-    replayed helper-gate rows, so
-    :meth:`repro.eval.accuracy.CircuitEvaluator.evaluate_simulated` can
-    score it exactly like a per-variant compiled simulation.
+    Mirrors the bigint oracle's :class:`~repro.hw.simulate.SimulationResult`
+    (``bus_ints``, ``decode_bus``, ``net_bits``, ``prob_one``,
+    ``activity``) over the variant's ``(n_nets, n_words)`` rows of the
+    batch's value matrix plus its replayed helper-gate rows, so every
+    consumer works with either engine and
+    :meth:`repro.eval.accuracy.CircuitEvaluator.evaluate_batch` scores
+    variants of one plan and independent circuits alike.  ``circuit``
+    carries the live gates' opcodes for area and power.
     """
 
     __slots__ = ("spec", "n_vectors", "words", "helper_rows", "_ones",
@@ -588,7 +494,7 @@ class BatchedVariantSim:
                  flips: np.ndarray) -> None:
         self.spec = spec
         self.n_vectors = n_vectors
-        self.words = words  # (n_nets, n_words) slice, tail bits zeroed
+        self.words = words  # (n_nets, n_words) rows, tail bits zeroed
         self.helper_rows = helper_rows
         self._ones = ones    # per live gate, aligned with spec.live_ops
         self._flips = flips
@@ -599,16 +505,11 @@ class BatchedVariantSim:
         return self.words.shape[1]
 
     def _node_rows(self, nodes: list[int]) -> np.ndarray:
-        rows = np.empty((len(nodes), self.n_words), dtype=np.uint64)
         n_parent = self.words.shape[0]
+        rows = self.words[[node if node < n_parent else 0
+                           for node in nodes]]
         for i, node in enumerate(nodes):
-            if node == 0:
-                rows[i] = 0
-            elif node == 1:
-                rows[i] = _ALL_ONES
-            elif node < n_parent:
-                rows[i] = self.words[node]
-            else:
+            if node >= n_parent:
                 rows[i] = self.helper_rows[node]
         return rows
 
@@ -617,11 +518,11 @@ class BatchedVariantSim:
         return unpack_bit_matrix(self._node_rows([node]), self.n_vectors)[0]
 
     def prob_one(self, node: int) -> float:
-        mask = _valid_mask(self.n_vectors, self.n_words)
-        ones = _popcount_rows(self._node_rows([node]) & mask)
+        ones = _popcount_last(self._node_rows([node]))
         return float(ones[0]) / self.n_vectors
 
     def bus_ints(self, name: str) -> np.ndarray:
+        """Decode an output bus to per-vector integers (LSB-first bus)."""
         return self.decode_bus(self.spec.outputs[name],
                                self.spec.signed[name])
 
@@ -637,17 +538,12 @@ class BatchedVariantSim:
         return values
 
     def activity(self):
-        """Per-gate activity of the variant's surviving gates."""
+        """Per-gate :class:`~repro.hw.simulate.ActivityReport` (SAIF
+        stand-in) of the variant's live gates."""
         from .simulate import ActivityReport  # deferred: avoids module cycle
 
         n = self.n_vectors
         n_gates = self.spec.n_gates
-        if n_gates == 0:
-            empty = np.zeros(0)
-            zeros_int = np.zeros(0, dtype=np.int64)
-            return ActivityReport(0, empty, empty,
-                                  np.zeros(0, dtype=np.int8), empty,
-                                  zeros_int, zeros_int, n)
         prob = self._ones / n
         toggles = self._flips / (n - 1) if n > 1 else np.zeros(n_gates)
         tau = np.maximum(prob, 1.0 - prob)
@@ -657,12 +553,13 @@ class BatchedVariantSim:
 
 
 class BatchedEvaluator:
-    """Evaluate K constant-tie variants of one parent circuit at once.
+    """Evaluate K constant-tie variants of one plan at once.
 
-    The exploration's sibling variants share everything but their tie
-    deltas, so instead of one snapshot + plan build + simulation per
-    variant, the batch packs them into a single ``(K, n_nets, n_words)``
-    ``uint64`` evaluation of the *parent's* levelized plan:
+    This is the one compiled simulation loop.  The exploration's sibling
+    variants share everything but their tie deltas, so instead of one
+    snapshot + plan build + simulation per variant, the batch packs them
+    into a single ``(n_nets, K, n_words)`` ``uint64`` evaluation of the
+    *parent's* levelized plan:
 
     * the plan (typically an ``IncrementalCircuit.plan()`` in stable
       node-id space) is built once and every per-level gather / opcode
@@ -680,14 +577,16 @@ class BatchedEvaluator:
       is counted inside the level loop, on each level's slab right
       after its clamps and scatter while it is still in cache, then
       gathered per variant over the surviving gates;
-    * batches evaluate in chunks of at most ``MAX_CHUNK_BYTES`` of value
-      matrix (and at most 32 variants); :meth:`chunks` yields them one
-      at a time, so a caller that scores each chunk before the next
-      holds one chunk's matrix at a time.
+    * :meth:`chunks` evaluates a batch in chunks of at most
+      ``MAX_CHUNK_BYTES`` of value matrix (and at most 32 variants) and
+      yields them one at a time, so a caller that scores each chunk
+      before the next holds one chunk's matrix at a time.
 
-    Equivalence with each variant's own compiled simulation (and
-    transitively with the bigint oracle) is property-tested in
-    ``tests/test_batched.py``.
+    One circuit (:meth:`CompiledNetlist.simulate`) and B independent
+    circuits (:func:`simulate_many`) run here too, as one variant with
+    no ties, through :meth:`simulate`.  Equivalence with the bigint
+    oracle is property-tested in ``tests/test_batched.py``,
+    ``tests/test_compiled.py`` and ``tests/test_multinetlist.py``.
     """
 
     # Cap on the value matrix size per chunk; larger batches evaluate
@@ -702,25 +601,16 @@ class BatchedEvaluator:
         self.n_vectors = n_vectors
         self.n_words = max(1, (n_vectors + _WORD_BITS - 1) // _WORD_BITS)
         self.packed = packed
-        # Node -> (level, row-within-level) of the producing gate, for
-        # placing constant clamps; -1 level marks inputs/constants/dead
-        # nodes (clamped right after input scatter).
-        pos_level = np.full(plan.n_nets, -1, dtype=np.int64)
-        pos_row = np.zeros(plan.n_nets, dtype=np.int64)
-        for level_idx, (out, _a, _b, _segs) in enumerate(plan.levels_plan):
-            pos_level[out] = level_idx
-            pos_row[out] = np.arange(len(out), dtype=np.int64)
-        self._pos_level = pos_level
-        self._pos_row = pos_row
         # Node -> position in level-plan order (the concatenated
         # ``levels_plan`` outputs), where the level loop writes each
-        # gate's activity popcounts.  Not ``plan.gate_out``: a
+        # gate's activity popcounts and applies its clamps; -1 marks
+        # inputs, constants and dead nodes.  Not ``plan.gate_out``: a
         # ``CompiledNetlist(nl)`` plan sorts its gates into levels.
-        gate_pos = np.zeros(plan.n_nets, dtype=np.int64)
+        gate_pos = np.full(plan.n_nets, -1, dtype=np.int64)
         gate_pos[plan.flat[4]] = np.arange(plan.n_gates, dtype=np.int64)
         self._gate_pos = gate_pos
 
-    def evaluate(self, specs: list[VariantSpec]) -> list[BatchedVariantSim]:
+    def evaluate(self, specs: list[VariantSpec]) -> list[CompiledSimulation]:
         """Simulate every variant; returns one sim view per spec."""
         return [sim for sims in self.chunks(specs) for sim in sims]
 
@@ -728,7 +618,8 @@ class BatchedEvaluator:
         """Simulate ``specs`` one chunk at a time, yielding its sims.
 
         A caller that scores each chunk before asking for the next one
-        holds a single chunk's value matrix at a time.
+        holds a single chunk's value matrix at a time.  Each call counts
+        one ``engine.batches`` dispatch.
         """
         if not specs:
             return
@@ -741,10 +632,11 @@ class BatchedEvaluator:
         telemetry.counter("engine.batches")
         telemetry.observe("engine.batch_size", len(specs))
         for start in range(0, len(specs), chunk):
-            yield self._evaluate_chunk(specs[start:start + chunk])
+            yield self.simulate(specs[start:start + chunk])
 
-    def _evaluate_chunk(self,
-                        specs: list[VariantSpec]) -> list[BatchedVariantSim]:
+    def simulate(self, specs: list[VariantSpec]) -> list[CompiledSimulation]:
+        """Simulate ``specs`` in one pass, with no chunk cap and no
+        batch telemetry; one sim view per spec."""
         plan = self.plan
         n_words = self.n_words
         n_vectors = self.n_vectors
@@ -757,7 +649,7 @@ class BatchedEvaluator:
         # with zeros, and each level is masked before its scatter.
         mask = _valid_mask(n_vectors, n_words)
         words = np.zeros((n_nets, K, n_words), dtype=np.uint64)
-        words[1] = mask
+        words[plan.const_rows] = mask
 
         for name, nets in plan.netlist.input_buses.items():
             words[np.asarray(nets, dtype=np.int64)] = \
@@ -779,10 +671,15 @@ class BatchedEvaluator:
                 t_nodes[pos:pos + len(ties)] = list(ties.keys())
                 t_vals[pos:pos + len(ties)] = list(ties.values())
                 pos += len(ties)
-            t_levels = self._pos_level[t_nodes]
+            level_starts = plan.level_starts
+            t_pos = self._gate_pos[t_nodes]
+            t_levels = np.where(
+                t_pos < 0, -1,
+                np.searchsorted(level_starts, t_pos, side="right") - 1)
             order = np.argsort(t_levels, kind="stable")
-            t_nodes, t_vals, t_ks, t_levels = (t_nodes[order], t_vals[order],
-                                               t_ks[order], t_levels[order])
+            t_nodes, t_vals, t_ks, t_levels, t_pos = (
+                t_nodes[order], t_vals[order], t_ks[order], t_levels[order],
+                t_pos[order])
             # Clamped inputs (level -1) apply before any gate reads them.
             n_start = int(np.searchsorted(t_levels, 0))
             words[t_nodes[:n_start][~t_vals[:n_start]],
@@ -790,7 +687,7 @@ class BatchedEvaluator:
             words[t_nodes[:n_start][t_vals[:n_start]],
                   t_ks[:n_start][t_vals[:n_start]]] = mask
             if n_start < n_ties:
-                t_rows = self._pos_row[t_nodes]
+                t_rows = t_pos - level_starts[t_levels]
                 bounds = np.flatnonzero(np.diff(t_levels[n_start:])) + 1
                 starts = np.concatenate(([0], bounds)) + n_start
                 ends = np.concatenate((bounds, [n_ties - n_start])) + n_start
@@ -803,18 +700,21 @@ class BatchedEvaluator:
         # into rows indexed by level-plan position.
         toggle_mask = _valid_mask(n_vectors - 1, n_words) \
             if n_vectors > 1 else None
-        ones_live = np.empty((plan.n_gates, K), dtype=np.int64)
-        flips_live = np.zeros((plan.n_gates, K), dtype=np.int64)
+        counts_live = np.zeros((2, plan.n_gates, K), dtype=np.int64)
+        ones_live, flips_live = counts_live
         max_rows = max(plan.max_level_width, 1)
-        scratch_a = np.empty((max_rows, K, n_words), dtype=np.uint64)
+        # A level's values and its toggle bits sit in one buffer, so a
+        # single popcount call counts both.
+        scratch = np.empty((2, max_rows, K, n_words), dtype=np.uint64)
         scratch_b = np.empty((max_rows, K, n_words), dtype=np.uint64)
-        scratch_c = np.empty((max_rows, K, n_words), dtype=np.uint64)
-        take = np.take
+        # mode="clip": the indices are valid, and "raise" would buffer
+        # every ``out=`` gather through a temporary.
+        take = words.take
         first = 0
         for level_idx, (out, a, b, segments) in enumerate(plan.levels_plan):
             rows = len(a)
-            va_all = take(words, a, 0, out=scratch_a[:rows])
-            vb_all = take(words, b, 0, out=scratch_b[:rows]) \
+            va_all = take(a, 0, out=scratch[0, :rows], mode="clip")
+            vb_all = take(b, 0, out=scratch_b[:rows], mode="clip") \
                 if b is not None else None
             for op, s, e, c in segments:
                 va = va_all[s:e]
@@ -847,11 +747,14 @@ class BatchedEvaluator:
             va_all &= mask
             words[out] = va_all
             last = first + rows
-            ones_live[first:last] = _popcount_last(va_all)
-            if toggle_mask is not None:
+            if toggle_mask is None:
+                ones_live[first:last] = _popcount_last(va_all)
+            else:
                 # vb_all is spent: scratch_b holds the carry bits.
-                flips_live[first:last] = _toggle_counts(
-                    va_all, toggle_mask, scratch_c[:rows], scratch_b[:rows])
+                _toggle_bits(va_all, toggle_mask, scratch[1, :rows],
+                             scratch_b[:rows])
+                counts_live[:, first:last] = _popcount_last(
+                    scratch[:, :rows])
             first = last
 
         sims = []
@@ -876,230 +779,97 @@ class BatchedEvaluator:
             if spec.helpers:
                 stacked = np.stack([helper_rows[node]
                                     for node, _o, _a, _b in spec.helpers])
-                helper_ones = _popcount_rows(stacked)
+                helper_ones = _popcount_last(stacked)
                 if toggle_mask is None:
                     helper_flips = np.zeros(len(spec.helpers),
                                             dtype=np.int64)
                 else:
-                    helper_flips = _toggle_counts(stacked, toggle_mask)
+                    helper_flips = _popcount_last(
+                        _toggle_bits(stacked, toggle_mask))
                 ones = np.concatenate((ones, helper_ones))
                 flips = np.concatenate((flips, helper_flips))
-            sims.append(BatchedVariantSim(spec, n_vectors, words_k,
-                                          helper_rows, ones, flips))
+            sims.append(CompiledSimulation(spec, n_vectors, words_k,
+                                           helper_rows, ones, flips))
         return sims
 
 
 # ----------------------------------------------------------------------
-# Multi-netlist batched evaluation
+# Independent circuits on one stimulus
 # ----------------------------------------------------------------------
-class MultiNetlistView:
-    """Read API of one netlist inside a multi-netlist simulation.
+def _merge_levels(plans: list[CompiledNetlist]
+                  ) -> tuple[CompiledNetlist, np.ndarray]:
+    """Merge B plans into one union-level plan over stacked row blocks.
 
-    Mirrors :class:`CompiledSimulation` (``bus_ints``, ``decode_bus``,
-    ``net_bits``, ``prob_one``, ``activity``) over one netlist's strided
-    slice of the batch's flat value matrix, with the activity popcounts
-    precomputed by the batch pass, so
-    :meth:`repro.eval.accuracy.CircuitEvaluator.evaluate_simulated` /
-    ``evaluate_batch`` score it exactly like a standalone compiled
-    simulation.  ``circuit`` is the original netlist (or array circuit)
-    — the same object a per-netlist evaluation would score — so area and
-    power reductions are bit-identical by construction.
+    Circuit ``b`` owns the contiguous rows ``offsets[b]:offsets[b + 1]``
+    of the merged value matrix, so every gather stays inside its own
+    circuit's block.  A gate at level L only reads nets its own circuit
+    produced below L, so all circuits' level-L gates evaluate together:
+    one vectorized concatenation of the plans' flat gate arrays
+    (``CompiledNetlist.flat``, already (level, op)-sorted), rebased into
+    the row space and re-planned by the same ``_build_plan`` sweep a
+    single circuit uses.  The merged ``gate_out``/``gate_ops`` list every
+    circuit's gates in its own ``gate_out`` order, block after block, and
+    ``const_rows`` holds each block's constant-one row.  The merged
+    ports carry each input bus once, its blocks' nets concatenated.
     """
+    offsets = np.concatenate(
+        ([0], np.cumsum([plan.n_nets for plan in plans], dtype=np.int64)))
+    blocks = list(zip(offsets[:-1].tolist(), plans))
+    live = [(offset, plan) for offset, plan in blocks if plan.n_gates]
+    merged = CompiledNetlist.__new__(CompiledNetlist)
+    merged.netlist = CircuitPorts(
+        {name: np.concatenate([np.asarray(plan.netlist.input_buses[name],
+                                          dtype=np.int64) + offset
+                               for offset, plan in blocks])
+         for name in plans[0].netlist.input_buses}, {}, {})
+    merged.n_nets = int(offsets[-1])
+    merged.n_gates = sum(plan.n_gates for plan in plans)
+    merged.const_rows = offsets[:-1] + 1
+    merged.gate_out = np.zeros(0, dtype=np.int64)
+    if not live:
+        merged._empty_plan()
+        return merged, offsets
 
-    __slots__ = ("circuit", "plan", "n_vectors", "words", "_ones", "_flips")
+    def stacked(field: int, rebase: bool) -> np.ndarray:
+        return np.concatenate([plan.flat[field] + offset * rebase
+                               for offset, plan in live])
 
-    def __init__(self, circuit, plan: CompiledNetlist, n_vectors: int,
-                 words: np.ndarray, ones: np.ndarray,
-                 flips: np.ndarray) -> None:
-        self.circuit = circuit
-        self.plan = plan
-        self.n_vectors = n_vectors
-        self.words = words  # (n_nets, n_words) strided view, tails zeroed
-        self._ones = ones    # per gate, in plan.gate_out order
-        self._flips = flips
-
-    @property
-    def netlist(self):
-        return self.circuit
-
-    @property
-    def n_words(self) -> int:
-        return self.words.shape[1]
-
-    def net_bits(self, net: int) -> np.ndarray:
-        """The 0/1 waveform of one net across all vectors."""
-        return unpack_bit_matrix(self.words[net:net + 1], self.n_vectors)[0]
-
-    def prob_one(self, net: int) -> float:
-        ones = _popcount_rows(np.ascontiguousarray(self.words[net:net + 1]))
-        return float(ones[0]) / self.n_vectors
-
-    def bus_ints(self, name: str) -> np.ndarray:
-        """Decode an output bus to per-vector integers (LSB-first bus)."""
-        nets = self.circuit.output_buses[name]
-        signed = self.circuit.output_signed[name]
-        return self.decode_bus(nets, signed)
-
-    def decode_bus(self, nets: list[int], signed: bool) -> np.ndarray:
-        if not nets:
-            return np.zeros(self.n_vectors, dtype=np.int64)
-        rows = self.words[np.asarray(nets, dtype=np.int64)]
-        bits = unpack_bit_matrix(rows, self.n_vectors).astype(np.int64)
-        weights = np.int64(1) << np.arange(len(nets), dtype=np.int64)
-        values = weights @ bits
-        if signed:
-            values -= bits[-1] << np.int64(len(nets))
-        return values
-
-    def activity(self):
-        """Per-gate :class:`~repro.hw.simulate.ActivityReport`."""
-        from .simulate import ActivityReport  # deferred: avoids module cycle
-
-        n = self.n_vectors
-        n_gates = self.plan.n_gates
-        if n_gates == 0:
-            empty = np.zeros(0)
-            zeros_int = np.zeros(0, dtype=np.int64)
-            return ActivityReport(0, empty, empty,
-                                  np.zeros(0, dtype=np.int8), empty,
-                                  zeros_int, zeros_int, n)
-        prob = self._ones / n
-        toggles = self._flips / (n - 1) if n > 1 else np.zeros(n_gates)
-        tau = np.maximum(prob, 1.0 - prob)
-        const_value = (prob >= 0.5).astype(np.int8)
-        return ActivityReport(n_gates, prob, tau, const_value, toggles,
-                              self._ones, self._flips, n)
+    # flat = (ops, ina, inb, inc, out, levels): node ids shift by block.
+    merged._build_plan(stacked(0, False), stacked(1, True),
+                       stacked(2, True), stacked(3, True),
+                       stacked(4, True), stacked(5, False))
+    merged.gate_out = np.concatenate([plan.gate_out + offset
+                                      for offset, plan in live])
+    merged.gate_ops = np.concatenate([plan.gate_ops for _o, plan in live])
+    return merged, offsets
 
 
-class MultiNetlistSim:
-    """Evaluate B *independent* netlists in one word-parallel pass.
+def simulate_many(plans: list[CompiledNetlist], n_vectors: int,
+                  packed: dict[str, np.ndarray]
+                  ) -> list[CompiledSimulation]:
+    """Simulate B independent circuits on one packed stimulus.
 
-    Where :class:`BatchedEvaluator` batches K constant-tie variants of
-    one parent circuit (shared plan, per-variant clamp masks), this
-    engine batches netlists that share nothing but the stimulus — the
-    e-sweep's coefficient-approximated variants, a service manifest's
-    base circuits, the cross-layer flow's exact+coeff pair.  The B
-    netlists pack into one flat ``(sum n_nets, n_words)`` ``uint64``
-    value matrix — netlist ``b`` owns the contiguous row block starting
-    at ``offset[b]``, so every gather stays inside its own netlist's
-    block (the per-netlist working set, not the whole batch) — and
-    their levelized plans merge into one *union-level* schedule:
-
-    * a gate at level L only reads nets its own netlist produced at
-      levels < L, so all netlists' level-L gates evaluate together —
-      one gather, a few per-opcode segment ufuncs, and one scatter per
-      union level, amortizing the per-level NumPy dispatch that
-      dominates small circuits;
-    * each netlist's packed stimulus scatters into its own rows (the
-      e-sweep shares one prepacked set across the batch);
-    * switching activity is one stacked popcount pass over the
-      concatenated live-gate rows, split back per netlist.
-
-    Per-netlist reads come back through :class:`MultiNetlistView`,
-    which mirrors the :class:`CompiledSimulation` API; records are
-    bit-identical to per-netlist :meth:`CompiledNetlist.simulate`
-    (oracle-tested in ``tests/test_multinetlist.py``).  Callers chunk
-    large batches themselves (one ``MultiNetlistSim`` per chunk) —
-    see :meth:`repro.eval.accuracy.CircuitEvaluator.evaluate_many`.
+    The circuits must share their input-bus layout.  One circuit runs on
+    its own plan (:meth:`CompiledNetlist.simulate`); B > 1 run as one
+    variant with no ties of their merged plan (:func:`_merge_levels`),
+    whose result splits into one view per circuit: the circuit's row
+    block and its slice of the live-gate activity.  Views are
+    bit-identical to each circuit's own simulation.
     """
-
-    # Soft cap on the flat value matrix per batch, applied by callers
-    # when they slice a long netlist list into chunks.
-    MAX_CHUNK_BYTES = 1 << 26
-
-    def __init__(self, circuits: list, plans: list[CompiledNetlist],
-                 n_vectors: int, packed_list: list[dict]) -> None:
-        self.circuits = circuits
-        self.plans = plans
-        self.n_vectors = n_vectors
-        self.n_words = max(1, (n_vectors + _WORD_BITS - 1) // _WORD_BITS)
-        self.packed_list = packed_list
-        self.offsets = np.concatenate(
-            ([0], np.cumsum([plan.n_nets for plan in plans],
-                            dtype=np.int64)))
-        self._merge_levels()
-
-    def _merge_levels(self) -> None:
-        """Build the union-level schedule with flat row indices.
-
-        One vectorized concatenation of the per-plan flat gate arrays
-        (``CompiledNetlist.flat``, already (level, op)-sorted) rebased
-        into the flat row space, re-planned by the same ``_build_plan``
-        sweep a single netlist uses — no per-level Python piecework.
-        """
-        live = [(int(self.offsets[b_idx]), plan)
-                for b_idx, plan in enumerate(self.plans) if plan.n_gates]
-        merged = CompiledNetlist.__new__(CompiledNetlist)
-        merged.netlist = None
-        merged.n_nets = int(self.offsets[-1])
-        merged.n_gates = sum(plan.n_gates for _o, plan in live)
-        merged.gate_out = np.zeros(0, dtype=np.int64)
-        if not live:
-            merged._empty_plan()
-        else:
-            ops = np.concatenate([plan.flat[0] for _o, plan in live])
-            ina = np.concatenate([plan.flat[1] + offset
-                                  for offset, plan in live])
-            inb = np.concatenate([plan.flat[2] + offset
-                                  for offset, plan in live])
-            inc = np.concatenate([plan.flat[3] + offset
-                                  for offset, plan in live])
-            out = np.concatenate([plan.flat[4] + offset
-                                  for offset, plan in live])
-            levels = np.concatenate([plan.flat[5] for _o, plan in live])
-            merged._build_plan(ops, ina, inb, inc, out, levels)
-        self.levels_plan = merged.levels_plan
-        self.max_level_width = merged.max_level_width
-
-    def evaluate(self) -> list[MultiNetlistView]:
-        """Simulate the batch; one read view per netlist."""
-        n_netlists = len(self.plans)
-        if n_netlists == 0:
-            return []
-        n_words = self.n_words
-        n_vectors = self.n_vectors
-        offsets = self.offsets
-        words = np.zeros((int(offsets[-1]), n_words), dtype=np.uint64)
-        # Net 1 is the constant-one tie of every netlist.
-        words[offsets[:-1] + 1] = _ALL_ONES
-
-        for b_idx, (plan, packed) in enumerate(zip(self.plans,
-                                                   self.packed_list)):
-            offset = int(offsets[b_idx])
-            for name, nets in plan.netlist.input_buses.items():
-                words[np.asarray(nets, dtype=np.int64) + offset] = \
-                    packed[name]
-
-        _run_levels(words, self.levels_plan, self.max_level_width)
-
-        # Zero the tail bits once; every later reduction and decode then
-        # works on clean rows (0 is legal "garbage").
-        words &= _valid_mask(n_vectors, n_words)[None, :]
-
-        # Stacked activity popcounts over every netlist's live gate rows
-        # (plan.gate_out order — the order per-netlist activity uses).
-        gate_counts = [plan.n_gates for plan in self.plans]
-        if sum(gate_counts):
-            all_rows = np.concatenate(
-                [plan.gate_out + int(offsets[b_idx])
-                 for b_idx, plan in enumerate(self.plans)])
-            gate_rows = np.take(words, all_rows, 0)
-            ones_all = _popcount_rows(gate_rows)
-            if n_vectors > 1:
-                flips_all = _toggle_counts(
-                    gate_rows, _valid_mask(n_vectors - 1, n_words))
-            else:
-                flips_all = np.zeros_like(ones_all)
-        else:
-            ones_all = flips_all = np.zeros(0, dtype=np.int64)
-
-        views = []
-        pos = 0
-        for b_idx, (circ, plan) in enumerate(zip(self.circuits, self.plans)):
-            count = gate_counts[b_idx]
-            views.append(MultiNetlistView(
-                circ, plan, n_vectors,
-                words[int(offsets[b_idx]):int(offsets[b_idx + 1])],
-                ones_all[pos:pos + count], flips_all[pos:pos + count]))
-            pos += count
-        return views
+    if len(plans) == 1:
+        return [plans[0].simulate(None, n_vectors, packed)]
+    merged, offsets = _merge_levels(plans)
+    tiled = {name: np.tile(rows, (len(plans), 1))
+             for name, rows in packed.items()}
+    whole, = BatchedEvaluator(merged, n_vectors, tiled).simulate(
+        [merged.spec()])
+    views = []
+    first = 0
+    for plan, start, end in zip(plans, offsets[:-1].tolist(),
+                                offsets[1:].tolist()):
+        last = first + plan.n_gates
+        views.append(CompiledSimulation(
+            plan.spec(), n_vectors, whole.words[start:end], {},
+            whole._ones[first:last], whole._flips[first:last]))
+        first = last
+    return views

@@ -1,25 +1,29 @@
 """Netlist simulation and switching-activity extraction.
 
 This module replaces the paper's Questasim RTL simulations.  Two engines
-share one entry point, :func:`simulate`:
+share one entry point, :func:`simulate`, selected by the same
+``engine="auto"|"bigint"`` selector as every other layer
+(:func:`check_engine`, :func:`resolve_engine`):
 
-* the **compiled word-parallel engine** (:mod:`repro.hw.compiled`, the
-  default): the stimulus is packed into a ``(n_nets, n_words)`` ``uint64``
-  matrix and the netlist's cached :class:`~repro.hw.compiled.CompiledNetlist`
-  plan evaluates whole per-level, per-opcode gate groups with single
-  vectorized NumPy bitwise operations.  Activity statistics and bus
-  decoding are popcount/unpack array reductions.
+* ``"auto"`` runs the **compiled word-parallel engine**
+  (:mod:`repro.hw.compiled`) where the host supports its little-endian
+  word layout: the netlist's cached
+  :class:`~repro.hw.compiled.CompiledNetlist` plan runs as a one-variant
+  batch of the one compiled level loop
+  (:class:`~repro.hw.compiled.BatchedEvaluator`), which evaluates whole
+  per-level, per-opcode gate groups with single vectorized NumPy
+  bitwise operations and counts the activity popcounts as it goes.
 
-* the **legacy bigint engine** (:func:`simulate_bigint`): every net carries
-  one arbitrary-precision Python integer whose bit *i* is the net's value
-  for test vector *i*, evaluated gate-by-gate in a Python loop.  It is kept
-  as the independent reference oracle that the compiled engine is
-  property-tested against (``tests/test_compiled.py``), and as the
-  fallback on big-endian hosts.
+* ``"bigint"`` runs the **legacy bigint engine** (:func:`simulate_bigint`):
+  every net carries one arbitrary-precision Python integer whose bit *i*
+  is the net's value for test vector *i*, evaluated gate-by-gate in a
+  Python loop.  It is kept as the independent reference oracle that the
+  compiled engine is property-tested against (``tests/test_compiled.py``),
+  and it is what ``"auto"`` runs on big-endian hosts.
 
 Both engines return objects with the same read API (``bus_ints``,
-``decode_bus``, ``prob_one``, ``activity``) and produce bit-identical
-waveforms and statistics.  A full test-set simulation of the largest
+``decode_bus``, ``net_bits``, ``prob_one``, ``activity``) and produce
+bit-identical waveforms and statistics.  A full test-set simulation of the largest
 circuit in the paper (Pendigits MLP-C, tens of thousands of gates) takes
 milliseconds, which is what makes the full-search pruning exploration
 (>4300 designs, Section IV) tractable.
@@ -46,7 +50,23 @@ __all__ = [
     "simulate_bigint",
     "SimulationResult",
     "ActivityReport",
+    "check_engine",
+    "resolve_engine",
 ]
+
+
+def check_engine(engine: str) -> None:
+    """Raise ``ValueError`` unless ``engine`` is ``"auto"``, the
+    platform's fast path, or ``"bigint"``, the oracle."""
+    if engine not in ("auto", "bigint"):
+        raise ValueError(f"unknown engine {engine!r} "
+                         "(expected 'auto' or 'bigint')")
+
+
+def resolve_engine(engine: str) -> str:
+    """The backend a selector names on this host: batched or bigint."""
+    return "batched" if engine == "auto" and HOST_SUPPORTS_COMPILED \
+        else "bigint"
 
 
 def pack_vectors(bits: np.ndarray) -> int:
@@ -186,21 +206,19 @@ def simulate(nl: Netlist, inputs: dict[str, np.ndarray],
     array of unsigned integers
     (one per test vector); all arrays must share the same length.
 
-    ``engine`` selects the backend: ``"compiled"`` (word-parallel NumPy),
-    ``"bigint"`` (the legacy reference loop), or ``"auto"`` (compiled
-    where the host supports it).  All backends return the same read API
-    and bit-identical results.
+    ``engine`` selects the backend: ``"auto"`` (word-parallel NumPy
+    where the host supports it, the bigint loop elsewhere) or
+    ``"bigint"`` (the legacy reference loop); anything else raises
+    ``ValueError``.  Both backends return the same read API and
+    bit-identical results.
     """
+    check_engine(engine)
     n, arrays = _validate_inputs(nl, inputs)
-    if engine == "auto":
-        engine = "compiled" if HOST_SUPPORTS_COMPILED else "bigint"
-    if engine == "compiled":
+    if resolve_engine(engine) == "batched":
         return nl.compiled().simulate(arrays, n)
-    if engine == "bigint":
-        if not isinstance(nl, Netlist):  # an array circuit: the bigint
-            nl = nl.to_netlist()         # loop reads the gate lists
-        return _simulate_bigint_validated(nl, arrays, n)
-    raise ValueError(f"unknown simulation engine {engine!r}")
+    if not isinstance(nl, Netlist):  # an array circuit: the bigint
+        nl = nl.to_netlist()         # loop reads the gate lists
+    return _simulate_bigint_validated(nl, arrays, n)
 
 
 def simulate_bigint(nl: Netlist,

@@ -419,12 +419,16 @@ class TestBatchedExploration:
 class TestRootLadder:
     """The walk's root ladder: plan epochs shared across chains."""
 
-    @pytest.mark.parametrize("model, plan_builds",
-                             (("svm_r", 11), ("mlp_c", 10)))
-    def test_plan_builds_per_explore_are_pinned(self, model, plan_builds):
+    @pytest.mark.parametrize("model, plan_builds, batches", (
+        pytest.param("svm_r", 11, 8, id="svm_r-11"),
+        pytest.param("mlp_c", 10, 4, id="mlp_c-10")))
+    def test_plan_builds_per_explore_are_pinned(self, model, plan_builds,
+                                                batches):
         """One ``CrossLayerFramework(e=4).explore`` builds this many
-        plans (41 and 34 when every root opened its own epoch); a
-        ladder that silently fell back to per-root plans shows here."""
+        plans (41 and 34 when every root opened its own epoch) and
+        dispatches this many variant batches; a ladder that silently
+        fell back to per-root plans shows here, and so does a single-
+        or multi-netlist simulation that counted itself as a batch."""
         case = get_case("redwine", model)
         split = case.split
         telemetry.reset()
@@ -435,6 +439,7 @@ class TestRootLadder:
             registry = telemetry.get_hub().registry
             assert registry.counter_total("engine.plan_builds") \
                 == plan_builds
+            assert registry.counter_total("engine.batches") == batches
         finally:
             telemetry.reset()
 

@@ -48,7 +48,7 @@ class TestSimulationEquivalence:
                              int(rng.integers(1, 6)))
         width = len(nl.input_buses["x"])
         stimulus = {"x": rng.integers(0, 1 << width, n_vectors)}
-        fast = simulate(nl, stimulus, engine="compiled")
+        fast = simulate(nl, stimulus, engine="auto")
         oracle = simulate_bigint(nl, stimulus)
         np.testing.assert_array_equal(fast.bus_ints("y"), oracle.bus_ints("y"))
         for net in range(nl.n_nets):
@@ -70,7 +70,7 @@ class TestSimulationEquivalence:
         nl.set_output_bus("y", [nl.add_gate("INV", a)])
         for n in (1, 63, 65, 100):
             stimulus = {"x": np.zeros(n, dtype=int)}
-            sim = simulate(nl, stimulus, engine="compiled")
+            sim = simulate(nl, stimulus, engine="auto")
             assert sim.prob_one(nl.output_buses["y"][0]) == 1.0
             activity = sim.activity()
             assert activity.prob_one[0] == 1.0
@@ -86,6 +86,28 @@ class TestSimulationEquivalence:
         a = plan.simulate(arrays, 101)
         b = plan.simulate(arrays, 101, packed=packed)
         np.testing.assert_array_equal(a.bus_ints("y"), b.bus_ints("y"))
+
+    def test_engine_selector_matches_every_layer(self, monkeypatch):
+        """``simulate`` takes ``auto|bigint`` like the evaluator: on a
+        host without the compiled word layout ``"auto"`` runs the bigint
+        engine, and the retired ``"compiled"`` value is refused."""
+        import importlib
+
+        from repro.hw.simulate import SimulationResult
+
+        # ``repro.hw.simulate`` the attribute is the function; the module
+        # holds the host flag.
+        simulate_module = importlib.import_module("repro.hw.simulate")
+
+        nl = random_netlist(np.random.default_rng(5), 20, 3)
+        stimulus = {"x": np.arange(8)}
+        monkeypatch.setattr(simulate_module, "HOST_SUPPORTS_COMPILED", False)
+        sim = simulate(nl, stimulus, engine="auto")
+        assert isinstance(sim, SimulationResult)
+        np.testing.assert_array_equal(
+            sim.bus_ints("y"), simulate_bigint(nl, stimulus).bus_ints("y"))
+        with pytest.raises(ValueError):
+            simulate(nl, stimulus, engine="compiled")
 
     def test_plan_cached_and_rebuilt_on_growth(self):
         nl = Netlist(cse=False)

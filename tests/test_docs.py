@@ -1,5 +1,6 @@
-"""Documentation stays correct: intra-repo links resolve, examples run,
-quoted speedups match the committed record.
+"""Documentation stays correct: intra-repo links resolve, code
+references name real definitions, examples run, quoted speedups match
+the committed record.
 
 The CI docs job runs the same checks standalone
 (``python tools/check_docs.py`` + ``python -m doctest``); keeping them
@@ -19,6 +20,7 @@ from check_docs import (  # noqa: E402
     broken_links,
     doc_files,
     speedup_mismatches,
+    stale_references,
 )
 
 
@@ -30,6 +32,24 @@ def test_docs_exist():
 
 def test_no_broken_intra_repo_links():
     assert broken_links() == []
+
+
+def test_code_references_resolve():
+    assert stale_references() == []
+
+
+def test_stale_code_reference_is_reported(tmp_path):
+    doc = tmp_path / "NOTES.md"
+    doc.write_text("\n".join([
+        "| Layer | Fast path |",
+        "|-------|-----------|",
+        "| Simulation | `hw/simulate.py::simulate_bigint` |",
+        "| Scoring | `hw/compiled.py::RetiredEngine` via `evaluate_many` |",
+        "| Missing | `hw/no_such_module.py::simulate` |",
+        "```", "`hw/compiled.py::InsideAFence`", "```"]))
+    assert stale_references([doc]) == [
+        "NOTES.md: hw/compiled.py::RetiredEngine",
+        "NOTES.md: hw/no_such_module.py::simulate"]
 
 
 def test_documented_examples_run():

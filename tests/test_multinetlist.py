@@ -3,19 +3,21 @@
 The contract under test: ``CircuitEvaluator.evaluate_many(circuits)``
 is **bit-identical** to ``[evaluator.evaluate(c) for c in circuits]``
 for any list of independent circuits — real bespoke netlists, folded
-array circuits, and adversarial random netlists, including vector
-counts that are not a multiple of 64 (tail masking is where
-word-parallel engines break), single-element batches, and every
-fallback path (bigint engine, mismatched bus layouts, chunked
-batches).  Same ``==``-on-frozen-dataclass strictness as the rest of
-the engine equivalence battery.
+array circuits, and adversarial random netlists (zero-gate ones
+included), including vector counts that are not a multiple of 64
+(tail masking is where word-parallel engines break), single-element
+batches, and every fallback path (bigint engine, mismatched bus
+layouts, chunked batches).  The random batches and the per-circuit
+views of :func:`~repro.hw.compiled.simulate_many` are checked against
+the bigint oracle.  Same ``==``-on-frozen-dataclass strictness as the
+rest of the engine equivalence battery.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.coeff_approx import CoefficientApproximator
@@ -25,11 +27,11 @@ from repro.experiments.zoo import get_case
 from repro.hw.bespoke import REGRESSOR_OUTPUT, build_bespoke_netlist
 from repro.hw.compiled import (
     HOST_SUPPORTS_COMPILED,
-    MultiNetlistSim,
     pack_stimulus,
+    simulate_many,
 )
-from repro.hw.netlist import Netlist
-from repro.hw.simulate import _validate_inputs
+from repro.hw.netlist import CONST1, Netlist
+from repro.hw.simulate import _validate_inputs, simulate_bigint
 from repro.hw.synthesis import ArrayCircuit, synthesize_arrays
 from random_circuits import random_netlist
 
@@ -107,7 +109,7 @@ class TestEvaluateManyRealCircuits:
         """A tiny chunk cap slices the batch; records must not change."""
         case, netlists = ladder_case
         reference = _fresh_evaluator(case).evaluate_many(netlists)
-        monkeypatch.setattr(MultiNetlistSim, "MAX_CHUNK_BYTES",
+        monkeypatch.setattr(CircuitEvaluator, "MAX_CHUNK_BYTES",
                             netlists[0].n_nets * 8 * 8 * 2)
         chunked = _fresh_evaluator(case).evaluate_many(netlists)
         assert chunked == reference
@@ -158,51 +160,62 @@ class TestEvaluateManyFallbacks:
             evaluator.evaluate_many([a, b])
 
 
+def _wired_netlist(width: int) -> Netlist:
+    """A zero-gate netlist whose output wires straight to inputs and
+    ``CONST1``."""
+    nl = Netlist(cse=False)
+    nets = list(nl.add_input_bus("x", width))
+    nl.set_output_bus(REGRESSOR_OUTPUT, [nets[0], CONST1, nets[-1]],
+                      signed=False)
+    return nl
+
+
 @needs_compiled
 class TestEvaluateManyRandom:
     @given(seed=st.integers(0, 10_000),
-           n_test=st.sampled_from([1, 63, 64, 65, 70, 128, 200]))
+           n_test=st.sampled_from([1, 2, 63, 64, 65, 70, 128, 200]))
+    @example(seed=0, n_test=1)
+    @example(seed=1, n_test=2)
     @settings(max_examples=25, deadline=None)
     def test_random_batches_match_per_netlist(self, seed, n_test):
+        """Random batches, with two zero-gate netlists mid-batch (one
+        wired to inputs and ``CONST1``, one random), score like the
+        bigint oracle's per-netlist loop."""
         rng = np.random.default_rng(seed)
         width = int(rng.integers(2, 6))
         n_netlists = int(rng.integers(1, 7))
         nls = [_regressor_netlist(rng, int(rng.integers(3, 50)), width)
                for _ in range(n_netlists)]
+        middle = len(nls) // 2
+        nls[middle:middle] = [_wired_netlist(width),
+                              _regressor_netlist(rng, 0, width)]
         evaluator = _random_evaluator(rng, width, n_test)
         many = evaluator.evaluate_many(nls)
-        single = CircuitEvaluator(evaluator.decode, evaluator.train_inputs,
-                                  evaluator.test_inputs, evaluator.y_test)
-        assert many == [single.evaluate(nl) for nl in nls]
+        oracle = CircuitEvaluator(evaluator.decode, evaluator.train_inputs,
+                                  evaluator.test_inputs, evaluator.y_test,
+                                  engine="bigint")
+        assert many == [oracle.evaluate(nl) for nl in nls]
 
 
 @needs_compiled
-class TestMultiNetlistSimViews:
-    def test_views_match_compiled_simulation(self):
-        """Waveform reads (decode, net bits, prob_one) per view equal the
-        standalone compiled simulation of each netlist."""
+class TestSimulateManyViews:
+    def test_views_match_bigint_simulation(self):
+        """Waveform reads (decode, net bits, prob_one) and activity per
+        view equal the bigint simulation of each netlist."""
         rng = np.random.default_rng(11)
         width = 4
         nls = [_regressor_netlist(rng, 25, width) for _ in range(4)]
+        nls.insert(2, _wired_netlist(width))
         n_vectors = 70  # non-64-multiple: exercises tail masking
         data = {"x": rng.integers(0, 1 << width, n_vectors)}
-        packed_per_netlist = []
-        plans = []
-        sims = []
-        for nl in nls:
-            n, arrays = _validate_inputs(nl, data)
-            widths = {name: len(nets)
-                      for name, nets in nl.input_buses.items()}
-            packed = pack_stimulus(arrays, widths, n)
-            packed_per_netlist.append(packed)
-            plans.append(nl.compiled())
-            sims.append(nl.compiled().simulate(arrays, n, packed=packed))
-        views = MultiNetlistSim(nls, plans, n_vectors,
-                                packed_per_netlist).evaluate()
-        for nl, view, sim in zip(nls, views, sims):
+        n, arrays = _validate_inputs(nls[0], data)
+        packed = pack_stimulus(arrays, {"x": width}, n)
+        views = simulate_many([nl.compiled() for nl in nls], n, packed)
+        for nl, view in zip(nls, views):
+            sim = simulate_bigint(nl, data)
             assert (view.bus_ints(REGRESSOR_OUTPUT)
                     == sim.bus_ints(REGRESSOR_OUTPUT)).all()
-            for net in (0, 1, nl.n_nets - 1):
+            for net in range(nl.n_nets):
                 assert (view.net_bits(net) == sim.net_bits(net)).all()
                 assert view.prob_one(net) == sim.prob_one(net)
             ours = view.activity()

@@ -1,11 +1,15 @@
 """Docs checker for the Markdown docs (CI docs job).
 
-Two checks:
+Three checks:
 
 * **links** — scans ``README.md`` and ``docs/*.md`` for Markdown links
   and verifies that every *relative* target exists in the repository
   (anchors are stripped; ``http(s)``/``mailto`` targets are skipped —
   this repo's CI has no business depending on the external internet);
+* **code references** — every backticked ``path.py::Name`` in the same
+  files must name a file (relative to the repository root or to
+  ``src/repro``) that defines ``Name`` (a function, class or
+  module-level assignment);
 * **quoted numbers** — every "Speedup vs seed" cell of the README's
   "Measured performance" table must equal that circuit's ``speedup``
   in ``BENCH_simulate.json``, rounded to one decimal.
@@ -17,6 +21,7 @@ Run::
 
 from __future__ import annotations
 
+import ast
 import json
 import pathlib
 import re
@@ -28,6 +33,8 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 # images (![alt](target)) match the same pattern via the inner part.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _EXTERNAL = ("http://", "https://", "mailto:")
+# `path.py::Name` — a code reference at the start of a backtick span.
+_CODE_REF = re.compile(r"`([\w./-]+\.py)::(\w+)")
 
 
 def doc_files() -> list[pathlib.Path]:
@@ -51,6 +58,36 @@ def broken_links(files: list[pathlib.Path] | None = None) -> list[str]:
             resolved = (doc.parent / target).resolve()
             if not resolved.exists():
                 problems.append(f"{doc.relative_to(REPO_ROOT)}: {target}")
+    return problems
+
+
+def _defined_names(path: pathlib.Path) -> set[str]:
+    """Functions and classes defined anywhere in a Python file, plus its
+    module-level assignment targets."""
+    tree = ast.parse(path.read_text())
+    names = {node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))}
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) \
+            else [node.target] if isinstance(node, ast.AnnAssign) else []
+        names.update(target.id for target in targets
+                     if isinstance(target, ast.Name))
+    return names
+
+
+def stale_references(files: list[pathlib.Path] | None = None) -> list[str]:
+    """Backticked ``path.py::Name`` references whose file is missing or
+    defines no ``Name``, as ``file: reference`` strings."""
+    problems: list[str] = []
+    for doc in files or doc_files():
+        text = re.sub(r"```.*?```", "", doc.read_text(), flags=re.S)
+        for match in _CODE_REF.finditer(text):
+            path, name = match.groups()
+            candidates = [REPO_ROOT / path, REPO_ROOT / "src" / "repro" / path]
+            source = next((c for c in candidates if c.is_file()), None)
+            if source is None or name not in _defined_names(source):
+                problems.append(f"{doc.name}: {path}::{name}")
     return problems
 
 
@@ -98,14 +135,18 @@ def main() -> int:
     problems = broken_links(files)
     for problem in problems:
         print(f"broken link — {problem}", file=sys.stderr)
+    stale = stale_references(files)
+    for problem in stale:
+        print(f"stale code reference — {problem}", file=sys.stderr)
     mismatches = speedup_mismatches(
         (REPO_ROOT / "README.md").read_text(),
         json.loads((REPO_ROOT / "BENCH_simulate.json").read_text()))
     for problem in mismatches:
         print(f"stale number — {problem}", file=sys.stderr)
     print(f"checked {len(files)} docs: {len(problems)} broken links, "
+          f"{len(stale)} stale code references, "
           f"{len(mismatches)} stale speedups")
-    return 1 if problems or mismatches else 0
+    return 1 if problems or stale or mismatches else 0
 
 
 if __name__ == "__main__":
