@@ -344,6 +344,13 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
       :meth:`~repro.eval.accuracy.CircuitEvaluator.evaluate_batch` and
       released before the next chunk is simulated.
 
+    * **No-op steps.**  Each state carries the key of the circuit it
+      holds.  A step whose delta gates an earlier tie already stripped
+      gets an empty applied map back: ``tie()`` replaced no node and
+      created no helper, so the circuit is its predecessor's.  It
+      queues no spec; its key takes the predecessor's record once the
+      batches are scored (counted ``pruner.aliased_steps``).
+
     A walk state is a chain of cone rewrites: the ladder of roots,
     then phi increments.  Such a chain reaches the circuit
     ``explore_legacy``'s from-scratch synthesis does, because
@@ -393,10 +400,11 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
 
     pending: dict[bytes, tuple] = {}  # step key -> (plan, VariantSpec)
     resolved: dict[bytes, EvaluationRecord] = {}
+    aliases: dict[bytes, bytes] = {}  # no-op step key -> predecessor key
 
     def known(key: bytes) -> bool:
         return (known_records is not None and key in known_records) \
-            or key in resolved or key in pending
+            or key in resolved or key in pending or key in aliases
 
     def capture(key: bytes, state: list) -> None:
         """Queue one variant for the deferred batch (or refresh epoch)."""
@@ -437,9 +445,25 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
                          in zip(gates_l[:count], consts_l[:count])}
         pruned, chain_map = synthesize_arrays(base, force_by_node)
         state[:] = [IncrementalCircuit.from_arrays(pruned, shared=True),
-                    chain_map, count, None, 0, {}]
+                    chain_map, count, None, 0, {}, key]
         if not known(key):
             resolved[key] = evaluator.evaluate(pruned)
+        return state
+
+    def advance(state: list, applied: dict, count: int,
+                key: bytes) -> list:
+        """Make a successful tie the state's step ``key``, in place."""
+        state[2] = count
+        merge_clamps(state, applied)
+        if not known(key):
+            if applied:
+                capture(key, state)
+            else:
+                # A no-op step: tie() replaced nothing, so the circuit
+                # (and with it the record) is the predecessor's.  Never
+                # the base state's: a root ties at least one live gate.
+                aliases[key] = state[6]
+        state[6] = key
         return state
 
     def apply_step(state: list, ci: int, depth: int, key: bytes) -> list:
@@ -451,15 +475,11 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
                                      consts_l[lo:count], state[1])
         if applied is None:
             return refold(state, ci, count, key)
-        state[2] = count
-        merge_clamps(state, applied)
-        if not known(key):
-            capture(key, state)
-        return state
+        return advance(state, applied, count, key)
 
     def fork(state: list) -> list:
         return [state[0].fork(), state[1], state[2], state[3], state[4],
-                dict(state[5])]
+                dict(state[5]), state[6]]
 
     def tie_root(source: list, ci: int, gates: list, consts: list,
                  key: bytes) -> list | None:
@@ -472,11 +492,7 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
         applied = state[0].tie_gates(gates, consts, state[1])
         if applied is None:
             return None
-        state[2] = chain_arrays[ci][3][0][1]
-        merge_clamps(state, applied)
-        if not known(key):
-            capture(key, state)
-        return state
+        return advance(state, applied, chain_arrays[ci][3][0][1], key)
 
     def record_rows(ids: list[int], depth: int, key: bytes) -> None:
         n_pruned = chain_arrays[ids[0]][3][depth][1]
@@ -495,22 +511,38 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
                 found.setdefault(key, []).append(ci)
         return list(found.items())
 
+    def branches(chain_ids, depth: int, state: list) -> list[tuple]:
+        """The trie branches below ``state``, last sibling first.
+
+        Sibling branches mutate the chain state in place, so every
+        branch but the last works on a fork of the shared prefix; the
+        flag marks the one that may take ``state`` over.
+        """
+        items = groups(chain_ids, depth)
+        return [(key, ids, depth, state, position == len(items) - 1)
+                for position, (key, ids) in reversed(list(enumerate(items)))]
+
     def visit(chain_ids: list[int], depth: int, state: list) -> None:
-        group_items = groups(chain_ids, depth)
-        for position, (key, ids) in enumerate(group_items):
-            # Sibling branches mutate the chain state in place, so every
-            # branch but the last works on a fork of the shared prefix.
-            branch = fork(state) if position < len(group_items) - 1 \
-                else state
-            branch = apply_step(branch, ids[0], depth, key)
+        """Walk the subtree below ``state`` depth first.
+
+        An explicit stack, not recursion: a nested function that calls
+        itself is a reference cycle, which would keep the whole walk —
+        base circuit, epoch plans, queued specs — alive until the next
+        full garbage collection.
+        """
+        stack = branches(chain_ids, depth, state)
+        while stack:
+            key, ids, depth, source, last = stack.pop()
+            branch = apply_step(source if last else fork(source), ids[0],
+                                depth, key)
             record_rows(ids, depth, key)
-            visit(ids, depth + 1, branch)
+            stack.extend(branches(ids, depth + 1, branch))
 
     # The root ladder (the trie's depth-0 layer, see above).  On the
     # default grid the candidate sets nest, so every root whose lowest
     # phi level did not drop builds on the previous one.
     telemetry = _service_telemetry()
-    base_state = [root_state[0], root_state[1], 0, None, 0, {}]
+    base_state = [root_state[0], root_state[1], 0, None, 0, {}, None]
     ladder: list | None = None
     ladder_ids = None
     ordered = sorted(groups(range(len(chains)), 0),
@@ -534,7 +566,7 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
                              consts_l[:count], key)
         if state is None:
             telemetry.counter("pruner.root_fallbacks", to="refold")
-            state = refold([None] * 6, ci, count, key)
+            state = refold([None] * 7, ci, count, key)
             ladder = None
         else:
             ladder, ladder_ids = state, np.frombuffer(key, dtype=np.int64)
@@ -560,6 +592,14 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
                 for record in evaluator.evaluate_batch(sims):
                     resolved[keys[done]] = record
                     done += 1
+    # A no-op step's predecessor was queued, refolded, memoized or
+    # aliased before it, so insertion order resolves every chain.
+    for key, predecessor in aliases.items():
+        record = resolved.get(predecessor)
+        resolved[key] = record if record is not None \
+            else known_records[predecessor]
+    if aliases:
+        telemetry.counter("pruner.aliased_steps", len(aliases))
 
     if known_records is not None:
         for key, record in resolved.items():

@@ -24,6 +24,7 @@ Three layers pin the batched path down:
   counts).
 """
 
+import gc
 import io
 
 import numpy as np
@@ -419,16 +420,21 @@ class TestBatchedExploration:
 class TestRootLadder:
     """The walk's root ladder: plan epochs shared across chains."""
 
-    @pytest.mark.parametrize("model, plan_builds, batches", (
-        pytest.param("svm_r", 11, 8, id="svm_r-11"),
-        pytest.param("mlp_c", 10, 4, id="mlp_c-10")))
+    @pytest.mark.parametrize(
+        "model, plan_builds, batches, simulated, aliased", (
+            pytest.param("svm_r", 11, 8, 38, 0, id="svm_r-11"),
+            pytest.param("mlp_c", 10, 4, 117, 56, id="mlp_c-10")))
     def test_plan_builds_per_explore_are_pinned(self, model, plan_builds,
-                                                batches):
+                                                batches, simulated,
+                                                aliased):
         """One ``CrossLayerFramework(e=4).explore`` builds this many
         plans (41 and 34 when every root opened its own epoch) and
         dispatches this many variant batches; a ladder that silently
         fell back to per-root plans shows here, and so does a single-
-        or multi-netlist simulation that counted itself as a batch."""
+        or multi-netlist simulation that counted itself as a batch.
+        It simulates this many variants and lets this many no-op steps
+        reuse their predecessor's record (MLP-C simulated 173 variants
+        when every step was scored)."""
         case = get_case("redwine", model)
         split = case.split
         telemetry.reset()
@@ -440,8 +446,33 @@ class TestRootLadder:
             assert registry.counter_total("engine.plan_builds") \
                 == plan_builds
             assert registry.counter_total("engine.batches") == batches
+            widths = registry.snapshot()["histograms"]["engine.batch_size"]
+            assert widths["sum"] == simulated
+            assert registry.counter_total("pruner.aliased_steps") == aliased
         finally:
             telemetry.reset()
+
+    def test_walk_leaves_no_cyclic_garbage(self):
+        """A finished explore frees its walk by reference counting alone:
+        no circuit state, plan or queued spec waits for the cycle
+        collector."""
+        case = get_case("redwine", "svm_r")
+        split = case.split
+        framework = CrossLayerFramework(e=4, clock_ms=case.clock_ms)
+        gc.collect()
+        gc.disable()
+        try:
+            framework.explore(case.quant_model, split.X_train, split.X_test,
+                              split.y_test)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = {type(obj).__name__ for obj in gc.garbage}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert not leaked & {"IncrementalCircuit", "CompiledNetlist",
+                             "VariantSpec"}
 
     def test_root_fallbacks_counted_and_designs_inert(self):
         """Refused ladder deltas are counted, and tracing changes no

@@ -1,6 +1,6 @@
 """Documentation stays correct: intra-repo links resolve, code
-references name real definitions, examples run, quoted speedups match
-the committed record.
+references name real definitions, examples run, quoted performance
+figures match the committed record.
 
 The CI docs job runs the same checks standalone
 (``python tools/check_docs.py`` + ``python -m doctest``); keeping them
@@ -19,7 +19,7 @@ sys.path.insert(0, str(REPO_ROOT / "tools"))
 from check_docs import (  # noqa: E402
     broken_links,
     doc_files,
-    speedup_mismatches,
+    quoted_mismatches,
     stale_references,
 )
 
@@ -64,21 +64,42 @@ def test_documented_examples_run():
 
 def test_quoted_speedups_match_the_record():
     record = json.loads((REPO_ROOT / "BENCH_simulate.json").read_text())
-    assert speedup_mismatches((REPO_ROOT / "README.md").read_text(),
-                              record) == []
+    assert quoted_mismatches((REPO_ROOT / "README.md").read_text(),
+                             record) == []
+
+
+_RECORD = {"end_to_end": [
+    {"circuit": "redwine/svm_r", "speedup": 1.94, "legacy_s": 0.0776,
+     "batched_s": 0.04, "bigint_s": 0.072},
+    {"circuit": "cardio/svm_c", "speedup": 8.04, "legacy_s": 1.608,
+     "batched_s": 0.2, "bigint_s": 1.2}]}
+_README = "\n".join([
+    "## Measured performance", "",
+    "| Circuit | Seed pipeline | Batched | Speedup vs seed |",
+    "|---------|---------------|---------|-----------------|",
+    "| redwine SVM-R | 0.08 s | {batched} | {speedup} |",
+    "| cardio SVM-C  | 1.61 s | 0.20 s | 8.0x |", "",
+    "The oracle walk (`bigint_s`) took {oracle}x the batched walk's time.",
+    "", "Text after the table."])
+_FRESH = {"batched": "0.04 s", "speedup": "1.9x", "oracle": "1.8–6.0"}
 
 
 def test_mismatched_speedup_is_reported():
-    record = {"end_to_end": [{"circuit": "redwine/svm_r", "speedup": 1.94},
-                             {"circuit": "cardio/svm_c", "speedup": 8.04}]}
-    readme = "\n".join([
-        "## Measured performance", "",
-        "| Circuit | Batched | Speedup vs seed |",
-        "|---------|---------|-----------------|",
-        "| redwine SVM-R | 0.04 s | {} |",
-        "| cardio SVM-C  | 0.20 s | 8.0x |", "",
-        "Text after the table."])
-    assert speedup_mismatches(readme.format("1.9x"), record) == []
-    problems = speedup_mismatches(readme.format("2.4x"), record)
+    assert quoted_mismatches(_README.format(**_FRESH), _RECORD) == []
+    problems = quoted_mismatches(
+        _README.format(**{**_FRESH, "speedup": "2.4x"}), _RECORD)
     assert len(problems) == 1 and "redwine SVM-R" in problems[0]
-    assert speedup_mismatches("no table", record)
+    assert quoted_mismatches("no table", _RECORD)
+
+
+def test_stale_seconds_cell_and_oracle_range_are_reported():
+    problems = quoted_mismatches(
+        _README.format(**{**_FRESH, "batched": "0.03 s"}), _RECORD)
+    assert len(problems) == 1 and "Batched quotes 0.03 s" in problems[0]
+    problems = quoted_mismatches(
+        _README.format(**{**_FRESH, "oracle": "1.8–9.1"}), _RECORD)
+    assert len(problems) == 1 and "oracle walk" in problems[0]
+    missing = _README.replace(" Seed pipeline |", "").replace(
+        "0.08 s |", "").replace("1.61 s |", "")
+    assert "Seed pipeline" in quoted_mismatches(missing.format(**_FRESH),
+                                                _RECORD)[0]

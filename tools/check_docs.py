@@ -10,9 +10,10 @@ Three checks:
   files must name a file (relative to the repository root or to
   ``src/repro``) that defines ``Name`` (a function, class or
   module-level assignment);
-* **quoted numbers** — every "Speedup vs seed" cell of the README's
-  "Measured performance" table must equal that circuit's ``speedup``
-  in ``BENCH_simulate.json``, rounded to one decimal.
+* **quoted numbers** — the README's "Measured performance" table cells
+  ("Seed pipeline" and "Batched" seconds, two decimals; "Speedup vs
+  seed", one decimal) and its oracle walk "took A–Bx" range must match
+  ``BENCH_simulate.json``.
 
 Run::
 
@@ -91,11 +92,15 @@ def stale_references(files: list[pathlib.Path] | None = None) -> list[str]:
     return problems
 
 
+def _section_after(text: str, heading: str) -> str:
+    """The text after ``heading`` (empty when it is missing)."""
+    return text.split(heading, 1)[1] if heading in text else ""
+
+
 def _table_after(text: str, heading: str) -> list[list[str]]:
     """The cells of the first Markdown table under ``heading``."""
-    section = text.split(heading, 1)[1] if heading in text else ""
     rows = []
-    for line in section.splitlines():
+    for line in _section_after(text, heading).splitlines():
         if line.startswith("|"):
             rows.append([cell.strip() for cell in line.strip("|").split("|")])
         elif rows:
@@ -103,30 +108,55 @@ def _table_after(text: str, heading: str) -> list[list[str]]:
     return [row for row in rows if not set("".join(row)) <= set("-: ")]
 
 
-def speedup_mismatches(readme: str, record: dict) -> list[str]:
-    """README "Speedup vs seed" cells that disagree with ``record``.
+# README "Measured performance" columns quoted from the record's
+# ``end_to_end`` rows: column header -> (row field, cell format).
+QUOTED_COLUMNS = {
+    "Seed pipeline": ("legacy_s", "{:.2f} s"),
+    "Batched": ("batched_s", "{:.2f} s"),
+    "Speedup vs seed": ("speedup", "{:.1f}x"),
+}
+# "The oracle walk ... took A–Bx the batched walk's time."
+_ORACLE_RANGE = re.compile(r"oracle walk[^.]*?took (\S+?)–(\S+?)x", re.S)
+
+
+def quoted_mismatches(readme: str, record: dict) -> list[str]:
+    """README "Measured performance" figures that disagree with
+    ``record``.
 
     ``readme`` is the README text and ``record`` the parsed
-    ``BENCH_simulate.json``.  A row's circuit ``"redwine SVM-R"`` names
-    the record's ``"redwine/svm_r"``.
+    ``BENCH_simulate.json``.  Checked: every :data:`QUOTED_COLUMNS`
+    cell of the table, and the oracle walk's "took A–Bx" range (the
+    min and max of ``bigint_s / batched_s``, one decimal).  A row's
+    circuit ``"redwine SVM-R"`` names the record's ``"redwine/svm_r"``.
     """
     table = _table_after(readme, "## Measured performance")
-    if not table or "Speedup vs seed" not in table[0]:
-        return ["README.md: no 'Speedup vs seed' column under "
+    missing = [c for c in QUOTED_COLUMNS if not table or c not in table[0]]
+    if missing:
+        return [f"README.md: no {', '.join(missing)} column under "
                 "'## Measured performance'"]
-    column = table[0].index("Speedup vs seed")
-    speedups = {row["circuit"]: row["speedup"]
-                for row in record["end_to_end"]}
+    rows = {row["circuit"]: row for row in record["end_to_end"]}
     problems = []
-    for row in table[1:]:
-        dataset, model = row[0].split()
-        circuit = f"{dataset}/{model.lower().replace('-', '_')}"
-        quoted = row[column]
-        if circuit not in speedups:
-            problems.append(f"README.md: {row[0]} is not in the record")
-        elif quoted != f"{round(speedups[circuit], 1):.1f}x":
-            problems.append(f"README.md: {row[0]} quotes {quoted}, the "
-                            f"record has {speedups[circuit]:.2f}x")
+    for cells in table[1:]:
+        dataset, model = cells[0].split()
+        row = rows.get(f"{dataset}/{model.lower().replace('-', '_')}")
+        if row is None:
+            problems.append(f"README.md: {cells[0]} is not in the record")
+            continue
+        for column, (field, fmt) in QUOTED_COLUMNS.items():
+            quoted = cells[table[0].index(column)]
+            if quoted != fmt.format(row[field]):
+                problems.append(f"README.md: {cells[0]} {column} quotes "
+                                f"{quoted}, the record has {row[field]:.3f}")
+    ratios = [row["bigint_s"] / row["batched_s"] for row in rows.values()]
+    expected = f"{min(ratios):.1f}–{max(ratios):.1f}"
+    match = _ORACLE_RANGE.search(
+        _section_after(readme, "## Measured performance"))
+    if match is None:
+        problems.append("README.md: no oracle walk 'took A–Bx' range")
+    elif "–".join(match.groups()) != expected:
+        problems.append(f"README.md: the oracle walk range quotes "
+                        f"{'–'.join(match.groups())}x, the record has "
+                        f"{expected}x")
     return problems
 
 
@@ -138,14 +168,14 @@ def main() -> int:
     stale = stale_references(files)
     for problem in stale:
         print(f"stale code reference — {problem}", file=sys.stderr)
-    mismatches = speedup_mismatches(
+    mismatches = quoted_mismatches(
         (REPO_ROOT / "README.md").read_text(),
         json.loads((REPO_ROOT / "BENCH_simulate.json").read_text()))
     for problem in mismatches:
         print(f"stale number — {problem}", file=sys.stderr)
     print(f"checked {len(files)} docs: {len(problems)} broken links, "
           f"{len(stale)} stale code references, "
-          f"{len(mismatches)} stale speedups")
+          f"{len(mismatches)} stale numbers")
     return 1 if problems or stale or mismatches else 0
 
 
