@@ -15,7 +15,7 @@ authoritative list):
 ==========================  ====================================================
 site                        where it fires
 ==========================  ====================================================
-``store.connect``           every new SQLite connection of a ``DesignStore``
+``store.connect``           every ``DesignStore`` operation attempt
 ``store.put_shard``         before a shard checkpoint write commits
 ``store.put_variants``      before a bulk variant insert commits
 ``store.put_grid``          before a finished grid lands

@@ -29,19 +29,25 @@ engine may hit any cached entry.  Records round-trip through
 -repr floats), which is what makes ``cached == fresh`` hold
 bit-for-bit; the service tests pin that identity on real grids.
 
-Concurrency: every operation opens its own connection with WAL
-journaling and a generous busy timeout, so concurrent shard writers
-(threads or processes) serialize at the SQLite layer instead of
-corrupting each other.
+Concurrency: a store handle holds one connection per process and
+thread that uses it, opened on first use with WAL journaling and a
+generous busy timeout, so concurrent shard writers (threads or
+processes) serialize at the SQLite layer instead of corrupting each
+other.  Every operation is one transaction on the caller's held
+connection; a forked child opens its own instead of touching the
+parent's, and dropping the store closes its connections at once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sqlite3
+import threading
 import time
 import warnings
+import weakref
 from contextlib import closing
 from pathlib import Path
 
@@ -54,6 +60,7 @@ from ..hw.netlist_io import EncodedNetlist, encode_netlist, netlist_from_dict
 from .faults import fault_point
 from .retry import RetryPolicy, retry_call
 from .telemetry import counter as _metric
+from .telemetry import observe as _observe
 
 __all__ = [
     "DesignStore",
@@ -159,6 +166,36 @@ _TRANSIENT_MARKERS = ("locked", "busy")
 
 # DatabaseError text that marks on-disk corruption worth quarantining.
 _CORRUPT_MARKERS = ("not a database", "malformed", "corrupt")
+
+# Connections a forked child inherited from its parent: parked here
+# when the child's store handle dies, so that freeing them never closes
+# the parent's SQLite handles from the child.
+_INHERITED: list = []
+
+
+def _transient(exc: Exception) -> bool:
+    """Busy/locked contention, worth a retry on the same connection."""
+    if not isinstance(exc, sqlite3.OperationalError):
+        return False
+    text = str(exc).lower()
+    return any(marker in text for marker in _TRANSIENT_MARKERS)
+
+
+def _close_all(cons: dict) -> None:
+    """Close this process's held connections (a store's finalizer).
+
+    ``sqlite3.Connection`` sits in a reference cycle through its
+    statement cache, so without an explicit close only the cyclic GC
+    would release the file.  Connections of other pids were inherited
+    through a fork and are parked, never closed.
+    """
+    pid = os.getpid()
+    for (owner, _thread), con in list(cons.items()):
+        if owner == pid:
+            con.close()
+        else:
+            _INHERITED.append(con)
+    cons.clear()
 
 
 class FencedWriteError(RuntimeError):
@@ -481,9 +518,11 @@ class DesignStore:
 
     ``path`` is a filesystem path (shared WAL databases need a real
     file; use a temporary directory in tests).  The store is safe to
-    share between threads and processes: each call opens a fresh
-    connection, writes are single transactions, and variant inserts are
-    idempotent (same key ⇒ same content, first writer wins).
+    share between threads and processes: each (process, thread) pair
+    runs its calls on its own held connection, writes are single
+    transactions, and variant inserts are idempotent (same key ⇒ same
+    content, first writer wins).  The connections close as soon as the
+    handle is dropped.
 
     ``namespace`` is a tenant label threaded into every base
     fingerprint derived *through this store handle* (the jobs/runner
@@ -496,6 +535,10 @@ class DesignStore:
     def __init__(self, path: str | Path, namespace: str = "") -> None:
         self.path = str(path)
         self.namespace = str(namespace)
+        # (pid, thread id) -> held connection; the finalizer closes this
+        # process's connections the moment the handle is dropped.
+        self._cons: dict = {}
+        weakref.finalize(self, _close_all, self._cons)
         parent = Path(self.path).parent
         if str(parent) not in ("", ".") and not parent.exists():
             try:
@@ -512,7 +555,7 @@ class DesignStore:
             self._open_schema()
 
     def _open_schema(self) -> None:
-        with closing(self._connect()) as con, con:
+        def create(con):
             con.executescript(_SCHEMA)
             row = con.execute(
                 "SELECT value FROM store_meta WHERE key='format'").fetchone()
@@ -524,6 +567,7 @@ class DesignStore:
                 raise ValueError(
                     f"design store {self.path!r} has format {row[0]}, "
                     f"this build expects {STORE_FORMAT}")
+        self._with_connection("open_schema", create)
 
     def _heal_or_raise(self, exc: sqlite3.DatabaseError) -> None:
         """Quarantine a corrupt database file, or explain a broken path.
@@ -572,39 +616,60 @@ class DesignStore:
             "rebuilding a clean store (all rows are recomputable)",
             RuntimeWarning, stacklevel=4)
 
-    def _connect(self) -> sqlite3.Connection:
-        fault_point("store.connect", path=self.path)
-        con = sqlite3.connect(self.path, timeout=30.0)
-        con.execute("PRAGMA journal_mode=WAL")
-        con.execute("PRAGMA synchronous=NORMAL")
-        con.execute("PRAGMA busy_timeout=30000")
+    def _open(self) -> sqlite3.Connection:
+        """A new connection to the store file; the PRAGMAs run once, here.
+
+        ``check_same_thread=False`` only lets the finalizer close it
+        from whichever thread drops the store: every other use stays on
+        the (process, thread) it is held for.
+        """
+        con = sqlite3.connect(self.path, timeout=30.0,
+                              check_same_thread=False)
+        try:
+            con.execute("PRAGMA journal_mode=WAL")
+            con.execute("PRAGMA synchronous=NORMAL")
+            con.execute("PRAGMA busy_timeout=30000")
+        except BaseException:
+            con.close()
+            raise
         return con
 
-    def _with_connection(self, fn, transaction: bool = True):
-        """Run ``fn(con)`` on a fresh connection with bounded retry.
+    def _with_connection(self, op: str, fn):
+        """Run ``fn(con)`` in one transaction on the held connection.
 
-        Busy/locked ``OperationalError`` — contention that outlived the
-        30 s busy timeout, or an injected fault — retries under the
-        shared :data:`_RETRY_POLICY` (see :mod:`repro.service.retry`);
-        each attempt is a whole fresh transaction, so a retried write
-        never commits twice.  Structural errors surface immediately.
+        ``store.connect`` fires once per attempt.  Busy/locked
+        ``OperationalError`` — contention that outlived the 30 s busy
+        timeout, or an injected fault — rolls back and retries on the
+        same connection under the shared :data:`_RETRY_POLICY` (see
+        :mod:`repro.service.retry`); each attempt is a whole fresh
+        transaction, so a retried write never commits twice.  Any other
+        ``DatabaseError`` closes the connection (the next operation
+        reopens the file) and surfaces immediately.  The whole logical
+        operation, retries included, is timed on ``store.op_ms{op=}``.
         """
         def attempt():
-            if transaction:
-                with closing(self._connect()) as con, con:
+            fault_point("store.connect", path=self.path)
+            key = (os.getpid(), threading.get_ident())
+            con = self._cons.get(key)
+            if con is None:
+                con = self._cons[key] = self._open()
+            try:
+                with con:
                     return fn(con)
-            with closing(self._connect()) as con:
-                return fn(con)
+            except sqlite3.DatabaseError as exc:
+                if not _transient(exc):
+                    self._cons.pop(key, None)
+                    con.close()
+                raise
 
-        def transient(exc: Exception) -> bool:
-            if not isinstance(exc, sqlite3.OperationalError):
-                return False
-            text = str(exc).lower()
-            return any(marker in text for marker in _TRANSIENT_MARKERS)
-
-        return retry_call(
-            attempt, _RETRY_POLICY, retryable=transient,
-            on_retry=lambda _n, _exc, _delay: _metric("store.retries"))
+        start = time.perf_counter()
+        try:
+            return retry_call(
+                attempt, _RETRY_POLICY, retryable=_transient,
+                on_retry=lambda _n, _exc, _delay: _metric("store.retries"))
+        finally:
+            _observe("store.op_ms",
+                     (time.perf_counter() - start) * 1000.0, op=op)
 
     @staticmethod
     def _count_lookup(table: str, row) -> None:
@@ -615,7 +680,7 @@ class DesignStore:
     # -- variants ------------------------------------------------------
 
     def get_variant(self, key: str) -> EvaluationRecord | None:
-        row = self._with_connection(lambda con: con.execute(
+        row = self._with_connection("get_variant", lambda con: con.execute(
             "SELECT record FROM variants WHERE key=?", (key,)).fetchone())
         self._count_lookup("variants", row)
         return None if row is None \
@@ -623,7 +688,7 @@ class DesignStore:
 
     def put_variant(self, key: str, base_key: str, ids,
                     record: EvaluationRecord) -> None:
-        self._with_connection(lambda con: con.execute(
+        self._with_connection("put_variant", lambda con: con.execute(
             "INSERT OR IGNORE INTO variants VALUES (?,?,?,?,?)",
             (key, base_key, canonical_json([int(i) for i in ids]),
              canonical_json(record.to_dict()), time.time())))
@@ -648,13 +713,14 @@ class DesignStore:
             fault_point("store.put_variants", base_key=base_key)
             con.executemany(
                 "INSERT OR IGNORE INTO variants VALUES (?,?,?,?,?)", rows)
-        self._with_connection(write)
+        self._with_connection("put_variants", write)
 
     def variants_for_base(self, base_key: str) -> dict[tuple, EvaluationRecord]:
         """All stored ``{pruned-gate ids -> record}`` of one base circuit."""
-        rows = self._with_connection(lambda con: con.execute(
-            "SELECT prune_ids, record FROM variants WHERE base_key=?",
-            (base_key,)).fetchall())
+        rows = self._with_connection(
+            "variants_for_base", lambda con: con.execute(
+                "SELECT prune_ids, record FROM variants WHERE base_key=?",
+                (base_key,)).fetchall())
         return {tuple(json.loads(ids)):
                 EvaluationRecord.from_dict(json.loads(record))
                 for ids, record in rows}
@@ -663,7 +729,7 @@ class DesignStore:
 
     def get_grid(self, key: str) -> list[PrunedDesign] | None:
         """The finished design list, or ``None`` when never completed."""
-        row = self._with_connection(lambda con: con.execute(
+        row = self._with_connection("get_grid", lambda con: con.execute(
             "SELECT designs FROM grids WHERE key=?", (key,)).fetchone())
         self._count_lookup("grids", row)
         if row is None:
@@ -680,15 +746,15 @@ class DesignStore:
                 "INSERT OR REPLACE INTO grids VALUES (?,?,?,?,?)",
                 (key, payload, canonical_json(meta or {}), len(designs),
                  time.time()))
-        self._with_connection(write)
+        self._with_connection("put_grid", write)
 
     def delete_grid(self, key: str) -> None:
         """Drop a finished grid (forces recomputation on the next run)."""
-        self._with_connection(lambda con: con.execute(
+        self._with_connection("delete_grid", lambda con: con.execute(
             "DELETE FROM grids WHERE key=?", (key,)))
 
     def grid_meta(self, key: str) -> dict | None:
-        row = self._with_connection(lambda con: con.execute(
+        row = self._with_connection("grid_meta", lambda con: con.execute(
             "SELECT meta FROM grids WHERE key=?", (key,)).fetchone())
         return None if row is None else json.loads(row[0])
 
@@ -728,11 +794,11 @@ class DesignStore:
                 (grid_key, int(shard),
                  canonical_json([float(t) for t in taus]),
                  canonical_json(payload), time.time()))
-        self._with_connection(write)
+        self._with_connection("put_shard", write)
 
     def get_shard(self, grid_key: str, shard: int) -> tuple[list, dict] | None:
         """``(taus, payload)`` of one checkpointed shard, or ``None``."""
-        row = self._with_connection(lambda con: con.execute(
+        row = self._with_connection("get_shard", lambda con: con.execute(
             "SELECT taus, payload FROM shards WHERE grid_key=? AND shard=?",
             (grid_key, int(shard))).fetchone())
         self._count_lookup("shards", row)
@@ -741,13 +807,13 @@ class DesignStore:
         return json.loads(row[0]), json.loads(row[1])
 
     def shard_indices(self, grid_key: str) -> set[int]:
-        rows = self._with_connection(lambda con: con.execute(
+        rows = self._with_connection("shard_indices", lambda con: con.execute(
             "SELECT shard FROM shards WHERE grid_key=?",
             (grid_key,)).fetchall())
         return {row[0] for row in rows}
 
     def clear_shards(self, grid_key: str) -> None:
-        self._with_connection(lambda con: con.execute(
+        self._with_connection("clear_shards", lambda con: con.execute(
             "DELETE FROM shards WHERE grid_key=?", (grid_key,)))
 
     # -- shard leases ---------------------------------------------------
@@ -815,7 +881,7 @@ class DesignStore:
                 "WHERE grid_key=? AND shard=?",
                 (token, grid_key, int(shard)))
             return token
-        return self._with_connection(claim)
+        return self._with_connection("claim_lease", claim)
 
     def renew_lease(self, grid_key: str, shard: int, worker: str,
                     ttl_s: float, now: float | None = None,
@@ -843,25 +909,26 @@ class DesignStore:
             renewed = cursor.rowcount == 1
             _metric("lease.renewals", result="ok" if renewed else "lost")
             return renewed
-        return self._with_connection(renew)
+        return self._with_connection("renew_lease", renew)
 
     def release_lease(self, grid_key: str, shard: int, worker: str) -> None:
-        self._with_connection(lambda con: con.execute(
+        self._with_connection("release_lease", lambda con: con.execute(
             "DELETE FROM shard_leases "
             "WHERE grid_key=? AND shard=? AND worker=?",
             (grid_key, int(shard), worker)))
 
     def leases_for_grid(self, grid_key: str) -> dict[int, dict]:
         """``{shard -> {worker, heartbeat, expiry, token}}`` (all rows)."""
-        rows = self._with_connection(lambda con: con.execute(
-            "SELECT shard, worker, heartbeat, expiry, token "
-            "FROM shard_leases WHERE grid_key=?", (grid_key,)).fetchall())
+        rows = self._with_connection(
+            "leases_for_grid", lambda con: con.execute(
+                "SELECT shard, worker, heartbeat, expiry, token "
+                "FROM shard_leases WHERE grid_key=?", (grid_key,)).fetchall())
         return {int(shard): {"worker": worker, "heartbeat": heartbeat,
                              "expiry": expiry, "token": int(token)}
                 for shard, worker, heartbeat, expiry, token in rows}
 
     def clear_leases(self, grid_key: str) -> None:
-        self._with_connection(lambda con: con.execute(
+        self._with_connection("clear_leases", lambda con: con.execute(
             "DELETE FROM shard_leases WHERE grid_key=?", (grid_key,)))
 
     # -- coefficient-approximation cache -------------------------------
@@ -888,12 +955,12 @@ class DesignStore:
             if row is not None:
                 self._count_hit(con, "coeff_cache", key)
             return row
-        row = self._with_connection(read)
+        row = self._with_connection("get_coeff", read)
         self._count_lookup("coeff_cache", row)
         return None if row is None else json.loads(row[0])
 
     def put_coeff(self, key: str, payload: list) -> None:
-        self._with_connection(lambda con: con.execute(
+        self._with_connection("put_coeff", lambda con: con.execute(
             "INSERT OR IGNORE INTO coeff_cache(key, payload, created_at)"
             " VALUES (?,?,?)",
             (key, canonical_json(payload), time.time())))
@@ -909,7 +976,7 @@ class DesignStore:
             if row is not None:
                 self._count_hit(con, "coeff_netlists", key)
             return row
-        row = self._with_connection(read)
+        row = self._with_connection("get_coeff_netlist", read)
         self._count_lookup("coeff_netlists", row)
         return None if row is None else json.loads(row[0])
 
@@ -932,16 +999,17 @@ class DesignStore:
         # deserializing the circuit.
         text = netlist_data if isinstance(netlist_data, str) \
             else json.dumps(netlist_data, separators=(",", ":"))
-        self._with_connection(lambda con: con.execute(
+        self._with_connection("put_coeff_netlist", lambda con: con.execute(
             "INSERT OR IGNORE INTO coeff_netlists"
             "(key, netlist, fingerprint, created_at) VALUES (?,?,?,?)",
             (key, text, fingerprint, time.time())))
 
     def get_coeff_netlist_fingerprint(self, key: str) -> str | None:
         """The stored netlist's content hash (no payload deserialize)."""
-        row = self._with_connection(lambda con: con.execute(
-            "SELECT fingerprint FROM coeff_netlists WHERE key=?",
-            (key,)).fetchone())
+        row = self._with_connection(
+            "get_coeff_netlist_fingerprint", lambda con: con.execute(
+                "SELECT fingerprint FROM coeff_netlists WHERE key=?",
+                (key,)).fetchone())
         return None if row is None else row[0]
 
     # -- garbage collection --------------------------------------------
@@ -979,7 +1047,8 @@ class DesignStore:
             "keep_days": float(keep_days),
             "db_bytes_before": path.stat().st_size if path.exists() else 0,
         }
-        with closing(self._connect()) as con, con:
+
+        def sweep(con):
             stale_grids = [row[0] for row in con.execute(
                 "SELECT key FROM grids WHERE created_at < ?",
                 (cutoff,))]
@@ -1037,9 +1106,16 @@ class DesignStore:
                 con.execute(
                     "DELETE FROM coeff_netlists WHERE created_at < ?"
                     + netlist_filter, (cutoff, *live_coeff_netlists))
+        self._with_connection("gc", sweep)
+
+        def vacuum(con):
+            con.execute("VACUUM")  # needs autocommit, no transaction
+            # The held connection stays open, so nothing checkpoints on
+            # close: move the rewritten pages into the file here, or
+            # the size below would still be the old one.
+            con.execute("PRAGMA wal_checkpoint(TRUNCATE)")
         if not dry_run:
-            with closing(self._connect()) as con:
-                con.execute("VACUUM")  # needs autocommit, no transaction
+            self._with_connection("gc_vacuum", vacuum)
         report["db_bytes_after"] = path.stat().st_size if path.exists() \
             else 0
         return report
@@ -1048,7 +1124,7 @@ class DesignStore:
 
     def stats(self) -> dict:
         """Row counts per table plus coefficient-axis hit counters."""
-        with closing(self._connect()) as con, con:
+        def count(con):
             counts = {table: con.execute(
                 f"SELECT COUNT(*) FROM {table}").fetchone()[0]
                 for table in ("variants", "grids", "shards",
@@ -1058,12 +1134,13 @@ class DesignStore:
                 counts[f"{table}_hits"] = con.execute(
                     f"SELECT COALESCE(SUM(hits), 0) FROM {table}"
                 ).fetchone()[0]
+            return counts
+        counts = self._with_connection("stats", count)
         counts["path"] = self.path
         counts["format"] = STORE_FORMAT
         return counts
 
     def integrity_ok(self) -> bool:
         """SQLite's own integrity check (used by the concurrency tests)."""
-        with closing(self._connect()) as con, con:
-            return con.execute(
-                "PRAGMA integrity_check").fetchone()[0] == "ok"
+        return self._with_connection("integrity_ok", lambda con: con.execute(
+            "PRAGMA integrity_check").fetchone()[0] == "ok")

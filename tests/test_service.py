@@ -16,10 +16,12 @@ The load-bearing contracts:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pathlib
 import signal
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -41,7 +43,9 @@ from repro.service import (
     ExplorationService,
     ExploreRequest,
     JobReport,
+    telemetry,
 )
+from repro.service.faults import FaultInjector, installed
 from repro.service.store import (
     approximate_model_cached,
     base_fingerprint,
@@ -421,6 +425,152 @@ class TestConcurrency:
             for ids, stored in store.variants_for_base(
                     f"base{worker}").items():
                 assert stored == record
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """Count ``sqlite3.connect`` calls (the store's connection opens)."""
+    calls = []
+    real = sqlite3.connect
+
+    def counting(*args, **kwargs):
+        calls.append(args[0] if args else kwargs.get("database"))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(sqlite3, "connect", counting)
+    return calls
+
+
+def _open_fds_on(path) -> list[str]:
+    """``/proc/self/fd`` targets that name the store file or its WAL."""
+    real = os.path.realpath(path)
+    names = {real, real + "-wal", real + "-shm"}
+    hits = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue
+        if target in names:
+            hits.append(target)
+    return hits
+
+
+class TestStoreConnections:
+    """One held connection per (process, thread); closed on drop."""
+
+    def test_one_thread_opens_one_connection(self, tmp_path, connects):
+        n_ops = 6
+        store = DesignStore(tmp_path / "store.sqlite")
+        assert len(connects) == 1
+        telemetry.reset()
+        injector = FaultInjector.parse(f"store.connect:{n_ops}=err-locked")
+        with installed(injector):
+            for i in range(n_ops // 2):
+                store.put_coeff(f"k{i}", [i])
+                assert store.get_coeff(f"k{i}") == [i]
+        # The connect site fires once per operation attempt: the n-th
+        # operation met the locked fault and was retried on the held
+        # connection, and no operation opened another one.
+        assert injector.fired == [f"store.connect:{n_ops}=err-locked"]
+        assert injector.entries[0].count == n_ops + 1
+        assert len(connects) == 1
+        registry = telemetry.get_hub().registry
+        assert registry.counter_total("store.retries") == 1
+        hist = registry.snapshot()["histograms"]
+        assert hist["store.op_ms{op=put_coeff}"]["count"] == n_ops // 2
+        assert hist["store.op_ms{op=get_coeff}"]["count"] == n_ops // 2
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_dropping_the_store_closes_its_file(self, tmp_path):
+        path = tmp_path / "store.sqlite"
+        store = DesignStore(path)
+        store.put_coeff("k", [1])
+        assert _open_fds_on(path)
+        gc.disable()  # the close must not wait for the cyclic GC
+        try:
+            del store
+            assert _open_fds_on(path) == []
+        finally:
+            gc.enable()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_opens_its_own_connection(self, tmp_path,
+                                                   connects):
+        store = DesignStore(tmp_path / "store.sqlite")
+        store.put_coeff("parent-0", [0])
+        assert len(connects) == 1
+        pid = os.fork()
+        if pid == 0:  # child: never return into pytest
+            ok = False
+            try:
+                store.put_coeff("child", [1])
+                store.put_coeff("child-2", [2])
+                ok = (len(connects) == 2
+                      and store.get_coeff("parent-0") == [0])
+            finally:
+                os._exit(0 if ok else 1)
+        for i in range(1, 6):
+            store.put_coeff(f"parent-{i}", [i])
+            assert store.get_coeff(f"parent-{i}") == [i]
+        _pid, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert store.get_coeff("child") == [1]
+        assert store.get_coeff("child-2") == [2]
+        assert store.integrity_ok()
+        assert len(connects) == 1  # the parent kept its connection
+
+    def test_structural_error_reopens_the_connection(self, tmp_path,
+                                                     connects):
+        store = DesignStore(tmp_path / "store.sqlite")
+        held = []
+
+        def broken(con):
+            held.append(con)
+            raise sqlite3.DatabaseError("database disk image is malformed")
+        with pytest.raises(sqlite3.DatabaseError, match="malformed"):
+            store._with_connection("probe", broken)
+        assert len(held) == 1  # not retried
+        with pytest.raises(sqlite3.ProgrammingError):
+            held[0].execute("SELECT 1")  # closed, not leaked
+        store.put_coeff("k", [1])
+        assert store.get_coeff("k") == [1]
+        assert len(connects) == 2
+
+    def test_each_thread_gets_its_own_connection(self, tmp_path,
+                                                 connects):
+        n_threads, n_ops = 4, 20
+        store = DesignStore(tmp_path / "store.sqlite")
+        barrier = threading.Barrier(n_threads)
+        errors: list[Exception] = []
+
+        def worker(name: int) -> None:
+            try:
+                barrier.wait()  # all threads alive: distinct idents
+                for i in range(n_ops):
+                    store.put_coeff(f"{name}-{i}", [i])
+                    assert store.get_coeff(f"{name}-{i}") == [i]
+                barrier.wait()
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(name,))
+                       for name in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(connects) == 1 + n_threads
+        assert store.stats()["coeff_cache"] == n_threads * n_ops
+        assert store.integrity_ok()
+        assert len(connects) == 1 + n_threads  # main thread kept its own
 
 
 class TestWorkerBatchedEngine:
