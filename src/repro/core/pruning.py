@@ -38,7 +38,7 @@ for speed:
   described against shared *plan epochs* by constant-clamp masks and
   evaluated in bulk ``(n_nets, K, n_words)`` passes
   (:class:`~repro.hw.compiled.BatchedEvaluator`), so no variant pays
-  for its own snapshot, plan build and NumPy sweeps.
+  for its own compaction, plan build and NumPy sweeps.
 * **Parallel chains.** Independent tau_c chains can fan out across a
   ``concurrent.futures`` process pool (``n_workers``); any pool failure
   falls back to the serial path, and both paths produce the identical

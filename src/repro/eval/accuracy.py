@@ -16,7 +16,6 @@ the label range.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,10 +151,6 @@ class CircuitEvaluator:
     clock_ms: float | None = None
     engine: str = "auto"
     _n_features: int = field(default=0)
-    # One-entry cache of the last test-set simulation, keyed by netlist
-    # identity: evaluate() and accuracy() on the same variant share a
-    # single simulation instead of re-running it.
-    _test_sim: tuple | None = field(default=None, repr=False, compare=False)
     # Validated + word-packed test stimulus, shared by every variant of
     # the circuit (the bus layout is invariant under synthesis).
     _packed_test: tuple | None = field(default=None, repr=False,
@@ -183,10 +178,9 @@ class CircuitEvaluator:
         check_engine(self.engine)
 
     def __getstate__(self):
-        # Drop the simulation cache (it holds a weakref, which does not
-        # pickle) so evaluators ship cleanly to exploration workers.
+        # Drop the packed stimulus (each process repacks it on first
+        # use) so evaluators ship lean to exploration workers.
         state = self.__dict__.copy()
-        state["_test_sim"] = None
         state["_packed_test"] = None
         return state
 
@@ -212,20 +206,11 @@ class CircuitEvaluator:
         return prepared
 
     def _test_simulation(self, nl: Netlist):
-        cached = self._test_sim
-        if cached is not None and cached[0]() is nl \
-                and cached[2] == (nl.n_gates, nl.n_nets):
-            return cached[1]
         if self.resolved_engine() == "batched":
             # A one-variant batch on the netlist's own cached plan.
             n, arrays, packed = self.test_stimulus(nl)
-            sim = nl.compiled().simulate(arrays, n, packed=packed)
-        else:
-            sim = simulate(nl, self.test_inputs, engine="bigint")
-        # Shape keys invalidate the cache if the netlist is mutated
-        # (gates appended) between evaluations.
-        self._test_sim = (weakref.ref(nl), sim, (nl.n_gates, nl.n_nets))
-        return sim
+            return nl.compiled().simulate(arrays, n, packed=packed)
+        return simulate(nl, self.test_inputs, engine="bigint")
 
     def train_activity(self, nl: Netlist) -> ActivityReport:
         """Training-set switching activity (the pruning SAIF input)."""

@@ -350,8 +350,8 @@ class CompiledNetlist:
 
         ``circ`` is an :class:`~repro.hw.synthesis.ArrayCircuit`: opcodes
         and operand node ids in flat lists, node ``n_fixed + k`` owned by
-        gate *k*.  Skipping the netlist round-trip roughly halves the
-        per-variant evaluation cost of the pruning exploration.
+        gate *k*.  Array circuits (the coefficient e-sweep's variants)
+        score through this plan without a netlist round-trip.
         """
         plan = CompiledNetlist.__new__(CompiledNetlist)
         plan.netlist = CircuitPorts.of(circ)
@@ -386,8 +386,6 @@ class CompiledNetlist:
                 net_level[n_fixed + k] = depth
                 levels[k] = depth
 
-        # asarray: the exploration's snapshots already arrive as sorted
-        # ndarrays, so this path is copy- and sort-free for them.
         plan._build_plan(np.asarray(ops, dtype=np.int64),
                          np.asarray(ina, dtype=np.int64),
                          np.asarray(inb, dtype=np.int64),
@@ -557,7 +555,7 @@ class BatchedEvaluator:
 
     This is the one compiled simulation loop.  The exploration's sibling
     variants share everything but their tie deltas, so instead of one
-    snapshot + plan build + simulation per variant, the batch packs them
+    compaction + plan build + simulation per variant, the batch packs them
     into a single ``(n_nets, K, n_words)`` ``uint64`` evaluation of the
     *parent's* levelized plan:
 

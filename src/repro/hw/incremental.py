@@ -30,21 +30,15 @@ strips a tied gate's dead fanin cone (the dominant cost of a tie,
 ~25% of exploration time before this change) reduces to a pure
 refcount worklist with no hash-key arithmetic or dict deletions.
 
-Beyond :meth:`IncrementalCircuit.snapshot` (compact to an
-:class:`~repro.hw.synthesis.ArrayCircuit` for per-variant evaluation),
-the circuit feeds the *batched* evaluation path:
-:meth:`IncrementalCircuit.plan` levelizes the live gates in stable
-node-id space (no compaction, so constant-tie masks and helper-gate
-descriptors can reference nodes directly) and
-:meth:`IncrementalCircuit.variant_spec` captures one applied tie set as
-a :class:`~repro.hw.compiled.VariantSpec` for
-:class:`~repro.hw.compiled.BatchedEvaluator`.
-
 Node ids are *stable*: a rewritten gate keeps its id, a folded-away gate
 leaves a forwarding pointer to its replacement, and dead slots simply
-stop being live.  :meth:`IncrementalCircuit.snapshot` compacts the live
-gates (in topological ``(level, slot)`` order) into an
-:class:`~repro.hw.synthesis.ArrayCircuit` for evaluation.
+stop being live.  The circuit feeds the batched evaluation path in that
+id space: :meth:`IncrementalCircuit.plan` levelizes the live gates
+without compaction, so constant-tie masks and helper-gate descriptors
+reference nodes directly, and :meth:`IncrementalCircuit.variant_spec`
+captures one applied tie set as a
+:class:`~repro.hw.compiled.VariantSpec` for
+:class:`~repro.hw.compiled.BatchedEvaluator`.
 
 A conservative work cap guards against any unforeseen rewrite cascade;
 hitting it raises :class:`RewriteOverflow` and the exploration falls
@@ -70,8 +64,7 @@ class IncrementalCircuit(FoldRules):
 
     __slots__ = ("n_fixed", "ops", "ina", "inb", "inc", "level", "alive",
                  "rc", "fanout", "fanout_owned", "cse", "inv_of", "forward",
-                 "outputs", "signed", "watch", "input_buses", "meta", "name",
-                 "n_live", "_work", "_np_cache", "_dirty",
+                 "outputs", "signed", "input_buses", "n_live", "_work",
                  "_ops_np", "shared", "_slot", "_created", "_pending")
 
     # ------------------------------------------------------------------
@@ -96,7 +89,6 @@ class IncrementalCircuit(FoldRules):
         inc = list(circ.inc)
         n_gates = len(ops)
         n_nodes = n_fixed + n_gates
-        self.name = circ.name
         self.n_fixed = n_fixed
         self.ops, self.ina, self.inb, self.inc = ops, ina, inb, inc
         self.level = list(circ.levels)
@@ -136,25 +128,17 @@ class IncrementalCircuit(FoldRules):
         self.forward = {}
         self.outputs = {nm: list(nodes) for nm, nodes in circ.outputs.items()}
         self.signed = dict(circ.signed)
-        self.watch = [list(bus) for bus in circ.watch] \
-            if circ.watch is not None else None
         self.input_buses = circ.input_buses
-        self.meta = circ.meta
         for nodes in self.outputs.values():
             for node in nodes:
                 rc[node] += 1
         self._work = 0
-        # NumPy mirrors of the slot arrays for snapshot(); refreshed
-        # from the dirty-slot list instead of full reconversions.
-        self._np_cache = None
-        self._dirty = []
         self._ops_np = None
         return self
 
     def fork(self) -> "IncrementalCircuit":
         """Independent copy (the exploration trie branches on it)."""
         other = IncrementalCircuit()
-        other.name = self.name
         other.n_fixed = self.n_fixed
         other.ops = list(self.ops)
         other.ina = list(self.ina)
@@ -177,17 +161,8 @@ class IncrementalCircuit(FoldRules):
         other.forward = dict(self.forward)
         other.outputs = {nm: list(n) for nm, n in self.outputs.items()}
         other.signed = dict(self.signed)
-        other.watch = [list(b) for b in self.watch] \
-            if self.watch is not None else None
         other.input_buses = self.input_buses
-        other.meta = self.meta
         other._work = 0
-        # The fork starts without NumPy mirrors instead of copying them:
-        # a branch that never snapshots (the batched exploration path)
-        # pays nothing, and one full list conversion on first use is no
-        # slower than six array copies plus dirty replay here.
-        other._np_cache = None
-        other._dirty = []
         # Opcodes are append-only, so the mirror is shared: extensions
         # reallocate, never write into the common prefix.
         other._ops_np = self._ops_np
@@ -380,9 +355,6 @@ class IncrementalCircuit(FoldRules):
         ops, ina, inb, inc = self.ops, self.ina, self.inb, self.inc
         alive, rc = self.alive, self.rc
         n_fixed = self.n_fixed
-        # Dirty tracking only matters once NumPy mirrors exist (a fork
-        # starts without them); skip the bookkeeping otherwise.
-        dirty = self._dirty if self._np_cache is not None else None
         stack = [slot]
         n_killed = 0
         while stack:
@@ -391,8 +363,6 @@ class IncrementalCircuit(FoldRules):
                 continue
             alive[s] = 0
             n_killed += 1
-            if dirty is not None:
-                dirty.append(s)
             op = ops[s]
             a = ina[s]
             rc[a] -= 1
@@ -419,7 +389,6 @@ class IncrementalCircuit(FoldRules):
         rc = self.rc
         alive = self.alive
         ina, inb, inc = self.ina, self.inb, self.inc
-        dirty = self._dirty if self._np_cache is not None else None
         pending = self._pending
         consumers = self.fanout[old]
         self.fanout[old] = []
@@ -452,8 +421,6 @@ class IncrementalCircuit(FoldRules):
                     and self.level[new - n_fixed] >= self.level[slot]:
                 self._raise_level(slot)
             pending.append(slot)
-            if dirty is not None:
-                dirty.append(slot)
         # Output buses referencing the old signal follow it.
         for nodes in self.outputs.values():
             for i, node in enumerate(nodes):
@@ -469,7 +436,6 @@ class IncrementalCircuit(FoldRules):
     def _raise_level(self, slot: int) -> None:
         """Restore level[gate] > level[operands] after a repoint."""
         n_fixed = self.n_fixed
-        dirty = self._dirty if self._np_cache is not None else None
         stack = [slot]
         while stack:
             s = stack.pop()
@@ -478,8 +444,6 @@ class IncrementalCircuit(FoldRules):
                         self._node_level(self.inc[s])) + 1
             if depth > self.level[s]:
                 self.level[s] = depth
-                if dirty is not None:
-                    dirty.append(s)
                 node = n_fixed + s
                 for consumer in self.fanout[node]:
                     if self.alive[consumer] \
@@ -564,59 +528,12 @@ class IncrementalCircuit(FoldRules):
                 self._replace(node, result)
 
     # ------------------------------------------------------------------
-    # NumPy views, evaluation plan, batched-variant capture
+    # Evaluation plan, batched-variant capture
     # ------------------------------------------------------------------
-    def _slot_arrays(self) -> tuple:
-        """Refreshed NumPy mirrors of the slot arrays.
-
-        Maintained from the dirty-slot list instead of full per-call
-        reconversions; shared by :meth:`snapshot`, :meth:`plan`, and
-        :meth:`variant_spec`.  The returned arrays are the live cache —
-        callers must copy (fancy indexing does) anything they keep
-        across further mutations.
-        """
-        n_slots = len(self.ops)
-        cache = self._np_cache
-        if cache is None:
-            ops = np.array(self.ops, dtype=np.int64)
-            ina = np.array(self.ina, dtype=np.int64)
-            inb = np.array(self.inb, dtype=np.int64)
-            inc = np.array(self.inc, dtype=np.int64)
-            level = np.array(self.level, dtype=np.int64)
-            alive = np.frombuffer(bytes(self.alive), dtype=np.uint8).copy()
-        else:
-            ops, ina, inb, inc, level, alive, cached_n = cache
-            if n_slots > cached_n:
-                ops = np.concatenate(
-                    (ops, np.array(self.ops[cached_n:], dtype=np.int64)))
-                ina = np.concatenate(
-                    (ina, np.array(self.ina[cached_n:], dtype=np.int64)))
-                inb = np.concatenate(
-                    (inb, np.array(self.inb[cached_n:], dtype=np.int64)))
-                inc = np.concatenate(
-                    (inc, np.array(self.inc[cached_n:], dtype=np.int64)))
-                level = np.concatenate(
-                    (level, np.array(self.level[cached_n:], dtype=np.int64)))
-                alive = np.concatenate(
-                    (alive,
-                     np.frombuffer(bytes(self.alive[cached_n:]),
-                                   dtype=np.uint8)))
-            for slot in self._dirty:
-                if slot < cached_n:
-                    ina[slot] = self.ina[slot]
-                    inb[slot] = self.inb[slot]
-                    inc[slot] = self.inc[slot]
-                    level[slot] = self.level[slot]
-                    alive[slot] = self.alive[slot]
-        self._np_cache = (ops, ina, inb, inc, level, alive, n_slots)
-        self._dirty.clear()
-        return ops, ina, inb, inc, level, alive
-
     def plan(self):
         """Levelized evaluation plan over the live gates, in node-id space.
 
-        Unlike :meth:`snapshot` + ``CompiledNetlist.from_arrays``, the
-        plan performs *no compaction*: gate *k* still writes node
+        The plan performs *no compaction*: gate *k* still writes node
         ``n_fixed + k``, so per-variant constant-tie masks and helper
         gates (:meth:`variant_spec`) can address the value matrix by the
         stable node ids the rewriter hands out.  This is the shared plan
@@ -625,12 +542,17 @@ class IncrementalCircuit(FoldRules):
         """
         from .compiled import CompiledNetlist
 
-        ops, ina, inb, inc, level, alive = self._slot_arrays()
         n_fixed = self.n_fixed
+        ops = self._ops_array()
+        ina = np.array(self.ina, dtype=np.int64)
+        inb = np.array(self.inb, dtype=np.int64)
+        inc = np.array(self.inc, dtype=np.int64)
+        level = np.array(self.level, dtype=np.int64)
         plan = CompiledNetlist.__new__(CompiledNetlist)
         plan.netlist = self
         plan.n_nets = n_fixed + len(ops)
-        live = np.flatnonzero(alive)
+        live = np.flatnonzero(np.frombuffer(bytes(self.alive),
+                                            dtype=np.uint8))
         plan.n_gates = int(live.size)
         if live.size == 0:
             plan.gate_out = np.zeros(0, dtype=np.int64)
@@ -647,8 +569,7 @@ class IncrementalCircuit(FoldRules):
         """Append-only NumPy mirror of ``ops`` (opcodes never mutate).
 
         Shared across forks: an extension reallocates instead of writing
-        into the common prefix, so no dirty tracking is needed — unlike
-        the full :meth:`_slot_arrays` cache this refresh is O(appended).
+        into the common prefix, so a refresh is O(appended).
         """
         arr = self._ops_np
         n = len(self.ops)
@@ -704,66 +625,3 @@ class IncrementalCircuit(FoldRules):
                      for name, nodes in self.outputs.items()},
             signed=dict(self.signed),
         )
-
-    # ------------------------------------------------------------------
-    # Snapshot
-    # ------------------------------------------------------------------
-    def snapshot(self):
-        """Compact the live gates into an ArrayCircuit for evaluation.
-
-        Fully vectorized: the slot arrays convert to NumPy once, live
-        gates sort into topological ``(level, slot)`` order with a stable
-        argsort, and operand remapping is one gather.  The result carries
-        ndarray fields — snapshots feed the evaluator (simulation plan,
-        area, power) and are never folded again, so the list-based fold
-        path is not involved.
-        """
-        from .synthesis import ArrayCircuit
-
-        n_fixed = self.n_fixed
-        n_slots = len(self.ops)
-        ops, ina, inb, inc, level, alive = self._slot_arrays()
-        live = np.flatnonzero(alive)
-        # Sort by (level, opcode) so the simulation plan can slice the
-        # arrays directly instead of re-sorting them.
-        order = live[np.argsort(level[live] << np.int64(4) | ops[live],
-                                kind="stable")]
-
-        node_map = np.full(n_fixed + n_slots, -1, dtype=np.int64)
-        node_map[:n_fixed] = np.arange(n_fixed)
-        node_map[n_fixed + order] = np.arange(
-            n_fixed, n_fixed + len(order), dtype=np.int64)
-
-        circ = ArrayCircuit()
-        circ.name = self.name
-        circ.input_buses = self.input_buses
-        circ.n_fixed = n_fixed
-        new_ops = ops[order]
-        single = (new_ops == OP_INV) | (new_ops == OP_BUF)
-        circ.ops = new_ops
-        circ.ina = node_map[ina[order]]
-        circ.inb = np.where(single, 0, node_map[inb[order]])
-        circ.inc = np.where(new_ops == OP_MUX, node_map[inc[order]], 0)
-        circ.levels = level[order]
-
-        def _map_node(node: int) -> int:
-            return int(node_map[node])
-
-        for name, nodes in self.outputs.items():
-            circ.outputs[name] = [_map_node(node) for node in nodes]
-            circ.signed[name] = self.signed[name]
-        circ.meta = self.meta
-        if self.watch is not None:
-            mapped_watch = []
-            for bus in self.watch:
-                mapped_bus = []
-                for node in bus:
-                    node = self.resolve(node)
-                    if node >= n_fixed and node - n_fixed >= 0 \
-                            and not self.alive[node - n_fixed]:
-                        mapped_bus.append(0)
-                    else:
-                        mapped_bus.append(_map_node(node))
-                mapped_watch.append(mapped_bus)
-            circ.watch = mapped_watch
-        return circ

@@ -132,9 +132,6 @@ def encode_netlist(circuit, name: str | None = None) -> EncodedNetlist:
             input_nets[bus] = list(range(net, net + len(nodes)))
             net += len(nodes)
         ops, ina, inb, inc = circuit.ops, circuit.ina, circuit.inb, circuit.inc
-        if not isinstance(ops, list):  # ndarray-backed snapshot
-            ops, ina, inb, inc = (ops.tolist(), ina.tolist(), inb.tolist(),
-                                  inc.tolist())
         rows = _ROW_OF_OP
         gates = ",".join([
             rows[op] % (a, b, c, out)

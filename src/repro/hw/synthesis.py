@@ -200,10 +200,9 @@ class ArrayCircuit:
     :class:`Netlist` offers to simulation, area, and power analysis
     (``input_buses``/``output_buses``/``output_signed``, ``gate_type``,
     ``n_gates``/``n_nets``, and a cached :meth:`compiled` plan).  The
-    pruning exploration evaluates every variant directly in this form —
-    materializing a netlist object per explored design would roughly
-    double the cost of the whole search; :meth:`to_netlist` exists for
-    consumers that need the full builder IR.
+    coefficient e-sweep scores its variants directly in this form;
+    :meth:`to_netlist` exists for consumers that need the full builder
+    IR.
     """
 
     __slots__ = ("name", "input_buses", "n_fixed", "ops", "ina", "inb",
@@ -248,11 +247,8 @@ class ArrayCircuit:
         """Cell names per gate (lazily materialized from opcodes)."""
         cached = self._gate_type
         if cached is None:
-            ops = self.ops
-            if not isinstance(ops, list):  # ndarray-backed snapshot
-                ops = ops.tolist()
             cells = _CELL_OF_OP
-            cached = [cells[op] for op in ops]
+            cached = [cells[op] for op in self.ops]
             self._gate_type = cached
         return cached
 
@@ -303,9 +299,6 @@ class ArrayCircuit:
         for name, ids in self.input_buses.items():
             new.add_input_bus(name, len(ids))
         ops, ina, inb, inc = self.ops, self.ina, self.inb, self.inc
-        if not isinstance(ops, list):  # ndarray-backed snapshot
-            ops, ina, inb, inc = (ops.tolist(), ina.tolist(), inb.tolist(),
-                                  inc.tolist())
         cells = _CELL_OF_OP
         for k in range(len(ops)):
             op = ops[k]
@@ -324,7 +317,8 @@ class ArrayCircuit:
         new.meta = meta
         # Node ids equal net ids in the netlist just built, so the array
         # form can be reused verbatim if this netlist is synthesized
-        # again (the incremental exploration chains do this every step).
+        # again (``_explore_bigint``, ``explore_legacy`` and ``prune()``
+        # resynthesize the pruner's base netlist this way).
         new._array_form = self
         return new
 

@@ -4,9 +4,8 @@ Three layers pin the batched path down:
 
 * :class:`~repro.hw.compiled.BatchedEvaluator` — a batch of K
   constant-tie variants evaluated in one pass against the shared parent
-  plan must reproduce, variant for variant, what the per-variant
-  compiled engine computes on each variant's own folded snapshot, and
-  what the legacy bigint oracle computes on the materialized netlist:
+  plan must reproduce, variant for variant, what the legacy bigint
+  oracle computes on a from-scratch fold of the variant's ties:
   decoded buses, waveforms, activity popcounts, area, and power —
   including stimulus sizes that are not a multiple of the 64-bit word
   (tail-masking) and accumulated clamp sets spanning several ties
@@ -62,10 +61,15 @@ from random_circuits import random_netlist
 
 
 def _folded_incremental(nl: Netlist):
-    """Root-fold a netlist into the mutable incremental form."""
+    """Root-fold a netlist; also return the mutable incremental form."""
     base, _ = ArrayCircuit.from_netlist(nl)
     folded, node_map = synthesize_arrays(base, None)
-    return base, IncrementalCircuit.from_arrays(folded), node_map
+    return base, folded, IncrementalCircuit.from_arrays(folded), node_map
+
+
+def _from_scratch(circ, ties: dict[int, int]) -> Netlist:
+    """The oracle: ``circ`` with ``ties`` forced, folded from scratch."""
+    return synthesize_arrays(circ, ties)[0].to_netlist()
 
 
 def _random_ties(rng: np.random.Generator, inc: IncrementalCircuit,
@@ -101,11 +105,11 @@ class TestBatchedEvaluatorEquivalence:
     @settings(max_examples=20, deadline=None)
     def test_batch_of_k_matches_serial_compiled_and_bigint(self, seed,
                                                            n_vectors):
-        """K clamped variants in one pass == K snapshots == the oracle."""
+        """K clamped variants in one pass == K from-scratch folds."""
         rng = np.random.default_rng(seed)
         nl = random_netlist(rng, int(rng.integers(10, 80)),
                              int(rng.integers(2, 6)))
-        base, inc, node_map = _folded_incremental(nl)
+        base, folded, inc, node_map = _folded_incremental(nl)
         if inc.n_live == 0:
             return
         plan = inc.plan()
@@ -127,7 +131,7 @@ class TestBatchedEvaluatorEquivalence:
             clamps = {node: value for node, value in applied.items()
                       if node < plan.n_nets}
             specs.append(branch.variant_spec(clamps, n_parent_slots))
-            references.append(branch.snapshot().to_netlist())
+            references.append(_from_scratch(folded, ties))
         if not specs:
             return
 
@@ -157,7 +161,7 @@ class TestBatchedEvaluatorEquivalence:
         """Two sequential ties described by one clamp set (plan epochs)."""
         rng = np.random.default_rng(seed)
         nl = random_netlist(rng, int(rng.integers(15, 70)), 4)
-        base, inc, node_map = _folded_incremental(nl)
+        base, folded, inc, node_map = _folded_incremental(nl)
         if inc.n_live < 4:
             return
         plan = inc.plan()
@@ -168,6 +172,7 @@ class TestBatchedEvaluatorEquivalence:
 
         branch = inc.fork()
         clamps: dict[int, int] = {}
+        requested: dict[int, int] = {}
         for _ in range(2):
             ties = _random_ties(rng, branch, node_map, base.n_fixed,
                                 base.n_gates)
@@ -175,12 +180,14 @@ class TestBatchedEvaluatorEquivalence:
                 applied = branch.tie(ties)
             except ValueError:
                 return  # cascade conflict: nothing to assert here
+            requested.update(ties)
             for node, value in applied.items():
                 if node < plan.n_nets:
                     clamps[node] = value
         spec = branch.variant_spec(clamps, n_parent_slots)
         sim, = BatchedEvaluator(plan, n_vectors, packed).evaluate([spec])
-        ref = branch.snapshot().to_netlist()
+        ref = _from_scratch(folded, requested)
+        assert sim.circuit.n_gates == ref.n_gates
         oracle = simulate_bigint(ref, arrays)
         np.testing.assert_array_equal(sim.bus_ints("y"),
                                       oracle.bus_ints("y"))
@@ -193,7 +200,7 @@ class TestBatchedEvaluatorEquivalence:
         one pass, and still counts as one ``engine.batches`` dispatch."""
         rng = np.random.default_rng(11)
         nl = random_netlist(rng, 60, 4)
-        base, inc, node_map = _folded_incremental(nl)
+        base, _folded, inc, node_map = _folded_incremental(nl)
         plan = inc.plan()
         arrays = {"x": rng.integers(0, 16, 100)}
         packed = pack_stimulus(arrays, {"x": 4}, 100)
@@ -257,20 +264,21 @@ class TestTieRegression:
         """Worklist cone rewriting == from-scratch builder replay.
 
         For every prune set of a real exploration grid, applying the
-        set as an incremental tie on the root-folded circuit must reach
-        the same live-gate count, the same cell histogram, and
-        bit-identical output waveforms as ``synthesize_reference``
-        resynthesizing from scratch — the invariant the incremental
-        exploration (and its batched evaluation) rests on.  (On
-        arbitrary random netlists with arbitrary interacting tie sets
-        this equivalence is *not* guaranteed — tau-correlated prune
-        sets are what make it hold, which is exactly what this pins.)
+        set as an incremental tie on the root-folded circuit and
+        evaluating it the way the batched walk does (clamps on the
+        parent plan) must reach the same live-gate count, the same cell
+        histogram, and bit-identical output waveforms as
+        ``synthesize_reference`` resynthesizing from scratch — the
+        invariant the incremental exploration rests on.  The property
+        tests above pin the same equality for arbitrary tie sets on
+        random netlists, one on a fresh fold and two applied in turn.
         """
         netlist, make_evaluator = svm_setup
         evaluator = make_evaluator()
         space = NetlistPruner(netlist, evaluator, (0.85, 0.95)).space()
         base, _ = ArrayCircuit.from_netlist(netlist)
-        stimulus = evaluator.test_inputs
+        folded, node_map = synthesize_arrays(base, None)
+        n, stimulus, packed = evaluator.test_stimulus(netlist)
         checked = 0
         for tau_c in (0.85, 0.90, 0.95, 0.99):
             for phi_c in space.phi_levels(tau_c):
@@ -279,19 +287,19 @@ class TestTieRegression:
                     continue
                 reference = synthesize_reference(netlist,
                                                  force_constants=force)
-                folded, node_map = synthesize_arrays(base, None)
                 inc = IncrementalCircuit.from_arrays(folded)
+                plan = inc.plan()
                 ties = {}
                 for g, value in force.items():
                     node = node_map[base.n_fixed + g]
                     if node >= 0:
                         ties[node] = value
-                inc.tie(ties)
-                snap = inc.snapshot().to_netlist()
-                assert snap.n_gates == reference.n_gates
-                assert sorted(snap.gate_type) == sorted(reference.gate_type)
+                spec = inc.variant_spec(inc.tie(ties), len(folded.ops))
+                got, = BatchedEvaluator(plan, n, packed).evaluate([spec])
+                assert got.circuit.n_gates == reference.n_gates
+                assert sorted(got.circuit.ops.tolist()) == sorted(
+                    _OPCODE_OF_CELL[cell] for cell in reference.gate_type)
                 bus = next(iter(reference.output_buses))
-                got = simulate_bigint(snap, stimulus)
                 want = simulate_bigint(reference, stimulus)
                 np.testing.assert_array_equal(got.bus_ints(bus),
                                               want.bus_ints(bus))
@@ -330,19 +338,22 @@ class TestTieRegression:
         assert list(node_map) == list(range(base.n_nets))
         inc = IncrementalCircuit.from_arrays(folded)
         inc.tie(first)
+        plan = inc.plan()
         branch = inc.fork()
         applied = branch.tie_gates(list(then), list(then.values()),
                                    node_map)
         if applied is not None:
-            want = synthesize_arrays(base, {**first, **{
+            want = _from_scratch(base, {**first, **{
                 base.n_fixed + gate: value
-                for gate, value in then.items()}})[0]
+                for gate, value in then.items()}})
             stimulus = {"x": np.arange(8)}
+            got, = BatchedEvaluator(
+                plan, 8, pack_stimulus(stimulus, {"x": 3}, 8)).evaluate(
+                    [branch.variant_spec(applied, len(inc.ops))])
+            assert got.circuit.n_gates == want.n_gates
             np.testing.assert_array_equal(
-                simulate_bigint(branch.snapshot().to_netlist(),
-                                stimulus).bus_ints("y_out"),
-                simulate_bigint(want.to_netlist(),
-                                stimulus).bus_ints("y_out"))
+                got.bus_ints("y_out"),
+                simulate_bigint(want, stimulus).bus_ints("y_out"))
 
 
 @pytest.fixture(scope="module")

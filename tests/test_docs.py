@@ -1,6 +1,7 @@
 """Documentation stays correct: intra-repo links resolve, code
-references name real definitions, examples run, quoted performance
-figures match the committed record.
+references (in the docs and in the package's docstrings) name real
+definitions, examples run, quoted performance figures match the
+committed record.
 
 The CI docs job runs the same checks standalone
 (``python tools/check_docs.py`` + ``python -m doctest``); keeping them
@@ -21,6 +22,7 @@ from check_docs import (  # noqa: E402
     doc_files,
     quoted_mismatches,
     stale_references,
+    unresolved_docstring_references,
 )
 
 
@@ -50,6 +52,47 @@ def test_stale_code_reference_is_reported(tmp_path):
     assert stale_references([doc]) == [
         "NOTES.md: hw/compiled.py::RetiredEngine",
         "NOTES.md: hw/no_such_module.py::simulate"]
+
+
+def test_docstring_references_resolve():
+    assert unresolved_docstring_references()[0] == []
+
+
+def test_stale_docstring_reference_is_reported(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("def helper():\n    pass\n")
+    (package / "engine.py").write_text("\n".join([
+        '"""Walks :class:`Engine` via :func:`~pkg.engine.run`,',
+        ':func:`pkg.helper`,',
+        ':meth:`Engine.plan',
+        '<pkg.engine.Engine.plan>` and the retired :meth:`snapshot`."""',
+        "from dataclasses import dataclass",
+        "@dataclass",
+        "class Engine:",
+        '    """Reads :attr:`width`, :attr:`_cache`, :attr:`Slots.held`',
+        '    and the retired :meth:`Engine._slot_arrays`."""',
+        "    width: int = 0",
+        "    _cache = None",
+        "    def plan(self):",
+        "        pass",
+        "class Slots:",
+        '    __slots__ = ("held",)',
+        "def run():",
+        "    pass", ""]))
+    # A method of the same name elsewhere does not resolve a reference
+    # to a retired one.
+    (package / "metrics.py").write_text("\n".join([
+        "class Registry:",
+        "    def snapshot(self):",
+        '        """Like :meth:`Engine.plan`, unlike',
+        '        :meth:`~pkg.engine.Engine.snapshot`."""', ""]))
+    problems, checked = unresolved_docstring_references(package)
+    assert problems == [
+        "pkg/engine.py: :meth:`snapshot`",
+        "pkg/engine.py: :meth:`Engine._slot_arrays`",
+        "pkg/metrics.py: :meth:`~pkg.engine.Engine.snapshot`"]
+    assert checked == 11
 
 
 def test_documented_examples_run():

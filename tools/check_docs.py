@@ -1,6 +1,7 @@
-"""Docs checker for the Markdown docs (CI docs job).
+"""Docs checker for the Markdown docs and the package docstrings (CI
+docs job).
 
-Three checks:
+Four checks:
 
 * **links** — scans ``README.md`` and ``docs/*.md`` for Markdown links
   and verifies that every *relative* target exists in the repository
@@ -10,6 +11,11 @@ Three checks:
   files must name a file (relative to the repository root or to
   ``src/repro``) that defines ``Name`` (a function, class or
   module-level assignment);
+* **docstring references** — every ``:class:``/``:meth:``/``:func:``/
+  ``:attr:`` target in a ``src/repro`` docstring must end in a name the
+  module it points at binds (a function, class, module-level or
+  class-body assignment, dataclass field, ``__slots__`` entry or
+  import), so a reference to a retired method cannot outlive it;
 * **quoted numbers** — the README's "Measured performance" table cells
   ("Seed pipeline" and "Batched" seconds, two decimals; "Speedup vs
   seed", one decimal) and its oracle walk "took A–Bx" range must match
@@ -36,6 +42,9 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _EXTERNAL = ("http://", "https://", "mailto:")
 # `path.py::Name` — a code reference at the start of a backtick span.
 _CODE_REF = re.compile(r"`([\w./-]+\.py)::(\w+)")
+# :role:`target` or :role:`text <target>` in a docstring.
+_ROLE_REF = re.compile(r":(?:class|meth|func|attr):`([^`]+)`")
+PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
 
 
 def doc_files() -> list[pathlib.Path]:
@@ -62,6 +71,18 @@ def broken_links(files: list[pathlib.Path] | None = None) -> list[str]:
     return problems
 
 
+def _assigned_names(body: list[ast.stmt]) -> set[str]:
+    """The plain names one statement list assigns (``x = ...`` and
+    ``x: T = ...`` alike, so dataclass fields count)."""
+    names = set()
+    for node in body:
+        targets = node.targets if isinstance(node, ast.Assign) \
+            else [node.target] if isinstance(node, ast.AnnAssign) else []
+        names.update(target.id for target in targets
+                     if isinstance(target, ast.Name))
+    return names
+
+
 def _defined_names(path: pathlib.Path) -> set[str]:
     """Functions and classes defined anywhere in a Python file, plus its
     module-level assignment targets."""
@@ -69,12 +90,7 @@ def _defined_names(path: pathlib.Path) -> set[str]:
     names = {node.name for node in ast.walk(tree)
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef))}
-    for node in tree.body:
-        targets = node.targets if isinstance(node, ast.Assign) \
-            else [node.target] if isinstance(node, ast.AnnAssign) else []
-        names.update(target.id for target in targets
-                     if isinstance(target, ast.Name))
-    return names
+    return names | _assigned_names(tree.body)
 
 
 def stale_references(files: list[pathlib.Path] | None = None) -> list[str]:
@@ -90,6 +106,99 @@ def stale_references(files: list[pathlib.Path] | None = None) -> list[str]:
             if source is None or name not in _defined_names(source):
                 problems.append(f"{doc.name}: {path}::{name}")
     return problems
+
+
+def _module_names(tree: ast.Module) -> set[str]:
+    """Every name a module binds: functions and classes anywhere,
+    module-level and class-body assignments (dataclass fields
+    included), ``__slots__`` entries, and the names it imports."""
+    names = _assigned_names(tree.body)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        if not isinstance(node, ast.ClassDef):
+            continue
+        names |= _assigned_names(node.body)
+        for stmt in node.body:
+            if isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__"
+                    for t in stmt.targets) \
+                    and isinstance(stmt.value, (ast.Tuple, ast.List)):
+                names.update(elt.value for elt in stmt.value.elts
+                             if isinstance(elt, ast.Constant))
+    return names
+
+
+def _role_targets(tree: ast.Module):
+    """``(role, target)`` for every role reference in the module's
+    docstrings; the target is the bracketed part of ``text <target>``,
+    without whitespace, ``~``/``!`` prefix or ``()`` suffix."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Module, ast.ClassDef,
+                                 ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for match in _ROLE_REF.finditer(
+                ast.get_docstring(node, clean=False) or ""):
+            target = match.group(1)
+            if target.endswith(">") and "<" in target:
+                target = target[target.rindex("<") + 1:-1]
+            yield (" ".join(match.group(0).split()),
+                   "".join(target.split()).lstrip("~!").rstrip("()"))
+
+
+def unresolved_docstring_references(
+        root: pathlib.Path = PACKAGE_ROOT) -> tuple[list[str], int]:
+    """Docstring role targets in the package at ``root`` that name
+    nothing it defines, as ``file: role`` strings, plus the number of
+    targets checked.
+
+    A target's last name must be bound by the module it points at:
+    ``~repro.hw.fold.FoldRules`` by ``repro/hw/fold.py``, a relative
+    ``Owner.name`` by the package modules named ``Owner`` or defining
+    a class ``Owner``, and a bare ``name`` (or an unknown owner's) by
+    the docstring's own module.  So a leftover reference to a retired
+    method is reported even where another class defines a method of
+    that name.
+    """
+    trees = {path: ast.parse(path.read_text())
+             for path in sorted(root.rglob("*.py"))}
+    bound = {path: _module_names(tree) for path, tree in trees.items()}
+    owners: dict[str, list[pathlib.Path]] = {}
+    for path, tree in trees.items():
+        owners.setdefault(path.stem, []).append(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                owners.setdefault(node.name, []).append(path)
+
+    def module_of(parts: list[str]) -> pathlib.Path | None:
+        """The module of the longest dotted prefix naming a file."""
+        for k in range(len(parts) - 1, 0, -1):
+            base = root.parent.joinpath(*parts[:k])
+            for candidate in (base.with_suffix(".py"), base / "__init__.py"):
+                if candidate in bound:
+                    return candidate
+        return None
+
+    problems: list[str] = []
+    checked = 0
+    for path, tree in trees.items():
+        for role, target in _role_targets(tree):
+            checked += 1
+            parts = target.split(".")
+            if parts[0] == root.name:
+                homes = [module_of(parts)]
+            elif len(parts) > 1 and parts[-2] in owners:
+                homes = owners[parts[-2]]
+            else:
+                homes = [path]
+            if not any(home is not None and parts[-1] in bound[home]
+                       for home in homes):
+                problems.append(f"{path.relative_to(root.parent)}: {role}")
+    return problems, checked
 
 
 def _section_after(text: str, heading: str) -> str:
@@ -168,6 +277,9 @@ def main() -> int:
     stale = stale_references(files)
     for problem in stale:
         print(f"stale code reference — {problem}", file=sys.stderr)
+    unresolved, n_roles = unresolved_docstring_references()
+    for problem in unresolved:
+        print(f"stale docstring reference — {problem}", file=sys.stderr)
     mismatches = quoted_mismatches(
         (REPO_ROOT / "README.md").read_text(),
         json.loads((REPO_ROOT / "BENCH_simulate.json").read_text()))
@@ -175,8 +287,9 @@ def main() -> int:
         print(f"stale number — {problem}", file=sys.stderr)
     print(f"checked {len(files)} docs: {len(problems)} broken links, "
           f"{len(stale)} stale code references, "
-          f"{len(mismatches)} stale numbers")
-    return 1 if problems or stale or mismatches else 0
+          f"{len(mismatches)} stale numbers; checked {n_roles} docstring "
+          f"references: {len(unresolved)} unresolved")
+    return 1 if problems or stale or unresolved or mismatches else 0
 
 
 if __name__ == "__main__":
