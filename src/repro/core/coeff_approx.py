@@ -155,10 +155,9 @@ class CoefficientApproximator:
                                              coefficient),
                     self._min_area_candidate(lower, coefficient, input_bits,
                                              coefficient))
-        minus, plus = self.library.candidate_ladder(input_bits, self.e)
+        minus, plus = self.library.candidate_rung(input_bits, self.e)
         index = coefficient - lo_bound
-        return (int(minus[self.e][index]) + lo_bound,
-                int(plus[self.e][index]) + lo_bound)
+        return (int(minus[index]) + lo_bound, int(plus[index]) + lo_bound)
 
     def candidate_pairs(self, coefficients, input_bits: int,
                         e: int | None = None) -> list[tuple[int, int]]:
@@ -180,10 +179,10 @@ class CoefficientApproximator:
             scan = self.with_e(e)
             return [scan.candidate_pair(int(w), input_bits)
                     for w in coefficients]
-        minus, plus = self.library.candidate_ladder(input_bits, e)
+        minus, plus = self.library.candidate_rung(input_bits, e)
         index = coefficients - lo_bound
-        return list(zip((minus[e][index] + lo_bound).tolist(),
-                        (plus[e][index] + lo_bound).tolist()))
+        return list(zip((minus[index] + lo_bound).tolist(),
+                        (plus[index] + lo_bound).tolist()))
 
     # ------------------------------------------------------------------
     # Selection (step 3)

@@ -23,8 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..eval.accuracy import CircuitEvaluator, EvaluationRecord, check_engine
-from ..hw.bespoke import build_bespoke_circuit, build_bespoke_netlist
-from ..hw.synthesis import ArrayCircuit
+from ..hw.bespoke import build_bespoke_circuit
 from .coeff_approx import ApproximatedSum, CoefficientApproximator
 from .multiplier_area import BespokeMultiplierLibrary
 from .pareto import best_within_accuracy_loss, pareto_front
@@ -233,7 +232,9 @@ class CrossLayerFramework:
         builder: bespoke emitter backend — ``"auto"`` (default: the
             array backend), ``"array"``, or ``"gate"`` (the per-gate
             oracle, for reference runs).  Both produce gate-for-gate
-            identical netlists and byte-identical design lists.  See
+            identical netlists and byte-identical design lists.  The
+            array backend's circuits are scored and pruned in their
+            array form, with no ``Netlist`` built.  See
             :mod:`repro.hw.bespoke`.
     """
 
@@ -298,29 +299,25 @@ class CrossLayerFramework:
         return approximate_model_cached(approximator, model, self.store)
 
     def _coeff_netlist(self, model, approx_model, name: str,
-                       approximator=None, as_arrays: bool = False):
-        """The synthesized coefficient-approximated netlist.
+                       approximator=None):
+        """The synthesized coefficient-approximated circuit.
 
-        With a store configured the netlist itself is content-addressed
-        (``coeff_netlists`` table): a warm hit rebuilds it from JSON
-        and skips the whole bespoke build+synthesis — together with the
-        coefficient cache this is what makes warm cross-layer sweeps
-        skip both the area search *and* the rebuild.  ``as_arrays``
-        lets a cold array build stay an
-        :class:`~repro.hw.synthesis.ArrayCircuit` (enough for scoring)
-        instead of the ``Netlist`` a pruner needs.
+        A cold build stays in its builder's form (the array builder's
+        :class:`~repro.hw.synthesis.ArrayCircuit`), which scoring and
+        pruning both take.  With a store configured the circuit itself
+        is content-addressed (``coeff_netlists`` table): a warm hit
+        rebuilds a ``Netlist`` from JSON and skips the whole bespoke
+        build+synthesis — together with the coefficient cache this is
+        what makes warm cross-layer sweeps skip both the area search
+        *and* the rebuild.
         """
         if self.store is None:
-            circuit = build_bespoke_circuit(approx_model, name=name,
-                                            builder=self.builder)
-        else:
-            from ..service.store import build_coeff_netlist_cached
-            circuit, _fp, _hit = build_coeff_netlist_cached(
-                approximator or self.approximator, model, self.store,
-                name=name, approx_model=approx_model, builder=self.builder)
-        if as_arrays or not isinstance(circuit, ArrayCircuit):
-            return circuit
-        return circuit.to_netlist()
+            return build_bespoke_circuit(approx_model, name=name,
+                                         builder=self.builder)
+        from ..service.store import build_coeff_netlist_cached
+        return build_coeff_netlist_cached(
+            approximator or self.approximator, model, self.store,
+            name=name, approx_model=approx_model, builder=self.builder)[0]
 
     def explore(self, model, X_train01, X_test01, y_test,
                 name: str = "circuit",
@@ -336,7 +333,7 @@ class CrossLayerFramework:
             engine=self.engine)
         points: list[DesignPoint] = []
 
-        exact_netlist = build_bespoke_netlist(model, name=f"{name}_exact",
+        exact_netlist = build_bespoke_circuit(model, name=f"{name}_exact",
                                               builder=self.builder)
 
         coeff_reports: list[ApproximatedSum] = []
@@ -406,9 +403,9 @@ class CrossLayerFramework:
           exact baseline are built and scored once;
         * all per-``e`` designs score in one multi-netlist batched
           pass (:meth:`~repro.eval.accuracy.CircuitEvaluator.
-          evaluate_many`); without ``"cross"`` cold-built variants
-          stay in synthesis array form, skipping netlist
-          materialization and plan re-levelization entirely;
+          evaluate_many`); cold-built variants stay in the array
+          builder's form for scoring and pruning alike, so no
+          ``Netlist`` is materialized;
         * with a store, each radius's approximation *and* synthesized
           netlist are content-addressed, so a warm re-sweep skips the
           area search and the rebuild, and each radius's pruning grid
@@ -423,9 +420,8 @@ class CrossLayerFramework:
             engine=self.engine)
         e_values = tuple(int(e) for e in e_values)
 
-        exact_netlist = build_bespoke_netlist(model, name=f"{name}_exact",
+        exact_netlist = build_bespoke_circuit(model, name=f"{name}_exact",
                                               builder=self.builder)
-        want_cross = "cross" in include
 
         variants = []
         reports_by_e: dict[int, list[ApproximatedSum]] = {}
@@ -433,10 +429,9 @@ class CrossLayerFramework:
             approximator = self.approximator.with_e(e)
             approx_model, reports = self._approximate(model, approximator)
             reports_by_e[e] = reports
-            # Scoring alone takes array circuits; pruners need netlists.
             variants.append((e, approx_model, self._coeff_netlist(
                 model, approx_model, name=f"{name}_coeff_e{e}",
-                approximator=approximator, as_arrays=not want_cross)))
+                approximator=approximator)))
 
         records = evaluator.evaluate_many(
             [exact_netlist] + [circ for _e, _m, circ in variants])
@@ -445,7 +440,7 @@ class CrossLayerFramework:
         for (e, _m, _c), record in zip(variants, records[1:]):
             points.append(DesignPoint.from_record("coeff", record, e=e))
 
-        if want_cross:
+        if "cross" in include:
             for e, _approx_model, coeff_netlist in variants:
                 pruner = NetlistPruner(coeff_netlist, evaluator,
                                        self.tau_grid,

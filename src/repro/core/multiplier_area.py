@@ -75,23 +75,28 @@ class BespokeMultiplierLibrary:
                          e_max: int) -> tuple[np.ndarray, np.ndarray]:
         """Prefix-minima candidate tables for *every* search radius at once.
 
-        Returns ``(minus, plus)`` int64 arrays of shape ``(e_max + 1, N)``
-        over the coefficient index ``w - w_min``: ``minus[e][i]`` is the
-        index of the minimum-area candidate in ``[w, w + e]`` (ties go to
-        the candidate closest to ``w`` — an unbeaten coefficient keeps its
-        value, the paper's zero-reduction case) and ``plus[e][i]`` the
+        Returns ``(minus, plus)`` int64 arrays of shape
+        ``(min(e_max, N - 1) + 1, N)`` over the coefficient index
+        ``w - w_min``: ``minus[e][i]`` is the index of the minimum-area
+        candidate in ``[w, w + e]`` (ties go to the candidate closest to
+        ``w`` — an unbeaten coefficient keeps its value, the paper's
+        zero-reduction case) and ``plus[e][i]`` the
         same for ``[w - e, w]``.  Rung ``e`` extends rung ``e - 1``'s
         winners by the single new border candidate, so the whole ladder
         is O(N · e_max) NumPy work shared by every ``e`` of a sweep —
         replacing the O(window) Python rescan per coefficient per ``e``.
-        The result is cached and grown on demand.
+        The result is cached and grown on demand.  Rung ``N - 1``'s
+        windows already span the whole coefficient range, so the ladder
+        stops there and every larger radius reads its last rung
+        (:meth:`candidate_rung`).
         """
+        areas = self.areas_array(input_bits)
+        n = len(areas)
+        e_max = min(e_max, n - 1)
         cached = self._ladders.get(input_bits)
         if cached is not None and cached[0] >= e_max:
             have, minus, plus = cached
             return minus[:e_max + 1], plus[:e_max + 1]
-        areas = self.areas_array(input_bits)
-        n = len(areas)
         idx = np.arange(n, dtype=np.int64)
         minus = np.empty((e_max + 1, n), dtype=np.int64)
         plus = np.empty((e_max + 1, n), dtype=np.int64)
@@ -110,6 +115,12 @@ class BespokeMultiplierLibrary:
             plus[e] = np.where(better, down, prev)
         self._ladders[input_bits] = (e_max, minus, plus)
         return minus, plus
+
+    def candidate_rung(self, input_bits: int,
+                       e: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(minus[e], plus[e])`` of :meth:`candidate_ladder`, any ``e``."""
+        minus, plus = self.candidate_ladder(input_bits, e)
+        return minus[-1], plus[-1]
 
     @property
     def cache_size(self) -> int:

@@ -76,12 +76,8 @@ from ..eval.accuracy import (
 from ..hw.incremental import IncrementalCircuit
 from ..hw.netlist import Netlist
 from ..hw.simulate import ActivityReport
-from ..hw.synthesis import (
-    ArrayCircuit,
-    synthesize,
-    synthesize_arrays,
-    synthesize_reference,
-)
+from ..hw.synthesis import (ArrayCircuit, synthesize_arrays,
+                             synthesize_reference)
 
 __all__ = [
     "compute_phi",
@@ -127,42 +123,45 @@ def _service_telemetry():
     return _telemetry
 
 
-def compute_phi(nl: Netlist,
+def compute_phi(circuit: ArrayCircuit | Netlist,
                 watch_buses: list[list[int]] | None = None) -> np.ndarray:
     """Per-gate ``phi``: highest watched output bit reachable (-1 if none).
 
-    ``watch_buses`` defaults to the netlist's ``meta['watch_buses']``
-    (pre-argmax buses for classifiers, the output bus for regressors).
-    A single reverse-topological sweep propagates the maximum watched bit
-    index backwards through the fanin cones.
+    A :class:`Netlist` ``circuit`` is converted at entry (gate *k* is the
+    same gate in both forms).  ``watch_buses``, in the given circuit's
+    ids, defaults to its watch buses (pre-argmax buses for classifiers),
+    else its output buses (regressors).  A single reverse-topological
+    sweep propagates the maximum watched bit index backwards through the
+    fanin cones; unused operand slots hold node 0, whose phi nothing reads.
     """
+    if isinstance(circuit, Netlist):
+        circuit, node_of = ArrayCircuit.from_netlist(circuit)
+        if watch_buses is not None:
+            watch_buses = [[node_of[net] for net in bus]
+                           for bus in watch_buses]
     if watch_buses is None:
-        watch_buses = nl.meta.get("watch_buses")
-        if watch_buses is None:
-            watch_buses = list(nl.output_buses.values())
-    net_phi = np.full(nl.n_nets, -1, dtype=np.int64)
+        watch_buses = circuit.watch if circuit.watch is not None \
+            else list(circuit.outputs.values())
+    node_phi = [-1] * circuit.n_nets
     for bus in watch_buses:
-        for bit, net in enumerate(bus):
-            if net_phi[net] < bit:
-                net_phi[net] = bit
-    gate_phi = np.full(nl.n_gates, -1, dtype=np.int64)
-    gate_inputs = nl.gate_inputs
-    gate_out = nl.gate_out
-    for gate_idx in range(nl.n_gates - 1, -1, -1):
-        out_phi = net_phi[gate_out[gate_idx]]
-        gate_phi[gate_idx] = out_phi
-        if out_phi >= 0:
-            for net in gate_inputs[gate_idx]:
-                if net_phi[net] < out_phi:
-                    net_phi[net] = out_phi
-    return gate_phi
+        for bit, node in enumerate(bus):
+            node_phi[node] = max(node_phi[node], bit)
+    n_fixed = circuit.n_fixed
+    for k in range(circuit.n_gates - 1, -1, -1):
+        phi = node_phi[n_fixed + k]  # final: consumers follow operands
+        if phi >= 0:
+            for node in (circuit.ina[k], circuit.inb[k], circuit.inc[k]):
+                if node_phi[node] < phi:
+                    node_phi[node] = phi
+    return np.array(node_phi[n_fixed:], dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class PruneSpace:
-    """Precomputed pruning statistics over one base netlist."""
+    """Precomputed pruning statistics over one base circuit (a pruner's
+    folded base)."""
 
-    netlist: Netlist
+    netlist: ArrayCircuit | Netlist
     tau: np.ndarray
     const_value: np.ndarray
     phi: np.ndarray
@@ -172,9 +171,10 @@ class PruneSpace:
     _candidates: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
-    def from_activity(nl: Netlist, activity: ActivityReport) -> "PruneSpace":
-        return PruneSpace(nl, activity.tau, activity.const_value,
-                          compute_phi(nl))
+    def from_activity(circuit: ArrayCircuit | Netlist,
+                      activity: ActivityReport) -> "PruneSpace":
+        return PruneSpace(circuit, activity.tau, activity.const_value,
+                          compute_phi(circuit))
 
     def candidates(self, tau_c: float) -> np.ndarray:
         """Gate indices whose output is constant at least ``tau_c`` of the
@@ -232,20 +232,27 @@ def prune_key_bytes(ids) -> bytes:
     return np.sort(np.fromiter(ids, dtype=np.int64)).tobytes()
 
 
-def _fold_base(nl: Netlist) -> tuple[ArrayCircuit, bool]:
-    """``nl`` folded and stripped, and whether that changed any row.
+def _fold_base(circuit: ArrayCircuit | Netlist) -> tuple[ArrayCircuit, bool]:
+    """``circuit`` folded and stripped, and whether that changed any row.
 
-    The folded base is the circuit a pruner prunes: its prune space,
-    every walk, the legacy oracle and the store's base key all name its
-    gates.  Bespoke circuits come out of their builders already folded,
-    so for them this is the identity.
+    A :class:`Netlist` is converted here, once.  The folded base is the
+    circuit a pruner prunes: its training activity, prune space, every
+    walk and the legacy oracle name its gates.  Bespoke circuits come
+    out of their builders already folded, so their rows stay the same.
     """
-    raw = ArrayCircuit.from_netlist(nl)[0]
+    raw = ArrayCircuit.from_netlist(circuit)[0] \
+        if isinstance(circuit, Netlist) else circuit
     folded = synthesize_arrays(raw)[0]
     same = (folded.ops == raw.ops and folded.ina == raw.ina
             and folded.inb == raw.inb and folded.inc == raw.inc
             and folded.outputs == raw.outputs and folded.watch == raw.watch)
     return folded, not same
+
+
+def _synthesize_pruned(base: ArrayCircuit, force: dict) -> ArrayCircuit:
+    """The from-scratch synthesis of ``base`` under a prune set."""
+    return synthesize_arrays(base, {base.n_fixed + gate: value
+                                    for gate, value in force.items()})[0]
 
 
 def _root_state(base: ArrayCircuit) -> tuple:
@@ -260,8 +267,8 @@ def _root_state(base: ArrayCircuit) -> tuple:
     return IncrementalCircuit.from_arrays(base), list(range(base.n_nets))
 
 
-def _explore_bigint(evaluator: CircuitEvaluator, space: PruneSpace,
-                    chains: list[tuple[float, list]],
+def _explore_bigint(base: ArrayCircuit, evaluator: CircuitEvaluator,
+                    space: PruneSpace, chains: list[tuple[float, list]],
                     known_records: dict | None) -> list[list[tuple]]:
     """The oracle walk: one from-scratch synthesis per unique prune set.
 
@@ -280,8 +287,7 @@ def _explore_bigint(evaluator: CircuitEvaluator, space: PruneSpace,
             key = prune_key_bytes(force)
             record = memo.get(key)
             if record is None:
-                record = evaluator.evaluate(
-                    synthesize(space.netlist, force_constants=force))
+                record = evaluator.evaluate(_synthesize_pruned(base, force))
                 memo[key] = record
             rows.append((phi_c, key, len(force), record))
         results.append(rows)
@@ -620,7 +626,7 @@ def _walk(engine: str, base: ArrayCircuit, evaluator: CircuitEvaluator,
         return _explore_trie_batched(base, evaluator, space, chains,
                                      known_records,
                                      root_state or _root_state(base))
-    return _explore_bigint(evaluator, space, chains, known_records)
+    return _explore_bigint(base, evaluator, space, chains, known_records)
 
 
 # Worker-side state for the process pool: the (folded base, evaluator,
@@ -629,14 +635,13 @@ def _walk(engine: str, base: ArrayCircuit, evaluator: CircuitEvaluator,
 _WORKER_CONTEXT: dict = {}
 
 
-def _init_chain_worker(base: Netlist, evaluator: CircuitEvaluator,
+def _init_chain_worker(base: ArrayCircuit, evaluator: CircuitEvaluator,
                        engine: str, stats: tuple) -> None:
-    circ, _changed = _fold_base(base)
-    root = _root_state(circ) if engine == "batched" else None
+    root = _root_state(base) if engine == "batched" else None
     # Rebuild the PruneSpace worker-side from the shipped statistic
     # arrays (tau, const_value, phi): both walks derive each step's
     # prune set from it, so workers never receive per-step force dicts.
-    _WORKER_CONTEXT["args"] = (circ, evaluator, engine, root,
+    _WORKER_CONTEXT["args"] = (base, evaluator, engine, root,
                                PruneSpace(base, *stats))
 
 
@@ -715,13 +720,15 @@ class SupervisionTelemetry(dict):
 
 @dataclass
 class NetlistPruner:
-    """Full-search pruning exploration over one base netlist.
+    """Full-search pruning exploration over one base circuit.
 
     Args:
         netlist: base circuit (exact or coefficient-approximated —
-            the cross-layer flow runs both).  The pruner folds and
-            strips it at construction and prunes the folded form; a
-            base already at the fold fixpoint stays the same object.
+            the cross-layer flow runs both), an
+            :class:`~repro.hw.synthesis.ArrayCircuit` or a
+            :class:`Netlist`.  The pruner folds and strips it once at
+            construction and prunes only that private fold output; a
+            raw base is replaced here by its folded form.
         evaluator: stimulus/scoring context; training activity defines
             tau, the test set scores every pruned variant.
         tau_grid: the tau_c sweep (defaults to the paper's 80..99%).
@@ -748,7 +755,7 @@ class NetlistPruner:
     closed pool is simply recreated on the next parallel call.
     """
 
-    netlist: Netlist
+    netlist: ArrayCircuit | Netlist
     evaluator: CircuitEvaluator
     tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
     n_workers: int | None = None
@@ -777,13 +784,12 @@ class NetlistPruner:
         if self.engine is not None:
             check_engine(self.engine)
         # Fold and strip the base once, here: a raw base's gate ids name
-        # logic the folding walks never see, so the pruner swaps in the
-        # folded netlist.  An already-folded base (every bespoke circuit)
-        # stays the caller's object, which keeps the evaluator's
-        # per-netlist simulation cache warm.
+        # logic the folding walks never see.  Everything after this
+        # reads the private fold output, so no plan the pruner builds is
+        # cached on a circuit the caller keeps alive.
         self._base_arrays, changed = _fold_base(self.netlist)
         if changed:
-            self.netlist = self._base_arrays.to_netlist()
+            self.netlist = self._base_arrays
 
     def resolved_engine(self) -> str:
         """The walk ``engine``/the evaluator select: batched or bigint."""
@@ -794,14 +800,15 @@ class NetlistPruner:
     def space(self) -> PruneSpace:
         """Lazily simulate the training set and build the statistics."""
         if self._space is None:
-            activity = self.evaluator.train_activity(self.netlist)
-            self._space = PruneSpace.from_activity(self.netlist, activity)
+            activity = self.evaluator.train_activity(self._base_arrays)
+            self._space = PruneSpace.from_activity(self._base_arrays,
+                                                   activity)
         return self._space
 
     def prune(self, tau_c: float, phi_c: int) -> Netlist:
-        """One pruned and resynthesized variant."""
+        """One pruned and resynthesized variant, as a netlist to export."""
         force = self.space().prune_set(tau_c, phi_c)
-        return synthesize(self.netlist, force_constants=force)
+        return _synthesize_pruned(self._base_arrays, force).to_netlist()
 
     def explore(self, deduplicate: bool = True,
                 n_workers: int | None = None) -> list[PrunedDesign]:
@@ -912,8 +919,8 @@ class NetlistPruner:
         """The pruner-owned persistent pool (created on first use).
 
         One pool serves every parallel ``chain_rows()`` call of this
-        pruner — the per-worker initializer cost (shipping the netlist,
-        evaluator, and pruning statistics) is paid once per pruner
+        pruner — the per-worker initializer cost (shipping the folded
+        base, evaluator, and pruning statistics) is paid once per pruner
         instead of once per checkpoint shard.  A configuration change
         (worker count or engine) retires the old pool first.
         """
@@ -925,7 +932,7 @@ class NetlistPruner:
             self._pool = ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_chain_worker,
-                initargs=(self.netlist, self._walk_evaluator(engine),
+                initargs=(self._base_arrays, self._walk_evaluator(engine),
                           engine,
                           (space.tau, space.const_value, space.phi)))
             self._pool_key = key
@@ -1033,16 +1040,18 @@ class NetlistPruner:
                        synthesis: str = "compiled") -> list[PrunedDesign]:
         """The original per-grid-point exploration (reference oracle).
 
-        Resynthesizes every prune set from the base netlist and shares no
+        Resynthesizes every prune set from the folded base and shares no
         work between grid points; kept for equivalence tests and as the
         baseline of ``benchmarks/bench_simulate.py``.  ``synthesis``
         selects the compiled array engine (default) or the builder-replay
         ``"reference"`` implementation — the seed pipeline is recovered
         with ``synthesis="reference"`` plus a ``"bigint"``-engine
-        evaluator.
+        evaluator; only that replay reads (or builds) a :class:`Netlist`.
         """
-        synth = synthesize_reference if synthesis == "reference" \
-            else synthesize
+        reference = None
+        if synthesis == "reference":
+            reference = self.netlist if isinstance(self.netlist, Netlist) \
+                else self._base_arrays.to_netlist()
         space = self.space()
         designs: list[PrunedDesign] = []
         seen: dict[frozenset, tuple[PrunedDesign, tuple[float, int]]] = {}
@@ -1058,7 +1067,9 @@ class NetlistPruner:
                         float(tau_c), phi_c, len(force), first.record,
                         duplicate_of=origin))
                     continue
-                pruned = synth(self.netlist, force_constants=force)
+                pruned = _synthesize_pruned(self._base_arrays, force) \
+                    if reference is None \
+                    else synthesize_reference(reference, force_constants=force)
                 record = self.evaluator.evaluate(pruned)
                 design = PrunedDesign(float(tau_c), phi_c, len(force), record)
                 designs.append(design)

@@ -86,10 +86,11 @@ def run(e_values: tuple[int, ...] = tuple(range(1, 11)),
         # counter pins this in the tests.
         library = shared_library(coeff_bits)
         areas = library.areas_array(input_bits)
-        minus, plus = library.candidate_ladder(input_bits, max(e_values))
+        library.candidate_ladder(input_bits, max(e_values))
         reducible = areas > 0.0  # zero-area w cannot be reduced (w stays)
         for e in e_values:
-            best = np.minimum(areas[minus[e]], areas[plus[e]])
+            minus, plus = library.candidate_rung(input_bits, e)
+            best = np.minimum(areas[minus], areas[plus])
             reductions = 100.0 * (1.0 - best[reducible] / areas[reducible])
             cells.append(Fig2Cell(input_bits, coeff_bits, e, reductions))
     return cells

@@ -341,12 +341,10 @@ class Netlist:
         return plan
 
     def __getstate__(self):
-        # The compiled simulation plan and cached synthesis array form
-        # are derived data; drop them so pickles (e.g. for the parallel
-        # exploration worker pool) stay small.
+        # The compiled simulation plan is derived data; drop it so
+        # pickles stay small.
         state = self.__dict__.copy()
         state.pop("_compiled_plan", None)
-        state.pop("_array_form", None)
         return state
 
     # ------------------------------------------------------------------

@@ -139,8 +139,7 @@ def encode_netlist(circuit, name: str | None = None) -> EncodedNetlist:
                                         range(net, net + len(ops)))])
         outputs = circuit.outputs
         signed = {bus: circuit.signed[bus] for bus in outputs}
-        watch = circuit.watch if circuit.watch is not None \
-            else circuit.meta.get("watch_buses")
+        watch = circuit.watch
     inputs = {bus: len(nets) for bus, nets in input_nets.items()}
     outputs = {bus: list(nets) for bus, nets in outputs.items()}
     meta = {"kind": circuit.meta.get("kind"),

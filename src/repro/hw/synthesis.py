@@ -200,9 +200,10 @@ class ArrayCircuit:
     :class:`Netlist` offers to simulation, area, and power analysis
     (``input_buses``/``output_buses``/``output_signed``, ``gate_type``,
     ``n_gates``/``n_nets``, and a cached :meth:`compiled` plan).  The
-    coefficient e-sweep scores its variants directly in this form;
-    :meth:`to_netlist` exists for consumers that need the full builder
-    IR.
+    array builder emits this form and the e-sweep scores and the pruner
+    prunes it directly; :meth:`to_netlist` exists for consumers that
+    need the full builder IR.  Pruning watch buses live in ``watch``
+    (node ids), never in ``meta``.
     """
 
     __slots__ = ("name", "input_buses", "n_fixed", "ops", "ina", "inb",
@@ -289,12 +290,14 @@ class ArrayCircuit:
             circ.outputs[name] = [node_of[net] for net in nets]
             circ.signed[name] = nl.output_signed[name]
         circ.meta = dict(nl.meta)
-        if "watch_buses" in circ.meta:
-            circ.watch = [[node_of[net] for net in bus]
-                          for bus in circ.meta["watch_buses"]]
+        watch = circ.meta.pop("watch_buses", None)
+        if watch is not None:
+            circ.watch = [[node_of[net] for net in bus] for bus in watch]
         return circ, node_of
 
     def to_netlist(self) -> Netlist:
+        """The builder IR (node ids become net ids), for exporters and
+        the reference oracles; exploring and serving read the arrays."""
         new = Netlist(name=self.name, cse=False)
         for name, ids in self.input_buses.items():
             new.add_input_bus(name, len(ids))
@@ -315,11 +318,6 @@ class ArrayCircuit:
         if self.watch is not None:
             meta["watch_buses"] = [list(bus) for bus in self.watch]
         new.meta = meta
-        # Node ids equal net ids in the netlist just built, so the array
-        # form can be reused verbatim if this netlist is synthesized
-        # again (``_explore_bigint``, ``explore_legacy`` and ``prune()``
-        # resynthesize the pruner's base netlist this way).
-        new._array_form = self
         return new
 
     def _shell(self) -> "ArrayCircuit":
@@ -477,12 +475,7 @@ def synthesize(nl: Netlist,
     :func:`synthesize_arrays`); :func:`synthesize_reference` is the
     builder-replay equivalent, iterated to convergence.
     """
-    cached = nl.__dict__.get("_array_form")
-    if cached is not None and len(cached.ops) == nl.n_gates \
-            and cached.n_fixed + len(cached.ops) == nl.n_nets:
-        circ = cached  # node ids are net ids
-    else:
-        circ, _node_of = ArrayCircuit.from_netlist(nl)
+    circ, _node_of = ArrayCircuit.from_netlist(nl)
     force_by_node = None
     if force_constants:
         n_fixed = circ.n_fixed

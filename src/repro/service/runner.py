@@ -34,8 +34,7 @@ from ..core.coeff_approx import CoefficientApproximator
 from ..core.cross_layer import DEFAULT_E_SWEEP
 from ..core.pruning import DEFAULT_TAU_GRID, NetlistPruner, PrunedDesign
 from ..eval.accuracy import CircuitEvaluator
-from ..hw.bespoke import build_bespoke_netlist
-from ..hw.synthesis import ArrayCircuit
+from ..hw.bespoke import build_bespoke_circuit
 from .faults import fault_point
 from .jobs import DEFAULT_SHARD_SIZE, ExplorationJob, JobReport
 from .jsonl import write_line
@@ -215,9 +214,6 @@ class ExplorationService:
         # (and the build.cache metric) without changing results.
         self._build_cache: dict | None = build_cache
         self._netlists: dict[tuple, tuple] = {}
-        # (dataset, model, base) -> (compact circuit, its Netlist): the
-        # one materialized netlist per circuit (see _pruner_netlist).
-        self._materialized: dict[tuple, tuple] = {}
         self._base_keys: dict[tuple, str] = {}
 
     def _evaluator(self, dataset: str, model: str) -> CircuitEvaluator:
@@ -245,11 +241,11 @@ class ExplorationService:
 
         ``coeff`` bases route through the store's coefficient cache
         *and* coefficient-netlist table: a warm request skips the area
-        search and the bespoke rebuild, and a cold one stays an
-        :class:`~repro.hw.synthesis.ArrayCircuit` until :meth:`job`
-        needs a ``Netlist``.  ``grid_meta`` carries the netlist's
-        content key so ``store gc`` keeps it reachable while any
-        surviving grid was explored on it.  ``fingerprint`` is the
+        search and the bespoke rebuild, and a cold one stays the array
+        builder's :class:`~repro.hw.synthesis.ArrayCircuit`, which
+        scoring and the pruner read directly.  ``grid_meta`` carries the
+        netlist's content key so ``store gc`` keeps it reachable while
+        any surviving grid was explored on it.  ``fingerprint`` is the
         circuit's netlist fingerprint, computed once here.
         """
         key = (request.dataset, request.model, request.base, request.e)
@@ -279,26 +275,26 @@ class ExplorationService:
         return self._netlists[key]
 
     def _exact_netlist(self, model, name: str) -> tuple:
-        """``(netlist, hit)`` for an exact base, via the shared cache.
+        """``(circuit, hit)`` for an exact base, via the shared cache.
 
         Exact bases have no store table; the process-wide build cache
         keyed by the model fingerprint plays the same role, so tenants
         cold-missing the same circuit share one build.  The cached
-        netlist is immutable-by-convention (like the shared evaluators)
+        circuit is immutable-by-convention (like the shared evaluators)
         and its name is tenant-independent, so the object is shared
         as-is.
         """
         if self._build_cache is None:
-            return build_bespoke_netlist(model, name=name), False
+            return build_bespoke_circuit(model, name=name), False
         key = ("exact-netlist", model_fingerprint(model))
-        netlist = self._build_cache.get(key)
-        if netlist is not None:
+        circuit = self._build_cache.get(key)
+        if circuit is not None:
             _metric("build.cache", result="hit")
-            return netlist, True
+            return circuit, True
         _metric("build.cache", result="miss")
-        netlist = build_bespoke_netlist(model, name=name)
-        self._build_cache[key] = netlist
-        return netlist, False
+        circuit = build_bespoke_circuit(model, name=name)
+        self._build_cache[key] = circuit
+        return circuit, False
 
     def _evaluator_fp(self, dataset: str, model: str) -> str:
         key = (dataset, model)
@@ -374,33 +370,16 @@ class ExplorationService:
                            runtime_s=time.perf_counter() - start)
         return designs, report
 
-    def _pruner_netlist(self, request: ExploreRequest, circuit):
-        """The ``Netlist`` a job's pruner walks, materialized on demand.
-
-        ``_netlists`` keeps every key's circuit in its built form (the
-        array builder's compact :class:`ArrayCircuit`).  The
-        materialized netlist, with the plans a walk caches on it, is
-        kept for one radius per (dataset, model, base) only: the one the
-        last job used.  A long-running server therefore does not grow by
-        one netlist per radius served, and repeated grids on the same
-        radius still reuse one netlist.
-        """
-        if not isinstance(circuit, ArrayCircuit):
-            return circuit
-        slot = (request.dataset, request.model, request.base)
-        held = self._materialized.get(slot)
-        if held is not None and held[0] is circuit:
-            return held[1]
-        netlist = circuit.to_netlist()
-        self._materialized[slot] = (circuit, netlist)
-        return netlist
-
     def job(self, request: ExploreRequest) -> ExplorationJob:
-        """The resumable job a request maps to (exposes its content key)."""
+        """The resumable job a request maps to (exposes its content key).
+
+        The pruner takes the cached circuit as built and walks its own
+        folded copy, so ``_netlists`` keeps one compact circuit per key
+        and no walk's plans outlive the job.
+        """
         circuit, grid_meta, _hit, _fingerprint = self._netlist(request)
-        netlist = self._pruner_netlist(request, circuit)
         evaluator = self._evaluator(request.dataset, request.model)
-        pruner = NetlistPruner(netlist, evaluator, request.tau_grid,
+        pruner = NetlistPruner(circuit, evaluator, request.tau_grid,
                                n_workers=self.n_workers, engine=self.engine)
         return ExplorationJob(pruner, self.store,
                               shard_size=self.shard_size,
@@ -430,7 +409,7 @@ class ExplorationService:
         """Run (or look up) one request; returns (designs, report).
 
         A finished grid is served straight off its content key (no
-        netlist materialization — see :meth:`_warm_grid`); anything
+        circuit build or decode — see :meth:`_warm_grid`); anything
         else goes through the resumable job.
         """
         with _span("service.request", dataset=request.dataset,

@@ -457,9 +457,9 @@ def build_coeff_netlist_cached(approximator, model, store: "DesignStore",
     :func:`~repro.hw.bespoke.build_bespoke_circuit`) and persists it;
     the array builder's circuit stays an
     :class:`~repro.hw.synthesis.ArrayCircuit` — the compiled engines
-    evaluate it directly, and it is encoded once, straight from its
-    rows, for both the fingerprint and the stored payload.  Callers that
-    need the ``Netlist`` IR (a pruner) call its ``to_netlist()``.
+    evaluate it directly, the pruner prunes it as is, and it is encoded
+    once, straight from its rows, for both the fingerprint and the
+    stored payload; only a store hit yields a ``Netlist``.
     ``approx_model`` short-circuits the (cached) approximation step when
     the caller already holds it; the circuit's cosmetic ``name`` is
     always the caller's.

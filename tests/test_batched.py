@@ -433,13 +433,15 @@ class TestRootLadder:
 
     @pytest.mark.parametrize(
         "model, plan_builds, batches, simulated, aliased", (
-            pytest.param("svm_r", 11, 8, 38, 0, id="svm_r-11"),
-            pytest.param("mlp_c", 10, 4, 117, 56, id="mlp_c-10")))
+            pytest.param("svm_r", 13, 8, 38, 0, id="svm_r-13"),
+            pytest.param("mlp_c", 12, 4, 117, 56, id="mlp_c-12")))
     def test_plan_builds_per_explore_are_pinned(self, model, plan_builds,
                                                 batches, simulated,
                                                 aliased):
         """One ``CrossLayerFramework(e=4).explore`` builds this many
-        plans (41 and 34 when every root opened its own epoch) and
+        plans (41 and 34 when every root opened its own epoch; each of
+        the two pruners builds its own training plan on its folded
+        base, one more than when it shared the caller's) and
         dispatches this many variant batches; a ladder that silently
         fell back to per-root plans shows here, and so does a single-
         or multi-netlist simulation that counted itself as a batch.

@@ -1,12 +1,17 @@
 """Tests for the hardware-driven coefficient approximation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.coeff_approx import CoefficientApproximator
-from repro.core.multiplier_area import default_library
+from repro.core.multiplier_area import (
+    BespokeMultiplierLibrary,
+    default_library,
+)
 from repro.datasets import load_dataset
 from repro.ml import LinearSVMClassifier, MLPClassifier
 from repro.quant import quantize_inputs, quantize_model
@@ -180,6 +185,26 @@ class TestCandidateLadder:
             fresh = CoefficientApproximator(library=default_library(), e=e)
             assert shared == [fresh.candidate_pair(w, 4)
                               for w in coefficients]
+
+    def test_large_radius_reads_the_last_rung(self):
+        """Past e = N - 1 every window spans the whole range, so a huge
+        radius allocates no more than e = 255 and picks the same
+        candidates."""
+        library = BespokeMultiplierLibrary()
+        library.areas_array(8)  # warm the area table outside the trace
+        coefficients = list(range(-128, 128))
+        tracemalloc.start()
+        try:
+            far = CoefficientApproximator(library=library, e=20_000) \
+                .candidate_pairs(coefficients, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
+        assert far == CoefficientApproximator(library=library, e=255) \
+            .candidate_pairs(coefficients, 8)
+        minus, plus = library.candidate_ladder(8, 20_000)
+        assert len(minus) == len(plus) == 256
 
     def test_vectorized_pairs_match_scalar(self, approximator):
         coefficients = list(range(-128, 128))

@@ -128,6 +128,31 @@ class TestFrameworkOptions:
         assert result.baseline.accuracy > 0.3
         assert result.technique("cross")
 
+    @pytest.mark.parametrize("model", ("svm_r", "mlp_c"))
+    def test_array_builds_explore_without_a_netlist(self, model,
+                                                    monkeypatch):
+        """The default (array) builder's circuits are scored and pruned
+        as built: no ``Netlist`` is materialized or converted back, and
+        the design list equals the per-gate builder's."""
+        from repro.experiments.zoo import get_case
+        from repro.hw.synthesis import ArrayCircuit
+
+        case = get_case("redwine", model)
+        split = case.split
+        args = (case.quant_model, split.X_train, split.X_test, split.y_test)
+        gate = CrossLayerFramework(e=4, clock_ms=case.clock_ms,
+                                   builder="gate").explore(*args)
+
+        def forbid(*_args, **_kwargs):
+            raise AssertionError("the array path built a Netlist")
+
+        monkeypatch.setattr(ArrayCircuit, "to_netlist", forbid)
+        monkeypatch.setattr(ArrayCircuit, "from_netlist",
+                            staticmethod(forbid))
+        array = CrossLayerFramework(e=4, clock_ms=case.clock_ms).explore(
+            *args)
+        assert array.points == gate.points
+
 
 class TestESweep:
     def _quant_svm(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.pruning import (
     DEFAULT_TAU_GRID,
@@ -10,7 +12,8 @@ from repro.core.pruning import (
     compute_phi,
 )
 from repro.datasets import load_dataset
-from repro.eval.accuracy import CircuitEvaluator
+from repro.eval.accuracy import CircuitEvaluator, DecodeSpec
+from repro.experiments.zoo import get_case
 from repro.hw.bespoke import (
     REGRESSOR_OUTPUT,
     build_bespoke_netlist,
@@ -18,9 +21,14 @@ from repro.hw.bespoke import (
 )
 from repro.hw.netlist import Netlist
 from repro.hw.simulate import simulate
-from repro.hw.synthesis import synthesize
+from repro.hw.synthesis import ArrayCircuit, synthesize
 from repro.ml import LinearSVMClassifier, LinearSVMRegressor
 from repro.quant import quantize_inputs, quantize_model
+from random_circuits import random_netlist
+
+BENCH_CIRCUITS = (("redwine", "svm_r"), ("redwine", "mlp_c"),
+                  ("redwine", "svm_c"), ("whitewine", "svm_c"),
+                  ("cardio", "svm_c"))
 
 
 class TestComputePhi:
@@ -80,6 +88,75 @@ class TestComputePhi:
         nl.set_output_bus("y", [a, gate])
         phi = compute_phi(nl)
         assert phi[0] == 1
+
+
+def _reference_phi(nl: Netlist, watch_buses=None) -> np.ndarray:
+    """The net-space sweep over a netlist's gate lists (the oracle)."""
+    if watch_buses is None:
+        watch_buses = nl.meta.get("watch_buses")
+        if watch_buses is None:
+            watch_buses = list(nl.output_buses.values())
+    net_phi = [-1] * nl.n_nets
+    for bus in watch_buses:
+        for bit, net in enumerate(bus):
+            net_phi[net] = max(net_phi[net], bit)
+    gate_phi = [-1] * nl.n_gates
+    for gate in range(nl.n_gates - 1, -1, -1):
+        gate_phi[gate] = net_phi[nl.gate_out[gate]]
+        if gate_phi[gate] >= 0:
+            for net in nl.gate_inputs[gate]:
+                net_phi[net] = max(net_phi[net], gate_phi[gate])
+    return np.array(gate_phi, dtype=np.int64)
+
+
+def _assert_phi_agrees(nl: Netlist, watch_bus: list[int]) -> None:
+    """Netlist and array form give the oracle's phi, for the default
+    watch buses and for an explicit one."""
+    arrays, node_of = ArrayCircuit.from_netlist(nl)
+    expected = _reference_phi(nl)
+    assert np.array_equal(compute_phi(nl), expected)
+    assert np.array_equal(compute_phi(arrays), expected)
+    expected = _reference_phi(nl, [watch_bus])
+    assert np.array_equal(compute_phi(nl, [watch_bus]), expected)
+    assert np.array_equal(
+        compute_phi(arrays, [[node_of[net] for net in watch_bus]]),
+        expected)
+
+
+class TestPhiAcrossForms:
+    """``compute_phi`` is one node-space sweep; a netlist, its array
+    form and a pruner's prune space all agree with the net-space
+    oracle."""
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=100, deadline=None)
+    def test_random_netlists(self, seed):
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(1, 6))
+        nl = random_netlist(rng, int(rng.integers(1, 80)), width,
+                            output=REGRESSOR_OUTPUT, signed=False)
+        watch_bus = [int(net) for net in
+                     rng.integers(0, nl.n_nets, int(rng.integers(1, 6)))]
+        _assert_phi_agrees(nl, watch_bus)
+        # The pruner folds the raw netlist; its prune space indexes the
+        # gates of the folded form.
+        evaluator = CircuitEvaluator(
+            DecodeSpec("regressor", y_min=0, y_max=15),
+            {"x": rng.integers(0, 1 << width, 48)},
+            {"x": rng.integers(0, 1 << width, 8)}, rng.integers(0, 16, 8))
+        space = NetlistPruner(nl, evaluator).space()
+        assert np.array_equal(space.phi, _reference_phi(synthesize(nl)))
+
+    @pytest.mark.parametrize("dataset, model", BENCH_CIRCUITS)
+    def test_bench_circuits(self, dataset, model):
+        case = get_case(dataset, model)
+        nl = build_bespoke_netlist(case.quant_model)
+        _assert_phi_agrees(nl, next(iter(nl.output_buses.values())))
+        split = case.split
+        evaluator = CircuitEvaluator.from_split(
+            case.quant_model, split.X_train, split.X_test, split.y_test)
+        space = NetlistPruner(nl, evaluator).space()
+        assert np.array_equal(space.phi, _reference_phi(nl))
 
 
 def _svm_regressor_setup():

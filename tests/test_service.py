@@ -885,33 +885,27 @@ class TestESweep:
         assert len({id(circuit) for circuit in encoded}) == len(e_values)
         assert all(isinstance(c, ArrayCircuit) for c in encoded)
 
-    def test_one_materialized_netlist_per_circuit(self, sweep_service,
-                                                  monkeypatch):
-        """Serving radii e=1..4 of one circuit keeps every compact
-        circuit but at most one materialized ``Netlist`` alive: the one
-        the last job walked, which a new grid on that radius reuses."""
-        import gc
-        import weakref
+    def test_serving_builds_no_netlist(self, sweep_service, monkeypatch):
+        """Serving radii e=1..4 of one circuit, plus a second grid on
+        e=4, prunes every cold array circuit as built: no ``Netlist`` is
+        materialized, and none is converted back to arrays."""
         from dataclasses import replace
 
         from repro.hw.synthesis import ArrayCircuit
 
-        made = []
-        to_netlist = ArrayCircuit.to_netlist
+        def forbid(*_args, **_kwargs):
+            raise AssertionError("serving built a Netlist")
 
-        def tracked(self):
-            netlist = to_netlist(self)
-            made.append(weakref.ref(netlist))
-            return netlist
-
-        monkeypatch.setattr(ArrayCircuit, "to_netlist", tracked)
+        monkeypatch.setattr(ArrayCircuit, "to_netlist", forbid)
+        monkeypatch.setattr(ArrayCircuit, "from_netlist",
+                            staticmethod(forbid))
         request = _sweep_request()
         for e in (1, 2, 3, 4):
-            sweep_service.explore(replace(request, e=e))
-        sweep_service.explore(replace(request, e=4, tau_grid=(0.9,)))
-        gc.collect()
-        assert len(made) == 4  # the e=4 netlist served both grids
-        assert sum(ref() is not None for ref in made) <= 1
+            designs, report = sweep_service.explore(replace(request, e=e))
+            assert designs and not report.grid_hit
+        designs, report = sweep_service.explore(
+            replace(request, e=4, tau_grid=(0.9,)))
+        assert designs and not report.grid_hit
 
     def test_bigint_engine_scores_array_circuits(self, tmp_path):
         """The bigint oracle takes the cold path's array circuits too."""
