@@ -3,8 +3,8 @@
 Sweeps a matrix of deterministic fault schedules
 (:mod:`repro.service.faults`) over real explorations and asserts the
 **crash-consistency invariant**: whatever faults fire — store locks,
-corrupt database files, failing engines, dying pool workers, hung
-chains, SIGKILLed processes — the design list that finally comes out of
+corrupt database files, failing engines, SIGKILLed processes — the
+design list that finally comes out of
 the store is *identical* to a fault-free cold run.  Any divergence
 exits non-zero, so CI treats consistency as a hard gate, not a metric.
 
@@ -20,10 +20,6 @@ Scenario classes (one row per (circuit, scenario) in the report):
   from checkpoints;
 * ``engine-fault``     — the batched walk fails; the engine ladder
   degrades (batched → bigint);
-* ``worker-exit``      — a pool worker dies mid-chain (``os._exit``);
-  the pool is respawned, the shard retried;
-* ``hung-chain``       — a chain sleeps past the shard timeout; the
-  pool is killed and respawned;
 * ``sigkill-resume``   — a real subprocess SIGKILLs itself mid-grid
   (``REPRO_FAULTS`` + marker dir make the kill one-shot); a second
   process resumes from the checkpoints;
@@ -82,8 +78,6 @@ from repro.service import (  # noqa: E402
     JobReport,
 )
 from repro.service.faults import (  # noqa: E402
-    ENV_SCHEDULE,
-    ENV_STATE,
     FaultInjector,
     installed,
     seeded_schedule,
@@ -153,15 +147,14 @@ class Case:
             case.split.y_test)
         self.reference = None  # filled by the baseline scenario
 
-    def job(self, store_path, **pruner_kwargs) -> ExplorationJob:
-        pruner = NetlistPruner(self.netlist, self.evaluator, self.grid,
-                               **pruner_kwargs)
+    def job(self, store_path) -> ExplorationJob:
+        pruner = NetlistPruner(self.netlist, self.evaluator, self.grid)
         return ExplorationJob(pruner, DesignStore(store_path),
                               shard_size=2)
 
 
-def run_with_restarts(case: Case, scratch: pathlib.Path,
-                      **pruner_kwargs) -> tuple[list, JobReport, int]:
+def run_with_restarts(case: Case, scratch: pathlib.Path
+                      ) -> tuple[list, JobReport, int]:
     """One store-backed exploration, restarted on surfaced faults.
 
     Each restart resumes from the store's checkpoints — exactly what a
@@ -172,7 +165,7 @@ def run_with_restarts(case: Case, scratch: pathlib.Path,
     report = JobReport("")
     for restart in range(MAX_RESTARTS + 1):
         try:
-            designs = case.job(store_path, **pruner_kwargs).run(
+            designs = case.job(store_path).run(
                 report=report)
             return designs, report, restart
         except Exception:
@@ -182,58 +175,28 @@ def run_with_restarts(case: Case, scratch: pathlib.Path,
 
 
 def in_process_scenarios(quick: bool):
-    """(name, schedule spec, pruner kwargs) of the installed-injector runs."""
+    """(name, schedule spec) of the installed-injector runs."""
     scenarios = [
-        ("store-locked", "store.put_shard:1=err-locked", {}),
-        ("store-busy", "store.put_variants:1=err-busy", {}),
-        ("shard-fault", "job.shard@index=0:1=err", {}),
-        ("assemble-fault", "job.assemble:1=err", {}),
-        ("engine-fault", "engine.batched:1=err", {}),
+        ("store-locked", "store.put_shard:1=err-locked"),
+        ("store-busy", "store.put_variants:1=err-busy"),
+        ("shard-fault", "job.shard@index=0:1=err"),
+        ("assemble-fault", "job.assemble:1=err"),
+        ("engine-fault", "engine.batched:1=err"),
     ]
     seeds = SMOKE_SEEDS if quick else FULL_SEEDS
-    scenarios += [(f"seeded-{seed}",
-                   seeded_schedule(seed, SEEDED_SITES), {})
+    scenarios += [(f"seeded-{seed}", seeded_schedule(seed, SEEDED_SITES))
                   for seed in seeds]
     return scenarios
 
 
-def env_scenarios():
-    """(name, env schedule, pruner kwargs) of the pool-worker fault runs.
-
-    These go through ``REPRO_FAULTS`` because the fault fires inside a
-    *pool worker* process, and a state dir keeps each entry one-shot
-    across the respawned pools.
-    """
-    return [
-        ("worker-exit", "worker.chain:1=exit",
-         {"n_workers": 2, "retry_backoff_s": 0.0}),
-        ("hung-chain", "worker.chain:1=sleep(30)",
-         {"n_workers": 2, "retry_backoff_s": 0.0, "shard_timeout_s": 2.0}),
-    ]
-
-
-def run_scenario(case: Case, name: str, spec: str, pruner_kwargs: dict,
-                 via_env: bool) -> dict:
+def run_scenario(case: Case, name: str, spec: str) -> dict:
     with tempfile.TemporaryDirectory() as td:
         scratch = pathlib.Path(td)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            if via_env:
-                state = scratch / "fault-state"
-                os.environ[ENV_SCHEDULE] = spec
-                os.environ[ENV_STATE] = str(state)
-                try:
-                    elapsed, (designs, report, restarts) = _timed(
-                        lambda: run_with_restarts(case, scratch,
-                                                  **pruner_kwargs))
-                finally:
-                    os.environ.pop(ENV_SCHEDULE, None)
-                    os.environ.pop(ENV_STATE, None)
-            else:
-                with installed(FaultInjector.parse(spec)):
-                    elapsed, (designs, report, restarts) = _timed(
-                        lambda: run_with_restarts(case, scratch,
-                                                  **pruner_kwargs))
+            with installed(FaultInjector.parse(spec)):
+                elapsed, (designs, report, restarts) = _timed(
+                    lambda: run_with_restarts(case, scratch))
     return {
         "scenario": name,
         "spec": spec,
@@ -243,10 +206,7 @@ def run_scenario(case: Case, name: str, spec: str, pruner_kwargs: dict,
         "runtime_s": round(elapsed, 3),
         "telemetry": {
             "shards_retried": report.shards_retried,
-            "pool_respawns": report.pool_respawns,
-            "serial_fallbacks": report.serial_fallbacks,
             "engine_fallbacks": report.engine_fallbacks,
-            "shard_timeouts": report.shard_timeouts,
         },
     }
 
@@ -718,10 +678,8 @@ def bench_circuit(dataset: str, model: str, grid, quick: bool) -> dict:
         "runtime_s": round(baseline_s, 3), "telemetry": {},
     }]
 
-    for name, spec, kwargs in in_process_scenarios(quick):
-        rows.append(run_scenario(case, name, spec, kwargs, via_env=False))
-    for name, spec, kwargs in env_scenarios():
-        rows.append(run_scenario(case, name, spec, kwargs, via_env=True))
+    for name, spec in in_process_scenarios(quick):
+        rows.append(run_scenario(case, name, spec))
     rows.append(run_corrupt_scenario(case))
     rows.append(run_sigkill_scenario(case))
     rows.append(run_serve_fault_scenario(case, "serve-enqueue-fault",

@@ -111,8 +111,7 @@ def _open_service(args: argparse.Namespace):
 
         store = RemoteStore(CoordinatorClient(args.coordinator,
                                               tenant=args.tenant))
-    return ExplorationService(store, n_workers=args.workers,
-                              shard_size=args.shard_size)
+    return ExplorationService(store, shard_size=args.shard_size)
 
 
 def _out_stream(path: str | None):
@@ -267,7 +266,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     serve(ServeConfig(
         host=args.host, port=args.port, store_root=args.store_root,
         concurrency=args.concurrency, queue_depth=args.queue_depth,
-        n_workers=args.workers, shard_size=args.shard_size,
+        shard_size=args.shard_size,
         events_log=args.events_log, trace_sample=args.trace_sample))
     return 0
 
@@ -334,8 +333,6 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
                              f"(default: {_DEFAULT_STORE})")
     parser.add_argument("--out", default=None,
                         help="JSONL output path ('-' or omitted: stdout)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="fan tau_c chains across N pool workers")
     parser.add_argument("--shard-size", type=int, default=4,
                         help="tau_c chains per checkpoint shard")
     parser.add_argument("--resume", action="store_true", default=True,
@@ -446,9 +443,6 @@ def main(argv: list[str] | None = None) -> int:
     server.add_argument("--queue-depth", type=int, default=16,
                         help="computations allowed to wait before new "
                              "submissions get 429 (default: 16)")
-    server.add_argument("--workers", type=int, default=None,
-                        help="pool workers per exploration (default: "
-                             "serial)")
     server.add_argument("--shard-size", type=int, default=4,
                         help="tau_c chains per checkpoint shard")
     server.add_argument("--events-log", default=None,

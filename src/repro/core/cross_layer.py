@@ -19,7 +19,10 @@ threshold — the paper's 0%-gain entries), and Table III (execution time).
 
 from __future__ import annotations
 
+import multiprocessing
 import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from ..eval.accuracy import CircuitEvaluator, EvaluationRecord, check_engine
@@ -27,7 +30,8 @@ from ..hw.bespoke import build_bespoke_circuit
 from .coeff_approx import ApproximatedSum, CoefficientApproximator
 from .multiplier_area import BespokeMultiplierLibrary
 from .pareto import best_within_accuracy_loss, pareto_front
-from .pruning import DEFAULT_TAU_GRID, NetlistPruner
+from .pruning import (DEFAULT_TAU_GRID, NetlistPruner, PrunedDesign,
+                      fault_point)
 
 __all__ = ["DesignPoint", "ExplorationResult", "ESweepResult",
            "CrossLayerFramework", "DEFAULT_E_SWEEP", "TECHNIQUES",
@@ -194,6 +198,77 @@ class ESweepResult:
         return pareto_front(pool, lambda p: p.area_mm2, lambda p: p.accuracy)
 
 
+@dataclass(frozen=True)
+class _Family:
+    """One independent pruning exploration: a task of the executor.
+
+    The pruner is built where the family runs, so a worker folds and
+    trains its own base.  ``store`` pickles as its path and namespace:
+    a worker reopens the file on its own connection.
+    """
+
+    label: str
+    circuit: object
+    evaluator: CircuitEvaluator
+    tau_grid: tuple[float, ...]
+    engine: str
+    store: object = None
+    grid_meta: dict | None = None
+
+    def designs(self) -> list[PrunedDesign]:
+        """The family's design list, through the store when set."""
+        pruner = NetlistPruner(self.circuit, self.evaluator, self.tau_grid,
+                               engine=self.engine)
+        if self.store is None:
+            return pruner.explore()
+        from ..service.jobs import ExplorationJob  # lazy: core <-> service
+        return ExplorationJob(pruner, self.store, label=self.label,
+                              grid_meta=self.grid_meta).run()
+
+
+def _run_family(family: _Family) -> list[PrunedDesign]:
+    """Executor task: one family's design list, in a worker."""
+    fault_point("worker.family", family=family.label)
+    return family.designs()
+
+
+# The process-wide family executor, ``(n_workers, executor)``: made on
+# first parallel use, kept across calls and frameworks, replaced when
+# it fails.  Its workers fork, so they start with the package already
+# imported; they fork from the process as it was then, so a later
+# REPRO_FAULTS or ``faults.install()`` change does not reach them.
+_EXECUTOR: tuple[int, ProcessPoolExecutor] | None = None
+
+
+def _family_executor(n_workers: int) -> ProcessPoolExecutor:
+    """The process-wide executor for ``n_workers`` workers."""
+    global _EXECUTOR
+    if _EXECUTOR is not None and _EXECUTOR[0] != n_workers:
+        _drop_executor()
+    if _EXECUTOR is None:
+        _EXECUTOR = (n_workers, ProcessPoolExecutor(
+            max_workers=n_workers,
+            mp_context=multiprocessing.get_context("fork")))
+    return _EXECUTOR[1]
+
+
+def _drop_executor() -> None:
+    """Retire the executor; the next parallel call makes a fresh one."""
+    global _EXECUTOR
+    if _EXECUTOR is not None:
+        executor, _EXECUTOR = _EXECUTOR[1], None
+        executor.shutdown(wait=False, cancel_futures=True)
+
+
+def _design_points(technique: str, designs: list[PrunedDesign],
+                   **extra) -> list[DesignPoint]:
+    return [DesignPoint.from_record(
+        technique, design.record, tau_c=design.tau_c, phi_c=design.phi_c,
+        n_pruned=design.n_pruned,
+        duplicate=design.duplicate_of is not None, **extra)
+        for design in designs]
+
+
 class CrossLayerFramework:
     """End-to-end automated flow of the paper.
 
@@ -206,13 +281,14 @@ class CrossLayerFramework:
         clock_ms: circuit clock for power analysis (the paper uses 200 ms,
             250 ms for the Pendigits MLP-C).
         library: shared bespoke-multiplier area cache.
-        n_workers: fan the pruning explorations' tau_c chains across a
-            process pool (serial when ``None``/``0``/``1``; pool failures
-            fall back to serial automatically).  The pool is
-            regression-tested for serial equivalence; no committed
-            benchmark record has a multi-core number yet.  Workers run
-            the same walk as the serial path (see
-            :class:`~repro.core.pruning.NetlistPruner`).
+        n_workers: run each independent pruning family (``explore``'s
+            prune and cross families, ``sweep_e``'s per-radius cross
+            families) as one task on a process-wide executor of this
+            many workers, made on first use and kept across calls.
+            ``None``/``0``/``1``, or fewer than two families, stays in
+            process.  If the executor fails, the families run in
+            process after a ``RuntimeWarning``.  Either way the design
+            list is the same.
         engine: evaluation backend for every score and exploration —
             ``"auto"`` (default: the platform's fast path, the batched
             trie walk where the host supports it) or the ``"bigint"``
@@ -262,23 +338,34 @@ class CrossLayerFramework:
         self.store = store
         self.builder = builder
 
-    def _pruned_designs(self, pruner: NetlistPruner, label: str,
-                        grid_meta: dict | None = None):
-        """One pruning exploration, through the store when configured.
+    def _family(self, label: str, circuit, evaluator: CircuitEvaluator,
+                grid_meta: dict | None = None) -> _Family:
+        """One pruning exploration; through the store when configured.
 
         ``grid_meta`` (the coeff-netlist content key for cross-family
         explorations) rides into the stored grid metadata so
         ``store gc`` keeps the base netlist reachable while the grid
         survives.
         """
-        if self.store is None:
+        return _Family(label, circuit, evaluator, self.tau_grid,
+                       self.engine, self.store, grid_meta)
+
+    def _explore_families(self, families: list[_Family]
+                          ) -> list[list[PrunedDesign]]:
+        """Each family's design list, in order (see ``n_workers``)."""
+        if len(families) > 1 and self.n_workers and self.n_workers > 1:
             try:
-                return pruner.explore()
-            finally:
-                pruner.close()  # deterministic worker-pool teardown
-        from ..service.jobs import ExplorationJob  # lazy: core <-> service
-        return ExplorationJob(pruner, self.store, label=label,
-                              grid_meta=grid_meta).run()
+                executor = _family_executor(self.n_workers)
+                futures = [executor.submit(_run_family, family)
+                           for family in families]
+                return [future.result() for future in futures]
+            except Exception as exc:
+                _drop_executor()
+                warnings.warn(
+                    f"the family executor failed ({exc!r}); exploring "
+                    f"the {len(families)} families in process",
+                    RuntimeWarning, stacklevel=3)
+        return [family.designs() for family in families]
 
     def _coeff_grid_meta(self, model, approximator=None) -> dict | None:
         """Grid metadata tying a cross exploration to its coeff netlist."""
@@ -353,27 +440,17 @@ class CrossLayerFramework:
         if coeff_netlist is not None:
             points.append(DesignPoint.from_record("coeff", records[1]))
 
+        families: dict[str, _Family] = {}
         if "prune" in include:
-            pruner = NetlistPruner(exact_netlist, evaluator, self.tau_grid,
-                                   n_workers=self.n_workers,
-                                   engine=self.engine)
-            for design in self._pruned_designs(pruner, f"{name}/prune"):
-                points.append(DesignPoint.from_record(
-                    "prune", design.record, tau_c=design.tau_c,
-                    phi_c=design.phi_c, n_pruned=design.n_pruned,
-                    duplicate=design.duplicate_of is not None))
-
+            families["prune"] = self._family(f"{name}/prune", exact_netlist,
+                                             evaluator)
         if "cross" in include:
-            pruner = NetlistPruner(coeff_netlist, evaluator, self.tau_grid,
-                                   n_workers=self.n_workers,
-                                   engine=self.engine)
-            for design in self._pruned_designs(
-                    pruner, f"{name}/cross",
-                    grid_meta=self._coeff_grid_meta(model)):
-                points.append(DesignPoint.from_record(
-                    "cross", design.record, tau_c=design.tau_c,
-                    phi_c=design.phi_c, n_pruned=design.n_pruned,
-                    duplicate=design.duplicate_of is not None))
+            families["cross"] = self._family(
+                f"{name}/cross", coeff_netlist, evaluator,
+                self._coeff_grid_meta(model))
+        for technique, designs in zip(
+                families, self._explore_families(list(families.values()))):
+            points.extend(_design_points(technique, designs))
 
         runtime = time.perf_counter() - start
         return ExplorationResult(name, points, runtime, coeff_reports)
@@ -441,19 +518,13 @@ class CrossLayerFramework:
             points.append(DesignPoint.from_record("coeff", record, e=e))
 
         if "cross" in include:
-            for e, _approx_model, coeff_netlist in variants:
-                pruner = NetlistPruner(coeff_netlist, evaluator,
-                                       self.tau_grid,
-                                       n_workers=self.n_workers,
-                                       engine=self.engine)
-                for design in self._pruned_designs(
-                        pruner, f"{name}/cross@e{e}",
-                        grid_meta=self._coeff_grid_meta(
-                            model, self.approximator.with_e(e))):
-                    points.append(DesignPoint.from_record(
-                        "cross", design.record, tau_c=design.tau_c,
-                        phi_c=design.phi_c, n_pruned=design.n_pruned,
-                        duplicate=design.duplicate_of is not None, e=e))
+            families = [self._family(
+                f"{name}/cross@e{e}", coeff_netlist, evaluator,
+                self._coeff_grid_meta(model, self.approximator.with_e(e)))
+                for e, _approx_model, coeff_netlist in variants]
+            for (e, _m, _c), designs in zip(
+                    variants, self._explore_families(families)):
+                points.extend(_design_points("cross", designs, e=e))
 
         runtime = time.perf_counter() - start
         return ESweepResult(name, e_values, points, runtime, reports_by_e)

@@ -39,11 +39,11 @@ for speed:
   evaluated in bulk ``(n_nets, K, n_words)`` passes
   (:class:`~repro.hw.compiled.BatchedEvaluator`), so no variant pays
   for its own compaction, plan build and NumPy sweeps.
-* **Parallel chains.** Independent tau_c chains can fan out across a
-  ``concurrent.futures`` process pool (``n_workers``); any pool failure
-  falls back to the serial path, and both paths produce the identical
-  design list.  The pool is regression-tested for serial equivalence;
-  no committed benchmark record has a multi-core number yet.
+
+A pruner walks in the process that calls it.  Multi-core runs fan out
+whole pruning families instead, one pruner per task on
+:class:`~repro.core.cross_layer.CrossLayerFramework`'s process-wide
+executor, so every family keeps the trie and root-ladder sharing above.
 
 Which walk am I using?  ``NetlistPruner.resolved_engine()`` answers
 for one pruner: ``engine=None`` inherits the evaluator's selector.
@@ -61,8 +61,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -255,18 +253,6 @@ def _synthesize_pruned(base: ArrayCircuit, force: dict) -> ArrayCircuit:
                                     for gate, value in force.items()})[0]
 
 
-def _root_state(base: ArrayCircuit) -> tuple:
-    """Wrap the folded base as the shared chain-root state.
-
-    A chain root that cannot build on the previous root forks this state
-    and ties its first prune set onto it — the cone rewrite replaces a
-    from-scratch synthesis per chain.  The walk never mutates it.  The
-    base is already at the fold fixpoint, so its node map is the
-    identity.
-    """
-    return IncrementalCircuit.from_arrays(base), list(range(base.n_nets))
-
-
 def _explore_bigint(base: ArrayCircuit, evaluator: CircuitEvaluator,
                     space: PruneSpace, chains: list[tuple[float, list]],
                     known_records: dict | None) -> list[list[tuple]]:
@@ -308,8 +294,7 @@ _PLAN_REFRESH_MIN_WORK = 16_000
 def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
                           space: PruneSpace,
                           chains: list[tuple[float, list]],
-                          known_records: dict | None,
-                          root_state: tuple) -> list[list[tuple]]:
+                          known_records: dict | None) -> list[list[tuple]]:
     """The fast exploration walk: a batched trie over prune-set prefixes.
 
     Chains whose prune-set sequences share a prefix (extremely common:
@@ -548,7 +533,12 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
     # default grid the candidate sets nest, so every root whose lowest
     # phi level did not drop builds on the previous one.
     telemetry = _service_telemetry()
-    base_state = [root_state[0], root_state[1], 0, None, 0, {}, None]
+    # The base state: the folded base, whose node map is the identity
+    # (it is at the fold fixpoint).  A root that cannot build on the
+    # previous root forks it and ties its first prune set onto it; the
+    # walk never mutates it.
+    base_state = [IncrementalCircuit.from_arrays(base),
+                  list(range(base.n_nets)), 0, None, 0, {}, None]
     ladder: list | None = None
     ladder_ids = None
     ordered = sorted(groups(range(len(chains)), 0),
@@ -619,43 +609,12 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
 
 def _walk(engine: str, base: ArrayCircuit, evaluator: CircuitEvaluator,
           space: PruneSpace, chains: list[tuple[float, list]],
-          known_records: dict | None,
-          root_state: tuple | None = None) -> list[list[tuple]]:
+          known_records: dict | None) -> list[list[tuple]]:
     """Run ``chains`` on the walk a resolved ``engine`` names."""
     if engine == "batched":
         return _explore_trie_batched(base, evaluator, space, chains,
-                                     known_records,
-                                     root_state or _root_state(base))
+                                     known_records)
     return _explore_bigint(base, evaluator, space, chains, known_records)
-
-
-# Worker-side state for the process pool: the (folded base, evaluator,
-# engine, chain root, pruning statistics) bundle is shipped once per
-# worker through the initializer instead of once per chain task.
-_WORKER_CONTEXT: dict = {}
-
-
-def _init_chain_worker(base: ArrayCircuit, evaluator: CircuitEvaluator,
-                       engine: str, stats: tuple) -> None:
-    root = _root_state(base) if engine == "batched" else None
-    # Rebuild the PruneSpace worker-side from the shipped statistic
-    # arrays (tau, const_value, phi): both walks derive each step's
-    # prune set from it, so workers never receive per-step force dicts.
-    _WORKER_CONTEXT["args"] = (base, evaluator, engine, root,
-                               PruneSpace(base, *stats))
-
-
-def _run_chain_task(task: tuple) -> list[tuple]:
-    base, evaluator, engine, root, space = _WORKER_CONTEXT["args"]
-    tau_c, _steps = task
-    # Pool workers inherit REPRO_FAULTS through the environment, so a
-    # scheduled worker death ("exit"/"kill") fires here — the parent
-    # sees a broken pool and the supervision path takes over.
-    fault_point("worker.chain", tau=tau_c)
-    # One chain is a one-chain walk: keys, records and row shapes match
-    # the serial walk exactly, so serial == parallel holds row-for-row
-    # (and the record memo keys stay transferable).
-    return _walk(engine, base, evaluator, space, [task], None, root)[0]
 
 
 def assemble_designs(chains: list, chain_rows: list,
@@ -696,8 +655,8 @@ class SupervisionTelemetry(dict):
     — that :meth:`repro.service.jobs.JobReport` reads, while mirroring
     every note into the service metrics registry
     (``pruner.events{kind=...}``) through the lazy bridge, so engine
-    fallbacks, pool respawns, and shard timeouts show up on
-    ``/v1/metrics`` without a second bookkeeping path.  Events fired
+    fallbacks show up on ``/v1/metrics`` without a second bookkeeping
+    path.  Events fired
     under a server request are stamped with its request id.
     """
 
@@ -732,14 +691,6 @@ class NetlistPruner:
         evaluator: stimulus/scoring context; training activity defines
             tau, the test set scores every pruned variant.
         tau_grid: the tau_c sweep (defaults to the paper's 80..99%).
-        n_workers: fan independent tau_c chains across a process pool;
-            ``None``/``0``/``1`` stays serial, and pool failures fall
-            back to the serial path automatically.  Workers run the
-            walk the serial path resolves to, one chain per task.  The
-            pool is regression-tested for serial equivalence; no
-            committed benchmark record has a multi-core number yet.
-            Serial runs additionally share work *across* chains through
-            the trie.
         engine: walk override — ``None`` (default) inherits the
             evaluator's ``engine``.  ``"auto"`` runs the batched trie
             walk where the host supports the compiled word layout;
@@ -747,27 +698,14 @@ class NetlistPruner:
             synthesis and bigint simulation per unique prune set).
             Both return the identical design list.
 
-    A pruner with ``n_workers`` owns one persistent process pool,
-    created on first parallel use and reused across every
-    ``chain_rows()``/``explore()`` call (the service layer's checkpoint
-    shards in particular).  :meth:`close` shuts it down
-    deterministically; the pruner is also a context manager, and a
-    closed pool is simply recreated on the next parallel call.
+    A pruner holds no processes: it walks in the process that calls
+    it, which may be a worker of the framework's family executor.
     """
 
     netlist: ArrayCircuit | Netlist
     evaluator: CircuitEvaluator
     tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
-    n_workers: int | None = None
     engine: str | None = None
-    # Supervision knobs (see ``_run_chains_parallel``): how often a
-    # broken/hung pool is respawned before this call degrades to the
-    # serial path, the base of the capped-exponential backoff between
-    # respawns, and an optional wall-clock budget per chain_rows() call
-    # (the service layer's per-shard timeout).
-    max_retries: int = 2
-    retry_backoff_s: float = 0.1
-    shard_timeout_s: float | None = None
     # Supervision telemetry: per-kind counters plus an ``events`` list
     # of ``{kind, ...}`` dicts, mirrored into the service metrics
     # registry.  The service layer's JobReport reads it directly; it
@@ -777,8 +715,6 @@ class NetlistPruner:
     _space: PruneSpace | None = field(default=None, repr=False)
     _record_memo: dict = field(default_factory=dict, repr=False)
     _base_arrays: ArrayCircuit = field(init=False, repr=False)
-    _pool: ProcessPoolExecutor | None = field(default=None, repr=False)
-    _pool_key: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.engine is not None:
@@ -810,24 +746,20 @@ class NetlistPruner:
         force = self.space().prune_set(tau_c, phi_c)
         return _synthesize_pruned(self._base_arrays, force).to_netlist()
 
-    def explore(self, deduplicate: bool = True,
-                n_workers: int | None = None) -> list[PrunedDesign]:
+    def explore(self, deduplicate: bool = True) -> list[PrunedDesign]:
         """Evaluate the full (tau_c, phi_c) design space.
 
         Identical prune sets arising from different (tau_c, phi_c) pairs
         are evaluated once and recorded as duplicates, so the result list
-        still enumerates the paper's full grid.  The list is identical
-        whether chains run serially or on a worker pool.
+        still enumerates the paper's full grid.
         """
-        chains, rows = self.chain_rows(n_workers=n_workers,
-                                       deduplicate=deduplicate)
+        chains, rows = self.chain_rows(deduplicate=deduplicate)
         return assemble_designs(
             chains, rows,
             deduplicate=deduplicate,
             record_memo=self._record_memo if deduplicate else None)
 
     def chain_rows(self, tau_values: tuple | list | None = None,
-                   n_workers: int | None = None,
                    deduplicate: bool = True) -> tuple[list, list]:
         """Evaluate the chains of a tau subset; the service shard hook.
 
@@ -847,8 +779,6 @@ class NetlistPruner:
         space = self.space()
         if tau_values is None:
             tau_values = self.tau_grid
-        workers = n_workers if n_workers is not None else self.n_workers
-        want_parallel = bool(workers and workers > 1)
         engine = self.resolved_engine()
         chains = [(float(tau_c),
                    [(phi_c, None) for phi_c in space.phi_levels(tau_c)])
@@ -859,13 +789,8 @@ class NetlistPruner:
         walk_start = time.perf_counter()
         with telemetry.span("engine.walk", engine=engine,
                             n_chains=len(chains)):
-            chain_rows = None
-            if want_parallel and len(chains) > 1:
-                chain_rows = self._run_chains_parallel(chains, workers,
-                                                       engine)
-            if chain_rows is None:
-                chain_rows = self._run_chains_serial(chains, space, engine,
-                                                     deduplicate)
+            chain_rows = self._run_chains(chains, space, engine,
+                                          deduplicate)
         telemetry.observe("pruner.chain_walk_ms",
                           (time.perf_counter() - walk_start) * 1e3,
                           engine=engine)
@@ -882,9 +807,9 @@ class NetlistPruner:
             return replace(self.evaluator, engine="bigint")
         return self.evaluator
 
-    def _run_chains_serial(self, chains: list, space: PruneSpace,
-                           engine: str, deduplicate: bool) -> list:
-        """The serial walk, degrading batched → bigint on faults.
+    def _run_chains(self, chains: list, space: PruneSpace, engine: str,
+                    deduplicate: bool) -> list:
+        """The walk, degrading batched → bigint on faults.
 
         Both rungs produce bit-identical records (the repo's core
         equivalence contract), so degrading under an evaluation fault
@@ -905,7 +830,7 @@ class NetlistPruner:
                 self._note("engine_fallbacks", engine=name,
                            to=ladder[rung + 1], error=repr(exc))
                 warnings.warn(
-                    f"serial exploration failed on the {name!r} engine "
+                    f"exploration failed on the {name!r} engine "
                     f"({exc!r}); degrading to {ladder[rung + 1]!r}",
                     RuntimeWarning, stacklevel=4)
         raise AssertionError("unreachable: ladder is never empty")
@@ -913,128 +838,6 @@ class NetlistPruner:
     def _note(self, kind: str, **info) -> None:
         """Record one supervision event (counter + event log)."""
         self.telemetry.note(kind, **info)
-
-    def _pool_executor(self, workers: int,
-                       engine: str) -> ProcessPoolExecutor:
-        """The pruner-owned persistent pool (created on first use).
-
-        One pool serves every parallel ``chain_rows()`` call of this
-        pruner — the per-worker initializer cost (shipping the folded
-        base, evaluator, and pruning statistics) is paid once per pruner
-        instead of once per checkpoint shard.  A configuration change
-        (worker count or engine) retires the old pool first.
-        """
-        key = (int(workers), engine)
-        if self._pool is not None and self._pool_key != key:
-            self.close()
-        if self._pool is None:
-            space = self.space()
-            self._pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_chain_worker,
-                initargs=(self._base_arrays, self._walk_evaluator(engine),
-                          engine,
-                          (space.tau, space.const_value, space.phi)))
-            self._pool_key = key
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the persistent worker pool (idempotent).
-
-        Deterministic teardown for job runners and context-manager use;
-        a later parallel call simply creates a fresh pool.
-        """
-        pool, self._pool, self._pool_key = self._pool, None, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def _kill_pool(self) -> None:
-        """Tear down a broken or hung pool without joining its workers.
-
-        :meth:`close` waits on workers — correct for a healthy pool, a
-        deadlock against a hung one (an injected ``sleep`` fault, a
-        wedged child).  The supervision path cancels what it can,
-        terminates the worker processes, and bounds the join.
-        """
-        pool, self._pool, self._pool_key = self._pool, None, None
-        if pool is None:
-            return
-        processes = getattr(pool, "_processes", None)
-        processes = list(processes.values()) if processes else []
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass  # a broken executor may refuse; we terminate anyway
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-        for process in processes:
-            process.join(timeout=5.0)
-
-    def __enter__(self) -> "NetlistPruner":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _run_chains_parallel(self, chains: list, workers: int,
-                             engine: str) -> list[list[tuple]] | None:
-        """Map chains over the persistent pool; ``None`` → serial fallback.
-
-        Workers run the serial path's walk, one chain per task; the
-        pruning statistics ship once per worker as plain arrays.
-
-        Supervision: a dead pool (``BrokenProcessPool`` from a worker
-        that segfaulted, was OOM-killed, or hit an injected death) or a
-        shard that exceeds ``shard_timeout_s`` kills the pool, respawns
-        it, and retries the whole shard — up to ``max_retries`` times
-        with capped exponential backoff.  Chains are pure functions of
-        their inputs, so a retried shard recomputes the identical rows;
-        when the retries run out the call degrades to the serial path
-        (``None``), which carries its own engine-fallback ladder.
-        Every event lands in :attr:`telemetry`.
-        """
-        attempts = max(0, int(self.max_retries)) + 1
-        delay = max(0.0, float(self.retry_backoff_s))
-        for attempt in range(attempts):
-            try:
-                fault_point("pool.map", attempt=attempt)
-                pool = self._pool_executor(workers, engine)
-                futures = [pool.submit(_run_chain_task, chain)
-                           for chain in chains]
-                if self.shard_timeout_s is None:
-                    return [future.result() for future in futures]
-                deadline = time.monotonic() + float(self.shard_timeout_s)
-                results = []
-                for future in futures:
-                    remaining = deadline - time.monotonic()
-                    results.append(
-                        future.result(timeout=max(0.0, remaining)))
-                return results
-            except Exception as exc:  # pool/pickling/OS limits/timeouts
-                self._kill_pool()
-                if isinstance(exc, FuturesTimeout):
-                    self._note("shard_timeouts",
-                               timeout_s=self.shard_timeout_s)
-                if attempt == attempts - 1:
-                    self._note("serial_fallbacks", error=repr(exc))
-                    warnings.warn(
-                        f"parallel pruning exploration failed after "
-                        f"{attempts} attempt(s) ({exc!r}); falling back "
-                        "to the serial path", RuntimeWarning,
-                        stacklevel=3)
-                    return None
-                self._note("pool_respawns", error=repr(exc),
-                           attempt=attempt)
-                warnings.warn(
-                    f"worker pool failed ({exc!r}); respawning and "
-                    f"retrying the shard "
-                    f"(attempt {attempt + 2}/{attempts})",
-                    RuntimeWarning, stacklevel=3)
-                if delay:
-                    time.sleep(delay)
-                    delay = min(delay * 2.0, 2.0)
-        return None
 
     def explore_legacy(self, deduplicate: bool = True,
                        synthesis: str = "compiled") -> list[PrunedDesign]:

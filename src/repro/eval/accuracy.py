@@ -22,7 +22,7 @@ import numpy as np
 
 from ..hw.area import area_mm2
 from ..hw.bespoke import CLASS_OUTPUT, REGRESSOR_OUTPUT, input_payload
-from ..hw.compiled import pack_stimulus, simulate_many
+from ..hw.compiled import CompiledNetlist, pack_stimulus, simulate_many
 from ..hw.netlist import Netlist
 from ..hw.power import power_mw
 from ..hw.simulate import (
@@ -270,8 +270,10 @@ class CircuitEvaluator:
         — netlists or array circuits — run through
         :func:`~repro.hw.compiled.simulate_many` in chunks of at most
         ``MAX_CHUNK_BYTES`` of value matrix (one circuit runs on its
-        own cached plan, more on their merged plan), and scoring goes
-        through :meth:`evaluate_batch`.  This is the engine behind the
+        own plan, more on their merged plan), and scoring goes through
+        :meth:`evaluate_batch`.  The pass's plans are not cached on the
+        circuits: callers such as the service keep the circuits, and
+        nothing reads the plans again.  This is the engine behind the
         e-sweep's per-``e`` coefficient variants and the cross-layer
         flow's exact+coeff pair.  Falls back to the per-circuit loop
         on the bigint engine, or when the circuits disagree on
@@ -286,7 +288,9 @@ class CircuitEvaluator:
             if {name: len(nets)
                     for name, nets in circ.input_buses.items()} != reference:
                 return [self.evaluate(circ) for circ in circuits]
-        plans = [circ.compiled() for circ in circuits]
+        plans = [CompiledNetlist(circ) if isinstance(circ, Netlist)
+                 else CompiledNetlist.from_arrays(circ)
+                 for circ in circuits]
         n_words = max(1, (n + 63) // 64)
         records: list[EvaluationRecord] = []
         start = 0

@@ -5,8 +5,8 @@ same schedule must fire the same faults at the same sites every run, or
 a green chaos bench is luck, not evidence.  This module provides named
 **fault points** threaded through the service and exploration layers
 (:mod:`repro.service.store`, :mod:`repro.service.jobs`,
-:mod:`repro.service.runner`, and the :mod:`repro.core.pruning` pool
-paths) and a :class:`FaultInjector` that fires scheduled faults at
+:mod:`repro.service.runner`, the :mod:`repro.core.pruning` walk and
+the :mod:`repro.core.cross_layer` family executor) and a :class:`FaultInjector` that fires scheduled faults at
 exact hit counts of those points.
 
 Fault points currently instrumented (grep ``fault_point(`` for the
@@ -24,8 +24,8 @@ site                        where it fires
 ``job.assemble``            before the final design-list assembly
 ``service.request``         as the batch runner starts one request
 ``engine.<name>``           as the serial walk starts on engine ``<name>``
-``worker.chain``            in a pool worker, per chain task (ctx: ``tau``)
-``pool.map``                in the parent, before a parallel shard map
+``worker.family``           in an executor worker, per pruning family
+                            (ctx: ``family``, the family label)
 ``server.accept``           per accepted HTTP connection (ctx: ``peer``)
 ``server.enqueue``          before a request enters the server queue
 ``server.stream``           per streamed result line (ctx: ``index``)
@@ -42,17 +42,18 @@ Schedule grammar (``;``-separated entries)::
 
     store.put_shard:2=err-locked     # 2nd checkpoint write raises locked
     job.shard@index=1:1=kill         # SIGKILL when shard 1 first starts
-    worker.chain@tau=0.95:1=exit     # worker death on that chain
+    worker.family:1=exit             # an executor worker dies
     engine.batched:1=err             # batched walk fails once
     job.shard:1=sleep(5)             # one slow/hung shard
 
 Actions: ``err`` (``RuntimeError``), ``err-locked`` / ``err-busy``
 (``sqlite3.OperationalError``, exercising the store's bounded retry),
-``kill`` (SIGKILL the current process), ``exit`` (``os._exit`` — a pool
-worker dying without cleanup, surfacing as ``BrokenProcessPool`` in the
-parent), ``sleep(s)`` (a slow/hung shard, exercising timeouts), and
-``corrupt`` (overwrite the head of the file named by the fault point's
-``path`` context — a corrupt store, exercising quarantine).
+``kill`` (SIGKILL the current process), ``exit`` (``os._exit`` — an
+executor worker dying without cleanup, surfacing as
+``BrokenProcessPool`` in the parent), ``sleep(s)`` (a slow/hung shard,
+exercising timeouts), and ``corrupt`` (overwrite the head of the file
+named by the fault point's ``path`` context — a corrupt store,
+exercising quarantine).
 
 Network actions (for the ``coord.*`` client sites): ``drop`` (raise
 :class:`NetworkFault` — the request, or its response, vanished),
@@ -65,10 +66,12 @@ real network failures identically.
 
 Enabling: programmatically via :func:`install` (or the
 :func:`installed` context manager), or through the environment —
-``REPRO_FAULTS`` holds the schedule string and propagates to pool
-workers and subprocesses for free.  ``REPRO_FAULTS_STATE`` names a
+``REPRO_FAULTS`` holds the schedule string and propagates to
+subprocesses and to executor workers forked after it was set (workers
+forked earlier keep the environment they forked with, and never see a
+later :func:`install` either).  ``REPRO_FAULTS_STATE`` names a
 directory where fired entries leave a marker file, making every entry
-**one-shot across processes**: a respawned worker or a resumed run sees
+**one-shot across processes**: a fresh worker or a resumed run sees
 the marker and does not re-fire, which is exactly the semantics of a
 real transient fault and what lets recovery runs terminate.
 

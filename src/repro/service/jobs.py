@@ -27,15 +27,12 @@ Every walk keys its rows by the sorted-gate-id byte form, and resumed
 shards load back into it, so stored and freshly-computed shards
 deduplicate against each other whichever engine produced them.
 
-The shard walk fans out across the pruner's process pool when the
-pruner was built with ``n_workers`` — pool workers run the serial
-path's walk (see :class:`~repro.core.pruning.NetlistPruner`), so sharding
-composes with parallelism instead of replacing it.  The pruner owns
-one *persistent* executor reused across every checkpoint shard (the
-per-worker initializer cost is paid once per job, not once per
-shard); :meth:`ExplorationJob.run` shuts it down deterministically on
-the way out.  A one-chain shard still runs serially (a single chain
-has nothing to fan out) — startup overhead only, never correctness.
+A job walks its shards in the process that runs it.  Multi-core work
+runs whole jobs side by side instead: the framework's family executor
+runs one job per pruning family (the store pickles as its path, so a
+worker reopens it), and the lease fleet
+(:mod:`repro.service.leases`) lets several processes drain one grid's
+shards.
 """
 
 from __future__ import annotations
@@ -70,9 +67,8 @@ class JobReport:
 
     ``shards_retried`` counts job-level shard retries (a shard whose
     compute-and-checkpoint raised and was re-walked).  The supervision
-    counters (``pool_respawns``, ``serial_fallbacks``,
-    ``engine_fallbacks``, ``shard_timeouts``, ``fault_events``) are
-    *views* over the pruner's attached
+    fields (``engine_fallbacks``, ``fault_events``) are *views* over
+    the pruner's attached
     :class:`~repro.core.pruning.SupervisionTelemetry` — the same
     registry-backed log that feeds ``/v1/metrics`` — not a second
     hand-copied set of fields.  ``to_dict()`` keys are pinned by the
@@ -89,24 +85,9 @@ class JobReport:
     shards_retried: int = 0
     supervision: dict = field(default_factory=dict)
 
-    def _supervised(self, kind: str) -> int:
-        return int(self.supervision.get(kind, 0))
-
-    @property
-    def pool_respawns(self) -> int:
-        return self._supervised("pool_respawns")
-
-    @property
-    def serial_fallbacks(self) -> int:
-        return self._supervised("serial_fallbacks")
-
     @property
     def engine_fallbacks(self) -> int:
-        return self._supervised("engine_fallbacks")
-
-    @property
-    def shard_timeouts(self) -> int:
-        return self._supervised("shard_timeouts")
+        return int(self.supervision.get("engine_fallbacks", 0))
 
     @property
     def fault_events(self) -> list:
@@ -122,10 +103,7 @@ class JobReport:
             "variants_preloaded": self.variants_preloaded,
             "runtime_s": self.runtime_s,
             "shards_retried": self.shards_retried,
-            "pool_respawns": self.pool_respawns,
-            "serial_fallbacks": self.serial_fallbacks,
             "engine_fallbacks": self.engine_fallbacks,
-            "shard_timeouts": self.shard_timeouts,
             "fault_events": self.fault_events,
         }
 
@@ -167,7 +145,7 @@ class ExplorationJob:
 
     Args:
         pruner: the configured exploration (netlist, evaluator, grid,
-            engine, workers).  The job never changes what is explored —
+            engine).  The job never changes what is explored —
             only how the work is checkpointed and reused.
         store: the content-addressed design store (or a path to one).
         shard_size: tau_c chains per checkpoint shard.
@@ -254,13 +232,8 @@ class ExplorationJob:
             report = JobReport(gkey)
         report.grid_key = gkey
 
-        try:
-            with _span("job.run", grid_key=gkey[:12]):
-                return self._run(resume, on_shard, report, gkey, start)
-        finally:
-            # Deterministic teardown of the pruner-owned persistent
-            # worker pool (idempotent; a later run simply recreates it).
-            self.pruner.close()
+        with _span("job.run", grid_key=gkey[:12]):
+            return self._run(resume, on_shard, report, gkey, start)
 
     def load_shard(self, index: int, taus: tuple) -> tuple[list, list] | None:
         """One checkpointed shard's ``(chains, rows)``, or ``None``.

@@ -155,15 +155,6 @@ class FleetReport:
         }
 
 
-@contextmanager
-def _closing_pruner(job: ExplorationJob):
-    """Deterministic pruner-pool teardown on every fleet-loop exit."""
-    try:
-        yield
-    finally:
-        job.pruner.close()
-
-
 def run_fleet_worker(job: ExplorationJob, worker_id: str,
                      ttl_s: float = DEFAULT_LEASE_TTL_S,
                      poll_s: float = 0.2,
@@ -202,8 +193,7 @@ def run_fleet_worker(job: ExplorationJob, worker_id: str,
     # Claim/renew/reclaim counters live in the store's lease
     # transactions (the only place a reclaim is detectable atomically);
     # this span times the whole drain loop of one worker.
-    with _span("fleet.worker", worker=worker_id, grid_key=gkey[:12]), \
-            _closing_pruner(job):
+    with _span("fleet.worker", worker=worker_id, grid_key=gkey[:12]):
         while True:
             cached = store.get_grid(gkey)
             if cached is not None:

@@ -184,8 +184,7 @@ class ExplorationService:
     and the store deduplicates the evaluations.
     """
 
-    def __init__(self, store: DesignStore | str, n_workers: int | None = None,
-                 engine: str = "auto",
+    def __init__(self, store: DesignStore | str, engine: str = "auto",
                  shard_size: int = DEFAULT_SHARD_SIZE,
                  evaluator_cache: dict | None = None,
                  evaluator_fp_cache: dict | None = None,
@@ -196,7 +195,6 @@ class ExplorationService:
         self.store = DesignStore(store) \
             if isinstance(store, (str, bytes)) or hasattr(store, "__fspath__") \
             else store
-        self.n_workers = n_workers
         self.engine = engine
         self.shard_size = shard_size
         # Evaluators are pure compute contexts (no store state), so a
@@ -380,7 +378,7 @@ class ExplorationService:
         circuit, grid_meta, _hit, _fingerprint = self._netlist(request)
         evaluator = self._evaluator(request.dataset, request.model)
         pruner = NetlistPruner(circuit, evaluator, request.tau_grid,
-                               n_workers=self.n_workers, engine=self.engine)
+                               engine=self.engine)
         return ExplorationJob(pruner, self.store,
                               shard_size=self.shard_size,
                               label=request.name,

@@ -117,7 +117,6 @@ class ServeConfig:
     concurrency: int = 2        # computations running at once
     queue_depth: int = 16       # computations allowed to wait
     retry_after_s: int = 1      # advisory Retry-After on 429
-    n_workers: int | None = None
     shard_size: int = DEFAULT_SHARD_SIZE
     default_tenant: str = "default"
     max_body_bytes: int = 1 << 20
@@ -293,8 +292,7 @@ class ExploreServer:
             store = DesignStore(Path(config.store_root) / f"{tenant}.sqlite",
                                 namespace=namespace)
             service = ExplorationService(
-                store, n_workers=config.n_workers,
-                shard_size=config.shard_size,
+                store, shard_size=config.shard_size,
                 evaluator_cache=self._evaluators,
                 evaluator_fp_cache=self._evaluator_fps,
                 build_cache=self._build_cache)

@@ -554,6 +554,11 @@ class DesignStore:
             self._heal_or_raise(exc)
             self._open_schema()
 
+    def __reduce__(self):
+        # A pickled store is its file and namespace: the process that
+        # unpickles it reopens the file on its own held connection.
+        return type(self), (self.path, self.namespace)
+
     def _open_schema(self) -> None:
         def create(con):
             con.executescript(_SCHEMA)

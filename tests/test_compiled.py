@@ -9,8 +9,8 @@ Three layers are pinned down:
 * the compiled array synthesis engine vs the builder-replay reference —
   gate-for-gate structural identity, with and without forced constants;
 * the incremental/trie pruning exploration vs the legacy per-grid-point
-  loop, and the parallel exploration vs the serial one — identical design
-  lists (records included).
+  loop, and the framework's family executor vs the in-process run —
+  identical design lists (records included).
 """
 
 import numpy as np
@@ -30,6 +30,8 @@ from repro.hw.synthesis import (
     synthesize_arrays,
     synthesize_reference,
 )
+import repro.core.cross_layer as cross_layer
+from repro.core.cross_layer import CrossLayerFramework
 from repro.core.pruning import NetlistPruner
 from repro.ml import LinearSVMRegressor
 from repro.quant import quantize_model
@@ -227,40 +229,6 @@ class TestExplorationEquivalence:
         legacy = NetlistPruner(netlist, evaluator, grid).explore_legacy()
         assert new == legacy
 
-    def test_parallel_explore_matches_serial(self, svm_setup):
-        """The worker-pool fan-out returns the identical design list."""
-        netlist, evaluator = svm_setup
-        grid = (0.90, 0.95, 0.99)
-        serial = NetlistPruner(netlist, evaluator, grid).explore()
-        parallel = NetlistPruner(netlist, evaluator, grid,
-                                 n_workers=2).explore()
-        assert parallel == serial
-
-    def test_parallel_failure_falls_back_to_serial(self, svm_setup,
-                                                   monkeypatch):
-        """A broken pool degrades to the serial path with a warning."""
-        import repro.core.pruning as pruning_module
-
-        def broken_pool(*args, **kwargs):
-            raise OSError("no processes for you")
-
-        monkeypatch.setattr(pruning_module, "ProcessPoolExecutor",
-                            broken_pool)
-        netlist, evaluator = svm_setup
-        grid = (0.95, 0.99)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            designs = NetlistPruner(netlist, evaluator, grid,
-                                    n_workers=2).explore()
-        assert designs == NetlistPruner(netlist, evaluator, grid).explore()
-
-    def test_parallel_bigint_walk_matches_serial(self, svm_setup):
-        """Pool workers run the oracle walk when the pruner selects it."""
-        netlist, evaluator = svm_setup
-        grid = (0.95, 0.99)
-        parallel = NetlistPruner(netlist, evaluator, grid, n_workers=2,
-                                 engine="bigint").explore()
-        assert parallel == NetlistPruner(netlist, evaluator, grid).explore()
-
     def test_bigint_evaluator_still_explores(self, svm_setup):
         """A bigint evaluator runs the oracle walk to the same list."""
         netlist, compiled_eval = svm_setup
@@ -289,3 +257,58 @@ class TestEvaluatorSharing:
             quant, split.X_train, split.X_test, split.y_test)
         record = evaluator.evaluate(netlist)
         assert evaluator.accuracy(netlist) == record.accuracy
+
+
+class TestFamilyExecutor:
+    """``CrossLayerFramework(n_workers=2)`` runs each pruning family as
+    one task on the process-wide executor, to the in-process result."""
+
+    GRID = (0.90, 0.95, 0.99)
+
+    @staticmethod
+    def _points(**kwargs):
+        from repro.experiments.zoo import get_case
+
+        case = get_case("redwine", "svm_r")
+        split = case.split
+        framework = CrossLayerFramework(e=4, clock_ms=case.clock_ms,
+                                        tau_grid=TestFamilyExecutor.GRID,
+                                        **kwargs)
+        return framework.explore(case.quant_model, split.X_train,
+                                 split.X_test, split.y_test).points
+
+    @pytest.mark.parametrize("engine", ["auto", "bigint"])
+    def test_families_match_in_process(self, engine, fresh_executor):
+        serial = self._points(engine=engine)
+        assert {p.technique for p in serial} \
+            == {"exact", "coeff", "prune", "cross"}
+        assert self._points(engine=engine, n_workers=2) == serial
+
+    def test_broken_executor_warns_and_runs_in_process(
+            self, fresh_executor, monkeypatch):
+        def broken_executor(*args, **kwargs):
+            raise OSError("no processes for you")
+
+        monkeypatch.setattr(cross_layer, "ProcessPoolExecutor",
+                            broken_executor)
+        with pytest.warns(RuntimeWarning, match="in process"):
+            points = self._points(n_workers=2)
+        assert points == self._points()
+        assert cross_layer._EXECUTOR is None
+
+    def test_explore_calls_share_one_executor(self, fresh_executor):
+        first = self._points(n_workers=2)
+        executor = cross_layer._EXECUTOR[1]
+        assert self._points(n_workers=2) == first
+        assert cross_layer._EXECUTOR[1] is executor
+
+    def test_one_family_stays_in_process(self, fresh_executor):
+        from repro.experiments.zoo import get_case
+
+        case = get_case("redwine", "svm_r")
+        split = case.split
+        CrossLayerFramework(e=4, clock_ms=case.clock_ms, tau_grid=self.GRID,
+                            n_workers=2).explore(
+            case.quant_model, split.X_train, split.X_test, split.y_test,
+            include=("exact", "prune"))
+        assert cross_layer._EXECUTOR is None

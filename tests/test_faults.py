@@ -8,8 +8,8 @@ Three layers, mirroring the fault machinery itself:
   retry, corrupt files quarantined to ``.corrupt-<n>`` sidecars and
   rebuilt, broken paths explained instead of raw sqlite errors;
 * **supervision** — the exploration survives injected engine failures,
-  shard failures, dead pool workers, and hung chains, and the design
-  list it produces is *identical* to the fault-free run every time
+  shard failures and dead executor workers, and the design list it
+  produces is *identical* to the fault-free run every time
   (the crash-consistency invariant ``benchmarks/bench_faults.py``
   sweeps at scale).
 """
@@ -19,9 +19,12 @@ from __future__ import annotations
 import sqlite3
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import repro.core.cross_layer as cross_layer
+from repro.core.cross_layer import CrossLayerFramework
 from repro.core.pruning import NetlistPruner
 from repro.eval.accuracy import CircuitEvaluator
 from repro.experiments.zoo import get_case
@@ -308,31 +311,41 @@ class TestSupervisedExploration:
             with pytest.raises(FaultError):
                 job.run()
 
-    def test_dead_pool_worker_respawned(self, svm_setup, cold_designs,
-                                        tmp_path, monkeypatch):
-        # The worker dies via os._exit on its first chain; the state
-        # dir's one-shot marker keeps the respawned pool from dying the
-        # same death (exactly a real transient worker crash).
-        state = tmp_path / "fault-state"
-        monkeypatch.setenv(ENV_SCHEDULE, "worker.chain:1=exit")
-        monkeypatch.setenv(ENV_STATE, str(state))
-        job = self._job(svm_setup, tmp_path, n_workers=2,
-                        retry_backoff_s=0.0)
-        report = JobReport("")
-        designs = job.run(report=report)
-        assert designs == cold_designs
-        assert report.pool_respawns >= 1
 
-    def test_hung_chain_times_out_and_recovers(self, svm_setup,
-                                               cold_designs, tmp_path,
-                                               monkeypatch):
-        state = tmp_path / "fault-state"
-        monkeypatch.setenv(ENV_SCHEDULE, "worker.chain:1=sleep(30)")
-        monkeypatch.setenv(ENV_STATE, str(state))
-        job = self._job(svm_setup, tmp_path, n_workers=2,
-                        retry_backoff_s=0.0, shard_timeout_s=1.0)
-        report = JobReport("")
-        designs = job.run(report=report)
-        assert designs == cold_designs
-        assert report.shard_timeouts >= 1
-        assert report.pool_respawns >= 1
+class TestFamilyExecutorFaults:
+    """A dead executor worker: warn, explore in process, start afresh."""
+
+    def test_dead_worker_falls_back_to_serial(self, tmp_path, monkeypatch,
+                                              fresh_executor):
+        case = get_case("redwine", "svm_r")
+        split = case.split
+
+        def points(**kwargs):
+            framework = CrossLayerFramework(e=4, clock_ms=case.clock_ms,
+                                            tau_grid=GRID, **kwargs)
+            return framework.explore(case.quant_model, split.X_train,
+                                     split.X_test, split.y_test).points
+
+        serial = points()
+        made = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(cross_layer, "ProcessPoolExecutor", Recording)
+        # Set before the workers fork (the fixture emptied the slot);
+        # the state dir keeps the exit one-shot across processes.
+        monkeypatch.setenv(ENV_SCHEDULE, "worker.family:1=exit")
+        monkeypatch.setenv(ENV_STATE, str(tmp_path / "fault-state"))
+        with pytest.warns(RuntimeWarning, match="family executor failed"):
+            assert points(n_workers=2) == serial
+        assert cross_layer._EXECUTOR is None
+        assert len(made) == 1
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert points(n_workers=2) == serial
+        assert len(made) == 2
+        assert cross_layer._EXECUTOR[1] is made[1]

@@ -7,10 +7,6 @@ The contract under test (see the "Identity contract" section of
 and a store hit equals a fresh compute.  It is the only mode; no layer
 takes an ``identity`` option any more.  The engine selector is
 ``"auto"`` or ``"bigint"``; every other name is rejected.
-
-Plus the persistent pruner-owned executor: one process pool reused
-across ``chain_rows``/``explore`` calls, deterministic shutdown, and
-serial fallback preserved.
 """
 
 import dataclasses
@@ -271,46 +267,3 @@ class TestRandomNetlistIdentity:
         assert pruner.netlist.n_gates < nl.n_gates
         assert NetlistPruner(pruner.netlist, evaluator,
                              RANDOM_GRID).netlist is pruner.netlist
-
-
-class TestPersistentExecutor:
-    def test_pool_is_reused_across_calls(self, svm_setup):
-        netlist, make_evaluator = svm_setup
-        pruner = NetlistPruner(netlist, make_evaluator(), GRID, n_workers=2)
-        try:
-            pruner.chain_rows(GRID[:2])
-            first = pruner._pool
-            pruner.chain_rows(GRID[2:])
-            assert first is not None
-            assert pruner._pool is first  # one pool, many shards
-        finally:
-            pruner.close()
-        assert pruner._pool is None
-
-    def test_close_is_idempotent_and_pool_recreates(self, svm_setup):
-        netlist, make_evaluator = svm_setup
-        pruner = NetlistPruner(netlist, make_evaluator(), (0.9, 0.95),
-                               n_workers=2)
-        try:
-            designs = pruner.explore()
-            pruner.close()
-            pruner.close()  # idempotent
-            assert pruner._pool is None
-            assert pruner.explore() == designs  # fresh pool, same list
-        finally:
-            pruner.close()
-
-    def test_context_manager_closes(self, svm_setup):
-        netlist, make_evaluator = svm_setup
-        with NetlistPruner(netlist, make_evaluator(), (0.9, 0.95),
-                           n_workers=2) as pruner:
-            result = pruner.explore()
-        assert pruner._pool is None
-        assert result == NetlistPruner(netlist, make_evaluator(),
-                                       (0.9, 0.95)).explore()
-
-    def test_serial_pruner_never_builds_a_pool(self, svm_setup):
-        netlist, make_evaluator = svm_setup
-        pruner = NetlistPruner(netlist, make_evaluator(), (0.9,))
-        pruner.explore()
-        assert pruner._pool is None

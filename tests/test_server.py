@@ -53,8 +53,7 @@ REQ = {"dataset": "redwine", "model": "svm_r", "base": "coeff",
 # Pinned line schemas: the served wire format is the batch runner's.
 REPORT_KEYS = {"grid_key", "n_shards", "shards_loaded", "shards_computed",
                "grid_hit", "variants_preloaded", "runtime_s",
-               "shards_retried", "pool_respawns", "serial_fallbacks",
-               "engine_fallbacks", "shard_timeouts", "fault_events"}
+               "shards_retried", "engine_fallbacks", "fault_events"}
 REQUEST_KEYS = {"type", "index", "dataset", "model", "base", "label",
                 "tau_grid_points", "n_designs"} | REPORT_KEYS
 DESIGN_KEYS = {"type", "index", "tau_c", "phi_c", "n_pruned",

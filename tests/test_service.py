@@ -25,10 +25,13 @@ import sqlite3
 import subprocess
 import sys
 import threading
+import warnings
 
 import pytest
 
+import repro.core.cross_layer as cross_layer
 from repro.cli import main as cli_main
+from repro.core.cross_layer import CrossLayerFramework
 from repro.core.pruning import (
     NetlistPruner,
     prune_key_bytes,
@@ -574,23 +577,40 @@ class TestStoreConnections:
 
 
 class TestWorkerBatchedEngine:
-    def test_parallel_batched_matches_legacy_oracle(self, svm_setup):
-        """Pool workers on the batched walk reproduce the seed oracle."""
-        netlist, evaluator = svm_setup
-        grid = (0.90, 0.95, 0.99)
-        parallel = NetlistPruner(netlist, evaluator, grid,
-                                 n_workers=2, engine="auto").explore()
-        legacy = NetlistPruner(netlist, evaluator, grid).explore_legacy()
-        assert parallel == legacy
+    """Store-backed families on the framework's executor: each worker
+    reopens the store and runs its family's resumable job."""
 
-    def test_parallel_job_matches_cold(self, svm_setup, cold_designs,
-                                       tmp_path):
-        netlist, evaluator = svm_setup
+    @staticmethod
+    def _run(method, store=None, **kwargs):
+        case = get_case("redwine", "svm_r")
+        split = case.split
+        framework = CrossLayerFramework(e=4, clock_ms=case.clock_ms,
+                                        tau_grid=GRID, store=store, **kwargs)
+        extra = {"e_values": (1, 2, 3), "include": ("coeff", "cross")} \
+            if method == "sweep_e" else {}
+        return getattr(framework, method)(
+            case.quant_model, split.X_train, split.X_test, split.y_test,
+            **extra).points
+
+    @pytest.mark.parametrize("method", ["explore", "sweep_e"])
+    def test_store_backed_families_match_serial(self, method, tmp_path,
+                                                fresh_executor,
+                                                monkeypatch):
+        serial = self._run(method)
         store = DesignStore(tmp_path / "store.sqlite")
-        job = ExplorationJob(
-            NetlistPruner(netlist, evaluator, GRID, n_workers=2),
-            store, shard_size=2)
-        assert job.run() == cold_designs
+        assert self._run(method, store, n_workers=2) == serial
+
+        # The warm re-run is all grid hits: workers forked after this
+        # patch would fail any walk, and a failed executor warns.
+        cross_layer._drop_executor()
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a warm family walked its grid")
+
+        monkeypatch.setattr(NetlistPruner, "chain_rows", no_walk)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert self._run(method, store, n_workers=2) == serial
 
 
 class TestServiceRunner:
@@ -884,6 +904,17 @@ class TestESweep:
         assert len(encoded) == len(e_values)
         assert len({id(circuit) for circuit in encoded}) == len(e_values)
         assert all(isinstance(c, ArrayCircuit) for c in encoded)
+
+    def test_coeff_sweep_caches_no_plan_on_kept_circuits(self, tmp_path):
+        """Scoring a radius leaves no simulation plan on the circuit the
+        service keeps for it: nothing reads that plan again."""
+        service = ExplorationService(tmp_path / "plans.sqlite")
+        service.sweep(_sweep_request(), tuple(range(1, 11)),
+                      include_cross=False)
+        kept = [entry[0] for entry in service._netlists.values()]
+        assert len(kept) == 10
+        assert [c for c in kept if getattr(c, "_plan", None) is not None
+                or "_compiled_plan" in getattr(c, "__dict__", {})] == []
 
     def test_serving_builds_no_netlist(self, sweep_service, monkeypatch):
         """Serving radii e=1..4 of one circuit, plus a second grid on

@@ -272,8 +272,7 @@ class TestInertness:
         assert set(report.to_dict()) == {
             "grid_key", "n_shards", "shards_loaded", "shards_computed",
             "grid_hit", "variants_preloaded", "runtime_s",
-            "shards_retried", "pool_respawns", "serial_fallbacks",
-            "engine_fallbacks", "shard_timeouts", "fault_events"}
+            "shards_retried", "engine_fallbacks", "fault_events"}
 
 
 @asynccontextmanager
