@@ -157,7 +157,12 @@ def compute_phi(circuit: ArrayCircuit | Netlist,
 @dataclass(frozen=True)
 class PruneSpace:
     """Precomputed pruning statistics over one base circuit (a pruner's
-    folded base)."""
+    folded base).
+
+    A space depends only on that base and the training stimulus, so
+    any number of pruners over the same base, whatever their tau grids,
+    may share one: the service keeps one per served base.
+    """
 
     netlist: ArrayCircuit | Netlist
     tau: np.ndarray
@@ -233,11 +238,17 @@ def prune_key_bytes(ids) -> bytes:
 def _fold_base(circuit: ArrayCircuit | Netlist) -> tuple[ArrayCircuit, bool]:
     """``circuit`` folded and stripped, and whether that changed any row.
 
-    A :class:`Netlist` is converted here, once.  The folded base is the
-    circuit a pruner prunes: its training activity, prune space, every
-    walk and the legacy oracle name its gates.  Bespoke circuits come
-    out of their builders already folded, so their rows stay the same.
+    The folded base is the circuit a pruner prunes: its training
+    activity, prune space, every walk and the legacy oracle name its
+    gates.  A circuit marked ``folded`` (every array-builder base, and
+    any :func:`~repro.hw.synthesis.synthesize_arrays` output) is
+    returned as is: its fold would rebuild the same rows.  A
+    :class:`Netlist` is converted here, once; it and any unmarked
+    :class:`ArrayCircuit` (``from_netlist`` output, a decoded store
+    hit) are folded, and their rows compared.
     """
+    if isinstance(circuit, ArrayCircuit) and circuit.folded:
+        return circuit, False
     raw = ArrayCircuit.from_netlist(circuit)[0] \
         if isinstance(circuit, Netlist) else circuit
     folded = synthesize_arrays(raw)[0]
@@ -685,9 +696,12 @@ class NetlistPruner:
         netlist: base circuit (exact or coefficient-approximated —
             the cross-layer flow runs both), an
             :class:`~repro.hw.synthesis.ArrayCircuit` or a
-            :class:`Netlist`.  The pruner folds and strips it once at
-            construction and prunes only that private fold output; a
-            raw base is replaced here by its folded form.
+            :class:`Netlist`.  A base marked ``folded`` (every
+            array-builder circuit) is pruned as is: the pruner reads
+            the caller's circuit and caches no plan on it.  Any other
+            base is folded and stripped once at construction, and the
+            pruner prunes that private fold output; a raw base is
+            replaced here by its folded form.
         evaluator: stimulus/scoring context; training activity defines
             tau, the test set scores every pruned variant.
         tau_grid: the tau_c sweep (defaults to the paper's 80..99%).
@@ -700,6 +714,11 @@ class NetlistPruner:
 
     A pruner holds no processes: it walks in the process that calls
     it, which may be a worker of the framework's family executor.
+
+    ``_space`` takes a :class:`PruneSpace` already built over this
+    base's fold output (``space.netlist``); the pruner then skips the
+    training simulation and phi.  The service prepares each base once
+    this way and hands the space to every later job on it.
     """
 
     netlist: ArrayCircuit | Netlist
@@ -721,8 +740,9 @@ class NetlistPruner:
             check_engine(self.engine)
         # Fold and strip the base once, here: a raw base's gate ids name
         # logic the folding walks never see.  Everything after this
-        # reads the private fold output, so no plan the pruner builds is
-        # cached on a circuit the caller keeps alive.
+        # reads the fold output, which is the caller's circuit when it
+        # came marked ``folded``: the training pass and the walks build
+        # plans of their own, so none is cached on it.
         self._base_arrays, changed = _fold_base(self.netlist)
         if changed:
             self.netlist = self._base_arrays

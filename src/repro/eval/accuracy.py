@@ -118,6 +118,14 @@ class EvaluationRecord:
                                 int(data["n_gates"]))
 
 
+def _uncached_plan(circ) -> CompiledNetlist:
+    """A fresh evaluation plan of a netlist or array circuit, cached on
+    neither: for passes whose plan nothing reads again."""
+    if isinstance(circ, Netlist):
+        return CompiledNetlist(circ)
+    return CompiledNetlist.from_arrays(circ)
+
+
 @dataclass
 class CircuitEvaluator:
     """Reusable stimulus/scoring context for one model-dataset pair.
@@ -213,8 +221,16 @@ class CircuitEvaluator:
         return simulate(nl, self.test_inputs, engine="bigint")
 
     def train_activity(self, nl: Netlist) -> ActivityReport:
-        """Training-set switching activity (the pruning SAIF input)."""
-        return simulate(nl, self.train_inputs, engine=self.engine).activity()
+        """Training-set switching activity (the pruning SAIF input).
+
+        Simulates on a plan of its own, as :meth:`evaluate_many` does:
+        a pruner's base may be the caller's circuit, and no plan is
+        left cached on it.
+        """
+        if self.resolved_engine() == "batched":
+            n, arrays = _validate_inputs(nl, self.train_inputs)
+            return _uncached_plan(nl).simulate(arrays, n).activity()
+        return simulate(nl, self.train_inputs, engine="bigint").activity()
 
     def evaluate(self, nl: Netlist) -> EvaluationRecord:
         """Accuracy, area, and power of one netlist variant."""
@@ -288,9 +304,7 @@ class CircuitEvaluator:
             if {name: len(nets)
                     for name, nets in circ.input_buses.items()} != reference:
                 return [self.evaluate(circ) for circ in circuits]
-        plans = [CompiledNetlist(circ) if isinstance(circ, Netlist)
-                 else CompiledNetlist.from_arrays(circ)
-                 for circ in circuits]
+        plans = [_uncached_plan(circ) for circ in circuits]
         n_words = max(1, (n + 63) // 64)
         records: list[EvaluationRecord] = []
         start = 0

@@ -299,8 +299,10 @@ class ArrayEmitter(RowFolder):
         return circ
 
     def finish_synthesized(self) -> ArrayCircuit:
-        """Strip dead gates off the emitted (already-folded) rows."""
+        """Strip dead gates off the emitted (already-folded) rows; the
+        result is marked ``folded``."""
         stripped, _node_map = _strip_arrays(self.finish())
+        stripped.folded = True
         return stripped
 
 

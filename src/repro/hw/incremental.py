@@ -64,8 +64,9 @@ class IncrementalCircuit(FoldRules):
 
     __slots__ = ("n_fixed", "ops", "ina", "inb", "inc", "level", "alive",
                  "rc", "fanout", "fanout_owned", "cse", "inv_of", "forward",
-                 "outputs", "signed", "input_buses", "n_live", "_work",
-                 "_ops_np", "shared", "_slot", "_created", "_pending")
+                 "outputs", "out_nodes", "signed", "input_buses", "n_live",
+                 "_work", "_ops_np", "shared", "_slot", "_created",
+                 "_pending")
 
     # ------------------------------------------------------------------
     # Construction
@@ -127,11 +128,15 @@ class IncrementalCircuit(FoldRules):
         self.inv_of = inv_of
         self.forward = {}
         self.outputs = {nm: list(nodes) for nm, nodes in circ.outputs.items()}
+        # The nodes driving output bits: a replacement scans the buses
+        # only when it retires one of them.
+        self.out_nodes = set()
         self.signed = dict(circ.signed)
         self.input_buses = circ.input_buses
         for nodes in self.outputs.values():
             for node in nodes:
                 rc[node] += 1
+            self.out_nodes.update(nodes)
         self._work = 0
         self._ops_np = None
         return self
@@ -160,6 +165,7 @@ class IncrementalCircuit(FoldRules):
         other.shared = bytearray(self.shared)
         other.forward = dict(self.forward)
         other.outputs = {nm: list(n) for nm, n in self.outputs.items()}
+        other.out_nodes = set(self.out_nodes)
         other.signed = dict(self.signed)
         other.input_buses = self.input_buses
         other._work = 0
@@ -422,12 +428,16 @@ class IncrementalCircuit(FoldRules):
                 self._raise_level(slot)
             pending.append(slot)
         # Output buses referencing the old signal follow it.
-        for nodes in self.outputs.values():
-            for i, node in enumerate(nodes):
-                if node == old:
-                    nodes[i] = new
-                    rc[old] -= 1
-                    rc[new] += 1
+        out_nodes = self.out_nodes
+        if old in out_nodes:
+            out_nodes.discard(old)
+            out_nodes.add(new)
+            for nodes in self.outputs.values():
+                for i, node in enumerate(nodes):
+                    if node == old:
+                        nodes[i] = new
+                        rc[old] -= 1
+                        rc[new] += 1
         if old >= n_fixed:
             slot = old - n_fixed
             if self.alive[slot] and rc[old] == 0:

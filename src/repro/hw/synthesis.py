@@ -204,11 +204,18 @@ class ArrayCircuit:
     prunes it directly; :meth:`to_netlist` exists for consumers that
     need the full builder IR.  Pruning watch buses live in ``watch``
     (node ids), never in ``meta``.
+
+    ``folded`` marks a circuit already at the fold fixpoint: a fold and
+    strip of it would rebuild the very same rows.  Only the passes that
+    land there set it (:func:`synthesize_arrays` and the array
+    builder's :meth:`~repro.hw.array_builder.ArrayEmitter.
+    finish_synthesized`), and a marked circuit's rows are never
+    mutated afterwards; the pruner takes such a base as is.
     """
 
     __slots__ = ("name", "input_buses", "n_fixed", "ops", "ina", "inb",
                  "inc", "levels", "outputs", "signed", "meta", "watch",
-                 "_plan", "_gate_type", "__weakref__")
+                 "folded", "_plan", "_gate_type", "__weakref__")
 
     def __init__(self) -> None:
         self.input_buses: dict[str, list[int]] = {}
@@ -223,6 +230,7 @@ class ArrayCircuit:
         self.levels: list[int] | None = None
         self.meta: dict = {}
         self.watch: list[list[int]] | None = None
+        self.folded = False
         self._plan = None
         self._gate_type: list[str] | None = None
 
@@ -464,6 +472,7 @@ def synthesize_arrays(circ: ArrayCircuit,
     """
     current, total_map, _ = _fold_arrays(circ, force_by_node or None)
     current, step_map = _strip_arrays(current)
+    current.folded = True
     return current, _compose(total_map, step_map)
 
 

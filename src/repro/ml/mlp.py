@@ -21,25 +21,54 @@ __all__ = ["MLPClassifier", "MLPRegressor"]
 
 
 class _AdamState:
-    """Per-parameter Adam moment estimates."""
+    """Adam moment estimates over one flat parameter buffer."""
 
-    def __init__(self, shapes: list[tuple[int, ...]]) -> None:
-        self.m = [np.zeros(shape) for shape in shapes]
-        self.v = [np.zeros(shape) for shape in shapes]
+    def __init__(self, size: int) -> None:
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._num = np.empty(size)
+        self._den = np.empty(size)
         self.t = 0
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray],
-             lr: float, beta1: float = 0.9, beta2: float = 0.999,
+    def step(self, params: np.ndarray, grads: np.ndarray, lr: float,
+             beta1: float = 0.9, beta2: float = 0.999,
              eps: float = 1e-8) -> None:
+        """Update the flat ``params`` in place from the flat ``grads``.
+
+        In-place ufuncs in the textbook update's operation order
+        (``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g``,
+        ``p -= lr*m_hat / (sqrt(v_hat) + eps)``): every element rounds
+        exactly as a per-array update would round it.
+        """
         self.t += 1
         correction1 = 1.0 - beta1 ** self.t
         correction2 = 1.0 - beta2 ** self.t
-        for index, (param, grad) in enumerate(zip(params, grads)):
-            self.m[index] = beta1 * self.m[index] + (1.0 - beta1) * grad
-            self.v[index] = beta2 * self.v[index] + (1.0 - beta2) * grad * grad
-            m_hat = self.m[index] / correction1
-            v_hat = self.v[index] / correction2
-            param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m, v, num, den = self.m, self.v, self._num, self._den
+        m *= beta1
+        np.multiply(grads, 1.0 - beta1, out=num)
+        m += num
+        v *= beta2
+        np.multiply(grads, 1.0 - beta2, out=den)
+        den *= grads
+        v += den
+        np.divide(m, correction1, out=num)
+        num *= lr
+        np.divide(v, correction2, out=den)
+        np.sqrt(den, out=den)
+        den += eps
+        num /= den
+        params -= num
+
+
+def _flat_views(buffer: np.ndarray, shapes: list[tuple]) -> list[np.ndarray]:
+    """Consecutive views of ``buffer`` shaped as ``shapes``."""
+    views = []
+    offset = 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(buffer[offset:offset + size].reshape(shape))
+        offset += size
+    return views
 
 
 class _BaseMLP(BaseEstimator):
@@ -78,21 +107,28 @@ class _BaseMLP(BaseEstimator):
         rng = np.random.default_rng(self.seed)
         n_outputs = self._n_outputs(y)
         layer_sizes = [X.shape[1], *self.hidden_layer_sizes, n_outputs]
-        self.coefs_: list[np.ndarray] = []
-        self.intercepts_: list[np.ndarray] = []
-        for index, (fan_in, fan_out) in enumerate(
-                zip(layer_sizes, layer_sizes[1:])):
+        pairs = list(zip(layer_sizes, layer_sizes[1:]))
+        # Every parameter lives in one flat buffer (coefficients, then
+        # intercepts), so one Adam step is a handful of whole-buffer
+        # ufuncs; ``coefs_``/``intercepts_`` are views into it.
+        shapes = pairs + [(fan_out,) for _fan_in, fan_out in pairs]
+        params = np.empty(sum(int(np.prod(shape)) for shape in shapes))
+        views = _flat_views(params, shapes)
+        self.coefs_: list[np.ndarray] = views[:len(pairs)]
+        self.intercepts_: list[np.ndarray] = views[len(pairs):]
+        for index, (fan_in, fan_out) in enumerate(pairs):
             bound = np.sqrt(2.0 / fan_in)  # He initialization for ReLU
-            self.coefs_.append(rng.normal(0.0, bound, size=(fan_in, fan_out)))
-            is_hidden = index < len(layer_sizes) - 2
+            self.coefs_[index][...] = rng.normal(0.0, bound,
+                                                 size=(fan_in, fan_out))
+            is_hidden = index < len(pairs) - 1
             # Hidden units start slightly positive so the [0, 1]-normalized
             # inputs cannot kill every ReLU at initialization.
-            self.intercepts_.append(
-                np.full(fan_out, 0.1) if is_hidden else np.zeros(fan_out))
+            self.intercepts_[index][...] = 0.1 if is_hidden else 0.0
 
         targets = self._targets(y, n_outputs)
-        params = self.coefs_ + self.intercepts_
-        adam = _AdamState([param.shape for param in params])
+        grads = np.empty_like(params)
+        grad_views = _flat_views(grads, shapes)
+        adam = _AdamState(params.size)
         best_loss = np.inf
         stale_epochs = 0
         n = len(X)
@@ -103,7 +139,8 @@ class _BaseMLP(BaseEstimator):
             epoch_loss = 0.0
             for start in range(0, n, batch):
                 chunk = order[start:start + batch]
-                loss, grads = self._loss_and_grads(X[chunk], targets[chunk])
+                loss = self._loss_and_grads(X[chunk], targets[chunk],
+                                            grad_views)
                 epoch_loss += loss * len(chunk)
                 adam.step(params, grads, self.lr)
             epoch_loss /= n
@@ -121,8 +158,10 @@ class _BaseMLP(BaseEstimator):
     def _post_fit(self) -> None:
         """Hook for subclasses to adjust learned parameters after training."""
 
-    def _loss_and_grads(self, X: np.ndarray, targets: np.ndarray
-                        ) -> tuple[float, list[np.ndarray]]:
+    def _loss_and_grads(self, X: np.ndarray, targets: np.ndarray,
+                        grads: list[np.ndarray]) -> float:
+        """The batch loss; dL/dparams land in ``grads`` (views ordered
+        like ``coefs_ + intercepts_``)."""
         activations = [X]
         for layer in range(len(self.coefs_) - 1):
             pre = activations[-1] @ self.coefs_[layer] + self.intercepts_[layer]
@@ -130,16 +169,16 @@ class _BaseMLP(BaseEstimator):
         logits = activations[-1] @ self.coefs_[-1] + self.intercepts_[-1]
         loss, delta = self._output_grad(logits, targets)
 
-        coef_grads: list[np.ndarray] = [None] * len(self.coefs_)
-        bias_grads: list[np.ndarray] = [None] * len(self.coefs_)
-        for layer in range(len(self.coefs_) - 1, -1, -1):
-            coef_grads[layer] = (activations[layer].T @ delta
-                                 + self.alpha * self.coefs_[layer])
-            bias_grads[layer] = delta.sum(axis=0)
+        n_layers = len(self.coefs_)
+        for layer in range(n_layers - 1, -1, -1):
+            coef_grad = grads[layer]
+            np.matmul(activations[layer].T, delta, out=coef_grad)
+            coef_grad += self.alpha * self.coefs_[layer]
+            np.sum(delta, axis=0, out=grads[n_layers + layer])
             if layer > 0:
                 delta = (delta @ self.coefs_[layer].T) * (activations[layer] > 0)
         l2 = 0.5 * self.alpha * sum(float(np.sum(c * c)) for c in self.coefs_)
-        return loss + l2, coef_grads + bias_grads
+        return loss + l2
 
     def _forward(self, X: np.ndarray) -> np.ndarray:
         hidden = np.asarray(X, dtype=float)
@@ -211,9 +250,9 @@ class MLPRegressor(_BaseMLP):
         return (y - self._y_mean) / self._y_std
 
     def _post_fit(self) -> None:
-        self.coefs_[-1] = self.coefs_[-1] * self._y_std
-        self.intercepts_[-1] = (self.intercepts_[-1] * self._y_std
-                                + self._y_mean)
+        self.coefs_[-1] *= self._y_std
+        self.intercepts_[-1] *= self._y_std
+        self.intercepts_[-1] += self._y_mean
 
     def _output_grad(self, logits, targets):
         diff = logits - targets

@@ -26,13 +26,17 @@ from __future__ import annotations
 
 import json
 import numbers
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from ..core.multiplier_area import default_library
 from ..core.coeff_approx import CoefficientApproximator
 from ..core.cross_layer import DEFAULT_E_SWEEP
-from ..core.pruning import DEFAULT_TAU_GRID, NetlistPruner, PrunedDesign
+from ..core.pruning import (DEFAULT_TAU_GRID, NetlistPruner, PrunedDesign,
+                            PruneSpace)
 from ..eval.accuracy import CircuitEvaluator
 from ..hw.bespoke import build_bespoke_circuit
 from .faults import fault_point
@@ -57,6 +61,73 @@ __all__ = ["ExploreRequest", "ExplorationService", "render_request"]
 
 _BASES = ("exact", "coeff")
 _DEFAULT_E = 4  # the paper's fixed coefficient search radius
+
+# Entries of each base cache: a service's prepared bases and the serve
+# front-end's shared builds.  A prepared coefficient base of the bench
+# circuits holds ~0.2-0.3 MB (circuit plus prune space).  A sweep needs
+# its 10 radii at once; serving 5 circuits radius after radius (the
+# 400 fresh serve_mixed keys) missed 54 times at 8 to 16 entries, 50
+# times unbounded and 221 times at 4.
+BASE_CACHE_SIZE = 16
+
+
+class BoundedCache:
+    """A thread-safe mapping of at most ``size`` entries.
+
+    A read or write makes its key the most recently used one; a write
+    past ``size`` drops the least recently used entries and counts them
+    on ``metric{result=evict}``.  Pool threads share one instance.
+    """
+
+    def __init__(self, size: int, metric: str) -> None:
+        self.size = size
+        self.metric = metric
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, default=None):
+        with self._lock:
+            if key not in self._entries:
+                return default
+            self._entries.move_to_end(key)
+            return self._entries[key]
+
+    def __setitem__(self, key, value) -> None:
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            evicted = len(self._entries) - self.size
+            for _ in range(evicted):
+                self._entries.popitem(last=False)
+        if evicted > 0:
+            _metric(self.metric, evicted, result="evict")
+
+    def __contains__(self, key) -> bool:
+        with self._lock:
+            return key in self._entries
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def values(self) -> list:
+        with self._lock:
+            return list(self._entries.values())
+
+
+class _Base(NamedTuple):
+    """One served pruning base, prepared once per service.
+
+    ``space`` stays ``None`` until a job on the base built its prune
+    space; every later job takes it, and prunes ``space.netlist``
+    (the folded base) without refolding or retraining.
+    """
+
+    circuit: object
+    grid_meta: dict
+    store_hit: bool
+    fingerprint: str
+    space: PruneSpace | None = None
 
 
 @dataclass(frozen=True)
@@ -178,10 +249,13 @@ def render_request(index: int, request: ExploreRequest,
 class ExplorationService:
     """Store-backed exploration server for many circuits and grids.
 
-    One service owns one :class:`~repro.service.store.DesignStore` and a
-    per-process cache of prepared (netlist, evaluator) pairs, so a batch
-    touching the same circuit under several grids trains/builds it once
-    and the store deduplicates the evaluations.
+    One service owns one :class:`~repro.service.store.DesignStore`, a
+    per-process cache of evaluators, and a bounded cache of prepared
+    pruning bases (``BASE_CACHE_SIZE`` entries, least recently used out
+    first).  A base is built (or decoded) once, and the first job on it
+    keeps its prune space — folded base, training activity and phi — so
+    every later grid on that base only walks; the store deduplicates
+    the evaluations.  An evicted base is rebuilt on its next request.
     """
 
     def __init__(self, store: DesignStore | str, engine: str = "auto",
@@ -210,8 +284,8 @@ class ExplorationService:
         # like the evaluator caches: a cold miss builds once per process
         # even when the tenants' stores differ.  None disables sharing
         # (and the build.cache metric) without changing results.
-        self._build_cache: dict | None = build_cache
-        self._netlists: dict[tuple, tuple] = {}
+        self._build_cache = build_cache
+        self._netlists = BoundedCache(BASE_CACHE_SIZE, "service.bases")
         self._base_keys: dict[tuple, str] = {}
 
     def _evaluator(self, dataset: str, model: str) -> CircuitEvaluator:
@@ -235,7 +309,11 @@ class ExplorationService:
         return evaluator
 
     def _netlist(self, request: ExploreRequest) -> tuple:
-        """``(circuit, grid_meta, store_hit, fingerprint)`` for a base.
+        """``(circuit, grid_meta, store_hit, fingerprint)`` for a base."""
+        return tuple(self._prepared(request)[:4])
+
+    def _prepared(self, request: ExploreRequest) -> _Base:
+        """The request's prepared base (:class:`_Base`), cached.
 
         ``coeff`` bases route through the store's coefficient cache
         *and* coefficient-netlist table: a warm request skips the area
@@ -246,10 +324,12 @@ class ExplorationService:
         any surviving grid was explored on it.  ``fingerprint`` is the
         circuit's netlist fingerprint, computed once here.
         """
-        key = (request.dataset, request.model, request.base, request.e)
+        key = self._base_cache_key(request)
         cached = self._netlists.get(key)
         if cached is not None:
+            _metric("service.bases", result="hit")
             return cached
+        _metric("service.bases", result="miss")
         from ..experiments.zoo import get_case  # heavy import, deferred
         case = get_case(request.dataset, request.model)
         model = case.quant_model
@@ -269,8 +349,9 @@ class ExplorationService:
             circuit, hit = self._exact_netlist(model, name)
             fingerprint = netlist_fingerprint(circuit)
             grid_meta = {}
-        self._netlists[key] = (circuit, grid_meta, hit, fingerprint)
-        return self._netlists[key]
+        base = _Base(circuit, grid_meta, hit, fingerprint)
+        self._netlists[key] = base
+        return base
 
     def _exact_netlist(self, model, name: str) -> tuple:
         """``(circuit, hit)`` for an exact base, via the shared cache.
@@ -303,7 +384,12 @@ class ExplorationService:
         return cached
 
     def _base_cache_key(self, request: ExploreRequest) -> tuple:
-        return (request.dataset, request.model, request.base, request.e)
+        """The base a request names: a coefficient base without ``e``
+        is the one at the paper's radius, ``e=4``."""
+        e = request.e
+        if request.base == "coeff" and e is None:
+            e = _DEFAULT_E
+        return (request.dataset, request.model, request.base, e)
 
     def _base_key(self, request: ExploreRequest) -> str:
         """The request's base fingerprint, without a netlist if possible.
@@ -330,7 +416,7 @@ class ExplorationService:
             netlist_fp = self.store.get_coeff_netlist_fingerprint(
                 coeff_netlist_key(model, approximator))
         if netlist_fp is None:
-            netlist_fp = self._netlist(request)[3]
+            netlist_fp = self._prepared(request).fingerprint
         base_key = base_fingerprint_from_parts(
             netlist_fp, self._evaluator_fp(request.dataset, request.model),
             namespace=self.store.namespace)
@@ -371,19 +457,30 @@ class ExplorationService:
     def job(self, request: ExploreRequest) -> ExplorationJob:
         """The resumable job a request maps to (exposes its content key).
 
-        The pruner takes the cached circuit as built and walks its own
-        folded copy, so ``_netlists`` keeps one compact circuit per key
-        and no walk's plans outlive the job.
+        A base some earlier job prepared hands its prune space to the
+        pruner, which then prunes the space's folded base with no fold,
+        training pass or phi of its own.  No walk's plans outlive the
+        job: the pruner caches none on the kept circuits.
         """
-        circuit, grid_meta, _hit, _fingerprint = self._netlist(request)
+        base = self._prepared(request)
+        circuit = base.circuit if base.space is None else base.space.netlist
         evaluator = self._evaluator(request.dataset, request.model)
         pruner = NetlistPruner(circuit, evaluator, request.tau_grid,
-                               engine=self.engine)
+                               engine=self.engine, _space=base.space)
         return ExplorationJob(pruner, self.store,
                               shard_size=self.shard_size,
                               label=request.name,
-                              grid_meta=grid_meta,
+                              grid_meta=base.grid_meta,
                               base_fp=self._base_key(request))
+
+    def _keep_space(self, request: ExploreRequest,
+                    pruner: NetlistPruner) -> None:
+        """Keep the prune space a job built, for later jobs on its base."""
+        key = self._base_cache_key(request)
+        base = self._netlists.get(key)
+        if base is not None and base.space is None \
+                and pruner._space is not None:
+            self._netlists[key] = base._replace(space=pruner._space)
 
     def lookup(self, request: ExploreRequest):
         """:meth:`explore`'s warm half alone: one store read, no compute.
@@ -420,6 +517,7 @@ class ExplorationService:
             report = JobReport(job.grid_key())
             designs = job.run(resume=resume, on_shard=on_shard,
                               report=report)
+            self._keep_space(request, job.pruner)
             _metric("service.requests", outcome="computed")
             return designs, report
 
@@ -460,7 +558,7 @@ class ExplorationService:
         missing = [i for i, record in enumerate(records) if record is None]
         if missing:
             fresh = evaluator.evaluate_many(
-                [self._netlist(requests[i])[0] for i in missing])
+                [self._prepared(requests[i]).circuit for i in missing])
             for i, record in zip(missing, fresh):
                 records[i] = record
                 self.store.put_variant(record_keys[i], base_keys[i], (),
@@ -588,5 +686,7 @@ class ExplorationService:
                                  runtime_s=job_report.runtime_s)
             return designs, report
         job = self.job(request)
-        return run_fleet_worker(job, worker_id, ttl_s=ttl_s,
-                                poll_s=poll_s, max_wait_s=max_wait_s)
+        result = run_fleet_worker(job, worker_id, ttl_s=ttl_s,
+                                  poll_s=poll_s, max_wait_s=max_wait_s)
+        self._keep_space(request, job.pruner)
+        return result

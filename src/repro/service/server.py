@@ -80,8 +80,8 @@ from ..eval.accuracy import EvaluationRecord
 from .faults import fault_point
 from .jobs import DEFAULT_SHARD_SIZE
 from .leases import DEFAULT_LEASE_TTL_S
-from .runner import (ExplorationService, ExploreRequest, _e_value,
-                     render_request)
+from .runner import (BASE_CACHE_SIZE, BoundedCache, ExplorationService,
+                     ExploreRequest, _e_value, render_request)
 from .store import (DesignStore, FencedWriteError, canonical_json,
                     design_from_dict, design_to_dict)
 from .telemetry import (capture_context, counter as _metric,
@@ -212,8 +212,9 @@ class ExploreServer:
         self._evaluator_fps: dict = {}
         # Content-keyed bespoke builds shared across tenants: concurrent
         # cold misses for the same model+e build once per serve process
-        # (hits/misses on the build.cache metric).
-        self._build_cache: dict = {}
+        # (hits/misses/evictions on the build.cache metric).  Bounded
+        # like each service's prepared bases.
+        self._build_cache = BoundedCache(BASE_CACHE_SIZE, "build.cache")
         # key -> Future of (result, error) for each running computation
         self._inflight: dict[tuple, asyncio.Future] = {}
         self._handlers: set[asyncio.Task] = set()

@@ -464,8 +464,9 @@ def build_coeff_netlist_cached(approximator, model, store: "DesignStore",
     the caller already holds it; the circuit's cosmetic ``name`` is
     always the caller's.
 
-    ``build_cache`` is an optional in-process dict (shared by the serve
-    front-end across tenant services) memoizing built payloads by the
+    ``build_cache`` is an optional in-process mapping (the serve
+    front-end shares one bounded cache across tenant services; anything
+    with ``get`` and item assignment works) memoizing built payloads by the
     same content key: cold misses for the same model+e served
     concurrently deserialize the one build instead of re-running it,
     even when their stores differ.  Outcomes are counted on the

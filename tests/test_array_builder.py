@@ -66,15 +66,21 @@ from repro.hw.blocks import (
     bits_for_range,
     one_vs_one_votes,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.hw.netlist import Netlist
 from repro.hw.simulate import simulate
-from repro.hw.synthesis import _fold_arrays, synthesize
+from repro.hw.synthesis import (ArrayCircuit, _fold_arrays, synthesize,
+                                synthesize_arrays)
 from repro.service import telemetry
 from repro.service.runner import ExplorationService, ExploreRequest
 from repro.service.server import ServeConfig
 
 TIER1_CASES = (("redwine", "svm_r"), ("redwine", "mlp_c"),
                ("redwine", "svm_c"))
+# The five circuits of the committed BENCH_*.json records.
+BENCH_CASES = TIER1_CASES + (("whitewine", "svm_c"), ("cardio", "svm_c"))
 
 
 def assert_netlists_identical(actual: Netlist, oracle: Netlist) -> None:
@@ -289,6 +295,59 @@ class TestFoldIsIdentity:
         em = ArrayEmitter("m")
         emit_bespoke(em, get_case(dataset, kind).quant_model)
         self._assert_fixpoint(em.finish())
+
+
+def _rows(circ):
+    return (circ.n_fixed, circ.ops, circ.ina, circ.inb, circ.inc,
+            circ.levels, circ.outputs, circ.signed, circ.watch)
+
+
+class TestFoldedMarker:
+    """``folded`` marks exactly the circuits a fold would leave as is.
+
+    The pruner takes a marked base without folding it, so the marker
+    must never sit on a circuit whose fold and strip change a row.
+    """
+
+    def _assert_marked_fixpoint(self, circ):
+        assert circ.folded is True
+        refolded = synthesize_arrays(circ)[0]
+        assert _rows(refolded) == _rows(circ)
+
+    @given(st.integers(0, 10**6), st.integers(0, 60), st.integers(1, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_synthesized_random_netlists(self, seed, n_gates, width):
+        from random_circuits import random_netlist
+
+        rng = np.random.default_rng(seed)
+        raw = ArrayCircuit.from_netlist(
+            random_netlist(rng, n_gates, width))[0]
+        assert raw.folded is False
+        self._assert_marked_fixpoint(synthesize_arrays(raw)[0])
+        # A forced fold (a pruned variant) is marked as well.
+        force = {raw.n_fixed + int(k): int(rng.integers(0, 2))
+                 for k in rng.integers(0, max(1, n_gates), size=3)
+                 if k < n_gates}
+        self._assert_marked_fixpoint(synthesize_arrays(raw, force)[0])
+
+    @pytest.mark.parametrize("dataset,kind", BENCH_CASES)
+    def test_bench_builds(self, dataset, kind):
+        """The exact base and its coefficient radii e=1..10."""
+        base = get_case(dataset, kind).quant_model
+        models = [base] + [
+            CoefficientApproximator(library=default_library(),
+                                    e=e).approximate_model(base)[0]
+            for e in range(1, 11)]
+        for model in models:
+            self._assert_marked_fixpoint(build_bespoke_arrays(model))
+
+    def test_unstripped_and_converted_circuits_stay_unmarked(self):
+        em = ArrayEmitter("m")
+        emit_bespoke(em, get_case("redwine", "svm_r").quant_model)
+        assert em.finish().folded is False
+        built = build_bespoke_arrays(get_case("redwine", "svm_r").quant_model)
+        assert ArrayCircuit.from_netlist(built.to_netlist())[0].folded \
+            is False
 
 
 # ----------------------------------------------------------------------

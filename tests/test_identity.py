@@ -24,6 +24,7 @@ from repro.core.pruning import NetlistPruner
 from repro.eval.accuracy import CircuitEvaluator, DecodeSpec
 from repro.experiments.runner import framework_for
 from repro.experiments.zoo import get_case
+from repro.hw.array_builder import build_bespoke_arrays
 from repro.hw.bespoke import REGRESSOR_OUTPUT, build_bespoke_netlist
 from repro.hw.synthesis import synthesize
 from repro.service import DesignStore, ExplorationJob, ExplorationService
@@ -267,3 +268,20 @@ class TestRandomNetlistIdentity:
         assert pruner.netlist.n_gates < nl.n_gates
         assert NetlistPruner(pruner.netlist, evaluator,
                              RANDOM_GRID).netlist is pruner.netlist
+
+    def test_marked_base_is_pruned_as_is(self, svm_setup):
+        """A base marked ``folded`` is the pruner's own base: no fold, no
+        copy, and neither training nor the walk caches a plan on it."""
+        _netlist, make_evaluator = svm_setup
+        circuit = build_bespoke_arrays(
+            get_case("redwine", "svm_r").quant_model)
+        assert circuit.folded
+        pruner = NetlistPruner(circuit, make_evaluator(), GRID)
+        assert pruner.netlist is circuit
+        assert pruner._base_arrays is circuit
+        designs = pruner.explore()
+        assert circuit._plan is None
+        folded_copy = NetlistPruner(circuit.to_netlist(), make_evaluator(),
+                                    GRID)
+        assert folded_copy._base_arrays is not circuit
+        assert _strict(designs) == _strict(folded_copy.explore())

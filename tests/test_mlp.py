@@ -123,3 +123,117 @@ class TestMLPRegressor:
         model = MLPRegressor(hidden_layer_sizes=(4,), seed=0,
                              max_epochs=300).fit(X, y)
         assert abs(model.predict(X).mean() - y.mean()) < 10.0
+
+
+# ----------------------------------------------------------------------
+# Flat-buffer Adam against the per-array oracle
+# ----------------------------------------------------------------------
+class _PerArrayAdam:
+    """The per-array Adam update the flat buffer replaced (oracle)."""
+
+    def __init__(self, shapes):
+        self.m = [np.zeros(shape) for shape in shapes]
+        self.v = [np.zeros(shape) for shape in shapes]
+        self.t = 0
+
+    def step(self, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.t += 1
+        correction1 = 1.0 - beta1 ** self.t
+        correction2 = 1.0 - beta2 ** self.t
+        for index, (param, grad) in enumerate(zip(params, grads)):
+            self.m[index] = beta1 * self.m[index] + (1.0 - beta1) * grad
+            self.v[index] = beta2 * self.v[index] + (1.0 - beta2) * grad * grad
+            m_hat = self.m[index] / correction1
+            v_hat = self.v[index] / correction2
+            param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def _per_array_grads(model, coefs, intercepts, X, targets):
+    activations = [X]
+    for layer in range(len(coefs) - 1):
+        pre = activations[-1] @ coefs[layer] + intercepts[layer]
+        activations.append(np.maximum(pre, 0.0))
+    logits = activations[-1] @ coefs[-1] + intercepts[-1]
+    loss, delta = model._output_grad(logits, targets)
+    coef_grads = [None] * len(coefs)
+    bias_grads = [None] * len(coefs)
+    for layer in range(len(coefs) - 1, -1, -1):
+        coef_grads[layer] = (activations[layer].T @ delta
+                             + model.alpha * coefs[layer])
+        bias_grads[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ coefs[layer].T) * (activations[layer] > 0)
+    l2 = 0.5 * model.alpha * sum(float(np.sum(c * c)) for c in coefs)
+    return loss + l2, coef_grads + bias_grads
+
+
+def _per_array_fit(model, X, y):
+    """``fit`` as it ran on separate parameter arrays: returns
+    ``(coefs, intercepts, loss_curve)``."""
+    X = np.asarray(X, dtype=float)
+    rng = np.random.default_rng(model.seed)
+    n_outputs = model._n_outputs(np.asarray(y))
+    sizes = [X.shape[1], *model.hidden_layer_sizes, n_outputs]
+    coefs, intercepts = [], []
+    for index, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+        coefs.append(rng.normal(0.0, np.sqrt(2.0 / fan_in),
+                                size=(fan_in, fan_out)))
+        intercepts.append(np.full(fan_out, 0.1) if index < len(sizes) - 2
+                          else np.zeros(fan_out))
+    targets = model._targets(np.asarray(y), n_outputs)
+    params = coefs + intercepts
+    adam = _PerArrayAdam([param.shape for param in params])
+    best, stale, n = np.inf, 0, len(X)
+    batch = min(model.batch_size, n)
+    curve = []
+    for _ in range(model.max_epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, batch):
+            chunk = order[start:start + batch]
+            loss, grads = _per_array_grads(model, coefs, intercepts,
+                                           X[chunk], targets[chunk])
+            epoch_loss += loss * len(chunk)
+            adam.step(params, grads, model.lr)
+        epoch_loss /= n
+        curve.append(epoch_loss)
+        if epoch_loss < best - model.tol:
+            best, stale = epoch_loss, 0
+        else:
+            stale += 1
+            if stale >= model.patience:
+                break
+    if isinstance(model, MLPRegressor):
+        coefs[-1] = coefs[-1] * model._y_std
+        intercepts[-1] = intercepts[-1] * model._y_std + model._y_mean
+    return coefs, intercepts, curve
+
+
+class TestFlatAdamMatchesPerArrayOracle:
+    """One Adam step over the flat buffer rounds every element exactly
+    as the per-array loop did (same machine; no cross-platform pins)."""
+
+    @pytest.mark.parametrize("make,hidden", [
+        (MLPClassifier, (4,)), (MLPClassifier, (5, 3)),
+        (MLPRegressor, (3,)), (MLPRegressor, (2, 2))])
+    def test_fit_is_identical(self, make, hidden):
+        X, y = _blobs(n_per_class=50, k=3, seed=1)
+        if make is MLPRegressor:
+            y = y * 2.5 + X[:, 0]
+        model = make(hidden_layer_sizes=hidden, seed=3, max_epochs=40)
+        model.fit(X, y)
+        coefs, intercepts, curve = _per_array_fit(
+            make(hidden_layer_sizes=hidden, seed=3, max_epochs=40), X, y)
+        assert len(model.coefs_) == len(coefs)
+        for ours, oracle in zip(model.coefs_ + model.intercepts_,
+                                coefs + intercepts):
+            assert np.array_equal(ours, oracle)
+        assert np.array_equal(model.loss_curve_, curve)
+
+    def test_parameters_are_views_of_one_buffer(self):
+        X, y = _blobs()
+        model = MLPClassifier(hidden_layer_sizes=(4,), seed=0,
+                              max_epochs=2).fit(X, y)
+        params = model.coefs_ + model.intercepts_
+        assert all(p.base is not None for p in params)
+        assert len({id(p.base) for p in params}) == 1

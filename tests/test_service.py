@@ -24,6 +24,7 @@ import signal
 import sqlite3
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
 
@@ -1098,3 +1099,169 @@ class TestUnsortedGridInvariance:
             sharded = ExplorationJob(self._pruner(grid), store,
                                      shard_size=size).run()
             assert sharded == serial, f"shard size {size} differs"
+
+
+class TestPreparedBases:
+    """Each served base is prepared once, in a bounded cache.
+
+    The first job on a base keeps its prune space (folded base,
+    training activity, phi); later grids on that base reuse it, and
+    every design list equals a fresh service's.
+    """
+
+    GRIDS = ((0.85, 0.9, 0.95), (0.8, 0.9, 0.99))
+    CIRCUITS = (("redwine", "svm_r"), ("redwine", "svm_c"),
+                ("whitewine", "svm_c"), ("cardio", "svm_c"))
+
+    @staticmethod
+    def _request(e, grid, dataset="redwine", model="svm_r"):
+        return ExploreRequest(dataset, model, base="coeff",
+                              tau_grid=grid, e=e)
+
+    @staticmethod
+    def _fresh(tmp_path, request):
+        """``request``'s design list from a new service on a new store."""
+        store = pathlib.Path(tempfile.mkdtemp(dir=tmp_path)) / "s.sqlite"
+        return ExplorationService(store).explore(request)[0]
+
+    @pytest.mark.parametrize("first_e", (4, None))
+    def test_grids_on_one_base_train_once(self, tmp_path, monkeypatch,
+                                          first_e):
+        """Two grids on one base (``e=None`` names the ``e=4`` base)."""
+        requests = [self._request(first_e, self.GRIDS[0]),
+                    self._request(4, self.GRIDS[1])]
+        fresh = [self._fresh(tmp_path, request) for request in requests]
+        trained = []
+        train = CircuitEvaluator.train_activity
+
+        def counting(evaluator, circuit):
+            trained.append(circuit)
+            return train(evaluator, circuit)
+
+        monkeypatch.setattr(CircuitEvaluator, "train_activity", counting)
+        telemetry.reset()
+        service = ExplorationService(tmp_path / "shared.sqlite")
+        served = [service.explore(request)[0] for request in requests]
+        assert len(trained) == 1
+        assert served == fresh
+        registry = telemetry.get_hub().registry
+        assert registry.counter_value("service.bases", result="miss") == 1
+        assert registry.counter_value("service.bases", result="hit") >= 1
+
+    def test_cache_is_bounded(self, tmp_path, monkeypatch):
+        import repro.service.runner as runner_mod
+
+        monkeypatch.setattr(runner_mod, "BASE_CACHE_SIZE", 2)
+        telemetry.reset()
+        service = ExplorationService(tmp_path / "bounded.sqlite")
+        for e in (1, 2, 3, 4):
+            service.explore(self._request(e, self.GRIDS[0]))
+        assert len(service._netlists) == 2
+        assert [base[3] for base in service._netlists.values()] == [
+            service._netlist(self._request(e, self.GRIDS[0]))[3]
+            for e in (3, 4)]
+        assert telemetry.get_hub().registry.counter_value(
+            "service.bases", result="evict") == 2
+
+    def test_evicted_base_serves_the_cold_designs(self, tmp_path,
+                                                  monkeypatch):
+        import repro.service.runner as runner_mod
+
+        monkeypatch.setattr(runner_mod, "BASE_CACHE_SIZE", 1)
+        service = ExplorationService(tmp_path / "evict.sqlite")
+        requests = [self._request(2, self.GRIDS[0]),
+                    self._request(5, self.GRIDS[0]),
+                    self._request(2, self.GRIDS[1])]
+        served = []
+        for request in requests:
+            served.append(service.explore(request)[0])
+            assert list(service._netlists.values())[0][3] == \
+                service._netlist(request)[3]
+        # The last request's base was evicted by the second's: it was
+        # rebuilt as a store hit, decoded and folded anew.
+        assert served == [self._fresh(tmp_path, request)
+                          for request in requests]
+
+    def test_bounded_cache_under_thread_stress(self):
+        """8 threads insert distinct keys with a tiny switch interval:
+        a lost update would leave the wrong size or eviction count."""
+        from repro.service.runner import BoundedCache
+
+        cache = BoundedCache(16, "test.cache")
+        n_threads, per_thread = 8, 400
+        telemetry.reset()
+
+        def insert(worker):
+            for i in range(per_thread):
+                cache[(worker, i)] = i
+                cache.get((worker, i // 2))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=insert, args=(w,))
+                       for w in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(cache) == 16
+        assert telemetry.get_hub().registry.counter_value(
+            "test.cache", result="evict") == n_threads * per_thread - 16
+
+    def test_threads_on_distinct_bases(self, tmp_path, monkeypatch):
+        """4 threads, 4 circuits, room for 3: every kept entry is its
+        own key's base, with its own space, and every list is right."""
+        import repro.service.runner as runner_mod
+        from repro.core.pruning import _fold_base
+        from repro.service.store import netlist_fingerprint
+
+        requests = [[self._request(6, grid, dataset, model)
+                     for grid in self.GRIDS]
+                    for dataset, model in self.CIRCUITS]
+        fresh = [[self._fresh(tmp_path, request) for request in pair]
+                 for pair in requests]
+        monkeypatch.setattr(runner_mod, "BASE_CACHE_SIZE", 3)
+        service = ExplorationService(tmp_path / "threads.sqlite")
+        served: dict = {}
+        errors = []
+        barrier = threading.Barrier(len(requests))
+
+        def serve(index):
+            try:
+                barrier.wait()
+                served[index] = [service.explore(request)[0]
+                                 for request in requests[index]]
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=serve, args=(i,))
+                   for i in range(len(requests))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert [served[i] for i in range(len(requests))] == fresh
+        kept = service._netlists
+        assert len(kept) == 3
+        for dataset, model in self.CIRCUITS:
+            key = (dataset, model, "coeff", 6)
+            base = kept.get(key)
+            if base is None:
+                continue
+            assert base.fingerprint == netlist_fingerprint(base.circuit)
+            assert base.space is not None
+            folded = _fold_base(base.circuit)[0]
+            assert base.space.netlist.ops == folded.ops
+            assert base.space.netlist.outputs == folded.outputs
+            assert base.space.netlist.input_buses == folded.input_buses
