@@ -69,7 +69,8 @@ from repro.core.multiplier_area import default_library  # noqa: E402
 from repro.eval.accuracy import CircuitEvaluator  # noqa: E402
 from repro.experiments.zoo import get_case  # noqa: E402
 from repro.hw.bespoke import build_bespoke_netlist  # noqa: E402
-from repro.hw.synthesis import synthesize_reference  # noqa: E402
+from repro.hw.synthesis import (ArrayCircuit,  # noqa: E402
+                                synthesize_reference)
 from repro.service import DesignStore, ExplorationService  # noqa: E402
 from repro.service.runner import ExploreRequest  # noqa: E402
 
@@ -138,8 +139,9 @@ def bench_circuit(dataset: str, kind: str, e_values, repeats: int,
                 library=default_library(), e=e)
             approx_model, _reports = approximator.approximate_model(model)
             raw = build_bespoke_netlist(approx_model, optimize=False)
-            rows.append((e, _record_tuple(
-                evaluator.evaluate(synthesize_reference(raw)))))
+            folded = synthesize_reference(raw.to_netlist())
+            rows.append((e, _record_tuple(evaluator.evaluate(
+                ArrayCircuit.from_netlist(folded)[0]))))
         return rows
 
     def cold_sweep(builder: str = "auto"):

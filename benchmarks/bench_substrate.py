@@ -14,7 +14,7 @@ from repro.eval.accuracy import CircuitEvaluator
 from repro.experiments.zoo import get_case
 from repro.hw.bespoke import build_bespoke_netlist, input_payload
 from repro.hw.simulate import simulate
-from repro.hw.synthesis import synthesize
+from repro.hw.synthesis import synthesize_arrays
 from repro.quant import quantize_inputs
 
 
@@ -44,7 +44,7 @@ def test_activity_extraction(benchmark, circuit):
 def test_synthesis_speed(benchmark, circuit):
     """Folding rebuild + dead-gate strip of a full bespoke circuit."""
     netlist, _, _ = circuit
-    optimized = benchmark(lambda: synthesize(netlist))
+    optimized = benchmark(lambda: synthesize_arrays(netlist)[0])
     assert optimized.n_gates <= netlist.n_gates
 
 

@@ -20,7 +20,6 @@ from repro import (
     load_dataset,
     quantize_model,
     simulate,
-    synthesize,
 )
 from repro.core.pruning import NetlistPruner
 from repro.eval.accuracy import CircuitEvaluator
@@ -58,7 +57,7 @@ def main() -> None:
           f"{'acc':>6s} {'max err':>9s} {'bound 2^(phi+1)':>15s}")
     for phi_c in space.phi_levels(tau_c):
         force = space.prune_set(tau_c, phi_c)
-        pruned = synthesize(netlist, force_constants=force)
+        pruned = pruner.prune(tau_c, phi_c)
         record = evaluator.evaluate(pruned)
         outputs = simulate(pruned, input_payload(Xq)).bus_ints(
             REGRESSOR_OUTPUT)

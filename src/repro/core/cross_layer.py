@@ -26,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from ..eval.accuracy import CircuitEvaluator, EvaluationRecord, check_engine
-from ..hw.bespoke import build_bespoke_circuit
+from ..hw.bespoke import build_bespoke_netlist
 from .coeff_approx import ApproximatedSum, CoefficientApproximator
 from .multiplier_area import BespokeMultiplierLibrary
 from .pareto import best_within_accuracy_loss, pareto_front
@@ -307,10 +307,8 @@ class CrossLayerFramework:
             warm ``coeff``/``cross`` runs skip the area search.
         builder: bespoke emitter backend — ``"auto"`` (default: the
             array backend), ``"array"``, or ``"gate"`` (the per-gate
-            oracle, for reference runs).  Both produce gate-for-gate
-            identical netlists and byte-identical design lists.  The
-            array backend's circuits are scored and pruned in their
-            array form, with no ``Netlist`` built.  See
+            oracle, for reference runs).  Both produce row-for-row
+            identical circuits and byte-identical design lists.  See
             :mod:`repro.hw.bespoke`.
     """
 
@@ -389,17 +387,17 @@ class CrossLayerFramework:
                        approximator=None):
         """The synthesized coefficient-approximated circuit.
 
-        A cold build stays in its builder's form (the array builder's
-        :class:`~repro.hw.synthesis.ArrayCircuit`), which scoring and
-        pruning both take.  With a store configured the circuit itself
-        is content-addressed (``coeff_netlists`` table): a warm hit
-        rebuilds a ``Netlist`` from JSON and skips the whole bespoke
+        Either way it is an :class:`~repro.hw.synthesis.ArrayCircuit`,
+        which scoring and pruning both take.  With a store configured
+        the circuit itself is content-addressed (``coeff_netlists``
+        table): a warm hit decodes its rows from JSON and skips the
+        whole bespoke
         build+synthesis — together with the coefficient cache this is
         what makes warm cross-layer sweeps skip both the area search
         *and* the rebuild.
         """
         if self.store is None:
-            return build_bespoke_circuit(approx_model, name=name,
+            return build_bespoke_netlist(approx_model, name=name,
                                          builder=self.builder)
         from ..service.store import build_coeff_netlist_cached
         return build_coeff_netlist_cached(
@@ -420,7 +418,7 @@ class CrossLayerFramework:
             engine=self.engine)
         points: list[DesignPoint] = []
 
-        exact_netlist = build_bespoke_circuit(model, name=f"{name}_exact",
+        exact_netlist = build_bespoke_netlist(model, name=f"{name}_exact",
                                               builder=self.builder)
 
         coeff_reports: list[ApproximatedSum] = []
@@ -480,9 +478,8 @@ class CrossLayerFramework:
           exact baseline are built and scored once;
         * all per-``e`` designs score in one multi-netlist batched
           pass (:meth:`~repro.eval.accuracy.CircuitEvaluator.
-          evaluate_many`); cold-built variants stay in the array
-          builder's form for scoring and pruning alike, so no
-          ``Netlist`` is materialized;
+          evaluate_many`), on the same array circuits the pruner
+          then prunes;
         * with a store, each radius's approximation *and* synthesized
           netlist are content-addressed, so a warm re-sweep skips the
           area search and the rebuild, and each radius's pruning grid
@@ -497,7 +494,7 @@ class CrossLayerFramework:
             engine=self.engine)
         e_values = tuple(int(e) for e in e_values)
 
-        exact_netlist = build_bespoke_circuit(model, name=f"{name}_exact",
+        exact_netlist = build_bespoke_netlist(model, name=f"{name}_exact",
                                               builder=self.builder)
 
         variants = []

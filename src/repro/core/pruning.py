@@ -72,7 +72,6 @@ from ..eval.accuracy import (
     resolve_engine,
 )
 from ..hw.incremental import IncrementalCircuit
-from ..hw.netlist import Netlist
 from ..hw.simulate import ActivityReport
 from ..hw.synthesis import (ArrayCircuit, synthesize_arrays,
                              synthesize_reference)
@@ -121,22 +120,16 @@ def _service_telemetry():
     return _telemetry
 
 
-def compute_phi(circuit: ArrayCircuit | Netlist,
+def compute_phi(circuit: ArrayCircuit,
                 watch_buses: list[list[int]] | None = None) -> np.ndarray:
     """Per-gate ``phi``: highest watched output bit reachable (-1 if none).
 
-    A :class:`Netlist` ``circuit`` is converted at entry (gate *k* is the
-    same gate in both forms).  ``watch_buses``, in the given circuit's
-    ids, defaults to its watch buses (pre-argmax buses for classifiers),
-    else its output buses (regressors).  A single reverse-topological
-    sweep propagates the maximum watched bit index backwards through the
-    fanin cones; unused operand slots hold node 0, whose phi nothing reads.
+    ``watch_buses``, in node ids, defaults to the circuit's watch buses
+    (pre-argmax buses for classifiers), else its output buses
+    (regressors).  A single reverse-topological sweep propagates the
+    maximum watched bit index backwards through the fanin cones; unused
+    operand slots hold node 0, whose phi nothing reads.
     """
-    if isinstance(circuit, Netlist):
-        circuit, node_of = ArrayCircuit.from_netlist(circuit)
-        if watch_buses is not None:
-            watch_buses = [[node_of[net] for net in bus]
-                           for bus in watch_buses]
     if watch_buses is None:
         watch_buses = circuit.watch if circuit.watch is not None \
             else list(circuit.outputs.values())
@@ -164,7 +157,7 @@ class PruneSpace:
     may share one: the service keeps one per served base.
     """
 
-    netlist: ArrayCircuit | Netlist
+    netlist: ArrayCircuit
     tau: np.ndarray
     const_value: np.ndarray
     phi: np.ndarray
@@ -174,7 +167,7 @@ class PruneSpace:
     _candidates: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
-    def from_activity(circuit: ArrayCircuit | Netlist,
+    def from_activity(circuit: ArrayCircuit,
                       activity: ActivityReport) -> "PruneSpace":
         return PruneSpace(circuit, activity.tau, activity.const_value,
                           compute_phi(circuit))
@@ -235,26 +228,24 @@ def prune_key_bytes(ids) -> bytes:
     return np.sort(np.fromiter(ids, dtype=np.int64)).tobytes()
 
 
-def _fold_base(circuit: ArrayCircuit | Netlist) -> tuple[ArrayCircuit, bool]:
+def _fold_base(circuit: ArrayCircuit) -> tuple[ArrayCircuit, bool]:
     """``circuit`` folded and stripped, and whether that changed any row.
 
     The folded base is the circuit a pruner prunes: its training
     activity, prune space, every walk and the legacy oracle name its
-    gates.  A circuit marked ``folded`` (every array-builder base, and
-    any :func:`~repro.hw.synthesis.synthesize_arrays` output) is
-    returned as is: its fold would rebuild the same rows.  A
-    :class:`Netlist` is converted here, once; it and any unmarked
-    :class:`ArrayCircuit` (``from_netlist`` output, a decoded store
-    hit) are folded, and their rows compared.
+    gates.  A circuit marked ``folded`` (every builder's optimized
+    output, and any :func:`~repro.hw.synthesis.synthesize_arrays`
+    output) is returned as is: its fold would rebuild the same rows.
+    An unmarked circuit (``from_netlist`` output, a decoded store hit)
+    is folded, and its rows compared.
     """
-    if isinstance(circuit, ArrayCircuit) and circuit.folded:
+    if circuit.folded:
         return circuit, False
-    raw = ArrayCircuit.from_netlist(circuit)[0] \
-        if isinstance(circuit, Netlist) else circuit
-    folded = synthesize_arrays(raw)[0]
-    same = (folded.ops == raw.ops and folded.ina == raw.ina
-            and folded.inb == raw.inb and folded.inc == raw.inc
-            and folded.outputs == raw.outputs and folded.watch == raw.watch)
+    folded = synthesize_arrays(circuit)[0]
+    same = (folded.ops == circuit.ops and folded.ina == circuit.ina
+            and folded.inb == circuit.inb and folded.inc == circuit.inc
+            and folded.outputs == circuit.outputs
+            and folded.watch == circuit.watch)
     return folded, not same
 
 
@@ -695,13 +686,12 @@ class NetlistPruner:
     Args:
         netlist: base circuit (exact or coefficient-approximated —
             the cross-layer flow runs both), an
-            :class:`~repro.hw.synthesis.ArrayCircuit` or a
-            :class:`Netlist`.  A base marked ``folded`` (every
-            array-builder circuit) is pruned as is: the pruner reads
-            the caller's circuit and caches no plan on it.  Any other
-            base is folded and stripped once at construction, and the
-            pruner prunes that private fold output; a raw base is
-            replaced here by its folded form.
+            :class:`~repro.hw.synthesis.ArrayCircuit`.  A base marked
+            ``folded`` (every builder's optimized circuit) is pruned as
+            is: the pruner reads the caller's circuit and caches no
+            plan on it.  Any other base is folded and stripped once at
+            construction, and the pruner prunes that private fold
+            output; a raw base is replaced here by its folded form.
         evaluator: stimulus/scoring context; training activity defines
             tau, the test set scores every pruned variant.
         tau_grid: the tau_c sweep (defaults to the paper's 80..99%).
@@ -721,7 +711,7 @@ class NetlistPruner:
     this way and hands the space to every later job on it.
     """
 
-    netlist: ArrayCircuit | Netlist
+    netlist: ArrayCircuit
     evaluator: CircuitEvaluator
     tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
     engine: str | None = None
@@ -761,10 +751,10 @@ class NetlistPruner:
                                                    activity)
         return self._space
 
-    def prune(self, tau_c: float, phi_c: int) -> Netlist:
-        """One pruned and resynthesized variant, as a netlist to export."""
+    def prune(self, tau_c: float, phi_c: int) -> ArrayCircuit:
+        """One pruned and resynthesized variant, to score or export."""
         force = self.space().prune_set(tau_c, phi_c)
-        return _synthesize_pruned(self._base_arrays, force).to_netlist()
+        return _synthesize_pruned(self._base_arrays, force)
 
     def explore(self, deduplicate: bool = True) -> list[PrunedDesign]:
         """Evaluate the full (tau_c, phi_c) design space.
@@ -869,12 +859,13 @@ class NetlistPruner:
         selects the compiled array engine (default) or the builder-replay
         ``"reference"`` implementation — the seed pipeline is recovered
         with ``synthesis="reference"`` plus a ``"bigint"``-engine
-        evaluator; only that replay reads (or builds) a :class:`Netlist`.
+        evaluator; only that replay builds a
+        :class:`~repro.hw.netlist.Netlist` (the folded base's, once) and
+        converts each of its results back to rows.
         """
         reference = None
         if synthesis == "reference":
-            reference = self.netlist if isinstance(self.netlist, Netlist) \
-                else self._base_arrays.to_netlist()
+            reference = self._base_arrays.to_netlist()
         space = self.space()
         designs: list[PrunedDesign] = []
         seen: dict[frozenset, tuple[PrunedDesign, tuple[float, int]]] = {}
@@ -892,7 +883,8 @@ class NetlistPruner:
                     continue
                 pruned = _synthesize_pruned(self._base_arrays, force) \
                     if reference is None \
-                    else synthesize_reference(reference, force_constants=force)
+                    else ArrayCircuit.from_netlist(synthesize_reference(
+                        reference, force_constants=force))[0]
                 record = self.evaluator.evaluate(pruned)
                 design = PrunedDesign(float(tau_c), phi_c, len(force), record)
                 designs.append(design)

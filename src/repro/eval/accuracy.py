@@ -23,7 +23,6 @@ import numpy as np
 from ..hw.area import area_mm2
 from ..hw.bespoke import CLASS_OUTPUT, REGRESSOR_OUTPUT, input_payload
 from ..hw.compiled import CompiledNetlist, pack_stimulus, simulate_many
-from ..hw.netlist import Netlist
 from ..hw.power import power_mw
 from ..hw.simulate import (
     ActivityReport,
@@ -33,6 +32,7 @@ from ..hw.simulate import (
     resolve_engine,
     simulate,
 )
+from ..hw.synthesis import ArrayCircuit
 from ..ml.metrics import accuracy_score
 from ..quant.fixed_point import quantize_inputs
 
@@ -116,14 +116,6 @@ class EvaluationRecord:
                                 float(data["area_mm2"]),
                                 float(data["power_mw"]),
                                 int(data["n_gates"]))
-
-
-def _uncached_plan(circ) -> CompiledNetlist:
-    """A fresh evaluation plan of a netlist or array circuit, cached on
-    neither: for passes whose plan nothing reads again."""
-    if isinstance(circ, Netlist):
-        return CompiledNetlist(circ)
-    return CompiledNetlist.from_arrays(circ)
 
 
 @dataclass
@@ -213,14 +205,14 @@ class CircuitEvaluator:
             self._packed_test = prepared
         return prepared
 
-    def _test_simulation(self, nl: Netlist):
+    def _test_simulation(self, circ: ArrayCircuit):
         if self.resolved_engine() == "batched":
-            # A one-variant batch on the netlist's own cached plan.
-            n, arrays, packed = self.test_stimulus(nl)
-            return nl.compiled().simulate(arrays, n, packed=packed)
-        return simulate(nl, self.test_inputs, engine="bigint")
+            # A one-variant batch on the circuit's own cached plan.
+            n, arrays, packed = self.test_stimulus(circ)
+            return circ.compiled().simulate(arrays, n, packed=packed)
+        return simulate(circ, self.test_inputs, engine="bigint")
 
-    def train_activity(self, nl: Netlist) -> ActivityReport:
+    def train_activity(self, circ: ArrayCircuit) -> ActivityReport:
         """Training-set switching activity (the pruning SAIF input).
 
         Simulates on a plan of its own, as :meth:`evaluate_many` does:
@@ -228,21 +220,21 @@ class CircuitEvaluator:
         left cached on it.
         """
         if self.resolved_engine() == "batched":
-            n, arrays = _validate_inputs(nl, self.train_inputs)
-            return _uncached_plan(nl).simulate(arrays, n).activity()
-        return simulate(nl, self.train_inputs, engine="bigint").activity()
+            n, arrays = _validate_inputs(circ, self.train_inputs)
+            return CompiledNetlist(circ).simulate(arrays, n).activity()
+        return simulate(circ, self.train_inputs, engine="bigint").activity()
 
-    def evaluate(self, nl: Netlist) -> EvaluationRecord:
-        """Accuracy, area, and power of one netlist variant."""
-        return self.evaluate_simulated(nl, self._test_simulation(nl))
+    def evaluate(self, circ: ArrayCircuit) -> EvaluationRecord:
+        """Accuracy, area, and power of one circuit variant."""
+        return self.evaluate_simulated(circ, self._test_simulation(circ))
 
     def evaluate_simulated(self, circ, sim) -> EvaluationRecord:
         """Score an already-simulated variant (the batched-engine path).
 
-        ``circ`` is any circuit view exposing ``n_gates`` and ``ops``/
-        ``gate_type`` (a netlist, an array circuit, or the slim
-        per-variant view a :class:`~repro.hw.compiled.CompiledSimulation`
-        carries); ``sim`` must expose the shared simulation read API.
+        ``circ`` is any circuit view exposing ``n_gates`` and ``ops``
+        (an array circuit, or the slim per-variant view a
+        :class:`~repro.hw.compiled.CompiledSimulation` carries); ``sim``
+        must expose the shared simulation read API.
         The arithmetic is identical to :meth:`evaluate` — integer
         popcount reductions — so records are bit-identical across
         engines and exploration paths.
@@ -283,7 +275,7 @@ class CircuitEvaluator:
         Bit-identical to ``[self.evaluate(c) for c in circuits]``
         (oracle-tested in ``tests/test_multinetlist.py``): the fixed
         test stimulus is validated and word-packed once, the circuits
-        — netlists or array circuits — run through
+        run through
         :func:`~repro.hw.compiled.simulate_many` in chunks of at most
         ``MAX_CHUNK_BYTES`` of value matrix (one circuit runs on its
         own plan, more on their merged plan), and scoring goes through
@@ -304,7 +296,7 @@ class CircuitEvaluator:
             if {name: len(nets)
                     for name, nets in circ.input_buses.items()} != reference:
                 return [self.evaluate(circ) for circ in circuits]
-        plans = [_uncached_plan(circ) for circ in circuits]
+        plans = [CompiledNetlist(circ) for circ in circuits]
         n_words = max(1, (n + 63) // 64)
         records: list[EvaluationRecord] = []
         start = 0
@@ -322,7 +314,7 @@ class CircuitEvaluator:
             start = end
         return records
 
-    def accuracy(self, nl: Netlist) -> float:
+    def accuracy(self, circ: ArrayCircuit) -> float:
         """Test-set accuracy only — skips the activity/power pass."""
-        sim = self._test_simulation(nl)
+        sim = self._test_simulation(circ)
         return accuracy_score(self.y_test, self.decode.decode(sim))

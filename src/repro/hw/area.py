@@ -10,29 +10,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cells import EGT_LIBRARY, TECHNOLOGY
-from .netlist import Netlist
+import numpy as np
+
+from .cells import TECHNOLOGY
+from .compiled import CELL_OF_OP
+from .power import _OP_TRANSISTORS, _transistor_array
 
 __all__ = ["area_mm2", "area_cm2", "AreaReport"]
 
 
-def area_mm2(nl: Netlist) -> float:
+def area_mm2(circ) -> float:
     """Total mapped cell area in mm^2.
 
-    Accepts a :class:`Netlist` or any circuit view exposing ``gate_type``
-    /``ops`` (the exploration's array-form variants); the reduction runs
-    vectorized over per-gate transistor counts.
+    Accepts any circuit view exposing ``ops`` rows (an
+    :class:`~repro.hw.synthesis.ArrayCircuit` or the exploration's
+    per-variant views); the reduction runs vectorized over per-gate
+    transistor counts.
     """
-    if nl.n_gates == 0:
+    if circ.n_gates == 0:
         return 0.0
-    from .power import _transistor_array  # shared opcode/cell tables
-    transistors = int(_transistor_array(nl).sum())
+    transistors = int(_transistor_array(circ).sum())
     return transistors * TECHNOLOGY.area_per_transistor_mm2
 
 
-def area_cm2(nl: Netlist) -> float:
+def area_cm2(circ) -> float:
     """Total mapped cell area in cm^2 (the unit of Tables I and II)."""
-    return area_mm2(nl) / 100.0
+    return area_mm2(circ) / 100.0
 
 
 @dataclass
@@ -44,12 +47,14 @@ class AreaReport:
     n_gates: int
 
     @staticmethod
-    def from_netlist(nl: Netlist) -> "AreaReport":
-        by_cell: dict[str, float] = {}
-        for cell, count in nl.gate_histogram().items():
-            by_cell[cell] = (count * EGT_LIBRARY[cell].transistors
-                             * TECHNOLOGY.area_per_transistor_mm2)
-        return AreaReport(sum(by_cell.values()), by_cell, nl.n_gates)
+    def from_netlist(circ) -> "AreaReport":
+        counts = np.bincount(np.asarray(circ.ops, dtype=np.int64),
+                             minlength=len(CELL_OF_OP))
+        cell_mm2 = counts * _OP_TRANSISTORS \
+            * TECHNOLOGY.area_per_transistor_mm2
+        by_cell = {CELL_OF_OP[op]: float(cell_mm2[op])
+                   for op in np.flatnonzero(counts)}
+        return AreaReport(area_mm2(circ), by_cell, circ.n_gates)
 
     def __str__(self) -> str:
         lines = [f"area total: {self.total_mm2:10.2f} mm^2  ({self.n_gates} gates)"]

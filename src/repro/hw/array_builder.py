@@ -309,10 +309,8 @@ class ArrayEmitter(RowFolder):
 def build_bespoke_arrays(model, name: str = "bespoke") -> ArrayCircuit:
     """Emit + strip a model's bespoke circuit; returns the folded form.
 
-    The returned :class:`ArrayCircuit` is directly evaluable by the
-    compiled engines and converts via ``to_netlist()`` into a netlist
-    gate-for-gate identical to the per-gate backend's
-    ``build_bespoke_netlist(model, builder="gate")``.
+    The returned :class:`ArrayCircuit` is row-for-row identical to the
+    per-gate backend's ``build_bespoke_netlist(model, builder="gate")``.
     """
     return _build(ArrayEmitter(name), emit_bespoke, model,
                   kind=type(model).__name__)

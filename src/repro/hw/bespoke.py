@@ -32,10 +32,13 @@ The op sequence is written once, by :func:`emit_bespoke` over
   per-gate oracle, and the only backend for raw (``optimize=False``)
   builds, whose unfolded form is inherently per-gate.
 
-:func:`build_bespoke_netlist` and :func:`build_bespoke_circuit` keep a
-``builder`` selector (``"auto"``, ``"array"`` or ``"gate"``) so the
-oracle can be requested; both backends produce gate-for-gate identical
-netlists (the array-builder test suite pins this).
+:func:`build_bespoke_netlist` keeps a ``builder`` selector (``"auto"``,
+``"array"`` or ``"gate"``) so the oracle can be requested; both backends
+hand out row-for-row identical
+:class:`~repro.hw.synthesis.ArrayCircuit` circuits (the array-builder
+test suite pins this).  The gate backend's ``Netlist`` never leaves this
+module: it enters the rows through ``synthesize`` (optimized builds) or
+``ArrayCircuit.from_netlist`` (raw ones).
 """
 
 from __future__ import annotations
@@ -48,10 +51,9 @@ import numpy as np
 from ..quant.qmodel import QuantMLP, QuantSVM
 from .blocks import Value, argmax, balanced_sum, bespoke_multiplier, one_vs_one_votes
 from .netlist import Netlist
-from .synthesis import synthesize
+from .synthesis import ArrayCircuit, synthesize
 
 __all__ = [
-    "build_bespoke_circuit",
     "build_bespoke_netlist",
     "build_weighted_sum_netlist",
     "build_bespoke_multiplier_netlist",
@@ -94,8 +96,9 @@ def _service_telemetry():
 def _build(em, emit, *args, optimize: bool = True, kind: str | None = None):
     """Run ``emit(em, *args)`` on a fresh backend, then synthesize it.
 
-    The one build path of both backends: a :class:`Netlist` is folded
-    by ``synthesize`` (or returned raw when not optimizing), an
+    The one build path of both backends, which both return an
+    :class:`ArrayCircuit`: a :class:`Netlist` is folded by
+    ``synthesize`` (or converted raw when not optimizing), an
     ``ArrayEmitter``'s rows only need the dead-gate strip.  Optimized
     builds record ``build.bespoke_ms`` and ``build.gates_emitted``
     labelled with the backend; model builds (``kind`` given) also run
@@ -108,7 +111,7 @@ def _build(em, emit, *args, optimize: bool = True, kind: str | None = None):
             if kind else nullcontext():
         emit(em, *args)
         if not optimize:
-            return em
+            return ArrayCircuit.from_netlist(em)[0]
         emitted = em.n_gates
         circuit = synthesize(em) if builder == "gate" \
             else em.finish_synthesized()
@@ -185,53 +188,39 @@ def _emit_multiplier(em, coefficient: int, input_bits: int) -> None:
 
 def build_bespoke_netlist(model: QuantMLP | QuantSVM, name: str = "bespoke",
                           optimize: bool = True,
-                          builder: str = "auto") -> Netlist:
-    """Generate (and by default synthesize) the fully-parallel circuit."""
+                          builder: str = "auto") -> ArrayCircuit:
+    """Generate (and by default synthesize) the fully-parallel circuit.
+
+    Both builders return an :class:`ArrayCircuit`: the array builder's
+    comes out ``folded``, straight from its rows, and the per-gate
+    builder's through ``synthesize``.
+    """
     if _resolve_builder(builder, optimize) == "array":
         from .array_builder import build_bespoke_arrays
 
-        return build_bespoke_arrays(model, name).to_netlist()
+        return build_bespoke_arrays(model, name)
     return _build(Netlist(name=name), emit_bespoke, model,
                   optimize=optimize, kind=type(model).__name__)
 
 
-def build_bespoke_circuit(model: QuantMLP | QuantSVM, name: str = "bespoke",
-                          builder: str = "auto"):
-    """The synthesized circuit in its builder's own form.
-
-    The array builder's :class:`~repro.hw.synthesis.ArrayCircuit` is
-    returned as-is — the compiled engines, area/power and the store's
-    encoder read it directly, so consumers that never need the
-    ``Netlist`` IR skip ``to_netlist()``; the per-gate builder returns
-    its ``Netlist``.
-    """
-    if _resolve_builder(builder, True) == "array":
-        from .array_builder import build_bespoke_arrays
-
-        return build_bespoke_arrays(model, name)
-    return build_bespoke_netlist(model, name=name, builder=builder)
-
-
 def build_weighted_sum_netlist(coefficients, input_bits: int, bias: int = 0,
-                               optimize: bool = True) -> Netlist:
+                               optimize: bool = True) -> ArrayCircuit:
     """A standalone weighted-sum circuit (used by the area-proxy study)."""
     if optimize:
         from .array_builder import build_weighted_sum_arrays
 
-        return build_weighted_sum_arrays(coefficients, input_bits,
-                                         bias).to_netlist()
+        return build_weighted_sum_arrays(coefficients, input_bits, bias)
     return _build(Netlist(name="weighted_sum"), _emit_weighted_sum,
                   coefficients, input_bits, bias, optimize=False)
 
 
 def build_bespoke_multiplier_netlist(coefficient: int, input_bits: int,
-                                     optimize: bool = True) -> Netlist:
+                                     optimize: bool = True) -> ArrayCircuit:
     """A standalone ``BM_w`` (used to populate the area library)."""
     if optimize:
         from .array_builder import build_bespoke_multiplier_arrays
 
-        return build_bespoke_multiplier_arrays(coefficient,
-                                               input_bits).to_netlist()
+        return build_bespoke_multiplier_arrays(coefficient, input_bits)
     return _build(Netlist(name=f"bm_{coefficient}_{input_bits}b"),
                   _emit_multiplier, coefficient, input_bits, optimize=False)
 

@@ -19,7 +19,7 @@ from ..quant.qtree import QuantDecisionTree, QuantTreeNode
 from .bespoke import CLASS_OUTPUT
 from .blocks import Value
 from .netlist import Netlist
-from .synthesis import synthesize
+from .synthesis import ArrayCircuit, synthesize
 
 __all__ = ["build_bespoke_tree_netlist"]
 
@@ -27,8 +27,12 @@ __all__ = ["build_bespoke_tree_netlist"]
 def build_bespoke_tree_netlist(tree: QuantDecisionTree,
                                n_features: int | None = None,
                                name: str = "bespoke_tree",
-                               optimize: bool = True) -> Netlist:
+                               optimize: bool = True) -> ArrayCircuit:
     """Generate the comparator/mux circuit of a quantized decision tree.
+
+    Emitted on the per-gate builder and returned as an
+    :class:`ArrayCircuit`: synthesized, or converted raw when
+    ``optimize`` is False.
 
     ``n_features`` fixes the input-port count (defaults to the highest
     feature index used by any split; pass the dataset width so unused
@@ -54,4 +58,4 @@ def build_bespoke_tree_netlist(tree: QuantDecisionTree,
     nl.set_output_bus(CLASS_OUTPUT, class_value.nets)
     nl.meta["kind"] = "classifier"
     nl.meta["watch_buses"] = [class_value.nets]
-    return synthesize(nl) if optimize else nl
+    return synthesize(nl) if optimize else ArrayCircuit.from_netlist(nl)[0]

@@ -8,8 +8,8 @@ matrix: bit *i* of the row of a net is the net's logic value for test vector
 *i* (vector *i* lives in word ``i // 64``, bit ``i % 64``).
 
 A :class:`CompiledNetlist` is a reusable evaluation plan built once per
-netlist (and cached on it via :meth:`repro.hw.netlist.Netlist.compiled`):
-the gate DAG is levelized so that every level only reads nets produced by
+circuit (and cached on it via
+:meth:`repro.hw.synthesis.ArrayCircuit.compiled`): the gate DAG is levelized so that every level only reads nets produced by
 earlier levels, and each level is split into per-opcode gate groups.  One
 simulation is then a short sequence of vectorized NumPy bitwise operations
 — gather the operand rows of a level, apply a single ``&``/``|``/``^``/
@@ -48,6 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cells import EGT_LIBRARY
+
 # Lazy bridge to the service telemetry hub (the ``fault_point`` pattern
 # from core/pruning.py): plan builds and batch sizes are the engine-side
 # metrics ``/v1/metrics`` reports, but hw must never import the service
@@ -85,7 +87,7 @@ HOST_SUPPORTS_COMPILED = sys.byteorder == "little"
 _WORD_BITS = 64
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-# Opcodes of the evaluation plan, shared with the legacy engine's tables.
+# Opcodes of the circuit rows, shared by every pass that reads them.
 OP_INV, OP_BUF, OP_AND, OP_OR, OP_XOR, OP_XNOR, OP_NAND, OP_NOR, OP_MUX = \
     range(9)
 
@@ -94,6 +96,11 @@ OPCODES = {
     "XOR2": OP_XOR, "XNOR2": OP_XNOR, "NAND2": OP_NAND, "NOR2": OP_NOR,
     "MUX2": OP_MUX,
 }
+
+# Cell name and operand count per opcode; ``CELL_OF_OP`` inverts
+# ``OPCODES``.
+CELL_OF_OP = sorted(OPCODES, key=OPCODES.get)
+ARITY_OF_OP = [EGT_LIBRARY[cell].n_inputs for cell in CELL_OF_OP]
 
 
 if hasattr(np, "bitwise_count"):
@@ -211,68 +218,58 @@ class CompiledNetlist:
 
     The plan is immutable and only depends on circuit structure, so it is
     built once and reused across every simulation of the circuit (training
-    activity, test-set scoring, benchmarks).  Construction is a single
-    linear sweep over the topologically-sorted gate list — from either a
-    :class:`~repro.hw.netlist.Netlist` or the flat-array form the
-    synthesis engine produces (:meth:`from_arrays`), so the exploration
-    hot path never has to materialize netlist objects just to simulate.
+    activity, test-set scoring, benchmarks).  It reads the rows of an
+    :class:`~repro.hw.synthesis.ArrayCircuit`: opcodes and operand node
+    ids in flat lists, node ``n_fixed + k`` owned by gate *k*.
+    Construction is a single linear sweep over those topologically
+    sorted rows (none when the circuit carries its per-gate ``levels``).
     """
 
     # Rows a simulation sets to constant one: net 1 of the circuit.  A
     # merged plan (:func:`_merge_levels`) carries one per circuit block.
     const_rows = np.ones(1, dtype=np.int64)
 
-    def __init__(self, nl) -> None:
-        self.netlist = CircuitPorts.of(nl)
-        self.n_nets = nl.n_nets
-        self.n_gates = nl.n_gates
-        self.gate_out = np.asarray(nl.gate_out, dtype=np.int64) \
-            if nl.n_gates else np.zeros(0, dtype=np.int64)
+    def __init__(self, circ) -> None:
+        self.netlist = CircuitPorts.of(circ)
+        n_fixed = circ.n_fixed
+        ops, ina, inb, inc = circ.ops, circ.ina, circ.inb, circ.inc
+        n_gates = len(ops)
+        self.n_nets = n_fixed + n_gates
+        self.n_gates = n_gates
+        self.gate_out = np.arange(n_fixed, n_fixed + n_gates, dtype=np.int64)
 
-        n_gates = nl.n_gates
         if n_gates == 0:
             self._empty_plan()
             return
 
-        # Levelize: a net's level is the level of its driving gate (inputs
-        # and constants sit at level 0), a gate is one past its deepest
-        # operand.  Plain lists here: this constructor runs once per
-        # evaluated design variant, and NumPy scalar stores would triple
-        # its cost.
-        net_level = [0] * nl.n_nets
-        gate_inputs = nl.gate_inputs
-        gate_out = nl.gate_out
-        gate_type = nl.gate_type
-        opcodes = OPCODES
-        levels = [0] * n_gates
-        ops = [0] * n_gates
-        in0 = [0] * n_gates
-        in1 = [0] * n_gates
-        in2 = [0] * n_gates
-        for i in range(n_gates):
-            ins = gate_inputs[i]
-            depth = net_level[ins[0]]
-            in0[i] = ins[0]
-            if len(ins) > 1:
-                in1[i] = ins[1]
-                other = net_level[ins[1]]
-                if other > depth:
-                    depth = other
-                if len(ins) > 2:
-                    in2[i] = ins[2]
-                    other = net_level[ins[2]]
+        levels = circ.levels
+        if levels is None:
+            # Derive per-gate depth (synthesis-produced circuits carry
+            # it).  Plain lists: NumPy scalar stores would triple the
+            # cost of this sweep.
+            levels = [0] * n_gates
+            net_level = [0] * (n_fixed + n_gates)
+            for k in range(n_gates):
+                op = ops[k]
+                depth = net_level[ina[k]]
+                if op != OP_INV and op != OP_BUF:
+                    other = net_level[inb[k]]
                     if other > depth:
                         depth = other
-            depth += 1
-            net_level[gate_out[i]] = depth
-            levels[i] = depth
-            ops[i] = opcodes[gate_type[i]]
-        self._build_plan(np.array(ops, dtype=np.int64),
-                         np.array(in0, dtype=np.int64),
-                         np.array(in1, dtype=np.int64),
-                         np.array(in2, dtype=np.int64),
+                    if op == OP_MUX:
+                        other = net_level[inc[k]]
+                        if other > depth:
+                            depth = other
+                depth += 1
+                net_level[n_fixed + k] = depth
+                levels[k] = depth
+
+        self._build_plan(np.asarray(ops, dtype=np.int64),
+                         np.asarray(ina, dtype=np.int64),
+                         np.asarray(inb, dtype=np.int64),
+                         np.asarray(inc, dtype=np.int64),
                          self.gate_out,
-                         np.array(levels, dtype=np.int64))
+                         np.asarray(levels, dtype=np.int64))
 
     def _empty_plan(self) -> None:
         self.levels_plan = []
@@ -344,64 +341,13 @@ class CompiledNetlist:
         # re-walking their per-level segment lists in Python.
         self.flat = (ops, ina, inb, inc, out, levels)
 
-    @staticmethod
-    def from_arrays(circ) -> "CompiledNetlist":
-        """Build a plan straight from a synthesis-engine array circuit.
-
-        ``circ`` is an :class:`~repro.hw.synthesis.ArrayCircuit`: opcodes
-        and operand node ids in flat lists, node ``n_fixed + k`` owned by
-        gate *k*.  Array circuits (the coefficient e-sweep's variants)
-        score through this plan without a netlist round-trip.
-        """
-        plan = CompiledNetlist.__new__(CompiledNetlist)
-        plan.netlist = CircuitPorts.of(circ)
-        n_fixed = circ.n_fixed
-        ops, ina, inb, inc = circ.ops, circ.ina, circ.inb, circ.inc
-        n_gates = len(ops)
-        plan.n_nets = n_fixed + n_gates
-        plan.n_gates = n_gates
-        plan.gate_out = np.arange(n_fixed, n_fixed + n_gates, dtype=np.int64)
-
-        if n_gates == 0:
-            plan._empty_plan()
-            return plan
-
-        levels = getattr(circ, "levels", None)
-        if levels is None:
-            # Derive per-gate depth (synthesis-produced circuits carry it).
-            levels = [0] * n_gates
-            net_level = [0] * (n_fixed + n_gates)
-            for k in range(n_gates):
-                op = ops[k]
-                depth = net_level[ina[k]]
-                if op != OP_INV and op != OP_BUF:
-                    other = net_level[inb[k]]
-                    if other > depth:
-                        depth = other
-                    if op == OP_MUX:
-                        other = net_level[inc[k]]
-                        if other > depth:
-                            depth = other
-                depth += 1
-                net_level[n_fixed + k] = depth
-                levels[k] = depth
-
-        plan._build_plan(np.asarray(ops, dtype=np.int64),
-                         np.asarray(ina, dtype=np.int64),
-                         np.asarray(inb, dtype=np.int64),
-                         np.asarray(inc, dtype=np.int64),
-                         plan.gate_out,
-                         np.asarray(levels, dtype=np.int64))
-        return plan
-
     # ------------------------------------------------------------------
     def spec(self) -> "VariantSpec":
         """The plan's own circuit as a variant with no ties.
 
         Its live gates come in ``gate_out`` order with their opcodes in
-        the same order — the order a netlist's gate list and an array
-        circuit's slots have, which area, power and the pruning space's
-        per-gate activity index by.
+        the same order — the order of the circuit's rows, which area,
+        power and the pruning space's per-gate activity index by.
         """
         ports = self.netlist
         return VariantSpec(ties={}, live_nodes=self.gate_out,
@@ -602,8 +548,8 @@ class BatchedEvaluator:
         # Node -> position in level-plan order (the concatenated
         # ``levels_plan`` outputs), where the level loop writes each
         # gate's activity popcounts and applies its clamps; -1 marks
-        # inputs, constants and dead nodes.  Not ``plan.gate_out``: a
-        # ``CompiledNetlist(nl)`` plan sorts its gates into levels.
+        # inputs, constants and dead nodes.  Not ``plan.gate_out``: the
+        # plan sorts its gates into (level, opcode) order.
         gate_pos = np.full(plan.n_nets, -1, dtype=np.int64)
         gate_pos[plan.flat[4]] = np.arange(plan.n_gates, dtype=np.int64)
         self._gate_pos = gate_pos

@@ -4,8 +4,10 @@ A :class:`Netlist` is a combinational DAG of standard cells from the EGT
 library (:mod:`repro.hw.cells`).  Nets are dense integer ids; nets ``0`` and
 ``1`` are the constant-zero and constant-one ties.  Gates are stored in
 construction order, and because a gate may only reference nets that already
-exist, the gate list is always topologically sorted — simulation and all
-analysis passes are single linear sweeps.
+exist, the gate list is always topologically sorted — the reference
+synthesis replay and the conversion to
+:class:`~repro.hw.synthesis.ArrayCircuit` rows (the form every other
+pass reads) are single linear sweeps.
 
 The builder methods (:meth:`Netlist.and_`, :meth:`Netlist.xor_`, ...) apply
 local peephole folding (constant propagation, operand deduplication,
@@ -49,8 +51,12 @@ class Netlist:
         nl.set_output_bus("parity", [s])
 
     The instance exposes parallel gate arrays (``gate_type``, ``gate_inputs``,
-    ``gate_out``) that downstream passes (simulation, pruning, power) index
-    directly for speed.
+    ``gate_out``) that the reference synthesis replay indexes directly.
+    A netlist has two roles: the per-gate builder's construction IR and
+    that reference oracle's.  Every other consumer (simulation, scoring,
+    pruning, reports, exporters) reads the
+    :class:`~repro.hw.synthesis.ArrayCircuit` rows it converts to through
+    ``ArrayCircuit.from_netlist`` (or ``synthesize``).
     """
 
     def __init__(self, name: str = "netlist", cse: bool = True) -> None:
@@ -169,9 +175,6 @@ class Netlist:
         if self._driver_kind[net] == _DRIVER_GATE:
             return self._driver_info[net]
         return None
-
-    def is_const(self, net: int) -> bool:
-        return self._driver_kind[net] == _DRIVER_CONST
 
     def const_value(self, net: int) -> int | None:
         """0 or 1 if ``net`` is a constant tie, else None."""
@@ -323,48 +326,8 @@ class Netlist:
         return False
 
     # ------------------------------------------------------------------
-    # Compiled simulation plan
-    # ------------------------------------------------------------------
-    def compiled(self):
-        """The cached word-parallel evaluation plan for this netlist.
-
-        Built lazily on first simulation and reused for every subsequent
-        one; rebuilt automatically if gates were appended since.  See
-        :class:`repro.hw.compiled.CompiledNetlist`.
-        """
-        plan = self.__dict__.get("_compiled_plan")
-        if plan is None or plan.n_gates != self.n_gates \
-                or plan.n_nets != self.n_nets:
-            from .compiled import CompiledNetlist
-            plan = CompiledNetlist(self)
-            self._compiled_plan = plan
-        return plan
-
-    def __getstate__(self):
-        # The compiled simulation plan is derived data; drop it so
-        # pickles stay small.
-        state = self.__dict__.copy()
-        state.pop("_compiled_plan", None)
-        return state
-
-    # ------------------------------------------------------------------
     # Analysis helpers
     # ------------------------------------------------------------------
-    def gate_histogram(self) -> dict[str, int]:
-        """Cell-type usage counts."""
-        hist: dict[str, int] = {}
-        for cell in self.gate_type:
-            hist[cell] = hist.get(cell, 0) + 1
-        return hist
-
-    def fanout_map(self) -> list[list[int]]:
-        """For every net, the list of gate indices that consume it."""
-        fanout: list[list[int]] = [[] for _ in range(self.n_nets)]
-        for gate_idx, inputs in enumerate(self.gate_inputs):
-            for net in inputs:
-                fanout[net].append(gate_idx)
-        return fanout
-
     def live_gates(self) -> list[bool]:
         """Mark gates in the transitive fan-in of any primary output.
 
@@ -385,39 +348,6 @@ class Netlist:
                 for net in gate_inputs[gate_idx]:
                     live_net[net] = 1
         return live
-
-    def stats(self) -> dict:
-        """Summary statistics used by reports and tests."""
-        return {
-            "name": self.name,
-            "gates": self.n_gates,
-            "nets": self.n_nets,
-            "inputs": {k: len(v) for k, v in self.input_buses.items()},
-            "outputs": {k: len(v) for k, v in self.output_buses.items()},
-            "histogram": self.gate_histogram(),
-        }
-
-    def to_dot(self, max_gates: int = 2000) -> str:
-        """Graphviz dump for small netlists (debugging aid)."""
-        if self.n_gates > max_gates:
-            raise ValueError(
-                f"netlist too large for DOT export ({self.n_gates} gates)")
-        lines = [f'digraph "{self.name}" {{', "  rankdir=LR;"]
-        for name, nets in self.input_buses.items():
-            for bit, net in enumerate(nets):
-                lines.append(f'  n{net} [label="{name}[{bit}]" shape=box];')
-        for gate_idx, cell in enumerate(self.gate_type):
-            out = self.gate_out[gate_idx]
-            lines.append(f'  n{out} [label="{cell}#{gate_idx}"];')
-            for net in self.gate_inputs[gate_idx]:
-                lines.append(f"  n{net} -> n{out};")
-        for name, nets in self.output_buses.items():
-            for bit, net in enumerate(nets):
-                lines.append(
-                    f'  o_{name}_{bit} [label="{name}[{bit}]" shape=box];')
-                lines.append(f"  n{net} -> o_{name}_{bit};")
-        lines.append("}")
-        return "\n".join(lines)
 
     def validate(self) -> None:
         """Internal consistency check (used by tests)."""

@@ -1,18 +1,22 @@
-"""Netlist serialization (JSON).
+"""Circuit serialization (JSON).
 
 Bespoke circuits are designs a user may want to keep: the exact baseline,
 the Pareto-optimal pruned variant selected for printing, intermediate
-points of a long exploration.  This module round-trips a
-:class:`~repro.hw.netlist.Netlist` — structure, ports, signedness, and the
-``meta`` used by the pruning pass — through a plain JSON document.
+points of a long exploration.  This module round-trips an
+:class:`~repro.hw.synthesis.ArrayCircuit` — structure, ports,
+signedness, and the ``kind``/watch-bus meta the pruning pass reads —
+through a plain JSON document.
 
-:func:`encode_netlist` writes that document straight from a circuit —
-a ``Netlist`` or a synthesis :class:`~repro.hw.synthesis.ArrayCircuit`,
-with no per-gate dicts and no ``Netlist`` materialization — in the two
-forms the design store needs: the canonical (sorted-key, compact,
-name-less) bytes content keys hash, and the compact stored text.  The
-gate rows dominate both and are identical in both (their keys are
-already sorted), so they are encoded once.
+One writer, :func:`encode_netlist`, produces that document straight
+from the circuit's rows (no per-gate dicts), in the two forms the design
+store needs: the canonical (sorted-key, compact, name-less) bytes
+content keys hash, and the compact stored text.  The gate rows dominate
+both and are identical in both (their keys are already sorted), so they
+are encoded once.  :func:`netlist_to_dict` is that text, parsed.
+
+:func:`netlist_from_dict` decodes a document back into rows.  Stored and
+saved documents come from outside the program, so every malformed
+document raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -21,9 +25,8 @@ import json
 from pathlib import Path
 from typing import NamedTuple
 
-from .cells import EGT_LIBRARY
-from .compiled import OPCODES
-from .netlist import Netlist
+from .compiled import ARITY_OF_OP, CELL_OF_OP, OPCODES
+from .synthesis import ArrayCircuit
 
 __all__ = ["netlist_to_dict", "netlist_from_dict", "save_netlist",
            "load_netlist", "EncodedNetlist", "encode_netlist"]
@@ -33,115 +36,133 @@ _FORMAT_VERSION = 1
 _compact = json.JSONEncoder(separators=(",", ":")).encode
 _canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-# One ``%`` template per opcode for a gate row of the ``netlist_to_dict``
-# document, formatted with the uniform ``(ina, inb, inc, out)`` tuple:
-# ``%.0s`` swallows the operand slots the cell does not have.
+# One ``%`` template per opcode for a gate row of the document,
+# formatted with the uniform ``(ina, inb, inc, out)`` tuple: ``%.0s``
+# swallows the operand slots the cell does not have.
 _OPERANDS = {1: "%d%.0s%.0s", 2: "%d,%d%.0s", 3: "%d,%d,%d"}
 _ROW_OF_OP = [
     '{"cell":%s,"inputs":[%s],"out":%%d}'
-    % (json.dumps(cell), _OPERANDS[EGT_LIBRARY[cell].n_inputs])
-    for cell in sorted(OPCODES, key=OPCODES.get)
+    % (json.dumps(cell), _OPERANDS[arity])
+    for cell, arity in zip(CELL_OF_OP, ARITY_OF_OP)
 ]
+
+_DOCUMENT_KEYS = ("name", "input_nets", "gates", "outputs", "output_signed")
 
 
 class EncodedNetlist(NamedTuple):
-    """One netlist, encoded once (see :func:`encode_netlist`)."""
+    """One circuit, encoded once (see :func:`encode_netlist`)."""
 
     canonical: bytes  # canonical JSON of the document minus ``name``
     text: str         # compact, insertion-ordered JSON of the document
 
 
-def netlist_to_dict(nl: Netlist) -> dict:
-    """Plain-data description of a netlist (stable across sessions)."""
-    return {
-        "format_version": _FORMAT_VERSION,
-        "name": nl.name,
-        "inputs": {name: len(nets) for name, nets in nl.input_buses.items()},
-        "input_nets": {name: list(nets)
-                       for name, nets in nl.input_buses.items()},
-        "gates": [
-            {"cell": nl.gate_type[i],
-             "inputs": list(nl.gate_inputs[i]),
-             "out": nl.gate_out[i]}
-            for i in range(nl.n_gates)
-        ],
-        "outputs": {name: list(nets)
-                    for name, nets in nl.output_buses.items()},
-        "output_signed": dict(nl.output_signed),
-        "meta": {
-            "kind": nl.meta.get("kind"),
-            "watch_buses": nl.meta.get("watch_buses"),
-        },
-    }
+def netlist_to_dict(circ: ArrayCircuit) -> dict:
+    """Plain-data description of a circuit (stable across runs):
+    the parsed text of :func:`encode_netlist`."""
+    return json.loads(encode_netlist(circ).text)
 
 
-def netlist_from_dict(data: dict) -> Netlist:
-    """Rebuild a netlist from :func:`netlist_to_dict` output."""
+def netlist_from_dict(data: dict) -> ArrayCircuit:
+    """Rebuild a circuit from a :func:`netlist_to_dict` document.
+
+    Nets are renumbered into nodes (input bits from node 2 in bus
+    order, gate *k* at node ``n_fixed + k``), exactly as
+    ``ArrayCircuit.from_netlist`` numbers a netlist.  The result is
+    not marked ``folded``.  Raises ``ValueError`` on an unsupported
+    ``format_version``, a missing field, an unknown cell, a wrong
+    operand count, a net used before it is defined, a net defined
+    twice, or an output bus without its ``output_signed`` entry.
+    """
     version = data.get("format_version")
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported netlist format version {version!r}")
-    nl = Netlist(name=data["name"], cse=False)
-    net_map: dict[int, int] = {0: 0, 1: 1}
-    for name, old_nets in data["input_nets"].items():
-        new_nets = nl.add_input_bus(name, len(old_nets))
-        for old, new in zip(old_nets, new_nets):
-            net_map[old] = new
-    for gate in data["gates"]:
-        mapped = [net_map[net] for net in gate["inputs"]]
-        net_map[gate["out"]] = nl.add_gate(gate["cell"], *mapped)
+    missing = [key for key in _DOCUMENT_KEYS if key not in data]
+    if missing:
+        raise ValueError(f"netlist document lacks {missing}")
+    node_of: dict[int, int] = {0: 0, 1: 1}
+    get = node_of.get
+
+    def lookup(nets, what) -> list[int]:
+        nodes = [get(net, -1) for net in nets]
+        if -1 in nodes:
+            raise ValueError(f"{what} reads undefined net "
+                             f"{nets[nodes.index(-1)]!r}")
+        return nodes
+
+    circ = ArrayCircuit()
+    circ.name = data["name"]
+    for name, nets in data["input_nets"].items():
+        if not nets:
+            raise ValueError(f"input bus {name!r} has no bits")
+        for net in nets:
+            if net in node_of:
+                raise ValueError(f"input bus {name!r} redefines net {net!r}")
+            node_of[net] = len(node_of)
+        circ.input_buses[name] = [node_of[net] for net in nets]
+    circ.n_fixed = len(node_of)
+    for k, gate in enumerate(data["gates"]):
+        op = OPCODES.get(gate.get("cell"))
+        if op is None:
+            raise ValueError(f"gate {k} has unknown cell {gate.get('cell')!r}")
+        inputs = gate.get("inputs", ())
+        arity = ARITY_OF_OP[op]
+        if len(inputs) != arity:
+            raise ValueError(f"gate {k}: {CELL_OF_OP[op]} expects {arity} "
+                             f"inputs, got {len(inputs)}")
+        operands = [get(net, -1) for net in inputs]
+        if -1 in operands:
+            raise ValueError(f"gate {k} reads undefined net "
+                             f"{inputs[operands.index(-1)]!r}")
+        out = gate.get("out")
+        if out in node_of:
+            raise ValueError(f"gate {k} redefines net {out!r}")
+        node_of[out] = len(node_of)
+        circ.ops.append(op)
+        circ.ina.append(operands[0])
+        circ.inb.append(operands[1] if arity > 1 else 0)
+        circ.inc.append(operands[2] if arity > 2 else 0)
+    signed = data["output_signed"]
     for name, nets in data["outputs"].items():
-        nl.set_output_bus(name, [net_map[net] for net in nets],
-                          signed=data["output_signed"][name])
+        if name not in signed:
+            raise ValueError(f"output bus {name!r} has no output_signed entry")
+        circ.outputs[name] = lookup(nets, f"output bus {name!r}")
+        circ.signed[name] = signed[name]
     meta = data.get("meta") or {}
     if meta.get("kind") is not None:
-        nl.meta["kind"] = meta["kind"]
+        circ.meta["kind"] = meta["kind"]
     if meta.get("watch_buses") is not None:
-        nl.meta["watch_buses"] = [
-            [net_map[net] for net in bus] for bus in meta["watch_buses"]]
-    return nl
+        circ.watch = [lookup(bus, "watch bus") for bus in meta["watch_buses"]]
+    return circ
 
 
-def encode_netlist(circuit, name: str | None = None) -> EncodedNetlist:
-    """``netlist_to_dict(circuit)`` as canonical bytes plus stored text.
+def encode_netlist(circuit: ArrayCircuit,
+                   name: str | None = None) -> EncodedNetlist:
+    """The circuit's document as canonical bytes plus stored text.
 
-    ``circuit`` is a :class:`Netlist` or an array circuit; an array
-    circuit encodes exactly as its ``to_netlist()`` would — input nets
-    allocated in bus declaration order from net 2, gate *k* driving the
-    net after them — without building it.  ``canonical`` equals
-    ``canonical_json`` of the document with ``name`` dropped (the
-    content-key hash input); ``text`` is the compact JSON of the whole
-    document, keys in :func:`netlist_to_dict` order, with ``name``
-    overridden when given.
+    The document numbers nets as ``circuit.to_netlist()`` would — input
+    nets allocated in bus declaration order from net 2, gate *k*
+    driving the net after them — without building it.  ``canonical``
+    equals ``canonical_json`` of the document with ``name`` dropped
+    (the content-key hash input); ``text`` is the compact JSON of the
+    whole document (keys: ``format_version``, ``name``, ``inputs``,
+    ``input_nets``, ``gates``, ``outputs``, ``output_signed``,
+    ``meta``), with ``name`` overridden when given.
     """
     input_nets: dict[str, list[int]] = {}
-    if isinstance(circuit, Netlist):
-        for bus, nets in circuit.input_buses.items():
-            input_nets[bus] = list(nets)
-        cells = {cell: json.dumps(cell) for cell in set(circuit.gate_type)}
-        gates = ",".join([
-            f'{{"cell":{cells[cell]},"inputs":[{",".join(map(str, ins))}]'
-            f',"out":{out}}}'
-            for cell, ins, out in zip(circuit.gate_type, circuit.gate_inputs,
-                                      circuit.gate_out)])
-        outputs = circuit.output_buses
-        signed = circuit.output_signed
-        watch = circuit.meta.get("watch_buses")
-    else:
-        net = 2  # nets 0/1 are the constant ties
-        for bus, nodes in circuit.input_buses.items():
-            input_nets[bus] = list(range(net, net + len(nodes)))
-            net += len(nodes)
-        ops, ina, inb, inc = circuit.ops, circuit.ina, circuit.inb, circuit.inc
-        rows = _ROW_OF_OP
-        gates = ",".join([
-            rows[op] % (a, b, c, out)
-            for op, a, b, c, out in zip(ops, ina, inb, inc,
-                                        range(net, net + len(ops)))])
-        outputs = circuit.outputs
-        signed = {bus: circuit.signed[bus] for bus in outputs}
-        watch = circuit.watch
+    net = 2  # nets 0/1 are the constant ties
+    for bus, nodes in circuit.input_buses.items():
+        input_nets[bus] = list(range(net, net + len(nodes)))
+        net += len(nodes)
+    ops, ina, inb, inc = circuit.ops, circuit.ina, circuit.inb, circuit.inc
+    rows = _ROW_OF_OP
+    gates = ",".join([
+        rows[op] % (a, b, c, out)
+        for op, a, b, c, out in zip(ops, ina, inb, inc,
+                                    range(net, net + len(ops)))])
     inputs = {bus: len(nets) for bus, nets in input_nets.items()}
-    outputs = {bus: list(nets) for bus, nets in outputs.items()}
+    outputs = {bus: list(nodes) for bus, nodes in circuit.outputs.items()}
+    signed = {bus: circuit.signed[bus] for bus in outputs}
+    watch = circuit.watch
     meta = {"kind": circuit.meta.get("kind"),
             "watch_buses": None if watch is None
             else [list(bus) for bus in watch]}
@@ -159,11 +180,11 @@ def encode_netlist(circuit, name: str | None = None) -> EncodedNetlist:
     return EncodedNetlist(canonical.encode("utf-8"), text)
 
 
-def save_netlist(nl: Netlist, path: str | Path) -> None:
-    """Write a netlist to a JSON file."""
-    Path(path).write_text(json.dumps(netlist_to_dict(nl)))
+def save_netlist(circ: ArrayCircuit, path: str | Path) -> None:
+    """Write a circuit to a JSON file."""
+    Path(path).write_text(json.dumps(netlist_to_dict(circ)))
 
 
-def load_netlist(path: str | Path) -> Netlist:
-    """Read a netlist back from :func:`save_netlist` output."""
+def load_netlist(path: str | Path) -> ArrayCircuit:
+    """Read a circuit back from :func:`save_netlist` output."""
     return netlist_from_dict(json.loads(Path(path).read_text()))

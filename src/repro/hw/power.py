@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import EGT_LIBRARY, TECHNOLOGY
-from .netlist import Netlist
+from .compiled import CELL_OF_OP
 from .simulate import ActivityReport
 
 __all__ = ["power_uw", "power_mw", "PowerReport", "DEFAULT_ACTIVITY"]
@@ -31,46 +31,26 @@ __all__ = ["power_uw", "power_mw", "PowerReport", "DEFAULT_ACTIVITY"]
 # experiment simulates real stimuli.
 DEFAULT_ACTIVITY = (0.5, 0.15)
 
-_CELL_TRANSISTORS = {name: spec.transistors
-                     for name, spec in EGT_LIBRARY.items()}
+# Transistors per opcode of a circuit row.
+_OP_TRANSISTORS = np.array([EGT_LIBRARY[cell].transistors
+                            for cell in CELL_OF_OP], dtype=np.int64)
 
 
-_OP_TRANSISTORS: np.ndarray | None = None
+def _transistor_array(circ) -> np.ndarray:
+    """Per-gate transistor counts of a circuit's ``ops`` rows."""
+    ops = circ.ops
+    if not isinstance(ops, np.ndarray):
+        ops = np.fromiter(ops, dtype=np.int64, count=len(ops))
+    return _OP_TRANSISTORS[ops]
 
 
-def _transistor_array(nl) -> np.ndarray:
-    """Per-gate transistor counts for a netlist or an array circuit."""
-    ops = getattr(nl, "ops", None)
-    if ops is not None:
-        global _OP_TRANSISTORS
-        if _OP_TRANSISTORS is None:
-            from .synthesis import _CELL_OF_OP  # deferred: avoids cycle
-            _OP_TRANSISTORS = np.array(
-                [_CELL_TRANSISTORS[c] for c in _CELL_OF_OP], dtype=np.int64)
-        if not isinstance(ops, np.ndarray):
-            ops = np.fromiter(ops, dtype=np.int64, count=len(ops))
-        return _OP_TRANSISTORS[ops]
-    counts = _CELL_TRANSISTORS
-    return np.fromiter((counts[cell] for cell in nl.gate_type),
-                       dtype=np.int64, count=nl.n_gates)
-
-
-def power_uw(nl: Netlist, activity: ActivityReport | None = None,
-             clock_ms: float | None = None) -> float:
-    """Total power in microwatts under the given switching activity.
-
-    A single vectorized reduction over the per-gate transistor counts and
-    activity arrays — this runs once per evaluated design, so it sits on
-    the design-space-exploration hot path.  When the activity report
-    carries raw integer popcounts, the reduction happens over exact
-    integers, making the result independent of gate ordering (pruned
-    variants reached through different exploration paths score
-    bit-identically).
-    """
-    if nl.n_gates == 0:
-        return 0.0
+def _power_split(circ, activity: ActivityReport | None,
+                 clock_ms: float | None) -> tuple[float, float]:
+    """``(static, dynamic)`` power in microwatts (see :func:`power_uw`)."""
+    if circ.n_gates == 0:
+        return 0.0, 0.0
     tech = TECHNOLOGY
-    transistors = _transistor_array(nl)
+    transistors = _transistor_array(circ)
     period_s = (clock_ms if clock_ms is not None
                 else tech.default_clock_ms) / 1e3
     ones = getattr(activity, "ones", None) if activity is not None else None
@@ -90,32 +70,48 @@ def power_uw(nl: Netlist, activity: ActivityReport | None = None,
                 * (weighted_flips / (n - 1)) / period_s * 1e-3
         else:
             dynamic = 0.0
-        return static + dynamic
+        return static, dynamic
     transistors = transistors.astype(np.float64)
     if activity is not None:
         p_low = 1.0 - np.asarray(activity.prob_one, dtype=np.float64)
         toggles = np.asarray(activity.toggles_per_cycle, dtype=np.float64)
     else:
         p_one, toggle_rate = DEFAULT_ACTIVITY
-        p_low = np.full(nl.n_gates, 1.0 - p_one)
-        toggles = np.full(nl.n_gates, toggle_rate)
+        p_low = np.full(circ.n_gates, 1.0 - p_one)
+        toggles = np.full(circ.n_gates, toggle_rate)
     weight = tech.static_low_factor * p_low \
         + tech.static_high_factor * (1.0 - p_low)
     static = tech.static_power_uw_per_transistor * float(transistors @ weight)
     dynamic = tech.toggle_energy_nj_per_transistor \
         * float(transistors @ toggles) / period_s * 1e-3  # nJ/s -> uW
+    return static, dynamic
+
+
+def power_uw(circ, activity: ActivityReport | None = None,
+             clock_ms: float | None = None) -> float:
+    """Total power in microwatts under the given switching activity.
+
+    A single vectorized reduction over the per-gate transistor counts and
+    activity arrays — this runs once per evaluated design, so it sits on
+    the design-space-exploration hot path.  When the activity report
+    carries raw integer popcounts, the reduction happens over exact
+    integers, making the result independent of gate ordering (pruned
+    variants reached through different exploration paths score
+    bit-identically).
+    """
+    static, dynamic = _power_split(circ, activity, clock_ms)
     return static + dynamic
 
 
-def power_mw(nl: Netlist, activity: ActivityReport | None = None,
+def power_mw(circ, activity: ActivityReport | None = None,
              clock_ms: float | None = None) -> float:
     """Total power in milliwatts (the unit of Tables I and II)."""
-    return power_uw(nl, activity, clock_ms) / 1e3
+    return power_uw(circ, activity, clock_ms) / 1e3
 
 
 @dataclass
 class PowerReport:
-    """Static/dynamic power split for one netlist."""
+    """Static/dynamic power split for one circuit."""
 
     static_uw: float
     dynamic_uw: float
@@ -130,21 +126,13 @@ class PowerReport:
         return self.total_uw / 1e3
 
     @staticmethod
-    def from_netlist(nl: Netlist, activity: ActivityReport | None = None,
+    def from_netlist(circ, activity: ActivityReport | None = None,
                      clock_ms: float | None = None) -> "PowerReport":
-        clock = clock_ms if clock_ms is not None else TECHNOLOGY.default_clock_ms
-        static = 0.0
-        dynamic = 0.0
-        for gate_idx, cell in enumerate(nl.gate_type):
-            transistors = EGT_LIBRARY[cell].transistors
-            if activity is not None:
-                p_low = 1.0 - float(activity.prob_one[gate_idx])
-                toggles = float(activity.toggles_per_cycle[gate_idx])
-            else:
-                p_one, toggles = DEFAULT_ACTIVITY
-                p_low = 1.0 - p_one
-            static += TECHNOLOGY.static_power_uw(transistors, p_low)
-            dynamic += TECHNOLOGY.dynamic_power_uw(transistors, toggles, clock)
+        """The split :func:`power_uw` sums: ``total_uw`` equals it
+        exactly."""
+        clock = clock_ms if clock_ms is not None \
+            else TECHNOLOGY.default_clock_ms
+        static, dynamic = _power_split(circ, activity, clock)
         return PowerReport(static, dynamic, clock)
 
     def __str__(self) -> str:

@@ -7,7 +7,7 @@ share one entry point, :func:`simulate`, selected by the same
 
 * ``"auto"`` runs the **compiled word-parallel engine**
   (:mod:`repro.hw.compiled`) where the host supports its little-endian
-  word layout: the netlist's cached
+  word layout: the circuit's cached
   :class:`~repro.hw.compiled.CompiledNetlist` plan runs as a one-variant
   batch of the one compiled level loop
   (:class:`~repro.hw.compiled.BatchedEvaluator`), which evaluates whole
@@ -15,8 +15,8 @@ share one entry point, :func:`simulate`, selected by the same
   bitwise operations and counts the activity popcounts as it goes.
 
 * ``"bigint"`` runs the **legacy bigint engine** (:func:`simulate_bigint`):
-  every net carries one arbitrary-precision Python integer whose bit *i*
-  is the net's value for test vector *i*, evaluated gate-by-gate in a
+  every node carries one arbitrary-precision Python integer whose bit *i*
+  is the node's value for test vector *i*, evaluated row by row in a
   Python loop.  It is kept as the independent reference oracle that the
   compiled engine is property-tested against (``tests/test_compiled.py``),
   and it is what ``"auto"`` runs on big-endian hosts.
@@ -40,8 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compiled import HOST_SUPPORTS_COMPILED
-from .netlist import Netlist
+from .compiled import (HOST_SUPPORTS_COMPILED, OP_AND, OP_INV, OP_MUX,
+                       OP_NAND, OP_NOR, OP_OR, OP_XNOR, OP_XOR)
+from .synthesis import ArrayCircuit
 
 __all__ = [
     "pack_vectors",
@@ -84,9 +85,9 @@ def unpack_bits(value: int, n_vectors: int) -> np.ndarray:
 
 @dataclass
 class SimulationResult:
-    """All net waveforms of one bigint (legacy-engine) simulation run."""
+    """All node waveforms of one bigint (legacy-engine) simulation run."""
 
-    netlist: Netlist
+    netlist: ArrayCircuit
     n_vectors: int
     net_values: list[int]
 
@@ -147,48 +148,38 @@ class ActivityReport:
 
     @staticmethod
     def from_simulation(sim: SimulationResult) -> "ActivityReport":
-        nl = sim.netlist
+        circ = sim.netlist
         n = sim.n_vectors
-        ones = np.empty(nl.n_gates, dtype=np.int64)
-        flips = np.zeros(nl.n_gates, dtype=np.int64)
+        n_gates = circ.n_gates
+        ones = np.empty(n_gates, dtype=np.int64)
+        flips = np.zeros(n_gates, dtype=np.int64)
         toggle_mask = (1 << (n - 1)) - 1 if n > 1 else 0
-        for gate_idx in range(nl.n_gates):
-            value = sim.net_values[nl.gate_out[gate_idx]]
-            ones[gate_idx] = value.bit_count()
+        gate_values = sim.net_values[circ.n_fixed:]
+        for k, value in enumerate(gate_values):
+            ones[k] = value.bit_count()
             if n > 1:
                 flipped = (value ^ (value >> 1)) & toggle_mask
-                flips[gate_idx] = flipped.bit_count()
+                flips[k] = flipped.bit_count()
         prob = ones / n
-        toggles = flips / (n - 1) if n > 1 else np.zeros(nl.n_gates)
+        toggles = flips / (n - 1) if n > 1 else np.zeros(n_gates)
         tau = np.maximum(prob, 1.0 - prob)
         const_value = (prob >= 0.5).astype(np.int8)
-        return ActivityReport(nl.n_gates, prob, tau, const_value, toggles,
+        return ActivityReport(n_gates, prob, tau, const_value, toggles,
                               ones, flips, n)
 
 
-# Opcodes for the legacy bigint evaluation loop.
-_OP_INV, _OP_BUF, _OP_AND, _OP_OR, _OP_XOR, _OP_XNOR, _OP_NAND, _OP_NOR, \
-    _OP_MUX = range(9)
-
-_OPCODES = {
-    "INV": _OP_INV, "BUF": _OP_BUF, "AND2": _OP_AND, "OR2": _OP_OR,
-    "XOR2": _OP_XOR, "XNOR2": _OP_XNOR, "NAND2": _OP_NAND, "NOR2": _OP_NOR,
-    "MUX2": _OP_MUX,
-}
-
-
-def _validate_inputs(nl: Netlist,
+def _validate_inputs(circ: ArrayCircuit,
                      inputs: dict[str, np.ndarray]) -> tuple[int, dict]:
     """Shared stimulus validation: bus match, equal lengths, value range."""
-    if set(inputs) != set(nl.input_buses):
+    if set(inputs) != set(circ.input_buses):
         raise ValueError(
-            f"inputs {sorted(inputs)} do not match buses {sorted(nl.input_buses)}")
+            f"inputs {sorted(inputs)} do not match buses {sorted(circ.input_buses)}")
     lengths = {len(np.atleast_1d(v)) for v in inputs.values()}
     if len(lengths) != 1:
         raise ValueError(f"input vector counts differ: {lengths}")
     n = lengths.pop()
     arrays: dict[str, np.ndarray] = {}
-    for name, nets in nl.input_buses.items():
+    for name, nets in circ.input_buses.items():
         data = np.atleast_1d(np.asarray(inputs[name], dtype=np.int64))
         if data.min(initial=0) < 0 or data.max(initial=0) >= (1 << len(nets)):
             raise ValueError(f"input {name!r} exceeds its {len(nets)}-bit bus")
@@ -196,73 +187,69 @@ def _validate_inputs(nl: Netlist,
     return n, arrays
 
 
-def simulate(nl: Netlist, inputs: dict[str, np.ndarray],
+def simulate(circ: ArrayCircuit, inputs: dict[str, np.ndarray],
              engine: str = "auto"):
-    """Evaluate the netlist over all vectors in ``inputs`` at once.
+    """Evaluate an :class:`~repro.hw.synthesis.ArrayCircuit` over all
+    vectors in ``inputs`` at once.
 
-    ``nl`` is a :class:`Netlist` or an array circuit
-    (:class:`~repro.hw.synthesis.ArrayCircuit`, which the bigint engine
-    materializes first).  ``inputs`` maps every input bus name to an
-    array of unsigned integers
-    (one per test vector); all arrays must share the same length.
+    ``inputs`` maps every input bus name to an array of unsigned
+    integers (one per test vector); all arrays must share the same
+    length.  A hand-built :class:`~repro.hw.netlist.Netlist` goes
+    through :func:`~repro.hw.synthesis.synthesize` or
+    ``ArrayCircuit.from_netlist`` first.
 
     ``engine`` selects the backend: ``"auto"`` (word-parallel NumPy
     where the host supports it, the bigint loop elsewhere) or
     ``"bigint"`` (the legacy reference loop); anything else raises
-    ``ValueError``.  Both backends return the same read API and
-    bit-identical results.
+    ``ValueError``.  Both backends read the circuit's rows, return the
+    same read API and give bit-identical results.
     """
     check_engine(engine)
-    n, arrays = _validate_inputs(nl, inputs)
+    n, arrays = _validate_inputs(circ, inputs)
     if resolve_engine(engine) == "batched":
-        return nl.compiled().simulate(arrays, n)
-    if not isinstance(nl, Netlist):  # an array circuit: the bigint
-        nl = nl.to_netlist()         # loop reads the gate lists
-    return _simulate_bigint_validated(nl, arrays, n)
+        return circ.compiled().simulate(arrays, n)
+    return _simulate_bigint_validated(circ, arrays, n)
 
 
-def simulate_bigint(nl: Netlist,
+def simulate_bigint(circ: ArrayCircuit,
                     inputs: dict[str, np.ndarray]) -> SimulationResult:
     """The legacy per-gate bigint engine (equivalence-test oracle)."""
-    n, arrays = _validate_inputs(nl, inputs)
-    return _simulate_bigint_validated(nl, arrays, n)
+    n, arrays = _validate_inputs(circ, inputs)
+    return _simulate_bigint_validated(circ, arrays, n)
 
 
-def _simulate_bigint_validated(nl: Netlist, arrays: dict[str, np.ndarray],
+def _simulate_bigint_validated(circ: ArrayCircuit,
+                               arrays: dict[str, np.ndarray],
                                n: int) -> SimulationResult:
     mask = (1 << n) - 1
-    values: list[int] = [0] * nl.n_nets
+    values: list[int] = [0] * circ.n_fixed
     values[1] = mask
-    for name, nets in nl.input_buses.items():
+    for name, nodes in circ.input_buses.items():
         data = arrays[name]
-        for position, net in enumerate(nets):
-            values[net] = pack_vectors((data >> position) & 1)
+        for position, node in enumerate(nodes):
+            values[node] = pack_vectors((data >> position) & 1)
 
-    gate_out = nl.gate_out
-    gate_inputs = nl.gate_inputs
-    opcodes = [_OPCODES[cell] for cell in nl.gate_type]
-    for gate_idx in range(nl.n_gates):
-        op = opcodes[gate_idx]
-        ins = gate_inputs[gate_idx]
-        a = values[ins[0]]
-        if op == _OP_AND:
-            result = a & values[ins[1]]
-        elif op == _OP_XOR:
-            result = a ^ values[ins[1]]
-        elif op == _OP_OR:
-            result = a | values[ins[1]]
-        elif op == _OP_INV:
+    append = values.append  # gate k's node is n_fixed + k
+    for op, a, b, c in zip(circ.ops, circ.ina, circ.inb, circ.inc):
+        a = values[a]
+        if op == OP_AND:
+            result = a & values[b]
+        elif op == OP_XOR:
+            result = a ^ values[b]
+        elif op == OP_OR:
+            result = a | values[b]
+        elif op == OP_INV:
             result = ~a & mask
-        elif op == _OP_NAND:
-            result = ~(a & values[ins[1]]) & mask
-        elif op == _OP_NOR:
-            result = ~(a | values[ins[1]]) & mask
-        elif op == _OP_XNOR:
-            result = ~(a ^ values[ins[1]]) & mask
-        elif op == _OP_MUX:
-            sel = values[ins[2]]
-            result = (a & ~sel | values[ins[1]] & sel) & mask
-        else:  # _OP_BUF
+        elif op == OP_NAND:
+            result = ~(a & values[b]) & mask
+        elif op == OP_NOR:
+            result = ~(a | values[b]) & mask
+        elif op == OP_XNOR:
+            result = ~(a ^ values[b]) & mask
+        elif op == OP_MUX:
+            sel = values[c]
+            result = (a & ~sel | values[b] & sel) & mask
+        else:  # OP_BUF
             result = a
-        values[gate_out[gate_idx]] = result
-    return SimulationResult(nl, n, values)
+        append(result)
+    return SimulationResult(circ, n, values)

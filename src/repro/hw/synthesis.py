@@ -38,7 +38,7 @@ exploration uses to locate a base-circuit gate inside its folded form.
 
 from __future__ import annotations
 
-from .compiled import OP_BUF, OP_INV, OP_MUX, OPCODES
+from .compiled import CELL_OF_OP, OP_BUF, OP_INV, OP_MUX, OPCODES
 from .fold import RowFolder
 from .netlist import CONST0, CONST1, Netlist
 
@@ -50,9 +50,6 @@ __all__ = [
     "rebuild_folded",
     "strip_dead",
 ]
-
-_CELL_OF_OP = ["INV", "BUF", "AND2", "OR2", "XOR2", "XNOR2", "NAND2",
-               "NOR2", "MUX2"]
 
 _BUILDERS = {
     "INV": "not_",
@@ -187,23 +184,23 @@ def synthesize_reference(nl: Netlist,
 # Compiled array engine
 # ----------------------------------------------------------------------
 class ArrayCircuit:
-    """Flat-array form of a netlist for the compiled folding passes.
+    """The circuit every consumer reads: one row per gate in flat lists.
 
-    Node ids double as the net ids of the final rebuilt netlist: 0/1 are
-    the constant ties, input-bus bits follow in declaration order, and
-    gate *k* owns node ``n_fixed + k``.  (The reference replay uses the
-    same interface-first numbering, which is what keeps the two engines
-    structurally identical.)
+    Gate *k* is opcode ``ops[k]`` over operand nodes ``ina[k]``,
+    ``inb[k]`` and ``inc[k]`` (unused slots hold node 0) and owns node
+    ``n_fixed + k``.  Nodes 0/1 are the constant ties and input-bus bits
+    follow in declaration order.  Rows are topologically sorted: an
+    operand always names an earlier node.  (The reference replay uses
+    the same interface-first numbering, which is what keeps the two
+    synthesis engines structurally identical.)
 
-    Beyond being the synthesis workspace, an ``ArrayCircuit`` is a
-    first-class *circuit view*: it exposes the same read interface a
-    :class:`Netlist` offers to simulation, area, and power analysis
-    (``input_buses``/``output_buses``/``output_signed``, ``gate_type``,
-    ``n_gates``/``n_nets``, and a cached :meth:`compiled` plan).  The
-    array builder emits this form and the e-sweep scores and the pruner
-    prunes it directly; :meth:`to_netlist` exists for consumers that
-    need the full builder IR.  Pruning watch buses live in ``watch``
-    (node ids), never in ``meta``.
+    Builders, synthesis, the pruner and the store decoder hand out this
+    form, and simulation, scoring, pruning, area/power/timing reports
+    and the Verilog and JSON exporters read its rows.  A
+    :class:`Netlist` (the per-gate builder's IR and the reference
+    oracle's) enters through :meth:`from_netlist`; :meth:`to_netlist`
+    is the way back for the reference synthesis alone.  Pruning watch
+    buses live in ``watch`` (node ids), never in ``meta``.
 
     ``folded`` marks a circuit already at the fold fixpoint: a fold and
     strip of it would rebuild the very same rows.  Only the passes that
@@ -215,7 +212,7 @@ class ArrayCircuit:
 
     __slots__ = ("name", "input_buses", "n_fixed", "ops", "ina", "inb",
                  "inc", "levels", "outputs", "signed", "meta", "watch",
-                 "folded", "_plan", "_gate_type", "__weakref__")
+                 "folded", "_plan", "__weakref__")
 
     def __init__(self) -> None:
         self.input_buses: dict[str, list[int]] = {}
@@ -232,9 +229,8 @@ class ArrayCircuit:
         self.watch: list[list[int]] | None = None
         self.folded = False
         self._plan = None
-        self._gate_type: list[str] | None = None
 
-    # -- Netlist-compatible read interface ------------------------------
+    # -- port and size views --------------------------------------------
     @property
     def n_gates(self) -> int:
         return len(self.ops)
@@ -251,22 +247,13 @@ class ArrayCircuit:
     def output_signed(self) -> dict[str, bool]:
         return self.signed
 
-    @property
-    def gate_type(self) -> list[str]:
-        """Cell names per gate (lazily materialized from opcodes)."""
-        cached = self._gate_type
-        if cached is None:
-            cells = _CELL_OF_OP
-            cached = [cells[op] for op in self.ops]
-            self._gate_type = cached
-        return cached
-
     def compiled(self):
-        """The cached word-parallel evaluation plan (see ``Netlist.compiled``)."""
+        """The word-parallel evaluation plan, built on first simulation
+        and cached (see :class:`~repro.hw.compiled.CompiledNetlist`)."""
         plan = self._plan
         if plan is None:
             from .compiled import CompiledNetlist
-            plan = CompiledNetlist.from_arrays(self)
+            plan = CompiledNetlist(self)
             self._plan = plan
         return plan
 
@@ -304,13 +291,13 @@ class ArrayCircuit:
         return circ, node_of
 
     def to_netlist(self) -> Netlist:
-        """The builder IR (node ids become net ids), for exporters and
-        the reference oracles; exploring and serving read the arrays."""
+        """The builder IR (node ids become net ids), for the reference
+        synthesis replay; every other consumer reads the rows."""
         new = Netlist(name=self.name, cse=False)
         for name, ids in self.input_buses.items():
             new.add_input_bus(name, len(ids))
         ops, ina, inb, inc = self.ops, self.ina, self.inb, self.inc
-        cells = _CELL_OF_OP
+        cells = CELL_OF_OP
         for k in range(len(ops)):
             op = ops[k]
             if op == OP_MUX:
@@ -477,12 +464,15 @@ def synthesize_arrays(circ: ArrayCircuit,
 
 
 def synthesize(nl: Netlist,
-               force_constants: dict[int, int] | None = None) -> Netlist:
+               force_constants: dict[int, int] | None = None
+               ) -> ArrayCircuit:
     """Optimize a netlist (optionally pruning gates) to a fixpoint.
 
-    Runs one fold and one strip on the compiled array engine (see
-    :func:`synthesize_arrays`); :func:`synthesize_reference` is the
-    builder-replay equivalent, iterated to convergence.
+    Converts the per-gate builder IR once and runs one fold and one
+    strip on the compiled array engine (see :func:`synthesize_arrays`);
+    the result is a ``folded`` :class:`ArrayCircuit`.
+    :func:`synthesize_reference` is the builder-replay equivalent,
+    iterated to convergence.
     """
     circ, _node_of = ArrayCircuit.from_netlist(nl)
     force_by_node = None
@@ -490,7 +480,7 @@ def synthesize(nl: Netlist,
         n_fixed = circ.n_fixed
         force_by_node = {n_fixed + gate_idx: value
                          for gate_idx, value in force_constants.items()}
-    return synthesize_arrays(circ, force_by_node)[0].to_netlist()
+    return synthesize_arrays(circ, force_by_node)[0]
 
 
 def _remap_meta(meta: dict, net_map: list[int]) -> dict:

@@ -13,29 +13,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cells import EGT_LIBRARY, TECHNOLOGY
-from .netlist import Netlist
+from .compiled import ARITY_OF_OP, CELL_OF_OP
 
 __all__ = ["critical_path_ms", "TimingReport"]
 
+_DELAY_OF_OP = [EGT_LIBRARY[cell].delay_ms for cell in CELL_OF_OP]
 
-def _arrival_times(nl: Netlist) -> list[float]:
-    arrival = [0.0] * nl.n_nets
-    for gate_idx in range(nl.n_gates):
-        delay = EGT_LIBRARY[nl.gate_type[gate_idx]].delay_ms
-        worst_input = max(
-            (arrival[net] for net in nl.gate_inputs[gate_idx]), default=0.0)
-        arrival[nl.gate_out[gate_idx]] = worst_input + delay
+
+def _arrival_times(circ) -> list[float]:
+    """Arrival time per node, one sweep over the topologically sorted
+    rows (gate *k* drives node ``n_fixed + k``)."""
+    arrival = [0.0] * circ.n_fixed
+    for op, a, b, c in zip(circ.ops, circ.ina, circ.inb, circ.inc):
+        arity = ARITY_OF_OP[op]
+        worst = arrival[a]
+        if arity > 1:
+            worst = max(worst, arrival[b])
+            if arity > 2:
+                worst = max(worst, arrival[c])
+        arrival.append(worst + _DELAY_OF_OP[op])
     return arrival
 
 
-def critical_path_ms(nl: Netlist) -> float:
+def critical_path_ms(circ) -> float:
     """Longest input-to-output combinational delay in milliseconds."""
-    arrival = _arrival_times(nl)
+    arrival = _arrival_times(circ)
     worst = 0.0
-    for nets in nl.output_buses.values():
-        for net in nets:
-            if arrival[net] > worst:
-                worst = arrival[net]
+    for nodes in circ.output_buses.values():
+        for node in nodes:
+            if arrival[node] > worst:
+                worst = arrival[node]
     return worst
 
 
@@ -55,9 +62,9 @@ class TimingReport:
         return self.slack_ms >= 0.0
 
     @staticmethod
-    def from_netlist(nl: Netlist, clock_ms: float | None = None) -> "TimingReport":
+    def from_netlist(circ, clock_ms: float | None = None) -> "TimingReport":
         clock = clock_ms if clock_ms is not None else TECHNOLOGY.default_clock_ms
-        return TimingReport(critical_path_ms(nl), clock)
+        return TimingReport(critical_path_ms(circ), clock)
 
     def __str__(self) -> str:
         status = "MET" if self.meets_clock else "VIOLATED"

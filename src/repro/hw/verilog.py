@@ -2,8 +2,8 @@
 
 The paper's framework generates bespoke RTL that Synopsys Design Compiler
 maps onto the EGT library.  This module closes the loop in the other
-direction: any :class:`~repro.hw.netlist.Netlist` — including every pruned
-or coefficient-approximated variant — can be exported as a structural
+direction: any :class:`~repro.hw.synthesis.ArrayCircuit` — including every
+pruned or coefficient-approximated variant — can be exported as a structural
 Verilog module over the same cell names, ready for an external EDA flow or
 for equivalence checking against this package's simulator.
 
@@ -16,7 +16,8 @@ any Verilog simulator as-is.
 from __future__ import annotations
 
 from .cells import EGT_LIBRARY
-from .netlist import CONST0, CONST1, Netlist
+from .compiled import ARITY_OF_OP, CELL_OF_OP
+from .netlist import CONST0, CONST1
 
 __all__ = ["to_verilog", "emit_cell_models"]
 
@@ -57,55 +58,57 @@ def _net_ref(net: int, net_names: dict[int, str]) -> str:
     return net_names[net]
 
 
-def to_verilog(nl: Netlist, module_name: str | None = None) -> str:
-    """Emit the netlist as one structural Verilog module.
+def to_verilog(circ, module_name: str | None = None) -> str:
+    """Emit the circuit as one structural Verilog module.
 
-    Input/output buses become vector ports (LSB at index 0); internal
-    nets become wires named ``w<net>``; constants are literal ties.
+    Input/output buses become vector ports (LSB at index 0); gate *k*
+    becomes instance ``u<k>`` driving wire ``w<node>`` (its node id
+    ``n_fixed + k``); constants are literal ties.
     """
-    module = _sanitize(module_name if module_name is not None else nl.name)
+    module = _sanitize(module_name if module_name is not None else circ.name)
     net_names: dict[int, str] = {}
     port_decls: list[str] = []
     port_names: list[str] = []
 
-    for name, nets in nl.input_buses.items():
+    for name, nodes in circ.input_buses.items():
         port = _sanitize(name)
         port_names.append(port)
-        port_decls.append(f"  input  wire [{len(nets) - 1}:0] {port};")
-        for bit, net in enumerate(nets):
-            net_names[net] = f"{port}[{bit}]"
+        port_decls.append(f"  input  wire [{len(nodes) - 1}:0] {port};")
+        for bit, node in enumerate(nodes):
+            net_names[node] = f"{port}[{bit}]"
 
     assigns: list[str] = []
-    for name, nets in nl.output_buses.items():
+    for name, nodes in circ.output_buses.items():
         port = _sanitize(name)
         port_names.append(port)
-        signed = " signed" if nl.output_signed[name] else ""
+        signed = " signed" if circ.output_signed[name] else ""
         port_decls.append(
-            f"  output wire{signed} [{len(nets) - 1}:0] {port};")
+            f"  output wire{signed} [{len(nodes) - 1}:0] {port};")
 
     wires: list[str] = []
     instances: list[str] = []
-    for gate_idx, cell in enumerate(nl.gate_type):
-        out_net = nl.gate_out[gate_idx]
-        wire = f"w{out_net}"
-        net_names[out_net] = wire
-        wires.append(f"  wire {wire};")
-        pins = _PINS[EGT_LIBRARY[cell].n_inputs]
+    rows = zip(circ.ops, circ.ina, circ.inb, circ.inc)
+    for gate_idx, (op, *operands) in enumerate(rows):
+        cell = CELL_OF_OP[op]
+        wire = f"w{circ.n_fixed + gate_idx}"
+        pins = _PINS[ARITY_OF_OP[op]]
         connections = ", ".join(
-            f".{pin}({_net_ref(net, net_names)})"
-            for pin, net in zip(pins, nl.gate_inputs[gate_idx]))
+            f".{pin}({_net_ref(node, net_names)})"
+            for pin, node in zip(pins, operands))
+        net_names[circ.n_fixed + gate_idx] = wire
+        wires.append(f"  wire {wire};")
         instances.append(
             f"  {cell} u{gate_idx} ({connections}, .y({wire}));")
 
-    for name, nets in nl.output_buses.items():
+    for name, nodes in circ.output_buses.items():
         port = _sanitize(name)
-        for bit, net in enumerate(nets):
+        for bit, node in enumerate(nodes):
             assigns.append(
-                f"  assign {port}[{bit}] = {_net_ref(net, net_names)};")
+                f"  assign {port}[{bit}] = {_net_ref(node, net_names)};")
 
     lines = [
-        f"// Generated by repro.hw.verilog from netlist {nl.name!r}",
-        f"// {nl.n_gates} cells on the printed EGT library",
+        f"// Generated by repro.hw.verilog from netlist {circ.name!r}",
+        f"// {circ.n_gates} cells on the printed EGT library",
         f"module {module} ({', '.join(port_names)});",
         *port_decls,
         *wires,

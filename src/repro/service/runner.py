@@ -38,7 +38,8 @@ from ..core.cross_layer import DEFAULT_E_SWEEP
 from ..core.pruning import (DEFAULT_TAU_GRID, NetlistPruner, PrunedDesign,
                             PruneSpace)
 from ..eval.accuracy import CircuitEvaluator
-from ..hw.bespoke import build_bespoke_circuit
+from ..hw.bespoke import build_bespoke_netlist
+from ..hw.synthesis import ArrayCircuit
 from .faults import fault_point
 from .jobs import DEFAULT_SHARD_SIZE, ExplorationJob, JobReport
 from .jsonl import write_line
@@ -123,7 +124,7 @@ class _Base(NamedTuple):
     (the folded base) without refolding or retraining.
     """
 
-    circuit: object
+    circuit: ArrayCircuit
     grid_meta: dict
     store_hit: bool
     fingerprint: str
@@ -364,14 +365,14 @@ class ExplorationService:
         as-is.
         """
         if self._build_cache is None:
-            return build_bespoke_circuit(model, name=name), False
+            return build_bespoke_netlist(model, name=name), False
         key = ("exact-netlist", model_fingerprint(model))
         circuit = self._build_cache.get(key)
         if circuit is not None:
             _metric("build.cache", result="hit")
             return circuit, True
         _metric("build.cache", result="miss")
-        circuit = build_bespoke_circuit(model, name=name)
+        circuit = build_bespoke_netlist(model, name=name)
         self._build_cache[key] = circuit
         return circuit, False
 

@@ -15,10 +15,10 @@ repeated or overlapping explorations become lookups:
 Hash contract
 -------------
 A key is the SHA-256 of length-prefixed canonical-JSON parts.  The
-*base fingerprint* covers the netlist structure
+*base fingerprint* covers the circuit structure
 (:func:`~repro.hw.netlist_io.netlist_to_dict`; the bytes come from
 :func:`~repro.hw.netlist_io.encode_netlist`, which writes that canonical
-form straight from a ``Netlist`` or an ``ArrayCircuit``) and every evaluator
+form straight from an ``ArrayCircuit``'s rows) and every evaluator
 input that can change a record: the decode rule, the train stimulus
 (it defines tau/const via switching activity), the test stimulus,
 the labels, and the clock.  It deliberately **excludes** the evaluation
@@ -245,15 +245,13 @@ def _payload_digest(payload: dict) -> dict:
 
 
 def netlist_fingerprint(nl) -> str:
-    """Content hash of a netlist's structure, ports, and pruning meta.
+    """Content hash of a circuit's structure, ports, and pruning meta.
 
-    ``nl`` is a :class:`~repro.hw.netlist.Netlist`, an
-    :class:`~repro.hw.synthesis.ArrayCircuit` (hashed as its
-    ``to_netlist()`` without building it), or an
+    ``nl`` is an :class:`~repro.hw.synthesis.ArrayCircuit` or the
     :class:`~repro.hw.netlist_io.EncodedNetlist` the caller already
     holds.  The hashed bytes are the canonical JSON of
-    :func:`~repro.hw.netlist_io.netlist_to_dict`, so all three give
-    the same digest.  The cosmetic ``name`` is excluded: logically
+    :func:`~repro.hw.netlist_io.netlist_to_dict`, so both give the
+    same digest.  The cosmetic ``name`` is excluded: logically
     identical circuits built through different entry points (the CLI,
     the framework, a bench script) must resolve to the same content key
     or the store would recompute across them instead of deduplicating.
@@ -447,19 +445,18 @@ def build_coeff_netlist_cached(approximator, model, store: "DesignStore",
 
     Returns ``(circuit, fingerprint, hit)``; ``fingerprint`` is the
     circuit's :func:`netlist_fingerprint`, handed back so callers key
-    their work without hashing the circuit again.  A warm hit
-    deserializes the stored JSON
+    their work without hashing the circuit again.  Every outcome is an
+    :class:`~repro.hw.synthesis.ArrayCircuit`.  A warm hit decodes the
+    stored JSON straight into rows
     (:func:`~repro.hw.netlist_io.netlist_from_dict` reproduces the
-    build's exact gate list and net numbering, so fingerprints and
-    evaluations of the rebuilt netlist are bit-identical — pinned by
-    the service tests) and skips the bespoke build+synthesis entirely.
-    A miss builds through ``builder`` (see
-    :func:`~repro.hw.bespoke.build_bespoke_circuit`) and persists it;
-    the array builder's circuit stays an
-    :class:`~repro.hw.synthesis.ArrayCircuit` — the compiled engines
-    evaluate it directly, the pruner prunes it as is, and it is encoded
-    once, straight from its rows, for both the fingerprint and the
-    stored payload; only a store hit yields a ``Netlist``.
+    build's exact gate list and numbering, so fingerprints and
+    evaluations of the rebuilt circuit are bit-identical — pinned by
+    the service tests) and skips the bespoke build+synthesis entirely;
+    the decoded circuit is not marked ``folded``, so a pruner folds it
+    once.  A miss builds through ``builder`` (see
+    :func:`~repro.hw.bespoke.build_bespoke_netlist`) and persists it,
+    encoded once, straight from its rows, for both the fingerprint and
+    the stored payload.
     ``approx_model`` short-circuits the (cached) approximation step when
     the caller already holds it; the circuit's cosmetic ``name`` is
     always the caller's.
@@ -473,28 +470,28 @@ def build_coeff_netlist_cached(approximator, model, store: "DesignStore",
     ``build.cache{result=}`` metric; a build-cache hit still persists
     the payload so the caller's store warms up.
     """
-    from ..hw.bespoke import build_bespoke_circuit  # lazy: service -> hw
+    from ..hw.bespoke import build_bespoke_netlist  # lazy: service -> hw
 
     key = coeff_netlist_key(model, approximator)
     data = store.get_coeff_netlist(key)
     if data is not None:
-        netlist = netlist_from_dict(data)
-        netlist.name = name
-        return netlist, netlist_fingerprint(netlist), True
+        circuit = netlist_from_dict(data)
+        circuit.name = name
+        return circuit, netlist_fingerprint(circuit), True
     if build_cache is not None:
         cached = build_cache.get(key)
         if cached is not None:
             _metric("build.cache", result="hit")
             text, fingerprint = cached
             store.put_coeff_netlist(key, text, fingerprint)
-            netlist = netlist_from_dict(json.loads(text))
-            netlist.name = name
-            return netlist, fingerprint, True
+            circuit = netlist_from_dict(json.loads(text))
+            circuit.name = name
+            return circuit, fingerprint, True
         _metric("build.cache", result="miss")
     if approx_model is None:
         approx_model, _reports = approximate_model_cached(
             approximator, model, store)
-    circuit = build_bespoke_circuit(approx_model, name=name, builder=builder)
+    circuit = build_bespoke_netlist(approx_model, name=name, builder=builder)
     # The stored name is cosmetic; keep stored payloads canonical.
     encoded = encode_netlist(circuit, name="coeff")
     fingerprint = netlist_fingerprint(encoded)

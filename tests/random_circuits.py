@@ -4,6 +4,9 @@ Every test that needs an adversarial circuit draws it here: every cell
 of the EGT library (INV/BUF/AND2/OR2/XOR2/XNOR2/NAND2/NOR2/MUX2) over
 inputs, constant ties and earlier gates, with no structural hashing, so
 the folding rules see duplicates, constants and complement pairs.
+:func:`random_circuit` hands the same draw out as the unfolded
+:class:`~repro.hw.synthesis.ArrayCircuit` rows the pruner and the
+evaluators read.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hw.netlist import CONST0, CONST1, Netlist
+from repro.hw.synthesis import ArrayCircuit
 
 CELLS_1 = ("INV", "BUF")
 CELLS_2 = ("AND2", "OR2", "XOR2", "XNOR2", "NAND2", "NOR2")
@@ -42,3 +46,11 @@ def random_netlist(rng: np.random.Generator, n_gates: int, width: int,
         signed = bool(rng.integers(0, 2))
     nl.set_output_bus(output, out_nets, signed=signed)
     return nl
+
+
+def random_circuit(rng: np.random.Generator, n_gates: int, width: int,
+                   output: str = "y",
+                   signed: bool | None = None) -> ArrayCircuit:
+    """:func:`random_netlist`'s draw as (unfolded) array-circuit rows."""
+    return ArrayCircuit.from_netlist(
+        random_netlist(rng, n_gates, width, output, signed))[0]

@@ -5,9 +5,8 @@ One ``Value`` op sequence drives two emitter backends.  The per-gate
 the pinned oracle for :class:`ArrayEmitter`, the way
 ``synthesize_reference`` pins ``synthesize``.  The contract under test
 is *identity*, not mere functional equivalence: for every model and
-every block, the array backend must produce a netlist whose gate
-arrays, buses, and metadata are equal element-for-element to the
-oracle's — which is what makes it the default under content-addressed
+every block, the array backend must produce a circuit whose rows,
+buses, and metadata are equal element-for-element to the oracle's — which is what makes it the default under content-addressed
 stores (same bytes, same keys).
 
 Layers covered, bottom up:
@@ -53,7 +52,6 @@ from repro.hw.array_builder import (
     build_weighted_sum_arrays,
 )
 from repro.hw.bespoke import (
-    build_bespoke_circuit,
     build_bespoke_multiplier_netlist,
     build_bespoke_netlist,
     build_weighted_sum_netlist,
@@ -83,29 +81,39 @@ TIER1_CASES = (("redwine", "svm_r"), ("redwine", "mlp_c"),
 BENCH_CASES = TIER1_CASES + (("whitewine", "svm_c"), ("cardio", "svm_c"))
 
 
-def assert_netlists_identical(actual: Netlist, oracle: Netlist) -> None:
-    """Element-for-element equality of every synthesized-netlist field."""
+def _as_rows(circuit) -> ArrayCircuit:
+    return ArrayCircuit.from_netlist(circuit)[0] \
+        if isinstance(circuit, Netlist) else circuit
+
+
+def assert_netlists_identical(actual, oracle) -> None:
+    """Element-for-element equality of every synthesized-circuit row and
+    port; a ``Netlist`` side is compared through its rows."""
+    actual, oracle = _as_rows(actual), _as_rows(oracle)
     assert actual.name == oracle.name
     assert actual.input_buses == oracle.input_buses
-    assert actual.gate_type == oracle.gate_type
-    assert actual.gate_inputs == oracle.gate_inputs
-    assert actual.gate_out == oracle.gate_out
+    assert actual.n_fixed == oracle.n_fixed
+    assert list(actual.ops) == list(oracle.ops)
+    assert list(actual.ina) == list(oracle.ina)
+    assert list(actual.inb) == list(oracle.inb)
+    assert list(actual.inc) == list(oracle.inc)
     assert actual.output_buses == oracle.output_buses
     assert actual.output_signed == oracle.output_signed
     assert actual.meta == oracle.meta
+    assert actual.watch == oracle.watch
 
 
-def on_both_backends(name: str, emit) -> tuple[Netlist, Netlist]:
+def on_both_backends(name: str, emit) -> tuple[ArrayCircuit, ArrayCircuit]:
     """Run one ``emit(em)`` generator on each backend.
 
-    Returns ``(array, oracle)``: the array backend's stripped rows as a
-    netlist, and the per-gate backend's netlist after ``synthesize``.
+    Returns ``(array, oracle)``: the array backend's stripped rows, and
+    the per-gate backend's netlist after ``synthesize``.
     """
     em = ArrayEmitter(name)
     emit(em)
     nl = Netlist(name=name)
     emit(nl)
-    return em.finish_synthesized().to_netlist(), synthesize(nl)
+    return em.finish_synthesized(), synthesize(nl)
 
 
 def emit_product(coefficient: int, input_bits: int, recoding: str = "csd"):
@@ -191,15 +199,16 @@ class TestMultiplierOracle:
         """Every signed 8-bit coefficient, both backends, identical gates."""
         for coefficient in range(-128, 128):
             array = build_bespoke_multiplier_netlist(coefficient, input_bits)
-            gate = synthesize(build_bespoke_multiplier_netlist(
-                coefficient, input_bits, optimize=False))
+            gate = synthesize_arrays(build_bespoke_multiplier_netlist(
+                coefficient, input_bits, optimize=False))[0]
             assert_netlists_identical(array, gate)
 
     def test_library_areas_identical(self):
         """The array-backed library agrees exactly with per-gate areas."""
         library = BespokeMultiplierLibrary(coeff_bits=6)
-        oracle = {w: area_mm2(synthesize(build_bespoke_multiplier_netlist(
-                      w, 4, optimize=False)))
+        oracle = {w: area_mm2(synthesize_arrays(
+                      build_bespoke_multiplier_netlist(w, 4,
+                                                       optimize=False))[0])
                   for w in range(-32, 32)}
         assert library.area_table(4) == oracle
 
@@ -230,8 +239,8 @@ class TestWeightedSumOracle:
     ])
     def test_degenerate_coefficients(self, coefficients, bias):
         array = build_weighted_sum_netlist(coefficients, 4, bias=bias)
-        gate = synthesize(build_weighted_sum_netlist(
-            coefficients, 4, bias=bias, optimize=False))
+        gate = synthesize_arrays(build_weighted_sum_netlist(
+            coefficients, 4, bias=bias, optimize=False))[0]
         assert_netlists_identical(array, gate)
 
     def test_random_property_cases(self):
@@ -244,8 +253,8 @@ class TestWeightedSumOracle:
             bias = rng.randint(-512, 512)
             array = build_weighted_sum_netlist(coefficients, input_bits,
                                                bias=bias)
-            gate = synthesize(build_weighted_sum_netlist(
-                coefficients, input_bits, bias=bias, optimize=False))
+            gate = synthesize_arrays(build_weighted_sum_netlist(
+                coefficients, input_bits, bias=bias, optimize=False))[0]
             assert_netlists_identical(array, gate)
 
     def test_behavioral_against_numpy(self):
@@ -388,12 +397,12 @@ class TestBuilderSelector:
     def test_unoptimized_build_defaults_to_gate(self):
         case = get_case("redwine", "svm_r")
         raw = build_bespoke_netlist(case.quant_model, optimize=False)
-        assert len(raw.gate_type) > len(
-            build_bespoke_netlist(case.quant_model).gate_type)
+        assert raw.folded is False
+        assert raw.n_gates > build_bespoke_netlist(case.quant_model).n_gates
 
     @pytest.mark.parametrize("construct", [
         lambda: build_bespoke_netlist(None, builder="nope"),
-        lambda: build_bespoke_circuit(None, builder="nope"),
+        lambda: build_bespoke_netlist(None, optimize=False, builder="nope"),
         lambda: CrossLayerFramework(builder="nope"),
     ])
     def test_unknown_builder_rejected(self, construct):

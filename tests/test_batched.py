@@ -56,7 +56,7 @@ from repro.core.pruning import NetlistPruner
 from repro.ml import LinearSVMRegressor
 from repro.quant import quantize_model
 from repro.service import telemetry
-from random_circuits import random_netlist
+from random_circuits import random_circuit, random_netlist
 
 
 
@@ -67,9 +67,9 @@ def _folded_incremental(nl: Netlist):
     return base, folded, IncrementalCircuit.from_arrays(folded), node_map
 
 
-def _from_scratch(circ, ties: dict[int, int]) -> Netlist:
+def _from_scratch(circ, ties: dict[int, int]) -> ArrayCircuit:
     """The oracle: ``circ`` with ``ties`` forced, folded from scratch."""
-    return synthesize_arrays(circ, ties)[0].to_netlist()
+    return synthesize_arrays(circ, ties)[0]
 
 
 def _random_ties(rng: np.random.Generator, inc: IncrementalCircuit,
@@ -93,10 +93,6 @@ def _activity_multiset(ops, report):
     """Order-independent per-gate activity summary."""
     return sorted(zip(np.asarray(ops, dtype=np.int64).tolist(),
                       report.ones.tolist(), report.flips.tolist()))
-
-
-_OPCODE_OF_CELL = {"INV": 0, "BUF": 1, "AND2": 2, "OR2": 3, "XOR2": 4,
-                   "XNOR2": 5, "NAND2": 6, "NOR2": 7, "MUX2": 8}
 
 
 class TestBatchedEvaluatorEquivalence:
@@ -147,9 +143,7 @@ class TestBatchedEvaluatorEquivalence:
             # order), so compare activity as an (op, ones, flips)
             # multiset — exactly what area/power reduce over.
             got = _activity_multiset(sim.circuit.ops, sim.activity())
-            want = _activity_multiset(
-                [_OPCODE_OF_CELL[c] for c in ref.gate_type],
-                oracle.activity())
+            want = _activity_multiset(ref.ops, oracle.activity())
             assert got == want
             assert area_mm2(sim.circuit) == area_mm2(ref)
             assert power_mw(sim.circuit, sim.activity()) == \
@@ -192,8 +186,7 @@ class TestBatchedEvaluatorEquivalence:
         np.testing.assert_array_equal(sim.bus_ints("y"),
                                       oracle.bus_ints("y"))
         assert _activity_multiset(sim.circuit.ops, sim.activity()) == \
-            _activity_multiset([_OPCODE_OF_CELL[c] for c in ref.gate_type],
-                               oracle.activity())
+            _activity_multiset(ref.ops, oracle.activity())
 
     def test_chunks_match_one_pass_and_count_one_batch(self, monkeypatch):
         """A batch split into one-variant chunks simulates exactly like
@@ -234,11 +227,11 @@ class TestBatchedEvaluatorEquivalence:
     @settings(max_examples=20, deadline=None)
     def test_netlist_plan_activity_follows_level_order(self, seed,
                                                        n_vectors):
-        """A ``CompiledNetlist(nl)`` plan sorts its gates into levels,
-        so ``gate_out`` order is not level-plan order; the level loop's
-        activity counts must still land on the right gates."""
+        """A ``CompiledNetlist`` plan sorts its gates into (level,
+        opcode) order, so ``gate_out`` order is not level-plan order; the
+        level loop's activity counts must still land on the right gates."""
         rng = np.random.default_rng(seed)
-        nl = random_netlist(rng, int(rng.integers(5, 60)),
+        nl = random_circuit(rng, int(rng.integers(5, 60)),
                             int(rng.integers(2, 6)))
         plan = CompiledNetlist(nl)
         width = len(nl.input_buses["x"])
@@ -246,8 +239,7 @@ class TestBatchedEvaluatorEquivalence:
         packed = pack_stimulus(arrays, {"x": width}, n_vectors)
         spec = VariantSpec(
             ties={}, live_nodes=plan.gate_out,
-            live_ops=np.array([_OPCODE_OF_CELL[c] for c in nl.gate_type],
-                              dtype=np.int64),
+            live_ops=np.asarray(nl.ops, dtype=np.int64),
             helpers=[], outputs=dict(nl.output_buses),
             signed=dict(nl.output_signed))
         sim, = BatchedEvaluator(plan, n_vectors, packed).evaluate([spec])
@@ -276,7 +268,7 @@ class TestTieRegression:
         netlist, make_evaluator = svm_setup
         evaluator = make_evaluator()
         space = NetlistPruner(netlist, evaluator, (0.85, 0.95)).space()
-        base, _ = ArrayCircuit.from_netlist(netlist)
+        base = netlist
         folded, node_map = synthesize_arrays(base, None)
         n, stimulus, packed = evaluator.test_stimulus(netlist)
         checked = 0
@@ -285,8 +277,8 @@ class TestTieRegression:
                 force = space.prune_set(tau_c, phi_c)
                 if not force:
                     continue
-                reference = synthesize_reference(netlist,
-                                                 force_constants=force)
+                reference = ArrayCircuit.from_netlist(synthesize_reference(
+                    netlist.to_netlist(), force_constants=force))[0]
                 inc = IncrementalCircuit.from_arrays(folded)
                 plan = inc.plan()
                 ties = {}
@@ -298,7 +290,7 @@ class TestTieRegression:
                 got, = BatchedEvaluator(plan, n, packed).evaluate([spec])
                 assert got.circuit.n_gates == reference.n_gates
                 assert sorted(got.circuit.ops.tolist()) == sorted(
-                    _OPCODE_OF_CELL[cell] for cell in reference.gate_type)
+                    reference.ops)
                 bus = next(iter(reference.output_buses))
                 want = simulate_bigint(reference, stimulus)
                 np.testing.assert_array_equal(got.bus_ints(bus),
@@ -405,7 +397,7 @@ class TestBatchedExploration:
         """Batched scoring is record-identical to per-variant scoring."""
         netlist, make_evaluator = svm_setup
         evaluator = make_evaluator()
-        base, _ = ArrayCircuit.from_netlist(netlist)
+        base = netlist
         folded, node_map = synthesize_arrays(base, None)
         inc = IncrementalCircuit.from_arrays(folded)
         plan = inc.plan()

@@ -72,7 +72,7 @@ def test_meta_carries_watch_buses(split):
     quant = quantize_model(model)
     netlist = build_bespoke_netlist(quant)
     assert netlist.meta["kind"] == "classifier"
-    watch = netlist.meta["watch_buses"]
+    watch = netlist.watch
     assert len(watch) == 6  # one bus per output neuron
     for bus in watch:
         assert all(0 <= net < netlist.n_nets for net in bus)

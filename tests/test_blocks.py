@@ -17,11 +17,17 @@ from repro.hw.blocks import (
 )
 from repro.hw.netlist import Netlist
 from repro.hw.simulate import simulate
+from repro.hw.synthesis import ArrayCircuit
+
+
+def _simulate(nl: Netlist, inputs: dict):
+    """Simulate a hand-built netlist through the rows it converts to."""
+    return simulate(ArrayCircuit.from_netlist(nl)[0], inputs)
 
 
 def _eval_value(nl: Netlist, value: Value, inputs: dict) -> np.ndarray:
     nl.set_output_bus("_out", value.nets, signed=value.signed)
-    sim = simulate(nl, inputs)
+    sim = _simulate(nl, inputs)
     return sim.bus_ints("_out")
 
 
@@ -108,7 +114,7 @@ class TestValueArithmetic:
             st.integers(0, 2**width - 1), min_size=1, max_size=32)))
         ys = np.array(data.draw(st.lists(
             st.integers(0, 2**width - 1), min_size=len(xs), max_size=len(xs))))
-        sim = simulate(nl, {"x": xs, "y": ys})
+        sim = _simulate(nl, {"x": xs, "y": ys})
         np.testing.assert_array_equal(sim.bus_ints("s"), xs + ys)
         np.testing.assert_array_equal(sim.bus_ints("d"), xs - ys)
 
@@ -187,7 +193,7 @@ class TestValueArithmetic:
         nl.set_output_bus("gt", [gt_net])
         xs, ys = np.meshgrid(np.arange(8), np.arange(8))
         xs, ys = xs.ravel(), ys.ravel()
-        sim = simulate(nl, {"x": xs, "y": ys})
+        sim = _simulate(nl, {"x": xs, "y": ys})
         np.testing.assert_array_equal(sim.bus_ints("ge"), (xs >= ys).astype(int))
         np.testing.assert_array_equal(sim.bus_ints("gt"), (xs > ys).astype(int))
 
@@ -210,7 +216,7 @@ class TestValueArithmetic:
         xs = rng.integers(0, 8, 50)
         ys = rng.integers(0, 8, 50)
         ss = rng.integers(0, 2, 50)
-        sim = simulate(nl, {"x": xs, "y": ys, "s": ss})
+        sim = _simulate(nl, {"x": xs, "y": ys, "s": ss})
         np.testing.assert_array_equal(sim.bus_ints("o"), np.where(ss, ys, xs))
 
 
@@ -262,7 +268,7 @@ class TestConventionalMultiplier:
         rng = np.random.default_rng(0)
         xs = rng.integers(0, 1 << wx, 100)
         ws = rng.integers(0, 1 << ww, 100)
-        sim = simulate(nl, {"x": xs, "w": ws})
+        sim = _simulate(nl, {"x": xs, "w": ws})
         signed_w = np.where(ws >= 1 << (ww - 1), ws - (1 << ww), ws)
         np.testing.assert_array_equal(sim.bus_ints("p"), xs * signed_w)
 
@@ -273,7 +279,7 @@ class TestConventionalMultiplier:
         product = conventional_multiplier(x, w)
         nl.set_output_bus("p", product.nets, signed=product.signed)
         xs, ws = np.meshgrid(np.arange(8), np.arange(8))
-        sim = simulate(nl, {"x": xs.ravel(), "w": ws.ravel()})
+        sim = _simulate(nl, {"x": xs.ravel(), "w": ws.ravel()})
         np.testing.assert_array_equal(sim.bus_ints("p"), (xs * ws).ravel())
 
 
@@ -286,7 +292,7 @@ class TestClassifierHeads:
         rng = np.random.default_rng(1)
         # Low-entropy draws force many ties.
         data = {f"v{i}": rng.integers(0, 3, 300) for i in range(4)}
-        sim = simulate(nl, data)
+        sim = _simulate(nl, data)
         stacked = np.stack([data[f"v{i}"] for i in range(4)])
         np.testing.assert_array_equal(sim.bus_ints("idx"),
                                       np.argmax(stacked, axis=0))
@@ -309,7 +315,7 @@ class TestClassifierHeads:
             nl.set_output_bus(f"c{i}", count.nets)
         rng = np.random.default_rng(2)
         data = {f"s{i}": rng.integers(0, 8, 200) for i in range(3)}
-        sim = simulate(nl, data)
+        sim = _simulate(nl, data)
         stacked = np.stack([data[f"s{i}"] for i in range(3)], axis=1)
         expected = np.zeros_like(stacked)
         for i in range(3):
@@ -333,7 +339,7 @@ class TestClassifierHeads:
         nl.set_output_bus("t", total.nets)
         rng = np.random.default_rng(3)
         data = {f"v{i}": rng.integers(0, 4, 64) for i in range(5)}
-        sim = simulate(nl, data)
+        sim = _simulate(nl, data)
         expected = sum(data[f"v{i}"] for i in range(5))
         np.testing.assert_array_equal(sim.bus_ints("t"), expected)
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.datasets import load_dataset
 from repro.eval.accuracy import CircuitEvaluator
 from repro.hw.bespoke import build_bespoke_netlist, input_payload
-from repro.hw.compiled import CompiledNetlist, pack_stimulus
+from repro.hw.compiled import CELL_OF_OP, CompiledNetlist, pack_stimulus
 from repro.hw.netlist import CONST0, CONST1, Netlist
 from repro.hw.simulate import simulate, simulate_bigint
 from repro.hw.synthesis import (
@@ -35,7 +35,7 @@ from repro.core.cross_layer import CrossLayerFramework
 from repro.core.pruning import NetlistPruner
 from repro.ml import LinearSVMRegressor
 from repro.quant import quantize_model
-from random_circuits import random_netlist
+from random_circuits import random_circuit, random_netlist
 
 
 
@@ -46,8 +46,8 @@ class TestSimulationEquivalence:
     def test_compiled_matches_bigint(self, seed, n_vectors):
         """Waveforms, activity, and bus decode agree bit-for-bit."""
         rng = np.random.default_rng(seed)
-        nl = random_netlist(rng, int(rng.integers(1, 60)),
-                             int(rng.integers(1, 6)))
+        nl = random_circuit(rng, int(rng.integers(1, 60)),
+                            int(rng.integers(1, 6)))
         width = len(nl.input_buses["x"])
         stimulus = {"x": rng.integers(0, 1 << width, n_vectors)}
         fast = simulate(nl, stimulus, engine="auto")
@@ -70,6 +70,7 @@ class TestSimulationEquivalence:
         nl = Netlist(cse=False)
         (a,) = nl.add_input_bus("x", 1)
         nl.set_output_bus("y", [nl.add_gate("INV", a)])
+        nl = ArrayCircuit.from_netlist(nl)[0]
         for n in (1, 63, 65, 100):
             stimulus = {"x": np.zeros(n, dtype=int)}
             sim = simulate(nl, stimulus, engine="auto")
@@ -80,7 +81,7 @@ class TestSimulationEquivalence:
 
     def test_prepacked_stimulus_matches_inline_packing(self):
         rng = np.random.default_rng(7)
-        nl = random_netlist(rng, 40, 5)
+        nl = random_circuit(rng, 40, 5)
         data = {"x": rng.integers(0, 32, 101)}
         arrays = {"x": np.asarray(data["x"], dtype=np.int64)}
         packed = pack_stimulus(arrays, {"x": 5}, 101)
@@ -101,7 +102,7 @@ class TestSimulationEquivalence:
         # holds the host flag.
         simulate_module = importlib.import_module("repro.hw.simulate")
 
-        nl = random_netlist(np.random.default_rng(5), 20, 3)
+        nl = random_circuit(np.random.default_rng(5), 20, 3)
         stimulus = {"x": np.arange(8)}
         monkeypatch.setattr(simulate_module, "HOST_SUPPORTS_COMPILED", False)
         sim = simulate(nl, stimulus, engine="auto")
@@ -111,15 +112,14 @@ class TestSimulationEquivalence:
         with pytest.raises(ValueError):
             simulate(nl, stimulus, engine="compiled")
 
-    def test_plan_cached_and_rebuilt_on_growth(self):
+    def test_plan_cached_on_the_circuit(self):
         nl = Netlist(cse=False)
         a, b = nl.add_input_bus("x", 2)
-        nl.add_gate("AND2", a, b)
-        plan = nl.compiled()
-        assert nl.compiled() is plan
-        nl.add_gate("OR2", a, b)
-        assert nl.compiled() is not plan
-        assert nl.compiled().n_gates == 2
+        nl.set_output_bus("y", [nl.add_gate("AND2", a, b)])
+        circ = ArrayCircuit.from_netlist(nl)[0]
+        plan = circ.compiled()
+        assert circ.compiled() is plan
+        assert plan.n_gates == 1
 
 
 class TestPlanReferences:
@@ -151,11 +151,15 @@ class TestPlanReferences:
             gc.enable()
 
 
-def _structurally_identical(a: Netlist, b: Netlist) -> bool:
-    return (a.gate_type == b.gate_type and a.gate_inputs == b.gate_inputs
-            and a.gate_out == b.gate_out and a.input_buses == b.input_buses
+def _structurally_identical(a: ArrayCircuit, reference: Netlist) -> bool:
+    """``a`` has the rows, ports and meta of the reference replay's
+    netlist."""
+    b = ArrayCircuit.from_netlist(reference)[0]
+    return (a.ops == b.ops and a.ina == b.ina and a.inb == b.inb
+            and a.inc == b.inc and a.input_buses == b.input_buses
             and a.output_buses == b.output_buses
-            and a.output_signed == b.output_signed and a.meta == b.meta)
+            and a.output_signed == b.output_signed and a.meta == b.meta
+            and a.watch == b.watch)
 
 
 class TestSynthesisEquivalence:
@@ -202,10 +206,10 @@ class TestSynthesisEquivalence:
         back = circ.to_netlist()
         assert back.n_gates == nl.n_gates
         assert back.gate_type == nl.gate_type
-        # The circuit view exposes the Netlist read interface.
+        assert back.gate_inputs == nl.gate_inputs
         assert circ.n_gates == nl.n_gates
-        assert circ.gate_type == nl.gate_type
-        assert CompiledNetlist.from_arrays(circ).n_gates == nl.n_gates
+        assert [CELL_OF_OP[op] for op in circ.ops] == nl.gate_type
+        assert CompiledNetlist(circ).n_gates == nl.n_gates
 
 
 @pytest.fixture(scope="module")

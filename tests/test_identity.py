@@ -26,12 +26,12 @@ from repro.experiments.runner import framework_for
 from repro.experiments.zoo import get_case
 from repro.hw.array_builder import build_bespoke_arrays
 from repro.hw.bespoke import REGRESSOR_OUTPUT, build_bespoke_netlist
-from repro.hw.synthesis import synthesize
+from repro.hw.synthesis import ArrayCircuit, synthesize_arrays
 from repro.service import DesignStore, ExplorationJob, ExplorationService
 from repro.service.jobs import JobReport
 from repro.service.server import ServeConfig
 from repro.service.store import base_fingerprint_from_parts
-from random_circuits import random_netlist
+from random_circuits import random_circuit
 
 GRID = (0.82, 0.85, 0.90, 0.95, 0.99)
 # Random circuits under uniform stimulus have few near-constant gates;
@@ -172,7 +172,7 @@ class TestRandomNetlistIdentity:
     def test_explore_matches_legacy(self, seed):
         rng = np.random.default_rng(seed)
         width = int(rng.integers(1, 6))
-        nl = random_netlist(rng, int(rng.integers(1, 80)), width,
+        nl = random_circuit(rng, int(rng.integers(1, 80)), width,
                             output=REGRESSOR_OUTPUT, signed=False)
         n_test = int(rng.integers(1, 130))
         evaluator = CircuitEvaluator(
@@ -192,7 +192,7 @@ class TestRandomNetlistIdentity:
         dead logic instead of refusing it; raw and synthesized base."""
         rng = np.random.default_rng(1254)
         width = int(rng.integers(1, 6))
-        nl = random_netlist(rng, int(rng.integers(1, 150)), width,
+        nl = random_circuit(rng, int(rng.integers(1, 150)), width,
                             output=REGRESSOR_OUTPUT, signed=False)
         n_test = int(rng.integers(1, 130))
         evaluator = CircuitEvaluator(
@@ -200,7 +200,7 @@ class TestRandomNetlistIdentity:
             {"x": rng.integers(0, 1 << width, 48)},
             {"x": rng.integers(0, 1 << width, n_test)},
             rng.integers(0, 16, n_test))
-        for base in (nl, synthesize(nl)):
+        for base in (nl, synthesize_arrays(nl)[0]):
             pruner = NetlistPruner(base, evaluator, RANDOM_GRID)
             assert _strict(pruner.explore()) \
                 == _strict(pruner.explore_legacy())
@@ -219,7 +219,7 @@ class TestRandomNetlistIdentity:
         """
         rng = np.random.default_rng(seed)
         width = int(rng.integers(1, 6))
-        nl = random_netlist(rng, int(rng.integers(1, 60)), width,
+        nl = random_circuit(rng, int(rng.integers(1, 60)), width,
                             output=REGRESSOR_OUTPUT, signed=False)
         n_test = int(rng.integers(1, 100))
         stimulus = ({"x": rng.integers(0, 1 << width, 48)},
@@ -258,7 +258,7 @@ class TestRandomNetlistIdentity:
 
     def test_raw_base_is_folded_once(self):
         """A raw base is swapped for its folded form at construction."""
-        nl = random_netlist(np.random.default_rng(4), 40, 3,
+        nl = random_circuit(np.random.default_rng(4), 40, 3,
                             output=REGRESSOR_OUTPUT, signed=False)
         evaluator = CircuitEvaluator(
             DecodeSpec("regressor", y_min=0, y_max=15),
@@ -281,7 +281,8 @@ class TestRandomNetlistIdentity:
         assert pruner._base_arrays is circuit
         designs = pruner.explore()
         assert circuit._plan is None
-        folded_copy = NetlistPruner(circuit.to_netlist(), make_evaluator(),
-                                    GRID)
+        folded_copy = NetlistPruner(
+            ArrayCircuit.from_netlist(circuit.to_netlist())[0],
+            make_evaluator(), GRID)
         assert folded_copy._base_arrays is not circuit
         assert _strict(designs) == _strict(folded_copy.explore())

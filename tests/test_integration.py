@@ -11,11 +11,11 @@ from repro import (
     load_dataset,
     quantize_model,
     simulate,
-    synthesize,
 )
 from repro.core.pruning import NetlistPruner
 from repro.eval.accuracy import CircuitEvaluator
 from repro.hw.bespoke import input_payload
+from repro.hw.synthesis import synthesize_arrays
 from repro.ml import LinearSVMClassifier
 from repro.quant import quantize_inputs
 
@@ -91,7 +91,7 @@ class TestPrunedCircuitConsistency:
         pruner = NetlistPruner(netlist, evaluator, tau_grid=(0.9,))
         space = pruner.space()
         pruned = pruner.prune(0.9, space.phi_levels(0.9)[0])
-        again = synthesize(pruned)
+        again = synthesize_arrays(pruned)[0]
         assert again.n_gates == pruned.n_gates
 
 

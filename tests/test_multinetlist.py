@@ -33,7 +33,7 @@ from repro.hw.compiled import (
 from repro.hw.netlist import CONST1, Netlist
 from repro.hw.simulate import _validate_inputs, simulate_bigint
 from repro.hw.synthesis import ArrayCircuit, synthesize_arrays
-from random_circuits import random_netlist
+from random_circuits import random_circuit
 
 needs_compiled = pytest.mark.skipif(
     not HOST_SUPPORTS_COMPILED,
@@ -42,8 +42,8 @@ needs_compiled = pytest.mark.skipif(
 
 
 def _regressor_netlist(rng: np.random.Generator, n_gates: int,
-                       width: int) -> Netlist:
-    return random_netlist(rng, n_gates, width, output=REGRESSOR_OUTPUT,
+                       width: int) -> ArrayCircuit:
+    return random_circuit(rng, n_gates, width, output=REGRESSOR_OUTPUT,
                           signed=False)
 
 
@@ -87,8 +87,7 @@ class TestEvaluateManyRealCircuits:
     def test_array_circuit_route(self, ladder_case):
         """Folded ArrayCircuits (the sweep's fast path) score the same."""
         case, netlists = ladder_case
-        arrays = [synthesize_arrays(ArrayCircuit.from_netlist(nl)[0])[0]
-                  for nl in netlists]
+        arrays = [synthesize_arrays(nl)[0] for nl in netlists]
         many = _fresh_evaluator(case).evaluate_many(arrays)
         single = [_fresh_evaluator(case).evaluate(nl) for nl in netlists]
         assert many == single
@@ -146,6 +145,7 @@ class TestEvaluateManyFallbacks:
         nets = list(b.add_input_bus("x", 5))  # different width
         b.set_output_bus(REGRESSOR_OUTPUT, [b.add_gate("AND2", *nets[:2])],
                          signed=False)
+        b = ArrayCircuit.from_netlist(b)[0]
         train = {"x": rng.integers(0, 8, 40)}
         test = {"x": rng.integers(0, 8, 70)}
         y = np.asarray(rng.integers(0, 8, 70))
@@ -160,14 +160,14 @@ class TestEvaluateManyFallbacks:
             evaluator.evaluate_many([a, b])
 
 
-def _wired_netlist(width: int) -> Netlist:
-    """A zero-gate netlist whose output wires straight to inputs and
+def _wired_netlist(width: int) -> ArrayCircuit:
+    """A zero-gate circuit whose output wires straight to inputs and
     ``CONST1``."""
     nl = Netlist(cse=False)
     nets = list(nl.add_input_bus("x", width))
     nl.set_output_bus(REGRESSOR_OUTPUT, [nets[0], CONST1, nets[-1]],
                       signed=False)
-    return nl
+    return ArrayCircuit.from_netlist(nl)[0]
 
 
 @needs_compiled

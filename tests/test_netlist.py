@@ -55,48 +55,12 @@ class TestStructure:
         nl.set_output_bus("y", [d])
         nl.validate()
 
-    def test_histogram(self, nl):
-        a, b = nl.add_input_bus("x", 2)
-        nl.add_gate("AND2", a, b)
-        nl.add_gate("XOR2", a, b)
-        nl.add_gate("INV", a)
-        assert nl.gate_histogram() == {"AND2": 1, "XOR2": 1, "INV": 1}
-
-    def test_fanout_map(self, nl):
-        a, b = nl.add_input_bus("x", 2)
-        g0 = nl.add_gate("AND2", a, b)
-        nl.add_gate("INV", g0)
-        nl.add_gate("OR2", g0, a)
-        fanout = nl.fanout_map()
-        assert fanout[g0] == [1, 2]
-        assert fanout[a] == [0, 2]
-
     def test_live_gates_marks_output_cone_only(self, nl):
         a, b = nl.add_input_bus("x", 2)
         live_gate = nl.add_gate("AND2", a, b)
         nl.add_gate("XOR2", a, b)  # dead
         nl.set_output_bus("y", [live_gate])
         assert nl.live_gates() == [True, False]
-
-    def test_stats_summary(self, nl):
-        a, b = nl.add_input_bus("x", 2)
-        nl.set_output_bus("y", [nl.add_gate("AND2", a, b)])
-        stats = nl.stats()
-        assert stats["gates"] == 1
-        assert stats["inputs"] == {"x": 2}
-        assert stats["outputs"] == {"y": 1}
-
-    def test_dot_export_contains_ports(self, nl):
-        a, b = nl.add_input_bus("x", 2)
-        nl.set_output_bus("y", [nl.add_gate("AND2", a, b)])
-        dot = nl.to_dot()
-        assert "x[0]" in dot and "y[0]" in dot and "AND2" in dot
-
-    def test_dot_export_refuses_large(self, nl):
-        a, b = nl.add_input_bus("x", 2)
-        nl.add_gate("AND2", a, b)
-        with pytest.raises(ValueError, match="too large"):
-            nl.to_dot(max_gates=0)
 
 
 class TestFoldingBuilders:

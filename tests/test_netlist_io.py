@@ -29,7 +29,7 @@ from repro.quant import quantize_inputs, quantize_model
 from repro.service.store import canonical_json, netlist_fingerprint
 
 
-def _sample_netlist() -> Netlist:
+def _sample_netlist() -> ArrayCircuit:
     nl = Netlist(name="sample")
     a, b = nl.add_input_bus("x", 2)
     left = nl.add_gate("AND2", a, b)
@@ -37,7 +37,7 @@ def _sample_netlist() -> Netlist:
     nl.set_output_bus("y", [left, right, CONST1], signed=True)
     nl.meta["kind"] = "regressor"
     nl.meta["watch_buses"] = [[left, right]]
-    return nl
+    return ArrayCircuit.from_netlist(nl)[0]
 
 
 class TestRoundTrip:
@@ -46,10 +46,11 @@ class TestRoundTrip:
         restored = netlist_from_dict(netlist_to_dict(original))
         assert restored.name == "sample"
         assert restored.n_gates == original.n_gates
-        assert restored.gate_type == original.gate_type
+        assert restored.ops == original.ops
         assert restored.output_signed == original.output_signed
         assert restored.meta["kind"] == "regressor"
-        assert len(restored.meta["watch_buses"][0]) == 2
+        assert len(restored.watch[0]) == 2
+        assert restored.folded is False
 
     def test_behaviour_preserved(self):
         original = _sample_netlist()
@@ -79,7 +80,7 @@ class TestRoundTrip:
         a = simulate(original, input_payload(Xq)).bus_ints("class_idx")
         b = simulate(restored, input_payload(Xq)).bus_ints("class_idx")
         np.testing.assert_array_equal(a, b)
-        assert len(restored.meta["watch_buses"]) == 6
+        assert len(restored.watch) == 6
 
     def test_unsupported_version_rejected(self):
         data = netlist_to_dict(_sample_netlist())
@@ -91,31 +92,106 @@ class TestRoundTrip:
         data = netlist_to_dict(_sample_netlist())
         data["meta"] = {}
         restored = netlist_from_dict(data)
-        assert "watch_buses" not in restored.meta
+        assert restored.watch is None
+        assert "kind" not in restored.meta
+
+
+class TestMalformedDocuments:
+    """A stored or saved document is outside input: every defect is a
+    ``ValueError``, never a ``KeyError``."""
+
+    @staticmethod
+    def _document() -> dict:
+        return netlist_to_dict(_sample_netlist())
+
+    def _assert_rejected(self, data: dict, match: str) -> None:
+        with pytest.raises(ValueError, match=match):
+            netlist_from_dict(data)
+
+    def test_unknown_cell(self):
+        data = self._document()
+        data["gates"][0]["cell"] = "NAND9"
+        self._assert_rejected(data, "unknown cell")
+
+    def test_wrong_arity(self):
+        data = self._document()
+        data["gates"][0]["inputs"].append(2)
+        self._assert_rejected(data, "expects 2 inputs")
+
+    def test_operand_net_not_yet_defined(self):
+        data = self._document()
+        data["gates"][0]["inputs"][1] = data["gates"][1]["out"]
+        self._assert_rejected(data, "undefined net")
+
+    def test_undefined_output_net(self):
+        data = self._document()
+        data["outputs"]["y"].append(999)
+        self._assert_rejected(data, "undefined net 999")
+
+    def test_duplicate_gate_out(self):
+        data = self._document()
+        data["gates"][1]["out"] = data["gates"][0]["out"]
+        self._assert_rejected(data, "redefines net")
+
+    def test_undefined_watch_net(self):
+        data = self._document()
+        data["meta"]["watch_buses"] = [[999]]
+        self._assert_rejected(data, "undefined net 999")
+
+    def test_missing_output_signed_entry(self):
+        data = self._document()
+        del data["output_signed"]["y"]
+        self._assert_rejected(data, "output_signed")
+
+    def test_missing_field(self):
+        data = self._document()
+        del data["gates"]
+        self._assert_rejected(data, "lacks")
 
 
 # ----------------------------------------------------------------------
-# encode_netlist: one encode, equal to the netlist_to_dict oracle
+# encode_netlist: one encode, equal to the Netlist document oracle
 # ----------------------------------------------------------------------
+def _netlist_document(nl: Netlist) -> dict:
+    """The document of a builder-IR netlist, written gate by gate: the
+    independent oracle the row encoder must match."""
+    return {
+        "format_version": 1,
+        "name": nl.name,
+        "inputs": {name: len(nets) for name, nets in nl.input_buses.items()},
+        "input_nets": {name: list(nets)
+                       for name, nets in nl.input_buses.items()},
+        "gates": [{"cell": nl.gate_type[i],
+                   "inputs": list(nl.gate_inputs[i]),
+                   "out": nl.gate_out[i]}
+                  for i in range(nl.n_gates)],
+        "outputs": {name: list(nets)
+                    for name, nets in nl.output_buses.items()},
+        "output_signed": dict(nl.output_signed),
+        "meta": {"kind": nl.meta.get("kind"),
+                 "watch_buses": nl.meta.get("watch_buses")},
+    }
+
+
 def _oracle(nl: Netlist) -> tuple[bytes, dict]:
     """(canonical fingerprint bytes, full document) the slow way."""
-    data = netlist_to_dict(nl)
+    data = _netlist_document(nl)
     nameless = dict(data)
     nameless.pop("name")
     return canonical_json(nameless).encode("utf-8"), data
 
 
 def _assert_encodes_like_oracle(circ: ArrayCircuit) -> None:
-    nl = circ.to_netlist()
-    canonical, data = _oracle(nl)
-    for encoded in (encode_netlist(circ), encode_netlist(nl)):
-        assert encoded.canonical == canonical
-        assert encoded.text == json.dumps(data, separators=(",", ":"))
-    assert netlist_fingerprint(circ) == netlist_fingerprint(nl) \
+    canonical, data = _oracle(circ.to_netlist())
+    encoded = encode_netlist(circ)
+    assert encoded.canonical == canonical
+    assert encoded.text == json.dumps(data, separators=(",", ":"))
+    assert netlist_to_dict(circ) == data
+    assert netlist_fingerprint(circ) \
         == netlist_fingerprint(encode_netlist(circ))
-    # The stored text rebuilds to a netlist with the same fingerprint.
+    # The stored text rebuilds to a circuit with the same fingerprint.
     rebuilt = netlist_from_dict(json.loads(encode_netlist(circ).text))
-    assert netlist_fingerprint(rebuilt) == netlist_fingerprint(nl)
+    assert netlist_fingerprint(rebuilt) == netlist_fingerprint(circ)
 
 
 _BUS_NAMES = ("x3", "a", "zz", "m1", "b0")

@@ -21,7 +21,8 @@ from repro.hw.bespoke import (
 )
 from repro.hw.netlist import Netlist
 from repro.hw.simulate import simulate
-from repro.hw.synthesis import ArrayCircuit, synthesize
+from repro.hw.synthesis import (ArrayCircuit, synthesize_arrays,
+                                synthesize_reference)
 from repro.ml import LinearSVMClassifier, LinearSVMRegressor
 from repro.quant import quantize_inputs, quantize_model
 from random_circuits import random_netlist
@@ -31,6 +32,12 @@ BENCH_CIRCUITS = (("redwine", "svm_r"), ("redwine", "mlp_c"),
                   ("cardio", "svm_c"))
 
 
+def _rows(nl: Netlist) -> ArrayCircuit:
+    """A hand-built netlist as array-circuit rows (inputs declared
+    first, so node ids are its net ids)."""
+    return ArrayCircuit.from_netlist(nl)[0]
+
+
 class TestComputePhi:
     def test_direct_output_connection(self):
         nl = Netlist(cse=False)
@@ -38,7 +45,7 @@ class TestComputePhi:
         low_bit = nl.add_gate("AND2", a, b)    # drives output bit 0
         high_bit = nl.add_gate("XOR2", a, b)   # drives output bit 2
         nl.set_output_bus("y", [low_bit, a, high_bit])
-        phi = compute_phi(nl, [nl.output_buses["y"]])
+        phi = compute_phi(_rows(nl), [nl.output_buses["y"]])
         assert phi[0] == 0
         assert phi[1] == 2
 
@@ -48,7 +55,7 @@ class TestComputePhi:
         deep = nl.add_gate("AND2", a, b)        # feeds gate on bit 3
         mid = nl.add_gate("OR2", deep, a)
         nl.set_output_bus("y", [a, b, a, mid])
-        phi = compute_phi(nl, [nl.output_buses["y"]])
+        phi = compute_phi(_rows(nl), [nl.output_buses["y"]])
         assert phi[0] == 3
         assert phi[1] == 3
 
@@ -58,7 +65,8 @@ class TestComputePhi:
         shared = nl.add_gate("AND2", a, b)
         nl.set_output_bus("o1", [shared])          # bit 0 of bus 1
         nl.set_output_bus("o2", [a, b, shared])    # bit 2 of bus 2
-        phi = compute_phi(nl, [nl.output_buses["o1"], nl.output_buses["o2"]])
+        phi = compute_phi(_rows(nl),
+                          [nl.output_buses["o1"], nl.output_buses["o2"]])
         assert phi[0] == 2  # the max across watch buses (Section III-C)
 
     def test_unwatched_gate_gets_minus_one(self):
@@ -68,7 +76,7 @@ class TestComputePhi:
         watched = nl.add_gate("AND2", a, b)
         post = nl.add_gate("INV", watched)  # downstream of the watch bus
         nl.set_output_bus("y", [post])
-        phi = compute_phi(nl, [[watched]])
+        phi = compute_phi(_rows(nl), [[watched]])
         assert phi[0] == 0
         assert phi[1] == -1
 
@@ -78,7 +86,7 @@ class TestComputePhi:
         gate = nl.add_gate("AND2", a, b)
         nl.set_output_bus("y", [gate])
         nl.meta["watch_buses"] = [[gate, a]]
-        phi = compute_phi(nl)
+        phi = compute_phi(_rows(nl))
         assert phi[0] == 0
 
     def test_falls_back_to_output_buses(self):
@@ -86,7 +94,7 @@ class TestComputePhi:
         a, b = nl.add_input_bus("x", 2)
         gate = nl.add_gate("AND2", a, b)
         nl.set_output_bus("y", [a, gate])
-        phi = compute_phi(nl)
+        phi = compute_phi(_rows(nl))
         assert phi[0] == 1
 
 
@@ -110,23 +118,18 @@ def _reference_phi(nl: Netlist, watch_buses=None) -> np.ndarray:
 
 
 def _assert_phi_agrees(nl: Netlist, watch_bus: list[int]) -> None:
-    """Netlist and array form give the oracle's phi, for the default
+    """A netlist's array form gives the oracle's phi, for the default
     watch buses and for an explicit one."""
     arrays, node_of = ArrayCircuit.from_netlist(nl)
-    expected = _reference_phi(nl)
-    assert np.array_equal(compute_phi(nl), expected)
-    assert np.array_equal(compute_phi(arrays), expected)
-    expected = _reference_phi(nl, [watch_bus])
-    assert np.array_equal(compute_phi(nl, [watch_bus]), expected)
+    assert np.array_equal(compute_phi(arrays), _reference_phi(nl))
     assert np.array_equal(
         compute_phi(arrays, [[node_of[net] for net in watch_bus]]),
-        expected)
+        _reference_phi(nl, [watch_bus]))
 
 
 class TestPhiAcrossForms:
-    """``compute_phi`` is one node-space sweep; a netlist, its array
-    form and a pruner's prune space all agree with the net-space
-    oracle."""
+    """``compute_phi`` is one node-space sweep; a netlist's array form
+    and a pruner's prune space agree with the net-space oracle."""
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=100, deadline=None)
@@ -144,18 +147,21 @@ class TestPhiAcrossForms:
             DecodeSpec("regressor", y_min=0, y_max=15),
             {"x": rng.integers(0, 1 << width, 48)},
             {"x": rng.integers(0, 1 << width, 8)}, rng.integers(0, 16, 8))
-        space = NetlistPruner(nl, evaluator).space()
-        assert np.array_equal(space.phi, _reference_phi(synthesize(nl)))
+        space = NetlistPruner(ArrayCircuit.from_netlist(nl)[0],
+                              evaluator).space()
+        assert np.array_equal(space.phi,
+                              _reference_phi(synthesize_reference(nl)))
 
     @pytest.mark.parametrize("dataset, model", BENCH_CIRCUITS)
     def test_bench_circuits(self, dataset, model):
         case = get_case(dataset, model)
-        nl = build_bespoke_netlist(case.quant_model)
+        circuit = build_bespoke_netlist(case.quant_model)
+        nl = circuit.to_netlist()
         _assert_phi_agrees(nl, next(iter(nl.output_buses.values())))
         split = case.split
         evaluator = CircuitEvaluator.from_split(
             case.quant_model, split.X_train, split.X_test, split.y_test)
-        space = NetlistPruner(nl, evaluator).space()
+        space = NetlistPruner(circuit, evaluator).space()
         assert np.array_equal(space.phi, _reference_phi(nl))
 
 
@@ -215,7 +221,9 @@ class TestErrorBound:
                 force = space.prune_set(tau_c, phi_c)
                 if not force:
                     continue
-                pruned = synthesize(netlist, force_constants=force)
+                pruned = synthesize_arrays(netlist, {
+                    netlist.n_fixed + gate: value
+                    for gate, value in force.items()})[0]
                 approx = simulate(pruned, input_payload(Xq)).bus_ints(
                     REGRESSOR_OUTPUT)
                 max_error = np.abs(approx - exact).max()

@@ -12,6 +12,12 @@ from repro.hw.simulate import (
     simulate,
     unpack_bits,
 )
+from repro.hw.synthesis import ArrayCircuit
+
+
+def _simulate(nl: Netlist, inputs: dict):
+    """Simulate a hand-built netlist through the rows it converts to."""
+    return simulate(ArrayCircuit.from_netlist(nl)[0], inputs)
 
 
 class TestPacking:
@@ -32,7 +38,7 @@ class TestGateEvaluation:
         out = nl.add_gate(cell, *nets)
         nl.set_output_bus("y", [out])
         vectors = np.arange(2 ** arity)
-        sim = simulate(nl, {"x": vectors})
+        sim = _simulate(nl, {"x": vectors})
         bits = [(vectors >> position) & 1 for position in range(arity)]
         return sim.bus_ints("y"), bits
 
@@ -60,14 +66,14 @@ class TestGateEvaluation:
         nl = Netlist()
         nl.add_input_bus("x", 1)
         nl.set_output_bus("y", [CONST0, CONST1])
-        sim = simulate(nl, {"x": np.zeros(5, dtype=int)})
+        sim = _simulate(nl, {"x": np.zeros(5, dtype=int)})
         np.testing.assert_array_equal(sim.bus_ints("y"), np.full(5, 2))
 
     def test_signed_bus_decode(self):
         nl = Netlist()
         nets = nl.add_input_bus("x", 3)
         nl.set_output_bus("y", nets, signed=True)
-        sim = simulate(nl, {"x": np.arange(8)})
+        sim = _simulate(nl, {"x": np.arange(8)})
         expected = np.where(np.arange(8) >= 4, np.arange(8) - 8, np.arange(8))
         np.testing.assert_array_equal(sim.bus_ints("y"), expected)
 
@@ -79,21 +85,21 @@ class TestInputValidation:
         nl.add_input_bus("b", 1)
         nl.set_output_bus("y", [CONST0])
         with pytest.raises(ValueError, match="vector counts differ"):
-            simulate(nl, {"a": np.zeros(3, int), "b": np.zeros(4, int)})
+            _simulate(nl, {"a": np.zeros(3, int), "b": np.zeros(4, int)})
 
     def test_missing_bus_rejected(self):
         nl = Netlist()
         nl.add_input_bus("a", 1)
         nl.set_output_bus("y", [CONST0])
         with pytest.raises(ValueError, match="do not match buses"):
-            simulate(nl, {})
+            _simulate(nl, {})
 
     def test_out_of_range_input_rejected(self):
         nl = Netlist()
         nl.add_input_bus("a", 2)
         nl.set_output_bus("y", [CONST0])
         with pytest.raises(ValueError, match="exceeds"):
-            simulate(nl, {"a": np.array([4])})
+            _simulate(nl, {"a": np.array([4])})
 
 
 class TestActivity:
@@ -103,7 +109,7 @@ class TestActivity:
         out = nl.add_gate("BUF", a)
         nl.set_output_bus("y", [out])
         stimulus = np.array([1, 1, 1, 0])  # 75% ones
-        activity = simulate(nl, {"x": stimulus}).activity()
+        activity = _simulate(nl, {"x": stimulus}).activity()
         assert activity.prob_one[0] == pytest.approx(0.75)
         assert activity.tau[0] == pytest.approx(0.75)
         assert activity.const_value[0] == 1
@@ -114,7 +120,7 @@ class TestActivity:
         out = nl.add_gate("BUF", a)
         nl.set_output_bus("y", [out])
         stimulus = np.array([0, 0, 0, 0, 1])
-        activity = simulate(nl, {"x": stimulus}).activity()
+        activity = _simulate(nl, {"x": stimulus}).activity()
         assert activity.tau[0] == pytest.approx(0.8)
         assert activity.const_value[0] == 0
 
@@ -124,14 +130,14 @@ class TestActivity:
         out = nl.add_gate("BUF", a)
         nl.set_output_bus("y", [out])
         stimulus = np.array([0, 1, 0, 1, 1])  # 3 toggles in 4 transitions
-        activity = simulate(nl, {"x": stimulus}).activity()
+        activity = _simulate(nl, {"x": stimulus}).activity()
         assert activity.toggles_per_cycle[0] == pytest.approx(0.75)
 
     def test_single_vector_has_zero_toggles(self):
         nl = Netlist(cse=False)
         (a,) = nl.add_input_bus("x", 1)
         nl.set_output_bus("y", [nl.add_gate("INV", a)])
-        activity = simulate(nl, {"x": np.array([1])}).activity()
+        activity = _simulate(nl, {"x": np.array([1])}).activity()
         assert activity.toggles_per_cycle[0] == 0.0
 
     @given(st.lists(st.integers(0, 1), min_size=2, max_size=100))
@@ -141,7 +147,7 @@ class TestActivity:
         (a,) = nl.add_input_bus("x", 1)
         nl.set_output_bus("y", [nl.add_gate("BUF", a)])
         stimulus = np.array(bits)
-        activity = simulate(nl, {"x": stimulus}).activity()
+        activity = _simulate(nl, {"x": stimulus}).activity()
         assert activity.prob_one[0] == pytest.approx(stimulus.mean())
         toggles = np.abs(np.diff(stimulus)).mean()
         assert activity.toggles_per_cycle[0] == pytest.approx(toggles)
@@ -152,6 +158,6 @@ class TestActivity:
         a, b = nl.add_input_bus("x", 2)
         nl.set_output_bus("y", [nl.add_gate("AND2", a, b),
                                 nl.add_gate("XOR2", a, b)])
-        activity = simulate(nl, {"x": rng.integers(0, 4, 100)}).activity()
+        activity = _simulate(nl, {"x": rng.integers(0, 4, 100)}).activity()
         assert np.all(activity.tau >= 0.5)
         assert np.all(activity.tau <= 1.0)

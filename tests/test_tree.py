@@ -131,7 +131,7 @@ class TestBespokeTreeCircuit:
         quant, _ = self._quant_tree()
         netlist = build_bespoke_tree_netlist(quant, n_features=2)
         assert netlist.meta["kind"] == "classifier"
-        assert netlist.meta["watch_buses"]
+        assert netlist.watch
 
     def test_single_leaf_tree_rejected_without_features(self):
         from repro.quant.qtree import QuantTreeNode

@@ -7,18 +7,24 @@ from repro.datasets import load_dataset
 from repro.hw.bespoke import build_bespoke_netlist
 from repro.hw.blocks import Value, bespoke_multiplier
 from repro.hw.netlist import CONST0, CONST1, Netlist
+from repro.hw.synthesis import ArrayCircuit
 from repro.hw.verilog import emit_cell_models, to_verilog
 from repro.ml import LinearSVMRegressor
 from repro.quant import quantize_model
 
 
-def _adder_netlist():
+def _rows(nl: Netlist) -> ArrayCircuit:
+    """A hand-built netlist as the rows the emitter reads."""
+    return ArrayCircuit.from_netlist(nl)[0]
+
+
+def _adder_netlist() -> ArrayCircuit:
     nl = Netlist()
     a = Value.input_bus(nl, "a", 3)
     b = Value.input_bus(nl, "b", 3)
     total = a.add(b)
     nl.set_output_bus("sum", total.nets, signed=total.signed)
-    return nl
+    return _rows(nl)
 
 
 class TestToVerilog:
@@ -44,7 +50,7 @@ class TestToVerilog:
         nl = Netlist()
         nl.add_input_bus("x", 1)
         nl.set_output_bus("y", [CONST1, CONST0])
-        text = to_verilog(nl)
+        text = to_verilog(_rows(nl))
         assert "assign y[0] = 1'b1;" in text
         assert "assign y[1] = 1'b0;" in text
 
@@ -53,14 +59,14 @@ class TestToVerilog:
         x = Value.input_bus(nl, "x", 3)
         negated = x.neg()
         nl.set_output_bus("y", negated.nets, signed=True)
-        text = to_verilog(nl)
+        text = to_verilog(_rows(nl))
         assert "output wire signed" in text
 
     def test_name_sanitization(self):
         nl = Netlist(name="my design-v2")
         nl.add_input_bus("x", 1)
         nl.set_output_bus("y", [CONST0])
-        text = to_verilog(nl)
+        text = to_verilog(_rows(nl))
         assert "module my_design_v2 (" in text
 
     def test_full_bespoke_circuit_emits(self):
@@ -77,7 +83,7 @@ class TestToVerilog:
         x = Value.input_bus(nl, "x", 4)
         product = bespoke_multiplier(x, -93)
         nl.set_output_bus("p", product.nets, signed=True)
-        text = to_verilog(nl)
+        text = to_verilog(_rows(nl))
         # Every instantiated wire must be declared.
         declared = {line.split()[1].rstrip(";")
                     for line in text.splitlines()
