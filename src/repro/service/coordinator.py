@@ -24,7 +24,10 @@ Three layers, each duck-typed against an existing seam:
   :class:`~repro.service.jobs.ExplorationJob`, and the fleet loop
   touch.  A 409 from a fenced shard upload surfaces as the same
   :class:`~repro.service.store.FencedWriteError` the local store
-  raises, so the worker loop needs no remote special case.
+  raises, so the worker loop needs no remote special case.  A shard's
+  upload carries its ``base_key``: the coordinator stores the
+  checkpoint and the variant rows it holds in one transaction, so the
+  rows cross the wire once.
 * :class:`RemoteLeaseManager` — the local lease policy plus a
   heartbeat thread around each shard compute (``guarding``): renews at
   a quarter TTL on its *own* connection (``http.client`` is not
@@ -52,7 +55,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
-from ..core.pruning import prune_key_ids
 from ..eval.accuracy import EvaluationRecord
 from .faults import fault_point
 from .leases import LeaseManager
@@ -268,14 +270,13 @@ class RemoteStore:
         return {int(shard): info
                 for shard, info in data["leases"].items()}
 
-    def clear_leases(self, grid_key: str) -> None:
-        self._call("DELETE", f"/v1/jobs/{grid_key}/leases")
-
     # -- shard checkpoints ---------------------------------------------
 
     def put_shard(self, grid_key: str, shard: int, taus, payload: dict,
+                  base_key: str,
                   fence: tuple[str, int] | None = None) -> None:
-        body = {"taus": [float(t) for t in taus], "payload": payload}
+        body = {"taus": [float(t) for t in taus], "payload": payload,
+                "base_key": str(base_key)}
         if fence is not None:
             body["fence"] = [str(fence[0]), int(fence[1])]
         self._call("PUT", f"/v1/jobs/{grid_key}/shards/{int(shard)}",
@@ -292,9 +293,6 @@ class RemoteStore:
     def shard_indices(self, grid_key: str) -> set[int]:
         data = self._call("GET", f"/v1/jobs/{grid_key}/shards")
         return {int(i) for i in data["indices"]}
-
-    def clear_shards(self, grid_key: str) -> None:
-        self._call("DELETE", f"/v1/jobs/{grid_key}/shards")
 
     # -- grids ---------------------------------------------------------
 
@@ -324,14 +322,6 @@ class RemoteStore:
         return {tuple(int(i) for i in ids):
                 EvaluationRecord.from_dict(record)
                 for ids, record in data["variants"]}
-
-    def put_variants(self, base_key: str, entries: dict) -> None:
-        wire = [[list(prune_key_ids(key)), record.to_dict()]
-                for key, record in entries.items()]
-        if not wire:
-            return
-        self._call("PUT", f"/v1/bases/{base_key}/variants",
-                   {"variants": wire})
 
     # -- coefficient caches --------------------------------------------
 

@@ -16,9 +16,11 @@ authoritative list):
 site                        where it fires
 ==========================  ====================================================
 ``store.connect``           every ``DesignStore`` operation attempt
-``store.put_shard``         before a shard checkpoint write commits
-``store.put_variants``      before a bulk variant insert commits
-``store.put_grid``          before a finished grid lands
+``store.put_shard``         inside a shard write, before its checkpoint row
+``store.put_variants``      inside the same shard write, before the shard's
+                            variant rows
+``store.put_grid``          inside a grid write, before the grid lands and
+                            its checkpoints and leases are deleted
 ``store.lease``             inside every lease acquire/renew transaction
 ``job.shard``               before a job computes one shard (ctx: ``index``)
 ``job.assemble``            before the final design-list assembly

@@ -13,15 +13,16 @@ groups of tau_c chains:
 3. Walk the shards in tau order.  A shard whose checkpoint exists (and
    matches its tau partition) is loaded; a missing shard is computed
    through :meth:`~repro.core.pruning.NetlistPruner.chain_rows`, then
-   checkpointed *and* its fresh variant records persisted — all before
-   the next shard starts.  A kill at any point therefore loses at most
-   the in-flight shard.
+   written in one store transaction — the checkpoint *and* its fresh
+   variant records — before the next shard starts.  A kill at any
+   point therefore loses at most the in-flight shard, and never leaves
+   a checkpoint without its variants.
 4. Assemble the design list from all rows with
    :func:`~repro.core.pruning.assemble_designs` — a pure function of
    the rows in tau order, which is why a resumed run reproduces the
    cold run's list *exactly* (same designs, same duplicate
-   attribution) — store the finished grid, and delete the checkpoints
-   it supersedes.
+   attribution) — and store the finished grid in one transaction that
+   also deletes the checkpoints and leases it supersedes.
 
 Every walk keys its rows by the sorted-gate-id byte form, and resumed
 shards load back into it, so stored and freshly-computed shards
@@ -45,11 +46,15 @@ from ..core.pruning import (
     PrunedDesign,
     assemble_designs,
     prune_key_bytes,
-    prune_key_ids,
 )
-from ..eval.accuracy import EvaluationRecord
 from .faults import fault_point
-from .store import DesignStore, base_fingerprint, grid_key
+from .store import (
+    DesignStore,
+    _deserialize_rows,
+    _serialize_rows,
+    base_fingerprint,
+    grid_key,
+)
 from .telemetry import counter as _metric
 from .telemetry import span as _span
 
@@ -116,27 +121,6 @@ class JobReport:
         question that matters.
         """
         self.supervision = telemetry
-
-
-def _serialize_rows(chains: list, rows: list) -> dict:
-    """Checkpoint payload of one shard's walked chains."""
-    return {"chains": [
-        {"tau_c": tau_c,
-         "rows": [[phi_c, list(prune_key_ids(key)), n_pruned,
-                   record.to_dict()]
-                  for phi_c, key, n_pruned, record in chain_rows]}
-        for (tau_c, _steps), chain_rows in zip(chains, rows)]}
-
-
-def _deserialize_rows(payload: dict) -> tuple[list, list]:
-    """Inverse of :func:`_serialize_rows`, keys in canonical byte form."""
-    chains, rows = [], []
-    for chain in payload["chains"]:
-        chains.append((float(chain["tau_c"]), None))
-        rows.append([(int(phi_c), prune_key_bytes(ids), int(n_pruned),
-                      EvaluationRecord.from_dict(record))
-                     for phi_c, ids, n_pruned, record in chain["rows"]])
-    return chains, rows
 
 
 @dataclass
@@ -249,31 +233,26 @@ class ExplorationJob:
 
     def compute_shard(self, index: int, taus: tuple,
                       fence: tuple | None = None) -> tuple[list, list]:
-        """Walk, checkpoint, and persist one shard (the fleet work unit).
+        """Walk and checkpoint one shard (the fleet work unit).
 
-        Everything a shard produces is durable before this returns: the
-        checkpoint row *and* the fresh variant records.  Idempotent —
-        recomputing an already-checkpointed shard overwrites it with
-        identical content (chains are pure functions of their inputs),
-        which is what lets lease-based workers and job-level retries
-        share this method without coordination beyond the store.
+        Everything a shard produces is durable before this returns: one
+        store transaction writes the checkpoint row *and* the fresh
+        variant records.  Idempotent — recomputing an
+        already-checkpointed shard overwrites it with identical content
+        (chains are pure functions of their inputs), which is what lets
+        lease-based workers and job-level retries share this method
+        without coordination beyond the store.
 
         ``fence`` is a ``(worker, token)`` pair from the worker's lease:
-        the store rejects the checkpoint (and this method writes
-        *nothing* — the fence gates the first write) when the lease was
-        reclaimed, so a zombie worker can never land stale rows.
+        the store rejects the write when the lease was reclaimed, and
+        nothing lands, so a zombie worker can never land stale rows.
         """
         with _span("job.shard", index=index, n_taus=len(taus)):
             fault_point("job.shard", index=index)
             chains, rows = self.pruner.chain_rows(taus)
             self.store.put_shard(self.grid_key(), index, taus,
                                  _serialize_rows(chains, rows),
-                                 fence=fence)
-            self.store.put_variants(
-                self.base_key(),
-                {key: record
-                 for chain_rows in rows
-                 for _phi, key, _n, record in chain_rows})
+                                 self.base_key(), fence=fence)
         _metric("job.shards", result="computed")
         return chains, rows
 
@@ -298,7 +277,6 @@ class ExplorationJob:
              start: float) -> list[PrunedDesign]:
         if not resume:
             self.store.delete_grid(gkey)
-            self.store.clear_shards(gkey)
 
         cached = self.store.get_grid(gkey)
         if cached is not None:
@@ -336,21 +314,19 @@ class ExplorationJob:
         """Assemble the design list from all shards and store the grid.
 
         Shared by :meth:`run` and the lease-based fleet workers
-        (:mod:`repro.service.leases`): whoever loads the last checkpoint
-        assembles.  Idempotent — assembly is a pure function of the rows
-        in grid order, so two workers racing to finalize write the
-        identical grid row.
+        (:mod:`repro.service.leases`): whoever holds every shard's rows
+        assembles.  The grid write also deletes the grid's checkpoints
+        and leases, in the same transaction.  Idempotent — assembly is
+        a pure function of the rows in grid order, so two workers racing
+        to finalize write the identical grid row.
         """
         fault_point("job.assemble")
         designs = assemble_designs(all_chains, all_rows)
-        gkey = self.grid_key()
-        self.store.put_grid(gkey, designs, meta={
+        self.store.put_grid(self.grid_key(), designs, meta={
             "label": self.label,
             "base_key": self.base_key(),
             "tau_grid": [float(t) for t in self.pruner.tau_grid],
             "n_designs": len(designs),
             **(self.grid_meta or {}),
         })
-        self.store.clear_shards(gkey)
-        self.store.clear_leases(gkey)
         return designs

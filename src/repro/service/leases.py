@@ -20,19 +20,23 @@ durable checkpoint is now the ownership record).  A worker that dies
 mid-shard simply stops heartbeating: once the lease expires, any other
 worker's claim **reclaims** the shard and recomputes it — safe because
 :meth:`~repro.service.jobs.ExplorationJob.compute_shard` is idempotent
-(chains are pure functions of their inputs, checkpoint and variant
-writes are last/first-writer-wins with identical content).
+(chains are pure functions of their inputs, and a shard's one
+checkpoint-and-variants write is last/first-writer-wins with identical
+content).
 
 ``ttl_s`` must exceed the worst-case shard compute time, or a merely
 *slow* worker gets its shard stolen and executed twice — still correct
 (identical rows), but wasted work; the default is generous for
 tier-1-sized grids.
 
-Completion: whichever worker loads the last checkpoint assembles the
-design list and stores the grid
+Completion: whichever worker's pass holds every shard's rows assembles
+the design list and stores the grid
 (:meth:`~repro.service.jobs.ExplorationJob.finalize`, a pure function
-of the rows — racing finalizers write identical grids); everyone else
-observes the finished grid and returns it.  The final design list is
+of the rows — racing finalizers write identical grids).  The grid write
+deletes the grid's checkpoints and leases in the same transaction, and
+a claim on a finished grid always loses, so a worker that missed the
+grid by a moment loses every claim and picks the grid up on its next
+pass instead of recomputing it.  The final design list is
 byte-identical to a single-process run by the same argument that makes
 kill-and-resume exact.
 """
@@ -164,12 +168,14 @@ def run_fleet_worker(job: ExplorationJob, worker_id: str,
     Every worker of a fleet runs this same loop against the same store:
 
     1. a finished grid in the store ends the run immediately (grid hit);
-    2. otherwise sweep the shard list — skip checkpointed shards, lease
+    2. otherwise sweep the shard list — load checkpointed shards, lease
        missing ones, compute what was claimed (releasing the lease once
        the checkpoint is durable); expired leases of dead workers are
-       reclaimed by the claim upsert itself;
-    3. when every shard has a checkpoint, assemble and store the grid —
-       first finalizer wins, racing finalizers write identical content;
+       reclaimed by the claim upsert itself, and a claim on a grid a
+       peer already finished loses;
+    3. when the pass holds every shard's rows, assemble and store the
+       grid (one transaction that also retires the grid's checkpoints
+       and leases) — racing finalizers write identical content;
     4. shards leased to live peers are waited out (``poll_s`` between
        passes, bounded by ``max_wait_s`` — a fleet where every peer died
        *and* left unexpired leases should fail loudly, not hang).
@@ -190,6 +196,42 @@ def run_fleet_worker(job: ExplorationJob, worker_id: str,
              else LeaseManager(store, gkey, worker_id, ttl_s))
     deadline = time.monotonic() + max_wait_s
     preloaded = False
+
+    def take(index: int, taus: tuple):
+        """Claim and compute one missing shard; its rows, or ``None``."""
+        nonlocal preloaded
+        if not lease.claim(index):
+            # A live peer holds it, or the grid is finished.
+            report.claims_lost += 1
+            return None
+        # Won the race for a shard another worker may have just
+        # finished — re-check under the lease before computing.
+        loaded = job.load_shard(index, taus)
+        if loaded is not None:
+            lease.release(index)
+            return loaded
+        if not preloaded:
+            # Seed the record memo once, lazily: a worker that only
+            # ever loads checkpoints never pays for it.
+            job._preload_memo()
+            preloaded = True
+        try:
+            with lease.guarding(index):
+                computed = job.compute_shard(index, taus,
+                                             fence=lease.fence(index))
+        except FencedWriteError:
+            # The lease was reclaimed mid-compute and the store refused
+            # the stale write: nothing landed, the shard belongs to a
+            # peer now.  (The release below only deletes our own row,
+            # so the peer's lease is untouched.)
+            report.fenced += 1
+            return None
+        finally:
+            lease.release(index)
+        report.shards_computed.append(index)
+        _metric("fleet.shards_computed")
+        return computed
+
     # Claim/renew/reclaim counters live in the store's lease
     # transactions (the only place a reclaim is detectable atomically);
     # this span times the whole drain loop of one worker.
@@ -201,64 +243,22 @@ def run_fleet_worker(job: ExplorationJob, worker_id: str,
                 report.runtime_s = time.perf_counter() - start
                 return cached, report
 
-            progress = False
+            computed = len(report.shards_computed)
+            parts = []  # each shard's (chains, rows); None while missing
             for index, taus in enumerate(shards):
-                if job.load_shard(index, taus) is not None:
-                    continue
-                if not lease.claim(index):
-                    report.claims_lost += 1
-                    continue
-                # Won the race for a shard another worker may have just
-                # finished — re-check under the lease before computing.
-                if job.load_shard(index, taus) is not None:
-                    lease.release(index)
-                    continue
-                if not preloaded:
-                    # Seed the record memo once, lazily: a worker that
-                    # only ever loads checkpoints never pays for it.
-                    job._preload_memo()
-                    preloaded = True
-                try:
-                    with lease.guarding(index):
-                        job.compute_shard(index, taus,
-                                          fence=lease.fence(index))
-                except FencedWriteError:
-                    # The lease was reclaimed mid-compute and the store
-                    # refused the stale checkpoint: nothing was written,
-                    # the shard belongs to a peer now.  Drop it and move
-                    # on (the release in ``finally`` only deletes our
-                    # own row, so the peer's lease is untouched).
-                    report.fenced += 1
-                    continue
-                finally:
-                    lease.release(index)
-                report.shards_computed.append(index)
-                _metric("fleet.shards_computed")
-                progress = True
+                loaded = job.load_shard(index, taus)
+                parts.append(loaded if loaded is not None
+                             else take(index, taus))
 
-            if all(job.load_shard(index, taus) is not None
-                   for index, taus in enumerate(shards)):
-                all_chains: list = []
-                all_rows: list = []
-                interrupted = False
-                for index, taus in enumerate(shards):
-                    loaded = job.load_shard(index, taus)
-                    if loaded is None:
-                        # A peer finalized mid-load and cleared the
-                        # checkpoints; the grid exists now — loop back
-                        # to pick it up.
-                        interrupted = True
-                        break
-                    all_chains.extend(loaded[0])
-                    all_rows.extend(loaded[1])
-                if not interrupted:
-                    designs = job.finalize(all_chains, all_rows)
-                    report.finalized = True
-                    report.runtime_s = time.perf_counter() - start
-                    return designs, report
-                continue
+            if all(part is not None for part in parts):
+                designs = job.finalize(
+                    [chain for chains, _ in parts for chain in chains],
+                    [row for _, rows in parts for row in rows])
+                report.finalized = True
+                report.runtime_s = time.perf_counter() - start
+                return designs, report
 
-            if not progress:
+            if len(report.shards_computed) == computed:
                 if time.monotonic() > deadline:
                     raise TimeoutError(
                         f"fleet worker {worker_id!r}: grid {gkey[:12]} "

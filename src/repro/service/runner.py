@@ -217,16 +217,33 @@ def _tau_value(value) -> float:
     return float(value)
 
 
+def render_design(index: int, design: PrunedDesign, **tags) -> str:
+    """One ``design`` JSONL line (no trailing newline).
+
+    ``tags`` (the e-sweep's ``e``) follow ``index``, before the
+    design's own fields.  The only renderer of design lines:
+    :func:`render_request` and :meth:`ExplorationService.run_sweep`
+    both write through it.
+    """
+    return json.dumps({
+        "type": "design", "index": index, **tags,
+        "tau_c": design.tau_c, "phi_c": design.phi_c,
+        "n_pruned": design.n_pruned,
+        "duplicate_of": design.duplicate_of,
+        **design.record.to_dict(),
+    })
+
+
 def render_request(index: int, request: ExploreRequest,
                    designs: list[PrunedDesign],
                    report: JobReport) -> list[str]:
     """One request's JSONL lines: its ``request`` header, then its designs.
 
     Each line is serialized exactly once, already carrying its manifest
-    ``index`` (no trailing newline).  This is the only renderer of these
-    lines: :meth:`ExplorationService.run_manifest` writes them and
-    ``repro serve`` streams them, so served bytes equal the batch
-    runner's by construction.
+    ``index`` (no trailing newline); the design lines come from
+    :func:`render_design`.  :meth:`ExplorationService.run_manifest`
+    writes these lines and ``repro serve`` streams them, so served
+    bytes equal the batch runner's by construction.
     """
     lines = [json.dumps({
         "type": "request", "index": index,
@@ -236,14 +253,7 @@ def render_request(index: int, request: ExploreRequest,
         "n_designs": len(designs),
         **report.to_dict(),
     })]
-    for design in designs:
-        lines.append(json.dumps({
-            "type": "design", "index": index,
-            "tau_c": design.tau_c, "phi_c": design.phi_c,
-            "n_pruned": design.n_pruned,
-            "duplicate_of": design.duplicate_of,
-            **design.record.to_dict(),
-        }))
+    lines.extend(render_design(index, design) for design in designs)
     return lines
 
 
@@ -613,13 +623,7 @@ class ExplorationService:
                 **report.to_dict(),
             })
             for design in designs:
-                write_line(out, {
-                    "type": "design", "index": index, "e": e,
-                    "tau_c": design.tau_c, "phi_c": design.phi_c,
-                    "n_pruned": design.n_pruned,
-                    "duplicate_of": design.duplicate_of,
-                    **design.record.to_dict(),
-                })
+                write_line(out, render_design(index, design, e=e))
         summary = {
             "type": "summary",
             "kind": "sweep",

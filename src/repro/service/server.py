@@ -75,8 +75,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..core.pruning import prune_key_bytes
-from ..eval.accuracy import EvaluationRecord
 from .faults import fault_point
 from .jobs import DEFAULT_SHARD_SIZE
 from .leases import DEFAULT_LEASE_TTL_S
@@ -746,8 +744,8 @@ class ExploreServer:
                 await self._coordinate_job(method, key, sub, payload,
                                            tenant, reply)
             elif kind == "bases" and sub == ["variants"]:
-                await self._coordinate_variants(method, key, payload,
-                                                tenant, reply)
+                await self._coordinate_variants(method, key, tenant,
+                                                reply)
             elif kind == "coeff" and not sub:
                 await self._coordinate_coeff(method, key, payload,
                                              tenant, reply)
@@ -792,12 +790,8 @@ class ExploreServer:
                 await reply({"type": "leases", "leases": {
                     str(shard): info for shard, info in leases.items()}})
                 return
-            if method == "DELETE" and not sub[1:]:
-                await call(tenant, DesignStore.clear_leases, gkey)
-                await reply({"type": "leases", "cleared": True})
-                return
             raise _HttpError(405, "leases: POST claim/renew/release, "
-                                  "GET or DELETE the collection")
+                                  "GET the collection")
         if sub and sub[0] == "shards":
             if len(sub) == 2:
                 shard = int(sub[1])
@@ -812,17 +806,21 @@ class ExploreServer:
                                  "payload": stored[1]})
                     return
                 if method == "PUT":
-                    taus, data = self._coord_fields(payload, "taus",
-                                                    "payload")
+                    taus, data, base_key = self._coord_fields(
+                        payload, "taus", "payload", "base_key")
                     fence = payload.get("fence")
                     if fence is not None:
                         fence = (str(fence[0]), int(fence[1]))
                     try:
                         await call(tenant, DesignStore.put_shard, gkey,
                                    shard, [float(t) for t in taus],
-                                   data, fence=fence)
+                                   data, self._key_segment(base_key),
+                                   fence=fence)
                     except FencedWriteError as exc:
                         raise _HttpError(409, str(exc))
+                    except KeyError as exc:
+                        raise _HttpError(400, f"bad shard payload: no "
+                                              f"{exc.args[0]!r} field")
                     await reply({"type": "shard", "shard": shard,
                                  "stored": True})
                     return
@@ -833,11 +831,7 @@ class ExploreServer:
                 await reply({"type": "shards",
                              "indices": sorted(int(i) for i in indices)})
                 return
-            if method == "DELETE":
-                await call(tenant, DesignStore.clear_shards, gkey)
-                await reply({"type": "shards", "cleared": True})
-                return
-            raise _HttpError(405, "shards: GET/DELETE the collection, "
+            raise _HttpError(405, "shards: GET the collection, "
                                   "GET/PUT /shards/{index}")
         if sub == ["grid"]:
             if method == "GET":
@@ -867,8 +861,7 @@ class ExploreServer:
                               "use leases, shards, or grid")
 
     async def _coordinate_variants(self, method: str, base_key: str,
-                                   payload: dict, tenant: str,
-                                   reply) -> None:
+                                   tenant: str, reply) -> None:
         if method == "GET":
             variants = await self._store_call(
                 tenant, DesignStore.variants_for_base, base_key)
@@ -876,16 +869,7 @@ class ExploreServer:
                 [list(ids), record.to_dict()]
                 for ids, record in sorted(variants.items())]})
             return
-        if method == "PUT":
-            (raw,) = self._coord_fields(payload, "variants")
-            entries = {prune_key_bytes(int(i) for i in ids):
-                       EvaluationRecord.from_dict(record)
-                       for ids, record in raw}
-            await self._store_call(tenant, DesignStore.put_variants,
-                                   base_key, entries)
-            await reply({"type": "variants", "stored": len(entries)})
-            return
-        raise _HttpError(405, "variants are GET/PUT")
+        raise _HttpError(405, "variants are GET-only")
 
     async def _coordinate_coeff(self, method: str, key: str,
                                 payload: dict, tenant: str,

@@ -10,7 +10,9 @@ repeated or overlapping explorations become lookups:
   design list;
 * **shards** — checkpoints of in-flight explorations (see
   :mod:`repro.service.jobs`): a killed run resumes from the last
-  finished shard and deletes its checkpoints once the grid lands.
+  finished shard.  A checkpoint lands in the same transaction as its
+  shard's variants, and the grid lands in the same transaction that
+  deletes the grid's checkpoints and leases.
 
 Hash contract
 -------------
@@ -54,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core.coeff_approx import ApproximatedSum
-from ..core.pruning import PrunedDesign, prune_key_ids
+from ..core.pruning import PrunedDesign, prune_key_bytes, prune_key_ids
 from ..eval.accuracy import EvaluationRecord
 from ..hw.netlist_io import EncodedNetlist, encode_netlist, netlist_from_dict
 from .faults import fault_point
@@ -511,6 +513,32 @@ def design_from_dict(data: dict) -> PrunedDesign:
         else (float(duplicate[0]), int(duplicate[1])))
 
 
+def _serialize_rows(chains: list, rows: list) -> dict:
+    """Checkpoint payload of one shard's walked chains.
+
+    Each row is ``[phi_c, pruned-gate ids, n_pruned, record dict]``;
+    :meth:`DesignStore.put_shard` reads the shard's variant rows from
+    the same lists.
+    """
+    return {"chains": [
+        {"tau_c": tau_c,
+         "rows": [[phi_c, list(prune_key_ids(key)), n_pruned,
+                   record.to_dict()]
+                  for phi_c, key, n_pruned, record in chain_rows]}
+        for (tau_c, _steps), chain_rows in zip(chains, rows)]}
+
+
+def _deserialize_rows(payload: dict) -> tuple[list, list]:
+    """Inverse of :func:`_serialize_rows`, keys in canonical byte form."""
+    chains, rows = [], []
+    for chain in payload["chains"]:
+        chains.append((float(chain["tau_c"]), None))
+        rows.append([(int(phi_c), prune_key_bytes(ids), int(n_pruned),
+                      EvaluationRecord.from_dict(record))
+                     for phi_c, ids, n_pruned, record in chain["rows"]])
+    return chains, rows
+
+
 class DesignStore:
     """SQLite-backed content-addressed store of evaluated designs.
 
@@ -696,28 +724,6 @@ class DesignStore:
             (key, base_key, canonical_json([int(i) for i in ids]),
              canonical_json(record.to_dict()), time.time())))
 
-    def put_variants(self, base_key: str, entries: dict) -> None:
-        """Bulk insert ``{prune key -> record}`` for one base circuit.
-
-        Keys are the walks' sorted-id bytes
-        (:func:`~repro.core.pruning.prune_key_bytes`).
-        """
-        now = time.time()
-        rows = []
-        for key, record in entries.items():
-            ids = prune_key_ids(key)
-            rows.append((variant_key(base_key, ids), base_key,
-                         canonical_json(list(ids)),
-                         canonical_json(record.to_dict()), now))
-        if not rows:
-            return
-
-        def write(con):
-            fault_point("store.put_variants", base_key=base_key)
-            con.executemany(
-                "INSERT OR IGNORE INTO variants VALUES (?,?,?,?,?)", rows)
-        self._with_connection("put_variants", write)
-
     def variants_for_base(self, base_key: str) -> dict[tuple, EvaluationRecord]:
         """All stored ``{pruned-gate ids -> record}`` of one base circuit."""
         rows = self._with_connection(
@@ -741,6 +747,12 @@ class DesignStore:
 
     def put_grid(self, key: str, designs: list[PrunedDesign],
                  meta: dict | None = None) -> None:
+        """Store a finished grid and retire its checkpoints and leases.
+
+        One transaction: a grid never sits next to the stale shard
+        checkpoints and leases it supersedes, and a failed write leaves
+        them as they were.
+        """
         payload = canonical_json([design_to_dict(d) for d in designs])
 
         def write(con):
@@ -749,12 +761,17 @@ class DesignStore:
                 "INSERT OR REPLACE INTO grids VALUES (?,?,?,?,?)",
                 (key, payload, canonical_json(meta or {}), len(designs),
                  time.time()))
+            con.execute("DELETE FROM shards WHERE grid_key=?", (key,))
+            con.execute("DELETE FROM shard_leases WHERE grid_key=?",
+                        (key,))
         self._with_connection("put_grid", write)
 
     def delete_grid(self, key: str) -> None:
-        """Drop a finished grid (forces recomputation on the next run)."""
-        self._with_connection("delete_grid", lambda con: con.execute(
-            "DELETE FROM grids WHERE key=?", (key,)))
+        """Drop a finished grid and its checkpoints (a forced rerun)."""
+        def delete(con):
+            con.execute("DELETE FROM grids WHERE key=?", (key,))
+            con.execute("DELETE FROM shards WHERE grid_key=?", (key,))
+        self._with_connection("delete_grid", delete)
 
     def grid_meta(self, key: str) -> dict | None:
         row = self._with_connection("grid_meta", lambda con: con.execute(
@@ -764,17 +781,31 @@ class DesignStore:
     # -- shard checkpoints ---------------------------------------------
 
     def put_shard(self, grid_key: str, shard: int, taus, payload: dict,
+                  base_key: str,
                   fence: tuple[str, int] | None = None) -> None:
-        """Checkpoint one shard; ``fence=(worker, token)`` verifies it.
+        """Checkpoint one shard and store its variants, in one transaction.
 
-        With a fence, the write only lands while ``worker`` still holds
-        the shard's lease under the exact ``token`` its claim returned;
-        anything else (reclaimed lease, released lease, finalized grid)
-        raises :class:`FencedWriteError` *inside the transaction* — the
-        zombie writer mutates nothing.  Uploads are idempotent by
-        content key: a replay after an ambiguous failure re-commits the
-        identical row.
+        ``payload`` is a :func:`_serialize_rows` checkpoint; its rows
+        become ``variants`` rows under ``base_key`` (inserts are
+        idempotent: same key, same content, first writer wins).  A
+        checkpoint therefore never exists without its variants.
+
+        ``fence=(worker, token)`` verifies the write: it only lands
+        while ``worker`` still holds the shard's lease under the exact
+        ``token`` its claim returned; anything else (reclaimed lease,
+        released lease, finalized grid) raises
+        :class:`FencedWriteError` *inside the transaction* — the zombie
+        writer mutates nothing.  Uploads are idempotent by content key:
+        a replay after an ambiguous failure re-commits the identical
+        rows.
         """
+        now = time.time()
+        variants = [
+            (variant_key(base_key, ids), base_key, canonical_json(ids),
+             canonical_json(record), now)
+            for chain in payload["chains"]
+            for _phi, ids, _n, record in chain["rows"]]
+
         def write(con):
             if fence is not None:
                 worker, token = fence
@@ -796,7 +827,11 @@ class DesignStore:
                 "INSERT OR REPLACE INTO shards VALUES (?,?,?,?,?)",
                 (grid_key, int(shard),
                  canonical_json([float(t) for t in taus]),
-                 canonical_json(payload), time.time()))
+                 canonical_json(payload), now))
+            fault_point("store.put_variants", base_key=base_key)
+            con.executemany(
+                "INSERT OR IGNORE INTO variants VALUES (?,?,?,?,?)",
+                variants)
         self._with_connection("put_shard", write)
 
     def get_shard(self, grid_key: str, shard: int) -> tuple[list, dict] | None:
@@ -814,10 +849,6 @@ class DesignStore:
             "SELECT shard FROM shards WHERE grid_key=?",
             (grid_key,)).fetchall())
         return {row[0] for row in rows}
-
-    def clear_shards(self, grid_key: str) -> None:
-        self._with_connection("clear_shards", lambda con: con.execute(
-            "DELETE FROM shards WHERE grid_key=?", (grid_key,)))
 
     # -- shard leases ---------------------------------------------------
     #
@@ -839,12 +870,18 @@ class DesignStore:
         store-wide counter; the holder re-claiming its own live lease
         keeps its token — so a token uniquely identifies one ownership
         span, which is what :meth:`put_shard`'s fence checks against.
+        A finished grid has nothing left to claim: once its row exists,
+        every claim loses.
         """
         now = time.time() if now is None else now
 
         def claim(con):
             fault_point("store.lease", grid_key=grid_key, index=shard,
                         worker=worker)
+            if con.execute("SELECT 1 FROM grids WHERE key=?",
+                           (grid_key,)).fetchone() is not None:
+                _metric("lease.claims", result="lost")
+                return 0
             prior = con.execute(
                 "SELECT worker, expiry, token FROM shard_leases "
                 "WHERE grid_key=? AND shard=?",
@@ -929,10 +966,6 @@ class DesignStore:
         return {int(shard): {"worker": worker, "heartbeat": heartbeat,
                              "expiry": expiry, "token": int(token)}
                 for shard, worker, heartbeat, expiry, token in rows}
-
-    def clear_leases(self, grid_key: str) -> None:
-        self._with_connection("clear_leases", lambda con: con.execute(
-            "DELETE FROM shard_leases WHERE grid_key=?", (grid_key,)))
 
     # -- coefficient-approximation cache -------------------------------
 

@@ -36,6 +36,7 @@ from repro.service.telemetry import get_hub
 
 GRID = (0.90, 0.99)
 GKEY = "c" * 64
+BKEY = "b" * 64
 PAYLOAD = {"chains": [], "rows": []}
 
 
@@ -105,13 +106,35 @@ class TestEndpoints:
             assert store.get_shard(GKEY, 0) is None
             assert store.shard_indices(GKEY) == set()
             token = store.claim_lease(GKEY, 0, "w1", ttl_s=60.0)
-            store.put_shard(GKEY, 0, list(GRID), PAYLOAD,
+            store.put_shard(GKEY, 0, list(GRID), PAYLOAD, BKEY,
                             fence=("w1", token))
             taus, payload = store.get_shard(GKEY, 0)
             assert taus == list(GRID) and payload == PAYLOAD
             assert store.shard_indices(GKEY) == {0}
-            store.clear_shards(GKEY)
+            # The finished grid's write retires the checkpoints it
+            # supersedes.
+            store.put_grid(GKEY, [], meta={"label": "t"})
             assert store.shard_indices(GKEY) == set()
+
+    def test_split_write_routes_are_gone(self, tmp_path):
+        """A shard upload carries its variants; a grid retires its
+        checkpoints and leases: no route writes either half alone."""
+        with coordinator(tmp_path) as server:
+            client = remote(server).client
+            for method, path, body in (
+                    ("PUT", f"/v1/bases/{BKEY}/variants", {"variants": []}),
+                    ("DELETE", f"/v1/jobs/{GKEY}/shards", None),
+                    ("DELETE", f"/v1/jobs/{GKEY}/leases", None)):
+                status, _data = client.request(method, path, body)
+                assert status == 405, (method, path)
+            status, data = client.request(
+                "PUT", f"/v1/jobs/{GKEY}/shards/0",
+                {"taus": list(GRID), "payload": PAYLOAD})
+            assert status == 400 and "base_key" in data["error"]
+            status, data = client.request(
+                "PUT", f"/v1/jobs/{GKEY}/shards/0",
+                {"taus": list(GRID), "payload": {}, "base_key": BKEY})
+            assert status == 400 and "chains" in data["error"]
 
     def test_fenced_upload_gets_409_and_writes_nothing(self, tmp_path):
         with coordinator(tmp_path) as server:
@@ -120,11 +143,11 @@ class TestEndpoints:
             fresh = store.claim_lease(GKEY, 0, "peer", ttl_s=60.0)
             assert fresh > stale >= 1
             with pytest.raises(FencedWriteError):
-                store.put_shard(GKEY, 0, list(GRID), PAYLOAD,
+                store.put_shard(GKEY, 0, list(GRID), PAYLOAD, BKEY,
                                 fence=("zombie", stale))
             assert store.shard_indices(GKEY) == set()
             # ... and the rightful holder still lands its write
-            store.put_shard(GKEY, 0, list(GRID), PAYLOAD,
+            store.put_shard(GKEY, 0, list(GRID), PAYLOAD, BKEY,
                             fence=("peer", fresh))
             assert store.shard_indices(GKEY) == {0}
 
@@ -215,7 +238,7 @@ class TestClientRobustness:
             token = store.claim_lease(GKEY, 0, "w1", ttl_s=60.0)
             with installed(FaultInjector.parse(
                     "coord.response@method=PUT:1=partial-body")):
-                store.put_shard(GKEY, 0, list(GRID), PAYLOAD,
+                store.put_shard(GKEY, 0, list(GRID), PAYLOAD, BKEY,
                                 fence=("w1", token))
             taus, payload = store.get_shard(GKEY, 0)
             assert taus == list(GRID) and payload == PAYLOAD
@@ -259,7 +282,7 @@ class TestRemoteLeaseManager:
                 info = store.leases_for_grid(GKEY)[0]
                 assert info["worker"] == "w1"
                 assert info["expiry"] > time.time()
-            store.put_shard(GKEY, 0, list(GRID), PAYLOAD,
+            store.put_shard(GKEY, 0, list(GRID), PAYLOAD, BKEY,
                             fence=manager.fence(0))
             manager.release(0)
             assert store.shard_indices(GKEY) == {0}

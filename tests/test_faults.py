@@ -25,8 +25,8 @@ import pytest
 
 import repro.core.cross_layer as cross_layer
 from repro.core.cross_layer import CrossLayerFramework
-from repro.core.pruning import NetlistPruner
-from repro.eval.accuracy import CircuitEvaluator
+from repro.core.pruning import NetlistPruner, prune_key_bytes
+from repro.eval.accuracy import CircuitEvaluator, EvaluationRecord
 from repro.experiments.zoo import get_case
 from repro.hw.bespoke import build_bespoke_netlist
 from repro.service import DesignStore, ExplorationJob, JobReport
@@ -41,7 +41,7 @@ from repro.service.faults import (
     seeded_schedule,
 )
 from repro.service.jsonl import JSONLError, read_jsonl, write_line
-from repro.service.store import _RETRY_POLICY
+from repro.service.store import _RETRY_POLICY, _serialize_rows
 
 GRID = (0.85, 0.90, 0.95, 0.99)
 
@@ -268,6 +268,55 @@ class TestStoreRecovery:
         with installed(FaultInjector.parse(spec)):
             with pytest.raises(sqlite3.OperationalError, match="locked"):
                 store.put_grid("k" * 64, [], meta={"label": "t"})
+
+
+class TestOneTransactionPerStep:
+    """A shard write and a grid write each commit whole or not at all."""
+
+    GKEY = "g" * 64
+    BKEY = "b" * 64
+    PAYLOAD = _serialize_rows(
+        [(0.9, None)],
+        [[(1, prune_key_bytes((1, 2)), 2,
+           EvaluationRecord(0.5, 10.0, 1.0, 40))]])
+
+    def test_put_grid_fault_leaves_shards_and_leases(self, tmp_path):
+        store = DesignStore(tmp_path / "store.sqlite")
+        store.claim_lease(self.GKEY, 1, "peer", ttl_s=60.0)
+        store.put_shard(self.GKEY, 0, [0.9], self.PAYLOAD, self.BKEY)
+        leases = store.leases_for_grid(self.GKEY)
+        with installed(FaultInjector.parse("store.put_grid:1=err")):
+            with pytest.raises(FaultError):
+                store.put_grid(self.GKEY, [], meta={"label": "t"})
+        assert store.get_grid(self.GKEY) is None
+        assert store.shard_indices(self.GKEY) == {0}
+        assert store.leases_for_grid(self.GKEY) == leases
+        # The write that lands retires both.
+        store.put_grid(self.GKEY, [], meta={"label": "t"})
+        assert store.get_grid(self.GKEY) == []
+        assert store.shard_indices(self.GKEY) == set()
+        assert store.leases_for_grid(self.GKEY) == {}
+
+    def test_put_variants_fault_leaves_no_checkpoint(self, tmp_path):
+        store = DesignStore(tmp_path / "store.sqlite")
+        with installed(FaultInjector.parse("store.put_variants:1=err")):
+            with pytest.raises(FaultError):
+                store.put_shard(self.GKEY, 0, [0.9], self.PAYLOAD,
+                                self.BKEY)
+        assert store.shard_indices(self.GKEY) == set()
+        assert store.variants_for_base(self.BKEY) == {}
+        store.put_shard(self.GKEY, 0, [0.9], self.PAYLOAD, self.BKEY)
+        assert store.shard_indices(self.GKEY) == {0}
+        assert list(store.variants_for_base(self.BKEY)) == [(1, 2)]
+
+    def test_delete_grid_drops_its_checkpoints(self, tmp_path):
+        store = DesignStore(tmp_path / "store.sqlite")
+        store.put_shard(self.GKEY, 0, [0.9], self.PAYLOAD, self.BKEY)
+        store.put_grid(self.GKEY, [], meta={"label": "t"})
+        store.put_shard(self.GKEY, 1, [0.95], self.PAYLOAD, self.BKEY)
+        store.delete_grid(self.GKEY)
+        assert store.get_grid(self.GKEY) is None
+        assert store.shard_indices(self.GKEY) == set()
 
 
 class TestSupervisedExploration:

@@ -24,7 +24,7 @@ import time
 
 import pytest
 
-from repro.core.pruning import NetlistPruner
+from repro.core.pruning import NetlistPruner, prune_key_bytes
 from repro.eval.accuracy import CircuitEvaluator
 from repro.experiments.zoo import get_case
 from repro.hw.bespoke import build_bespoke_netlist
@@ -36,9 +36,11 @@ from repro.service import (
     LeaseManager,
     run_fleet_worker,
 )
+from repro.service.store import _serialize_rows
 
 GRID = (0.85, 0.90, 0.95, 0.99)
 GKEY = "g" * 64
+BKEY = "b" * 64
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -74,6 +76,23 @@ def service_reference(tmp_path_factory):
     return designs
 
 
+class _FirstGridReadMisses:
+    """A store whose first ``get_grid`` reports no grid."""
+
+    def __init__(self, store: DesignStore) -> None:
+        self._store = store
+        self._missed = False
+
+    def get_grid(self, key: str):
+        if not self._missed:
+            self._missed = True
+            return None
+        return self._store.get_grid(key)
+
+    def __getattr__(self, name: str):
+        return getattr(self._store, name)
+
+
 class TestLeasePrimitives:
     def test_claim_is_exclusive_until_expiry(self, tmp_path):
         store = DesignStore(tmp_path / "s.sqlite")
@@ -104,6 +123,12 @@ class TestLeasePrimitives:
         assert store.claim_lease(GKEY, 0, "a", ttl_s=60.0, now=t0)
         store.release_lease(GKEY, 0, "a")
         assert store.claim_lease(GKEY, 0, "b", ttl_s=60.0, now=t0 + 1)
+
+    def test_claim_on_a_finished_grid_loses(self, tmp_path):
+        store = DesignStore(tmp_path / "s.sqlite")
+        store.put_grid(GKEY, [], meta={"label": "t"})
+        assert store.claim_lease(GKEY, 0, "late", ttl_s=60.0) == 0
+        assert store.leases_for_grid(GKEY) == {}
 
     def test_manager_held_and_stale_views(self, tmp_path):
         store = DesignStore(tmp_path / "s.sqlite")
@@ -146,6 +171,32 @@ class TestFleetWorker:
         # finalize cleared every lease
         assert store.leases_for_grid(
             self._job(svm_setup, store).grid_key()) == {}
+
+    def test_worker_that_missed_a_finished_grid_computes_nothing(
+            self, svm_setup, tmp_path):
+        """A grid finalized between a worker's grid check and its claims.
+
+        The late worker's first ``get_grid`` misses (it ran just before
+        a peer's finalize), so it sweeps shards whose checkpoints are
+        already gone.  Every claim loses on the finished grid, and the
+        next pass picks the grid up instead of recomputing it.
+        """
+        netlist, evaluator = svm_setup
+        store = DesignStore(tmp_path / "s.sqlite")
+
+        def job(handle):
+            return ExplorationJob(NetlistPruner(netlist, evaluator,
+                                                GRID[:3]),
+                                  handle, shard_size=1)
+
+        designs, first = run_fleet_worker(job(store), "w1")
+        assert first.finalized and first.shards_computed == [0, 1, 2]
+        late_designs, late = run_fleet_worker(
+            job(_FirstGridReadMisses(store)), "w2", poll_s=0.01)
+        assert late_designs == designs
+        assert late.shards_computed == []
+        assert late.grid_hit and not late.finalized
+        assert late.claims_lost == 3
 
     def test_dead_peer_lease_is_reclaimed(self, svm_setup, cold_designs,
                                           tmp_path):
@@ -272,7 +323,7 @@ class TestFencingTokens:
         before = get_hub().registry.counter_total("fleet.fenced_writes")
         # The zombie wakes up and tries to land its checkpoint.
         with pytest.raises(FencedWriteError):
-            store.put_shard(GKEY, 0, GRID[:1], self.PAYLOAD,
+            store.put_shard(GKEY, 0, GRID[:1], self.PAYLOAD, BKEY,
                             fence=("zombie", stale))
         # Nothing was written: no checkpoint row, and the metric fired.
         assert store.shard_indices(GKEY) == set()
@@ -280,7 +331,7 @@ class TestFencingTokens:
         assert get_hub().registry.counter_total("fleet.fenced_writes") \
             == before + 1
         # The rightful holder's upload lands under the current token.
-        store.put_shard(GKEY, 0, GRID[:1], self.PAYLOAD,
+        store.put_shard(GKEY, 0, GRID[:1], self.PAYLOAD, BKEY,
                         fence=("peer", fresh))
         assert store.shard_indices(GKEY) == {0}
 
@@ -290,9 +341,25 @@ class TestFencingTokens:
         store = DesignStore(tmp_path / "s.sqlite")
         # A fence from a released/raced-away lease: no row at all.
         with pytest.raises(FencedWriteError):
-            store.put_shard(GKEY, 0, GRID[:1], self.PAYLOAD,
+            store.put_shard(GKEY, 0, GRID[:1], self.PAYLOAD, BKEY,
                             fence=("ghost", 7))
         assert store.shard_indices(GKEY) == set()
+
+    def test_fenced_upload_writes_no_variant_row(self, tmp_path,
+                                                 cold_designs):
+        from repro.service import FencedWriteError
+
+        store = DesignStore(tmp_path / "s.sqlite")
+        payload = _serialize_rows(
+            [(GRID[0], None)],
+            [[(1, prune_key_bytes((1, 2)), 2, cold_designs[0].record)]])
+        stale = store.claim_lease(GKEY, 0, "zombie", ttl_s=-5.0)
+        store.claim_lease(GKEY, 0, "peer", ttl_s=60.0)
+        with pytest.raises(FencedWriteError):
+            store.put_shard(GKEY, 0, GRID[:1], payload, BKEY,
+                            fence=("zombie", stale))
+        assert store.variants_for_base(BKEY) == {}
+        assert store.stats()["variants"] == 0
 
     def test_renew_checks_the_token(self, tmp_path):
         store = DesignStore(tmp_path / "s.sqlite")

@@ -17,6 +17,8 @@ The load-bearing contracts:
 from __future__ import annotations
 
 import gc
+import hashlib
+import io
 import json
 import os
 import pathlib
@@ -51,6 +53,7 @@ from repro.service import (
 )
 from repro.service.faults import FaultInjector, installed
 from repro.service.store import (
+    _serialize_rows,
     approximate_model_cached,
     base_fingerprint,
     coeff_key,
@@ -337,7 +340,9 @@ class TestStoreGc:
         netlist, evaluator = svm_setup
         store = DesignStore(tmp_path / "store.sqlite")
         record = cold_designs[0].record
-        store.put_variants("somebase", {prune_key_bytes((1, 2)): record})
+        store.put_shard("g" * 64, 0, [0.9], _serialize_rows(
+            [(0.9, None)], [[(1, prune_key_bytes((1, 2)), 2, record)]]),
+            "somebase")
         report = store.gc(keep_days=7.0)
         assert report["variants_deleted"] == 0
         assert store.stats()["variants"] == 1
@@ -405,10 +410,11 @@ class TestConcurrency:
                 store = DesignStore(path)
                 for i in range(20):
                     store.put_shard(f"grid{worker}", i, [0.9],
-                                    {"chains": []})
-                    store.put_variants(
-                        f"base{worker}",
-                        {prune_key_bytes((worker, i)): record})
+                                    _serialize_rows(
+                                        [(0.9, None)],
+                                        [[(1, prune_key_bytes((worker, i)),
+                                           2, record)]]),
+                                    f"base{worker}")
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -642,6 +648,23 @@ class TestServiceRunner:
             assert {**a, "index": 0} == {**b, "index": 0}
         assert lines[-1]["type"] == "summary"
 
+    def test_cold_one_shard_request_writes_twice(self, tmp_path):
+        """One store transaction per step: the shard, then the grid."""
+        service = ExplorationService(tmp_path / "store.sqlite")
+        request = ExploreRequest(dataset="redwine", model="svm_r",
+                                 base="exact", tau_grid=(0.9, 0.95, 0.99))
+        telemetry.reset()
+        _designs, report = service.explore(request)
+        assert (report.n_shards, report.shards_computed) == (1, 1)
+        hist = telemetry.get_hub().registry.snapshot()["histograms"]
+        ops = {name[len("store.op_ms{op="):-1]: data["count"]
+               for name, data in hist.items()
+               if name.startswith("store.op_ms{")}
+        assert ops == {"get_grid": 2, "variants_for_base": 1,
+                       "get_shard": 1, "put_shard": 1, "put_grid": 1}
+        stats = service.store.stats()
+        assert (stats["shards"], stats["shard_leases"]) == (0, 0)
+
     def test_request_validation(self):
         with pytest.raises(ValueError, match="missing required"):
             ExploreRequest.from_dict({"dataset": "redwine"})
@@ -786,6 +809,27 @@ class TestESweep:
         with pytest.raises(ValueError, match=">= 0"):
             ExploreRequest.from_dict({"dataset": "redwine",
                                       "model": "svm_r", "e": -1})
+
+    def test_run_sweep_lines_are_pinned(self, tmp_path):
+        """``run_sweep``'s JSONL bytes, runtimes and store path aside."""
+        service = ExplorationService(DesignStore(tmp_path / "s.sqlite"))
+        out = io.StringIO()
+        service.run_sweep(ExploreRequest(dataset="redwine", model="svm_r",
+                                         tau_grid=(0.9, 0.95, 0.99)),
+                          (1, 2), out)
+        lines = []
+        for line in out.getvalue().splitlines():
+            record = json.loads(line)
+            record.pop("runtime_s", None)
+            record.get("store", {}).pop("path", None)
+            lines.append(json.dumps(record))
+        assert [json.loads(line)["type"] for line in lines] == [
+            "sweep", "coeff", "request", "design", "design", "design",
+            "coeff", "request", "design", "design", "design", "summary"]
+        digest = hashlib.sha256(
+            ("\n".join(lines) + "\n").encode()).hexdigest()
+        assert digest == ("b20765df3884b0dc5f3bde7cfb348470"
+                          "c7d5cd8fbb2de8c760eac0192bd3fddc")
 
     def test_cold_warm_identity(self, sweep_service, tmp_path):
         cold = sweep_service.sweep(_sweep_request(), self.E)
