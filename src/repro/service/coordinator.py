@@ -59,7 +59,8 @@ from ..eval.accuracy import EvaluationRecord
 from .faults import fault_point
 from .leases import LeaseManager
 from .retry import RetryPolicy, retry_call
-from .store import FencedWriteError, design_from_dict, design_to_dict
+from .store import (FencedWriteError, canonical_json, design_to_dict,
+                    designs_from_text)
 from .telemetry import counter as _metric
 from .telemetry import span as _span
 
@@ -296,11 +297,14 @@ class RemoteStore:
 
     # -- grids ---------------------------------------------------------
 
-    def get_grid(self, key: str):
+    def get_grid_text(self, key: str) -> str | None:
+        """The grid's designs as canonical JSON (the stored form)."""
         data = self._call("GET", f"/v1/jobs/{key}/grid")
-        if data is None:
-            return None
-        return [design_from_dict(d) for d in data["designs"]]
+        return None if data is None else canonical_json(data["designs"])
+
+    def get_grid(self, key: str):
+        text = self.get_grid_text(key)
+        return None if text is None else designs_from_text(text)
 
     def put_grid(self, key: str, designs: list,
                  meta: dict | None = None) -> None:

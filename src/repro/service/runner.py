@@ -51,6 +51,7 @@ from .store import (
     base_fingerprint_from_parts,
     build_coeff_netlist_cached,
     coeff_netlist_key,
+    designs_from_text,
     evaluator_fingerprint,
     grid_key as make_grid_key,
     model_fingerprint,
@@ -217,20 +218,45 @@ def _tau_value(value) -> float:
     return float(value)
 
 
-def render_design(index: int, design: PrunedDesign, **tags) -> str:
-    """One ``design`` JSONL line (no trailing newline).
+def design_head(index: int, **tags) -> str:
+    """The head of a ``design`` line: ``{"type": "design", "index": …,``
+    then ``tags`` (the e-sweep's ``e``), up to the design's fields."""
+    return json.dumps({"type": "design", "index": index, **tags})[:-1] \
+        + ", "
 
-    ``tags`` (the e-sweep's ``e``) follow ``index``, before the
-    design's own fields.  The only renderer of design lines:
-    :func:`render_request` and :meth:`ExplorationService.run_sweep`
-    both write through it.
-    """
+
+def design_body(design: PrunedDesign) -> str:
+    """The rest of a ``design`` line: the design's own fields and ``}``."""
     return json.dumps({
-        "type": "design", "index": index, **tags,
         "tau_c": design.tau_c, "phi_c": design.phi_c,
         "n_pruned": design.n_pruned,
         "duplicate_of": design.duplicate_of,
         **design.record.to_dict(),
+    })[1:]
+
+
+def render_design(index: int, design: PrunedDesign, **tags) -> str:
+    """One ``design`` JSONL line (no trailing newline).
+
+    The line is :func:`design_head` plus :func:`design_body`, which is
+    byte-for-byte ``json.dumps({"type": "design", "index": index,
+    **tags, **fields})``.  The only renderer of design lines:
+    :func:`render_request`, :meth:`ExplorationService.run_sweep` and
+    the memoized bodies of :meth:`ExplorationService.warm_lines` all
+    come from these two halves.
+    """
+    return design_head(index, **tags) + design_body(design)
+
+
+def _render_header(index: int, request: ExploreRequest, n_designs: int,
+                   report: JobReport) -> str:
+    return json.dumps({
+        "type": "request", "index": index,
+        "dataset": request.dataset, "model": request.model,
+        "base": request.base, "label": request.name,
+        "tau_grid_points": len(request.tau_grid),
+        "n_designs": n_designs,
+        **report.to_dict(),
     })
 
 
@@ -240,21 +266,15 @@ def render_request(index: int, request: ExploreRequest,
     """One request's JSONL lines: its ``request`` header, then its designs.
 
     Each line is serialized exactly once, already carrying its manifest
-    ``index`` (no trailing newline); the design lines come from
-    :func:`render_design`.  :meth:`ExplorationService.run_manifest`
-    writes these lines and ``repro serve`` streams them, so served
-    bytes equal the batch runner's by construction.
+    ``index`` (no trailing newline); the design lines are
+    :func:`render_design`'s, with one head for the whole request.
+    :meth:`ExplorationService.run_manifest` writes these lines and
+    ``repro serve`` streams them, so served bytes equal the batch
+    runner's by construction.
     """
-    lines = [json.dumps({
-        "type": "request", "index": index,
-        "dataset": request.dataset, "model": request.model,
-        "base": request.base, "label": request.name,
-        "tau_grid_points": len(request.tau_grid),
-        "n_designs": len(designs),
-        **report.to_dict(),
-    })]
-    lines.extend(render_design(index, design) for design in designs)
-    return lines
+    head = design_head(index)
+    return [_render_header(index, request, len(designs), report),
+            *(head + design_body(design) for design in designs)]
 
 
 class ExplorationService:
@@ -267,6 +287,8 @@ class ExplorationService:
     keeps its prune space — folded base, training activity and phi — so
     every later grid on that base only walks; the store deduplicates
     the evaluations.  An evicted base is rebuilt on its next request.
+    A finished grid's design lines are rendered once too, in a cache of
+    the same bound (see :meth:`warm_lines`).
     """
 
     def __init__(self, store: DesignStore | str, engine: str = "auto",
@@ -297,6 +319,8 @@ class ExplorationService:
         # (and the build.cache metric) without changing results.
         self._build_cache = build_cache
         self._netlists = BoundedCache(BASE_CACHE_SIZE, "service.bases")
+        # grid key -> (stored designs text, rendered design bodies)
+        self._rendered = BoundedCache(BASE_CACHE_SIZE, "service.rendered")
         self._base_keys: dict[tuple, str] = {}
 
     def _evaluator(self, dataset: str, model: str) -> CircuitEvaluator:
@@ -493,22 +517,51 @@ class ExplorationService:
                 and pruner._space is not None:
             self._netlists[key] = base._replace(space=pruner._space)
 
-    def lookup(self, request: ExploreRequest):
-        """:meth:`explore`'s warm half alone: one store read, no compute.
+    def _request_span(self, request: ExploreRequest):
+        return _span("service.request", dataset=request.dataset,
+                     model=request.model, base=request.base)
 
-        Returns ``(designs, report)`` for a finished grid, else ``None``
-        — and then nothing was built, trained or evaluated beyond what
-        resolving the content key needed.
+    def warm_lines(self, index: int,
+                   request: ExploreRequest) -> list[str] | None:
+        """A finished grid's JSONL lines at manifest ``index``, or ``None``.
+
+        The lines are :func:`render_request`'s, byte for byte: the
+        ``request`` header (a ``grid_hit`` report) and one ``design``
+        line per design.  Nothing is built, trained or evaluated beyond
+        what resolving the content key needs, and a miss returns
+        ``None`` having done only that and one store read.
         """
-        with _span("service.request", dataset=request.dataset,
-                   model=request.model, base=request.base):
-            return self._grid_hit(request)
+        with self._request_span(request):
+            return self._warm_lines(index, request)
 
-    def _grid_hit(self, request: ExploreRequest):
-        warm = self._warm_grid(request)
-        if warm is not None:
-            _metric("service.requests", outcome="grid_hit")
-        return warm
+    def _warm_lines(self, index: int,
+                    request: ExploreRequest) -> list[str] | None:
+        """:meth:`warm_lines` without its span.
+
+        The store's text is read on every call and stays the source of
+        truth: the memoized bodies serve only while that text equals
+        the text they were rendered from, so a deleted grid misses and
+        a rewritten one is decoded and rendered again.
+        """
+        start = time.perf_counter()
+        gkey = self.grid_key(request)
+        text = self.store.get_grid_text(gkey)
+        if text is None:
+            return None
+        memo = self._rendered.get(gkey)
+        if memo is not None and memo[0] == text:
+            _metric("service.rendered", result="hit")
+            bodies = memo[1]
+        else:
+            _metric("service.rendered", result="miss")
+            bodies = [design_body(d) for d in designs_from_text(text)]
+            self._rendered[gkey] = (text, bodies)
+        _metric("service.requests", outcome="grid_hit")
+        report = JobReport(gkey, grid_hit=True,
+                           runtime_s=time.perf_counter() - start)
+        head = design_head(index)
+        return [_render_header(index, request, len(bodies), report),
+                *(head + body for body in bodies)]
 
     def explore(self, request: ExploreRequest, resume: bool = True,
                 on_shard=None) -> tuple[list[PrunedDesign], JobReport]:
@@ -518,19 +571,23 @@ class ExplorationService:
         circuit build or decode — see :meth:`_warm_grid`); anything
         else goes through the resumable job.
         """
-        with _span("service.request", dataset=request.dataset,
-                   model=request.model, base=request.base):
+        with self._request_span(request):
             if resume:
-                warm = self._grid_hit(request)
+                warm = self._warm_grid(request)
                 if warm is not None:
+                    _metric("service.requests", outcome="grid_hit")
                     return warm
-            job = self.job(request)
-            report = JobReport(job.grid_key())
-            designs = job.run(resume=resume, on_shard=on_shard,
-                              report=report)
-            self._keep_space(request, job.pruner)
-            _metric("service.requests", outcome="computed")
-            return designs, report
+            return self._compute(request, resume, on_shard)
+
+    def _compute(self, request: ExploreRequest, resume: bool,
+                 on_shard=None) -> tuple[list[PrunedDesign], JobReport]:
+        """Run the request's resumable job (the cold half of explore)."""
+        job = self.job(request)
+        report = JobReport(job.grid_key())
+        designs = job.run(resume=resume, on_shard=on_shard, report=report)
+        self._keep_space(request, job.pruner)
+        _metric("service.requests", outcome="computed")
+        return designs, report
 
     def sweep(self, request: ExploreRequest,
               e_values: tuple[int, ...] = DEFAULT_E_SWEEP,
@@ -653,10 +710,17 @@ class ExplorationService:
         for index, request in enumerate(requests):
             fault_point("service.request", index=index,
                         dataset=request.dataset)
-            designs, report = self.explore(request, resume=resume)
-            n_cached += int(report.grid_hit)
-            n_designs += len(designs)
-            for line in render_request(index, request, designs, report):
+            with self._request_span(request):
+                lines = self._warm_lines(index, request) if resume \
+                    else None
+                hit = lines is not None
+                if not hit:
+                    designs, report = self._compute(request, resume)
+                    hit = report.grid_hit
+                    lines = render_request(index, request, designs, report)
+            n_cached += int(hit)
+            n_designs += len(lines) - 1
+            for line in lines:
                 write_line(out, line)
         summary = {
             "type": "summary",

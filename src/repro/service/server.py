@@ -23,7 +23,8 @@ Contract highlights (the full table lives in
 * **Idempotency / coalescing**: requests key by their content
   fingerprint (the same base-fingerprint → grid-key derivation the
   store uses).  A key lands in one of three tiers: its grid is in the
-  store (a warm hit: one pooled store read and render, then one
+  store (a warm hit: one pooled store read, checked against the text
+  the service last rendered, whose design lines it splices; then one
   write), it is being computed (the request attaches to that
   computation's result), or it is admitted and computed — exactly one
   computation per content key, ever.
@@ -408,18 +409,21 @@ class ExploreServer:
     @staticmethod
     def _lookup_sync(service: ExplorationService, probes: list,
                      n_entries: int) -> tuple[dict, dict | None]:
-        """Warm tier: read and render every probed grid the store holds.
+        """Warm tier: the lines of every probed grid the store holds.
 
         ``probes`` is ``[(index, request)]``; returns ``({index:
-        lines}, stats)``.  When every entry of the response hit, the
-        store stats for its summary come from this same call (nothing
-        is left to compute, so they cannot change before it is sent).
+        lines}, stats)``.  Each hit reads the grid's stored text and
+        splices the design lines the service rendered from it before
+        (:meth:`ExplorationService.warm_lines`).  When every entry of
+        the response hit, the store stats for its summary come from
+        this same call (nothing is left to compute, so they cannot
+        change before it is sent).
         """
         hits = {}
         for index, request in probes:
-            warm = service.lookup(request)
-            if warm is not None:
-                hits[index] = render_request(index, request, *warm)
+            lines = service.warm_lines(index, request)
+            if lines is not None:
+                hits[index] = lines
         stats = service.store.stats() if len(hits) == n_entries else None
         return hits, stats
 

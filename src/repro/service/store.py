@@ -81,6 +81,7 @@ __all__ = [
     "variant_key",
     "design_to_dict",
     "design_from_dict",
+    "designs_from_text",
 ]
 
 # Bump when the schema or any fingerprint input changes; old stores are
@@ -513,6 +514,11 @@ def design_from_dict(data: dict) -> PrunedDesign:
         else (float(duplicate[0]), int(duplicate[1])))
 
 
+def designs_from_text(text: str) -> list[PrunedDesign]:
+    """Decode a grid's stored designs text (:meth:`DesignStore.put_grid`)."""
+    return [design_from_dict(d) for d in json.loads(text)]
+
+
 def _serialize_rows(chains: list, rows: list) -> dict:
     """Checkpoint payload of one shard's walked chains.
 
@@ -736,14 +742,22 @@ class DesignStore:
 
     # -- grids ---------------------------------------------------------
 
-    def get_grid(self, key: str) -> list[PrunedDesign] | None:
-        """The finished design list, or ``None`` when never completed."""
+    def get_grid_text(self, key: str) -> str | None:
+        """The finished design list's stored JSON text, or ``None``.
+
+        One ``SELECT``, counted and timed as ``get_grid``: the warm
+        serving path compares this text with the one it rendered last
+        (:meth:`~repro.service.runner.ExplorationService.warm_lines`).
+        """
         row = self._with_connection("get_grid", lambda con: con.execute(
             "SELECT designs FROM grids WHERE key=?", (key,)).fetchone())
         self._count_lookup("grids", row)
-        if row is None:
-            return None
-        return [design_from_dict(d) for d in json.loads(row[0])]
+        return None if row is None else row[0]
+
+    def get_grid(self, key: str) -> list[PrunedDesign] | None:
+        """The finished design list, or ``None`` when never completed."""
+        text = self.get_grid_text(key)
+        return None if text is None else designs_from_text(text)
 
     def put_grid(self, key: str, designs: list[PrunedDesign],
                  meta: dict | None = None) -> None:

@@ -13,6 +13,8 @@ design list to a serial in-process run.
 from __future__ import annotations
 
 import asyncio
+import io
+import json
 import socket
 import threading
 import time
@@ -289,6 +291,27 @@ class TestRemoteLeaseManager:
 
 
 class TestRemoteFleetIdentity:
+    def test_remote_manifest_serves_the_stored_text(self, tmp_path):
+        """A manifest over a coordinator-backed store: the grid text the
+        client reads back is the coordinator store's own, so the second
+        run is a warm hit with the first run's design lines."""
+        manifest = [{"dataset": "redwine", "model": "svm_r",
+                     "base": "exact", "tau_grid": list(GRID)}]
+        with coordinator(tmp_path) as server:
+            service = ExplorationService(remote(server))
+            runs = []
+            for _ in range(2):
+                out = io.StringIO()
+                service.run_manifest(manifest, out)
+                runs.append(out.getvalue().splitlines())
+            gkey = json.loads(runs[0][0])["grid_key"]
+            text = service.store.get_grid_text(gkey)
+        local = DesignStore(tmp_path / "stores" / "default.sqlite")
+        assert text == local.get_grid_text(gkey)
+        assert [json.loads(lines[0])["grid_hit"] for lines in runs] == [
+            False, True]
+        assert runs[1][1:-1] == runs[0][1:-1]
+
     def test_http_workers_match_serial_run(self, tmp_path):
         request = ExploreRequest(dataset="redwine", model="svm_r",
                                  base="exact", tau_grid=GRID)

@@ -459,6 +459,82 @@ class TestTiers:
         assert '"type": "summary"' not in rest
 
 
+class TestRenderedGrids:
+    """Warm hits splice design lines each service rendered once, checked
+    against the grid text the store holds now."""
+
+    def test_coordinator_grid_delete_recomputes(self, tmp_path,
+                                                monkeypatch):
+        runs = count_job_runs(monkeypatch)
+
+        async def run():
+            async with running_server(tmp_path) as server:
+                bodies = [(await http(server.port, "POST", "/v1/explore",
+                                      REQ))[2] for _ in range(3)]
+                gkey = parse_lines(bodies[0])[0]["grid_key"]
+                deleted = await http(server.port, "DELETE",
+                                     f"/v1/jobs/{gkey}/grid")
+                _s, _h, after = await http(server.port, "POST",
+                                           "/v1/explore", REQ)
+                return bodies, deleted, after
+        bodies, deleted, after = asyncio.run(run())
+        assert deleted[0] == 200
+        assert [parse_lines(body)[0]["grid_hit"] for body in bodies] == [
+            False, True, True]
+        # The rendered lines outlived the grid; the request did not
+        # serve them.
+        assert parse_lines(after)[0]["grid_hit"] is False
+        assert len(runs) == 2
+        assert design_lines(after) == design_lines(bodies[0])
+
+    def test_repeated_warm_key_streams_serial_bytes(self, tmp_path):
+        cold = {**REQ, "tau_grid": [0.85, 0.95]}
+        manifest = [REQ, cold, REQ]
+
+        async def run():
+            async with running_server(tmp_path) as server:
+                await http(server.port, "POST", "/v1/explore", REQ)
+                return await http(server.port, "POST", "/v1/explore",
+                                  {"requests": manifest})
+        status, _head, body = asyncio.run(run())
+        assert status == 200
+        records = parse_lines(body)
+        assert [r["grid_hit"] for r in records
+                if r["type"] == "request"] == [True, False, True]
+        out = io.StringIO()
+        ExplorationService(DesignStore(tmp_path / "serial.sqlite")) \
+            .run_manifest(manifest, out)
+        assert design_lines(body) == design_lines(out.getvalue())
+
+    def test_tenants_never_share_an_entry(self, tmp_path, monkeypatch):
+        runs = count_job_runs(monkeypatch)
+
+        async def run():
+            async with running_server(tmp_path) as server:
+                bodies = {}
+                for tenant in ("alice", "bob"):
+                    bodies[tenant] = [
+                        (await http(server.port, "POST", "/v1/explore",
+                                    REQ, {"X-Tenant": tenant}))[2]
+                        for _ in range(2)]
+                rendered = {tenant: server._services[tenant]._rendered
+                            for tenant in bodies}
+                return bodies, rendered
+        bodies, rendered = asyncio.run(run())
+        # Bob's first request computes although Alice's grid of the
+        # same request was rendered: his key and memo are his own.
+        assert [parse_lines(b)[0]["grid_hit"] for b in bodies["bob"]] \
+            == [False, True]
+        assert len(runs) == 2
+        assert rendered["alice"] is not rendered["bob"]
+        keys = {tenant: set(cache._entries)
+                for tenant, cache in rendered.items()}
+        assert len(keys["alice"]) == len(keys["bob"]) == 1
+        assert not keys["alice"] & keys["bob"]
+        assert design_lines(bodies["alice"][1]) \
+            == design_lines(bodies["bob"][1])
+
+
 class TestTenancy:
     def test_namespace_changes_base_fingerprint(self):
         plain = base_fingerprint_from_parts("nl", "ev")

@@ -16,6 +16,7 @@ The load-bearing contracts:
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import io
@@ -31,12 +32,15 @@ import threading
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.core.cross_layer as cross_layer
 from repro.cli import main as cli_main
 from repro.core.cross_layer import CrossLayerFramework
 from repro.core.pruning import (
     NetlistPruner,
+    PrunedDesign,
     prune_key_bytes,
     prune_key_ids,
 )
@@ -52,6 +56,9 @@ from repro.service import (
     telemetry,
 )
 from repro.service.faults import FaultInjector, installed
+from repro.service.runner import (BASE_CACHE_SIZE, design_body,
+                                  design_head, render_design,
+                                  render_request)
 from repro.service.store import (
     _serialize_rows,
     approximate_model_cached,
@@ -1310,3 +1317,126 @@ class TestPreparedBases:
             assert base.space.netlist.ops == folded.ops
             assert base.space.netlist.outputs == folded.outputs
             assert base.space.netlist.input_buses == folded.input_buses
+
+
+# Extreme floats every design field may carry: NaN and the infinities
+# render as JSON's NaN/Infinity, the rest at their shortest repr.
+_EXTREMES = (float("nan"), float("inf"), float("-inf"), -0.0, 5e-324,
+             2.2250738585072014e-308, 1.7976931348623157e308)
+_FLOATS = st.floats() | st.sampled_from(_EXTREMES)
+_DESIGNS = st.builds(
+    PrunedDesign, tau_c=_FLOATS, phi_c=st.integers(),
+    n_pruned=st.integers(min_value=0),
+    record=st.builds(EvaluationRecord, _FLOATS, _FLOATS, _FLOATS,
+                     st.integers(min_value=0)),
+    duplicate_of=st.none() | st.tuples(_FLOATS, st.integers()))
+
+
+def _one_dumps(index, design, **tags) -> str:
+    """A ``design`` line as one ``json.dumps`` of the whole record."""
+    return json.dumps({
+        "type": "design", "index": index, **tags,
+        "tau_c": design.tau_c, "phi_c": design.phi_c,
+        "n_pruned": design.n_pruned,
+        "duplicate_of": design.duplicate_of,
+        **design.record.to_dict(),
+    })
+
+
+class TestRenderedLines:
+    """Design lines are a head plus a body, and each stored grid's
+    bodies are rendered once per service."""
+
+    REQUEST = {"dataset": "redwine", "model": "svm_r", "base": "exact",
+               "tau_grid": [0.9, 0.95, 0.99]}
+
+    @given(index=st.integers(min_value=0), designs=st.lists(_DESIGNS,
+                                                             max_size=4),
+           tags=st.fixed_dictionaries(
+               {}, optional={"e": st.integers(min_value=0)}))
+    @settings(max_examples=300, deadline=None)
+    def test_head_plus_body_is_one_dumps(self, index, designs, tags):
+        report = JobReport("k" * 64, grid_hit=True)
+        request = ExploreRequest(dataset="redwine", model="svm_r")
+        head = design_head(index, **tags)
+        for design in designs:
+            expected = _one_dumps(index, design, **tags)
+            assert head + design_body(design) == expected
+            assert render_design(index, design, **tags) == expected
+        assert render_request(index, request, designs, report)[1:] == [
+            _one_dumps(index, design) for design in designs]
+
+    @staticmethod
+    def _run(service, manifest) -> list[str]:
+        out = io.StringIO()
+        service.run_manifest(manifest, out)
+        return out.getvalue().splitlines()
+
+    def test_deleted_grid_recomputes(self, tmp_path):
+        service = ExplorationService(tmp_path / "s.sqlite")
+        runs = [self._run(service, [self.REQUEST]) for _ in range(3)]
+        gkey = json.loads(runs[0][0])["grid_key"]
+        service.store.delete_grid(gkey)
+        after = self._run(service, [self.REQUEST])
+        assert [json.loads(lines[0])["grid_hit"]
+                for lines in (*runs, after)] == [False, True, True, False]
+        assert after[1:-1] == runs[2][1:-1] == runs[0][1:-1]
+
+    def test_rewritten_grid_is_rendered_from_the_new_text(self, tmp_path):
+        service = ExplorationService(tmp_path / "s.sqlite")
+        request = ExploreRequest.from_dict(self.REQUEST)
+        self._run(service, [self.REQUEST])
+        gkey = service.grid_key(request)
+        assert service.warm_lines(0, request) is not None
+        rewritten = [dataclasses.replace(design, n_pruned=design.n_pruned + 1)
+                     for design in service.store.get_grid(gkey)]
+        service.store.put_grid(gkey, rewritten)
+        telemetry.reset()
+        lines = service.warm_lines(0, request)
+        assert lines[1:] == [render_design(0, design)
+                             for design in rewritten]
+        registry = telemetry.get_hub().registry
+        assert registry.counter_value("service.rendered",
+                                      result="miss") == 1
+        assert service.warm_lines(0, request)[1:] == lines[1:]
+        assert registry.counter_value("service.rendered",
+                                      result="hit") == 1
+
+    def test_warm_entry_counts_one_lookup_request_and_span(self, tmp_path):
+        service = ExplorationService(tmp_path / "s.sqlite")
+        self._run(service, [self.REQUEST])
+        for rendered in ("miss", "hit"):
+            telemetry.reset()
+            lines = self._run(service, [self.REQUEST])
+            assert json.loads(lines[0])["grid_hit"] is True
+            registry = telemetry.get_hub().registry
+            assert registry.counter_value("store.lookups", table="grids",
+                                          result="hit") == 1
+            assert registry.counter_total("store.lookups") == 1
+            assert registry.counter_value("service.requests",
+                                          outcome="grid_hit") == 1
+            assert registry.counter_total("service.requests") == 1
+            assert registry.counter_value("service.rendered",
+                                          result=rendered) == 1
+            spans = registry.snapshot()["histograms"][
+                "span.duration_ms{name=service.request}"]
+            assert spans["count"] == 1
+
+    def test_memo_is_bounded(self, tmp_path):
+        service = ExplorationService(tmp_path / "s.sqlite")
+        self._run(service, [self.REQUEST])
+        designs = service.store.get_grid(
+            service.grid_key(ExploreRequest.from_dict(self.REQUEST)))
+        n_grids = BASE_CACHE_SIZE + 4
+        telemetry.reset()
+        for i in range(n_grids):
+            request = ExploreRequest.from_dict(
+                {**self.REQUEST, "tau_grid": [0.5 + i / 100]})
+            service.store.put_grid(service.grid_key(request), designs)
+            assert service.warm_lines(0, request) is not None
+        assert len(service._rendered) <= BASE_CACHE_SIZE
+        registry = telemetry.get_hub().registry
+        assert registry.counter_value("service.rendered",
+                                      result="miss") == n_grids
+        assert registry.counter_value("service.rendered", result="evict") \
+            == n_grids - len(service._rendered)

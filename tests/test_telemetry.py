@@ -419,6 +419,34 @@ class TestServerTelemetry:
         assert payload["gauges"]["server.draining"] == 0
         assert payload["server"]["counters"]["computed"] == 1
 
+    def test_warm_entry_counts_one_lookup_request_and_span(self, tmp_path):
+        """A served warm hit, its lines rendered (``miss``) or spliced
+        from the service's memo (``hit``), counts what a store read
+        counted before the memo: one grid lookup, one ``grid_hit``
+        request and one ``service.request`` span."""
+        async def run():
+            seen = []
+            async with running_server(tmp_path) as server:
+                await http(server.port, "POST", "/v1/explore", REQ)
+                for _ in range(2):
+                    telemetry.reset()
+                    body = (await http(server.port, "POST", "/v1/explore",
+                                       REQ))[2]
+                    seen.append((body, telemetry.get_hub().registry
+                                 .snapshot()))
+            return seen
+        seen = asyncio.run(run())
+        for (body, snap), rendered in zip(seen, ("miss", "hit")):
+            assert parse_lines(body)[0]["grid_hit"] is True
+            counters = snap["counters"]
+            assert counters["store.lookups{result=hit,table=grids}"] == 1
+            assert "store.lookups{result=miss,table=grids}" not in counters
+            assert counters["service.requests{outcome=grid_hit}"] == 1
+            assert counters[f"service.rendered{{result={rendered}}}"] == 1
+            assert snap["histograms"][
+                "span.duration_ms{name=service.request}"]["count"] == 1
+        assert design_lines(seen[0][0]) == design_lines(seen[1][0])
+
     def test_root_fallbacks_on_metrics_endpoint(self, tmp_path):
         """A refused root-ladder delta is counted on ``/v1/metrics``
         (this grid's walk retries one root from the base state)."""
