@@ -32,8 +32,11 @@ for speed:
   the node map of :func:`~repro.hw.synthesis.synthesize_arrays`)
   instead of resynthesizing the base circuit from scratch.
 * **Memoized records.** Identical prune sets arising from different
-  (tau_c, phi_c) pairs are evaluated once; the record memo also persists
-  on the pruner across ``explore()`` calls.
+  (tau_c, phi_c) pairs are evaluated once and listed as duplicates of
+  the first pair that produced them.  Each walk leaves every record it
+  returns in the pruner's record memo, which persists across
+  ``explore()`` calls and which the service layer pre-seeds from the
+  store.
 * **Batched evaluation.** The trie walk defers scoring: variants are
   described against shared *plan epochs* by constant-clamp masks and
   evaluated in bulk ``(n_nets, K, n_words)`` passes
@@ -51,10 +54,13 @@ for one pruner: ``engine=None`` inherits the evaluator's selector.
 fast path, on hosts that support the compiled word layout, and to
 ``"bigint"`` elsewhere.  ``"bigint"`` is the oracle walk: one
 from-scratch synthesis and bigint simulation per unique prune set.  It
-is also the rung the serial walk degrades to under an evaluation fault.
-Both walks return the identical design list; ``explore_legacy()`` keeps
-the original one-synthesis-per-grid-point loop as the reference oracle
-the walks are benchmarked and regression-tested against.
+is also the rung the batched walk degrades to under an evaluation fault;
+each such fallback is kept in ``NetlistPruner.fallbacks``.  Both walks
+return the identical design list; ``explore_legacy()`` keeps the
+original one-synthesis-per-grid-point loop as the reference oracle the
+walks are benchmarked and regression-tested against.  It attributes
+duplicates on its own, without :func:`assemble_designs`, and scores
+each variant on the evaluator's own engine.
 """
 
 from __future__ import annotations
@@ -257,16 +263,15 @@ def _synthesize_pruned(base: ArrayCircuit, force: dict) -> ArrayCircuit:
 
 def _explore_bigint(base: ArrayCircuit, evaluator: CircuitEvaluator,
                     space: PruneSpace, chains: list[tuple[float, list]],
-                    known_records: dict | None) -> list[list[tuple]]:
+                    memo: dict) -> list[list[tuple]]:
     """The oracle walk: one from-scratch synthesis per unique prune set.
 
     Shares nothing between steps but the record memo, so it leans on no
     cone rewrite, plan epoch or batch.  It runs when ``engine="bigint"``,
     on hosts without the compiled word layout, and as the last rung of
     the serial walk's fault ladder.  Rows and keys have the batched
-    walk's form.
+    walk's form, and every returned key is left in ``memo``.
     """
-    memo = known_records if known_records is not None else {}
     results = []
     for tau_c, steps in chains:
         rows = []
@@ -296,7 +301,7 @@ _PLAN_REFRESH_MIN_WORK = 16_000
 def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
                           space: PruneSpace,
                           chains: list[tuple[float, list]],
-                          known_records: dict | None) -> list[list[tuple]]:
+                          known_records: dict) -> list[list[tuple]]:
     """The fast exploration walk: a batched trie over prune-set prefixes.
 
     Chains whose prune-set sequences share a prefix (extremely common:
@@ -396,8 +401,8 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
     aliases: dict[bytes, bytes] = {}  # no-op step key -> predecessor key
 
     def known(key: bytes) -> bool:
-        return (known_records is not None and key in known_records) \
-            or key in resolved or key in pending or key in aliases
+        return key in known_records or key in resolved or key in pending \
+            or key in aliases
 
     def capture(key: bytes, state: list) -> None:
         """Queue one variant for the deferred batch (or refresh epoch)."""
@@ -599,29 +604,13 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
     if aliases:
         telemetry.counter("pruner.aliased_steps", len(aliases))
 
-    if known_records is not None:
-        for key, record in resolved.items():
-            known_records.setdefault(key, record)
-        record_of = known_records
-    else:
-        record_of = resolved
-    return [[(phi_c, key, n_pruned, record_of[key])
+    for key, record in resolved.items():
+        known_records.setdefault(key, record)
+    return [[(phi_c, key, n_pruned, known_records[key])
              for phi_c, key, n_pruned in rows] for rows in results]
 
 
-def _walk(engine: str, base: ArrayCircuit, evaluator: CircuitEvaluator,
-          space: PruneSpace, chains: list[tuple[float, list]],
-          known_records: dict | None) -> list[list[tuple]]:
-    """Run ``chains`` on the walk a resolved ``engine`` names."""
-    if engine == "batched":
-        return _explore_trie_batched(base, evaluator, space, chains,
-                                     known_records)
-    return _explore_bigint(base, evaluator, space, chains, known_records)
-
-
-def assemble_designs(chains: list, chain_rows: list,
-                     deduplicate: bool = True,
-                     record_memo: dict | None = None) -> list[PrunedDesign]:
+def assemble_designs(chains: list, chain_rows: list) -> list[PrunedDesign]:
     """Fold per-chain rows into the final :class:`PrunedDesign` list.
 
     ``chains`` and ``chain_rows`` are positionally aligned (the output
@@ -636,7 +625,7 @@ def assemble_designs(chains: list, chain_rows: list,
     seen: dict[object, tuple[PrunedDesign, tuple[float, int]]] = {}
     for (tau_c, _), rows in zip(chains, chain_rows):
         for phi_c, key, n_pruned, record in rows:
-            if deduplicate and key in seen:
+            if key in seen:
                 first, origin = seen[key]
                 designs.append(PrunedDesign(
                     tau_c, phi_c, n_pruned, first.record,
@@ -645,38 +634,7 @@ def assemble_designs(chains: list, chain_rows: list,
             design = PrunedDesign(tau_c, phi_c, n_pruned, record)
             designs.append(design)
             seen[key] = (design, (tau_c, phi_c))
-            if deduplicate and record_memo is not None:
-                record_memo[key] = record
     return designs
-
-
-class SupervisionTelemetry(dict):
-    """Registry-backed supervision log of one pruner.
-
-    Keeps the legacy mapping shape — ``{kind: count, "events": [...]}``
-    — that :meth:`repro.service.jobs.JobReport` reads, while mirroring
-    every note into the service metrics registry
-    (``pruner.events{kind=...}``) through the lazy bridge, so engine
-    fallbacks show up on ``/v1/metrics`` without a second bookkeeping
-    path.  Events fired
-    under a server request are stamped with its request id.
-    """
-
-    def note(self, kind: str, **info) -> None:
-        self[kind] = int(self.get(kind, 0)) + 1
-        event = {"kind": kind, **info}
-        telemetry = _service_telemetry()
-        request_id = telemetry.current_request_id()
-        if request_id is not None:
-            event["request_id"] = request_id
-        self.setdefault("events", []).append(event)
-        telemetry.counter("pruner.events", kind=kind)
-        telemetry.event({"type": "supervision",
-                         "ts": round(time.time(), 6), **event})
-
-    @property
-    def events(self) -> list:
-        return self.get("events", [])
 
 
 @dataclass
@@ -715,15 +673,13 @@ class NetlistPruner:
     evaluator: CircuitEvaluator
     tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
     engine: str | None = None
-    # Supervision telemetry: per-kind counters plus an ``events`` list
-    # of ``{kind, ...}`` dicts, mirrored into the service metrics
-    # registry.  The service layer's JobReport reads it directly; it
-    # accumulates for the pruner's lifetime.
-    telemetry: "SupervisionTelemetry" = field(
-        default_factory=lambda: SupervisionTelemetry(), repr=False)
     _space: PruneSpace | None = field(default=None, repr=False)
     _record_memo: dict = field(default_factory=dict, repr=False)
     _base_arrays: ArrayCircuit = field(init=False, repr=False)
+    # One ``{kind, engine, to, error[, request_id]}`` dict per engine
+    # fallback, for the pruner's lifetime; the service layer's
+    # JobReport copies it.
+    fallbacks: list = field(init=False, default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         if self.engine is not None:
@@ -756,21 +712,17 @@ class NetlistPruner:
         force = self.space().prune_set(tau_c, phi_c)
         return _synthesize_pruned(self._base_arrays, force)
 
-    def explore(self, deduplicate: bool = True) -> list[PrunedDesign]:
+    def explore(self) -> list[PrunedDesign]:
         """Evaluate the full (tau_c, phi_c) design space.
 
         Identical prune sets arising from different (tau_c, phi_c) pairs
         are evaluated once and recorded as duplicates, so the result list
         still enumerates the paper's full grid.
         """
-        chains, rows = self.chain_rows(deduplicate=deduplicate)
-        return assemble_designs(
-            chains, rows,
-            deduplicate=deduplicate,
-            record_memo=self._record_memo if deduplicate else None)
+        return assemble_designs(*self.chain_rows())
 
-    def chain_rows(self, tau_values: tuple | list | None = None,
-                   deduplicate: bool = True) -> tuple[list, list]:
+    def chain_rows(self, tau_values: tuple | list | None = None
+                   ) -> tuple[list, list]:
         """Evaluate the chains of a tau subset; the service shard hook.
 
         Returns ``(chains, rows)`` where ``chains`` is the non-empty
@@ -783,8 +735,9 @@ class NetlistPruner:
         unfinished shards.
 
         Every walk keys its rows by the sorted-id bytes of
-        :func:`prune_key_bytes`, so the record memo transfers between
-        calls and engines.
+        :func:`prune_key_bytes` and leaves each row's record in the
+        pruner's record memo, so the memo transfers between calls and
+        engines.
         """
         space = self.space()
         if tau_values is None:
@@ -799,8 +752,7 @@ class NetlistPruner:
         walk_start = time.perf_counter()
         with telemetry.span("engine.walk", engine=engine,
                             n_chains=len(chains)):
-            chain_rows = self._run_chains(chains, space, engine,
-                                          deduplicate)
+            chain_rows = self._run_chains(chains, space, engine)
         telemetry.observe("pruner.chain_walk_ms",
                           (time.perf_counter() - walk_start) * 1e3,
                           engine=engine)
@@ -817,40 +769,47 @@ class NetlistPruner:
             return replace(self.evaluator, engine="bigint")
         return self.evaluator
 
-    def _run_chains(self, chains: list, space: PruneSpace, engine: str,
-                    deduplicate: bool) -> list:
+    def _run_chains(self, chains: list, space: PruneSpace,
+                    engine: str) -> list:
         """The walk, degrading batched → bigint on faults.
 
         Both rungs produce bit-identical records (the repo's core
         equivalence contract), so degrading under an evaluation fault
-        trades only speed.
+        trades only speed.  Each fallback is appended to
+        :attr:`fallbacks`, counted ``pruner.events{kind=engine_fallbacks}``,
+        logged as a ``supervision`` event (stamped with the server
+        request id, if any) and warned as a ``RuntimeWarning``.
         """
-        memo = self._record_memo if deduplicate else None
         ladder = ("batched", "bigint") if engine == "batched" \
             else ("bigint",)
         for rung, name in enumerate(ladder):
+            walk = _explore_trie_batched if name == "batched" \
+                else _explore_bigint
             try:
                 fault_point(f"engine.{name}")
-                return _walk(name, self._base_arrays,
-                             self._walk_evaluator(name), space, chains,
-                             memo)
+                return walk(self._base_arrays, self._walk_evaluator(name),
+                            space, chains, self._record_memo)
             except Exception as exc:
                 if rung == len(ladder) - 1:
                     raise
-                self._note("engine_fallbacks", engine=name,
-                           to=ladder[rung + 1], error=repr(exc))
+                event = {"kind": "engine_fallbacks", "engine": name,
+                         "to": ladder[rung + 1], "error": repr(exc)}
+                telemetry = _service_telemetry()
+                request_id = telemetry.current_request_id()
+                if request_id is not None:
+                    event["request_id"] = request_id
+                self.fallbacks.append(event)
+                telemetry.counter("pruner.events", kind="engine_fallbacks")
+                telemetry.event({"type": "supervision",
+                                 "ts": round(time.time(), 6), **event})
                 warnings.warn(
                     f"exploration failed on the {name!r} engine "
                     f"({exc!r}); degrading to {ladder[rung + 1]!r}",
                     RuntimeWarning, stacklevel=4)
         raise AssertionError("unreachable: ladder is never empty")
 
-    def _note(self, kind: str, **info) -> None:
-        """Record one supervision event (counter + event log)."""
-        self.telemetry.note(kind, **info)
-
-    def explore_legacy(self, deduplicate: bool = True,
-                       synthesis: str = "compiled") -> list[PrunedDesign]:
+    def explore_legacy(self, synthesis: str = "compiled"
+                       ) -> list[PrunedDesign]:
         """The original per-grid-point exploration (reference oracle).
 
         Resynthesizes every prune set from the folded base and shares no
@@ -875,7 +834,7 @@ class NetlistPruner:
                 if not force:
                     continue
                 key = frozenset(force)
-                if deduplicate and key in seen:
+                if key in seen:
                     first, origin = seen[key]
                     designs.append(PrunedDesign(
                         float(tau_c), phi_c, len(force), first.record,

@@ -9,7 +9,7 @@ and repeated requests without recomputing anything twice:
   corruption (quarantine + rebuild) with bounded busy/locked retry;
 * :mod:`repro.service.jobs` — sharded, checkpointed exploration jobs
   that resume exactly where a killed run stopped, with job-level shard
-  retry and supervision telemetry;
+  retry and a report of every engine fallback;
 * :mod:`repro.service.leases` — lease-based shard claiming: N worker
   processes drain one grid concurrently against one shared store, with
   stale-lease reclamation for dead workers and monotonic fencing
@@ -20,7 +20,8 @@ and repeated requests without recomputing anything twice:
   keep-alive, deadline-bounded retry, and heartbeat lease renewal;
 * :mod:`repro.service.retry` — the one retry/backoff policy (exponential
   with decorrelated jitter, deadline-bounded) shared by the store's
-  busy/locked loop and the coordinator client;
+  busy/locked loop, the job-level shard retry and the coordinator
+  client;
 * :mod:`repro.service.faults` — deterministic fault injection
   (``REPRO_FAULTS``) at named sites across the whole stack, the
   machinery behind ``benchmarks/bench_faults.py``'s crash-consistency

@@ -25,8 +25,8 @@ groups of tau_c chains:
    also deletes the checkpoints and leases it supersedes.
 
 Every walk keys its rows by the sorted-gate-id byte form, and resumed
-shards load back into it, so stored and freshly-computed shards
-deduplicate against each other whichever engine produced them.
+shards load back into it, so stored and freshly-computed shards share
+records whichever engine produced them.
 
 A job walks its shards in the process that runs it.  Multi-core work
 runs whole jobs side by side instead: the framework's family executor
@@ -39,7 +39,8 @@ shards.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 from ..core.pruning import (
     NetlistPruner,
@@ -48,6 +49,7 @@ from ..core.pruning import (
     prune_key_bytes,
 )
 from .faults import fault_point
+from .retry import RetryPolicy, retry_call
 from .store import (
     DesignStore,
     _deserialize_rows,
@@ -65,19 +67,26 @@ __all__ = ["ExplorationJob", "JobReport"]
 # chain evaluations themselves.
 DEFAULT_SHARD_SIZE = 4
 
+# Job-level shard retry: a shard whose compute-and-checkpoint raises (an
+# evaluation fault that survived the pruner's engine ladder, a store
+# write that kept failing) is re-walked with capped exponential backoff
+# before the run gives up.  Chains are pure functions of their inputs
+# and the shard write is one idempotent transaction, so a retried shard
+# is safe by construction.
+SHARD_RETRY = RetryPolicy(attempts=3, base_s=0.05, cap_s=2.0, jitter="none")
+
 
 @dataclass
 class JobReport:
     """What one :meth:`ExplorationJob.run` actually did (observability).
 
     ``shards_retried`` counts job-level shard retries (a shard whose
-    compute-and-checkpoint raised and was re-walked).  The supervision
-    fields (``engine_fallbacks``, ``fault_events``) are *views* over
-    the pruner's attached
-    :class:`~repro.core.pruning.SupervisionTelemetry` — the same
-    registry-backed log that feeds ``/v1/metrics`` — not a second
-    hand-copied set of fields.  ``to_dict()`` keys are pinned by the
-    server's wire contract and stay byte-compatible.
+    compute-and-checkpoint raised and was re-walked).
+    ``engine_fallbacks`` and ``fault_events`` copy the pruner's
+    :attr:`~repro.core.pruning.NetlistPruner.fallbacks` when the run
+    ends: a pruner reused across jobs carries its history along.
+    Fields are declared in wire order; ``to_dict()`` keys are pinned by
+    the server's wire contract.
     """
 
     grid_key: str
@@ -88,39 +97,11 @@ class JobReport:
     variants_preloaded: int = 0
     runtime_s: float = 0.0
     shards_retried: int = 0
-    supervision: dict = field(default_factory=dict)
-
-    @property
-    def engine_fallbacks(self) -> int:
-        return int(self.supervision.get("engine_fallbacks", 0))
-
-    @property
-    def fault_events(self) -> list:
-        return list(self.supervision.get("events", []))
+    engine_fallbacks: int = 0
+    fault_events: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "grid_key": self.grid_key,
-            "n_shards": self.n_shards,
-            "shards_loaded": self.shards_loaded,
-            "shards_computed": self.shards_computed,
-            "grid_hit": self.grid_hit,
-            "variants_preloaded": self.variants_preloaded,
-            "runtime_s": self.runtime_s,
-            "shards_retried": self.shards_retried,
-            "engine_fallbacks": self.engine_fallbacks,
-            "fault_events": self.fault_events,
-        }
-
-    def absorb_telemetry(self, telemetry: dict) -> None:
-        """Attach a pruner's supervision log as this report's source.
-
-        The report keeps a live reference (no per-field copying): a
-        pruner reused across jobs carries its history along — the
-        counters answer "has this pruner ever degraded", which is the
-        question that matters.
-        """
-        self.supervision = telemetry
+        return asdict(self)
 
 
 @dataclass
@@ -147,15 +128,6 @@ class ExplorationJob:
     shard_size: int = DEFAULT_SHARD_SIZE
     label: str = "circuit"
     grid_meta: dict | None = None
-    # Job-level shard retry: a shard whose compute-and-checkpoint
-    # raises (an evaluation fault that survived the pruner's own
-    # supervision, a store write that kept failing) is re-walked up to
-    # this many times with capped exponential backoff before the run
-    # gives up.  Chains are pure functions of their inputs and variant
-    # writes are idempotent, so a retried shard is safe by
-    # construction.
-    shard_attempts: int = 3
-    shard_retry_backoff_s: float = 0.05
     base_fp: str | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -256,23 +228,6 @@ class ExplorationJob:
         _metric("job.shards", result="computed")
         return chains, rows
 
-    def _compute_shard_with_retry(self, index: int, taus: tuple,
-                                  report: JobReport) -> tuple[list, list]:
-        delay = max(0.0, float(self.shard_retry_backoff_s))
-        attempts = max(1, int(self.shard_attempts))
-        for attempt in range(attempts):
-            try:
-                return self.compute_shard(index, taus)
-            except Exception:
-                if attempt == attempts - 1:
-                    raise
-                report.shards_retried += 1
-                _metric("job.shard_retries")
-                if delay:
-                    time.sleep(delay)
-                    delay = min(delay * 2.0, 2.0)
-        raise AssertionError("unreachable: attempts >= 1")
-
     def _run(self, resume, on_shard, report: JobReport, gkey: str,
              start: float) -> list[PrunedDesign]:
         if not resume:
@@ -285,6 +240,10 @@ class ExplorationJob:
             return cached
         report.variants_preloaded = self._preload_memo()
 
+        def count_retry(*_retry) -> None:
+            report.shards_retried += 1
+            _metric("job.shard_retries")
+
         shards = self.shards()
         report.n_shards = len(shards)
         all_chains: list = []
@@ -296,8 +255,9 @@ class ExplorationJob:
                 report.shards_loaded += 1
                 _metric("job.shards", result="loaded")
             else:
-                chains, rows = self._compute_shard_with_retry(
-                    index, taus, report)
+                chains, rows = retry_call(
+                    partial(self.compute_shard, index, taus), SHARD_RETRY,
+                    on_retry=count_retry)
                 report.shards_computed += 1
             all_chains.extend(chains)
             all_rows.extend(rows)
@@ -305,7 +265,8 @@ class ExplorationJob:
                 on_shard(index, len(shards))
 
         designs = self.finalize(all_chains, all_rows)
-        report.absorb_telemetry(self.pruner.telemetry)
+        report.engine_fallbacks = len(self.pruner.fallbacks)
+        report.fault_events = list(self.pruner.fallbacks)
         report.runtime_s = time.perf_counter() - start
         return designs
 

@@ -15,11 +15,12 @@ pruning grid::
 * ``tau_grid`` defaults to the paper's 80..99% sweep.
 
 A **manifest** is a JSON document with a ``requests`` list (or a bare
-list).  :meth:`ExplorationService.run_manifest` deduplicates requests
-against the store *and within the batch* — identical requests resolve
-to the same content key, so the second occurrence is a lookup — and
-streams results as JSONL: a ``request`` header line per request,
-a ``design`` line per design point, and one final ``summary`` line.
+list).  :meth:`ExplorationService.run_manifest` resolves repeated
+requests against the store *and within the batch* — identical
+requests resolve to the same content key, so the second occurrence is
+a lookup — and streams results as JSONL: a ``request`` header line
+per request, a ``design`` line per design point, and one final
+``summary`` line.
 """
 
 from __future__ import annotations
@@ -285,16 +286,15 @@ class ExplorationService:
     pruning bases (``BASE_CACHE_SIZE`` entries, least recently used out
     first).  A base is built (or decoded) once, and the first job on it
     keeps its prune space — folded base, training activity and phi — so
-    every later grid on that base only walks; the store deduplicates
-    the evaluations.  An evicted base is rebuilt on its next request.
-    A finished grid's design lines are rendered once too, in a cache of
-    the same bound (see :meth:`warm_lines`).
+    every later grid on that base only walks; the store shares the
+    evaluations between them.  An evicted base is rebuilt on its next
+    request.  A finished grid's design lines are rendered once too, in
+    a cache of the same bound (see :meth:`warm_lines`).
     """
 
     def __init__(self, store: DesignStore | str, engine: str = "auto",
                  shard_size: int = DEFAULT_SHARD_SIZE,
                  evaluator_cache: dict | None = None,
-                 evaluator_fp_cache: dict | None = None,
                  build_cache: dict | None = None) -> None:
         # Paths open a local SQLite store; anything else (a DesignStore,
         # or a store-shaped facade like coordinator.RemoteStore) passes
@@ -309,10 +309,8 @@ class ExplorationService:
         # split serves every tenant.  Keys derived *through the store*
         # (_netlists holds store-hit flags, _base_keys folds the
         # store's namespace) stay per-instance.
-        self._evaluators: dict[tuple, CircuitEvaluator] = \
+        self._evaluators: dict[tuple, tuple[CircuitEvaluator, str]] = \
             evaluator_cache if evaluator_cache is not None else {}
-        self._evaluator_fps: dict[tuple, str] = \
-            evaluator_fp_cache if evaluator_fp_cache is not None else {}
         # Content-keyed bespoke builds, shareable across tenant services
         # like the evaluator caches: a cold miss builds once per process
         # even when the tenants' stores differ.  None disables sharing
@@ -323,12 +321,16 @@ class ExplorationService:
         self._rendered = BoundedCache(BASE_CACHE_SIZE, "service.rendered")
         self._base_keys: dict[tuple, str] = {}
 
-    def _evaluator(self, dataset: str, model: str) -> CircuitEvaluator:
-        """The per-(dataset, model) scoring context, cached per process.
+    def _evaluator(self, dataset: str,
+                   model: str) -> tuple[CircuitEvaluator, str]:
+        """The per-(dataset, model) scoring context and its fingerprint,
+        cached per process.
 
         One evaluator (quantized split, packed stimulus) serves every
         base/radius of a circuit — which is what lets a sweep score all
-        its per-``e`` netlists in one multi-netlist batch.
+        its per-``e`` netlists in one multi-netlist batch.  Every path
+        that builds one also keys a base with it, so the fingerprint is
+        computed with it.
         """
         key = (dataset, model)
         cached = self._evaluators.get(key)
@@ -340,8 +342,9 @@ class ExplorationService:
         evaluator = CircuitEvaluator.from_split(
             case.quant_model, split.X_train, split.X_test, split.y_test,
             clock_ms=case.clock_ms, engine=self.engine)
-        self._evaluators[key] = evaluator
-        return evaluator
+        cached = self._evaluators[key] = (evaluator,
+                                          evaluator_fingerprint(evaluator))
+        return cached
 
     def _netlist(self, request: ExploreRequest) -> tuple:
         """``(circuit, grid_meta, store_hit, fingerprint)`` for a base."""
@@ -410,14 +413,6 @@ class ExplorationService:
         self._build_cache[key] = circuit
         return circuit, False
 
-    def _evaluator_fp(self, dataset: str, model: str) -> str:
-        key = (dataset, model)
-        cached = self._evaluator_fps.get(key)
-        if cached is None:
-            cached = evaluator_fingerprint(self._evaluator(dataset, model))
-            self._evaluator_fps[key] = cached
-        return cached
-
     def _base_cache_key(self, request: ExploreRequest) -> tuple:
         """The base a request names: a coefficient base without ``e``
         is the one at the paper's radius, ``e=4``."""
@@ -453,7 +448,7 @@ class ExplorationService:
         if netlist_fp is None:
             netlist_fp = self._prepared(request).fingerprint
         base_key = base_fingerprint_from_parts(
-            netlist_fp, self._evaluator_fp(request.dataset, request.model),
+            netlist_fp, self._evaluator(request.dataset, request.model)[1],
             namespace=self.store.namespace)
         self._base_keys[cache_key] = base_key
         return base_key
@@ -499,7 +494,7 @@ class ExplorationService:
         """
         base = self._prepared(request)
         circuit = base.circuit if base.space is None else base.space.netlist
-        evaluator = self._evaluator(request.dataset, request.model)
+        evaluator, _fp = self._evaluator(request.dataset, request.model)
         pruner = NetlistPruner(circuit, evaluator, request.tau_grid,
                                engine=self.engine, _space=base.space)
         return ExplorationJob(pruner, self.store,
@@ -517,7 +512,7 @@ class ExplorationService:
                 and pruner._space is not None:
             self._netlists[key] = base._replace(space=pruner._space)
 
-    def _request_span(self, request: ExploreRequest):
+    def request_span(self, request: ExploreRequest):
         return _span("service.request", dataset=request.dataset,
                      model=request.model, base=request.base)
 
@@ -531,7 +526,7 @@ class ExplorationService:
         what resolving the content key needs, and a miss returns
         ``None`` having done only that and one store read.
         """
-        with self._request_span(request):
+        with self.request_span(request):
             return self._warm_lines(index, request)
 
     def _warm_lines(self, index: int,
@@ -571,17 +566,23 @@ class ExplorationService:
         circuit build or decode — see :meth:`_warm_grid`); anything
         else goes through the resumable job.
         """
-        with self._request_span(request):
+        with self.request_span(request):
             if resume:
                 warm = self._warm_grid(request)
                 if warm is not None:
                     _metric("service.requests", outcome="grid_hit")
                     return warm
-            return self._compute(request, resume, on_shard)
+            return self.compute(request, resume, on_shard)
 
-    def _compute(self, request: ExploreRequest, resume: bool,
-                 on_shard=None) -> tuple[list[PrunedDesign], JobReport]:
-        """Run the request's resumable job (the cold half of explore)."""
+    def compute(self, request: ExploreRequest, resume: bool,
+                on_shard=None) -> tuple[list[PrunedDesign], JobReport]:
+        """Run the request's resumable job (the cold half of explore).
+
+        For a caller whose own warm read just missed: the job reads the
+        grid once more before it walks, so a grid another writer
+        finished meanwhile is still returned as a hit.  Callers open
+        :meth:`request_span` around it.
+        """
         job = self.job(request)
         report = JobReport(job.grid_key())
         designs = job.run(resume=resume, on_shard=on_shard, report=report)
@@ -618,7 +619,7 @@ class ExplorationService:
         """
         e_values = tuple(int(e) for e in e_values)
         requests = [replace(request, base="coeff", e=e) for e in e_values]
-        evaluator = self._evaluator(request.dataset, request.model)
+        evaluator, _fp = self._evaluator(request.dataset, request.model)
         base_keys = [self._base_key(req) for req in requests]
         record_keys = [variant_key(base_key, ()) for base_key in base_keys]
         records = [self.store.get_variant(key) if resume else None
@@ -710,12 +711,12 @@ class ExplorationService:
         for index, request in enumerate(requests):
             fault_point("service.request", index=index,
                         dataset=request.dataset)
-            with self._request_span(request):
+            with self.request_span(request):
                 lines = self._warm_lines(index, request) if resume \
                     else None
                 hit = lines is not None
                 if not hit:
-                    designs, report = self._compute(request, resume)
+                    designs, report = self.compute(request, resume)
                     hit = report.grid_hit
                     lines = render_request(index, request, designs, report)
             n_cached += int(hit)

@@ -208,7 +208,6 @@ class ExploreServer:
             thread_name_prefix="repro-serve")
         self._services: dict[str, ExplorationService] = {}
         self._evaluators: dict = {}   # shared across tenants (pure compute)
-        self._evaluator_fps: dict = {}
         # Content-keyed bespoke builds shared across tenants: concurrent
         # cold misses for the same model+e build once per serve process
         # (hits/misses/evictions on the build.cache metric).  Bounded
@@ -294,7 +293,6 @@ class ExploreServer:
             service = ExplorationService(
                 store, shard_size=config.shard_size,
                 evaluator_cache=self._evaluators,
-                evaluator_fp_cache=self._evaluator_fps,
                 build_cache=self._build_cache)
             self._services[tenant] = service
         return service
@@ -394,8 +392,12 @@ class ExploreServer:
 
     def _explore_sync(self, service: ExplorationService,
                       request: ExploreRequest) -> tuple:
-        with self._circuit_lock(request.dataset, request.model):
-            return service.explore(request)
+        # The warm tier already missed on this key, so only the cold
+        # half runs; the job's own grid read catches a grid finished
+        # since.
+        with self._circuit_lock(request.dataset, request.model), \
+                service.request_span(request):
+            return service.compute(request, resume=True)
 
     def _sweep_sync(self, service: ExplorationService,
                     request: ExploreRequest, e_values: tuple,

@@ -29,7 +29,8 @@ from repro.core.pruning import NetlistPruner, prune_key_bytes
 from repro.eval.accuracy import CircuitEvaluator, EvaluationRecord
 from repro.experiments.zoo import get_case
 from repro.hw.bespoke import build_bespoke_netlist
-from repro.service import DesignStore, ExplorationJob, JobReport
+from repro.service import DesignStore, ExplorationJob, JobReport, telemetry
+from repro.service import jobs
 from repro.service.faults import (
     ENV_SCHEDULE,
     ENV_STATE,
@@ -41,6 +42,7 @@ from repro.service.faults import (
     seeded_schedule,
 )
 from repro.service.jsonl import JSONLError, read_jsonl, write_line
+from repro.service.retry import RetryPolicy
 from repro.service.store import _RETRY_POLICY, _serialize_rows
 
 GRID = (0.85, 0.90, 0.95, 0.99)
@@ -332,6 +334,7 @@ class TestSupervisedExploration:
                                                    cold_designs, tmp_path):
         job = self._job(svm_setup, tmp_path)
         report = JobReport("")
+        telemetry.reset()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with installed(FaultInjector.parse("engine.batched:1=err")):
@@ -339,7 +342,13 @@ class TestSupervisedExploration:
         assert designs == cold_designs
         assert report.engine_fallbacks == 1
         assert report.shards_retried == 0  # the ladder absorbed it
-        assert report.fault_events
+        [event] = report.fault_events
+        assert set(event) == {"kind", "engine", "to", "error"}
+        assert (event["kind"], event["engine"], event["to"]) \
+            == ("engine_fallbacks", "batched", "bigint")
+        assert event["error"].startswith("FaultError(")
+        assert telemetry.get_hub().registry.counter_value(
+            "pruner.events", kind="engine_fallbacks") == 1
 
     def test_shard_fault_is_retried_at_the_job_level(self, svm_setup,
                                                      cold_designs,
@@ -351,10 +360,12 @@ class TestSupervisedExploration:
         assert designs == cold_designs
         assert report.shards_retried == 1
 
-    def test_shard_retry_exhaustion_raises(self, svm_setup, tmp_path):
+    def test_shard_retry_exhaustion_raises(self, svm_setup, tmp_path,
+                                           monkeypatch):
         job = self._job(svm_setup, tmp_path)
-        job.shard_attempts = 2
-        job.shard_retry_backoff_s = 0.0
+        monkeypatch.setattr(jobs, "SHARD_RETRY",
+                            RetryPolicy(attempts=2, base_s=0.0,
+                                        jitter="none"))
         spec = "job.shard@index=0:1=err;job.shard@index=0:1=err"
         with installed(FaultInjector.parse(spec)):
             with pytest.raises(FaultError):

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.service import DesignStore, ExplorationService
+from repro.service import DesignStore, ExplorationService, telemetry
 from repro.service.faults import FaultInjector, installed
 from repro.service.jobs import ExplorationJob
 from repro.service.jsonl import read_jsonl
@@ -441,6 +441,20 @@ class TestTiers:
         assert len(runs) == 1
         assert counters["coalesced"] == 1 and counters["computed"] == 1
         assert design_lines(results[0][2]) == design_lines(results[1][2])
+
+    def test_cold_request_reads_its_grid_twice(self, tmp_path):
+        """The warm tier's miss, then the job's race-guard read."""
+        async def run():
+            async with running_server(tmp_path) as server:
+                telemetry.reset()
+                return await http(server.port, "POST", "/v1/explore", REQ)
+        status, _head, body = asyncio.run(run())
+        assert status == 200 and parse_lines(body)[0]["grid_hit"] is False
+        registry = telemetry.get_hub().registry
+        reads = registry.snapshot()["histograms"]["store.op_ms{op=get_grid}"]
+        assert reads["count"] == 2
+        assert registry.counter_value("store.lookups", table="grids",
+                                      result="miss") == 2
 
     def test_stream_fault_truncates_a_warm_stream(self, tmp_path):
         async def run():
