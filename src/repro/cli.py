@@ -263,11 +263,16 @@ def _run_serve_batch(args: argparse.Namespace) -> int:
 def _run_serve(args: argparse.Namespace) -> int:
     from .service.server import ServeConfig, serve
 
-    serve(ServeConfig(
-        host=args.host, port=args.port, store_root=args.store_root,
-        concurrency=args.concurrency, queue_depth=args.queue_depth,
-        shard_size=args.shard_size,
-        events_log=args.events_log, trace_sample=args.trace_sample))
+    try:
+        config = ServeConfig(
+            host=args.host, port=args.port, store_root=args.store_root,
+            concurrency=args.concurrency, queue_depth=args.queue_depth,
+            shard_size=args.shard_size,
+            events_log=args.events_log, trace_sample=args.trace_sample)
+    except ValueError as exc:
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
+    serve(config)
     return 0
 
 

@@ -297,9 +297,11 @@ class CrossLayerFramework:
             :class:`~repro.eval.accuracy.CircuitEvaluator` for the
             selector semantics.
         store: optional content-addressed design store (a
-            :class:`~repro.service.store.DesignStore` or a path to
-            one).  When set, the pruning explorations route through the
-            service layer's resumable sharded jobs: finished grids are
+            :class:`~repro.service.store.DesignStore`, a store-shaped
+            object such as a coordinator's ``RemoteStore``, or a path
+            to a local store file).  When set, the pruning
+            explorations route through the service layer's resumable
+            sharded jobs: finished grids are
             lookups, interrupted ones resume from their last shard
             checkpoint, and the records are bit-identical to a
             store-less run (the store-hit identity contract).  The
@@ -330,9 +332,9 @@ class CrossLayerFramework:
         self.clock_ms = clock_ms
         self.n_workers = n_workers
         self.engine = engine
-        if store is not None and not hasattr(store, "get_variant"):
-            from ..service.store import DesignStore  # lazy: core <-> service
-            store = DesignStore(store)
+        if store is not None:
+            from ..service.store import open_store  # lazy: core <-> service
+            store = open_store(store)
         self.store = store
         self.builder = builder
 

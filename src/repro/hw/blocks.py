@@ -114,10 +114,6 @@ class Value:
     def signed(self) -> bool:
         return self.lo < 0
 
-    @property
-    def is_constant_zero(self) -> bool:
-        return self.lo == 0 and self.hi == 0
-
     def sign_net(self) -> int:
         """The sign bit for signed values, constant zero otherwise."""
         return self.nets[-1] if self.signed else CONST0

@@ -56,6 +56,7 @@ from .store import (
     _serialize_rows,
     base_fingerprint,
     grid_key,
+    open_store,
 )
 from .telemetry import counter as _metric
 from .telemetry import span as _span
@@ -131,11 +132,7 @@ class ExplorationJob:
     base_fp: str | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        # Coerce only paths; any ready-made store-like object (a
-        # DesignStore, a coordinator-backed RemoteStore) passes through.
-        if isinstance(self.store, (str, bytes)) or hasattr(self.store,
-                                                           "__fspath__"):
-            self.store = DesignStore(self.store)
+        self.store = open_store(self.store)
         self.shard_size = max(1, int(self.shard_size))
 
     def base_key(self) -> str:

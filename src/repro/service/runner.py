@@ -55,8 +55,8 @@ from .store import (
     designs_from_text,
     evaluator_fingerprint,
     grid_key as make_grid_key,
-    model_fingerprint,
     netlist_fingerprint,
+    open_store,
     variant_key,
 )
 
@@ -65,8 +65,9 @@ __all__ = ["ExploreRequest", "ExplorationService", "render_request"]
 _BASES = ("exact", "coeff")
 _DEFAULT_E = 4  # the paper's fixed coefficient search radius
 
-# Entries of each base cache: a service's prepared bases and the serve
-# front-end's shared builds.  A prepared coefficient base of the bench
+# Entries of each service's two bounded caches: its prepared bases and
+# its rendered grids.  Every tenant service has its own; no build is
+# cached across tenants.  A prepared coefficient base of the bench
 # circuits holds ~0.2-0.3 MB (circuit plus prune space).  A sweep needs
 # its 10 radii at once; serving 5 circuits radius after radius (the
 # 400 fresh serve_mixed keys) missed 54 times at 8 to 16 entries, 50
@@ -281,8 +282,8 @@ def render_request(index: int, request: ExploreRequest,
 class ExplorationService:
     """Store-backed exploration server for many circuits and grids.
 
-    One service owns one :class:`~repro.service.store.DesignStore`, a
-    per-process cache of evaluators, and a bounded cache of prepared
+    One service owns one :class:`~repro.service.store.DesignStore`, its
+    own cache of evaluators, and a bounded cache of prepared
     pruning bases (``BASE_CACHE_SIZE`` entries, least recently used out
     first).  A base is built (or decoded) once, and the first job on it
     keeps its prune space — folded base, training activity and phi — so
@@ -293,29 +294,11 @@ class ExplorationService:
     """
 
     def __init__(self, store: DesignStore | str, engine: str = "auto",
-                 shard_size: int = DEFAULT_SHARD_SIZE,
-                 evaluator_cache: dict | None = None,
-                 build_cache: dict | None = None) -> None:
-        # Paths open a local SQLite store; anything else (a DesignStore,
-        # or a store-shaped facade like coordinator.RemoteStore) passes
-        # through duck-typed.
-        self.store = DesignStore(store) \
-            if isinstance(store, (str, bytes)) or hasattr(store, "__fspath__") \
-            else store
+                 shard_size: int = DEFAULT_SHARD_SIZE) -> None:
+        self.store = open_store(store)
         self.engine = engine
         self.shard_size = shard_size
-        # Evaluators are pure compute contexts (no store state), so a
-        # multi-tenant embedder may pass shared caches — one trained
-        # split serves every tenant.  Keys derived *through the store*
-        # (_netlists holds store-hit flags, _base_keys folds the
-        # store's namespace) stay per-instance.
-        self._evaluators: dict[tuple, tuple[CircuitEvaluator, str]] = \
-            evaluator_cache if evaluator_cache is not None else {}
-        # Content-keyed bespoke builds, shareable across tenant services
-        # like the evaluator caches: a cold miss builds once per process
-        # even when the tenants' stores differ.  None disables sharing
-        # (and the build.cache metric) without changing results.
-        self._build_cache = build_cache
+        self._evaluators: dict[tuple, tuple[CircuitEvaluator, str]] = {}
         self._netlists = BoundedCache(BASE_CACHE_SIZE, "service.bases")
         # grid key -> (stored designs text, rendered design bodies)
         self._rendered = BoundedCache(BASE_CACHE_SIZE, "service.rendered")
@@ -377,41 +360,18 @@ class ExplorationService:
             approximator = CoefficientApproximator(
                 library=default_library(), e=e)
             circuit, fingerprint, hit = build_coeff_netlist_cached(
-                approximator, model, self.store, name=name,
-                build_cache=self._build_cache)
+                approximator, model, self.store, name=name)
             grid_meta = {
                 "coeff_netlist_key": coeff_netlist_key(model, approximator),
                 "e": e,
             }
         else:
-            circuit, hit = self._exact_netlist(model, name)
+            circuit, hit = build_bespoke_netlist(model, name=name), False
             fingerprint = netlist_fingerprint(circuit)
             grid_meta = {}
         base = _Base(circuit, grid_meta, hit, fingerprint)
         self._netlists[key] = base
         return base
-
-    def _exact_netlist(self, model, name: str) -> tuple:
-        """``(circuit, hit)`` for an exact base, via the shared cache.
-
-        Exact bases have no store table; the process-wide build cache
-        keyed by the model fingerprint plays the same role, so tenants
-        cold-missing the same circuit share one build.  The cached
-        circuit is immutable-by-convention (like the shared evaluators)
-        and its name is tenant-independent, so the object is shared
-        as-is.
-        """
-        if self._build_cache is None:
-            return build_bespoke_netlist(model, name=name), False
-        key = ("exact-netlist", model_fingerprint(model))
-        circuit = self._build_cache.get(key)
-        if circuit is not None:
-            _metric("build.cache", result="hit")
-            return circuit, True
-        _metric("build.cache", result="miss")
-        circuit = build_bespoke_netlist(model, name=name)
-        self._build_cache[key] = circuit
-        return circuit, False
 
     def _base_cache_key(self, request: ExploreRequest) -> tuple:
         """The base a request names: a coefficient base without ``e``
@@ -735,8 +695,7 @@ class ExplorationService:
         return summary
 
     def fleet_worker(self, request: ExploreRequest, worker_id: str,
-                     ttl_s: float = DEFAULT_LEASE_TTL_S,
-                     poll_s: float = 0.2, max_wait_s: float = 600.0
+                     ttl_s: float = DEFAULT_LEASE_TTL_S
                      ) -> tuple[list[PrunedDesign], "FleetReport"]:
         """Run one lease-based fleet worker for ``request``'s grid.
 
@@ -756,7 +715,6 @@ class ExplorationService:
                                  runtime_s=job_report.runtime_s)
             return designs, report
         job = self.job(request)
-        result = run_fleet_worker(job, worker_id, ttl_s=ttl_s,
-                                  poll_s=poll_s, max_wait_s=max_wait_s)
+        result = run_fleet_worker(job, worker_id, ttl_s=ttl_s)
         self._keep_space(request, job.pruner)
         return result

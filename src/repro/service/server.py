@@ -33,9 +33,10 @@ Contract highlights (the full table lives in
   ``429`` with a ``Retry-After`` header before any streaming starts.
   Warm hits and coalescing requests never enter the queue (they cost
   no computation).
-* **Tenancy**: the ``X-Tenant`` header selects a per-tenant store
-  file under ``store_root`` *and* a key namespace threaded into every
-  base fingerprint, so tenants can never alias each other's rows.
+* **Tenancy**: the ``X-Tenant`` header selects a per-tenant service:
+  a store file under ``store_root``, a key namespace threaded into
+  every base fingerprint (so tenants can never alias each other's
+  rows), and the service's own evaluators and base caches.
   The default tenant keeps the empty namespace — its keys are
   byte-compatible with CLI-built stores.
 * **Fleet coordination**: the JSON endpoints under ``/v1/jobs/``,
@@ -79,8 +80,8 @@ from pathlib import Path
 from .faults import fault_point
 from .jobs import DEFAULT_SHARD_SIZE
 from .leases import DEFAULT_LEASE_TTL_S
-from .runner import (BASE_CACHE_SIZE, BoundedCache, ExplorationService,
-                     ExploreRequest, _e_value, render_request)
+from .runner import (ExplorationService, ExploreRequest, _e_value,
+                     render_request)
 from .store import (DesignStore, FencedWriteError, canonical_json,
                     design_from_dict, design_to_dict)
 from .telemetry import (capture_context, counter as _metric,
@@ -121,6 +122,12 @@ class ServeConfig:
     max_body_bytes: int = 1 << 20
     events_log: str | None = None   # JSONL span/event sink (enables tracing)
     trace_sample: float = 1.0       # fraction of traces recorded when tracing
+
+    def __post_init__(self) -> None:
+        for name, low in (("concurrency", 1), ("queue_depth", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got "
+                                 f"{getattr(self, name)}")
 
 
 class _HttpError(Exception):
@@ -204,20 +211,14 @@ class ExploreServer:
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._pool = ThreadPoolExecutor(
-            max_workers=max(1, int(config.concurrency)) + 2,
+            max_workers=config.concurrency + 2,
             thread_name_prefix="repro-serve")
         self._services: dict[str, ExplorationService] = {}
-        self._evaluators: dict = {}   # shared across tenants (pure compute)
-        # Content-keyed bespoke builds shared across tenants: concurrent
-        # cold misses for the same model+e build once per serve process
-        # (hits/misses/evictions on the build.cache metric).  Bounded
-        # like each service's prepared bases.
-        self._build_cache = BoundedCache(BASE_CACHE_SIZE, "build.cache")
         # key -> Future of (result, error) for each running computation
         self._inflight: dict[tuple, asyncio.Future] = {}
         self._handlers: set[asyncio.Task] = set()
         self._computes: set[asyncio.Task] = set()
-        self._sem = asyncio.Semaphore(max(1, int(config.concurrency)))
+        self._sem = asyncio.Semaphore(config.concurrency)
         self._admitted = 0            # queued + running computations
         self._resolve_lock = asyncio.Lock()
         self._circuit_locks: dict[tuple, threading.Lock] = {}
@@ -290,16 +291,16 @@ class ExploreServer:
             namespace = "" if tenant == config.default_tenant else tenant
             store = DesignStore(Path(config.store_root) / f"{tenant}.sqlite",
                                 namespace=namespace)
-            service = ExplorationService(
-                store, shard_size=config.shard_size,
-                evaluator_cache=self._evaluators,
-                build_cache=self._build_cache)
+            service = ExplorationService(store, shard_size=config.shard_size)
             self._services[tenant] = service
         return service
 
     def _circuit_lock(self, dataset: str, model: str) -> threading.Lock:
-        # CircuitEvaluator carries mutable simulation caches — one
-        # circuit must never evaluate on two threads at once.
+        # Serializes one circuit's computations server-wide.  Within a
+        # tenant it must: the service's CircuitEvaluator carries
+        # mutable simulation caches.  The key leaves the tenant out, so
+        # tenants also take turns on a circuit, though each tenant
+        # service owns its evaluators and none is shared.
         return self._circuit_locks.setdefault((dataset, model),
                                               threading.Lock())
 
@@ -327,7 +328,7 @@ class ExploreServer:
         if n_new == 0:
             return
         config = self.config
-        limit = max(1, config.concurrency) + max(0, config.queue_depth)
+        limit = config.concurrency + config.queue_depth
         if self._admitted + n_new > limit:
             self.counters["rejected_busy"] += 1
             _metric("server.rejected", reason="busy")
@@ -658,13 +659,13 @@ class ExploreServer:
         return payload
 
     def _status(self) -> dict:
-        running = max(0, self.config.concurrency) - self._sem._value
+        running = self.config.concurrency - self._sem._value
         return {
             "type": "status",
             "draining": self.draining,
             "admitted": self._admitted,
-            "running": max(0, running),
-            "queued": max(0, self._admitted - max(0, running)),
+            "running": running,
+            "queued": self._admitted - running,
             "in_flight_keys": len(self._inflight),
             "open_connections": len(self._handlers),
             "counters": dict(self.counters),

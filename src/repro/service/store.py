@@ -74,6 +74,7 @@ __all__ = [
     "coeff_netlist_key",
     "content_key",
     "model_fingerprint",
+    "open_store",
     "netlist_fingerprint",
     "evaluator_fingerprint",
     "base_fingerprint",
@@ -442,8 +443,7 @@ def coeff_netlist_key(model, approximator) -> str:
 def build_coeff_netlist_cached(approximator, model, store: "DesignStore",
                                name: str = "coeff",
                                approx_model=None,
-                               builder: str = "auto",
-                               build_cache: dict | None = None) -> tuple:
+                               builder: str = "auto") -> tuple:
     """The coefficient-approximated circuit, through the store.
 
     Returns ``(circuit, fingerprint, hit)``; ``fingerprint`` is the
@@ -462,16 +462,8 @@ def build_coeff_netlist_cached(approximator, model, store: "DesignStore",
     the stored payload.
     ``approx_model`` short-circuits the (cached) approximation step when
     the caller already holds it; the circuit's cosmetic ``name`` is
-    always the caller's.
-
-    ``build_cache`` is an optional in-process mapping (the serve
-    front-end shares one bounded cache across tenant services; anything
-    with ``get`` and item assignment works) memoizing built payloads by the
-    same content key: cold misses for the same model+e served
-    concurrently deserialize the one build instead of re-running it,
-    even when their stores differ.  Outcomes are counted on the
-    ``build.cache{result=}`` metric; a build-cache hit still persists
-    the payload so the caller's store warms up.
+    always the caller's.  Tenants and processes share a built circuit
+    only through the ``coeff_netlists`` table.
     """
     from ..hw.bespoke import build_bespoke_netlist  # lazy: service -> hw
 
@@ -481,16 +473,6 @@ def build_coeff_netlist_cached(approximator, model, store: "DesignStore",
         circuit = netlist_from_dict(data)
         circuit.name = name
         return circuit, netlist_fingerprint(circuit), True
-    if build_cache is not None:
-        cached = build_cache.get(key)
-        if cached is not None:
-            _metric("build.cache", result="hit")
-            text, fingerprint = cached
-            store.put_coeff_netlist(key, text, fingerprint)
-            circuit = netlist_from_dict(json.loads(text))
-            circuit.name = name
-            return circuit, fingerprint, True
-        _metric("build.cache", result="miss")
     if approx_model is None:
         approx_model, _reports = approximate_model_cached(
             approximator, model, store)
@@ -499,8 +481,6 @@ def build_coeff_netlist_cached(approximator, model, store: "DesignStore",
     encoded = encode_netlist(circuit, name="coeff")
     fingerprint = netlist_fingerprint(encoded)
     store.put_coeff_netlist(key, encoded.text, fingerprint)
-    if build_cache is not None:
-        build_cache[key] = (encoded.text, fingerprint)
     return circuit, fingerprint, False
 
 
@@ -1194,3 +1174,13 @@ class DesignStore:
         """SQLite's own integrity check (used by the concurrency tests)."""
         return self._with_connection("integrity_ok", lambda con: con.execute(
             "PRAGMA integrity_check").fetchone()[0] == "ok")
+
+
+def open_store(store):
+    """A path (``str``, ``bytes`` or ``os.PathLike``) opens a local
+    :class:`DesignStore`; anything else (a ``DesignStore``, or a
+    store-shaped facade like ``coordinator.RemoteStore``) passes
+    through unchanged."""
+    if isinstance(store, (str, bytes, os.PathLike)):
+        return DesignStore(store)
+    return store

@@ -72,7 +72,7 @@ from repro.hw.simulate import simulate
 from repro.hw.synthesis import (ArrayCircuit, _fold_arrays, synthesize,
                                 synthesize_arrays)
 from repro.service import telemetry
-from repro.service.runner import ExplorationService, ExploreRequest
+from repro.service.runner import ExplorationService
 from repro.service.server import ServeConfig
 
 TIER1_CASES = (("redwine", "svm_r"), ("redwine", "mlp_c"),
@@ -464,32 +464,6 @@ class TestFrameworkIdentity:
             sweeps[builder] = [dataclasses.astuple(p)
                                for p in sweep.points]
         assert sweeps["array"] == sweeps["gate"]
-
-
-class TestServiceIdentity:
-    REQUEST = ExploreRequest(dataset="redwine", model="svm_r",
-                             base="coeff", tau_grid=(0.9, 0.95), e=1)
-
-    def test_shared_build_cache_across_tenants(self, tmp_path,
-                                               fresh_telemetry):
-        """Two tenants, fresh stores: the second build is a cache hit."""
-        build_cache: dict = {}
-        designs = []
-        for tenant in ("a", "b"):
-            service = ExplorationService(tmp_path / f"{tenant}.sqlite",
-                                         build_cache=build_cache)
-            result, _report = service.explore(self.REQUEST)
-            designs.append(result)
-        assert designs[0] == designs[1]
-        assert fresh_telemetry.counter_value("build.cache",
-                                             result="miss") == 1
-        assert fresh_telemetry.counter_value("build.cache",
-                                             result="hit") == 1
-
-    def test_no_cache_means_no_metric(self, tmp_path, fresh_telemetry):
-        service = ExplorationService(tmp_path / "solo.sqlite")
-        service.explore(self.REQUEST)
-        assert fresh_telemetry.counter_total("build.cache") == 0
 
 
 # ----------------------------------------------------------------------

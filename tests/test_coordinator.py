@@ -31,6 +31,7 @@ from repro.service import (
     FencedWriteError,
     RemoteStore,
 )
+from repro.core.cross_layer import CrossLayerFramework
 from repro.service.faults import FaultInjector, installed
 from repro.service.retry import RetryPolicy
 from repro.service.server import ExploreServer, ServeConfig
@@ -288,6 +289,23 @@ class TestRemoteLeaseManager:
                             fence=manager.fence(0))
             manager.release(0)
             assert store.shard_indices(GKEY) == {0}
+
+
+class TestStoreCoercion:
+    """One rule for every ``store=`` argument: a path opens a local
+    store (``test_service.py`` covers that), anything else passes
+    through unchanged."""
+
+    @pytest.mark.parametrize("construct", [
+        lambda store: CrossLayerFramework(store=store),
+        lambda store: ExplorationService(store),
+    ])
+    def test_store_shaped_object_passes_through(self, tmp_path,
+                                                monkeypatch, construct):
+        monkeypatch.chdir(tmp_path)
+        store = RemoteStore(CoordinatorClient("http://127.0.0.1:9"))
+        assert construct(store).store is store
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRemoteFleetIdentity:

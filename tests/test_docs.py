@@ -20,6 +20,7 @@ sys.path.insert(0, str(REPO_ROOT / "tools"))
 from check_docs import (  # noqa: E402
     broken_links,
     doc_files,
+    metric_mismatches,
     quoted_mismatches,
     stale_references,
     unresolved_docstring_references,
@@ -93,6 +94,34 @@ def test_stale_docstring_reference_is_reported(tmp_path):
         "pkg/engine.py: :meth:`Engine._slot_arrays`",
         "pkg/metrics.py: :meth:`~pkg.engine.Engine.snapshot`"]
     assert checked == 11
+
+
+def test_metric_table_matches_the_emitted_names():
+    architecture = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text()
+    assert metric_mismatches(architecture) == []
+
+
+def test_undocumented_and_retired_metrics_are_reported(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "emit.py").write_text("\n".join([
+        "from .telemetry import counter as _metric",
+        "def work(tel, registry, name):",
+        '    _metric("kept.count", result="hit")',
+        '    tel.observe("kept.ms", 1.0)',
+        '    registry.gauge("new.gauge", 3)',
+        '    _metric(name)  # not a literal: unchecked',
+        '    return "kept.literal"', ""]))
+    architecture = "\n".join([
+        "**Metric names.** Rendered as Prometheus text:", "",
+        "| metric | labels | meaning |", "|---|---|---|",
+        "| `kept.count` / `kept.ms` | `result` | both emitted |",
+        "| `kept.literal` | — | named as a literal |",
+        "| `retired.count` | — | no longer emitted |", ""])
+    assert metric_mismatches(architecture, package) == [
+        "ARCHITECTURE.md: retired.count is documented but no source "
+        "names it",
+        "ARCHITECTURE.md: new.gauge is emitted but has no row"]
 
 
 def test_documented_examples_run():

@@ -127,6 +127,14 @@ class TestConformance:
                     "errors"}
         asyncio.run(run())
 
+    @pytest.mark.parametrize("field,value", [("concurrency", 0),
+                                             ("concurrency", -1),
+                                             ("queue_depth", -1)])
+    def test_config_rejects_out_of_range_limits(self, tmp_path, field,
+                                                value):
+        with pytest.raises(ValueError, match=field):
+            ServeConfig(store_root=str(tmp_path), **{field: value})
+
     def test_streamed_lines_parse_strictly_and_schemas_pinned(
             self, tmp_path):
         async def run():
@@ -584,8 +592,12 @@ class TestTenancy:
         root = tmp_path / "stores"
         assert (root / "alice.sqlite").is_file()
         assert (root / "bob.sqlite").is_file()
-        assert DesignStore(root / "alice.sqlite",
-                           namespace="alice").stats()["grids"] == 1
+        for tenant in ("alice", "bob"):
+            stats = DesignStore(root / f"{tenant}.sqlite",
+                                namespace=tenant).stats()
+            # each tenant built (and stored) its own coefficient base
+            assert (stats["grids"], stats["coeff_netlists"],
+                    stats["coeff_cache"]) == (1, 1, 1)
         # isolation never changes the physics: identical design lists
         assert design_lines(body_a) == design_lines(body_b)
 

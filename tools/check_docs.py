@@ -1,7 +1,7 @@
 """Docs checker for the Markdown docs and the package docstrings (CI
 docs job).
 
-Four checks:
+Five checks:
 
 * **links** — scans ``README.md`` and ``docs/*.md`` for Markdown links
   and verifies that every *relative* target exists in the repository
@@ -16,6 +16,11 @@ Four checks:
   module it points at binds (a function, class, module-level or
   class-body assignment, dataclass field, ``__slots__`` entry or
   import), so a reference to a retired method cannot outlive it;
+* **metric names** — every name in ARCHITECTURE's "Metric names" table
+  is a string literal in ``src/repro``, and every literal name passed
+  to ``counter``, ``observe`` or ``gauge`` (bare, through an alias like
+  ``_metric``/``_observe``, or as an attribute like ``tel.counter``)
+  has a row in that table;
 * **quoted numbers** — the README's "Measured performance" table cells
   ("Seed pipeline" and "Batched" seconds, two decimals; "Speedup vs
   seed", one decimal) and its oracle walk "took A–Bx" range must match
@@ -217,6 +222,55 @@ def _table_after(text: str, heading: str) -> list[list[str]]:
     return [row for row in rows if not set("".join(row)) <= set("-: ")]
 
 
+# Metric emitters, by name or attribute; ``_metric`` and ``_observe``
+# are the service modules' import aliases of ``counter``/``observe``.
+_EMITTERS = {"counter", "observe", "gauge", "_metric", "_observe"}
+
+
+def _string_literals(tree: ast.Module) -> set[str]:
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def _emitted_names(tree: ast.Module) -> set[str]:
+    """Literal first arguments of every ``counter``/``observe``/``gauge``
+    call, through aliases and attribute access alike."""
+    names = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not node.args:
+            continue
+        func = node.func
+        called = func.attr if isinstance(func, ast.Attribute) \
+            else func.id if isinstance(func, ast.Name) else None
+        first = node.args[0]
+        if called in _EMITTERS and isinstance(first, ast.Constant) \
+                and isinstance(first.value, str):
+            names.add(first.value)
+    return names
+
+
+def metric_mismatches(architecture: str,
+                      root: pathlib.Path = PACKAGE_ROOT) -> list[str]:
+    """Both directions between ARCHITECTURE's metric table and the
+    package at ``root``: documented names no source file spells, and
+    emitted names the table has no row for."""
+    table = _table_after(architecture, "**Metric names.**")
+    documented = {name for row in table[1:]
+                  for name in re.findall(r"`([^`]+)`", row[0])}
+    if not documented:
+        return ["ARCHITECTURE.md: no metric table under 'Metric names'"]
+    literals: set[str] = set()
+    emitted: set[str] = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        literals |= _string_literals(tree)
+        emitted |= _emitted_names(tree)
+    return ([f"ARCHITECTURE.md: {name} is documented but no source "
+             "names it" for name in sorted(documented - literals)]
+            + [f"ARCHITECTURE.md: {name} is emitted but has no row"
+               for name in sorted(emitted - documented)])
+
+
 # README "Measured performance" columns quoted from the record's
 # ``end_to_end`` rows: column header -> (row field, cell format).
 QUOTED_COLUMNS = {
@@ -280,6 +334,10 @@ def main() -> int:
     unresolved, n_roles = unresolved_docstring_references()
     for problem in unresolved:
         print(f"stale docstring reference — {problem}", file=sys.stderr)
+    metrics = metric_mismatches(
+        (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text())
+    for problem in metrics:
+        print(f"stale metric — {problem}", file=sys.stderr)
     mismatches = quoted_mismatches(
         (REPO_ROOT / "README.md").read_text(),
         json.loads((REPO_ROOT / "BENCH_simulate.json").read_text()))
@@ -287,9 +345,11 @@ def main() -> int:
         print(f"stale number — {problem}", file=sys.stderr)
     print(f"checked {len(files)} docs: {len(problems)} broken links, "
           f"{len(stale)} stale code references, "
-          f"{len(mismatches)} stale numbers; checked {n_roles} docstring "
-          f"references: {len(unresolved)} unresolved")
-    return 1 if problems or stale or unresolved or mismatches else 0
+          f"{len(metrics)} stale metrics, {len(mismatches)} stale "
+          f"numbers; checked {n_roles} docstring references: "
+          f"{len(unresolved)} unresolved")
+    return 1 if problems or stale or unresolved or metrics \
+        or mismatches else 0
 
 
 if __name__ == "__main__":
