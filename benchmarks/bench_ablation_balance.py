@@ -44,8 +44,8 @@ def _compare():
     return rows
 
 
-def test_balanced_selection_vs_greedy(benchmark, save_report):
-    rows = run_once(benchmark, _compare)
+def test_balanced_selection_vs_greedy(save_report):
+    rows = run_once(_compare)
 
     for row in rows:
         balanced, greedy = row["auto"], row["greedy"]

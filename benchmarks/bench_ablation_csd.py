@@ -27,8 +27,8 @@ def _area_profile(recoding: str) -> np.ndarray:
     return np.array(areas)
 
 
-def test_csd_beats_binary_recoding(benchmark, save_report):
-    profiles = run_once(benchmark, lambda: {
+def test_csd_beats_binary_recoding(save_report):
+    profiles = run_once(lambda: {
         "csd": _area_profile("csd"),
         "binary": _area_profile("binary"),
     })

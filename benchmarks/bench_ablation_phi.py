@@ -52,8 +52,8 @@ def _explore_both():
     return outcome
 
 
-def test_classifier_aware_phi_restores_granularity(benchmark, save_report):
-    outcome = run_once(benchmark, _explore_both)
+def test_classifier_aware_phi_restores_granularity(save_report):
+    outcome = run_once(_explore_both)
     aware = outcome["aware"]
     conventional = outcome["conventional"]
 

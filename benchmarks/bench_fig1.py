@@ -10,10 +10,10 @@ from repro.core.multiplier_area import BespokeMultiplierLibrary
 from repro.experiments import fig1
 
 
-def test_fig1_multiplier_profiles(benchmark, save_report):
+def test_fig1_multiplier_profiles(save_report):
     # A fresh library makes the timing reflect real synthesis work.
     library = BespokeMultiplierLibrary()
-    series = run_once(benchmark, lambda: fig1.run(library=library))
+    series = run_once(lambda: fig1.run(library=library))
     by_width = {s.input_bits: s for s in series}
 
     # Paper caption anchors: conventional multipliers at ~84 / ~207 mm^2.

@@ -10,8 +10,8 @@ from conftest import run_once
 from repro.experiments import fig2
 
 
-def test_fig2_area_reduction_vs_e(benchmark, save_report):
-    cells = run_once(benchmark, lambda: fig2.run())
+def test_fig2_area_reduction_vs_e(save_report):
+    cells = run_once(lambda: fig2.run())
     by_key = {(c.input_bits, c.coeff_bits, c.e): c for c in cells}
 
     for input_bits, coeff_bits in fig2.CONFIGURATIONS:

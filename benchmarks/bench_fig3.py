@@ -12,8 +12,8 @@ from conftest import run_once
 from repro.experiments import fig3
 
 
-def test_fig3_pareto_spaces(benchmark, save_report):
-    panels = run_once(benchmark, lambda: fig3.run())
+def test_fig3_pareto_spaces(save_report):
+    panels = run_once(lambda: fig3.run())
     assert len(panels) == 14
 
     for panel in panels:

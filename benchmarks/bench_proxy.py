@@ -11,8 +11,8 @@ from repro.experiments import proxy_correlation
 from repro.experiments.paper_data import PAPER_PROXY_PEARSON
 
 
-def test_proxy_pearson_correlation(benchmark, save_report):
-    study = run_once(benchmark, lambda: proxy_correlation.run(n_circuits=1000))
+def test_proxy_pearson_correlation(save_report):
+    study = run_once(lambda: proxy_correlation.run(n_circuits=1000))
     assert study.n_circuits == 1000
     # The proxy must capture the area trend as strongly as in the paper.
     assert study.pearson_r > 0.85

@@ -10,9 +10,9 @@ from repro.experiments import table1
 from repro.experiments.zoo import all_cases
 
 
-def test_table1_baselines(benchmark, save_report):
+def test_table1_baselines(save_report):
     all_cases(include_excluded=True)  # train outside the timed region
-    rows = run_once(benchmark, lambda: table1.run())
+    rows = run_once(lambda: table1.run())
     assert len(rows) == 16
     for row in rows:
         assert row.area_cm2 > 0 and row.power_mw > 0

@@ -13,8 +13,8 @@ from repro.experiments import table2
 from repro.experiments.table2 import average_gains
 
 
-def test_table2_selections(benchmark, save_report):
-    rows = run_once(benchmark, lambda: table2.run())
+def test_table2_selections(save_report):
+    rows = run_once(lambda: table2.run())
     assert len(rows) == 14
 
     gains = average_gains(rows)

@@ -13,9 +13,9 @@ from repro.experiments import table3
 from repro.experiments.runner import explore_case
 
 
-def test_table3_execution_time(benchmark, save_report):
+def test_table3_execution_time(save_report):
     explore_case.cache_clear()  # time real explorations, not cache hits
-    rows = run_once(benchmark, lambda: table3.run())
+    rows = run_once(lambda: table3.run())
     assert len(rows) == 14
 
     total_s = sum(row.runtime_s for row in rows)

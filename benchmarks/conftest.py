@@ -3,11 +3,14 @@
 Every benchmark regenerates one table or figure of the paper, prints the
 paper-vs-measured report, and writes it to ``results/<name>.txt`` so the
 artifacts survive the run (pytest captures stdout unless ``-s`` is given).
+Timing is plain ``time.perf_counter``: the benches need nothing beyond
+``numpy pytest hypothesis``.
 """
 
 from __future__ import annotations
 
 import pathlib
+import time
 
 import pytest
 
@@ -26,10 +29,18 @@ def save_report():
     return _save
 
 
-def run_once(benchmark, fn):
-    """Run an experiment exactly once under pytest-benchmark timing.
+def run_once(fn, rounds: int = 1):
+    """Run ``fn`` and print its wall-clock time; returns its result.
 
-    Full design-space explorations are deterministic and expensive;
-    repeating them for statistics would only re-measure caches.
+    Full design-space explorations are deterministic and expensive:
+    they run once, since repeating them for statistics would only
+    re-measure caches.  The substrate micro-benchmarks take a few
+    ``rounds`` and print the best.
     """
-    return benchmark.pedantic(fn, rounds=1, iterations=1)
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    print(f"\n[{best * 1e3:.1f} ms, best of {rounds}]")
+    return result

@@ -160,7 +160,9 @@ class PruneSpace:
 
     A space depends only on that base and the training stimulus, so
     any number of pruners over the same base, whatever their tau grids,
-    may share one: the service keeps one per served base.
+    may share one: the service keeps one per served base.  A space also
+    keeps the batched walk's base state once a walk built it
+    (:meth:`root`), until :meth:`release_root` drops it.
     """
 
     netlist: ArrayCircuit
@@ -171,6 +173,9 @@ class PruneSpace:
     # batched walk, so one tau_c never recomputes the tau comparison (mutable cache on a
     # frozen dataclass; excluded from equality).
     _candidates: dict = field(default_factory=dict, repr=False, compare=False)
+    # The batched walk's base state, built on first use (see :meth:`root`;
+    # the same kind of cache).
+    _root: list = field(default_factory=list, repr=False, compare=False)
 
     @staticmethod
     def from_activity(circuit: ArrayCircuit,
@@ -198,6 +203,27 @@ class PruneSpace:
         gates = self.candidates(tau_c)
         selected = gates[self.phi[gates] <= phi_c]
         return {int(g): int(self.const_value[g]) for g in selected}
+
+    def root(self) -> tuple[IncrementalCircuit, list[int]]:
+        """The batched walk's base state: the folded base's rewrite state
+        and its node map.
+
+        Built once, on first use, and shared by every walk over this
+        space: every shard of a job, and every job the service hands the
+        space to.  A walk forks it and never mutates it (a fork only
+        resets the source's ``fanout_owned`` marks).  The node map is the
+        identity: the folded base is at the fold fixpoint.
+        """
+        if not self._root:
+            base = self.netlist
+            state = IncrementalCircuit.from_arrays(base)
+            state._ops_array()  # forks share one opcode mirror
+            self._root[:] = [(state, list(range(base.n_nets)))]
+        return self._root[0]
+
+    def release_root(self) -> None:
+        """Drop the walk's base state; the next walk builds it again."""
+        self._root.clear()
 
 
 @dataclass(frozen=True)
@@ -540,12 +566,11 @@ def _explore_trie_batched(base: ArrayCircuit, evaluator: CircuitEvaluator,
     # default grid the candidate sets nest, so every root whose lowest
     # phi level did not drop builds on the previous one.
     telemetry = _service_telemetry()
-    # The base state: the folded base, whose node map is the identity
-    # (it is at the fold fixpoint).  A root that cannot build on the
+    # The base state: the space's kept rewrite state of the folded base
+    # (:meth:`PruneSpace.root`).  A root that cannot build on the
     # previous root forks it and ties its first prune set onto it; the
     # walk never mutates it.
-    base_state = [IncrementalCircuit.from_arrays(base),
-                  list(range(base.n_nets)), 0, None, 0, {}, None]
+    base_state = [*space.root(), 0, None, 0, {}, None]
     ladder: list | None = None
     ladder_ids = None
     ordered = sorted(groups(range(len(chains)), 0),

@@ -321,11 +321,13 @@ class RemoteStore:
 
     # -- variants ------------------------------------------------------
 
-    def variants_for_base(self, base_key: str) -> dict:
-        data = self._call("GET", f"/v1/bases/{base_key}/variants")
+    def variants_for_base(self, base_key: str,
+                          after: int = 0) -> tuple[dict, int]:
+        data = self._call(
+            "GET", f"/v1/bases/{base_key}/variants?after={int(after)}")
         return {tuple(int(i) for i in ids):
                 EvaluationRecord.from_dict(record)
-                for ids, record in data["variants"]}
+                for ids, record in data["variants"]}, int(data["rowid"])
 
     # -- coefficient caches --------------------------------------------
 

@@ -9,7 +9,8 @@ groups of tau_c chains:
    no simulation at all).
 2. Otherwise pre-seed the pruner's record memo with every variant the
    store has for this base circuit, so overlapping grids reuse each
-   other's evaluations.
+   other's evaluations.  A memo an earlier job already seeded (the
+   service keeps one per circuit) reads only the rows stored since.
 3. Walk the shards in tau order.  A shard whose checkpoint exists (and
    matches its tau partition) is loaded; a missing shard is computed
    through :meth:`~repro.core.pruning.NetlistPruner.chain_rows`, then
@@ -122,6 +123,11 @@ class ExplorationJob:
         base_fp: the exploration's base fingerprint, when the caller
             already resolved it (the service keys every request before
             it builds a job); ``None`` derives it from the pruner.
+
+    ``_memo_rowid`` is the store rowid up to which the pruner's record
+    memo already holds the base's stored variants: the service hands a
+    job the memo an earlier job on the base seeded, and reads the
+    advanced rowid back once the job ran.
     """
 
     pruner: NetlistPruner
@@ -130,6 +136,7 @@ class ExplorationJob:
     label: str = "circuit"
     grid_meta: dict | None = None
     base_fp: str | None = field(default=None, repr=False)
+    _memo_rowid: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         self.store = open_store(self.store)
@@ -160,14 +167,19 @@ class ExplorationJob:
     def _preload_memo(self) -> int:
         """Seed the pruner's record memo from the store's variants.
 
-        Keys enter in the sorted-id byte form every walk uses, so a
-        stored variant is a memo hit on either engine.
+        Reads only the rows past ``_memo_rowid`` and advances it.  Keys
+        enter in the sorted-id byte form every walk uses, so a stored
+        variant is a memo hit on either engine.  Returns the memo's
+        size: the base's stored variant count, unless ``store gc`` ran
+        under a memo that outlives jobs.
         """
-        stored = self.store.variants_for_base(self.base_key())
-        for ids, record in stored.items():
-            self.pruner._record_memo.setdefault(prune_key_bytes(ids),
-                                                record)
-        return len(stored)
+        memo = self.pruner._record_memo
+        with _span("job.preload"):
+            stored, self._memo_rowid = self.store.variants_for_base(
+                self.base_key(), after=self._memo_rowid)
+            for ids, record in stored.items():
+                memo.setdefault(prune_key_bytes(ids), record)
+        return len(memo)
 
     def run(self, resume: bool = True,
             on_shard=None,

@@ -30,7 +30,7 @@ import numbers
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from ..core.multiplier_area import default_library
@@ -132,6 +132,28 @@ class _Base(NamedTuple):
     store_hit: bool
     fingerprint: str
     space: PruneSpace | None = None
+
+
+@dataclass
+class _WarmWalk:
+    """The walk state one service keeps warm for one circuit.
+
+    One slot per (dataset, model), holding the base that circuit last
+    walked: ``space`` (whose kept root, :meth:`PruneSpace.root`, every
+    later walk forks), the record ``memo`` every later job on the base
+    continues, and ``rowid``, the store rowid that memo has read up to.
+    The slot owns the root: a job on another base of the circuit
+    replaces the slot and releases the old space's root, so the spaces
+    the base cache keeps hold no root once their slot moved on, and
+    the retained walk state is one base per circuit.  One circuit's
+    jobs run one at a time (the server's circuit lock), so the slot
+    takes no lock.
+    """
+
+    base_key: str
+    space: PruneSpace | None = None
+    memo: dict = field(default_factory=dict)
+    rowid: int = 0
 
 
 @dataclass(frozen=True)
@@ -289,8 +311,12 @@ class ExplorationService:
     keeps its prune space — folded base, training activity and phi — so
     every later grid on that base only walks; the store shares the
     evaluations between them.  An evicted base is rebuilt on its next
-    request.  A finished grid's design lines are rendered once too, in
-    a cache of the same bound (see :meth:`warm_lines`).
+    request.  Each circuit also keeps one warm walk (:class:`_WarmWalk`)
+    on the base it last walked: a repeat cold request there forks the
+    kept root rewrite state instead of rebuilding it, and parses only
+    the stored variants its memo has not read.  A finished grid's design
+    lines are rendered once too, in a cache of the same bound (see
+    :meth:`warm_lines`).
     """
 
     def __init__(self, store: DesignStore | str, engine: str = "auto",
@@ -303,6 +329,7 @@ class ExplorationService:
         # grid key -> (stored designs text, rendered design bodies)
         self._rendered = BoundedCache(BASE_CACHE_SIZE, "service.rendered")
         self._base_keys: dict[tuple, str] = {}
+        self._walks: dict[tuple, _WarmWalk] = {}
 
     def _evaluator(self, dataset: str,
                    model: str) -> tuple[CircuitEvaluator, str]:
@@ -449,28 +476,54 @@ class ExplorationService:
 
         A base some earlier job prepared hands its prune space to the
         pruner, which then prunes the space's folded base with no fold,
-        training pass or phi of its own.  No walk's plans outlive the
-        job: the pruner caches none on the kept circuits.
+        training pass or phi of its own.  The circuit's warm walk
+        (:class:`_WarmWalk`) hands over the record memo and the rowid
+        it read up to, and its space when the base cache dropped the
+        base.  No walk's plans outlive the job: the pruner caches none
+        on the kept circuits.
         """
         base = self._prepared(request)
-        circuit = base.circuit if base.space is None else base.space.netlist
+        base_fp = self._base_key(request)
+        walk = self._warm_walk(request, base_fp)
+        if base.space is not None:
+            walk.space = base.space
+        space = walk.space
+        circuit = base.circuit if space is None else space.netlist
         evaluator, _fp = self._evaluator(request.dataset, request.model)
         pruner = NetlistPruner(circuit, evaluator, request.tau_grid,
-                               engine=self.engine, _space=base.space)
+                               engine=self.engine, _space=space,
+                               _record_memo=walk.memo)
         return ExplorationJob(pruner, self.store,
                               shard_size=self.shard_size,
                               label=request.name,
                               grid_meta=base.grid_meta,
-                              base_fp=self._base_key(request))
+                              base_fp=base_fp,
+                              _memo_rowid=walk.rowid)
 
-    def _keep_space(self, request: ExploreRequest,
-                    pruner: NetlistPruner) -> None:
-        """Keep the prune space a job built, for later jobs on its base."""
+    def _warm_walk(self, request: ExploreRequest,
+                   base_fp: str) -> _WarmWalk:
+        """The circuit's warm walk, moved to base ``base_fp`` if needed."""
+        circuit = (request.dataset, request.model)
+        walk = self._walks.get(circuit)
+        if walk is None or walk.base_key != base_fp:
+            if walk is not None and walk.space is not None:
+                walk.space.release_root()
+            walk = self._walks[circuit] = _WarmWalk(base_fp)
+        return walk
+
+    def _keep_walk(self, request: ExploreRequest,
+                   job: ExplorationJob) -> None:
+        """Keep what a job built for later jobs on its base: the prune
+        space in the base cache, and the space and the memo's rowid in
+        the circuit's warm walk."""
+        space = job.pruner._space
+        walk = self._walks.get((request.dataset, request.model))
+        if walk is not None and walk.memo is job.pruner._record_memo:
+            walk.space, walk.rowid = space, job._memo_rowid
         key = self._base_cache_key(request)
         base = self._netlists.get(key)
-        if base is not None and base.space is None \
-                and pruner._space is not None:
-            self._netlists[key] = base._replace(space=pruner._space)
+        if base is not None and base.space is None and space is not None:
+            self._netlists[key] = base._replace(space=space)
 
     def request_span(self, request: ExploreRequest):
         return _span("service.request", dataset=request.dataset,
@@ -546,7 +599,7 @@ class ExplorationService:
         job = self.job(request)
         report = JobReport(job.grid_key())
         designs = job.run(resume=resume, on_shard=on_shard, report=report)
-        self._keep_space(request, job.pruner)
+        self._keep_walk(request, job)
         _metric("service.requests", outcome="computed")
         return designs, report
 
@@ -716,5 +769,5 @@ class ExplorationService:
             return designs, report
         job = self.job(request)
         result = run_fleet_worker(job, worker_id, ttl_s=ttl_s)
-        self._keep_space(request, job.pruner)
+        self._keep_walk(request, job)
         return result

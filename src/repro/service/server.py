@@ -76,6 +76,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from urllib.parse import parse_qs
 
 from .faults import fault_point
 from .jobs import DEFAULT_SHARD_SIZE
@@ -468,8 +469,8 @@ class ExploreServer:
         parts = lines[0].split()
         if len(parts) != 3:
             raise _HttpError(400, f"malformed request line {lines[0]!r}")
-        method, path, _version = parts
-        path = path.split("?", 1)[0]
+        method, target, _version = parts
+        path, _sep, query = target.partition("?")
         headers: dict[str, str] = {}
         for line in lines[1:]:
             if not line:
@@ -484,7 +485,7 @@ class ExploreServer:
             raise _HttpError(413, f"body of {length} bytes exceeds the "
                                   f"{limit} limit")
         body = await reader.readexactly(length) if length else b""
-        return method, path, headers, body
+        return method, path, query, headers, body
 
     @staticmethod
     def _head(status: int, content_type: str,
@@ -545,7 +546,7 @@ class ExploreServer:
                 set_request_id(new_request_id())
                 keep = False
                 try:
-                    method, path, headers, body = \
+                    method, path, query, headers, body = \
                         await self._read_request(reader, idle=served > 0)
                     client_rid = self._client_request_id(headers)
                     if client_rid is not None:
@@ -556,8 +557,9 @@ class ExploreServer:
                             and not self.draining)
                     conn = "keep-alive" if keep else "close"
                     with span("server.request", method=method, path=path):
-                        kept = await self._route(method, path, headers,
-                                                 body, writer, conn)
+                        kept = await self._route(method, path, query,
+                                                 headers, body, writer,
+                                                 conn)
                     keep = keep and kept
                 except _HttpError as exc:
                     await self._send_json(writer, exc.status,
@@ -598,8 +600,9 @@ class ExploreServer:
                 return prefix.rstrip("/")
         return "other"
 
-    async def _route(self, method: str, path: str, headers: dict,
-                     body: bytes, writer: asyncio.StreamWriter,
+    async def _route(self, method: str, path: str, query: str,
+                     headers: dict, body: bytes,
+                     writer: asyncio.StreamWriter,
                      conn: str = "close") -> bool:
         """Dispatch one request; ``True`` iff the connection may persist
         (the response honored ``conn``; streams always close)."""
@@ -609,8 +612,8 @@ class ExploreServer:
             # Coordinator (fleet) plane: cheap store operations, allowed
             # during drain so in-flight workers can land their
             # checkpoints and release their leases.
-            await self._coordinate(method, path, headers, body, writer,
-                                   conn)
+            await self._coordinate(method, path, query, headers, body,
+                                   writer, conn)
             return True
         if path == "/v1/metrics":
             if method != "GET":
@@ -730,9 +733,9 @@ class ExploreServer:
         except KeyError as exc:
             raise _HttpError(400, f"missing field {exc.args[0]!r}")
 
-    async def _coordinate(self, method: str, path: str, headers: dict,
-                          body: bytes, writer: asyncio.StreamWriter,
-                          conn: str) -> None:
+    async def _coordinate(self, method: str, path: str, query: str,
+                          headers: dict, body: bytes,
+                          writer: asyncio.StreamWriter, conn: str) -> None:
         tenant = self._tenant(headers)
         parts = [p for p in path.split("/") if p]  # ["v1", kind, key, ...]
         kind, rest = parts[1], parts[2:]
@@ -751,8 +754,8 @@ class ExploreServer:
                 await self._coordinate_job(method, key, sub, payload,
                                            tenant, reply)
             elif kind == "bases" and sub == ["variants"]:
-                await self._coordinate_variants(method, key, tenant,
-                                                reply)
+                await self._coordinate_variants(method, key, query,
+                                                tenant, reply)
             elif kind == "coeff" and not sub:
                 await self._coordinate_coeff(method, key, payload,
                                              tenant, reply)
@@ -868,13 +871,17 @@ class ExploreServer:
                               "use leases, shards, or grid")
 
     async def _coordinate_variants(self, method: str, base_key: str,
-                                   tenant: str, reply) -> None:
+                                   query: str, tenant: str,
+                                   reply) -> None:
         if method == "GET":
-            variants = await self._store_call(
-                tenant, DesignStore.variants_for_base, base_key)
+            # ``?after=<rowid>``: only the rows stored past it.
+            after = int(parse_qs(query).get("after", ["0"])[-1])
+            variants, rowid = await self._store_call(
+                tenant, DesignStore.variants_for_base, base_key, after)
             await reply({"type": "variants", "variants": [
                 [list(ids), record.to_dict()]
-                for ids, record in sorted(variants.items())]})
+                for ids, record in sorted(variants.items())],
+                "rowid": rowid})
             return
         raise _HttpError(405, "variants are GET-only")
 

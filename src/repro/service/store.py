@@ -710,15 +710,29 @@ class DesignStore:
             (key, base_key, canonical_json([int(i) for i in ids]),
              canonical_json(record.to_dict()), time.time())))
 
-    def variants_for_base(self, base_key: str) -> dict[tuple, EvaluationRecord]:
-        """All stored ``{pruned-gate ids -> record}`` of one base circuit."""
+    def variants_for_base(self, base_key: str, after: int = 0
+                          ) -> tuple[dict[tuple, EvaluationRecord], int]:
+        """One base circuit's stored ``{pruned-gate ids -> record}`` rows
+        past rowid ``after``, and the highest rowid read.
+
+        ``after=0`` reads every row.  A reader that keeps what it parsed
+        passes the returned rowid back and parses only the rows stored
+        since; ``idx_variants_base`` serves the range, so the read costs
+        the new rows, not the store.  The rowid comes back as ``after``
+        when nothing new was read.  Rows keep their rowid, but SQLite
+        may hand the rowids of the highest rows a ``store gc`` deleted
+        to new rows: a reader that is past them misses such a row, and
+        at worst re-simulates its variant (with the identical record).
+        """
         rows = self._with_connection(
             "variants_for_base", lambda con: con.execute(
-                "SELECT prune_ids, record FROM variants WHERE base_key=?",
-                (base_key,)).fetchall())
-        return {tuple(json.loads(ids)):
-                EvaluationRecord.from_dict(json.loads(record))
-                for ids, record in rows}
+                "SELECT rowid, prune_ids, record FROM variants "
+                "WHERE base_key=? AND rowid>?",
+                (base_key, int(after))).fetchall())
+        variants = {tuple(json.loads(ids)):
+                    EvaluationRecord.from_dict(json.loads(record))
+                    for _rowid, ids, record in rows}
+        return variants, max((row[0] for row in rows), default=int(after))
 
     # -- grids ---------------------------------------------------------
 
@@ -794,11 +808,17 @@ class DesignStore:
         rows.
         """
         now = time.time()
-        variants = [
-            (variant_key(base_key, ids), base_key, canonical_json(ids),
-             canonical_json(record), now)
-            for chain in payload["chains"]
-            for _phi, ids, _n, record in chain["rows"]]
+        variants = []
+        for chain in payload["chains"]:
+            for _phi, ids, _n, record in chain["rows"]:
+                # One serialization of the ids feeds both the column and
+                # the content key (bytes hash as-is, so the key equals
+                # :func:`variant_key`'s).
+                ids_json = canonical_json(ids)
+                variants.append((
+                    content_key("variant", base_key,
+                                ids_json.encode("utf-8")),
+                    base_key, ids_json, canonical_json(record), now))
 
         def write(con):
             if fence is not None:

@@ -23,6 +23,7 @@ Three layers pin the batched path down:
   counts).
 """
 
+import copy
 import gc
 import io
 
@@ -32,10 +33,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets import load_dataset
-from repro.eval.accuracy import CircuitEvaluator
+from repro.eval.accuracy import CircuitEvaluator, DecodeSpec
 from repro.experiments.zoo import get_case
 from repro.hw.area import area_mm2
-from repro.hw.bespoke import build_bespoke_netlist
+from repro.hw.bespoke import REGRESSOR_OUTPUT, build_bespoke_netlist
 from repro.hw.compiled import (
     BatchedEvaluator,
     CompiledNetlist,
@@ -502,3 +503,91 @@ class TestRootLadder:
         (off, off_fallbacks), (on, on_fallbacks) = runs
         assert off == on
         assert off_fallbacks == on_fallbacks > 0
+
+
+# Every slot of an IncrementalCircuit that a walk could write, except
+# ``fanout_owned`` (see TestKeptRoot) and the tie scratch slots
+# (``_work``, ``_slot``, ``_created``, ``_pending``) that only tie() sets.
+_ROOT_STATE = ("n_fixed", "ops", "ina", "inb", "inc", "level", "alive",
+               "rc", "fanout", "cse", "inv_of", "forward", "outputs",
+               "out_nodes", "signed", "input_buses", "n_live", "shared")
+_RANDOM_GRID = tuple(np.round(np.arange(0.50, 1.00, 0.05), 2))
+
+
+def _root_snapshot(state: IncrementalCircuit) -> dict:
+    snap = {name: copy.deepcopy(getattr(state, name)) for name in _ROOT_STATE}
+    snap["_ops_np"] = state._ops_np.copy()
+    return snap
+
+
+def _assert_root_unchanged(state: IncrementalCircuit, before: dict) -> None:
+    for name in _ROOT_STATE:
+        assert getattr(state, name) == before[name], name
+    assert np.array_equal(state._ops_np, before["_ops_np"])
+    # fork() clears the source's copy-on-write marks, so every fork
+    # privatizes a fanout list before it writes one: the one write a
+    # walk makes on the root.
+    assert not any(state.fanout_owned)
+
+
+class TestKeptRoot:
+    """A prune space builds the walk's root once, and no walk mutates it."""
+
+    def _two_walks(self, base, evaluator, grids) -> None:
+        """Walk ``grids`` on one space; compare with fresh-space walks."""
+        first = NetlistPruner(base, evaluator, grids[0])
+        space = first.space()
+        root, _node_map = space.root()
+        before = _root_snapshot(root)
+        designs = [first.explore()]
+        for grid in grids[1:]:
+            designs.append(NetlistPruner(first.netlist, evaluator, grid,
+                                         _space=space).explore())
+        assert space.root()[0] is root
+        _assert_root_unchanged(root, before)
+        for grid, got in zip(grids, designs):
+            assert got == NetlistPruner(base, evaluator, grid).explore()
+
+    @pytest.mark.parametrize("dataset, model", (
+        ("redwine", "svm_r"), ("redwine", "mlp_c"), ("redwine", "svm_c"),
+        ("whitewine", "svm_c"), ("cardio", "svm_c")))
+    def test_bench_circuits(self, dataset, model):
+        case = get_case(dataset, model)
+        split = case.split
+        evaluator = CircuitEvaluator.from_split(
+            case.quant_model, split.X_train, split.X_test, split.y_test)
+        self._two_walks(build_bespoke_netlist(case.quant_model), evaluator,
+                        ((0.85, 0.9, 0.95), (0.8, 0.88, 0.94, 0.99)))
+
+    # Seed 276 refolds two chain states from scratch, 45 one; 3 and 17
+    # tie every step onto the root's forks.
+    @pytest.mark.parametrize("seed, refolds", ((3, 0), (17, 0), (45, 1),
+                                               (276, 2)))
+    def test_random_circuits(self, seed, refolds, monkeypatch):
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(1, 6))
+        base = random_circuit(rng, int(rng.integers(1, 80)), width,
+                              output=REGRESSOR_OUTPUT, signed=False)
+        n_test = int(rng.integers(1, 130))
+        evaluator = CircuitEvaluator(
+            DecodeSpec("regressor", y_min=0, y_max=15),
+            {"x": rng.integers(0, 1 << width, 48)},
+            {"x": rng.integers(0, 1 << width, n_test)},
+            rng.integers(0, 16, n_test))
+        rebuilt = []
+        from_arrays = IncrementalCircuit.from_arrays
+
+        def counting(circ, shared=False):
+            rebuilt.append(shared)
+            return from_arrays(circ, shared)
+
+        monkeypatch.setattr(IncrementalCircuit, "from_arrays",
+                            staticmethod(counting))
+        pruner = NetlistPruner(base, evaluator, _RANDOM_GRID)
+        pruner.space().root()
+        rebuilt.clear()
+        pruner.explore()
+        assert rebuilt.count(True) == refolds
+        assert not rebuilt.count(False)  # the root is not built again
+        self._two_walks(base, evaluator,
+                        (_RANDOM_GRID, _RANDOM_GRID[1::2]))

@@ -32,6 +32,7 @@ from repro.service import (
     RemoteStore,
 )
 from repro.core.cross_layer import CrossLayerFramework
+from repro.eval.accuracy import EvaluationRecord
 from repro.service.faults import FaultInjector, installed
 from repro.service.retry import RetryPolicy
 from repro.service.server import ExploreServer, ServeConfig
@@ -118,6 +119,31 @@ class TestEndpoints:
             # supersedes.
             store.put_grid(GKEY, [], meta={"label": "t"})
             assert store.shard_indices(GKEY) == set()
+
+    def test_variants_read_past_a_rowid(self, tmp_path):
+        """``?after=`` returns only the rows stored past a rowid, and
+        the highest rowid read (``after`` itself when nothing is new)."""
+        record = EvaluationRecord(0.5, 1.0, 2.0, 3)
+
+        def payload(*ids_list):
+            return {"chains": [{"tau_c": 0.9, "rows": [
+                [1, list(ids), len(ids), record.to_dict()]
+                for ids in ids_list]}]}
+
+        with coordinator(tmp_path) as server:
+            store = remote(server)
+            assert store.variants_for_base(BKEY) == ({}, 0)
+            store.put_shard(GKEY, 0, [0.9], payload((1, 2), (3,)), BKEY)
+            first, rowid = store.variants_for_base(BKEY)
+            assert first == {(1, 2): record, (3,): record} and rowid > 0
+            assert store.variants_for_base(BKEY, after=rowid) \
+                == ({}, rowid)
+            store.put_shard(GKEY, 1, [0.95], payload((3,), (4, 5)), BKEY)
+            new, last = store.variants_for_base(BKEY, after=rowid)
+            assert new == {(4, 5): record} and last > rowid
+            status, _data = store.client.request(
+                "GET", f"/v1/bases/{BKEY}/variants?after=x")
+            assert status == 400
 
     def test_split_write_routes_are_gone(self, tmp_path):
         """A shard upload carries its variants; a grid retires its

@@ -306,10 +306,10 @@ class TestOneTransactionPerStep:
                 store.put_shard(self.GKEY, 0, [0.9], self.PAYLOAD,
                                 self.BKEY)
         assert store.shard_indices(self.GKEY) == set()
-        assert store.variants_for_base(self.BKEY) == {}
+        assert store.variants_for_base(self.BKEY) == ({}, 0)
         store.put_shard(self.GKEY, 0, [0.9], self.PAYLOAD, self.BKEY)
         assert store.shard_indices(self.GKEY) == {0}
-        assert list(store.variants_for_base(self.BKEY)) == [(1, 2)]
+        assert list(store.variants_for_base(self.BKEY)[0]) == [(1, 2)]
 
     def test_delete_grid_drops_its_checkpoints(self, tmp_path):
         store = DesignStore(tmp_path / "store.sqlite")

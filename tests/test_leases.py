@@ -358,7 +358,7 @@ class TestFencingTokens:
         with pytest.raises(FencedWriteError):
             store.put_shard(GKEY, 0, GRID[:1], payload, BKEY,
                             fence=("zombie", stale))
-        assert store.variants_for_base(BKEY) == {}
+        assert store.variants_for_base(BKEY) == ({}, 0)
         assert store.stats()["variants"] == 0
 
     def test_renew_checks_the_token(self, tmp_path):

@@ -47,6 +47,7 @@ from repro.core.pruning import (
 from repro.eval.accuracy import CircuitEvaluator, EvaluationRecord
 from repro.experiments.zoo import get_case
 from repro.hw.bespoke import build_bespoke_netlist
+from repro.hw.incremental import IncrementalCircuit
 from repro.service import (
     DesignStore,
     ExplorationJob,
@@ -69,6 +70,7 @@ from repro.service.store import (
     evaluator_fingerprint,
     grid_key,
     netlist_fingerprint,
+    variant_key,
 )
 
 GRID = (0.85, 0.90, 0.95, 0.99)
@@ -115,6 +117,26 @@ class TestKeyNormalization:
         assert prune_key_bytes((255, 3, 17)) == prune_key_bytes(ids)
         assert prune_key_bytes({17: 1, 3: 0, 255: 1}) \
             == prune_key_bytes(ids)
+
+    def test_shard_variant_rows_use_the_variant_key(self, tmp_path,
+                                                   cold_designs):
+        """``put_shard`` serializes each row's ids once, for the column
+        and the key; the key is still :func:`variant_key`'s."""
+        record = cold_designs[0].record
+        ids_list = [(), (7,), (3, 17, 255), tuple(range(0, 900, 3))]
+        payload = _serialize_rows(
+            [(0.9, None)],
+            [[(1, prune_key_bytes(ids), len(ids), record)
+              for ids in ids_list]])
+        store = DesignStore(tmp_path / "s.sqlite")
+        store.put_shard("g" * 64, 0, [0.9], payload, "b" * 64)
+        with sqlite3.connect(tmp_path / "s.sqlite") as con:
+            rows = con.execute("SELECT key, prune_ids FROM variants "
+                               "ORDER BY rowid").fetchall()
+        con.close()
+        assert rows == [(variant_key("b" * 64, ids),
+                         json.dumps(list(ids), separators=(",", ":")))
+                        for ids in ids_list]
 
 
 class TestFingerprints:
@@ -440,7 +462,7 @@ class TestConcurrency:
         for worker in range(6):
             assert store.shard_indices(f"grid{worker}") == set(range(20))
             for ids, stored in store.variants_for_base(
-                    f"base{worker}").items():
+                    f"base{worker}")[0].items():
                 assert stored == record
 
 
@@ -1440,3 +1462,123 @@ class TestRenderedLines:
                                       result="miss") == n_grids
         assert registry.counter_value("service.rendered", result="evict") \
             == n_grids - len(service._rendered)
+
+
+class TestWarmWalk:
+    """Each circuit keeps one warm walk: the base it last walked keeps
+    its root rewrite state and its record memo, and a job reads only
+    the stored variants the memo has not read."""
+
+    EXACT = ExploreRequest("redwine", "svm_r", base="exact",
+                           tau_grid=(0.99,))
+
+    @staticmethod
+    def _grid(tau_grid, base="exact", e=None):
+        return ExploreRequest("redwine", "svm_r", base=base,
+                              tau_grid=tau_grid, e=e)
+
+    @staticmethod
+    def _scoring_counter(service, monkeypatch) -> list:
+        """Count every scoring call of ``service``'s redwine SVM-R
+        evaluator (batched walk and single-netlist refold alike)."""
+        evaluator = service._evaluator("redwine", "svm_r")[0]
+        calls = []
+        for name in ("evaluate_batch", "evaluate"):
+            method = getattr(evaluator, name)
+
+            def counting(*args, _method=method, _name=name):
+                calls.append(_name)
+                return _method(*args)
+            monkeypatch.setattr(evaluator, name, counting)
+        return calls
+
+    @staticmethod
+    def _reads(monkeypatch) -> list:
+        """``(after, rows read)`` of every ``variants_for_base`` call."""
+        reads = []
+        read = DesignStore.variants_for_base
+
+        def recording(store, base_key, after=0):
+            variants, rowid = read(store, base_key, after)
+            reads.append((after, len(variants)))
+            return variants, rowid
+        monkeypatch.setattr(DesignStore, "variants_for_base", recording)
+        return reads
+
+    def test_peer_variant_is_a_memo_hit(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.sqlite"
+        service = ExplorationService(path)
+        # The second job reads the first one's rows: its memo is past
+        # them.
+        service.explore(self.EXACT)
+        service.explore(self._grid((0.97,)))
+        # A second store handle (another process, say) explores an
+        # overlapping grid on the same base.
+        peer_before = DesignStore(path).stats()["variants"]
+        ExplorationService(DesignStore(path)).explore(
+            self._grid((0.85, 0.9, 0.95)))
+        peer_rows = DesignStore(path).stats()["variants"] - peer_before
+        assert peer_rows > 0
+        reads = self._reads(monkeypatch)
+        scored = self._scoring_counter(service, monkeypatch)
+        rebuilt = []
+        from_arrays = IncrementalCircuit.from_arrays
+        monkeypatch.setattr(
+            IncrementalCircuit, "from_arrays",
+            staticmethod(lambda circ, shared=False: rebuilt.append(shared)
+                         or from_arrays(circ, shared)))
+        request = self._grid((0.9, 0.95))
+        designs, report = service.explore(request)
+        assert scored == []  # every variant came from the peer's rows
+        assert False not in rebuilt  # the kept root was forked
+        (after, n_read), = reads
+        with sqlite3.connect(path) as con:
+            skipped, = con.execute("SELECT COUNT(*) FROM variants "
+                                   "WHERE rowid<=?", (after,)).fetchone()
+        con.close()
+        # Only rows past the memo's rowid were read: the peer's, and
+        # the second job's own.
+        assert skipped > 0 and n_read >= peer_rows
+        assert report.variants_preloaded == skipped + n_read \
+            == service.store.stats()["variants"]
+        assert designs == TestPreparedBases._fresh(tmp_path, request)
+
+    def test_deleted_variant_is_served_from_the_memo(self, tmp_path,
+                                                     monkeypatch):
+        service = ExplorationService(tmp_path / "s.sqlite")
+        service.explore(self._grid((0.85, 0.9, 0.95)))
+        with sqlite3.connect(tmp_path / "s.sqlite") as con:
+            con.execute("DELETE FROM variants")
+        con.close()
+        scored = self._scoring_counter(service, monkeypatch)
+        request = self._grid((0.9, 0.95))
+        designs, _report = service.explore(request)
+        assert scored == []
+        assert designs == TestPreparedBases._fresh(tmp_path, request)
+
+    def test_another_base_replaces_the_circuits_walk(self, tmp_path,
+                                                     monkeypatch):
+        service = ExplorationService(tmp_path / "s.sqlite")
+        service.explore(self.EXACT)
+        service.explore(self._grid((0.97,)))
+        exact = service._walks[("redwine", "svm_r")]
+        assert exact.base_key == service._base_key(self.EXACT)
+        assert exact.space._root and exact.memo and exact.rowid > 0
+        coeff = self._grid((0.99,), base="coeff", e=1)
+        service.explore(coeff)
+        assert list(service._walks) == [("redwine", "svm_r")]
+        walk = service._walks[("redwine", "svm_r")]
+        assert walk is not exact
+        assert walk.base_key == service._base_key(coeff)
+        assert walk.memo is not exact.memo
+        # The old base keeps its prune space in the base cache, but the
+        # slot released its root.
+        assert service._prepared(self.EXACT).space is exact.space
+        assert exact.space._root == []
+        # Back on the first base, a new walk reads the store afresh.
+        reads = self._reads(monkeypatch)
+        request = self._grid((0.9,))
+        designs, report = service.explore(request)
+        assert [after for after, _n in reads] == [0]
+        assert report.variants_preloaded == reads[0][1]
+        assert designs == TestPreparedBases._fresh(tmp_path, request)
