@@ -391,12 +391,12 @@ class CrossLayerFramework:
 
         Either way it is an :class:`~repro.hw.synthesis.ArrayCircuit`,
         which scoring and pruning both take.  With a store configured
-        the circuit itself is content-addressed (``coeff_netlists``
-        table): a warm hit decodes its rows from JSON and skips the
-        whole bespoke
-        build+synthesis — together with the coefficient cache this is
-        what makes warm cross-layer sweeps skip both the area search
-        *and* the rebuild.
+        the build goes through
+        :func:`~repro.service.store.build_coeff_netlist_cached`: the
+        circuit is rebuilt from the approximated model and checked
+        against the fingerprint the ``coeff_netlists`` table keeps
+        under its content key, and the coefficient cache spares a warm
+        sweep the area search.
         """
         if self.store is None:
             return build_bespoke_netlist(approx_model, name=name,

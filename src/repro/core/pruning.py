@@ -268,8 +268,9 @@ def _fold_base(circuit: ArrayCircuit) -> tuple[ArrayCircuit, bool]:
     gates.  A circuit marked ``folded`` (every builder's optimized
     output, and any :func:`~repro.hw.synthesis.synthesize_arrays`
     output) is returned as is: its fold would rebuild the same rows.
-    An unmarked circuit (``from_netlist`` output, a decoded store hit)
-    is folded, and its rows compared.
+    An unmarked circuit (``from_netlist`` or
+    :func:`~repro.hw.netlist_io.netlist_from_dict` output) is folded,
+    and its rows compared.
     """
     if circuit.folded:
         return circuit, False

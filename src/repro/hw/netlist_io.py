@@ -8,15 +8,16 @@ signedness, and the ``kind``/watch-bus meta the pruning pass reads —
 through a plain JSON document.
 
 One writer, :func:`encode_netlist`, produces that document straight
-from the circuit's rows (no per-gate dicts), in the two forms the design
-store needs: the canonical (sorted-key, compact, name-less) bytes
-content keys hash, and the compact stored text.  The gate rows dominate
-both and are identical in both (their keys are already sorted), so they
-are encoded once.  :func:`netlist_to_dict` is that text, parsed.
+from the circuit's rows (no per-gate dicts), in two forms: the
+canonical (sorted-key, compact, name-less) bytes the design store's
+content keys hash, and the compact text a saved file holds.  The gate
+rows dominate both and are identical in both (their keys are already
+sorted), so they are encoded once.  :func:`netlist_to_dict` is that
+text, parsed.
 
-:func:`netlist_from_dict` decodes a document back into rows.  Stored and
-saved documents come from outside the program, so every malformed
-document raises ``ValueError``.
+:func:`netlist_from_dict` decodes a document back into rows.  Saved
+documents come from outside the program, so every malformed document
+raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -135,9 +136,8 @@ def netlist_from_dict(data: dict) -> ArrayCircuit:
     return circ
 
 
-def encode_netlist(circuit: ArrayCircuit,
-                   name: str | None = None) -> EncodedNetlist:
-    """The circuit's document as canonical bytes plus stored text.
+def encode_netlist(circuit: ArrayCircuit) -> EncodedNetlist:
+    """The circuit's document as canonical bytes plus saved text.
 
     The document numbers nets as ``circuit.to_netlist()`` would — input
     nets allocated in bus declaration order from net 2, gate *k*
@@ -146,7 +146,7 @@ def encode_netlist(circuit: ArrayCircuit,
     (the content-key hash input); ``text`` is the compact JSON of the
     whole document (keys: ``format_version``, ``name``, ``inputs``,
     ``input_nets``, ``gates``, ``outputs``, ``output_signed``,
-    ``meta``), with ``name`` overridden when given.
+    ``meta``).
     """
     input_nets: dict[str, list[int]] = {}
     net = 2  # nets 0/1 are the constant ties
@@ -173,7 +173,7 @@ def encode_netlist(circuit: ArrayCircuit,
         f'"outputs":{_canonical(outputs)}}}')
     text = (
         f'{{"format_version":{_FORMAT_VERSION},'
-        f'"name":{_compact(circuit.name if name is None else name)},'
+        f'"name":{_compact(circuit.name)},'
         f'"inputs":{_compact(inputs)},"input_nets":{_compact(input_nets)},'
         f'"gates":[{gates}],"outputs":{_compact(outputs)},'
         f'"output_signed":{_compact(signed)},"meta":{_compact(meta)}}}')

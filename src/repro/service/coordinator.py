@@ -150,19 +150,15 @@ class CoordinatorClient:
         return "/".join(path.split("/", 3)[:3])
 
     def request(self, method: str, path: str,
-                payload: dict | bytes | None = None) -> tuple[int, dict]:
+                payload: dict | None = None) -> tuple[int, dict]:
         """One JSON exchange; returns ``(status, parsed body)``.
 
-        ``payload`` is the JSON body as a dict, or already encoded as
-        bytes.  Retries transport failures, injected network faults,
-        torn responses, and 429/503 answers under the client policy;
-        any other status returns to the caller.  Exhaustion raises
-        :class:`CoordinatorError`.
+        ``payload`` is the JSON body as a dict.  Retries transport
+        failures, injected network faults, torn responses, and 429/503
+        answers under the client policy; any other status returns to
+        the caller.  Exhaustion raises :class:`CoordinatorError`.
         """
-        if isinstance(payload, bytes):
-            body = payload
-        else:
-            body = b"" if payload is None else json.dumps(payload).encode()
+        body = b"" if payload is None else json.dumps(payload).encode()
         headers = {"Connection": "keep-alive",
                    "Content-Type": "application/json"}
         if self.tenant:
@@ -231,7 +227,7 @@ class RemoteStore:
         return RemoteStore(self.client.clone(), namespace=self.namespace)
 
     def _call(self, method: str, path: str,
-              payload: dict | bytes | None = None) -> dict | None:
+              payload: dict | None = None) -> dict | None:
         status, data = self.client.request(method, path, payload)
         if status == 404:
             return None
@@ -338,22 +334,11 @@ class RemoteStore:
     def put_coeff(self, key: str, payload: list) -> None:
         self._call("PUT", f"/v1/coeff/{key}", {"payload": payload})
 
-    def get_coeff_netlist(self, key: str) -> dict | None:
-        data = self._call("GET", f"/v1/coeff-netlists/{key}")
-        return None if data is None else data["netlist"]
-
-    def put_coeff_netlist(self, key: str, netlist_data: dict | str,
-                          fingerprint: str) -> None:
-        if isinstance(netlist_data, str):
-            # Pre-encoded document text: splice it in as the "netlist"
-            # object, so the wire body matches the dict form's.
-            body = (f'{{"netlist":{netlist_data},'
-                    f'"fingerprint":{json.dumps(str(fingerprint))}}}')
-            self._call("PUT", f"/v1/coeff-netlists/{key}", body.encode())
-            return
-        self._call("PUT", f"/v1/coeff-netlists/{key}",
-                   {"netlist": netlist_data,
-                    "fingerprint": str(fingerprint)})
+    def put_coeff_netlist(self, key: str,
+                          fingerprint: str) -> tuple[str, bool]:
+        data = self._call("PUT", f"/v1/coeff-netlists/{key}",
+                          {"fingerprint": str(fingerprint)})
+        return data["fingerprint"], bool(data["hit"])
 
     def get_coeff_netlist_fingerprint(self, key: str) -> str | None:
         data = self._call("GET", f"/v1/coeff-netlists/{key}/fingerprint")

@@ -307,7 +307,7 @@ class ExplorationService:
     One service owns one :class:`~repro.service.store.DesignStore`, its
     own cache of evaluators, and a bounded cache of prepared
     pruning bases (``BASE_CACHE_SIZE`` entries, least recently used out
-    first).  A base is built (or decoded) once, and the first job on it
+    first).  A base is built once, and the first job on it
     keeps its prune space — folded base, training activity and phi — so
     every later grid on that base only walks; the store shares the
     evaluations between them.  An evicted base is rebuilt on its next
@@ -411,12 +411,12 @@ class ExplorationService:
     def _base_key(self, request: ExploreRequest) -> str:
         """The request's base fingerprint, without a netlist if possible.
 
-        ``coeff`` bases whose netlist the store already holds resolve
-        through the *stored* netlist fingerprint
+        ``coeff`` bases whose fingerprint the store already holds
+        resolve through it
         (:meth:`~repro.service.store.DesignStore.
-        get_coeff_netlist_fingerprint`) — no bespoke build, no JSON
-        deserialize.  Everything else builds the circuit once (cached
-        per process) and uses the fingerprint computed with it.
+        get_coeff_netlist_fingerprint`) — no bespoke build.  Everything
+        else builds the circuit once (cached per process) and uses the
+        fingerprint computed with it.
         """
         cache_key = self._base_cache_key(request)
         cached = self._base_keys.get(cache_key)
@@ -459,8 +459,8 @@ class ExplorationService:
         """A finished grid served purely by content key, or ``None``.
 
         The warm fast path: base and grid keys derive from stored
-        fingerprints, so a repeated request never rebuilds (or even
-        deserializes) its base netlist — it is one SQLite lookup.
+        fingerprints, so a repeated request never rebuilds its base
+        circuit — it is one SQLite lookup.
         """
         start = time.perf_counter()
         gkey = self.grid_key(request)
@@ -576,7 +576,7 @@ class ExplorationService:
         """Run (or look up) one request; returns (designs, report).
 
         A finished grid is served straight off its content key (no
-        circuit build or decode — see :meth:`_warm_grid`); anything
+        circuit build — see :meth:`_warm_grid`); anything
         else goes through the resumable job.
         """
         with self.request_span(request):

@@ -914,32 +914,14 @@ class ExploreServer:
             await reply({"type": "coeff-netlist",
                          "fingerprint": fingerprint})
             return
-        if method == "GET":
-            data = await self._store_call(
-                tenant, DesignStore.get_coeff_netlist, key)
-            if data is None:
-                raise _HttpError(404, f"no coeff netlist {key[:12]}")
-            await reply({"type": "coeff-netlist", "netlist": data})
-            return
         if method == "PUT" and not sub:
-            netlist, fingerprint = self._coord_fields(
-                payload, "netlist", "fingerprint")
-            # The document, or its pre-encoded JSON text (stored as-is).
-            if isinstance(netlist, str):
-                try:
-                    valid = isinstance(json.loads(netlist), dict)
-                except ValueError:
-                    valid = False
-            else:
-                valid = isinstance(netlist, dict)
-            if not valid:
-                raise _HttpError(400, "netlist must be a JSON object "
-                                      "or its encoded text")
-            await self._store_call(tenant, DesignStore.put_coeff_netlist,
-                                   key, netlist, str(fingerprint))
-            await reply({"type": "coeff-netlist", "stored": True})
+            (fingerprint,) = self._coord_fields(payload, "fingerprint")
+            stored, hit = await self._store_call(
+                tenant, DesignStore.put_coeff_netlist, key, str(fingerprint))
+            await reply({"type": "coeff-netlist", "fingerprint": stored,
+                         "hit": hit})
             return
-        raise _HttpError(405, "coeff netlists are GET/PUT (plus GET "
+        raise _HttpError(405, "coeff netlists are PUT (plus GET "
                               "/fingerprint)")
 
     # -- streaming endpoints -------------------------------------------

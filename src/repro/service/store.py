@@ -58,7 +58,7 @@ import numpy as np
 from ..core.coeff_approx import ApproximatedSum
 from ..core.pruning import PrunedDesign, prune_key_bytes, prune_key_ids
 from ..eval.accuracy import EvaluationRecord
-from ..hw.netlist_io import EncodedNetlist, encode_netlist, netlist_from_dict
+from ..hw.netlist_io import encode_netlist
 from .faults import fault_point
 from .retry import RetryPolicy, retry_call
 from .telemetry import counter as _metric
@@ -85,8 +85,9 @@ __all__ = [
     "designs_from_text",
 ]
 
-# Bump when the schema or any fingerprint input changes; old stores are
-# rejected loudly instead of silently missing every lookup.
+# Bump when the schema or any fingerprint input changes; formats this
+# build cannot migrate are rejected loudly instead of silently missing
+# every lookup.
 # 2: base fingerprints include the exploration identity mode (one mode
 #    remains, and its literal "exact" is still hashed), and the
 #    coeff_cache table memoizes coefficient-approximation results.
@@ -101,7 +102,10 @@ __all__ = [
 #    counter): a reclaimed worker's late shard upload is rejected with
 #    :class:`FencedWriteError` instead of silently landing — the
 #    write-safety half of the multi-host coordinator protocol.
-STORE_FORMAT = 5
+# 6: coeff_netlists keeps each circuit's fingerprint, not its netlist
+#    text: the circuit is rebuilt on first contact and checked against
+#    the fingerprint.  A format-5 file migrates in place on open.
+STORE_FORMAT = 6
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS store_meta (
@@ -139,7 +143,6 @@ CREATE TABLE IF NOT EXISTS coeff_cache (
 );
 CREATE TABLE IF NOT EXISTS coeff_netlists (
     key         TEXT PRIMARY KEY,
-    netlist     TEXT NOT NULL,
     fingerprint TEXT NOT NULL,
     hits        INTEGER NOT NULL DEFAULT 0,
     created_at  REAL NOT NULL
@@ -251,17 +254,15 @@ def _payload_digest(payload: dict) -> dict:
 def netlist_fingerprint(nl) -> str:
     """Content hash of a circuit's structure, ports, and pruning meta.
 
-    ``nl`` is an :class:`~repro.hw.synthesis.ArrayCircuit` or the
-    :class:`~repro.hw.netlist_io.EncodedNetlist` the caller already
-    holds.  The hashed bytes are the canonical JSON of
-    :func:`~repro.hw.netlist_io.netlist_to_dict`, so both give the
-    same digest.  The cosmetic ``name`` is excluded: logically
+    ``nl`` is an :class:`~repro.hw.synthesis.ArrayCircuit`.  The hashed
+    bytes are the canonical JSON of
+    :func:`~repro.hw.netlist_io.netlist_to_dict`.  The cosmetic
+    ``name`` is excluded: logically
     identical circuits built through different entry points (the CLI,
     the framework, a bench script) must resolve to the same content key
     or the store would recompute across them instead of deduplicating.
     """
-    encoded = nl if isinstance(nl, EncodedNetlist) else encode_netlist(nl)
-    return content_key("netlist", encoded.canonical)
+    return content_key("netlist", encode_netlist(nl).canonical)
 
 
 def evaluator_fingerprint(evaluator) -> str:
@@ -434,7 +435,7 @@ def coeff_netlist_key(model, approximator) -> str:
     The build is a deterministic function of (model, approximation
     inputs): :func:`model_fingerprint` pins every structural model
     field and :func:`coeff_key` the approximation's own inputs, so two
-    runs that share this key rebuild byte-identical netlist JSON.
+    runs that share this key build circuits with one fingerprint.
     """
     return content_key("coeff-netlist", model_fingerprint(model),
                        coeff_key(model, approximator))
@@ -444,44 +445,33 @@ def build_coeff_netlist_cached(approximator, model, store: "DesignStore",
                                name: str = "coeff",
                                approx_model=None,
                                builder: str = "auto") -> tuple:
-    """The coefficient-approximated circuit, through the store.
+    """The coefficient-approximated circuit, checked against the store.
 
     Returns ``(circuit, fingerprint, hit)``; ``fingerprint`` is the
     circuit's :func:`netlist_fingerprint`, handed back so callers key
-    their work without hashing the circuit again.  Every outcome is an
-    :class:`~repro.hw.synthesis.ArrayCircuit`.  A warm hit decodes the
-    stored JSON straight into rows
-    (:func:`~repro.hw.netlist_io.netlist_from_dict` reproduces the
-    build's exact gate list and numbering, so fingerprints and
-    evaluations of the rebuilt circuit are bit-identical — pinned by
-    the service tests) and skips the bespoke build+synthesis entirely;
-    the decoded circuit is not marked ``folded``, so a pruner folds it
-    once.  A miss builds through ``builder`` (see
-    :func:`~repro.hw.bespoke.build_bespoke_netlist`) and persists it,
-    encoded once, straight from its rows, for both the fingerprint and
-    the stored payload.
-    ``approx_model`` short-circuits the (cached) approximation step when
-    the caller already holds it; the circuit's cosmetic ``name`` is
-    always the caller's.  Tenants and processes share a built circuit
-    only through the ``coeff_netlists`` table.
+    their work without hashing the circuit again.  The circuit is
+    always built, through the (cached) approximation and ``builder``
+    (see :func:`~repro.hw.bespoke.build_bespoke_netlist`), so it comes
+    out ``folded``.  The store keeps only the fingerprint: the first
+    build records it (``hit`` is ``False``), and a later build that
+    does not reproduce it raises ``ValueError`` naming the key.
+    ``approx_model`` short-circuits the approximation step when the
+    caller already holds it.
     """
     from ..hw.bespoke import build_bespoke_netlist  # lazy: service -> hw
 
-    key = coeff_netlist_key(model, approximator)
-    data = store.get_coeff_netlist(key)
-    if data is not None:
-        circuit = netlist_from_dict(data)
-        circuit.name = name
-        return circuit, netlist_fingerprint(circuit), True
     if approx_model is None:
         approx_model, _reports = approximate_model_cached(
             approximator, model, store)
     circuit = build_bespoke_netlist(approx_model, name=name, builder=builder)
-    # The stored name is cosmetic; keep stored payloads canonical.
-    encoded = encode_netlist(circuit, name="coeff")
-    fingerprint = netlist_fingerprint(encoded)
-    store.put_coeff_netlist(key, encoded.text, fingerprint)
-    return circuit, fingerprint, False
+    fingerprint = netlist_fingerprint(circuit)
+    key = coeff_netlist_key(model, approximator)
+    stored, hit = store.put_coeff_netlist(key, fingerprint)
+    if stored != fingerprint:
+        raise ValueError(
+            f"coefficient circuit {key} rebuilds to fingerprint "
+            f"{fingerprint}, but the store holds {stored}")
+    return circuit, fingerprint, hit
 
 
 def design_from_dict(data: dict) -> PrunedDesign:
@@ -572,17 +562,32 @@ class DesignStore:
         return type(self), (self.path, self.namespace)
 
     def _open_schema(self) -> None:
-        def create(con):
-            con.executescript(_SCHEMA)
+        """Create the tables and migrate a format-5 file to 6 (one
+        write transaction that re-reads the format, so of two openers
+        one migrates); any other format raises ``ValueError``."""
+        def read_format(con):
             row = con.execute(
                 "SELECT value FROM store_meta WHERE key='format'").fetchone()
-            if row is None:
+            return None if row is None else int(row[0])
+
+        def create(con):
+            con.executescript(_SCHEMA)
+            found = read_format(con)
+            if found is None:
                 con.execute(
                     "INSERT OR IGNORE INTO store_meta VALUES('format', ?)",
                     (str(STORE_FORMAT),))
-            elif int(row[0]) != STORE_FORMAT:
+            elif found == 5:
+                con.execute("BEGIN IMMEDIATE")
+                if read_format(con) == 5:
+                    con.execute(
+                        "ALTER TABLE coeff_netlists DROP COLUMN netlist")
+                    con.execute(
+                        "UPDATE store_meta SET value=? WHERE key='format'",
+                        (str(STORE_FORMAT),))
+            elif found != STORE_FORMAT:
                 raise ValueError(
-                    f"design store {self.path!r} has format {row[0]}, "
+                    f"design store {self.path!r} has format {found}, "
                     f"this build expects {STORE_FORMAT}")
         self._with_connection("open_schema", create)
 
@@ -1017,45 +1022,31 @@ class DesignStore:
 
     # -- coefficient-approximated netlists -----------------------------
 
-    def get_coeff_netlist(self, key: str) -> dict | None:
-        """Stored netlist JSON of one approximated circuit, or ``None``."""
-        def read(con):
-            row = con.execute(
-                "SELECT netlist FROM coeff_netlists WHERE key=?",
-                (key,)).fetchone()
-            if row is not None:
-                self._count_hit(con, "coeff_netlists", key)
-            return row
-        row = self._with_connection("get_coeff_netlist", read)
-        self._count_lookup("coeff_netlists", row)
-        return None if row is None else json.loads(row[0])
+    def put_coeff_netlist(self, key: str,
+                          fingerprint: str) -> tuple[str, bool]:
+        """Record one approximated circuit's fingerprint, first writer
+        wins; returns the stored fingerprint and whether it was there.
 
-    def put_coeff_netlist(self, key: str, netlist_data: dict | str,
-                          fingerprint: str) -> None:
-        """Store one approximated circuit's netlist document.
-
-        ``netlist_data`` is the :func:`~repro.hw.netlist_io.
-        netlist_to_dict` document, or its JSON text as pre-encoded by
-        :func:`~repro.hw.netlist_io.encode_netlist` (stored verbatim).
+        An existing row is a hit: its counter goes up, and the caller
+        checks its rebuild against the fingerprint handed back.
         """
-        # Plain (insertion-ordered) JSON, *not* canonical_json: bus
-        # declaration order is structural — ``netlist_from_dict``
-        # re-allocates nets in iteration order, so sorting the keys
-        # would renumber the rebuilt netlist and break the rebuilt ==
-        # fresh fingerprint identity.  The key is derived from the
-        # model, not this payload, so no canonical form is needed.
-        # ``fingerprint`` (the netlist content hash) rides along so
-        # warm requests can derive base/grid keys without ever
-        # deserializing the circuit.
-        text = netlist_data if isinstance(netlist_data, str) \
-            else json.dumps(netlist_data, separators=(",", ":"))
-        self._with_connection("put_coeff_netlist", lambda con: con.execute(
-            "INSERT OR IGNORE INTO coeff_netlists"
-            "(key, netlist, fingerprint, created_at) VALUES (?,?,?,?)",
-            (key, text, fingerprint, time.time())))
+        def write(con):
+            inserted = con.execute(
+                "INSERT OR IGNORE INTO coeff_netlists"
+                "(key, fingerprint, created_at) VALUES (?,?,?)",
+                (key, fingerprint, time.time())).rowcount
+            if inserted:
+                return fingerprint, False
+            self._count_hit(con, "coeff_netlists", key)
+            return con.execute(
+                "SELECT fingerprint FROM coeff_netlists WHERE key=?",
+                (key,)).fetchone()[0], True
+        stored, hit = self._with_connection("put_coeff_netlist", write)
+        self._count_lookup("coeff_netlists", stored if hit else None)
+        return stored, hit
 
     def get_coeff_netlist_fingerprint(self, key: str) -> str | None:
-        """The stored netlist's content hash (no payload deserialize)."""
+        """The stored fingerprint of one approximated circuit, or ``None``."""
         row = self._with_connection(
             "get_coeff_netlist_fingerprint", lambda con: con.execute(
                 "SELECT fingerprint FROM coeff_netlists WHERE key=?",
@@ -1077,11 +1068,11 @@ class DesignStore:
           ``keep_days`` *and* unreachable — no surviving grid manifest
           references their base fingerprint (recent variants stay even
           without a grid: they may belong to an in-flight run);
-        * **coefficient netlists** follow the same reachability rule
-          through the grids' ``coeff_netlist_key`` metadata: a stale
-          netlist survives while any surviving grid was explored on it
-          (deleting it would turn those grids' warm re-sweeps back
-          into rebuilds);
+        * **coefficient netlist fingerprints** follow the same
+          reachability rule through the grids' ``coeff_netlist_key``
+          metadata: a stale row survives while any surviving grid was
+          explored on its circuit (deleting it would make those grids'
+          warm re-sweeps rebuild the circuit to key them);
         * orphaned **shard checkpoints** and **coefficient-cache** rows
           older than the cutoff are dropped.
 

@@ -188,47 +188,35 @@ class TestEndpoints:
             store.put_coeff(key, [{"original": 3, "approximated": 2}])
             assert store.get_coeff(key) \
                 == [{"original": 3, "approximated": 2}]
-            assert store.get_coeff_netlist(key) is None
             assert store.get_coeff_netlist_fingerprint(key) is None
-            store.put_coeff_netlist(key, {"nodes": []}, "f" * 64)
-            assert store.get_coeff_netlist(key) == {"nodes": []}
+            assert store.put_coeff_netlist(key, "f" * 64) \
+                == ("f" * 64, False)
             assert store.get_coeff_netlist_fingerprint(key) == "f" * 64
 
-    def test_pre_encoded_coeff_netlist_over_http(self, tmp_path):
-        """The cold path's pre-encoded netlist text crosses the wire
-        and reads back as the same document, remote and local alike."""
-        from repro.experiments.zoo import get_case
-        from repro.hw.array_builder import build_bespoke_arrays
-        from repro.hw.netlist_io import encode_netlist, netlist_from_dict
-        from repro.service.store import netlist_fingerprint
-
-        encoded = encode_netlist(build_bespoke_arrays(
-            get_case("redwine", "svm_r").quant_model), name="coeff")
-        fingerprint = netlist_fingerprint(encoded)
+    def test_coeff_netlist_routes_carry_only_fingerprints(self, tmp_path):
+        """The coordinator stores no circuit: a ``PUT`` carries just the
+        fingerprint and answers the stored one plus the hit flag, the
+        same pair a local store hands back."""
         local = DesignStore(tmp_path / "local.sqlite")
         with coordinator(tmp_path) as server:
             store = remote(server)
             for target in (store, local):
-                target.put_coeff_netlist("e" * 64, encoded.text, fingerprint)
-                data = target.get_coeff_netlist("e" * 64)
-                assert isinstance(data, dict)
-                assert netlist_fingerprint(netlist_from_dict(data)) \
-                    == fingerprint
+                assert target.put_coeff_netlist("e" * 64, "1" * 64) \
+                    == ("1" * 64, False)
+                # A repeated key keeps its first fingerprint.
+                assert target.put_coeff_netlist("e" * 64, "2" * 64) \
+                    == ("1" * 64, True)
                 assert target.get_coeff_netlist_fingerprint("e" * 64) \
-                    == fingerprint
-            # The handler also takes the text as a JSON string field...
-            status, _data = store.client.request(
-                "PUT", "/v1/coeff-netlists/" + "c" * 64,
-                {"netlist": encoded.text, "fingerprint": fingerprint})
-            assert status == 200
-            assert store.get_coeff_netlist("c" * 64) \
-                == store.get_coeff_netlist("e" * 64)
-            # ... but never stores text that is not a JSON object.
-            status, _data = store.client.request(
+                    == "1" * 64
+            client = store.client
+            status, _data = client.request(
+                "GET", "/v1/coeff-netlists/" + "e" * 64)
+            assert status == 405
+            status, data = client.request(
                 "PUT", "/v1/coeff-netlists/" + "d" * 64,
-                {"netlist": "not json", "fingerprint": fingerprint})
-            assert status == 400
-            assert store.get_coeff_netlist("d" * 64) is None
+                {"netlist": {"nodes": []}})
+            assert status == 400 and "fingerprint" in data["error"]
+            assert store.get_coeff_netlist_fingerprint("d" * 64) is None
 
 
 class TestClientRobustness:

@@ -23,6 +23,8 @@ from check_docs import (  # noqa: E402
     metric_mismatches,
     quoted_mismatches,
     stale_references,
+    store_format_mismatches,
+    store_table_mismatches,
     unresolved_docstring_references,
 )
 
@@ -122,6 +124,35 @@ def test_undocumented_and_retired_metrics_are_reported(tmp_path):
         "ARCHITECTURE.md: retired.count is documented but no source "
         "names it",
         "ARCHITECTURE.md: new.gauge is emitted but has no row"]
+
+
+def test_store_table_names_the_schema_tables():
+    """ARCHITECTURE's store table lists exactly the tables ``_SCHEMA``
+    creates: a renamed row is reported both ways."""
+    architecture = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text()
+    assert store_table_mismatches(architecture) == []
+    doctored = architecture.replace("| `coeff_netlists` |",
+                                    "| `coeff_circuits` |")
+    assert store_table_mismatches(doctored) == [
+        "ARCHITECTURE.md: store table coeff_circuits is documented but "
+        "_SCHEMA does not create it",
+        "ARCHITECTURE.md: store table coeff_netlists is created but has "
+        "no row"]
+    assert store_table_mismatches("no table") \
+        == ["ARCHITECTURE.md: no table under '### Store schema'"]
+
+
+def test_store_format_sentence_matches_the_module():
+    architecture = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text()
+    assert store_format_mismatches(architecture) == []
+    doctored = architecture.replace("`STORE_FORMAT` is 6",
+                                    "`STORE_FORMAT` is 5")
+    assert store_format_mismatches(doctored) == [
+        "ARCHITECTURE.md: quotes STORE_FORMAT 5, store.py has 6"]
+    assert store_format_mismatches("`STORE_FORMAT` stays 6", 7) == [
+        "ARCHITECTURE.md: quotes STORE_FORMAT 6, store.py has 7"]
+    assert store_format_mismatches("no sentence") \
+        == ["ARCHITECTURE.md: no '`STORE_FORMAT` is N' sentence"]
 
 
 def test_documented_examples_run():

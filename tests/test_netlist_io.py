@@ -187,8 +187,6 @@ def _assert_encodes_like_oracle(circ: ArrayCircuit) -> None:
     assert encoded.canonical == canonical
     assert encoded.text == json.dumps(data, separators=(",", ":"))
     assert netlist_to_dict(circ) == data
-    assert netlist_fingerprint(circ) \
-        == netlist_fingerprint(encode_netlist(circ))
     # The stored text rebuilds to a circuit with the same fingerprint.
     rebuilt = netlist_from_dict(json.loads(encode_netlist(circ).text))
     assert netlist_fingerprint(rebuilt) == netlist_fingerprint(circ)
@@ -251,7 +249,9 @@ class TestEncodeNetlist:
     def test_name_override_only_touches_text(self):
         circ = build_bespoke_arrays(get_case("redwine", "svm_r").quant_model,
                                     name="mine")
-        plain, renamed = encode_netlist(circ), encode_netlist(circ, "coeff")
+        plain = encode_netlist(circ)
+        circ.name = "coeff"
+        renamed = encode_netlist(circ)
         assert plain.canonical == renamed.canonical
         assert json.loads(plain.text)["name"] == "mine"
         assert json.loads(renamed.text)["name"] == "coeff"

@@ -646,12 +646,12 @@ class TestConcurrency:
     def test_queue_full_gets_429_with_retry_after(
             self, tmp_path, monkeypatch):
         gate = threading.Event()
-        original = ExplorationService.explore
+        original = ExplorationService.compute
 
         def gated(self, *args, **kwargs):
             assert gate.wait(timeout=30)
             return original(self, *args, **kwargs)
-        monkeypatch.setattr(ExplorationService, "explore", gated)
+        monkeypatch.setattr(ExplorationService, "compute", gated)
 
         async def run():
             async with running_server(tmp_path, concurrency=1,
@@ -682,12 +682,12 @@ class TestDrain:
     def test_in_process_drain_finishes_inflight_stream(
             self, tmp_path, monkeypatch):
         gate = threading.Event()
-        original = ExplorationService.explore
+        original = ExplorationService.compute
 
         def gated(self, *args, **kwargs):
             assert gate.wait(timeout=30)
             return original(self, *args, **kwargs)
-        monkeypatch.setattr(ExplorationService, "explore", gated)
+        monkeypatch.setattr(ExplorationService, "compute", gated)
 
         async def run():
             async with running_server(tmp_path, concurrency=1) as server:

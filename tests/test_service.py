@@ -383,7 +383,7 @@ class TestStoreGc:
                          "--dry-run"]) == 0
         assert "would delete" in capsys.readouterr().out
         assert cli_main(["store", "stats", "--store", str(path)]) == 0
-        assert '"format": 5' in capsys.readouterr().out
+        assert '"format": 6' in capsys.readouterr().out
 
 
 class TestCoeffCache:
@@ -857,8 +857,8 @@ class TestESweep:
             "coeff", "request", "design", "design", "design", "summary"]
         digest = hashlib.sha256(
             ("\n".join(lines) + "\n").encode()).hexdigest()
-        assert digest == ("b20765df3884b0dc5f3bde7cfb348470"
-                          "c7d5cd8fbb2de8c760eac0192bd3fddc")
+        assert digest == ("12ad9aeea4f88940a87f5561ba2c13a4"
+                          "2e0b1ffa998aadf608119f55266dcc8d")
 
     def test_cold_warm_identity(self, sweep_service, tmp_path):
         cold = sweep_service.sweep(_sweep_request(), self.E)
@@ -895,34 +895,60 @@ class TestESweep:
         assert [(e, rec, designs) for e, rec, _h, designs, _r in resumed] \
             == [(e, rec, designs) for e, rec, _h, designs, _r in cold]
 
-    def test_coeff_netlist_round_trip_identity(self, tmp_path):
-        """The store-rebuilt netlist fingerprints identically to the
-        fresh build — the property warm grid hits rest on."""
+    BENCH_CIRCUITS = (("redwine", "svm_r"), ("redwine", "mlp_c"),
+                      ("redwine", "svm_c"), ("whitewine", "svm_c"),
+                      ("cardio", "svm_c"))
+
+    def test_rebuilt_coeff_circuits_match_stored_fingerprints(
+            self, tmp_path):
+        """The store keeps a coefficient circuit's fingerprint, not the
+        circuit: a second service rebuilds every circuit on first
+        contact, folded, with the fingerprint the first one stored."""
         from repro.core.coeff_approx import CoefficientApproximator
         from repro.core.multiplier_area import default_library
-        from repro.hw.netlist_io import netlist_from_dict, netlist_to_dict
         from repro.service.store import (build_coeff_netlist_cached,
                                          coeff_netlist_key)
 
-        case = get_case("redwine", "svm_r")
         store = DesignStore(tmp_path / "s.sqlite")
-        approximator = CoefficientApproximator(
-            library=default_library(), e=3)
-        fresh, fp_a, hit_a = build_coeff_netlist_cached(
-            approximator, case.quant_model, store, name="x")
-        rebuilt, fp_b, hit_b = build_coeff_netlist_cached(
-            approximator, case.quant_model, store, name="x")
-        assert (hit_a, hit_b) == (False, True)
-        key = coeff_netlist_key(case.quant_model, approximator)
-        assert fp_a == fp_b == netlist_fingerprint(fresh) \
-            == netlist_fingerprint(rebuilt) \
-            == store.get_coeff_netlist_fingerprint(key)
-        # The stored text decodes to the fresh build's rows, unmarked:
-        # a pruner folds a decoded base once.
-        stored = netlist_from_dict(store.get_coeff_netlist(key))
-        assert netlist_fingerprint(stored) == fp_a
-        assert netlist_to_dict(fresh) == netlist_to_dict(rebuilt)
-        assert (fresh.folded, rebuilt.folded) == (True, False)
+        requests = [ExploreRequest(dataset, model, base="coeff", e=e)
+                    for dataset, model in self.BENCH_CIRCUITS
+                    for e in range(1, 11)]
+        first = ExplorationService(store)
+        cold = [first._netlist(request) for request in requests]
+        assert not any(hit for _c, _m, hit, _fp in cold)
+        second = ExplorationService(store)
+        for request, (_c, meta, _hit, fingerprint) in zip(requests, cold):
+            circuit, _meta, hit, rebuilt = second._netlist(request)
+            assert hit and circuit.folded, request
+            assert rebuilt == fingerprint == netlist_fingerprint(circuit) \
+                == store.get_coeff_netlist_fingerprint(
+                    meta["coeff_netlist_key"])
+        # Both builders rebuild the stored fingerprint at the paper's e.
+        case = get_case("redwine", "svm_r")
+        approximator = CoefficientApproximator(library=default_library(),
+                                               e=4)
+        stored = store.get_coeff_netlist_fingerprint(
+            coeff_netlist_key(case.quant_model, approximator))
+        for builder in ("auto", "gate"):
+            circuit, fingerprint, hit = build_coeff_netlist_cached(
+                approximator, case.quant_model, store, builder=builder)
+            assert (fingerprint, hit, circuit.folded) == (stored, True, True)
+
+    def test_wrong_stored_fingerprint_raises(self, tmp_path):
+        """A stored fingerprint the rebuild does not reproduce is an
+        error naming the key; the row is never re-keyed."""
+        store = DesignStore(tmp_path / "s.sqlite")
+        request = ExploreRequest("redwine", "svm_r", base="coeff", e=3,
+                                 tau_grid=(0.9, 0.99))
+        key = ExplorationService(store)._netlist(request)[1][
+            "coeff_netlist_key"]
+        with sqlite3.connect(store.path) as con:
+            con.execute("UPDATE coeff_netlists SET fingerprint=?",
+                        ("0" * 64,))
+        con.close()
+        with pytest.raises(ValueError, match=key):
+            ExplorationService(DesignStore(store.path)).explore(request)
+        assert store.get_coeff_netlist_fingerprint(key) == "0" * 64
 
     def test_warm_sweep_skips_build_search_and_simulation(self,
                                                           sweep_service,

@@ -341,12 +341,12 @@ class TestServerTelemetry:
 
     def test_request_id_on_429_and_drain_503(self, tmp_path, monkeypatch):
         gate = threading.Event()
-        original = ExplorationService.explore
+        original = ExplorationService.compute
 
         def gated(self, *args, **kwargs):
             assert gate.wait(timeout=30)
             return original(self, *args, **kwargs)
-        monkeypatch.setattr(ExplorationService, "explore", gated)
+        monkeypatch.setattr(ExplorationService, "compute", gated)
 
         async def run():
             async with running_server(tmp_path, concurrency=1,

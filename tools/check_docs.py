@@ -1,7 +1,7 @@
 """Docs checker for the Markdown docs and the package docstrings (CI
 docs job).
 
-Five checks:
+Seven checks:
 
 * **links** — scans ``README.md`` and ``docs/*.md`` for Markdown links
   and verifies that every *relative* target exists in the repository
@@ -24,7 +24,11 @@ Five checks:
 * **quoted numbers** — the README's "Measured performance" table cells
   ("Seed pipeline" and "Batched" seconds, two decimals; "Speedup vs
   seed", one decimal) and its oracle walk "took A–Bx" range must match
-  ``BENCH_simulate.json``.
+  ``BENCH_simulate.json``;
+* **store tables** — ARCHITECTURE's "Store schema" table names exactly
+  the tables ``store._SCHEMA`` creates;
+* **store format** — every "`STORE_FORMAT` is N" (or "stays N")
+  sentence in ARCHITECTURE quotes ``store.STORE_FORMAT``.
 
 Run::
 
@@ -50,6 +54,7 @@ _CODE_REF = re.compile(r"`([\w./-]+\.py)::(\w+)")
 # :role:`target` or :role:`text <target>` in a docstring.
 _ROLE_REF = re.compile(r":(?:class|meth|func|attr):`([^`]+)`")
 PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
+STORE_MODULE = PACKAGE_ROOT / "service" / "store.py"
 
 
 def doc_files() -> list[pathlib.Path]:
@@ -323,6 +328,51 @@ def quoted_mismatches(readme: str, record: dict) -> list[str]:
     return problems
 
 
+def _module_constant(path: pathlib.Path, name: str):
+    """The literal a module-level ``name = <literal>`` binds."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path.name} binds no {name}")
+
+
+def store_table_mismatches(architecture: str,
+                           schema: str | None = None) -> list[str]:
+    """Both directions between ARCHITECTURE's "Store schema" table and
+    the tables ``schema`` (default: ``store._SCHEMA``) creates."""
+    if schema is None:
+        schema = _module_constant(STORE_MODULE, "_SCHEMA")
+    created = set(re.findall(r"CREATE TABLE IF NOT EXISTS (\w+)", schema))
+    table = _table_after(architecture, "### Store schema")
+    documented = {name for row in table[1:]
+                  for name in re.findall(r"`([^`]+)`", row[0])}
+    if not documented:
+        return ["ARCHITECTURE.md: no table under '### Store schema'"]
+    return ([f"ARCHITECTURE.md: store table {name} is documented but "
+             "_SCHEMA does not create it"
+             for name in sorted(documented - created)]
+            + [f"ARCHITECTURE.md: store table {name} is created but has "
+               "no row" for name in sorted(created - documented)])
+
+
+_FORMAT_SENTENCE = re.compile(r"`STORE_FORMAT` (?:is|stays) (\d+)")
+
+
+def store_format_mismatches(architecture: str,
+                            store_format: int | None = None) -> list[str]:
+    """ARCHITECTURE's "`STORE_FORMAT` is N" sentences that do not quote
+    ``store_format`` (default: ``store.STORE_FORMAT``)."""
+    if store_format is None:
+        store_format = _module_constant(STORE_MODULE, "STORE_FORMAT")
+    quoted = _FORMAT_SENTENCE.findall(architecture)
+    if not quoted:
+        return ["ARCHITECTURE.md: no '`STORE_FORMAT` is N' sentence"]
+    return [f"ARCHITECTURE.md: quotes STORE_FORMAT {n}, store.py has "
+            f"{store_format}" for n in quoted if int(n) != store_format]
+
+
 def main() -> int:
     files = doc_files()
     problems = broken_links(files)
@@ -334,10 +384,14 @@ def main() -> int:
     unresolved, n_roles = unresolved_docstring_references()
     for problem in unresolved:
         print(f"stale docstring reference — {problem}", file=sys.stderr)
-    metrics = metric_mismatches(
-        (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text())
+    architecture = (REPO_ROOT / "docs" / "ARCHITECTURE.md").read_text()
+    metrics = metric_mismatches(architecture)
     for problem in metrics:
         print(f"stale metric — {problem}", file=sys.stderr)
+    store = (store_table_mismatches(architecture)
+             + store_format_mismatches(architecture))
+    for problem in store:
+        print(f"stale store schema — {problem}", file=sys.stderr)
     mismatches = quoted_mismatches(
         (REPO_ROOT / "README.md").read_text(),
         json.loads((REPO_ROOT / "BENCH_simulate.json").read_text()))
@@ -346,10 +400,10 @@ def main() -> int:
     print(f"checked {len(files)} docs: {len(problems)} broken links, "
           f"{len(stale)} stale code references, "
           f"{len(metrics)} stale metrics, {len(mismatches)} stale "
-          f"numbers; checked {n_roles} docstring references: "
-          f"{len(unresolved)} unresolved")
+          f"numbers, {len(store)} stale store schema lines; checked "
+          f"{n_roles} docstring references: {len(unresolved)} unresolved")
     return 1 if problems or stale or unresolved or metrics \
-        or mismatches else 0
+        or mismatches or store else 0
 
 
 if __name__ == "__main__":
